@@ -23,6 +23,16 @@ arena fast path) with the same interleaved pairwise methodology, the host
 core count, and a serial-vs-process RunLog byte-identity check. Process
 speedups only mean anything on a multi-core host — ``cpu_count`` is recorded
 so downstream assertions can gate on it.
+
+``--baseline-src DIR --pr N`` instead runs only the **cross-commit trial**
+``transformer_4w_selsync`` (TinyTransformer/4w SelSync, the e2e benchmark's
+``xfmr4_selsync`` recipe): one child process imports ``repro`` from ``DIR``
+(a checkout of the commit to compare against, e.g. ``git clone . /tmp/parent``
+then ``/tmp/parent/src``), another from this checkout, both stay alive and
+time alternating blocks of steps, and the before/after steps/s, pairwise
+ratios and per-call GELU / Linear micro-timings are **appended** to
+``BENCH_hotpath.json["history"]`` — the trajectory across PRs that the
+snapshot sections above do not keep.
 """
 
 from __future__ import annotations
@@ -32,6 +42,8 @@ import gc
 import json
 import os
 import statistics
+import subprocess
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -375,6 +387,100 @@ def micro_flat_ops(n_params: int = 200_000, n_workers: int = 8, reps: int = 50):
     }
 
 
+def _median_us(fn, reps: int = 300) -> float:
+    fn()
+    samples = []
+    for _ in range(reps):
+        t0 = time.perf_counter()
+        fn()
+        samples.append(time.perf_counter() - t0)
+    return round(statistics.median(samples) * 1e6, 2)
+
+
+def transformer_child(steps: int) -> None:
+    """One side of :func:`transformer_trial`: print the layer micro-timings,
+    then time ``steps`` trainer steps for every line read from stdin."""
+    from repro.nn.layers import GELU, Linear
+
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=(20, 16, 32))  # (B, T, D) of transformer_wikitext
+    h = rng.normal(size=(20, 16, 64))
+    act, fc = GELU(), Linear(32, 64, rng=0)
+    micro = {
+        "gelu_fwd_bwd_us": _median_us(lambda: (act.forward(h), act.backward(h))),
+        "linear_fwd_bwd_us": _median_us(lambda: (fc.forward(x), fc.backward(h))),
+    }
+    built = get_workload("transformer_wikitext").build(
+        n_workers=4, n_steps=1000, seed=0, cluster_kwargs={"executor": "serial"}
+    )
+    spec = MethodSpec("selsync", {"delta": 0.1, "aggregation": "params"})
+    trainer = build_trainer(spec, built)
+    for i in range(5):
+        trainer.step(i)
+    print(json.dumps(micro), flush=True)
+    i = 5
+    gc.disable()
+    for _ in sys.stdin:
+        print(time_steps(trainer, i, steps), flush=True)
+        i += steps
+
+
+def transformer_trial(baseline_src: str, trials: int, steps: int):
+    """Interleaved before/after trials across two checkouts of ``repro``.
+
+    Same drift-cancelling method as :func:`ab_trial`, but the two sides are
+    two commits, so each lives in its own child process (``PYTHONPATH`` set
+    to its ``src``); the children are built and warmed first and then take
+    turns, so adjacent blocks still share the host's momentary speed.
+    """
+    # One BLAS thread unless the caller says otherwise, as in benchmarks/e2e:
+    # the simulator models a cluster on one core, and OpenBLAS worker
+    # wake-ups on this host cost more than these GEMMs.
+    blas_threads = os.environ.get("OPENBLAS_NUM_THREADS", "1")
+
+    def spawn(src):
+        env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=blas_threads)
+        return subprocess.Popen(
+            [sys.executable, __file__, "--transformer-child", str(steps)],
+            env=env, stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
+        )
+
+    def block(child) -> float:
+        child.stdin.write("go\n")
+        child.stdin.flush()
+        return float(child.stdout.readline())
+
+    children = [spawn(baseline_src), spawn(ROOT / "src")]
+    try:
+        micro = [json.loads(c.stdout.readline()) for c in children]
+        rates = [[block(c) for c in children] for _ in range(trials)]
+    finally:
+        for c in children:
+            c.stdin.close()
+            c.wait(timeout=60)
+    before, after = zip(*rates)
+    ratios = [a / b for b, a in rates]
+    return {
+        "trial": "transformer_4w_selsync",
+        "workload": "transformer_wikitext (TinyTransformer), 4 workers, SelSync delta=0.1 PA",
+        "blas_threads": blas_threads,
+        "before_steps_per_sec": round(statistics.median(before), 3),
+        "after_steps_per_sec": round(statistics.median(after), 3),
+        "pairwise_ratios": [round(r, 3) for r in ratios],
+        "speedup_median_pairwise": round(statistics.median(ratios), 3),
+        "micro_before": micro[0],
+        "micro_after": micro[1],
+    }
+
+
+def _git_head(path) -> str:
+    out = subprocess.run(
+        ["git", "-C", str(path), "rev-parse", "--short", "HEAD"],
+        capture_output=True, text=True,
+    )
+    return out.stdout.strip() or "unknown"
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--quick", action="store_true", help="fewer/shorter trials")
@@ -385,11 +491,42 @@ def main(argv=None) -> int:
         action="store_true",
         help="run only the executor sweep (skips the seed-vs-arena A/B)",
     )
+    ap.add_argument(
+        "--baseline-src",
+        help="src/ of the commit to compare against: run only the "
+        "transformer_4w_selsync trial and append it to --out's history",
+    )
+    ap.add_argument("--pr", type=int, help="PR number of the history entry")
+    ap.add_argument("--transformer-child", type=int, help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
+
+    if args.transformer_child:
+        transformer_child(args.transformer_child)
+        return 0
 
     trials = 3 if args.quick else 10
     steps_off = 4 if args.quick else 8
     steps_on = 8 if args.quick else 16
+
+    out_path = Path(args.out)
+    snapshot = json.loads(out_path.read_text()) if out_path.exists() else {}
+    history = snapshot.get("history", [])
+
+    if args.baseline_src:
+        if args.pr is None:
+            ap.error("--baseline-src needs --pr N to label the history entry")
+        entry = {
+            "pr": args.pr,
+            # The tree measured is this commit's parent plus the PR's diff.
+            "commit": _git_head(ROOT) + "+",
+            "baseline_commit": _git_head(Path(args.baseline_src)),
+            **transformer_trial(args.baseline_src, trials, 20 if args.quick else 50),
+        }
+        print(f"transformer_4w_selsync: {entry}")
+        snapshot["history"] = history + [entry]
+        out_path.write_text(json.dumps(snapshot, indent=2) + "\n")
+        print(f"appended history entry to {out_path}")
+        return 0
 
     if not args.skip_hotpath:
         results = {
@@ -420,8 +557,9 @@ def main(argv=None) -> int:
             print(f"{method}/arena-threaded: "
                   f"{results['methods'][method]['arena-threaded']}")
 
-        Path(args.out).write_text(json.dumps(results, indent=2) + "\n")
-        print(f"wrote {args.out}")
+        results["history"] = history  # append-only: survives the re-snapshot
+        out_path.write_text(json.dumps(results, indent=2) + "\n")
+        print(f"wrote {out_path}")
 
     ex_results = executor_sweep(trials, steps_on, args.quick)
     Path(args.executor_out).write_text(json.dumps(ex_results, indent=2) + "\n")

@@ -23,29 +23,6 @@ def relu_grad(x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
     return grad_out * (x > 0.0)
 
 
-def gelu(x: np.ndarray) -> np.ndarray:
-    """Tanh approximation of GELU (matches the common transformer variant)."""
-    c = np.sqrt(2.0 / np.pi)
-    return 0.5 * x * (1.0 + np.tanh(c * (x + 0.044715 * x**3)))
-
-
-def gelu_grad(x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
-    c = np.sqrt(2.0 / np.pi)
-    u = c * (x + 0.044715 * x**3)
-    t = np.tanh(u)
-    du = c * (1.0 + 3 * 0.044715 * x**2)
-    return grad_out * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * du)
-
-
-def sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
 # -- softmax family ----------------------------------------------------------
 
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:

@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.nn import functional as F
 from repro.nn.module import Module
 from repro.utils import fastpath
+
+_GELU_C = math.sqrt(2.0 / math.pi)
+_GELU_A = 0.044715
 
 
 class ReLU(Module):
@@ -47,16 +52,51 @@ class ReLU(Module):
 
 
 class GELU(Module):
+    """Tanh approximation of GELU (the common transformer variant).
+
+    The cubic is two products (``x**3`` goes through libm ``pow``, ~90x the
+    cost per element), ``tanh(u)`` is kept from ``forward`` for ``backward``,
+    and every array lives in a workspace reused while the input shape repeats.
+    """
+
     def __init__(self):
         super().__init__()
         self._x: np.ndarray = np.zeros(0)
+        self._ws = None  # (out, tanh(u), dx, scratch)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._x = x
-        return F.gelu(x)
+        ws = self._ws
+        if ws is None or ws[0].shape != x.shape:
+            ws = self._ws = tuple(np.empty(x.shape) for _ in range(4))
+        out, t, _, x2 = ws
+        np.multiply(x, x, out=x2)
+        np.multiply(x2, x, out=t)
+        t *= _GELU_A
+        t += x
+        t *= _GELU_C  # u = c * (x + a * x^3)
+        np.tanh(t, out=t)
+        np.add(t, 1.0, out=out)
+        out *= x
+        out *= 0.5
+        return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        return F.gelu_grad(self._x, grad_out)
+        x = self._x
+        _, t, dx, s = self._ws
+        # dy/dx = 0.5 * (1 + t) + 0.5 * x * (1 - t^2) * c * (1 + 3a * x^2)
+        np.multiply(x, x, out=s)
+        s *= 1.5 * _GELU_A * _GELU_C
+        s += 0.5 * _GELU_C
+        np.multiply(t, t, out=dx)
+        np.subtract(1.0, dx, out=dx)
+        dx *= s
+        dx *= x
+        np.multiply(t, 0.5, out=s)
+        s += 0.5
+        dx += s
+        dx *= grad_out
+        return dx
 
 
 class Tanh(Module):

@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from repro.nn import functional as F
 from repro.nn.layers.linear import Linear
 from repro.nn.module import Module
 from repro.utils.rng import RngLike, spawn_rngs
@@ -38,6 +39,8 @@ class MultiHeadSelfAttention(Module):
         self.k_proj = Linear(dim, dim, rng=rk)
         self.v_proj = Linear(dim, dim, rng=rv)
         self.out_proj = Linear(dim, dim, rng=ro)
+        self._scale = 1.0 / math.sqrt(self.head_dim)
+        self._mask = np.zeros((0, 0))  # additive causal mask for the last T
         self._cache = None
 
     def _split_heads(self, x: np.ndarray) -> np.ndarray:
@@ -53,34 +56,42 @@ class MultiHeadSelfAttention(Module):
             raise ValueError(
                 f"attention expected (B, T, {self.dim}), got {x.shape}"
             )
-        b, t, _ = x.shape
-        q = self._split_heads(self.q_proj.forward(x))
+        t = x.shape[1]
+        # 1/sqrt(dh) is folded into q: one multiply here instead of one on
+        # the scores and one each on d_q and d_k.
+        q2 = self.q_proj.forward(x)
+        q2 *= self._scale
+        q = self._split_heads(q2)
         k = self._split_heads(self.k_proj.forward(x))
         v = self._split_heads(self.v_proj.forward(x))
-        scale = 1.0 / np.sqrt(self.head_dim)
-        scores = (q @ k.transpose(0, 1, 3, 2)) * scale  # (B, H, T, T)
+        probs = q @ k.transpose(0, 1, 3, 2)  # scores (B, H, T, T)
         if self.causal:
-            mask = np.triu(np.ones((t, t), dtype=bool), k=1)
-            scores = np.where(mask, -1e30, scores)
-        probs = F.softmax(scores, axis=-1)
-        attn = probs @ v  # (B, H, T, dh)
-        out = self.out_proj.forward(self._merge_heads(attn))
-        self._cache = (q, k, v, probs, scale)
+            if self._mask.shape[0] != t:
+                self._mask = np.triu(np.full((t, t), -1e30), k=1)
+            probs += self._mask
+        # Softmax in place on the scores buffer.
+        probs -= probs.max(axis=-1, keepdims=True)
+        np.exp(probs, out=probs)
+        probs /= probs.sum(axis=-1, keepdims=True)
+        out = self.out_proj.forward(self._merge_heads(probs @ v))
+        self._cache = (q, k, v, probs, self._scale)
         return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         q, k, v, probs, scale = self._cache
-        d_merged = self.out_proj.backward(grad_out)
-        b, t, _ = d_merged.shape
-        d_attn = self._split_heads(d_merged)  # (B, H, T, dh)
-        d_probs = d_attn @ v.transpose(0, 1, 3, 2)
+        d_attn = self._split_heads(self.out_proj.backward(grad_out))
+        d_scores = d_attn @ v.transpose(0, 1, 3, 2)  # d_probs (B, H, T, T)
         d_v = probs.transpose(0, 1, 3, 2) @ d_attn
-        d_scores = F.softmax_backward(probs, d_probs, axis=-1)
-        # Masked positions have probability exactly 0, so softmax_backward
-        # already routes zero gradient through them.
-        d_q = (d_scores @ k) * scale
-        d_k = (d_scores.transpose(0, 1, 3, 2) @ q) * scale
-        dx = self.q_proj.backward(self._merge_heads(d_q))
-        dx = dx + self.k_proj.backward(self._merge_heads(d_k))
-        dx = dx + self.v_proj.backward(self._merge_heads(d_v))
+        # softmax_backward in place: probs * (d_probs - sum(d_probs * probs)).
+        # Masked positions have probability exactly 0, so they get zero
+        # gradient without consulting the mask.
+        dot = (d_scores * probs).sum(axis=-1, keepdims=True)
+        d_scores -= dot
+        d_scores *= probs
+        d_q = self._merge_heads(d_scores @ k)
+        d_q *= scale
+        d_k = d_scores.transpose(0, 1, 3, 2) @ q  # q already carries scale
+        dx = self.q_proj.backward(d_q)
+        dx += self.k_proj.backward(self._merge_heads(d_k))
+        dx += self.v_proj.backward(self._merge_heads(d_v))
         return dx

@@ -14,7 +14,8 @@ class Linear(Module):
     """Affine map ``y = x @ W.T + b``.
 
     Accepts inputs of shape ``(..., in_features)``; leading dimensions are
-    treated as batch dims (the transformer feeds ``(T, B, D)`` activations).
+    batch dims (the transformer feeds ``(B, T, D)`` activations) and are
+    flattened so forward and backward are each one GEMM, not ``B`` small ones.
     """
 
     def __init__(
@@ -42,10 +43,10 @@ class Linear(Module):
                 f"Linear expected last dim {self.in_features}, got {x.shape}"
             )
         self._x = x
-        y = x @ self.weight.data.T
+        y = x.reshape(-1, self.in_features) @ self.weight.data.T
         if self.bias is not None:
-            y = y + self.bias.data
-        return y
+            y += self.bias.data
+        return y.reshape(*x.shape[:-1], self.out_features)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         x2 = self._x.reshape(-1, self.in_features)
@@ -53,4 +54,4 @@ class Linear(Module):
         self.weight.accumulate_grad(g2.T @ x2)
         if self.bias is not None:
             self.bias.accumulate_grad(g2.sum(axis=0))
-        return grad_out @ self.weight.data
+        return (g2 @ self.weight.data).reshape(self._x.shape)

@@ -68,7 +68,11 @@ class BatchNorm2d(Module):
 
 
 class LayerNorm(Module):
-    """Layer normalization over the trailing feature dimension."""
+    """Layer normalization over the trailing feature dimension.
+
+    Centres once: ``var`` is the mean square of the centred input, the same
+    arithmetic as ``np.var`` without its second pass over ``x``.
+    """
 
     def __init__(self, dim: int, eps: float = 1e-5):
         super().__init__()
@@ -81,20 +85,30 @@ class LayerNorm(Module):
     def forward(self, x: np.ndarray) -> np.ndarray:
         if x.shape[-1] != self.dim:
             raise ValueError(f"LayerNorm expected last dim {self.dim}, got {x.shape}")
-        mean = x.mean(axis=-1, keepdims=True)
-        var = x.var(axis=-1, keepdims=True)
-        inv_std = 1.0 / np.sqrt(var + self.eps)
-        xhat = (x - mean) * inv_std
+        xhat = x - x.mean(axis=-1, keepdims=True)
+        out = xhat * xhat  # squares now, the output below
+        inv_std = 1.0 / np.sqrt(out.mean(axis=-1, keepdims=True) + self.eps)
+        xhat *= inv_std
         self._cache = (xhat, inv_std)
-        return self.weight.data * xhat + self.bias.data
+        np.multiply(xhat, self.weight.data, out=out)
+        out += self.bias.data
+        return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         xhat, inv_std = self._cache
         d = self.dim
         axes = tuple(range(grad_out.ndim - 1))
-        self.weight.accumulate_grad((grad_out * xhat).sum(axis=axes))
+        tmp = grad_out * xhat
+        self.weight.accumulate_grad(tmp.sum(axis=axes))
         self.bias.accumulate_grad(grad_out.sum(axis=axes))
         g = grad_out * self.weight.data
         sum_g = g.sum(axis=-1, keepdims=True)
-        sum_gx = (g * xhat).sum(axis=-1, keepdims=True)
-        return (inv_std / d) * (d * g - sum_g - xhat * sum_gx)
+        np.multiply(g, xhat, out=tmp)
+        sum_gx = tmp.sum(axis=-1, keepdims=True)
+        # dx = (inv_std / d) * (d * g - sum_g - xhat * sum_gx), in place on g
+        g *= d
+        g -= sum_g
+        np.multiply(xhat, sum_gx, out=tmp)
+        g -= tmp
+        g *= inv_std / d
+        return g

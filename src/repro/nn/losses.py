@@ -8,8 +8,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.nn import functional as F
-
 
 class CrossEntropyLoss:
     """Softmax cross-entropy over integer class labels.
@@ -32,21 +30,30 @@ class CrossEntropyLoss:
             raise ValueError(
                 f"logits/targets batch mismatch: {logits.shape} vs {targets.shape}"
             )
-        logp = F.log_softmax(flat_logits, axis=-1)
-        self._probs = np.exp(logp)
+        # log-softmax then softmax, each in place on the buffer before it
+        # (same arithmetic as exp(F.log_softmax(...)), two arrays not five).
+        logp = flat_logits - np.max(flat_logits, axis=-1, keepdims=True)
+        probs = np.exp(logp)
+        logp -= np.log(np.sum(probs, axis=-1, keepdims=True))
         self._targets = flat_targets
         self._n = flat_targets.shape[0]
         self._shape = logits.shape
         nll = -logp[np.arange(self._n), flat_targets]
+        self._probs = np.exp(logp, out=probs)
         return float(nll.mean())
 
     def backward(self) -> np.ndarray:
-        """Gradient of the mean loss w.r.t. the logits."""
+        """Gradient of the mean loss w.r.t. the logits.
+
+        Consumes the cached probabilities (the gradient is formed in place),
+        so each ``forward`` supports one ``backward``.
+        """
         if self._n == 0:
-            raise RuntimeError("CrossEntropyLoss.backward called before forward")
-        grad = self._probs.copy()
+            raise RuntimeError("CrossEntropyLoss.backward called without a forward")
+        grad = self._probs
         grad[np.arange(self._n), self._targets] -= 1.0
         grad /= self._n
+        self._n = 0
         return grad.reshape(self._shape)
 
 

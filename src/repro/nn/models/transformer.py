@@ -69,6 +69,7 @@ class TinyTransformer(Module):
         rngs = spawn_rngs(rng, n_layers + 3)
         self.tok_emb = Embedding(vocab_size, dim, rng=rngs[0])
         self.pos_emb = Embedding(max_len, dim, rng=rngs[1])
+        self._pos = np.arange(max_len)
         self.blocks = Sequential(
             *[_block(dim, n_heads, mlp_ratio, dropout, rngs[2 + i]) for i in range(n_layers)]
         )
@@ -86,11 +87,13 @@ class TinyTransformer(Module):
         ids = np.asarray(ids)
         if ids.ndim != 2:
             raise ValueError(f"TinyTransformer expects (B, T) ids, got {ids.shape}")
-        b, t = ids.shape
+        t = ids.shape[1]
         if t > self.max_len:
             raise ValueError(f"sequence length {t} exceeds max_len {self.max_len}")
-        pos = np.broadcast_to(np.arange(t), (b, t))
-        x = self.tok_emb.forward(ids) + self.pos_emb.forward(pos)
+        # Positions are the same for every sample: look up (T, D) once and
+        # broadcast, and sum the gradient over the batch in backward.
+        x = self.tok_emb.forward(ids)
+        x += self.pos_emb.forward(self._pos[:t])
         x = self.blocks.forward(x)
         x = self.norm.forward(x)
         return self.head.forward(x)
@@ -100,6 +103,6 @@ class TinyTransformer(Module):
         dx = self.norm.backward(dx)
         dx = self.blocks.backward(dx)
         self.tok_emb.backward(dx)
-        self.pos_emb.backward(dx)
+        self.pos_emb.backward(dx.sum(axis=0))
         # Token ids carry no gradient.
         return np.zeros(0)

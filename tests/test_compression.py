@@ -73,7 +73,10 @@ class TestTopK:
 class TestRandomK:
     def test_unbiased_in_expectation(self):
         c = RandomKCompressor(ratio=0.25, error_feedback=False, rng=0)
-        g = RNG.normal(size=40)
+        # Own generator: drawn from the shared module RNG, ``g`` depended on
+        # which tests ran first, and ~1 shuffle order in 60 drew a vector
+        # whose largest entry misses the 800-sample tolerance.
+        g = np.random.default_rng(1).normal(size=40)
         est = np.mean(
             [c.decompress(c.compress(g)) for _ in range(800)], axis=0
         )

@@ -1,9 +1,11 @@
-"""Direct tests for the stateless functional kernels."""
+"""Direct tests for the stateless functional kernels (and the GELU layer,
+whose kernel moved out of ``functional`` into its workspace layer)."""
 
 import numpy as np
 import pytest
 
 from repro.nn import functional as F
+from repro.nn.layers import GELU
 
 RNG = np.random.default_rng(0)
 
@@ -19,27 +21,17 @@ class TestActivations:
         assert np.array_equal(g, [0.0, 1.0])
 
     def test_gelu_asymptotes(self):
-        assert F.gelu(np.array([10.0]))[0] == pytest.approx(10.0, rel=1e-4)
-        assert F.gelu(np.array([-10.0]))[0] == pytest.approx(0.0, abs=1e-4)
+        assert GELU().forward(np.array([10.0]))[0] == pytest.approx(10.0, rel=1e-4)
+        assert GELU().forward(np.array([-10.0]))[0] == pytest.approx(0.0, abs=1e-4)
 
     def test_gelu_grad_matches_finite_difference(self):
         x = RNG.normal(size=16)
         eps = 1e-6
-        num = (F.gelu(x + eps) - F.gelu(x - eps)) / (2 * eps)
-        ana = F.gelu_grad(x, np.ones_like(x))
+        act = GELU()
+        num = (act.forward(x + eps).copy() - act.forward(x - eps)) / (2 * eps)
+        act.forward(x)
+        ana = act.backward(np.ones_like(x))
         assert np.allclose(num, ana, atol=1e-6)
-
-    def test_sigmoid_range_and_symmetry(self):
-        x = RNG.normal(size=32) * 5
-        s = F.sigmoid(x)
-        assert ((s > 0) & (s < 1)).all()
-        assert np.allclose(F.sigmoid(-x), 1 - s)
-
-    def test_sigmoid_stable_at_extremes(self):
-        s = F.sigmoid(np.array([-1e4, 1e4]))
-        assert np.isfinite(s).all()
-        assert s[0] == pytest.approx(0.0, abs=1e-12)
-        assert s[1] == pytest.approx(1.0, abs=1e-12)
 
 
 class TestSoftmaxBackward:
