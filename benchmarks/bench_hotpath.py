@@ -24,15 +24,26 @@ core count, and a serial-vs-process RunLog byte-identity check. Process
 speedups only mean anything on a multi-core host — ``cpu_count`` is recorded
 so downstream assertions can gate on it.
 
-``--baseline-src DIR --pr N`` instead runs only the **cross-commit trial**
-``transformer_4w_selsync`` (TinyTransformer/4w SelSync, the e2e benchmark's
-``xfmr4_selsync`` recipe): one child process imports ``repro`` from ``DIR``
-(a checkout of the commit to compare against, e.g. ``git clone . /tmp/parent``
-then ``/tmp/parent/src``), another from this checkout, both stay alive and
-time alternating blocks of steps, and the before/after steps/s, pairwise
-ratios and per-call GELU / Linear micro-timings are **appended** to
-``BENCH_hotpath.json["history"]`` — the trajectory across PRs that the
-snapshot sections above do not keep.
+``--baseline-src DIR --pr N`` instead runs only one **cross-commit trial**
+and **appends** its row to ``BENCH_hotpath.json["history"]`` — the
+trajectory across PRs that the snapshot sections above do not keep. One
+child process imports ``repro`` from ``DIR`` (a checkout of the commit to
+compare against, e.g. ``git clone . /tmp/parent`` then ``/tmp/parent/src``),
+another from this checkout; both stay alive and take turns. ``--trial``
+picks what they measure:
+
+* ``transformer_4w_selsync`` (default) — TinyTransformer/4w SelSync, the e2e
+  benchmark's ``xfmr4_selsync`` recipe: alternating blocks of steps; the
+  row holds before/after steps/s, pairwise ratios and per-call GELU /
+  Linear micro-timings.
+* ``checkpoint_io`` — the e2e benchmark's ``mlp16_chaos_traced`` recipe
+  (MLP/16w SelSync under faults, a checkpoint every 50 steps) run to 250
+  and on to 750 steps: per checkpoint ``write_ms`` (all of
+  ``_write_checkpoint``), ``rename_ms`` (the atomic rename, which frees the
+  replaced file), ``log_encode_ms`` (what is left of ``write_ms`` without
+  ``state_dict()``, the ``np.savez*`` container write and the rename: the
+  run-log encode, plus ~2 ms for the state tree), ``read_ms``
+  (``load_checkpoint``) and the file's ``bytes``.
 """
 
 from __future__ import annotations
@@ -425,6 +436,35 @@ def transformer_child(steps: int) -> None:
         i += steps
 
 
+def _spawn_child(src, flag: str, value) -> subprocess.Popen:
+    """One side of a cross-commit trial: this script under ``PYTHONPATH=src``."""
+    # One BLAS thread unless the caller says otherwise, as in benchmarks/e2e:
+    # the simulator models a cluster on one core, and OpenBLAS worker
+    # wake-ups on this host cost more than these GEMMs.
+    env = dict(
+        os.environ,
+        PYTHONPATH=str(src),
+        OPENBLAS_NUM_THREADS=os.environ.get("OPENBLAS_NUM_THREADS", "1"),
+    )
+    return subprocess.Popen(
+        [sys.executable, __file__, flag, str(value)],
+        env=env, stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
+    )
+
+
+def _turn(child, message="go") -> str:
+    """Let ``child`` do its next piece of work; its one-line answer."""
+    child.stdin.write(f"{message}\n")
+    child.stdin.flush()
+    return child.stdout.readline()
+
+
+def _finish(children) -> None:
+    for c in children:
+        c.stdin.close()
+        c.wait(timeout=60)
+
+
 def transformer_trial(baseline_src: str, trials: int, steps: int):
     """Interleaved before/after trials across two checkouts of ``repro``.
 
@@ -433,43 +473,113 @@ def transformer_trial(baseline_src: str, trials: int, steps: int):
     to its ``src``); the children are built and warmed first and then take
     turns, so adjacent blocks still share the host's momentary speed.
     """
-    # One BLAS thread unless the caller says otherwise, as in benchmarks/e2e:
-    # the simulator models a cluster on one core, and OpenBLAS worker
-    # wake-ups on this host cost more than these GEMMs.
-    blas_threads = os.environ.get("OPENBLAS_NUM_THREADS", "1")
-
-    def spawn(src):
-        env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=blas_threads)
-        return subprocess.Popen(
-            [sys.executable, __file__, "--transformer-child", str(steps)],
-            env=env, stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
-        )
-
-    def block(child) -> float:
-        child.stdin.write("go\n")
-        child.stdin.flush()
-        return float(child.stdout.readline())
-
-    children = [spawn(baseline_src), spawn(ROOT / "src")]
+    children = [
+        _spawn_child(src, "--transformer-child", steps)
+        for src in (baseline_src, ROOT / "src")
+    ]
     try:
         micro = [json.loads(c.stdout.readline()) for c in children]
-        rates = [[block(c) for c in children] for _ in range(trials)]
+        rates = [[float(_turn(c)) for c in children] for _ in range(trials)]
     finally:
-        for c in children:
-            c.stdin.close()
-            c.wait(timeout=60)
+        _finish(children)
     before, after = zip(*rates)
     ratios = [a / b for b, a in rates]
     return {
         "trial": "transformer_4w_selsync",
         "workload": "transformer_wikitext (TinyTransformer), 4 workers, SelSync delta=0.1 PA",
-        "blas_threads": blas_threads,
+        "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS", "1"),
         "before_steps_per_sec": round(statistics.median(before), 3),
         "after_steps_per_sec": round(statistics.median(after), 3),
         "pairwise_ratios": [round(r, 3) for r in ratios],
         "speedup_median_pairwise": round(statistics.median(ratios), 3),
         "micro_before": micro[0],
         "micro_after": micro[1],
+    }
+
+
+def checkpoint_io_child(last_step: int) -> None:
+    """One side of :func:`checkpoint_io_trial`: for every line read from
+    stdin, train on to the next point and print what its checkpoints cost."""
+    sys.path.insert(0, str(ROOT / "benchmarks" / "e2e"))
+    from workloads import BY_NAME  # read-only use of the benchmark's recipe
+
+    from repro.core import TrainConfig
+    from repro.utils.serialization import load_checkpoint
+
+    spec = BY_NAME["mlp16_chaos_traced"]
+    _, trainer = spec.build(seed=0, n_steps=last_step)
+    # ms per call; "write" (all of _write_checkpoint) first, then its parts.
+    spans = {"write": [], "state": [], "container": [], "rename": []}
+
+    def timed(fn, name):
+        def wrapper(*args, **kwargs):
+            t0 = time.perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                spans[name].append((time.perf_counter() - t0) * 1e3)
+
+        return wrapper
+
+    trainer._write_checkpoint = timed(trainer._write_checkpoint, "write")
+    trainer.state_dict = timed(trainer.state_dict, "state")
+    np.savez = timed(np.savez, "container")
+    np.savez_compressed = timed(np.savez_compressed, "container")
+    Path.replace = timed(Path.replace, "rename")
+
+    def tail_median(values):
+        return round(statistics.median(values[-3:]), 3)
+
+    with tempfile.TemporaryDirectory() as tmp:
+        ck = os.path.join(tmp, "ck.npz")
+        resume = None
+        for line in sys.stdin:
+            for v in spans.values():
+                v.clear()
+            trainer.run(
+                TrainConfig(
+                    n_steps=int(line), checkpoint_every=spec.block,
+                    checkpoint_path=ck, resume_from=resume,
+                )
+            )
+            resume = ck
+            reads = []
+            for _ in range(3):
+                t0 = time.perf_counter()
+                load_checkpoint(ck)
+                reads.append((time.perf_counter() - t0) * 1e3)
+            rest = [w - sum(parts) for w, *parts in zip(*spans.values())]
+            point = {
+                "write_ms": tail_median(spans["write"]),
+                "log_encode_ms": tail_median(rest),
+                "rename_ms": tail_median(spans["rename"]),
+                "read_ms": tail_median(reads),
+                "bytes": os.path.getsize(ck),
+            }
+            print(json.dumps(point), flush=True)
+
+
+def checkpoint_io_trial(baseline_src: str, points):
+    """What one checkpoint costs at each of ``points`` steps, parent vs
+    change. The two children take turns point by point; every ``*_ms`` is
+    the median of the last three checkpoints (or loads) up to that point."""
+    children = [
+        _spawn_child(src, "--checkpoint-io-child", points[-1])
+        for src in (baseline_src, ROOT / "src")
+    ]
+    before, after = {}, {}
+    try:
+        for n in points:
+            for child, side in zip(children, (before, after)):
+                side[str(n)] = json.loads(_turn(child, n))
+    finally:
+        _finish(children)
+    return {
+        "trial": "checkpoint_io",
+        "workload": "mlp16_chaos_traced recipe (MLP 768-128-100, 16 workers, "
+        "SelSync under faults), a checkpoint every 50 steps",
+        "before": before,
+        "after": after,
     }
 
 
@@ -493,15 +603,25 @@ def main(argv=None) -> int:
     )
     ap.add_argument(
         "--baseline-src",
-        help="src/ of the commit to compare against: run only the "
-        "transformer_4w_selsync trial and append it to --out's history",
+        help="src/ of the commit to compare against: run only --trial and "
+        "append it to --out's history",
+    )
+    ap.add_argument(
+        "--trial",
+        choices=("transformer_4w_selsync", "checkpoint_io"),
+        default="transformer_4w_selsync",
+        help="which cross-commit trial --baseline-src runs",
     )
     ap.add_argument("--pr", type=int, help="PR number of the history entry")
     ap.add_argument("--transformer-child", type=int, help=argparse.SUPPRESS)
+    ap.add_argument("--checkpoint-io-child", type=int, help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
 
     if args.transformer_child:
         transformer_child(args.transformer_child)
+        return 0
+    if args.checkpoint_io_child:
+        checkpoint_io_child(args.checkpoint_io_child)
         return 0
 
     trials = 3 if args.quick else 10
@@ -515,14 +635,21 @@ def main(argv=None) -> int:
     if args.baseline_src:
         if args.pr is None:
             ap.error("--baseline-src needs --pr N to label the history entry")
+        if args.trial == "checkpoint_io":
+            points = (100, 250) if args.quick else (250, 750)
+            trial = checkpoint_io_trial(args.baseline_src, points)
+        else:
+            trial = transformer_trial(
+                args.baseline_src, trials, 20 if args.quick else 50
+            )
         entry = {
             "pr": args.pr,
             # The tree measured is this commit's parent plus the PR's diff.
             "commit": _git_head(ROOT) + "+",
             "baseline_commit": _git_head(Path(args.baseline_src)),
-            **transformer_trial(args.baseline_src, trials, 20 if args.quick else 50),
+            **trial,
         }
-        print(f"transformer_4w_selsync: {entry}")
+        print(f"{args.trial}: {entry}")
         snapshot["history"] = history + [entry]
         out_path.write_text(json.dumps(snapshot, indent=2) + "\n")
         print(f"appended history entry to {out_path}")

@@ -43,9 +43,9 @@ from repro.utils.flatten import mean_into
 from repro.utils.runlog import EvalRecord, FaultRecord, IterationRecord, RunLog
 from repro.utils.serialization import (
     CHECKPOINT_VERSION,
+    RunLogLines,
     load_checkpoint,
     runlog_from_jsonable,
-    runlog_to_jsonable,
     save_checkpoint,
 )
 
@@ -174,6 +174,7 @@ class DistributedTrainer:
         # restore their rank state from it (crash-recovery semantics).
         self._latest_checkpoint: Optional[Dict] = None
         self._log: Optional[RunLog] = None
+        self._log_lines = RunLogLines()
         # Elastic membership controller; ``None`` (the default) keeps the
         # fixed-membership fast path — no elastic code runs anywhere, and
         # checkpoints never grow the "elastic" key.
@@ -1099,7 +1100,7 @@ class DistributedTrainer:
                 "best": best,
                 "stale_evals": stale_evals,
                 "state": state,
-                "log": runlog_to_jsonable(log),
+                "log": self._log_lines.text(log),
             },
             cfg.checkpoint_path,
         )

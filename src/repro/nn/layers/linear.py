@@ -36,6 +36,8 @@ class Linear(Module):
             Parameter(init.zeros(out_features), "bias") if bias else None
         )
         self._x: np.ndarray = np.zeros(0)
+        # Models set this on their input layer, where dx is never consumed.
+        self.skip_input_grad = False
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         if x.shape[-1] != self.in_features:
@@ -54,4 +56,6 @@ class Linear(Module):
         self.weight.accumulate_grad(g2.T @ x2)
         if self.bias is not None:
             self.bias.accumulate_grad(g2.sum(axis=0))
+        if self.skip_input_grad:
+            return None
         return (g2 @ self.weight.data).reshape(self._x.shape)

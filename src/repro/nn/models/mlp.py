@@ -43,6 +43,8 @@ class MLP(Module):
             layers.append(Linear(a, b, rng=rngs[i]))
             if i < len(dims) - 2:
                 layers.append(ReLU())
+        # The gradient w.r.t. the input features is never consumed.
+        layers[0].skip_input_grad = True
         self.net = Sequential(*layers)
         # 2 FLOPs per MAC, forward only; backward costs ~2x forward.
         self.flops_per_sample = int(

@@ -107,6 +107,26 @@ class TraceEvent:
         return (self.step, self.worker, self.seq)
 
 
+def _num(d: Dict, key: str, default: float) -> float:
+    """``d[key]`` as a float: ``default`` if absent, NaN if not a number."""
+    try:
+        return default if d.get(key) is None else float(d[key])
+    except (TypeError, ValueError, OverflowError):
+        return float("nan")
+
+
+def _count(m: MetricsRegistry, name: str, amount: float) -> None:
+    if 0.0 <= amount < math.inf:
+        m.inc(name, amount)
+
+
+def _sample(m: MetricsRegistry, name: str, value: float) -> None:
+    # Non-finite values (first EWMA update, corrupted gradients) stay out:
+    # sorting NaNs is insertion-order dependent and would leak thread timing.
+    if math.isfinite(value):
+        m.observe(name, value)
+
+
 class Tracer:
     """Collects :class:`TraceEvent` records and derives metrics from them.
 
@@ -182,26 +202,23 @@ class Tracer:
         payload bytes == run-summary bytes counter* holds by construction
         (and is still asserted by the property tests — a refactor that
         breaks it should fail loudly).
+
+        Total over payloads — ``emit`` must never raise from here: a field its
+        metric cannot take (text, a list, a negative count, NaN) is left out.
         """
         m = self.metrics
         m.inc("events.total")
         m.inc(f"events.{ev.etype}")
         d = ev.data
         if ev.etype == "collective":
-            m.inc("comm.bytes", float(d.get("bytes", 0.0)))
-            m.observe("comm.seconds", float(d.get("seconds", 0.0)))
+            _count(m, "comm.bytes", _num(d, "bytes", 0.0))
+            _sample(m, "comm.seconds", _num(d, "seconds", 0.0))
         elif ev.etype == "step_end":
-            m.observe("step.sim_time", float(d.get("sim_time", 0.0)))
-            m.observe("step.comm_time", float(d.get("comm_time", 0.0)))
+            _sample(m, "step.sim_time", _num(d, "sim_time", 0.0))
+            _sample(m, "step.comm_time", _num(d, "comm_time", 0.0))
             m.inc("steps.synced" if d.get("synced") else "steps.local")
         elif ev.etype == "delta_eval":
-            val = float(d.get("delta", float("nan")))
-            # Non-finite Δ values (first EWMA update, corrupted gradients)
-            # stay out of the histogram: sorting a list containing NaN is
-            # insertion-order dependent, which would leak thread timing
-            # into the summary.
-            if math.isfinite(val):
-                m.observe("delta.value", val)
+            _sample(m, "delta.value", _num(d, "delta", float("nan")))
             if d.get("vote"):
                 m.inc("delta.votes")
         elif ev.etype == "fault":
@@ -211,17 +228,17 @@ class Tracer:
         elif ev.etype == "checkpoint_save":
             m.inc("checkpoint.saves")
         elif ev.etype == "eval":
-            m.set("eval.last_metric", float(d.get("metric", float("nan"))))
+            m.set("eval.last_metric", _num(d, "metric", float("nan")))
         elif ev.etype == "aggregator_decision":
             m.inc("robust.rounds")
-            m.inc("robust.dropped", float(d.get("n_dropped", 0) or 0))
+            _count(m, "robust.dropped", _num(d, "n_dropped", 0.0))
         elif ev.etype == "quarantine":
             m.inc("health.quarantines")
         elif ev.etype == "reinstate":
             m.inc("health.reinstatements")
         elif ev.etype == "retry":
-            m.inc("comm.retries", float(max(0, int(d.get("attempts", 1)) - 1)))
-            m.inc("comm.retry_wait_s", float(d.get("wait_s", 0.0)))
+            _count(m, "comm.retries", max(0.0, _num(d, "attempts", 1.0) - 1.0))
+            _count(m, "comm.retry_wait_s", _num(d, "wait_s", 0.0))
             if not d.get("delivered", True):
                 m.inc("comm.exhausted")
         elif ev.etype == "reroute":
@@ -235,14 +252,11 @@ class Tracer:
             # ``collective`` events (which already fed ``comm.bytes``), so
             # counting it here would double the ledger.
             m.inc("comm.shard_rounds")
-            m.inc(
-                "comm.degraded_shard_rounds",
-                float(d.get("n_degraded", 0) or 0),
-            )
-            m.observe("shard.round_seconds", float(d.get("seconds", 0.0)))
+            _count(m, "comm.degraded_shard_rounds", _num(d, "n_degraded", 0.0))
+            _sample(m, "shard.round_seconds", _num(d, "seconds", 0.0))
         elif ev.etype == "membership":
             m.inc(f"elastic.{d.get('action', 'unknown')}s")
-            m.set("cluster.world_size", float(d.get("size_after", float("nan"))))
+            m.set("cluster.world_size", _num(d, "size_after", float("nan")))
         elif ev.etype == "scale_decision":
             m.inc("elastic.scale_decisions")
             if d.get("applied"):

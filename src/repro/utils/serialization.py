@@ -21,8 +21,9 @@ and cannot collide with a legitimate string value.
 from __future__ import annotations
 
 import json
+from itertools import chain
 from pathlib import Path
-from typing import Any, Dict, List, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -36,6 +37,7 @@ CHECKPOINT_VERSION = 1
 
 _NONFINITE_TAG = "__nonfinite__"
 _NDARRAY_TAG = "__ndarray__"
+_JSONL_TAG = "__jsonl__"
 
 
 # -- non-finite-safe JSON trees ----------------------------------------------
@@ -152,12 +154,14 @@ def _fault_from_jsonable(rec: Dict) -> FaultRecord:
     )
 
 
+def _header_to_jsonable(log: RunLog) -> Dict:
+    return {"kind": "header", "name": log.name, "meta": encode_jsonable(log.meta)}
+
+
 def runlog_to_jsonable(log: RunLog) -> List[Dict]:
     """Whole run log as a list of strict-JSON-safe record dicts (header
     first) — the shared representation of the JSONL file and checkpoints."""
-    records = [
-        {"kind": "header", "name": log.name, "meta": encode_jsonable(log.meta)}
-    ]
+    records = [_header_to_jsonable(log)]
     records += [_iter_to_jsonable(r) for r in log.iterations]
     records += [_fault_to_jsonable(f) for f in log.faults]
     records += [_eval_to_jsonable(e) for e in log.evals]
@@ -182,16 +186,40 @@ def runlog_from_jsonable(records: List[Dict]) -> RunLog:
     return log
 
 
+class JsonLines(str):
+    """Already-encoded strict-JSON records, one per line: as a checkpoint leaf,
+    stored verbatim in its own member and loaded back as the decoded records."""
+
+
+class RunLogLines:
+    """JSONL text of an append-only :class:`RunLog`, each record encoded once:
+    records are immutable once appended (trainers finish ``rec.extra`` before
+    ``log.record_iteration``), so :meth:`text` encodes only what was appended
+    since its previous call, plus the header (``log.meta`` may still change).
+    A different log starts over. The order is :func:`runlog_to_jsonable`'s."""
+
+    def __init__(self):
+        self._log: Optional[RunLog] = None
+        self._lines: Tuple[List[str], ...] = ([], [], [])
+
+    def text(self, log: RunLog) -> JsonLines:
+        if log is not self._log:
+            self._log, self._lines = log, ([], [], [])
+        records = (log.iterations, log.faults, log.evals)
+        encoders = (_iter_to_jsonable, _fault_to_jsonable, _eval_to_jsonable)
+        for lines, recs, enc in zip(self._lines, records, encoders):
+            lines.extend(json.dumps(enc(r), allow_nan=False) for r in recs[len(lines):])
+        header = json.dumps(_header_to_jsonable(log), allow_nan=False)
+        return JsonLines("\n".join([header, *chain(*self._lines)]))
+
+
 def save_runlog(log: RunLog, path: PathLike) -> None:
     """Write a run log as JSONL: a header line, then one record per line.
 
     Output is strict JSON (``allow_nan=False``): non-finite values are
     tag-encoded, so a diverged run's log is still parseable by any reader.
     """
-    path = Path(path)
-    with path.open("w") as f:
-        for rec in runlog_to_jsonable(log):
-            f.write(json.dumps(rec, allow_nan=False) + "\n")
+    Path(path).write_text(RunLogLines().text(log) + "\n")
 
 
 def load_runlog(path: PathLike) -> RunLog:
@@ -234,10 +262,10 @@ def _decode_float(x):
 
 
 def save_model(model: Module, path: PathLike) -> None:
-    """Persist a model's named parameters as a compressed ``.npz``."""
+    """Persist a model's named parameters as a (stored) ``.npz``."""
     state = model.state_dict()
     # npz keys cannot contain '/'; dots are fine.
-    np.savez_compressed(Path(path), **state)
+    np.savez(Path(path), **state)
 
 
 def load_model(model: Module, path: PathLike) -> Module:
@@ -255,15 +283,22 @@ def load_model(model: Module, path: PathLike) -> Module:
 # -- checkpoints -------------------------------------------------------------
 #
 # A checkpoint is an arbitrary tree of dicts/lists whose leaves are JSON
-# scalars or numpy arrays. Arrays are hoisted into npz entries and replaced
-# in the JSON tree by {"__ndarray__": index}; everything else goes through
-# the non-finite-safe encoder. One .npz file holds both.
+# scalars, numpy arrays or JsonLines text. Arrays are hoisted into npz entries
+# and replaced in the JSON tree by {"__ndarray__": index} (text, as its utf-8
+# bytes, by {"__jsonl__": index}); everything else goes through the
+# non-finite-safe encoder. One .npz file holds both — stored, not deflated
+# (float64 weights: -5 % bytes for +30x time, on the step path). Files from
+# before PR 13 (deflated, the log as records inside the tree) load to the same
+# tree, so CHECKPOINT_VERSION did not move (DESIGN.md "Fault model" item 3).
 
 
 def _hoist_arrays(obj: Any, arrays: List[np.ndarray]) -> Any:
     if isinstance(obj, np.ndarray):
         arrays.append(obj)
         return {_NDARRAY_TAG: len(arrays) - 1}
+    if isinstance(obj, JsonLines):
+        arrays.append(np.frombuffer(obj.encode("utf-8"), dtype=np.uint8))
+        return {_JSONL_TAG: len(arrays) - 1}
     if isinstance(obj, dict):
         return {str(k): _hoist_arrays(v, arrays) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -275,6 +310,9 @@ def _lower_arrays(obj: Any, arrays: Dict[int, np.ndarray]) -> Any:
     if isinstance(obj, dict):
         if set(obj) == {_NDARRAY_TAG}:
             return arrays[int(obj[_NDARRAY_TAG])]
+        if set(obj) == {_JSONL_TAG}:
+            text = bytes(arrays[int(obj[_JSONL_TAG])]).decode("utf-8")
+            return [_lower_arrays(json.loads(ln), arrays) for ln in text.splitlines()]
         if set(obj) == {_NONFINITE_TAG}:
             return float(obj[_NONFINITE_TAG])
         return {k: _lower_arrays(v, arrays) for k, v in obj.items()}
@@ -297,19 +335,19 @@ def save_checkpoint(state: Dict, path: PathLike) -> None:
         json.dumps(tree, allow_nan=False).encode("utf-8"), dtype=np.uint8
     )
     tmp = path.with_name(path.name + ".tmp")
-    with tmp.open("wb") as f:
-        np.savez_compressed(f, **payload)
-    tmp.replace(path)
+    try:
+        with tmp.open("wb") as f:
+            np.savez(f, **payload)
+        tmp.replace(path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def load_checkpoint(path: PathLike) -> Dict:
-    """Inverse of :func:`save_checkpoint`."""
+    """Inverse of :func:`save_checkpoint` (either layout)."""
     path = Path(path)
     with np.load(path) as data:
         tree = json.loads(bytes(data["__tree__"]).decode("utf-8"))
-        arrays = {
-            int(k[4:]): data[k] for k in data.files if k.startswith("arr_")
-        }
-        # Materialize now: the npz file handle closes on exit.
-        arrays = {i: np.array(a, copy=True) for i, a in arrays.items()}
+        # data[k] is a fresh array: nothing refers to the file once it closes.
+        arrays = {int(k[4:]): data[k] for k in data.files if k.startswith("arr_")}
     return _lower_arrays(tree, arrays)

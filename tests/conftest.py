@@ -12,6 +12,7 @@ failing order can be replayed with ``--randomly-seed=<N>``.
 
 from __future__ import annotations
 
+import json
 import random
 import time
 import zlib
@@ -143,3 +144,16 @@ def quick_cfg(blobs_data):
         eval_fn=accuracy_eval(test),
         higher_is_better=True,
     )
+
+
+def write_legacy_checkpoint(tree, path):
+    """The checkpoint writer as it was before PR 13: every member deflated,
+    and a run log given as plain records sits inside ``__tree__``."""
+    from repro.utils.serialization import _hoist_arrays
+
+    arrays = []
+    encoded = json.dumps(_hoist_arrays(tree, arrays), allow_nan=False)
+    payload = {f"arr_{i}": a for i, a in enumerate(arrays)}
+    payload["__tree__"] = np.frombuffer(encoded.encode("utf-8"), dtype=np.uint8)
+    with open(path, "wb") as f:
+        np.savez_compressed(f, **payload)

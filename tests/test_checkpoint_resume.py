@@ -23,6 +23,9 @@ from repro.cluster.worker import build_worker_group
 from repro.data import ArrayDataset, BatchLoader, selsync_partition
 from repro.nn.models import build_model
 from repro.optim import SGD
+from repro.utils import serialization
+from repro.utils.serialization import load_checkpoint, runlog_to_jsonable
+from tests.conftest import write_legacy_checkpoint
 
 N_WORKERS = 4
 N_STEPS = 12
@@ -153,6 +156,75 @@ class TestBitwiseResume:
         res = trainer2.run(TrainConfig(n_steps=N_STEPS, eval_fn=None, resume_from=ck))
         # One contiguous history: steps 0..N-1 once each, no gap or overlap.
         assert [r.step for r in res.log.iterations] == list(range(N_STEPS))
+
+
+class TestCheckpointLayouts:
+    @pytest.mark.parametrize("kind", ["bsp", "selsync"])
+    def test_resume_from_a_parent_layout_file_is_bitwise_identical(self, kind, tmp_path):
+        """Back-compat: the checkpoint re-packed as the parent commit laid it
+        out (deflated, log inside ``__tree__``) resumes to the same bits."""
+        ck, old = str(tmp_path / "ck.npz"), str(tmp_path / "old.npz")
+        workers_a, trainer_a = _build(kind)
+        res_a = trainer_a.run(TrainConfig(n_steps=N_STEPS, eval_fn=None))
+
+        _, trainer_b = _build(kind)
+        trainer_b.run(
+            TrainConfig(n_steps=N_STEPS, eval_fn=None, checkpoint_every=KILL_AT,
+                        checkpoint_path=ck, stop_after=KILL_AT)
+        )
+        write_legacy_checkpoint(load_checkpoint(ck), old)
+        assert load_checkpoint(old)["log"] == load_checkpoint(ck)["log"]
+
+        workers_c, trainer_c = _build(kind)
+        res_c = trainer_c.run(TrainConfig(n_steps=N_STEPS, eval_fn=None, resume_from=old))
+        assert res_c.steps == N_STEPS
+        _assert_same(_fingerprint(workers_a, res_a), _fingerprint(workers_c, res_c))
+
+    def test_second_checkpoint_encodes_only_new_records(self, tmp_path, monkeypatch):
+        """The log section costs O(records since the last checkpoint): the
+        second checkpoint must not re-encode the first one's records."""
+        encoded = []
+        real = serialization._iter_to_jsonable
+        monkeypatch.setattr(
+            serialization, "_iter_to_jsonable",
+            lambda r: encoded.append(r.step) or real(r),
+        )
+        _, trainer = _build("selsync")
+        res = trainer.run(
+            TrainConfig(n_steps=N_STEPS, eval_fn=None, checkpoint_every=KILL_AT,
+                        checkpoint_path=str(tmp_path / "ck.npz"))
+        )
+        assert encoded == list(range(N_STEPS))  # each step once, over two checkpoints
+        monkeypatch.undo()
+        ck = load_checkpoint(tmp_path / "ck.npz")
+        assert ck["step"] == N_STEPS and ck["log"] == runlog_to_jsonable(res.log)
+
+    def test_recovery_rewrite_keeps_everything_but_the_state(self, tmp_path):
+        """``RecoverySupervisor``'s load -> replace state -> save round trip:
+        step, clock, best, stale_evals and the log come back record for
+        record; only the trainer state is the new one."""
+        from repro.core.recovery import _rewrite_checkpoint
+
+        ck = str(tmp_path / "ck.npz")
+        workers, trainer = _build("selsync", fault_spec="drop:p=0.3", min_quorum=2)
+        metrics = iter([0.5, 0.4, 0.4])
+        cfg = TrainConfig(n_steps=9, eval_every=3, eval_fn=lambda model: next(metrics),
+                          checkpoint_every=9, checkpoint_path=ck)
+        trainer.run(cfg)
+        before = load_checkpoint(ck)
+        assert (before["step"], before["best"], before["stale_evals"]) == (9, 0.5, 2)
+        assert any(r["kind"] == "fault" for r in before["log"])
+
+        trainer.resync_replicas()
+        _rewrite_checkpoint(cfg, trainer)
+        after = load_checkpoint(ck)
+        for key in ("version", "trainer", "step", "clock", "best", "stale_evals", "log"):
+            assert after[key] == before[key], key
+        for w, saved in zip(workers, after["state"]["workers"]):
+            np.testing.assert_array_equal(saved["params"], w.get_params())
+        assert not np.array_equal(
+            after["state"]["workers"][1]["params"], before["state"]["workers"][1]["params"]
+        )
 
 
 class TestRejoinFromCheckpoint:

@@ -53,6 +53,43 @@ class TestShapes:
         assert out.shape == (2, 5, 8)
 
 
+class TestLinearSkipInputGrad:
+    @pytest.mark.parametrize("shape", [(6, 5), (2, 3, 5)])
+    def test_parameter_grads_are_bitwise_equal(self, shape):
+        x, g = RNG.normal(size=shape), RNG.normal(size=(*shape[:-1], 7))
+        plain, skip = Linear(5, 7, rng=0), Linear(5, 7, rng=0)
+        skip.skip_input_grad = True
+        plain.forward(x), skip.forward(x)
+        dx = plain.backward(g)
+        assert dx.shape == x.shape  # the default still returns dx
+        assert skip.backward(g) is None
+        np.testing.assert_array_equal(skip.weight.grad, plain.weight.grad)
+        np.testing.assert_array_equal(skip.bias.grad, plain.bias.grad)
+
+    def test_only_input_layers_set_it(self):
+        from repro.nn.models import build_model
+
+        def flagged(model):
+            return [m for m in model.modules()
+                    if isinstance(m, Linear) and m.skip_input_grad]
+
+        mlp = build_model("mlp", in_features=8, n_classes=3, hidden=(6, 6), rng=0)
+        assert flagged(mlp) == [mlp.net.layers[0]]
+        assert flagged(build_model("smallvgg", rng=0)) == []
+        assert flagged(build_model("tinytransformer", rng=0)) == []
+
+    def test_mlp_gradients_match_the_full_backward(self):
+        from repro.nn.models import build_model
+
+        x, g = RNG.normal(size=(4, 8)), RNG.normal(size=(4, 3))
+        skip = build_model("mlp", in_features=8, n_classes=3, rng=0)
+        full = build_model("mlp", in_features=8, n_classes=3, rng=0)
+        full.net.layers[0].skip_input_grad = False
+        skip.forward(x), full.forward(x)
+        assert skip.backward(g) is None and full.backward(g).shape == x.shape
+        np.testing.assert_array_equal(skip.get_flat_grads(), full.get_flat_grads())
+
+
 class TestValidation:
     def test_linear_wrong_features(self):
         with pytest.raises(ValueError, match="last dim"):

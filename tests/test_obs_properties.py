@@ -10,7 +10,7 @@ the bytes ledger reconciliation.
 import json
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro import obs
@@ -58,6 +58,11 @@ emissions = st.lists(
 
 @settings(max_examples=50, deadline=None)
 @given(emissions)
+# Payload keys the metrics tap reads, holding what it cannot count: emit
+# used to raise from ``_derive_metrics`` on each of these.
+@example([("retry", 0, 0, {"wait_s": -1})])
+@example([("retry", 0, 0, {"wait_s": ""})])
+@example([("retry", 0, 0, {"wait_s": []})])
 def test_roundtrip_is_identity_on_arbitrary_events(items):
     tr = Tracer()
     for etype, step, worker, data in items:

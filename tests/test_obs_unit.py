@@ -127,6 +127,36 @@ def test_derived_metrics_from_events():
     assert m.histogram("step.sim_time").count == 2
 
 
+@pytest.mark.parametrize("bad", [-1, "", [], float("nan"), float("inf"), 10**400])
+@pytest.mark.parametrize(
+    "etype, key",
+    [
+        ("collective", "bytes"),
+        ("collective", "seconds"),
+        ("step_end", "comm_time"),
+        ("delta_eval", "delta"),
+        ("eval", "metric"),
+        ("aggregator_decision", "n_dropped"),
+        ("retry", "attempts"),
+        ("retry", "wait_s"),
+        ("shard_round", "n_degraded"),
+        ("membership", "size_after"),
+    ],
+)
+def test_deriving_metrics_never_makes_emit_raise(etype, key, bad):
+    """A payload field holding what its metric cannot take is left out of
+    the metric; the event itself is recorded and well-formed ones count."""
+    tr = Tracer()
+    tr.emit(etype, step=0, worker=0, **{key: bad})
+    tr.emit("retry", step=0, worker=0, attempts=3, wait_s=0.25)
+    assert len(tr.events) == 2
+    expect = {"comm.retries": 2.0, "comm.retry_wait_s": 0.25}
+    for name, well_formed in expect.items():
+        assert tr.metrics.get(name) == well_formed
+    for name, value in tr.metrics.summary()["counters"].items():
+        assert 0.0 <= value < float("inf"), name
+
+
 def test_emit_after_close_raises():
     tr = Tracer()
     tr.close()

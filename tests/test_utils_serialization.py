@@ -1,6 +1,7 @@
 """Tests for run-log, checkpoint and model serialization."""
 
 import json
+import zipfile
 
 import numpy as np
 import pytest
@@ -9,16 +10,21 @@ from repro.core.grad_tracker import RelativeGradChange
 from repro.nn.models import build_model
 from repro.utils.ewma import Ewma
 from repro.utils.runlog import EvalRecord, FaultRecord, IterationRecord, RunLog
+from repro.utils import serialization
 from repro.utils.serialization import (
+    RunLogLines,
     decode_jsonable,
     encode_jsonable,
     load_checkpoint,
     load_model,
     load_runlog,
+    runlog_from_jsonable,
+    runlog_to_jsonable,
     save_checkpoint,
     save_model,
     save_runlog,
 )
+from tests.conftest import write_legacy_checkpoint
 
 
 @pytest.fixture
@@ -155,6 +161,176 @@ class TestCheckpointRoundtrip:
         save_checkpoint({"a": np.zeros(3)}, p)  # overwrite in place
         assert not (tmp_path / "ck.npz.tmp").exists()
         np.testing.assert_array_equal(load_checkpoint(p)["a"], np.zeros(3))
+
+
+    def test_failed_write_keeps_previous_checkpoint_and_no_temp(self, tmp_path, monkeypatch):
+        """A write that raises mid-file (disk full, interrupt) must leave the
+        previous checkpoint loadable and no ``.tmp`` beside it."""
+        p = tmp_path / "ck.npz"
+        save_checkpoint({"a": np.ones(3)}, p)
+
+        def torn_savez(f, **payload):
+            f.write(b"PK\x03\x04 half a member")
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(np, "savez", torn_savez)
+        with pytest.raises(OSError, match="No space left"):
+            save_checkpoint({"a": np.zeros(3)}, p)
+        monkeypatch.undo()
+        assert [f.name for f in tmp_path.iterdir()] == ["ck.npz"]
+        np.testing.assert_array_equal(load_checkpoint(p)["a"], np.ones(3))
+
+
+def _diverged_log():
+    """Every non-finite encoding the log can carry: tagged loss / eval /
+    fault detail / extra, the legacy string form of ``grad_change``, and a
+    NaN loss (stored as ``null``)."""
+    log = RunLog("diverged", meta={"seed": 3, "scale": float("inf")})
+    log.record_iteration(IterationRecord(step=0, synced=True, sim_time=1.0, loss=float("inf"),
+                                         grad_change=float("inf"), extra={"spread": float("nan")}))
+    log.record_iteration(IterationRecord(step=1, synced=False, sim_time=0.5,
+                                         grad_change=float("-inf")))
+    log.record_iteration(IterationRecord(step=2, synced=False, sim_time=0.5, loss=0.25,
+                                         grad_change=float("nan")))
+    log.record_fault(FaultRecord(step=1, worker=2, kind="corrupt", detail={"norm": float("inf")}))
+    log.record_eval(EvalRecord(step=2, epoch=0.1, sim_time=2.0, metric=float("nan")))
+    return log
+
+
+def _checkpoint_tree(log_section):
+    return {
+        "version": 1,
+        "step": 3,
+        "best": None,
+        "state": {"params": np.arange(6.0).reshape(2, 3), "rng": {"pos": 7}},
+        "log": log_section,
+    }
+
+
+def _assert_trees_equal(a, b):
+    """Exact equality of two loaded checkpoint trees (NaN equals NaN)."""
+    assert type(a) is type(b)
+    if isinstance(a, dict):
+        assert list(a) == list(b)
+        for k in a:
+            _assert_trees_equal(a[k], b[k])
+    elif isinstance(a, list):
+        assert len(a) == len(b)
+        for x, y in zip(a, b):
+            _assert_trees_equal(x, y)
+    elif isinstance(a, np.ndarray):
+        assert a.dtype == b.dtype
+        np.testing.assert_array_equal(a, b)
+    else:
+        assert a == b or (a != a and b != b)
+
+
+class TestCheckpointContainer:
+    def test_every_member_is_stored(self, tmp_path):
+        """Regression guard for the step-path stall: nothing in a checkpoint
+        (or a saved model) goes through deflate."""
+        ck = tmp_path / "ck.npz"
+        save_checkpoint(_checkpoint_tree(RunLogLines().text(_diverged_log())), ck)
+        model = tmp_path / "model.npz"
+        save_model(build_model("mlp", in_features=8, n_classes=3, rng=0), model)
+        for path in (ck, model):
+            with zipfile.ZipFile(path) as z:
+                assert z.testzip() is None  # CRCs present and right
+                assert z.infolist()
+                assert {i.compress_type for i in z.infolist()} == {zipfile.ZIP_STORED}
+
+    def test_log_is_a_member_of_its_own_not_part_of_the_tree(self, tmp_path):
+        ck = tmp_path / "ck.npz"
+        text = RunLogLines().text(_diverged_log())
+        save_checkpoint(_checkpoint_tree(text), ck)
+        with np.load(ck) as data:
+            tree = json.loads(bytes(data["__tree__"]))
+            assert tree["log"] == {"__jsonl__": 1}
+            assert bytes(data["arr_1"]).decode() == text
+        # ...and it is the run-log file's text, line for line.
+        save_runlog(_diverged_log(), tmp_path / "log.jsonl")
+        assert (tmp_path / "log.jsonl").read_text() == text + "\n"
+
+    def test_legacy_file_loads_to_an_equal_tree(self, tmp_path):
+        """A file laid out as the parent commit wrote it (deflated, log as
+        records inside ``__tree__``) loads to exactly what today's does."""
+        log = _diverged_log()
+        new, old = tmp_path / "new.npz", tmp_path / "old.npz"
+        save_checkpoint(_checkpoint_tree(RunLogLines().text(log)), new)
+        write_legacy_checkpoint(_checkpoint_tree(runlog_to_jsonable(log)), old)
+        with zipfile.ZipFile(old) as z:
+            assert {i.compress_type for i in z.infolist()} == {zipfile.ZIP_DEFLATED}
+        _assert_trees_equal(load_checkpoint(old), load_checkpoint(new))
+
+    @pytest.mark.parametrize("legacy", [False, True])
+    def test_non_finite_log_values_survive(self, tmp_path, legacy):
+        log = _diverged_log()
+        text = RunLogLines().text(log)
+        # Both spellings are on disk: the tag, and grad_change's strings.
+        assert '{"__nonfinite__": "inf"}' in text and '"grad_change": "-inf"' in text
+        assert '"grad_change": "nan"' in text and '"loss": null' in text
+        ck = tmp_path / "ck.npz"
+        if legacy:
+            write_legacy_checkpoint(_checkpoint_tree(runlog_to_jsonable(log)), ck)
+        else:
+            save_checkpoint(_checkpoint_tree(text), ck)
+        back = runlog_from_jsonable(load_checkpoint(ck)["log"])
+        assert back.name == "diverged" and back.meta == {"seed": 3, "scale": float("inf")}
+        assert back.iterations[0].loss == float("inf")
+        assert np.isnan(back.iterations[0].extra["spread"])
+        assert [r.grad_change for r in back.iterations[:2]] == [float("inf"), float("-inf")]
+        assert np.isnan(back.iterations[2].grad_change) and np.isnan(back.iterations[1].loss)
+        assert back.iterations[2].loss == 0.25
+        assert back.faults[0].detail == {"norm": float("inf")}
+        assert np.isnan(back.evals[0].metric)
+
+    def test_loaded_arrays_outlive_the_file(self, tmp_path):
+        """Load makes no second copy; the arrays must still be writable and
+        tied to nothing in the closed (here: deleted) file."""
+        ck = tmp_path / "ck.npz"
+        save_checkpoint({"a": np.arange(4.0)}, ck)
+        a = load_checkpoint(ck)["a"]
+        ck.unlink()
+        a += 1.0
+        np.testing.assert_array_equal(a, np.arange(4.0) + 1.0)
+
+
+class TestRunLogLines:
+    def test_each_record_is_encoded_once(self, monkeypatch):
+        """The encode work of a second ``text`` call is the records appended
+        since the first, not the history."""
+        calls = []
+        for name in ("_iter_to_jsonable", "_fault_to_jsonable", "_eval_to_jsonable"):
+            real = getattr(serialization, name)
+            monkeypatch.setattr(
+                serialization, name,
+                lambda r, real=real: calls.append(r) or real(r),
+            )
+        log = _diverged_log()
+        lines = RunLogLines()
+        first = lines.text(log)
+        assert len(calls) == 5
+        log.record_iteration(IterationRecord(step=3, synced=True, sim_time=1.0, loss=0.1))
+        log.record_eval(EvalRecord(step=3, epoch=0.2, sim_time=3.0, metric=0.5))
+        del calls[:]
+        second = lines.text(log)
+        assert calls == [log.iterations[3], log.evals[1]]
+        # Same text as a from-scratch encode, in runlog_to_jsonable's order.
+        assert second == RunLogLines().text(log) != first
+        assert [json.loads(ln) for ln in second.splitlines()] == runlog_to_jsonable(log)
+
+    def test_a_different_log_starts_over(self):
+        lines = RunLogLines()
+        long = lines.text(_diverged_log())
+        short = RunLog("other")
+        short.record_iteration(IterationRecord(step=0, synced=True, sim_time=1.0, loss=1.0))
+        assert lines.text(short) == RunLogLines().text(short) != long
+
+    def test_header_tracks_meta_changes(self):
+        log, lines = _diverged_log(), RunLogLines()
+        lines.text(log)
+        log.meta["method"] = "selsync"
+        assert json.loads(lines.text(log).splitlines()[0])["meta"]["method"] == "selsync"
 
 
 class TestTrackerStateDicts:
