@@ -1,28 +1,28 @@
-"""Hot-path A/B benchmark: seed path vs arena fast path, serial vs threaded.
-
-Measures lock-step training throughput (steps/sec) on the SmallVGG/CIFAR100
-workload with 8 workers for BSP and SelSync under three configurations:
-
-* ``seed``          — fast path disabled: the original flatten-by-concatenate
-                      storage, im2col convolutions, ``np.stack`` aggregation.
-* ``arena-serial``  — zero-copy arenas + fast kernels, serial executor.
-* ``arena-threaded``— same, per-worker gradient phase on a thread pool.
+"""Hot-path benchmark on SmallVGG/CIFAR100 with 8 workers: flat-storage
+micro-timings, robust-aggregator overhead, the shard and elastic sweeps of
+the timing model, and executor scaling.
 
 Methodology: the host's clock frequency drifts in slow waves, so absolute
-timings from different moments are not comparable. Instead seed and arena
-trials are *interleaved* (off, on, off, on, ...) and the reported speedup is
-the **median of pairwise ratios** of adjacent trials — adjacent pairs see
+timings from different moments are not comparable. Instead the two sides of
+every comparison are *interleaved* (a, b, a, b, ...) and the reported ratio
+is the **median of pairwise ratios** of adjacent trials — adjacent pairs see
 the same host speed, so the drift cancels. Run as a script (optionally with
 ``--quick``) to write ``BENCH_hotpath.json`` at the repo root::
 
     PYTHONPATH=src python benchmarks/bench_hotpath.py [--quick]
 
 The same invocation also runs the **executor-scaling sweep** and writes
-``BENCH_executor.json``: serial vs threaded vs process backends (all on the
-arena fast path) with the same interleaved pairwise methodology, the host
-core count, and a serial-vs-process RunLog byte-identity check. Process
-speedups only mean anything on a multi-core host — ``cpu_count`` is recorded
-so downstream assertions can gate on it.
+``BENCH_executor.json``: serial vs threaded vs process backends with the
+same interleaved pairwise methodology, the host core count, and a
+serial-vs-process RunLog byte-identity check — the only live serial
+SmallVGG/8w steps/s figure. Process speedups only mean anything on a
+multi-core host — ``cpu_count`` is recorded so downstream assertions can
+gate on it.
+
+The ``pr: 1`` row at the head of ``BENCH_hotpath.json["history"]`` is frozen
+data — PR 1's arena path against the seed's copying path, which no longer
+exists in the tree. Any comparison against older code goes through
+``--baseline-src``.
 
 ``--baseline-src DIR --pr N`` instead runs only one **cross-commit trial**
 and **appends** its row to ``BENCH_hotpath.json["history"]`` — the
@@ -63,7 +63,6 @@ import numpy as np
 
 from repro.experiments.runner import MethodSpec, build_trainer
 from repro.experiments.workloads import get_workload
-from repro.utils import fastpath
 from repro.utils.flatten import flatten_arrays, mean_into
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -97,51 +96,9 @@ def time_steps(trainer, start: int, n: int) -> float:
     return n / (time.perf_counter() - t0)
 
 
-def ab_trial(method: str, executor: str, trials: int, steps_off: int, steps_on: int):
-    """Interleaved off/on trials; returns per-mode rates and pairwise ratios.
-
-    One trainer runs with the fast path disabled (the seed-cost emulation),
-    a second with it enabled; trials alternate so adjacent pairs share the
-    host's momentary speed.
-    """
-    with fastpath.fastpath(False):
-        tr_off = make_trainer(method, "serial")
-    tr_on = make_trainer(method, executor)
-    gc.disable()
-    try:
-        # Warmup builds workspaces/arenas and touches every code path once.
-        with fastpath.fastpath(False):
-            for i in range(3):
-                tr_off.step(i)
-        for i in range(3):
-            tr_on.step(i)
-        off_rates, on_rates = [], []
-        off_i, on_i = 3, 3
-        for _ in range(trials):
-            with fastpath.fastpath(False):
-                off_rates.append(time_steps(tr_off, off_i, steps_off))
-            off_i += steps_off
-            on_rates.append(time_steps(tr_on, on_i, steps_on))
-            on_i += steps_on
-    finally:
-        gc.enable()
-        tr_on.executor.shutdown()
-        tr_off.executor.shutdown()
-    ratios = [on / off for off, on in zip(off_rates, on_rates)]
-    return {
-        "seed_steps_per_sec": round(statistics.median(off_rates), 3),
-        "fast_steps_per_sec": round(statistics.median(on_rates), 3),
-        "pairwise_ratios": [round(r, 3) for r in ratios],
-        "speedup_median_pairwise": round(statistics.median(ratios), 3),
-    }
-
-
 def executor_trial(method: str, kind: str, trials: int, steps: int):
-    """Interleaved serial-vs-``kind`` trials, both on the arena fast path.
-
-    Same drift-cancelling methodology as :func:`ab_trial`, but comparing
-    executor backends instead of storage layouts.
-    """
+    """Interleaved serial-vs-``kind`` trials; trials alternate so adjacent
+    pairs share the host's momentary speed."""
     tr_ser = make_trainer(method, "serial")
     tr_other = make_trainer(method, kind)
     gc.disable()
@@ -236,7 +193,7 @@ def executor_sweep(trials: int, steps: int, quick: bool):
     results = {
         "workload": "vgg_cifar100 (SmallVGG), 8 workers, data_scale=0.25",
         "methodology": (
-            "interleaved serial/backend trials on the arena fast path; "
+            "interleaved serial/backend trials; "
             "speedup = median of pairwise (adjacent) steps-per-sec ratios"
         ),
         "cpu_count": os.cpu_count(),
@@ -361,7 +318,7 @@ def elastic_sweep(n_steps: int, method: str = "selsync"):
 
 
 def micro_flat_ops(n_params: int = 200_000, n_workers: int = 8, reps: int = 50):
-    """Microbenchmark: flatten + aggregate, seed idiom vs arena idiom."""
+    """Microbenchmark: flatten + aggregate, copying idiom vs arena idiom."""
     rng = np.random.default_rng(0)
     chunks = [rng.normal(size=s) for s in (64, 256, 1024, 4096, n_params)]
     vectors = [rng.normal(size=n_params) for _ in range(n_workers)]
@@ -468,8 +425,8 @@ def _finish(children) -> None:
 def transformer_trial(baseline_src: str, trials: int, steps: int):
     """Interleaved before/after trials across two checkouts of ``repro``.
 
-    Same drift-cancelling method as :func:`ab_trial`, but the two sides are
-    two commits, so each lives in its own child process (``PYTHONPATH`` set
+    Same drift-cancelling method as :func:`executor_trial`, but the two sides
+    are two commits, so each lives in its own child process (``PYTHONPATH`` set
     to its ``src``); the children are built and warmed first and then take
     turns, so adjacent blocks still share the host's momentary speed.
     """
@@ -599,7 +556,7 @@ def main(argv=None) -> int:
     ap.add_argument(
         "--skip-hotpath",
         action="store_true",
-        help="run only the executor sweep (skips the seed-vs-arena A/B)",
+        help="run only the executor sweep",
     )
     ap.add_argument(
         "--baseline-src",
@@ -625,8 +582,7 @@ def main(argv=None) -> int:
         return 0
 
     trials = 3 if args.quick else 10
-    steps_off = 4 if args.quick else 8
-    steps_on = 8 if args.quick else 16
+    steps = 8 if args.quick else 16
 
     out_path = Path(args.out)
     snapshot = json.loads(out_path.read_text()) if out_path.exists() else {}
@@ -659,36 +615,23 @@ def main(argv=None) -> int:
         results = {
             "workload": "vgg_cifar100 (SmallVGG), 8 workers, data_scale=0.25",
             "methodology": (
-                "interleaved seed/arena trials; speedup = median of pairwise "
-                "(adjacent) on/off steps-per-sec ratios, which cancels host "
-                "clock drift"
+                "interleaved trials; every ratio is the median of pairwise "
+                "(adjacent) steps-per-sec ratios, which cancels host clock "
+                "drift"
             ),
             "quick": args.quick,
-            "methods": {},
             "micro": micro_flat_ops(),
-            "aggregator_overhead": aggregator_sweep(trials, steps_on),
+            "aggregator_overhead": aggregator_sweep(trials, steps),
             "shard_speedup": shard_sweep(4 if args.quick else 10),
             "elastic_goodput": elastic_sweep(24 if args.quick else 40),
         }
         print(f"shard_speedup: {results['shard_speedup']['per_shard']}")
         print(f"elastic_goodput: {results['elastic_goodput']['runs']}")
-        for method in ("bsp", "selsync"):
-            results["methods"][method] = {
-                "arena-serial": ab_trial(method, "serial", trials, steps_off, steps_on),
-            }
-            print(f"{method}/arena-serial: "
-                  f"{results['methods'][method]['arena-serial']}")
-            results["methods"][method]["arena-threaded"] = ab_trial(
-                method, "threaded", trials, steps_off, steps_on
-            )
-            print(f"{method}/arena-threaded: "
-                  f"{results['methods'][method]['arena-threaded']}")
-
         results["history"] = history  # append-only: survives the re-snapshot
         out_path.write_text(json.dumps(results, indent=2) + "\n")
         print(f"wrote {out_path}")
 
-    ex_results = executor_sweep(trials, steps_on, args.quick)
+    ex_results = executor_sweep(trials, steps, args.quick)
     Path(args.executor_out).write_text(json.dumps(ex_results, indent=2) + "\n")
     print(f"wrote {args.executor_out}")
     return 0

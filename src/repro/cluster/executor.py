@@ -53,7 +53,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro import obs
-from repro.utils import fastpath
 
 Batch = Tuple[np.ndarray, np.ndarray]
 
@@ -327,12 +326,6 @@ class _ProcessPool:
     def __init__(self, workers: List, n_procs: int):
         from repro.nn.arena import share_arena
 
-        if not fastpath.is_enabled():
-            raise RuntimeError(
-                "the process executor requires the arena fast path "
-                "(repro.utils.fastpath) — without arenas there is no shared "
-                "parameter storage to fork over"
-            )
         import multiprocessing as mp
 
         try:

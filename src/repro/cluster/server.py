@@ -23,7 +23,6 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.cluster.faults import NonFiniteUpdateError
-from repro.utils import fastpath
 from repro.utils.flatten import mean_into
 
 
@@ -34,10 +33,10 @@ class ParameterServer:
     vectors; asynchronous application (SSP) applies each worker's update as
     it arrives and tracks versions.
 
-    When the fast path is enabled, aggregation averages into preallocated
-    buffers (``mean_into`` is bitwise-identical to ``np.mean(np.stack(...),
-    axis=0)``) and hands out read-only views, so a sync step allocates
-    nothing proportional to the model size.
+    Aggregation averages into preallocated buffers (``mean_into`` is
+    bitwise-identical to ``np.mean(np.stack(...), axis=0)``) and hands out
+    read-only views, so a sync step allocates nothing proportional to the
+    model size.
     """
 
     def __init__(self, init_params: np.ndarray, aggregator=None):
@@ -83,12 +82,9 @@ class ParameterServer:
         self.version += 1
         if self.aggregator is not None:
             self.aggregator.reduce(pushed, out=self._params, where="params")
-            return self._readonly(self._params)
-        if fastpath.is_enabled():
+        else:
             mean_into(pushed, out=self._params)
-            return self._readonly(self._params)
-        self._params = np.mean(np.stack(pushed), axis=0)
-        return self._params.copy()
+        return self._readonly(self._params)
 
     def aggregate_grads(self, grads: Sequence[np.ndarray]) -> np.ndarray:
         """Gradient aggregation: return the aggregate gradient (global
@@ -97,17 +93,13 @@ class ParameterServer:
         describes)."""
         self._check(grads)
         self.version += 1
+        if self._agg is None or self._agg.shape != self._params.shape:
+            self._agg = np.empty_like(self._params)
         if self.aggregator is not None:
-            if self._agg is None or self._agg.shape != self._params.shape:
-                self._agg = np.empty_like(self._params)
             self.aggregator.reduce(grads, out=self._agg, where="grads")
-            return self._readonly(self._agg)
-        if fastpath.is_enabled():
-            if self._agg is None or self._agg.shape != self._params.shape:
-                self._agg = np.empty_like(self._params)
+        else:
             mean_into(grads, out=self._agg)
-            return self._readonly(self._agg)
-        return np.mean(np.stack(grads), axis=0)
+        return self._readonly(self._agg)
 
     # -- asynchronous (SSP) interface ------------------------------------------
     def async_apply(self, update: np.ndarray) -> int:
@@ -240,11 +232,6 @@ class ShardedParameterServer(ParameterServer):
         absent = self._shard_absent
         self._shard_absent = {}
         return absent
-
-    def pull_shard(self, shard: int, copy: bool = True) -> np.ndarray:
-        """Current global parameters of one shard."""
-        view = self._params[self.spec.slices()[shard]]
-        return view.copy() if copy else self._readonly(view)
 
     def _reduce_shards(
         self, pushed: Sequence[np.ndarray], out: np.ndarray, where: str

@@ -24,7 +24,6 @@ from repro.comm.envelope import CollectiveTimeoutError, CommEnvelope, RetryPolic
 from repro.comm.network import LinkFaultModel, NetworkModel
 from repro.comm.sharding import ShardSpec
 from repro.comm.topology import Topology, build_topology
-from repro.utils import fastpath
 from repro.utils.flatten import mean_into
 
 
@@ -100,7 +99,7 @@ class SimGroup:
         self._partition_active: bool = False
         # Dedup link_fault events to one per (link, step).
         self._faulted_links: set = set()
-        # Reusable allreduce output (fast path); sized on first use.
+        # Reusable allreduce output; sized on first use.
         self._mean_buf: Optional[np.ndarray] = None
         # Sharded-PS geometry; a trivial 1-shard spec is normalized away so
         # the unsharded code paths stay the only ones default runs touch.
@@ -394,22 +393,16 @@ class SimGroup:
             payload = float(first.nbytes if nbytes is None else nbytes)
             t = self._sharded_round("allreduce", payload, expected)
             return mean, t
+        # Average into a reusable buffer and hand out a read-only view —
+        # callers consume the mean before the next collective.
+        if self._mean_buf is None or self._mean_buf.shape != first.shape:
+            self._mean_buf = np.empty(first.shape, dtype=np.float64)
         if self.aggregator is not None:
-            if self._mean_buf is None or self._mean_buf.shape != first.shape:
-                self._mean_buf = np.empty(first.shape, dtype=np.float64)
             self.aggregator.reduce(vectors, out=self._mean_buf, where="allreduce")
-            mean = self._mean_buf.view()
-            mean.flags.writeable = False
-        elif fastpath.is_enabled():
-            # Average into a reusable buffer (bitwise-identical to the stack
-            # reduce below) and hand out a read-only view — callers consume
-            # the mean before the next collective.
-            if self._mean_buf is None or self._mean_buf.shape != first.shape:
-                self._mean_buf = np.empty(first.shape, dtype=np.float64)
-            mean = mean_into(vectors, out=self._mean_buf).view()
-            mean.flags.writeable = False
         else:
-            mean = np.mean(np.stack([np.asarray(v) for v in vectors]), axis=0)
+            mean_into(vectors, out=self._mean_buf)
+        mean = self._mean_buf.view()
+        mean.flags.writeable = False
         payload = float(first.nbytes if nbytes is None else nbytes)
         if self.envelope is None:
             t = self.topology.sync_time(payload, expected, self.net)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -177,16 +177,6 @@ class LinkFaultModel:
             if (f.a, f.b) == (lo, hi) and f.is_down(step):
                 return True
         return False
-
-    def dead_links(self, step: int, n: Optional[int] = None) -> List[Tuple[int, int]]:
-        """All worker–worker links down at ``step`` (sorted, canonical)."""
-        n = self.n_workers if n is None else n
-        return [
-            (a, b)
-            for a in range(n)
-            for b in range(a + 1, n)
-            if self.link_down(a, b, step)
-        ]
 
     # -- stochastic per-attempt draws ----------------------------------
 

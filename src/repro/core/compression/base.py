@@ -66,12 +66,6 @@ class Compressor:
     def decompress(self, msg: CompressedMessage) -> np.ndarray:
         return self._decode(msg)
 
-    def compression_ratio(self, n_elements: int) -> float:
-        """Dense bytes / compressed bytes for an ``n_elements`` gradient."""
-        dense = 8 * n_elements
-        msg = self._encode(np.ones(n_elements))
-        return dense / max(1, msg.nbytes)
-
     # checkpointing -------------------------------------------------------
     def state_dict(self) -> dict:
         """Error-feedback residual — the only state that evolves per step."""

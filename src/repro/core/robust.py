@@ -43,7 +43,6 @@ import numpy as np
 
 from repro import obs
 from repro.cluster.faults import NonFiniteUpdateError
-from repro.utils import fastpath
 from repro.utils.flatten import mean_into
 from repro.utils.registry import Registry
 
@@ -141,12 +140,7 @@ class MeanAggregator(Aggregator):
     name = "mean"
 
     def aggregate(self, vectors):
-        if fastpath.is_enabled():
-            return mean_into(vectors), {"n_used": len(vectors)}
-        return (
-            np.mean(np.stack([np.asarray(v) for v in vectors]), axis=0),
-            {"n_used": len(vectors)},
-        )
+        return mean_into(vectors), {"n_used": len(vectors)}
 
 
 @AGGREGATORS.register("median")

@@ -49,7 +49,8 @@ class SelSyncTrainer(DistributedTrainer):
         is charged to the clock.
     sync_vote:
         ``"any"`` (Alg. 1: one raised flag syncs everyone) or ``"majority"``
-        (ablation: sync only when more than half the workers vote for it).
+        (ablation: sync only when more than half of this step's voters — the
+        live, unquarantined, uncorrupted workers — vote for it).
     delta_overhead_s:
         Simulated per-step cost of the Δ(g_i) computation, charged only to
         SelSync (BSP/FedAvg/SSP do not compute it — §IV-B).
@@ -166,7 +167,9 @@ class SelSyncTrainer(DistributedTrainer):
         if self.sync_vote == "any":
             sync = bool(gathered.any())
         else:
-            sync = int(gathered.sum()) > len(self.workers) // 2
+            # Majority of the workers that could vote this step: crashed,
+            # quarantined and corrupted workers cannot raise a flag.
+            sync = int(gathered.sum()) > len(voters) // 2
         if tr is not None:
             tr.emit(
                 "sync_decision",

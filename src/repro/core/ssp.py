@@ -79,7 +79,6 @@ class SSPTrainer(DistributedTrainer):
                 "not at a step boundary at any wall-clock instant; use a "
                 "lock-step trainer for checkpointed runs"
             )
-        n = len(self.workers)
         log = RunLog(name=self.name)
         self._log = log
         try:

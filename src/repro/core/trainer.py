@@ -38,7 +38,6 @@ from repro.cluster.server import ParameterServer, ShardedParameterServer
 from repro.cluster.worker import SimWorker
 from repro.core.config import ClusterConfig, TrainConfig
 from repro.optim.schedules import ConstantLR, LRSchedule
-from repro.utils import fastpath
 from repro.utils.flatten import mean_into
 from repro.utils.runlog import EvalRecord, FaultRecord, IterationRecord, RunLog
 from repro.utils.serialization import (
@@ -67,15 +66,6 @@ class TrainResult:
     steps: int
     sim_time: float
     lssr: Optional[float]
-
-    def summary_row(self) -> dict:
-        return {
-            "steps": self.steps,
-            "lssr": self.lssr,
-            "metric": self.final_metric,
-            "best_metric": self.best_metric,
-            "sim_time": self.sim_time,
-        }
 
 
 class DistributedTrainer:
@@ -362,6 +352,10 @@ class DistributedTrainer:
         self.check_quorum(len(sf.live), i)
         return sf
 
+    def _consensus(self, donors: Sequence[int]) -> np.ndarray:
+        """Plain mean of the donors' replicas, as a fresh vector."""
+        return mean_into([self.workers[j].get_params(copy=False) for j in donors])
+
     def _heal_partition(self, step: int, live: Sequence[int]) -> None:
         """A network partition ended: rebase the formerly-cut workers.
 
@@ -377,9 +371,7 @@ class DistributedTrainer:
         donors = [w for w in live if w not in cut]
         if not donors:
             return
-        consensus = np.mean(
-            np.stack([self.workers[j].get_params() for j in donors]), axis=0
-        )
+        consensus = self._consensus(donors)
         for wid in sorted(cut):
             self.workers[wid].resync(consensus)
             self._record_fault(
@@ -404,12 +396,7 @@ class DistributedTrainer:
             if j != wid and not self.health.quarantined(j)
         ]
         if donors:
-            w.resync(
-                np.mean(
-                    np.stack([self.workers[j].get_params() for j in donors]),
-                    axis=0,
-                )
-            )
+            w.resync(self._consensus(donors))
         else:
             w.optimizer.reset_state()
         self._on_worker_rejoin(wid, False)
@@ -716,12 +703,7 @@ class DistributedTrainer:
                 j for j in self.faults.live_workers(step) if j != wid
             ]
             if live_others:
-                w.resync(
-                    np.mean(
-                        np.stack([self.workers[j].get_params() for j in live_others]),
-                        axis=0,
-                    )
-                )
+                w.resync(self._consensus(live_others))
             else:
                 w.optimizer.reset_state()
         self._on_worker_rejoin(wid, from_checkpoint)
@@ -733,9 +715,6 @@ class DistributedTrainer:
                 detail={"from_checkpoint": int(from_checkpoint)},
             )
         )
-
-    def live_worker_objs(self, live: Sequence[int]) -> List[SimWorker]:
-        return [self.workers[w] for w in live]
 
     # -- parameter views --------------------------------------------------
     def mean_params(self) -> np.ndarray:
@@ -752,18 +731,13 @@ class DistributedTrainer:
             if self._current_live is None
             else [self.workers[w] for w in self._current_live]
         )
+        # Arena views in, fresh vector out.
+        views = [w.get_params(copy=False) for w in workers]
         if self.aggregator is not None:
             return np.array(
-                self.aggregator.reduce(
-                    [w.get_params(copy=False) for w in workers], where="deploy"
-                ),
-                copy=True,
+                self.aggregator.reduce(views, where="deploy"), copy=True
             )
-        if fastpath.is_enabled():
-            # Arena views in, fresh vector out — bitwise-identical to the
-            # stack reduce (see mean_into's contract).
-            return mean_into([w.get_params(copy=False) for w in workers])
-        return np.mean(np.stack([w.get_params() for w in workers]), axis=0)
+        return mean_into(views)
 
     def resync_replicas(self) -> None:
         """Force every worker replica back to the deployable aggregate —
@@ -811,6 +785,25 @@ class DistributedTrainer:
         experiment runner and CLI bind it automatically whenever the
         elastic subsystem is enabled."""
         self.elastic_ctx = ctx
+
+    def _spawn_worker(self, rank: int, order: np.ndarray) -> SimWorker:
+        """A fresh replica from the bound factories, reading ``order``."""
+        ctx = self.elastic_ctx
+        model = ctx.model_factory()
+        loader = BatchLoader(
+            ctx.dataset,
+            order,
+            batch_size=ctx.batch_size,
+            reshuffle=ctx.reshuffle,
+            rng=0,
+        )
+        extra_kwargs = (
+            {} if ctx.loss_factory is None
+            else {"loss_factory": ctx.loss_factory}
+        )
+        return SimWorker(
+            rank, model, ctx.optimizer_factory(model), loader, **extra_kwargs
+        )
 
     def _apply_membership(self, i: int) -> float:
         """Open step ``i`` under the membership plan/autoscale policy.
@@ -868,27 +861,9 @@ class DistributedTrainer:
             # Placeholder order only — _repartition below hands every
             # worker (joiners included) its real order for the new size.
             placeholder = np.arange(len(ctx.dataset))
-            extra_kwargs = (
-                {} if ctx.loss_factory is None
-                else {"loss_factory": ctx.loss_factory}
-            )
             for _ in range(acts.joins):
                 uid = self.elastic.on_join(i)
-                model = ctx.model_factory()
-                loader = BatchLoader(
-                    ctx.dataset,
-                    placeholder,
-                    batch_size=ctx.batch_size,
-                    reshuffle=ctx.reshuffle,
-                    rng=0,
-                )
-                w = SimWorker(
-                    len(self.workers),
-                    model,
-                    ctx.optimizer_factory(model),
-                    loader,
-                    **extra_kwargs,
-                )
+                w = self._spawn_worker(len(self.workers), placeholder)
                 w.resync(consensus)
                 self.workers.append(w)
                 mapping.append(None)
@@ -995,32 +970,15 @@ class DistributedTrainer:
         checkpointed order (the state load right after makes it exact),
         and the runtime resizes before the regular restore proceeds.
         """
-        ctx = self.elastic_ctx
-        if ctx is None:
+        if self.elastic_ctx is None:
             raise RuntimeError(
                 "resuming across a membership change requires an "
                 "ElasticContext; call bind_elastic(...) before run()"
             )
-        extra_kwargs = (
-            {} if ctx.loss_factory is None
-            else {"loss_factory": ctx.loss_factory}
-        )
-        workers: List[SimWorker] = []
-        for rank, ws in enumerate(state["workers"]):
-            model = ctx.model_factory()
-            loader = BatchLoader(
-                ctx.dataset,
-                np.asarray(ws["loader"]["order"]),
-                batch_size=ctx.batch_size,
-                reshuffle=ctx.reshuffle,
-                rng=0,
-            )
-            workers.append(
-                SimWorker(
-                    rank, model, ctx.optimizer_factory(model), loader,
-                    **extra_kwargs,
-                )
-            )
+        workers = [
+            self._spawn_worker(rank, np.asarray(ws["loader"]["order"]))
+            for rank, ws in enumerate(state["workers"])
+        ]
         # In-place so external holders of the worker list (the built
         # workload, a bound executor) observe the new membership too.
         self.workers[:] = workers

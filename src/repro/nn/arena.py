@@ -184,10 +184,6 @@ class SharedParameterArena(ParameterArena):
         ParameterArena.__init__(self, params, _take_storage=True)
         return self
 
-    @property
-    def shm_name(self) -> str:
-        return self.shm.name
-
     def _allocate(self, total: int):
         nbytes = 8 * total
         if self.owner:
@@ -239,11 +235,6 @@ def share_arena(module) -> SharedParameterArena:
     from repro.nn.module import Module
 
     arena = module._ensure_arena()
-    if arena is None:
-        raise RuntimeError(
-            "cannot build a shared-memory arena with the fast path disabled "
-            "(repro.utils.fastpath); the process executor requires it"
-        )
     if isinstance(arena, SharedParameterArena):
         return arena
     new = SharedParameterArena(module.parameters())

@@ -8,7 +8,6 @@ import numpy as np
 
 from repro.nn import functional as F
 from repro.nn.module import Module
-from repro.utils import fastpath
 
 _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
@@ -23,11 +22,6 @@ class ReLU(Module):
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._x = x
-        if not fastpath.is_enabled():
-            # Drop the workspace so a later backward can't pair a stale
-            # fast-path output with this forward (flag toggles mid-run).
-            self._ws = None
-            return F.relu(x)
         ws = self._ws
         if ws is None or ws[0].shape != x.shape:
             ws = (

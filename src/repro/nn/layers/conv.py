@@ -37,9 +37,7 @@ from repro.nn import init
 from repro.nn.functional import col2im, conv_out_size, im2col
 from repro.nn.module import Module
 from repro.nn.parameter import Parameter
-from repro.utils import fastpath
 from repro.utils.rng import RngLike, as_rng
-
 
 
 class _ShiftWorkspace:
@@ -164,10 +162,8 @@ class Conv2d(Module):
         self._cols_ws: Optional[np.ndarray] = None
         self._x_shape = (0, 0, 0, 0)
         self._out_hw = (0, 0)
-        # Fast (stride-1) path workspace, and which path forward last took
-        # (backward must mirror it even if the global flag flips in between).
+        # Stride-1 path workspace.
         self._shift: Optional[_ShiftWorkspace] = None
-        self._last_path = "im2col"
         # Models set this on their input layer: the gradient w.r.t. the data
         # is never consumed there, so backward can skip the dx GEMMs.
         self.skip_input_grad = False
@@ -240,6 +236,8 @@ class Conv2d(Module):
     def _backward_shift(self, grad_out: np.ndarray) -> np.ndarray:
         k = self.kernel_size
         ws = self._shift
+        if ws is None:
+            raise RuntimeError("Conv2d.backward called before forward")
         ws.gv[...] = grad_out
         W = self.weight.data
         L = ws.length
@@ -306,7 +304,7 @@ class Conv2d(Module):
         ow = conv_out_size(x.shape[3], k, self.stride, self.padding)
         shape = (n * oh * ow, self.in_channels * k * k)
         ws = self._cols_ws
-        if ws is None or ws.shape != shape or not fastpath.is_enabled():
+        if ws is None or ws.shape != shape:
             ws = None  # let im2col allocate; we keep it for next time
         cols, oh, ow = im2col(x, k, k, self.stride, self.padding, out=ws)
         self._cols = self._cols_ws = cols
@@ -335,9 +333,7 @@ class Conv2d(Module):
         # for reuse, but nothing points at the patch matrix as "this step's
         # activation" between iterations anymore.
         self._cols = None
-        # Honored only on the fast path so that fastpath(False) stays a
-        # faithful baseline-cost emulation.
-        if self.skip_input_grad and fastpath.is_enabled():
+        if self.skip_input_grad:
             return None
         w2 = self.weight.data.reshape(self.out_channels, -1)
         dcols = g2 @ w2
@@ -349,15 +345,11 @@ class Conv2d(Module):
             raise ValueError(
                 f"Conv2d expected (N, {self.in_channels}, H, W), got {x.shape}"
             )
-        if self.stride == 1 and fastpath.is_enabled():
-            if self._last_path != "shift":
-                self._last_path = "shift"
+        if self.stride == 1:
             return self._forward_shift(x)
-        if self._last_path != "im2col":
-            self._last_path = "im2col"
         return self._forward_im2col(x)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._last_path == "shift":
+        if self.stride == 1:
             return self._backward_shift(grad_out)
         return self._backward_im2col(grad_out)

@@ -6,7 +6,6 @@ import numpy as np
 
 from repro.nn.functional import col2im, im2col
 from repro.nn.module import Module
-from repro.utils import fastpath
 
 
 class _PoolWorkspace:
@@ -78,7 +77,7 @@ class MaxPool2d(Module):
     def forward(self, x: np.ndarray) -> np.ndarray:
         n, c, h, w = x.shape
         k, s = self.kernel_size, self.stride
-        if s == k and h % k == 0 and w % k == 0 and fastpath.is_enabled():
+        if s == k and h % k == 0 and w % k == 0:
             # Non-overlapping pooling (the common s == k case): a reshape
             # groups each window's taps on the last axis — no im2col patch
             # matrix, no col2im scatter in backward. Tap order within a

@@ -21,7 +21,6 @@ from repro.nn.layers import (
 )
 from repro.nn.models.registry import MODELS
 from repro.nn.module import Module
-from repro.utils import fastpath
 from repro.utils.rng import RngLike, spawn_rngs
 
 
@@ -48,16 +47,6 @@ class SmallVGG(Module):
         spatial = image_size // 4  # two 2x2 pools
         flat = 2 * base * spatial * spatial
 
-        def pool_relu():
-            # maxpool(relu(x)) == relu(maxpool(x)) exactly (clipping at zero
-            # commutes with max, and the gradients agree in every case,
-            # including ties and all-negative windows). Pooling first runs
-            # ReLU on 4x fewer activations, so the fast path uses that
-            # order; the baseline keeps the textbook layout.
-            if fastpath.is_enabled():
-                return [MaxPool2d(2), ReLU()]
-            return [ReLU(), MaxPool2d(2)]
-
         stem = Conv2d(in_channels, base, 3, padding=1, rng=r[0])
         # The gradient w.r.t. the input images is never consumed.
         stem.skip_input_grad = True
@@ -65,11 +54,17 @@ class SmallVGG(Module):
             stem,
             ReLU(),
             Conv2d(base, base, 3, padding=1, rng=r[1]),
-            *pool_relu(),
+            # maxpool(relu(x)) == relu(maxpool(x)) exactly (clipping at zero
+            # commutes with max, and the gradients agree in every case,
+            # including ties and all-negative windows); pooling first runs
+            # ReLU on 4x fewer activations.
+            MaxPool2d(2),
+            ReLU(),
             Conv2d(base, 2 * base, 3, padding=1, rng=r[2]),
             ReLU(),
             Conv2d(2 * base, 2 * base, 3, padding=1, rng=r[3]),
-            *pool_relu(),
+            MaxPool2d(2),
+            ReLU(),
             Flatten(),
             Linear(flat, fc_width, rng=r[4]),
             ReLU(),

@@ -9,13 +9,11 @@ is verified against finite differences in the test suite.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 import numpy as np
 
 from repro.nn.parameter import Parameter
-from repro.utils import fastpath
-from repro.utils.flatten import flatten_arrays, unflatten_like
 
 
 class Module:
@@ -98,21 +96,13 @@ class Module:
 
     # -- gradients -------------------------------------------------------------
     def zero_grad(self) -> None:
-        arena = self._ensure_arena()
-        if arena is not None:
-            arena.zero_grad()
-            return
-        for p in self.parameters():
-            p.zero_grad()
+        self._ensure_arena().zero_grad()
 
     # -- flat parameter / gradient views --------------------------------------
-    def _ensure_arena(self) -> Optional["ParameterArena"]:
+    def _ensure_arena(self) -> "ParameterArena":
         """The arena backing this module's flat views, building it on first
         use and rebuilding when it no longer covers the parameter list
-        (late registration, deep copy). Returns ``None`` when the zero-copy
-        path is globally disabled (benchmark baseline mode)."""
-        if not fastpath.is_enabled():
-            return None
+        (late registration, deep copy)."""
         arena = self._arena
         ver = Module._registry_version
         if arena is not None and self._arena_ver == ver:
@@ -149,39 +139,19 @@ class Module:
         raises. Pass ``copy=True`` for a private snapshot (needed whenever
         the vector must survive later parameter writes, e.g. save/restore).
         """
-        arena = self._ensure_arena()
-        if arena is None:
-            return flatten_arrays([p.data for p in self.parameters()])
-        return arena.flat_params(copy=copy)
+        return self._ensure_arena().flat_params(copy=copy)
 
     def set_flat_params(self, vec: np.ndarray) -> None:
         """Write a flat vector back into the parameters, in place."""
-        arena = self._ensure_arena()
-        if arena is not None:
-            arena.write_params(vec)
-            return
-        params = self.parameters()
-        chunks = unflatten_like(vec, [p.data for p in params])
-        for p, c in zip(params, chunks):
-            p.data[...] = c
+        self._ensure_arena().write_params(vec)
 
     def get_flat_grads(self, copy: bool = False) -> np.ndarray:
         """All gradients as one vector — read-only arena view unless
         ``copy=True`` (same contract as :meth:`get_flat_params`)."""
-        arena = self._ensure_arena()
-        if arena is None:
-            return flatten_arrays([p.grad for p in self.parameters()])
-        return arena.flat_grads(copy=copy)
+        return self._ensure_arena().flat_grads(copy=copy)
 
     def set_flat_grads(self, vec: np.ndarray) -> None:
-        arena = self._ensure_arena()
-        if arena is not None:
-            arena.write_grads(vec)
-            return
-        params = self.parameters()
-        chunks = unflatten_like(vec, [p.grad for p in params])
-        for p, c in zip(params, chunks):
-            p.grad[...] = c
+        self._ensure_arena().write_grads(vec)
 
     # -- state dict -------------------------------------------------------------
     def state_dict(self) -> Dict[str, np.ndarray]:

@@ -332,19 +332,3 @@ def shard_totals(events: Sequence[TraceEvent]) -> Dict[int, Dict[str, float]]:
         if float(e.data.get("ranks", 0.0)) < ranks_seen.get(s, 0.0):
             out[s]["degraded"] += 1.0
     return out
-
-
-def shard_round_series(events: Sequence[TraceEvent]) -> Optional[np.ndarray]:
-    """Per-step sharded round seconds (sum of ``shard_round`` events), or
-    ``None`` when the run was unsharded."""
-    rounds = events_of_type(events, "shard_round")
-    if not rounds:
-        return None
-    rng = _step_range(events)
-    if rng is None:
-        return None
-    series = np.zeros(len(rng), dtype=np.float64)
-    for e in rounds:
-        if e.step is not None and e.step in rng:
-            series[e.step - rng.start] += float(e.data.get("seconds", 0.0))
-    return series

@@ -48,8 +48,7 @@ class SGD(Optimizer):
         arithmetic is elementwise-identical to the per-parameter path."""
         arena = self.module._ensure_arena()
         if (
-            arena is None
-            or any(s for s in self._state)  # per-parameter slots in use
+            any(s for s in self._state)  # per-parameter slots in use
             or not all(p.requires_grad for p in arena.params)
         ):
             self._spill_flat_state()
@@ -70,7 +69,7 @@ class SGD(Optimizer):
 
     def _spill_flat_state(self) -> None:
         """Move flat velocity into per-parameter slots so momentum survives
-        a switch to the per-parameter path (e.g. fastpath turned off)."""
+        a switch to the per-parameter path (a parameter frozen mid-run)."""
         v = self._flat_velocity
         if v is None:
             return

@@ -52,9 +52,11 @@ def mean_into(
     input after the first — the aggregation paths pass either a preallocated
     server buffer or a fresh array, never a worker view.
 
-    Bitwise-identical to ``np.mean(np.stack(vectors), axis=0)``: an axis-0
-    reduce also accumulates row-by-row sequentially, and the final true
-    division matches ``np.mean``'s (a reciprocal-multiply would not).
+    Bitwise-identical to ``np.mean(np.stack(vectors), axis=0)`` for vectors
+    of two or more elements: an axis-0 reduce also accumulates row-by-row
+    sequentially, and the final true division matches ``np.mean``'s (a
+    reciprocal-multiply would not). (Stacked length-1 vectors collapse to a
+    contiguous 1-D reduce, which numpy sums pairwise from 8 rows up.)
     """
     if len(vectors) == 0:
         raise ValueError("nothing to average")

@@ -1,5 +1,7 @@
 """Tests for the SelSync trainer — Alg. 1 semantics."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -104,6 +106,23 @@ class TestAlgorithmSemantics:
             workers, cluster, delta=0.5, sync_vote="majority"
         ).run(quick_cfg)
         assert res_maj.lssr >= res_any.lssr - 1e-9
+
+    def test_majority_vote_counts_only_this_steps_voters(self, blobs_data):
+        """Half the cluster crashed: the four survivors all vote to sync
+        (delta=0), which is a majority of those able to vote — not 4 > 8//2
+        against the nominal world size, which could never pass."""
+        train, _ = blobs_data
+        workers, cluster = make_mlp_cluster(train, n_workers=8)
+        cluster = dataclasses.replace(
+            cluster,
+            fault_spec="crash:w0@0+,crash:w1@0+,crash:w2@0+,crash:w3@0+",
+            min_quorum=4,
+        )
+        res = SelSyncTrainer(
+            workers, cluster, delta=0.0, sync_vote="majority"
+        ).run(TrainConfig(n_steps=6, eval_every=6))
+        assert [r.synced for r in res.log.iterations] == [True] * 6
+        assert [r.extra["n_flags"] for r in res.log.iterations] == [4.0] * 6
 
     def test_max_observed_delta_tracked(self, mlp_cluster, quick_cfg):
         workers, cluster = mlp_cluster

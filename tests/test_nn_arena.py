@@ -10,7 +10,7 @@ import pytest
 from repro.nn.models import build_model
 from repro.nn.module import Module
 from repro.nn.parameter import Parameter
-from repro.utils import fastpath
+from repro.utils.flatten import flatten_arrays
 
 
 def make_model():
@@ -84,15 +84,13 @@ def test_deepcopy_gets_its_own_arena():
 
 
 def test_flat_access_matches_concat_path():
-    """Arena views carry exactly what the fastpath-off concatenate builds."""
+    """Arena views carry exactly what concatenating the tensors builds."""
     m = make_model()
-    fast = m.get_flat_params(copy=True)
-    fast_g = m.get_flat_grads(copy=True)
-    with fastpath.fastpath(False):
-        slow = m.get_flat_params()
-        slow_g = m.get_flat_grads()
-    assert np.array_equal(fast, slow)
-    assert np.array_equal(fast_g, slow_g)
+    params = m.parameters()
+    for i, p in enumerate(params):
+        p.grad[...] = i + 1.0  # distinct per tensor, so order matters
+    assert np.array_equal(m.get_flat_params(), flatten_arrays([p.data for p in params]))
+    assert np.array_equal(m.get_flat_grads(), flatten_arrays([p.grad for p in params]))
 
 
 def test_share_arena_promotes_and_is_idempotent():
@@ -184,12 +182,3 @@ def test_deepcopy_of_shared_arena_module_is_private():
         assert m.parameters()[0].data.flat[0] != -1.0
     finally:
         unshare_arena(m)
-
-
-def test_share_arena_requires_fastpath():
-    from repro.nn.arena import share_arena
-
-    m = make_model()
-    with fastpath.fastpath(False):
-        with pytest.raises(RuntimeError):
-            share_arena(m)

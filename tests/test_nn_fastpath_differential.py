@@ -1,15 +1,17 @@
-"""Differential tests: fastpath kernels vs naive references.
+"""Differential tests: the hot-path kernels vs naive references.
 
 The shift-GEMM convolution (including the stem row-grouping and bias
-folding), the k=2 maxpool shortcut and the ReLU workspace all promise the
-*same arithmetic* as the plain implementations they replace. These tests
-pin that promise against dead-simple loop references — across odd spatial
-shapes, non-contiguous inputs and both float32 and float64 — and against
-the im2col path the fast flag falls back to.
+folding), the non-overlapping maxpool and the ReLU workspace all promise
+the *same arithmetic* as the plain implementations they replaced. These
+tests pin that promise against dead-simple loop references — across odd
+spatial shapes, non-contiguous inputs and both float32 and float64. The
+paths the layers still choose between (im2col for strided convolutions,
+the im2col pool for overlapping or ragged windows) are selected by stride
+and shape alone and are held to the same references.
 
 The transformer half (GELU, Linear, LayerNorm, attention, Embedding,
-cross-entropy) has no flag: its kernels *replaced* the ones they were
-derived from, which live on below as test-only references.
+cross-entropy) works the same way: its kernels *replaced* the ones they
+were derived from, which live on below as test-only references.
 """
 
 import numpy as np
@@ -21,7 +23,6 @@ from repro.nn.layers.activation import GELU, ReLU
 from repro.nn.layers.conv import Conv2d
 from repro.nn.layers.pooling import MaxPool2d
 from repro.nn.losses import CrossEntropyLoss
-from repro.utils import fastpath
 
 
 # -- naive references --------------------------------------------------------
@@ -66,12 +67,13 @@ def naive_conv2d_grads(x, weight, bias, grad_out, stride, pad):
     return dx, dw, db
 
 
-def naive_maxpool(x, k):
-    """Non-overlapping max pool with im2col tap order (first max wins)."""
+def naive_maxpool(x, k, grad_out):
+    """Non-overlapping max pool with im2col tap order (first max wins):
+    (out, dx), ``grad_out`` scattered to each window's winner."""
     n, c, h, w = x.shape
     oh, ow = h // k, w // k
     out = np.empty((n, c, oh, ow))
-    dxmask = np.zeros_like(x)
+    dx = np.zeros(x.shape)
     for y in range(oh):
         for xx in range(ow):
             win = x[:, :, y * k : (y + 1) * k, xx * k : (xx + 1) * k].reshape(
@@ -84,18 +86,17 @@ def naive_maxpool(x, k):
             for ni in range(n):
                 for ci in range(c):
                     i, j = divmod(int(arg[ni, ci]), k)
-                    dxmask[ni, ci, y * k + i, xx * k + j] = 1.0
-    return out, dxmask
+                    dx[ni, ci, y * k + i, xx * k + j] = grad_out[ni, ci, y, xx]
+    return out, dx
 
 
-def run_conv(layer, x, grad_out, enabled):
-    """Forward + backward under the given fastpath flag; returns copies."""
+def run_conv(layer, x, grad_out):
+    """Forward + backward; returns copies of (out, dx, dw, db)."""
     layer.weight.zero_grad()
     if layer.bias is not None:
         layer.bias.zero_grad()
-    with fastpath.fastpath(enabled):
-        out = np.array(layer.forward(x))
-        dx = layer.backward(grad_out)
+    out = np.array(layer.forward(x))
+    dx = layer.backward(grad_out)
     return (
         out,
         None if dx is None else np.array(dx),
@@ -117,18 +118,16 @@ def test_shift_conv_matches_naive_and_im2col(shape, use_bias):
     oh, ow = h, w  # stride 1, pad 1, k 3
     g = rng.normal(size=(n, 4, oh, ow))
 
-    fast = run_conv(layer, x, g, enabled=True)
-    slow = run_conv(layer, x, g, enabled=False)
+    got = run_conv(layer, x, g)
     bias = None if layer.bias is None else layer.bias.data
     ref_out = naive_conv2d(x, layer.weight.data, bias, 1, 1)
     ref_dx, ref_dw, ref_db = naive_conv2d_grads(x, layer.weight.data, bias, g, 1, 1)
 
-    for got in (fast, slow):
-        np.testing.assert_allclose(got[0], ref_out, atol=1e-10)
-        np.testing.assert_allclose(got[1], ref_dx, atol=1e-10)
-        np.testing.assert_allclose(got[2], ref_dw, atol=1e-10)
-        if use_bias:
-            np.testing.assert_allclose(got[3], ref_db, atol=1e-10)
+    np.testing.assert_allclose(got[0], ref_out, atol=1e-10)
+    np.testing.assert_allclose(got[1], ref_dx, atol=1e-10)
+    np.testing.assert_allclose(got[2], ref_dw, atol=1e-10)
+    if use_bias:
+        np.testing.assert_allclose(got[3], ref_db, atol=1e-10)
 
 
 def test_stem_row_grouping_matches_naive():
@@ -139,7 +138,7 @@ def test_stem_row_grouping_matches_naive():
     x = rng.normal(size=(2, 3, 7, 5))
     g = rng.normal(size=(2, 8, 7, 5))
 
-    out, dx, dw, db = run_conv(layer, x, g, enabled=True)
+    out, dx, dw, db = run_conv(layer, x, g)
     ref_out = naive_conv2d(x, layer.weight.data, layer.bias.data, 1, 1)
     _, ref_dw, ref_db = naive_conv2d_grads(
         x, layer.weight.data, layer.bias.data, g, 1, 1
@@ -158,9 +157,8 @@ def test_bias_folding_equals_separate_bias_add():
     no_b.weight.data[...] = with_b.weight.data
     with_b.bias.data[...] = rng.normal(size=6)
     x = rng.normal(size=(2, 4, 5, 5))
-    with fastpath.fastpath(True):
-        folded = np.array(with_b.forward(x))
-        separate = np.array(no_b.forward(x)) + with_b.bias.data[None, :, None, None]
+    folded = np.array(with_b.forward(x))
+    separate = np.array(no_b.forward(x)) + with_b.bias.data[None, :, None, None]
     np.testing.assert_allclose(folded, separate, atol=1e-12)
 
 
@@ -171,9 +169,10 @@ def test_shift_conv_non_contiguous_input():
     x = big[:, :, ::2, ::2]  # (2, 3, 6, 7), non-contiguous view
     assert not x.flags["C_CONTIGUOUS"]
     g = rng.normal(size=(2, 4, 6, 7))
-    fast = run_conv(layer, x, g, enabled=True)
-    slow = run_conv(layer, np.ascontiguousarray(x), g, enabled=False)
-    for a, b in zip(fast, slow):
+    got = run_conv(layer, x, g)
+    ref_out = naive_conv2d(x, layer.weight.data, layer.bias.data, 1, 1)
+    ref = (ref_out, *naive_conv2d_grads(x, layer.weight.data, layer.bias.data, g, 1, 1))
+    for a, b in zip(got, ref):
         np.testing.assert_allclose(a, b, atol=1e-10)
 
 
@@ -183,7 +182,7 @@ def test_shift_conv_dtypes(dtype):
     layer = Conv2d(2, 3, kernel_size=3, stride=1, padding=1, rng=4)
     x = rng.normal(size=(2, 2, 5, 5)).astype(dtype)
     g = rng.normal(size=(2, 3, 5, 5)).astype(dtype)
-    fast = run_conv(layer, x, g, enabled=True)
+    fast = run_conv(layer, x, g)
     ref_out = naive_conv2d(
         x.astype(np.float64), layer.weight.data, layer.bias.data, 1, 1
     )
@@ -195,18 +194,12 @@ def test_strided_conv_im2col_matches_naive():
     rng = np.random.default_rng(23)
     layer = Conv2d(3, 4, kernel_size=3, stride=2, padding=1, rng=6)
     x = rng.normal(size=(2, 3, 7, 9))
-    out_shape = naive_conv2d(x, layer.weight.data, layer.bias.data, 2, 1).shape
-    g = rng.normal(size=out_shape)
-    for enabled in (True, False):  # stride > 1 always uses im2col
-        got = run_conv(layer, x, g, enabled)
-        ref_out = naive_conv2d(x, layer.weight.data, layer.bias.data, 2, 1)
-        ref_dx, ref_dw, ref_db = naive_conv2d_grads(
-            x, layer.weight.data, layer.bias.data, g, 2, 1
-        )
-        np.testing.assert_allclose(got[0], ref_out, atol=1e-10)
-        np.testing.assert_allclose(got[1], ref_dx, atol=1e-10)
-        np.testing.assert_allclose(got[2], ref_dw, atol=1e-10)
-        np.testing.assert_allclose(got[3], ref_db, atol=1e-10)
+    ref_out = naive_conv2d(x, layer.weight.data, layer.bias.data, 2, 1)
+    g = rng.normal(size=ref_out.shape)
+    ref = (ref_out, *naive_conv2d_grads(x, layer.weight.data, layer.bias.data, g, 2, 1))
+    for _ in range(2):  # stride > 1 uses im2col; second pass reuses its workspace
+        for a, b in zip(run_conv(layer, x, g), ref):
+            np.testing.assert_allclose(a, b, atol=1e-10)
 
 
 def test_shift_conv_workspace_rebuild_on_shape_change():
@@ -216,12 +209,31 @@ def test_shift_conv_workspace_rebuild_on_shape_change():
     for n in (2, 5, 2):
         x = rng.normal(size=(n, 2, 6, 6))
         g = rng.normal(size=(n, 3, 6, 6))
-        fast = run_conv(layer, x, g, enabled=True)
+        fast = run_conv(layer, x, g)
         ref = naive_conv2d(x, layer.weight.data, layer.bias.data, 1, 1)
         np.testing.assert_allclose(fast[0], ref, atol=1e-10)
 
 
-# -- k=2 maxpool -------------------------------------------------------------
+# -- non-overlapping maxpool -------------------------------------------------
+
+
+def run_pool(k, x, grad_out):
+    """MaxPool2d(k) forward + backward; returns copies of (out, dx)."""
+    pool = MaxPool2d(k)
+    out = np.array(pool.forward(x))
+    return out, np.array(pool.backward(grad_out))
+
+
+def run_general_pool(k, x, grad_out):
+    """The same windows through the general (im2col) pool: one ragged extra
+    row and column fall outside every window but break the shape
+    divisibility the reshape kernel needs. Returns (out, dx over ``x``)."""
+    n, c, h, w = x.shape
+    ragged = np.full((n, c, h + 1, w + 1), 1e9)
+    ragged[:, :, :h, :w] = x
+    out, dx = run_pool(k, ragged, grad_out)
+    assert not dx[:, :, h:, :].any() and not dx[:, :, :, w:].any()
+    return out, dx[:, :, :h, :w]
 
 
 @pytest.mark.parametrize("shape", [(2, 3, 6, 8), (1, 1, 4, 4), (3, 2, 10, 6)])
@@ -229,19 +241,10 @@ def test_maxpool_k2_matches_naive(shape):
     rng = np.random.default_rng(31)
     x = rng.normal(size=shape)
     g = rng.normal(size=(shape[0], shape[1], shape[2] // 2, shape[3] // 2))
-    pool = MaxPool2d(2)
-    with fastpath.fastpath(True):
-        out_f = np.array(pool.forward(x))
-        dx_f = np.array(pool.backward(g))
-    with fastpath.fastpath(False):
-        out_s = np.array(pool.forward(x))
-        dx_s = np.array(pool.backward(g))
-    ref_out, mask = naive_maxpool(x, 2)
-    np.testing.assert_array_equal(out_f, ref_out)
-    np.testing.assert_array_equal(out_s, ref_out)
-    np.testing.assert_array_equal(dx_f, dx_s)
-    # Gradient routes only to winner positions.
-    assert np.all((dx_f != 0) <= (mask != 0))
+    ref_out, ref_dx = naive_maxpool(x, 2, g)
+    for out, dx in (run_pool(2, x, g), run_general_pool(2, x, g)):
+        np.testing.assert_array_equal(out, ref_out)
+        np.testing.assert_array_equal(dx, ref_dx)
 
 
 def test_maxpool_k2_tie_breaking_matches_general_path():
@@ -250,30 +253,21 @@ def test_maxpool_k2_tie_breaking_matches_general_path():
     x = np.zeros((1, 1, 4, 4))
     x[0, 0] = np.arange(16).reshape(4, 4) // 4  # ties along each row
     g = np.ones((1, 1, 2, 2))
-    pool = MaxPool2d(2)
-    with fastpath.fastpath(True):
-        out_f = np.array(pool.forward(x))
-        dx_f = np.array(pool.backward(g))
-    with fastpath.fastpath(False):
-        out_s = np.array(pool.forward(x))
-        dx_s = np.array(pool.backward(g))
-    np.testing.assert_array_equal(out_f, out_s)
-    np.testing.assert_array_equal(dx_f, dx_s)
+    ref_out, ref_dx = naive_maxpool(x, 2, g)
+    for out, dx in (run_pool(2, x, g), run_general_pool(2, x, g)):
+        np.testing.assert_array_equal(out, ref_out)
+        np.testing.assert_array_equal(dx, ref_dx)
 
 
 def test_maxpool_k3_fast_path_matches_general():
     rng = np.random.default_rng(37)
     x = rng.normal(size=(2, 2, 9, 6))
+    x[0, 0, :3, :3] = 0.5  # one fully tied window
     g = rng.normal(size=(2, 2, 3, 2))
-    pool = MaxPool2d(3)
-    with fastpath.fastpath(True):
-        out_f = np.array(pool.forward(x))
-        dx_f = np.array(pool.backward(g))
-    with fastpath.fastpath(False):
-        out_s = np.array(pool.forward(x))
-        dx_s = np.array(pool.backward(g))
-    np.testing.assert_array_equal(out_f, out_s)
-    np.testing.assert_array_equal(dx_f, dx_s)
+    ref_out, ref_dx = naive_maxpool(x, 3, g)
+    for out, dx in (run_pool(3, x, g), run_general_pool(3, x, g)):
+        np.testing.assert_array_equal(out, ref_out)
+        np.testing.assert_array_equal(dx, ref_dx)
 
 
 def test_maxpool_non_contiguous_input():
@@ -282,15 +276,37 @@ def test_maxpool_non_contiguous_input():
     x = big[:, :, :, ::2]  # (2, 2, 8, 6), non-contiguous
     assert not x.flags["C_CONTIGUOUS"]
     g = rng.normal(size=(2, 2, 4, 3))
-    pool = MaxPool2d(2)
-    with fastpath.fastpath(True):
-        out_f = np.array(pool.forward(x))
-        dx_f = np.array(pool.backward(g))
-    with fastpath.fastpath(False):
-        out_s = np.array(pool.forward(np.ascontiguousarray(x)))
-        dx_s = np.array(pool.backward(g))
-    np.testing.assert_array_equal(out_f, out_s)
-    np.testing.assert_array_equal(dx_f, dx_s)
+    out, dx = run_pool(2, x, g)
+    ref_out, ref_dx = naive_maxpool(x, 2, g)
+    np.testing.assert_array_equal(out, ref_out)
+    np.testing.assert_array_equal(dx, ref_dx)
+
+
+def test_relu_maxpool_commute_exactly():
+    """relu(maxpool2(x)) == maxpool2(relu(x)) in output *and* input
+    gradient — SmallVGG pools before its ReLU on the strength of this.
+    The outputs are byte-equal; the gradients are equal element for element
+    (a masked-out gradient is a zero either way, but the two orders may put
+    its sign bit on different taps of the window)."""
+    rng = np.random.default_rng(83)
+    x = rng.normal(size=(2, 3, 8, 6))
+    x[0, 0, :2, :] = -1.5  # all-negative windows, tied
+    x[0, 1, :4, :4] = 0.0  # all-zero windows
+    x[1, 0, 2:4, 2:4] = 2.0  # positive ties
+    x[1, 1, :, :] = -np.abs(x[1, 1])  # a whole all-negative plane
+    x[1, 2, 4:6, 0:2] = [[-1.0, 0.0], [0.0, -2.0]]  # max exactly zero, tied
+    g = rng.normal(size=(2, 3, 4, 3))
+
+    pool_a, relu_a = MaxPool2d(2), ReLU()
+    out_a = np.array(relu_a.forward(pool_a.forward(x)))
+    dx_a = np.array(pool_a.backward(relu_a.backward(g)))
+    relu_b, pool_b = ReLU(), MaxPool2d(2)
+    out_b = np.array(pool_b.forward(relu_b.forward(x)))
+    dx_b = np.array(relu_b.backward(pool_b.backward(g)))
+
+    assert out_a.tobytes() == out_b.tobytes()
+    np.testing.assert_array_equal(dx_a, dx_b)
+    assert (out_a == 0).any() and (out_a > 0).any()
 
 
 # -- ReLU workspace ----------------------------------------------------------
@@ -303,16 +319,10 @@ def test_relu_workspace_matches_functional(shape, dtype):
     x = rng.normal(size=shape).astype(dtype)
     g = rng.normal(size=shape).astype(dtype)
     relu = ReLU()
-    with fastpath.fastpath(True):
-        out_f = np.array(relu.forward(x))
-        dx_f = np.array(relu.backward(g))
-    with fastpath.fastpath(False):
-        out_s = np.array(relu.forward(x))
-        dx_s = np.array(relu.backward(g))
-    np.testing.assert_array_equal(out_f, np.maximum(x, 0.0))
-    np.testing.assert_array_equal(out_s, np.maximum(x, 0.0))
-    np.testing.assert_array_equal(dx_f, g * (x > 0))
-    np.testing.assert_array_equal(dx_s, g * (x > 0))
+    out = np.array(relu.forward(x))
+    dx = np.array(relu.backward(g))
+    np.testing.assert_array_equal(out, np.maximum(x, 0.0))
+    np.testing.assert_array_equal(dx, g * (x > 0))
 
 
 def test_relu_workspace_non_contiguous_and_reshape():
@@ -322,33 +332,17 @@ def test_relu_workspace_non_contiguous_and_reshape():
     assert not x.flags["C_CONTIGUOUS"]
     g = rng.normal(size=(4, 5))
     relu = ReLU()
-    with fastpath.fastpath(True):
-        out = np.array(relu.forward(x))
-        dx = np.array(relu.backward(g))
+    out = np.array(relu.forward(x))
+    dx = np.array(relu.backward(g))
     np.testing.assert_array_equal(out, np.maximum(x, 0.0))
     np.testing.assert_array_equal(dx, g * (x > 0))
     # Shape change rebuilds the workspace rather than writing stale buffers.
     x2 = rng.normal(size=(2, 3))
     g2 = rng.normal(size=(2, 3))
-    with fastpath.fastpath(True):
-        out2 = np.array(relu.forward(x2))
-        dx2 = np.array(relu.backward(g2))
+    out2 = np.array(relu.forward(x2))
+    dx2 = np.array(relu.backward(g2))
     np.testing.assert_array_equal(out2, np.maximum(x2, 0.0))
     np.testing.assert_array_equal(dx2, g2 * (x2 > 0))
-
-
-def test_relu_flag_flip_between_forward_and_backward():
-    """Toggling the flag mid-step must not pair stale workspaces."""
-    rng = np.random.default_rng(53)
-    x = rng.normal(size=(3, 4))
-    g = rng.normal(size=(3, 4))
-    relu = ReLU()
-    with fastpath.fastpath(True):
-        relu.forward(x)
-    with fastpath.fastpath(False):
-        relu.forward(x)  # drops the workspace
-        dx = np.array(relu.backward(g))
-    np.testing.assert_array_equal(dx, g * (x > 0))
 
 
 # -- transformer half: the replaced kernels, kept as references --------------

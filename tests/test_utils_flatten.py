@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.utils.flatten import flatten_arrays, unflatten_like, tree_map
+from repro.utils.flatten import flatten_arrays, mean_into, tree_map, unflatten_like
 
 
 class TestFlatten:
@@ -62,3 +62,33 @@ def test_roundtrip_property(shapes):
     back = unflatten_like(flat, arrays)
     for orig, rec in zip(arrays, back):
         assert np.allclose(orig, rec)
+
+
+@given(
+    n=st.integers(1, 17),
+    size=st.integers(2, 300),  # length-1 vectors: see mean_into's docstring
+    seed=st.integers(0, 2**32 - 1),
+    scale_exp=st.integers(0, 8),
+    strided=st.booleans(),
+    preallocated=st.booleans(),
+)
+@settings(max_examples=200, deadline=None)
+def test_mean_into_is_bitwise_the_stacked_mean(
+    n, size, seed, scale_exp, strided, preallocated
+):
+    """Every aggregation site (server, allreduce, mean aggregator, deploy,
+    donor consensus) rests on this: sequential accumulate-then-divide gives
+    the same bytes as ``np.mean`` over the stacked rows."""
+    rng = np.random.default_rng(seed)
+    # Mixed magnitudes per row so the accumulation order would show.
+    scales = 10.0 ** rng.integers(-scale_exp, scale_exp + 1, size=n)
+    step = 2 if strided else 1  # every other element of a wider buffer
+    vectors = [(s * rng.normal(size=step * size))[::step] for s in scales]
+    assert vectors[0].flags["C_CONTIGUOUS"] == (step == 1)
+    out = np.full(size, np.nan) if preallocated else None
+    got = mean_into(vectors, out=out)
+    if preallocated:
+        assert got is out
+    want = np.mean(np.stack(vectors), axis=0)
+    assert got.dtype == np.float64
+    assert got.tobytes() == want.tobytes()
