@@ -12,12 +12,14 @@ the same host speed, so the drift cancels. Run as a script (optionally with
     PYTHONPATH=src python benchmarks/bench_hotpath.py [--quick]
 
 The same invocation also runs the **executor-scaling sweep** and writes
-``BENCH_executor.json``: serial vs threaded vs process backends with the
-same interleaved pairwise methodology, the host core count, and a
-serial-vs-process RunLog byte-identity check — the only live serial
-SmallVGG/8w steps/s figure. Process speedups only mean anything on a
-multi-core host — ``cpu_count`` is recorded so downstream assertions can
-gate on it.
+``BENCH_executor.json``: serial vs every other backend in
+``EXECUTOR_KINDS`` with the same interleaved pairwise methodology, the host
+core count, and a serial-vs-process RunLog byte-identity check — the only
+live serial SmallVGG/8w steps/s figure. Process speedups only mean anything
+on a multi-core host — ``cpu_count`` is recorded so downstream assertions
+can gate on it. The file's ``history`` list is carried over untouched: it
+holds the sweeps of backends that no longer exist (the thread pool, 0.95×
+on 1 core and 0.75× on 2).
 
 The ``pr: 1`` row at the head of ``BENCH_hotpath.json["history"]`` is frozen
 data — PR 1's arena path against the seed's copying path, which no longer
@@ -61,6 +63,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.cluster.executor import EXECUTOR_KINDS
 from repro.experiments.runner import MethodSpec, build_trainer
 from repro.experiments.workloads import get_workload
 from repro.utils.flatten import flatten_arrays, mean_into
@@ -203,7 +206,7 @@ def executor_sweep(trials: int, steps: int, quick: bool):
     }
     for method in ("bsp", "selsync"):
         results["methods"][method] = {}
-        for kind in ("threaded", "process"):
+        for kind in EXECUTOR_KINDS[1:]:  # every backend but the serial reference
             results["methods"][method][kind] = executor_trial(
                 method, kind, trials, steps
             )
@@ -631,8 +634,13 @@ def main(argv=None) -> int:
         out_path.write_text(json.dumps(results, indent=2) + "\n")
         print(f"wrote {out_path}")
 
+    ex_path = Path(args.executor_out)
+    ex_history = (
+        json.loads(ex_path.read_text()).get("history", []) if ex_path.exists() else []
+    )
     ex_results = executor_sweep(trials, steps, args.quick)
-    Path(args.executor_out).write_text(json.dumps(ex_results, indent=2) + "\n")
+    ex_results["history"] = ex_history  # append-only: survives the re-snapshot
+    ex_path.write_text(json.dumps(ex_results, indent=2) + "\n")
     print(f"wrote {args.executor_out}")
     return 0
 

@@ -28,6 +28,7 @@ import os
 import sys
 from typing import List, Optional
 
+from repro.cluster.executor import EXECUTOR_KINDS
 from repro.experiments.reporting import render_table, render_table1
 from repro.experiments.runner import MethodSpec, run_method
 from repro.experiments.workloads import WORKLOADS, get_workload
@@ -66,14 +67,10 @@ def _add_workload_args(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--executor",
         default=os.environ.get("REPRO_EXECUTOR", "serial"),
-        choices=["serial", "threaded", "process"],
+        choices=list(EXECUTOR_KINDS),
         help="backend for the per-worker gradient phase (results are "
         "byte-identical; process scales with cores via shared-memory "
         "arenas; default honours $REPRO_EXECUTOR)",
-    )
-    p.add_argument(
-        "--executor-threads", type=int, default=None,
-        help="thread-pool width for --executor threaded (default: n_workers)",
     )
     p.add_argument(
         "--procs", type=int, default=None,
@@ -172,17 +169,6 @@ def _add_workload_args(p: argparse.ArgumentParser) -> None:
         help="autoscaler world-size ceiling (overrides the plan's "
         "scale:MIN..MAX clause)",
     )
-    p.add_argument(
-        "--max-recoveries", type=int, default=None, metavar="N",
-        help="wrap the run in a RecoverySupervisor: roll back to the "
-        "latest checkpoint and retry up to N times on quorum loss "
-        "or divergence",
-    )
-    p.add_argument(
-        "--divergence-threshold", type=float, default=None,
-        help="replica-spread level the supervisor's watchdog treats as "
-        "divergence (requires --max-recoveries)",
-    )
 
 
 def _add_method_args(p: argparse.ArgumentParser) -> None:
@@ -211,7 +197,6 @@ def _build(args, spec: MethodSpec):
         seed=args.seed,
         cluster_kwargs={
             "executor": args.executor,
-            "executor_threads": args.executor_threads,
             "executor_procs": getattr(args, "procs", None),
             "fault_spec": getattr(args, "fault_spec", None),
             "topology": getattr(args, "topology", "ps"),
@@ -240,6 +225,9 @@ def _build(args, spec: MethodSpec):
 
 
 def cmd_run(args) -> int:
+    if args.divergence_threshold is not None and args.max_recoveries is None:
+        print("--divergence-threshold requires --max-recoveries")
+        return 2
     spec = _method_spec(args)
     built = _build(args, spec)
     tracer = None
@@ -255,9 +243,6 @@ def cmd_run(args) -> int:
             max_recoveries=args.max_recoveries,
             divergence_threshold=args.divergence_threshold,
         )
-    elif args.divergence_threshold is not None:
-        print("--divergence-threshold requires --max-recoveries")
-        return 2
     res = run_method(
         spec, built, n_steps=args.steps, eval_every=args.eval_every,
         checkpoint_every=args.checkpoint_every,
@@ -462,6 +447,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument(
         "--metrics-summary", default=None, metavar="FILE",
         help="write the metrics registry summary as JSON here (implies --trace)",
+    )
+    p_run.add_argument(
+        "--max-recoveries", type=int, default=None, metavar="N",
+        help="wrap the run in a RecoverySupervisor: roll back to the "
+        "latest checkpoint and retry up to N times on quorum loss "
+        "or divergence",
+    )
+    p_run.add_argument(
+        "--divergence-threshold", type=float, default=None,
+        help="replica-spread level the supervisor's watchdog treats as "
+        "divergence (requires --max-recoveries)",
     )
     p_run.set_defaults(fn=cmd_run)
 

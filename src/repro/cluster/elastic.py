@@ -19,7 +19,7 @@ Two sources of membership change share one controller:
   compute EWMAs) and emits scale decisions. Decisions are deterministic:
   pure functions of ``(signals, world_size, step)``, with any tie-break
   randomness drawn from a stream keyed on ``(seed, step)`` — never the
-  trainer RNGs — so outcomes are identical across the serial/threaded/
+  trainer RNGs — so outcomes are identical across the serial and
   process executors and across a checkpoint/resume boundary.
 
 Worker identity: ranks are always the dense ``0..N-1`` positions of the

@@ -2,15 +2,15 @@
 
 Every lock-step trainer has the same hot section: N independent
 forward/backward passes, one per simulated worker. An executor owns *how*
-those passes run — sequentially in the caller's thread, fanned out over a
-thread pool, or fanned out over a persistent pool of **worker processes**
-sharing the parameter/gradient arenas — while trainers stay oblivious; they
-call ``executor.compute_gradients(workers)`` and get the per-worker losses
-back in worker order.
+those passes run — sequentially in the caller's thread, or fanned out over
+a persistent pool of **worker processes** sharing the parameter/gradient
+arenas — while trainers stay oblivious; they call
+``executor.compute_gradients(workers)`` and get the per-worker losses back
+in worker order.
 
 Determinism contract
 --------------------
-All backends produce **byte-identical** results:
+Both backends produce **byte-identical** results:
 
 * Batch draws are sequenced on the caller's thread in worker order (via
   :meth:`~repro.cluster.worker.SimWorker.draw_batch`) before any task is
@@ -20,10 +20,11 @@ All backends produce **byte-identical** results:
   instruction sequence regardless of interleaving or address space.
 * Results are collected in submission order, not completion order.
 
-The threaded backend helps when BLAS releases the GIL and cores are
-available; the process backend sidesteps the GIL entirely (the numpy glue
-between kernels is Python-level and serializes threads), which is why it is
-the backend that actually scales with cores. ``serial`` stays the default.
+The process backend sidesteps the GIL (the numpy glue between kernels is
+Python-level and serializes threads — a thread pool measured *slower* than
+serial on 1 and 2 cores, ``BENCH_executor.json``, and was removed), which
+is why it is the backend that scales with cores. ``serial`` stays the
+default.
 
 Process backend transport
 -------------------------
@@ -46,7 +47,6 @@ import os
 import time
 import traceback
 import weakref
-from concurrent.futures import ThreadPoolExecutor
 from multiprocessing import shared_memory
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -56,18 +56,16 @@ from repro import obs
 
 Batch = Tuple[np.ndarray, np.ndarray]
 
-EXECUTOR_KINDS = ("serial", "threaded", "process")
+EXECUTOR_KINDS = ("serial", "process")
 
 
 def _compute_one(worker, batch: Optional[Batch]) -> float:
     """One worker's forward/backward, with an ``exec_task`` trace event.
 
     The event deliberately excludes the backend name and (in deterministic
-    mode) any wall-clock timing: the serial and threaded executors must
-    produce byte-identical traces. Emission happens on the thread running
-    the task — safe because each (step, worker) event stream then comes
-    from exactly one thread, which is what keeps per-key ``seq`` numbers
-    deterministic.
+    mode) any wall-clock timing: the serial and process executors must
+    produce byte-identical traces (the process pool replays the same event
+    from each child's result).
     """
     tr = obs.active()
     if tr is None:
@@ -136,63 +134,6 @@ class SerialExecutor(WorkerExecutor):
                 f"got {len(batches)} batches for {len(workers)} workers"
             )
         return [_compute_one(w, b) for w, b in zip(workers, batches)]
-
-
-class ThreadedExecutor(WorkerExecutor):
-    """Thread-pool backend.
-
-    The pool is created lazily at first use and reused across steps (pool
-    spin-up costs more than a step). ``threads`` bounds the pool size;
-    ``None`` sizes it to the widest worker group seen.
-    """
-
-    name = "threaded"
-
-    def __init__(self, threads: Optional[int] = None):
-        if threads is not None and threads < 1:
-            raise ValueError(f"threads must be >= 1, got {threads}")
-        self.threads = threads
-        self._pool: Optional[ThreadPoolExecutor] = None
-        self._pool_size = 0
-
-    def _ensure_pool(self, n_tasks: int) -> ThreadPoolExecutor:
-        size = min(n_tasks, self.threads) if self.threads else n_tasks
-        size = max(1, size)
-        if self._pool is None or size > self._pool_size:
-            if self._pool is not None:
-                self._pool.shutdown(wait=True)
-            self._pool = ThreadPoolExecutor(
-                max_workers=size, thread_name_prefix="repro-worker"
-            )
-            self._pool_size = size
-        return self._pool
-
-    def compute_gradients(self, workers, batches=None):
-        if len(workers) == 1:
-            # Single-worker calls (SSP's event loop) skip the pool round-trip.
-            return SerialExecutor.compute_gradients(self, workers, batches)
-        pool = self._ensure_pool(len(workers))
-        if batches is None:
-            # Sequence the data draws on this thread: determinism contract.
-            for w in workers:
-                w.draw_batch()
-            futures = [pool.submit(_compute_one, w, None) for w in workers]
-        else:
-            if len(batches) != len(workers):
-                raise ValueError(
-                    f"got {len(batches)} batches for {len(workers)} workers"
-                )
-            futures = [
-                pool.submit(_compute_one, w, b)
-                for w, b in zip(workers, batches)
-            ]
-        return [f.result() for f in futures]
-
-    def shutdown(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-            self._pool_size = 0
 
 
 # -- process backend ---------------------------------------------------------
@@ -565,15 +506,11 @@ class ProcessExecutor(WorkerExecutor):
 
 
 def make_executor(
-    kind: str = "serial",
-    threads: Optional[int] = None,
-    procs: Optional[int] = None,
+    kind: str = "serial", procs: Optional[int] = None
 ) -> WorkerExecutor:
     """Build an executor by name (one of :data:`EXECUTOR_KINDS`)."""
     if kind == "serial":
         return SerialExecutor()
-    if kind == "threaded":
-        return ThreadedExecutor(threads=threads)
     if kind == "process":
         return ProcessExecutor(procs=procs)
     raise ValueError(

@@ -4,7 +4,7 @@ The paper's evaluation assumes perfectly reliable workers; real clusters do
 not cooperate. This module adds a seeded, fully deterministic fault model so
 every trainer can be exercised under crashes, stragglers, lossy links and
 corrupted gradients — and so the same faults replay identically under the
-serial and threaded executors (drop/corrupt draws are keyed on
+serial and process executors (drop/corrupt draws are keyed on
 ``(seed, worker, step)``, never on call order).
 
 Event taxonomy
@@ -954,7 +954,7 @@ class FaultInjector:
 
     All queries are pure functions of ``(plan, seed, worker, step)``; the
     injector holds no evolving state, so checkpoint/resume needs nothing
-    from it and serial/threaded executors see identical faults.
+    from it and every executor backend sees identical faults.
     """
 
     def __init__(self, plan: FaultPlan, n_workers: int, seed: int = 0):

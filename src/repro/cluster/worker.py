@@ -17,8 +17,8 @@ def record_batch_observations(tr, loss: float, grad_sqnorm: float) -> None:
     """Metrics one consumed mini-batch contributes to an installed tracer.
 
     Factored out so every executor backend reports identically: the
-    serial/threaded backends reach it through ``compute_gradient`` on the
-    thread that ran the math, while the process backend's parent replays it
+    serial backend reaches it through ``compute_gradient`` on the thread
+    that ran the math, while the process backend's parent replays it
     from the child's result (children run with tracing uninstalled).
     Histogram summaries sort their samples, so the interleaving of
     concurrent workers cannot leak in — as long as no NaN enters the sort,

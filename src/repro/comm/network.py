@@ -87,7 +87,7 @@ class LinkFaultModel:
     applies, and by what factor transfers are slowed. Every stochastic draw
     is keyed on ``(seed, src, dst, step, attempt)`` through its own
     :class:`numpy.random.SeedSequence` stream — never the trainer RNGs — so
-    outcomes are identical across serial/threaded/process executors and
+    outcomes are identical across serial/process executors and
     independent of call order. The parameter server is addressed as the
     pseudo-rank ``n_workers`` so PS links share the same keying scheme.
     """

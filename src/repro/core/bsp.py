@@ -7,16 +7,15 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro import obs
 from repro.cluster.worker import SimWorker
 from repro.core.config import ClusterConfig
 from repro.core.trainer import DistributedTrainer
 from repro.optim.schedules import LRSchedule
-from repro.utils.runlog import IterationRecord
 
 
 class BSPTrainer(DistributedTrainer):
-    """Classic BSP: aggregate every step, all replicas stay identical.
+    """Classic BSP — the ``always`` rule: aggregate every step, all
+    replicas stay identical.
 
     Aggregation is gradient averaging (the BSP default; with lock-step
     identical replicas it is equivalent to parameter averaging, §III-C).
@@ -25,6 +24,7 @@ class BSPTrainer(DistributedTrainer):
     """
 
     name = "bsp"
+    exchanges_gradients = True
 
     def __init__(
         self,
@@ -39,6 +39,8 @@ class BSPTrainer(DistributedTrainer):
         if compressor is not None:
             # Per-worker clones so error-feedback state stays rank-local.
             self._compressors = [compressor.clone() for _ in workers]
+        # (payload bytes, codec seconds) of the round in flight.
+        self._wire_cost = (self.comm_bytes, 0.0)
 
     def _resize_per_worker_state(self, mapping):
         """Realign per-worker compressor clones (error-feedback residuals
@@ -60,67 +62,29 @@ class BSPTrainer(DistributedTrainer):
             for c, s in zip(self._compressors, state["compressors"]):
                 c.load_state_dict(s)
 
-    def step(self, i: int) -> IterationRecord:
-        sf = self.begin_faults(i)
-        degraded = self.degraded_mode
-        live = sf.live
-        live_workers = [self.workers[w] for w in live]
+    def decide(self, i, ok, rec):
+        return True, ok
 
-        batch = self.workers[0].loader.batch_size
-        t_c = self.max_compute_time(batch, step=i, live=live)
-        losses = self.executor.compute_gradients(live_workers)
-
-        # Live workers whose gradient survived corruption push this round;
-        # health-flagged workers and workers whose upload is abandoned
-        # after retries drop out too.
-        pushers = self.apply_corruption(sf)
-        pushers = self.screen_updates(i, pushers, observed=live)
-        t_retry, lost = self.upload_penalty(pushers, i)
-        if lost:
-            lost_set = set(lost)
-            pushers = [w for w in pushers if w not in lost_set]
-        self.check_quorum(len(pushers), i)
-
+    def outgoing(self, pushers):
         if self._compressors is None:
-            grads = self.wire_updates(
-                pushers, [self.workers[w].get_grads() for w in pushers]
-            )
-            payload = self.comm_bytes
-            overhead = 0.0
-        else:
-            grads, payloads, overheads = [], [], []
-            scale = self.comm_bytes / max(1.0, float(self.workers[0].model.nbytes))
-            for wid in pushers:
-                comp = self._compressors[wid]
-                msg = comp.compress(self.workers[wid].get_grads())
-                grads.append(comp.decompress(msg))
-                payloads.append(msg.nbytes * scale)
-                overheads.append(comp.overhead_seconds)
-            payload = float(np.mean(payloads))
-            overhead = float(np.max(overheads))
-            # A Byzantine worker's lie is what arrives after decompression.
-            grads = self.wire_updates(pushers, grads)
+            return super().outgoing(pushers)
+        # What arrives is the decompressed gradient (a Byzantine worker's
+        # lie replaces it at the wire, after its honest compress).
+        grads, payloads, overheads = [], [], []
+        scale = self.comm_bytes / max(1.0, float(self.workers[0].model.nbytes))
+        for wid in pushers:
+            comp = self._compressors[wid]
+            msg = comp.compress(self.workers[wid].get_grads())
+            grads.append(comp.decompress(msg))
+            payloads.append(msg.nbytes * scale)
+            overheads.append(comp.overhead_seconds)
+        self._wire_cost = (float(np.mean(payloads)), float(np.max(overheads)))
+        return grads
 
+    def exchange(self, pushers, vectors, round_kw):
+        payload, t_codec = self._wire_cost
         mean_grad, t_s = self.group.allreduce_mean(
-            grads,
-            nbytes=payload,
-            n_live=len(pushers) if degraded else None,
-            rank_ids=pushers if degraded else None,
+            vectors, nbytes=payload, **round_kw
         )
-        tr = obs.active()
-        if tr is not None:
-            tr.emit("aggregation", kind="GA", n_contrib=len(pushers))
-        # Retry traffic serializes after the sync (it cannot overlap compute).
-        t_s = self.effective_sync_time(t_s, t_c) + t_retry
-        lr = self.lr(i)
-        # Every *live* worker applies the mean — a corrupted or upload-lost
-        # worker still receives the pull, which heals its replica.
-        for w in live_workers:
-            w.apply_gradient(mean_grad, lr)
-        return IterationRecord(
-            step=i,
-            synced=True,
-            sim_time=t_c + t_s + overhead,
-            comm_time=t_s,
-            loss=float(np.mean(losses)),
-        )
+        self._emit_aggregation("GA", len(pushers))
+        return mean_grad, t_s, t_codec

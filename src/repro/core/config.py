@@ -65,20 +65,17 @@ class ClusterConfig:
     #: strictly sequential compute-then-communicate; 1 means communication
     #: can fully hide under compute.
     overlap_fraction: float = 0.0
-    #: Backend for the per-worker gradient phase: ``"serial"`` (reference),
-    #: ``"threaded"`` (thread pool) or ``"process"`` (persistent process
-    #: pool over shared-memory arenas) — all byte-identical, see
+    #: Backend for the per-worker gradient phase: ``"serial"`` (reference)
+    #: or ``"process"`` (persistent process pool over shared-memory
+    #: arenas) — byte-identical, see
     #: :mod:`repro.cluster.executor`. The ``REPRO_EXECUTOR`` environment
     #: variable overrides the default, so a whole test/CI run can be
     #: switched to another backend without touching call sites.
     executor: str = field(
         default_factory=lambda: os.environ.get("REPRO_EXECUTOR", "serial")
     )
-    #: Thread-pool width for the threaded executor; ``None`` sizes it to the
-    #: worker count. Ignored by the other backends.
-    executor_threads: Optional[int] = None
     #: Process-pool width for the process executor; ``None`` sizes it to
-    #: ``min(n_workers, cpu_count)``. Ignored by the other backends.
+    #: ``min(n_workers, cpu_count)``. Ignored by the serial backend.
     executor_procs: Optional[int] = None
     #: Fault-injection spec (see :mod:`repro.cluster.faults`), e.g.
     #: ``"crash:w2@50-120,straggle:w0x4@30+,drop:p=0.05"``. ``None``/empty
@@ -162,10 +159,6 @@ class ClusterConfig:
         if self.executor not in EXECUTOR_KINDS:
             raise ValueError(
                 f"executor must be one of {EXECUTOR_KINDS}, got {self.executor!r}"
-            )
-        if self.executor_threads is not None and self.executor_threads < 1:
-            raise ValueError(
-                f"executor_threads must be >= 1, got {self.executor_threads}"
             )
         if self.executor_procs is not None and self.executor_procs < 1:
             raise ValueError(
@@ -369,11 +362,7 @@ class ClusterConfig:
         )
 
     def make_executor(self) -> WorkerExecutor:
-        return make_executor(
-            self.executor,
-            threads=self.executor_threads,
-            procs=self.executor_procs,
-        )
+        return make_executor(self.executor, procs=self.executor_procs)
 
     def make_compute(self) -> ComputeModel:
         return ComputeModel(

@@ -19,16 +19,15 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro import obs
 from repro.cluster.worker import SimWorker
 from repro.core.config import ClusterConfig
 from repro.core.trainer import DistributedTrainer
 from repro.optim.schedules import LRSchedule
-from repro.utils.runlog import IterationRecord
 
 
 class EASGDTrainer(DistributedTrainer):
-    """Synchronous EASGD over the simulated PS.
+    """Synchronous EASGD over the simulated PS — the ``every-τ`` rule with
+    an elastic pull in place of an average.
 
     Parameters
     ----------
@@ -72,79 +71,44 @@ class EASGDTrainer(DistributedTrainer):
                 f"{self.rho * n:.2f} > 1 at world size {n}"
             )
 
-    def step(self, i: int) -> IterationRecord:
-        sf = self.begin_faults(i)
-        degraded = self.degraded_mode
-        live = sf.live
+    def decide(self, i, ok, rec):
+        return (i + 1) % self.tau == 0, ok
 
-        batch = self.workers[0].loader.batch_size
-        t_c = self.max_compute_time(batch, step=i, live=live)
-        lr = self.lr(i)
-        losses = self.executor.compute_gradients([self.workers[w] for w in live])
-        # Corrupted gradients are dropped, not applied (the worker loses
-        # one local step but stays elastically coupled); a freshly
-        # quarantined worker loses its step the same way.
-        stepping = set(self.apply_corruption(sf))
-        stepping = set(self.screen_updates(i, sorted(stepping), observed=live))
-        for wid in live:
-            if wid in stepping:
-                self.workers[wid].local_step(lr)
+    def uploaders(self, live, ok):
+        # The elastic exchange is symmetric and ignores the gradient: every
+        # live worker takes part, whether or not its local step survived
+        # (the pipeline still drops lost pushes and fresh quarantines — such
+        # a worker neither moves the center nor is pulled toward it).
+        return live
 
-        synced = (i + 1) % self.tau == 0
-        t_s = 0.0
-        if synced:
-            # The elastic exchange is symmetric: a worker whose push is
-            # lost neither moves the center nor is pulled toward it. A
-            # quarantined worker sits the exchange out entirely.
-            t_retry, lost = self.upload_penalty(live, i)
-            exchangers = [w for w in live if w not in set(lost)]
-            if self.health is not None:
-                exchangers = [
-                    w for w in exchangers if not self.health.quarantined(w)
-                ]
-            self.check_quorum(len(exchangers), i)
-            diffs = []
-            for wid in exchangers:
-                w = self.workers[wid]
-                # Live view is safe: the subtraction materializes ``d``
-                # before ``set_params`` writes the buffer.
-                p = w.get_params(copy=False)
-                d = p - self.center
-                w.set_params(p - self.rho * d)
-                diffs.append(d)
-            # A Byzantine exchanger pulls toward the center honestly (its
-            # replica is its own business) but lies about the difference
-            # it reports, so only the center update sees the hostile push.
-            diffs = self.wire_updates(exchangers, diffs)
-            if self.aggregator is not None:
-                # Robust center update: ρ · k · robust-mean of the elastic
-                # differences (for the mean strategy this equals the sum,
-                # so the classic update is the aggregator=None special
-                # case — kept verbatim below for byte-identity).
-                agg = np.asarray(
-                    self.aggregator.reduce(diffs, where="elastic")
-                )
-                self.center = self.center + self.rho * len(diffs) * agg
-            else:
-                self.center = self.center + self.rho * np.sum(diffs, axis=0)
-            tr = obs.active()
-            if tr is not None:
-                tr.emit("aggregation", kind="elastic", n_contrib=len(exchangers))
-            t_s = self.effective_sync_time(
-                self.group.charge_sync(
-                    self.comm_bytes,
-                    n_live=len(exchangers) if degraded else None,
-                    rank_ids=exchangers if degraded else None,
-                ),
-                t_c,
-            ) + t_retry
-        return IterationRecord(
-            step=i,
-            synced=synced,
-            sim_time=t_c + t_s,
-            comm_time=t_s,
-            loss=float(np.mean(losses)),
-        )
+    def outgoing(self, pushers):
+        diffs = []
+        for wid in pushers:
+            w = self.workers[wid]
+            # Live view is safe: the subtraction materializes ``d``
+            # before ``set_params`` writes the buffer.
+            p = w.get_params(copy=False)
+            d = p - self.center
+            # The worker half of the exchange. A Byzantine exchanger pulls
+            # toward the center honestly (its replica is its own business)
+            # but lies about the difference it reports, so only the center
+            # update sees the hostile push.
+            w.set_params(p - self.rho * d)
+            diffs.append(d)
+        return diffs
+
+    def exchange(self, pushers, diffs, round_kw):
+        if self.aggregator is not None:
+            # Robust center update: ρ · k · robust-mean of the elastic
+            # differences (for the mean strategy this equals the sum,
+            # so the classic update is the aggregator=None special
+            # case — kept verbatim below for byte-identity).
+            agg = np.asarray(self.aggregator.reduce(diffs, where="elastic"))
+            self.center = self.center + self.rho * len(diffs) * agg
+        else:
+            self.center = self.center + self.rho * np.sum(diffs, axis=0)
+        self._emit_aggregation("elastic", len(pushers))
+        return None, self.group.charge_sync(self.comm_bytes, **round_kw), 0.0
 
     def mean_params(self) -> np.ndarray:
         """EASGD's deployable model is the center variable."""

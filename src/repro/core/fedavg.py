@@ -13,17 +13,16 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro import obs
 from repro.cluster.worker import SimWorker
 from repro.core.config import ClusterConfig
 from repro.core.trainer import DistributedTrainer
 from repro.optim.schedules import LRSchedule
 from repro.utils.rng import as_rng
-from repro.utils.runlog import IterationRecord
 
 
 class FedAvgTrainer(DistributedTrainer):
-    """FedAvg over the simulated PS.
+    """FedAvg over the simulated PS — the ``every-k`` rule with a sampled
+    parameter-averaging round.
 
     Parameters
     ----------
@@ -56,85 +55,39 @@ class FedAvgTrainer(DistributedTrainer):
         self._rng = as_rng(cluster.seed + 7919)
 
     def n_participants(self) -> int:
+        """Planned round size ⌈C·N⌉. The quorum is capped at it: a C=0.25
+        round never involves more than this many workers, so demanding
+        more contributors would always fail."""
         return max(1, int(np.ceil(self.c_fraction * len(self.workers))))
 
-    def step(self, i: int) -> IterationRecord:
-        sf = self.begin_faults(i)
-        degraded = self.degraded_mode
-        live = sf.live
-        live_workers = [self.workers[w] for w in live]
+    def decide(self, i, ok, rec):
+        return (i + 1) % self.sync_interval == 0, ok
 
-        batch = self.workers[0].loader.batch_size
-        t_c = self.max_compute_time(batch, step=i, live=live)
-        lr = self.lr(i)
-        losses = self.executor.compute_gradients(live_workers)
-        # A corrupted gradient must not land on the replica FedAvg will
-        # later average in; that worker skips this local step. Health
-        # screening removes freshly quarantined workers the same way.
-        stepping = set(self.apply_corruption(sf))
-        stepping = set(self.screen_updates(i, sorted(stepping), observed=live))
-        for wid in live:
-            if wid in stepping:
-                self.workers[wid].local_step(lr)
+    def uploaders(self, live, ok):
+        # Sample the C-fraction from the pool of workers that stepped.
+        pool = sorted(ok)
+        k = min(self.n_participants(), len(pool))
+        return [
+            pool[int(c)]
+            for c in self._rng.choice(len(pool), size=k, replace=False)
+        ]
 
-        synced = (i + 1) % self.sync_interval == 0
-        t_s = 0.0
-        if synced:
-            k = self.n_participants()
-            if degraded:
-                # Sample the C-fraction from the live pool. The quorum is
-                # capped at the planned participant count: a C=0.25 round
-                # never involves more than k workers, so demanding more
-                # than k contributors would always fail.
-                quorum_k = min(self.quorum, k)
-                pool = sorted(stepping)
-                k = min(k, len(pool))
-                if k < quorum_k:
-                    self.check_quorum(k, i)
-                chosen = [
-                    pool[int(c)]
-                    for c in self._rng.choice(len(pool), size=k, replace=False)
-                ]
-                t_retry, lost = self.upload_penalty(chosen, i)
-                if lost:
-                    chosen = [w for w in chosen if w not in set(lost)]
-                if len(chosen) < quorum_k:
-                    self.check_quorum(len(chosen), i)
-            else:
-                chosen = [
-                    int(c)
-                    for c in self._rng.choice(len(self.workers), size=k, replace=False)
-                ]
-                t_retry = 0.0
-            pushed = self.wire_updates(
-                chosen, [self.workers[c].get_params(copy=False) for c in chosen]
-            )
-            global_params = self.server.aggregate_params(pushed)
-            tr = obs.active()
-            if tr is not None:
-                tr.emit("aggregation", kind="PA", n_contrib=len(chosen))
-            # Aggregation involves the C-fraction; the pull-back reaches all
-            # (live) workers. FedAvg charges its clock outside the group's
-            # byte ledger (the PS aggregation above moved the data), so use
-            # the timing-only path — identical to the raw topology formula
-            # without link faults, healed/enveloped with them.
-            t_s = self.group.sync_time_only(
-                self.comm_bytes,
-                n_live=len(chosen),
-                rank_ids=chosen if degraded else None,
-            )
-            if len(chosen) < len(self.workers):
-                t_s += self.group.sync_time_only(self.comm_bytes) / 2.0
-            for w in live_workers:
-                w.set_params(global_params)
-            t_s = self.effective_sync_time(t_s, t_c) + t_retry
-        return IterationRecord(
-            step=i,
-            synced=synced,
-            sim_time=t_c + t_s,
-            comm_time=t_s,
-            loss=float(np.mean(losses)),
+    def exchange(self, pushers, vectors, round_kw):
+        global_params = self.server.aggregate_params(vectors)
+        self._emit_aggregation("PA", len(pushers))
+        # Aggregation involves the C-fraction; the pull-back reaches all
+        # (live) workers. FedAvg charges its clock outside the group's
+        # byte ledger (the PS aggregation above moved the data), so use
+        # the timing-only path — identical to the raw topology formula
+        # without link faults, healed/enveloped with them.
+        t_s = self.group.sync_time_only(
+            self.comm_bytes,
+            n_live=len(pushers),
+            rank_ids=round_kw.get("rank_ids"),
         )
+        if len(pushers) < len(self.workers):
+            t_s += self.group.sync_time_only(self.comm_bytes) / 2.0
+        return global_params, t_s, 0.0
 
     def _extra_state(self):
         return {"rng": self._rng.bit_generator.state}

@@ -2,40 +2,19 @@
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core.trainer import DistributedTrainer
-from repro.utils.runlog import IterationRecord
 
 
 class LocalSGDTrainer(DistributedTrainer):
-    """Every worker descends its own loss surface; replicas never exchange
-    anything, so each explores only its local minimum (paper §III-B)."""
+    """The ``never`` rule: every worker descends its own loss surface;
+    replicas never exchange anything, so each explores only its local
+    minimum (paper §III-B). No communication means no healing pull: a
+    corrupted or freshly quarantined worker simply loses the step."""
 
     name = "localsgd"
     # No data ever crosses a link, so link faults (including a full
     # network partition) cannot take a worker out of the round.
     communicates = False
 
-    def step(self, i: int) -> IterationRecord:
-        sf = self.begin_faults(i)
-        live = sf.live
-        batch = self.workers[0].loader.batch_size
-        t_c = self.max_compute_time(batch, step=i, live=live)
-        lr = self.lr(i)
-        losses = self.executor.compute_gradients([self.workers[w] for w in live])
-        # No communication, so no healing pull exists: a corrupted gradient
-        # is simply dropped and that worker loses the step. Health
-        # screening still runs so a sick worker is quarantined here too.
-        stepping = set(self.apply_corruption(sf))
-        stepping = set(self.screen_updates(i, sorted(stepping), observed=live))
-        for wid in live:
-            if wid in stepping:
-                self.workers[wid].local_step(lr)
-        return IterationRecord(
-            step=i,
-            synced=False,
-            sim_time=t_c,
-            comm_time=0.0,
-            loss=float(np.mean(losses)),
-        )
+    def decide(self, i, ok, rec):
+        return False, ok

@@ -21,7 +21,6 @@ from repro.core.grad_tracker import RelativeGradChange
 from repro.core.trainer import DistributedTrainer
 from repro.data.injection import DataInjector
 from repro.optim.schedules import LRSchedule
-from repro.utils.runlog import IterationRecord
 
 #: Default simulated cost of computing Δ(g_i) with EWMA smoothing at w=25
 #: (paper Fig. 8a: ≈2–17 ms depending on the model; we charge a middle value).
@@ -29,7 +28,7 @@ DEFAULT_DELTA_OVERHEAD_S = 3e-3
 
 
 class SelSyncTrainer(DistributedTrainer):
-    """The paper's contribution.
+    """The paper's contribution — the ``Δ(g) ≥ δ`` vote rule.
 
     Parameters
     ----------
@@ -94,59 +93,44 @@ class SelSyncTrainer(DistributedTrainer):
         ]
 
     @property
+    def exchanges_gradients(self) -> bool:
+        return self.aggregation == "grads"
+
+    @property
     def max_observed_delta(self) -> float:
         """Cluster-wide extremum M of Δ(g_i) (Fig. 6's upper bound)."""
         return max(t.max_delta for t in self.trackers)
 
-    def _gather_batches(self, live=None):
+    def draw_batches(self, live_workers):
         """Next mini-batch per live worker, with optional data injection.
 
         Injection requires the full worker set (the P2P plan is built for N
         ranks), so it is skipped on degraded steps where some workers are
         down — a fault-mode limitation, not a reproduction caveat.
         """
-        workers = (
-            self.workers if live is None else [self.workers[w] for w in live]
-        )
-        batches = [w.loader.next_batch() for w in workers]
+        batches = [w.loader.next_batch() for w in live_workers]
         inject_time = 0.0
-        if self.injector is not None and len(workers) == len(self.workers):
+        if self.injector is not None and len(live_workers) == len(self.workers):
             result = self.injector.inject(batches)
             batches = result.batches
             inject_time = self.group.p2p(result.bytes_transferred)
         return batches, inject_time
 
-    def step(self, i: int) -> IterationRecord:
-        sf = self.begin_faults(i)
-        degraded = self.degraded_mode
-        live = sf.live
-        live_workers = [self.workers[w] for w in live]
-
-        lr = self.lr(i)
-        batches, inject_time = self._gather_batches(live if degraded else None)
-        batch_size = len(batches[0][0])
-        t_c = self.max_compute_time(batch_size, step=i, live=live)
+    def decide(self, i, ok, rec):
         threshold = (
             self.delta
             if self.delta_policy is None
             else self.delta_policy.effective_delta(self, i)
         )
-
-        losses = self.executor.compute_gradients(live_workers, batches)
-        # Live workers with an intact gradient; only they update their Δ
-        # tracker and vote — a NaN burst must not poison the EWMA (Eqn. 2),
-        # and a health-quarantined worker loses its vote with its push.
-        voters = self.apply_corruption(sf)
-        voters = self.screen_updates(i, voters, observed=live)
-        # A *naturally* non-finite gradient (numeric overflow on a replica
+        # Only workers with an intact gradient update their Δ tracker and
+        # vote — a NaN burst must not poison the EWMA (Eqn. 2), and a
+        # health-quarantined worker loses its vote with its push. A
+        # *naturally* non-finite gradient (numeric overflow on a replica
         # poisoned in an earlier round) gets the same treatment as an
         # injected NaN burst: the worker can neither update its EWMA nor
         # vote/push this round, and skips its local step until a sync
         # heals it. Fault-free runs never take this branch.
-        voters = [
-            w for w in voters if np.isfinite(self.workers[w].last_grad_sqnorm)
-        ]
-        voter_set = set(voters)
+        voters = [w for w in ok if np.isfinite(self.workers[w].last_grad_sqnorm)]
         flags = [0] * len(self.workers)
         deltas = []
         tr = obs.active()
@@ -177,81 +161,33 @@ class SelSyncTrainer(DistributedTrainer):
                 n_flags=int(gathered.sum()),
                 vote=self.sync_vote,
             )
-
-        t_s = 0.0
-        pushers = voters
-        if sync:
-            # Upload faults only bite when a sync round actually pushes.
-            t_retry, lost = self.upload_penalty(voters, i)
-            if lost:
-                lost_set = set(lost)
-                pushers = [w for w in voters if w not in lost_set]
-            self.check_quorum(len(pushers), i)
-        if self.aggregation == "params":
-            # Alg. 1 line 9: apply local updates unconditionally... but a
-            # corrupted gradient must not land on the replica; the worker
-            # skips its step and (on sync) heals from the pulled average.
-            for wid in live:
-                if wid in voter_set:
-                    self.workers[wid].local_step(lr)
-            if sync:
-                # ...then push w_{i+1} and pull the average (lines 14-15).
-                global_params = self.server.aggregate_params(
-                    self.wire_updates(
-                        pushers,
-                        [self.workers[w].get_params(copy=False) for w in pushers],
-                    )
-                )
-                t_s = self.group.charge_sync(
-                    self.comm_bytes,
-                    n_live=len(pushers) if degraded else None,
-                    rank_ids=pushers if degraded else None,
-                )
-                if tr is not None:
-                    tr.emit("aggregation", kind="PA", n_contrib=len(pushers))
-                for w in live_workers:
-                    w.set_params(global_params)
-        else:  # gradient aggregation
-            if sync:
-                mean_grad = self.server.aggregate_grads(
-                    self.wire_updates(
-                        pushers, [self.workers[w].get_grads() for w in pushers]
-                    )
-                )
-                t_s = self.group.charge_sync(
-                    self.comm_bytes,
-                    n_live=len(pushers) if degraded else None,
-                    rank_ids=pushers if degraded else None,
-                )
-                if tr is not None:
-                    tr.emit("aggregation", kind="GA", n_contrib=len(pushers))
-                # The same averaged gradient lands on *divergent* local
-                # parameters — replicas are NOT re-consistent afterwards.
-                # The mean replaces every live worker's gradient, healing
-                # corrupted ones.
-                for w in live_workers:
-                    w.apply_gradient(mean_grad, lr)
-            else:
-                for wid in live:
-                    if wid in voter_set:
-                        self.workers[wid].local_step(lr)
-
-        t_s = self.effective_sync_time(t_s, t_c)
-        if sync and degraded:
-            t_s += t_retry
         if self.delta_policy is not None and hasattr(self.delta_policy, "observe"):
             self.delta_policy.observe(sync)
 
+        # The decision's own cost: the flag allgather is communication, the
+        # Δ(g) computation is compute charged only to SelSync (§IV-B).
+        rec.sim_time += t_flags
+        rec.sim_time += self.delta_overhead_s
+        rec.comm_time += t_flags
         finite = [d for d in deltas if np.isfinite(d)]
-        return IterationRecord(
-            step=i,
-            synced=sync,
-            sim_time=t_c + t_flags + self.delta_overhead_s + t_s + inject_time,
-            comm_time=t_flags + t_s + inject_time,
-            loss=float(np.mean(losses)),
-            grad_change=float(max(finite)) if finite else float("inf"),
-            extra={"n_flags": float(int(gathered.sum()))},
+        rec.grad_change = float(max(finite)) if finite else float("inf")
+        rec.extra["n_flags"] = float(int(gathered.sum()))
+        return sync, voters
+
+    def exchange(self, pushers, vectors, round_kw):
+        # PA (Alg. 1 lines 14-15): push w_{i+1}, pull the average — every
+        # replica is consistent again. GA: the same averaged gradient lands
+        # on *divergent* local parameters — replicas are NOT re-consistent
+        # afterwards (§III-C).
+        if self.exchanges_gradients:
+            pulled = self.server.aggregate_grads(vectors)
+        else:
+            pulled = self.server.aggregate_params(vectors)
+        t_s = self.group.charge_sync(self.comm_bytes, **round_kw)
+        self._emit_aggregation(
+            "GA" if self.exchanges_gradients else "PA", len(pushers)
         )
+        return pulled, t_s, 0.0
 
     # -- fault/checkpoint hooks -------------------------------------------
     def _on_worker_rejoin(self, worker_id: int, from_checkpoint: bool) -> None:

@@ -21,7 +21,7 @@ from repro.cluster.worker import SimWorker
 from repro.core.config import ClusterConfig, TrainConfig
 from repro.core.trainer import DistributedTrainer, TrainResult
 from repro.optim.schedules import LRSchedule
-from repro.utils.runlog import EvalRecord, FaultRecord, IterationRecord, RunLog
+from repro.utils.runlog import EvalRecord, IterationRecord, RunLog
 
 
 class SSPTrainer(DistributedTrainer):
@@ -113,6 +113,16 @@ class SSPTrainer(DistributedTrainer):
         # still covers its iteration — each (worker, window) fires once.
         served_crashes: set = set()
 
+        def note_eval(sim_time, metric, best, stale_evals):
+            """The shared eval bookkeeping on SSP's axes: the step is the
+            global completion index, the epoch the mean over workers."""
+            return self._note_eval(
+                cfg, log, completed - 1,
+                float(np.mean([w.epoch for w in self.workers])),
+                sim_time, metric, best, stale_evals,
+                metric_name=EvalRecord.metric_name,
+            )
+
         def live_min() -> int:
             """Staleness floor over workers that can still make progress."""
             return int(iters[alive].min()) if alive.any() else int(iters.min())
@@ -133,12 +143,8 @@ class SSPTrainer(DistributedTrainer):
             if crash is not None:
                 served_crashes.add((worker_id, crash.start, crash.end))
                 self._record_fault(
-                    FaultRecord(
-                        step=k,
-                        worker=worker_id,
-                        kind="crash",
-                        detail={"until": -1 if crash.end is None else crash.end},
-                    )
+                    k, worker_id, "crash",
+                    until=-1 if crash.end is None else crash.end,
                 )
                 if crash.end is None:
                     dead.add(worker_id)
@@ -171,10 +177,7 @@ class SSPTrainer(DistributedTrainer):
             w = self.workers[wid]
             if ev.payload == "rejoin":
                 self._record_fault(
-                    FaultRecord(
-                        step=int(iters[wid]), worker=wid, kind="rejoin",
-                        detail={"from_checkpoint": 0},
-                    )
+                    int(iters[wid]), wid, "rejoin", from_checkpoint=0
                 )
                 start(wid, ev.time)
                 continue
@@ -186,21 +189,10 @@ class SSPTrainer(DistributedTrainer):
                 if self.faults.corrupts(wid, k):
                     # The PS rejects a NaN/inf burst instead of poisoning
                     # the globals; the worker's iteration still counts.
-                    self._record_fault(
-                        FaultRecord(step=k, worker=wid, kind="corrupt", detail={})
-                    )
+                    self._record_fault(k, wid, "corrupt")
                     apply_update = False
                 else:
-                    push_delay, retries, lost = self.faults.upload_penalty_seconds(
-                        wid, k, comm_t / 2.0
-                    )
-                    if retries:
-                        self._record_fault(
-                            FaultRecord(
-                                step=k, worker=wid, kind="drop",
-                                detail={"retries": retries, "lost": int(lost)},
-                            )
-                        )
+                    push_delay, lost = self._upload_outcome(wid, k, comm_t / 2.0)
                     if lost:
                         apply_update = False
                         push_delay = 0.0
@@ -212,31 +204,18 @@ class SSPTrainer(DistributedTrainer):
                 # loss drops this push (the worker keeps iterating and its
                 # next successful push lands the newer gradient).
                 self.group.begin_step(k)
-                wait_s, delivered = self.group.push_outcome(wid, self.comm_bytes)
-                if not delivered:
-                    self._record_fault(
-                        FaultRecord(
-                            step=k, worker=wid, kind="link_drop",
-                            detail={"wait_s": float(wait_s)},
-                        )
-                    )
-                    apply_update = False
-                else:
+                wait_s, delivered = self._push_outcome(wid, k, self.comm_bytes)
+                if delivered:
                     push_delay += wait_s
+                else:
+                    apply_update = False
             if apply_update:
                 grad = w.get_grads()
                 if self.faults.active and self.faults.adversarial_corrupts(wid, k):
                     # Finite hostile push: passes the PS finiteness guard
                     # by design; only norm clipping can blunt it here.
                     grad = self.faults.adversarial_gradient(wid, k, grad)
-                    self._record_fault(
-                        FaultRecord(
-                            step=k,
-                            worker=wid,
-                            kind="corrupt",
-                            detail={"adversarial": 1},
-                        )
-                    )
+                    self._record_fault(k, wid, "corrupt", adversarial=1)
                 self.server.async_apply(-lr_of(k) * grad)
             iters[wid] += 1
             completed += 1
@@ -289,38 +268,11 @@ class SSPTrainer(DistributedTrainer):
 
             # Periodic evaluation of the global model.
             if cfg.eval_fn is not None and completed % total_eval_interval == 0:
-                metric = self._eval_global(cfg)
-                log.record_eval(
-                    EvalRecord(
-                        step=completed - 1,
-                        epoch=float(np.mean([ww.epoch for ww in self.workers])),
-                        sim_time=ev.time,
-                        metric=metric,
-                    )
+                best, stale_evals = note_eval(
+                    ev.time, self._eval_global(cfg), best, stale_evals
                 )
-                if tr is not None:
-                    tr.emit(
-                        "eval",
-                        step=completed - 1,
-                        metric=metric,
-                        epoch=float(np.mean([ww.epoch for ww in self.workers])),
-                        sim_time=ev.time,
-                        metric_name="metric",
-                    )
-                if best is None:
-                    best = metric
-                else:
-                    better = (
-                        metric > best + cfg.min_improvement
-                        if cfg.higher_is_better
-                        else metric < best - cfg.min_improvement
-                    )
-                    if better:
-                        best, stale_evals = metric, 0
-                    else:
-                        stale_evals += 1
-                        if cfg.patience is not None and stale_evals >= cfg.patience:
-                            stop = True
+                if cfg.patience is not None and stale_evals >= cfg.patience:
+                    stop = True
 
             if iters[wid] >= cfg.n_steps:
                 pass  # this worker is done
@@ -344,24 +296,9 @@ class SSPTrainer(DistributedTrainer):
         final_metric = None
         if cfg.eval_fn is not None:
             final_metric = self._eval_global(cfg)
-            log.record_eval(
-                EvalRecord(
-                    step=completed - 1,
-                    epoch=float(np.mean([ww.epoch for ww in self.workers])),
-                    sim_time=last_time,
-                    metric=final_metric,
-                )
-            )
-            tr = obs.active()
-            if tr is not None:
-                tr.emit(
-                    "eval",
-                    step=completed - 1,
-                    metric=final_metric,
-                    epoch=float(np.mean([ww.epoch for ww in self.workers])),
-                    sim_time=last_time,
-                    metric_name="metric",
-                )
+            # The closing eval only competes for ``best`` (strictly, with
+            # no improvement margin); the patience bookkeeping is over.
+            note_eval(last_time, final_metric, best, stale_evals)
             if best is None or (
                 final_metric > best if cfg.higher_is_better else final_metric < best
             ):

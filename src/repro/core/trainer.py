@@ -1,9 +1,11 @@
 """Distributed-trainer base class and result container.
 
-Concrete trainers (BSP, FedAvg, SSP, SelSync, local-SGD) implement a single
-``step`` and inherit the shared loop: per-step time accounting, periodic
-evaluation of the deployable model, the paper's until-no-improvement stopping
-rule, RunLog assembly — and, beyond the paper, the fault/recovery machinery:
+The lock-step trainers (BSP, FedAvg, EASGD, SelSync, local-SGD) are *sync
+rules* of the one :meth:`DistributedTrainer.step` pipeline — each supplies
+only the per-iteration decision and the exchange arithmetic — and inherit
+the shared loop: per-step time accounting, periodic evaluation of the
+deployable model, the paper's until-no-improvement stopping rule, RunLog
+assembly — and, beyond the paper, the fault/recovery machinery:
 deterministic fault injection (:mod:`repro.cluster.faults`), degraded-mode
 aggregation over the live worker subset with a configurable quorum, and
 checkpoint/resume with bitwise-identical continuation.
@@ -71,10 +73,13 @@ class TrainResult:
 class DistributedTrainer:
     """Shared machinery for the lock-step trainers.
 
-    Subclasses implement :meth:`step`, returning an
-    :class:`~repro.utils.runlog.IterationRecord`; everything else (clock,
-    evaluation cadence, early stopping, fault handling, checkpointing)
-    lives here so all methods are compared under identical protocols.
+    :meth:`step` is the one fixed pipeline; a subclass is a *sync rule*
+    filling its hooks — :meth:`decide` and :meth:`exchange`, plus
+    :meth:`draw_batches` / :meth:`uploaders` / :meth:`n_participants` /
+    :meth:`outgoing` where the rule departs from the defaults. Everything
+    else (clock, evaluation cadence, early stopping, fault handling,
+    quorum, checkpointing) lives here so all methods are compared under
+    identical protocols.
     """
 
     name = "abstract"
@@ -82,6 +87,11 @@ class DistributedTrainer:
     #: sets this False: a network partition cannot hurt a protocol that
     #: never communicates, so partition liveness filtering skips it.
     communicates = True
+    #: True when the exchange averages *gradients* and the pulled mean is
+    #: applied as the step (GA): pushers send gradients, and a sync step
+    #: skips the local update. False (PA): the local update always runs,
+    #: pushers send parameters, and the pulled vector replaces the replica.
+    exchanges_gradients = False
 
     def __init__(
         self,
@@ -175,9 +185,120 @@ class DistributedTrainer:
         # (joiner replicas, repartitioned loaders); see :meth:`bind_elastic`.
         self.elastic_ctx: Optional[ElasticContext] = None
 
-    # -- subclass interface -----------------------------------------------
+    # -- the lock-step pipeline ---------------------------------------------
     def step(self, i: int) -> IterationRecord:
+        """One lock-step iteration (stage list: DESIGN.md, "Step pipeline").
+
+        The protocol order — faults, compute, corrupt + screen, decide,
+        local update, push round, exchange, clock — is fixed here; a rule
+        only fills the hooks below and never calls a protocol helper.
+        """
+        sf = self.begin_faults(i)
+        live = sf.live
+        live_workers = [self.workers[w] for w in live]
+        lr = self.lr(i)
+        batches, t_inject = self.draw_batches(live_workers)
+        batch_size = (
+            self.workers[0].loader.batch_size
+            if batches is None
+            else len(batches[0][0])
+        )
+        t_c = self.max_compute_time(batch_size, step=i, live=live)
+        losses = self.executor.compute_gradients(live_workers, batches)
+        # Live workers whose update survived corruption and health
+        # screening: only they vote, step locally and may push.
+        ok = self.screen_updates(i, self.apply_corruption(sf), observed=live)
+        rec = IterationRecord(
+            step=i, synced=False, sim_time=t_c, loss=float(np.mean(losses))
+        )
+        rec.synced, ok = self.decide(i, ok, rec)
+        if not (rec.synced and self.exchanges_gradients):
+            # A dropped (corrupt / quarantined) gradient never lands on
+            # its replica; on a sync step the pull heals that worker.
+            for wid in ok:
+                self.workers[wid].local_step(lr)
+        t_s = t_codec = 0.0
+        if rec.synced:
+            # Push round: upload faults only bite when a round pushes.
+            pushers = self.uploaders(live, ok)
+            t_retry, lost = self.upload_penalty(pushers, i)
+            gone = set(lost)
+            pushers = [w for w in pushers if w not in gone]
+            if self.health is not None:
+                # A rule that uploads beyond ``ok`` (EASGD: all of
+                # ``live``) must still sit out this step's quarantines.
+                pushers = [w for w in pushers if not self.health.quarantined(w)]
+            self.check_quorum(len(pushers), i, cap=self.n_participants())
+            # The one place a degraded round's arguments are built: without
+            # them SimGroup treats a short vector list as an error.
+            round_kw = (
+                {"n_live": len(pushers), "rank_ids": pushers}
+                if self.degraded_mode
+                else {}
+            )
+            vectors = self.wire_updates(pushers, self.outgoing(pushers))
+            pulled, t_s, t_codec = self.exchange(pushers, vectors, round_kw)
+            if pulled is not None:
+                # Every *live* worker takes the pull — a corrupted or
+                # upload-lost worker too, which heals its replica.
+                for w in live_workers:
+                    if self.exchanges_gradients:
+                        w.apply_gradient(pulled, lr)
+                    else:
+                        w.set_params(pulled)
+            # Retry traffic serializes after the sync (no compute overlap).
+            t_s = self.effective_sync_time(t_s, t_c) + t_retry
+        for t in (t_s, t_inject):
+            rec.sim_time += t
+            rec.comm_time += t
+        rec.sim_time += t_codec
+        return rec
+
+    # -- rule hooks ----------------------------------------------------------
+    def draw_batches(self, live_workers: Sequence[SimWorker]):
+        """``(batches, p2p_seconds)`` for this step. ``None`` batches let
+        the executor draw each worker's next mini-batch itself."""
+        return None, 0.0
+
+    def decide(
+        self, i: int, ok: List[int], rec: IterationRecord
+    ) -> Tuple[bool, List[int]]:
+        """The rule's per-iteration choice: ``(sync?, ok)``. May narrow the
+        contributing set, charge the decision's own cost to ``rec`` and
+        annotate it (``grad_change``, ``extra``)."""
         raise NotImplementedError
+
+    def uploaders(self, live: List[int], ok: List[int]) -> List[int]:
+        """Workers that push in this sync round (before upload faults)."""
+        return ok
+
+    def n_participants(self) -> int:
+        """Planned size of a full round; the quorum never demands more."""
+        return len(self.workers)
+
+    def outgoing(self, pushers: Sequence[int]) -> List[np.ndarray]:
+        """What each pusher puts on the wire, in ``pushers`` order."""
+        if self.exchanges_gradients:
+            return [self.workers[w].get_grads() for w in pushers]
+        return [self.workers[w].get_params(copy=False) for w in pushers]
+
+    def exchange(
+        self, pushers: List[int], vectors: List[np.ndarray], round_kw: Dict
+    ) -> Tuple[Optional[np.ndarray], float, float]:
+        """Aggregate the vectors that arrived and charge the round.
+
+        Returns ``(pulled, sync_seconds, codec_seconds)``: the vector every
+        live worker pulls (``None`` when the rule already moved the
+        replicas itself), the modelled sync time before overlap/retry, and
+        any compute serialized after it. ``round_kw`` goes verbatim to the
+        group's ``allreduce_mean`` / ``charge_sync`` / ``sync_time_only``.
+        """
+        raise NotImplementedError
+
+    def _emit_aggregation(self, kind: str, n_contrib: int) -> None:
+        tr = obs.active()
+        if tr is not None:
+            tr.emit("aggregation", kind=kind, n_contrib=n_contrib)
 
     def _extra_state(self) -> Dict:
         """Trainer-specific checkpoint state (tracker/center/RNG...)."""
@@ -283,37 +404,24 @@ class DistributedTrainer:
         """
         self.group.begin_step(i)
         sf = self.faults.begin_step(i)
-        if (
-            not self.faults.active
-            and self.health is None
-            and self.net_faults is None
-        ):
+        if not self.degraded_mode:
             self._current_live = None
             return sf
         for c in self.faults.plan.crashes:
             if c.start == i and c.worker in sf.crashed:
                 self._record_fault(
-                    FaultRecord(
-                        step=i,
-                        worker=c.worker,
-                        kind="crash",
-                        detail={"until": -1 if c.end is None else c.end},
-                    )
+                    i, c.worker, "crash", until=-1 if c.end is None else c.end
                 )
         for wid in sf.rejoined:
             self._restore_rejoined_worker(wid, i)
         for s in self.faults.plan.straggles:
             if s.start == i:
                 self._record_fault(
-                    FaultRecord(
-                        step=i,
-                        worker=s.worker,
-                        kind="straggle",
-                        detail={
-                            "factor": s.factor,
-                            "until": -1 if s.end is None else s.end,
-                        },
-                    )
+                    i,
+                    s.worker,
+                    "straggle",
+                    factor=s.factor,
+                    until=-1 if s.end is None else s.end,
                 )
         if self.health is not None:
             for wid in self.health.due_reinstatements(i):
@@ -330,15 +438,11 @@ class DistributedTrainer:
                         w for w in sf.live if w not in set(majority)
                     ]
                     self._record_fault(
-                        FaultRecord(
-                            step=i,
-                            worker=-1,
-                            kind="partition",
-                            detail={
-                                "majority": list(majority),
-                                "cut": list(self._partition_cut),
-                            },
-                        )
+                        i,
+                        -1,
+                        "partition",
+                        majority=list(majority),
+                        cut=list(self._partition_cut),
                     )
                 # Minority-side workers are unreachable (their links to
                 # both the PS and the majority are severed): training
@@ -374,14 +478,7 @@ class DistributedTrainer:
         consensus = self._consensus(donors)
         for wid in sorted(cut):
             self.workers[wid].resync(consensus)
-            self._record_fault(
-                FaultRecord(
-                    step=step,
-                    worker=wid,
-                    kind="rejoin",
-                    detail={"healed_partition": True},
-                )
-            )
+            self._record_fault(step, wid, "rejoin", healed_partition=True)
 
     def _reinstate_worker(self, wid: int, step: int, live: Sequence[int]) -> None:
         """Probation elapsed: restore the worker from the current consensus
@@ -400,9 +497,7 @@ class DistributedTrainer:
         else:
             w.optimizer.reset_state()
         self._on_worker_rejoin(wid, False)
-        self._record_fault(
-            FaultRecord(step=step, worker=wid, kind="reinstate", detail={})
-        )
+        self._record_fault(step, wid, "reinstate")
         tr = obs.active()
         if tr is not None:
             tr.emit("reinstate", step=step, worker=wid)
@@ -442,16 +537,12 @@ class DistributedTrainer:
         tr = obs.active()
         for d in flagged:
             self._record_fault(
-                FaultRecord(
-                    step=step,
-                    worker=d.worker,
-                    kind="quarantine",
-                    detail={
-                        "reason": d.reason,
-                        "score": float(d.score),
-                        "until": d.until,
-                    },
-                )
+                step,
+                d.worker,
+                "quarantine",
+                reason=d.reason,
+                score=float(d.score),
+                until=d.until,
             )
             if tr is not None:
                 tr.emit(
@@ -465,22 +556,22 @@ class DistributedTrainer:
         bad = {d.worker for d in flagged}
         return [w for w in candidates if w not in bad]
 
-    def check_quorum(self, n_contributing: int, step: int) -> None:
+    def check_quorum(
+        self, n_contributing: int, step: int, cap: Optional[int] = None
+    ) -> None:
         """Raise loudly when fewer than ``quorum`` workers can contribute.
 
-        The raised :class:`QuorumLostError` carries ``step`` /
-        ``contributing`` / ``quorum`` so the recovery supervisor can relax
-        the quorum to the surviving count before retrying.
+        ``cap`` is the round's planned size: a FedAvg round sampling ``k``
+        workers can never have more than ``k`` contributors, so it is only
+        held to ``min(quorum, k)``. The raised :class:`QuorumLostError`
+        carries ``step`` / ``contributing`` / ``quorum`` so the recovery
+        supervisor can relax the quorum to the surviving count before
+        retrying.
         """
-        if n_contributing >= self.quorum:
+        if n_contributing >= (self.quorum if cap is None else min(self.quorum, cap)):
             return
         self._record_fault(
-            FaultRecord(
-                step=step,
-                worker=-1,
-                kind="quorum_lost",
-                detail={"contributing": n_contributing, "quorum": self.quorum},
-            )
+            step, -1, "quorum_lost", contributing=n_contributing, quorum=self.quorum
         )
         err = QuorumLostError(
             f"step {step}: only {n_contributing} worker(s) can contribute "
@@ -502,7 +593,7 @@ class DistributedTrainer:
 
         An *adversarially* corrupted worker is a Byzantine liar, not a sick
         node: its local replica and gradient stay honest, but whatever it
-        puts on the wire this step — the vector a trainer later routes
+        puts on the wire this step — the vector :meth:`step` later routes
         through :meth:`wire_updates`, and the ``last_grad_sqnorm`` any
         tracker or health screen reads — is a finite hostile fabrication.
         It stays in the contributing set (it looks healthy to every
@@ -518,9 +609,7 @@ class DistributedTrainer:
                 self.faults.corrupt_gradient(wid, sf.step, w.get_grads(copy=False))
             )
             w.last_grad_sqnorm = float("nan")
-            self._record_fault(
-                FaultRecord(step=sf.step, worker=wid, kind="corrupt", detail={})
-            )
+            self._record_fault(sf.step, wid, "corrupt")
         for wid in sf.adversarial:
             w = self.workers[wid]
             hostile = self.faults.adversarial_gradient(
@@ -531,14 +620,7 @@ class DistributedTrainer:
             # health screen see the hostile magnitude, which is exactly
             # the signal quarantine keys on.
             w.last_grad_sqnorm = float(np.dot(hostile, hostile))
-            self._record_fault(
-                FaultRecord(
-                    step=sf.step,
-                    worker=wid,
-                    kind="corrupt",
-                    detail={"adversarial": 1},
-                )
-            )
+            self._record_fault(sf.step, wid, "corrupt", adversarial=1)
         corrupted = set(sf.corrupted)
         return [wid for wid in sf.live if wid not in corrupted]
 
@@ -553,9 +635,9 @@ class DistributedTrainer:
         workers' entries are replaced with the hostile vector fabricated
         in :meth:`apply_corruption`. Identity when no lies are active.
 
-        This is also where sharded push losses land: every trainer calls
+        This is also where sharded push losses land: :meth:`step` calls
         ``wire_updates`` with the round's final uploader list immediately
-        before aggregating, so worker ids recorded by
+        before the exchange, so worker ids recorded by
         :meth:`upload_penalty` are converted to positions in ``wids`` here
         and installed on the group and the sharded server for the round
         about to run.
@@ -609,18 +691,7 @@ class DistributedTrainer:
         if self.faults.active:
             transfer_s = self.cluster.net.transfer_time(self.comm_bytes)
             for wid in uploaders:
-                penalty, retries, abandoned = self.faults.upload_penalty_seconds(
-                    wid, step, transfer_s
-                )
-                if retries:
-                    self._record_fault(
-                        FaultRecord(
-                            step=step,
-                            worker=wid,
-                            kind="drop",
-                            detail={"retries": retries, "lost": int(abandoned)},
-                        )
-                    )
+                penalty, abandoned = self._upload_outcome(wid, step, transfer_s)
                 if abandoned:
                     lost.append(wid)
                 else:
@@ -628,66 +699,68 @@ class DistributedTrainer:
         if self.net_faults is not None and self.group.topology.name == "ps":
             net_extra = 0.0
             already = set(lost)
-            if self.shard_spec is not None:
-                shard_bytes = self.shard_spec.int_payloads(self.comm_bytes)
-                for wid in uploaders:
-                    if wid in already:
-                        continue
-                    worker_wait = 0.0
-                    for s, b in enumerate(shard_bytes):
-                        wait_s, delivered = self.group.push_outcome(
-                            wid, b, shard=s
-                        )
-                        if not delivered:
-                            self._pending_shard_lost.setdefault(s, set()).add(wid)
-                            self._record_fault(
-                                FaultRecord(
-                                    step=step,
-                                    worker=wid,
-                                    kind="link_drop",
-                                    detail={
-                                        "shard": s,
-                                        "wait_s": float(wait_s),
-                                    },
-                                )
-                            )
-                        else:
-                            # Shard streams run in parallel; the worker's
-                            # push phase ends with its slowest stream.
-                            worker_wait = max(worker_wait, wait_s)
-                    net_extra = max(net_extra, worker_wait)
-            else:
-                for wid in uploaders:
-                    if wid in already:
-                        continue
-                    wait_s, delivered = self.group.push_outcome(wid, self.comm_bytes)
-                    if not delivered:
+            # One enveloped stream per shard; unsharded, the single stream
+            # is the whole payload and losing it loses the worker.
+            streams = (
+                [(None, self.comm_bytes)]
+                if self.shard_spec is None
+                else list(enumerate(self.shard_spec.int_payloads(self.comm_bytes)))
+            )
+            for wid in uploaders:
+                if wid in already:
+                    continue
+                worker_wait = 0.0
+                for s, b in streams:
+                    wait_s, delivered = self._push_outcome(wid, step, b, shard=s)
+                    if delivered:
+                        # Streams run in parallel; the worker's push phase
+                        # ends with its slowest one.
+                        worker_wait = max(worker_wait, wait_s)
+                    elif s is None:
                         lost.append(wid)
-                        self._record_fault(
-                            FaultRecord(
-                                step=step,
-                                worker=wid,
-                                kind="link_drop",
-                                detail={"wait_s": float(wait_s)},
-                            )
-                        )
                     else:
-                        net_extra = max(net_extra, wait_s)
+                        self._pending_shard_lost.setdefault(s, set()).add(wid)
+                net_extra = max(net_extra, worker_wait)
             extra += net_extra
         return extra, lost
 
-    def _record_fault(self, rec: FaultRecord) -> None:
+    def _upload_outcome(
+        self, wid: int, step: int, transfer_s: float
+    ) -> Tuple[float, bool]:
+        """One worker's upload under the ``drop`` fault: ``(retry seconds,
+        abandoned)``, with the typed ``drop`` record when it retried."""
+        penalty, retries, abandoned = self.faults.upload_penalty_seconds(
+            wid, step, transfer_s
+        )
+        if retries:
+            self._record_fault(
+                step, wid, "drop", retries=retries, lost=int(abandoned)
+            )
+        return penalty, abandoned
+
+    def _push_outcome(
+        self, wid: int, step: int, nbytes: float, shard: Optional[int] = None
+    ) -> Tuple[float, bool]:
+        """One worker's PS uplink push through the retrying envelope:
+        ``(wait seconds, delivered)``, with the typed ``link_drop`` record
+        on a terminal loss."""
+        wait_s, delivered = self.group.push_outcome(wid, nbytes, shard=shard)
+        if not delivered:
+            where = {} if shard is None else {"shard": shard}
+            self._record_fault(
+                step, wid, "link_drop", **where, wait_s=float(wait_s)
+            )
+        return wait_s, delivered
+
+    def _record_fault(self, step: int, worker: int, kind: str, **detail) -> None:
+        """One typed fault: a RunLog :class:`FaultRecord` plus the matching
+        ``fault`` trace event (``worker=-1`` for cluster-wide incidents)."""
+        rec = FaultRecord(step=step, worker=worker, kind=kind, detail=detail)
         if self._log is not None:
             self._log.record_fault(rec)
         tr = obs.active()
         if tr is not None:
-            tr.emit(
-                "fault",
-                step=rec.step,
-                worker=rec.worker,
-                fault_kind=rec.kind,
-                **rec.detail,
-            )
+            tr.emit("fault", step=step, worker=worker, fault_kind=kind, **detail)
 
     def _restore_rejoined_worker(self, wid: int, step: int) -> None:
         """Crash-recovery: a rejoining worker restores its rank state from
@@ -708,12 +781,7 @@ class DistributedTrainer:
                 w.optimizer.reset_state()
         self._on_worker_rejoin(wid, from_checkpoint)
         self._record_fault(
-            FaultRecord(
-                step=step,
-                worker=wid,
-                kind="rejoin",
-                detail={"from_checkpoint": int(from_checkpoint)},
-            )
+            step, wid, "rejoin", from_checkpoint=int(from_checkpoint)
         )
 
     # -- parameter views --------------------------------------------------
@@ -1081,6 +1149,50 @@ class DistributedTrainer:
         return int(ck["step"]), log, ck["best"], int(ck["stale_evals"]), float(ck["clock"])
 
     # -- the run loop ---------------------------------------------------------
+    def _note_eval(
+        self,
+        cfg: TrainConfig,
+        log: RunLog,
+        step: int,
+        epoch: float,
+        sim_time: float,
+        metric: float,
+        best: Optional[float],
+        stale_evals: int,
+        metric_name: str = "metric",
+    ) -> Tuple[Optional[float], int]:
+        """Record one evaluation (``EvalRecord`` + ``eval`` event) and fold
+        it into the until-no-improvement bookkeeping; returns the new
+        ``(best, stale_evals)`` — the caller applies ``cfg.patience``.
+        ``metric_name`` labels the RunLog record only (SSP's keep the
+        ``EvalRecord`` default); the event always says ``"metric"``."""
+        log.record_eval(
+            EvalRecord(
+                step=step,
+                epoch=epoch,
+                sim_time=sim_time,
+                metric=metric,
+                metric_name=metric_name,
+            )
+        )
+        tr = obs.active()
+        if tr is not None:
+            tr.emit(
+                "eval",
+                step=step,
+                metric=metric,
+                epoch=epoch,
+                sim_time=sim_time,
+                metric_name="metric",
+            )
+        if best is None:
+            improved = True
+        elif cfg.higher_is_better:
+            improved = metric > best + cfg.min_improvement
+        else:
+            improved = metric < best - cfg.min_improvement
+        return (metric, 0) if improved else (best, stale_evals + 1)
+
     def run(self, cfg: TrainConfig) -> TrainResult:
         log = RunLog(name=self.name)
         best: Optional[float] = None
@@ -1130,38 +1242,12 @@ class DistributedTrainer:
                         cfg.step_monitor(self, i)
                     last = i == cfg.n_steps - 1
                     if cfg.eval_fn is not None and ((i + 1) % cfg.eval_every == 0 or last):
-                        metric = self.evaluate(cfg)
-                        log.record_eval(
-                            EvalRecord(
-                                step=i,
-                                epoch=self.workers[0].epoch,
-                                sim_time=clock,
-                                metric=metric,
-                                metric_name="metric",
-                            )
+                        best, stale_evals = self._note_eval(
+                            cfg, log, i, self.workers[0].epoch, clock,
+                            self.evaluate(cfg), best, stale_evals,
                         )
-                        if tr is not None:
-                            tr.emit(
-                                "eval",
-                                step=i,
-                                metric=metric,
-                                epoch=self.workers[0].epoch,
-                                sim_time=clock,
-                                metric_name="metric",
-                            )
-                        if best is None:
-                            improved = True
-                        elif cfg.higher_is_better:
-                            improved = metric > best + cfg.min_improvement
-                        else:
-                            improved = metric < best - cfg.min_improvement
-                        if improved:
-                            best = metric
-                            stale_evals = 0
-                        else:
-                            stale_evals += 1
-                            if cfg.patience is not None and stale_evals >= cfg.patience:
-                                break
+                        if cfg.patience is not None and stale_evals >= cfg.patience:
+                            break
                     if (
                         cfg.checkpoint_every is not None
                         and (i + 1) % cfg.checkpoint_every == 0

@@ -115,7 +115,7 @@ def run_method(
             result = trainer.run(cfg)
     finally:
         # The trainer is dropped on return; release backend resources
-        # (thread pools, forked worker processes + shared segments) now
+        # (forked worker processes + shared segments) now
         # rather than at garbage collection.
         trainer.executor.shutdown()
     result.log.meta = manifest

@@ -5,7 +5,7 @@ The :class:`MetricsRegistry` is the numeric companion of the event trace
 registry accumulates *how much* — bytes moved, steps synced, per-step time
 distributions. Summaries are deterministic regardless of observation order
 (histogram statistics are computed over the sorted sample), so a registry
-filled by the threaded executor reports the same numbers as one filled
+filled from several threads reports the same numbers as one filled
 serially.
 """
 
@@ -87,7 +87,7 @@ class MetricsRegistry:
     """Named counters/gauges/histograms behind one lock.
 
     The lock guards only the name→instrument maps (first-use creation may
-    race under the threaded executor); individual updates are plain float
+    race when callers emit from several threads); individual updates are plain float
     adds/appends, safe under the GIL and order-insensitive by construction.
     """
 

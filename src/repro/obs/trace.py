@@ -9,7 +9,7 @@ fault injector — emits :class:`TraceEvent` records through one
 Determinism contract
 --------------------
 In deterministic mode (the default) a trace is **byte-identical** across
-the serial and threaded executors and across a checkpoint/resume boundary:
+the serial and process executors and across a checkpoint/resume boundary:
 
 * Events are keyed by ``(step, worker, seq)``: ``seq`` is a per-(step,
   worker) counter, so two events of the same logical stream keep their

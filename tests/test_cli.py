@@ -20,6 +20,23 @@ class TestParsing:
         assert args.method == "selsync"
         assert args.delta == 0.3
 
+    def test_compare_rejects_supervisor_flags(self, capsys):
+        # ``compare`` runs unsupervised: accepting the flag and ignoring it
+        # would be a silent no-op, so argparse must refuse it.
+        for flag in ("--max-recoveries", "--divergence-threshold"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["compare", flag, "3"])
+            assert "unrecognized arguments" in capsys.readouterr().err
+        assert build_parser().parse_args(["run", "--max-recoveries", "3"])
+
+    def test_divergence_threshold_needs_max_recoveries(self, capsys, monkeypatch):
+        # Refused before the workload is built, not after.
+        monkeypatch.setattr(
+            "repro.cli._build", lambda *a: pytest.fail("workload was built")
+        )
+        assert main(["run", "--divergence-threshold", "5.0"]) == 2
+        assert "requires --max-recoveries" in capsys.readouterr().out
+
 
 class TestListing:
     def test_workloads_listed(self, capsys):

@@ -1,61 +1,28 @@
-"""Executor backends: serial/threaded equivalence and batch-draw safety."""
+"""Executor backends: construction, ordering and batch-draw safety.
+
+Serial ≡ process byte-identity of whole runs lives in
+``tests/test_executor_process.py``.
+"""
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.cluster.executor import (
     EXECUTOR_KINDS,
     ProcessExecutor,
     SerialExecutor,
-    ThreadedExecutor,
     make_executor,
 )
-from repro.core import TrainConfig
-from repro.core.bsp import BSPTrainer
-from repro.core.selsync import SelSyncTrainer
 from tests.conftest import make_mlp_cluster
-
-
-def _run(trainer_cls, executor, train, cfg, **kwargs):
-    workers, cluster = make_mlp_cluster(train)
-    cluster.executor = executor
-    tr = trainer_cls(workers, cluster, **kwargs)
-    res = tr.run(cfg)
-    tr.executor.shutdown()
-    return res, [w.get_params(copy=True) for w in tr.workers]
-
-
-@pytest.mark.parametrize(
-    "trainer_cls,kwargs",
-    [(BSPTrainer, {}), (SelSyncTrainer, {"delta": 0.3})],
-)
-def test_serial_and_threaded_are_byte_identical(
-    trainer_cls, kwargs, blobs_data, quick_cfg
-):
-    train, _ = blobs_data
-    res_s, params_s = _run(trainer_cls, "serial", train, quick_cfg, **kwargs)
-    res_t, params_t = _run(trainer_cls, "threaded", train, quick_cfg, **kwargs)
-    for ps, pt in zip(params_s, params_t):
-        assert np.array_equal(ps, pt)
-    assert res_s.final_metric == res_t.final_metric
-    assert len(res_s.log.iterations) == len(res_t.log.iterations)
-    for a, b in zip(res_s.log.iterations, res_t.log.iterations):
-        assert a.loss == b.loss
-        assert a.synced == b.synced
-        assert a.sim_time == b.sim_time
 
 
 def test_executor_losses_in_worker_order(blobs_data):
     train, _ = blobs_data
     workers, _ = make_mlp_cluster(train)
-    ex = ThreadedExecutor()
-    try:
+    with ProcessExecutor(procs=2) as ex:
         losses = ex.compute_gradients(workers)
         assert losses == [w.last_loss for w in workers]
-    finally:
-        ex.shutdown()
 
 
 def test_draw_batch_twice_raises(blobs_data):
@@ -93,20 +60,18 @@ def test_explicit_batches_path(blobs_data):
     assert len(losses) == len(workers)
     with pytest.raises(ValueError):
         SerialExecutor().compute_gradients(workers, batches[:-1])
-    with pytest.raises(ValueError):
-        ThreadedExecutor().compute_gradients(workers, batches[:-1])
+    with ProcessExecutor(procs=1) as ex, pytest.raises(ValueError):
+        ex.compute_gradients(workers, batches[:-1])
 
 
 def test_make_executor():
     assert isinstance(make_executor("serial"), SerialExecutor)
-    ex = make_executor("threaded", threads=2)
-    assert isinstance(ex, ThreadedExecutor) and ex.threads == 2
     px = make_executor("process", procs=2)
     assert isinstance(px, ProcessExecutor) and px.procs == 2
     with pytest.raises(ValueError):
         make_executor("gpu")
     with pytest.raises(ValueError):
-        make_executor("threaded", threads=0)
+        make_executor("threaded")  # removed backend: unknown, not ignored
     with pytest.raises(ValueError):
         make_executor("process", procs=0)
 
@@ -133,13 +98,12 @@ def test_shutdown_is_idempotent_and_context_managed(blobs_data):
 def test_cluster_config_validates_executor():
     from repro.core import ClusterConfig
 
-    cfg = ClusterConfig(n_workers=2, executor="threaded", executor_threads=3)
-    ex = cfg.make_executor()
-    assert isinstance(ex, ThreadedExecutor)
+    cfg = ClusterConfig(n_workers=2, executor="serial")
+    assert isinstance(cfg.make_executor(), SerialExecutor)
     with pytest.raises(ValueError):
         ClusterConfig(n_workers=2, executor="bogus")
     with pytest.raises(ValueError):
-        ClusterConfig(n_workers=2, executor_threads=0)
+        ClusterConfig(n_workers=2, executor="threaded")
     with pytest.raises(ValueError):
         ClusterConfig(n_workers=2, executor_procs=0)
     pcfg = ClusterConfig(n_workers=2, executor="process", executor_procs=1)

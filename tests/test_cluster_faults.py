@@ -162,7 +162,7 @@ class TestInjector:
 
     def test_event_trace_independent_of_query_order(self):
         """Fault draws are keyed on (seed, worker, step): querying workers
-        in any order — as a threaded executor would — changes nothing."""
+        in any order — as a concurrent executor would — changes nothing."""
         plan = parse_fault_spec("drop:p=0.4")
         a = FaultInjector(plan, 4, seed=9)
         b = FaultInjector(plan, 4, seed=9)
@@ -188,10 +188,10 @@ def _mlp_workers(n, lr=0.1, n_samples=64):
 
 
 class TestExecutorIndependence:
-    def test_faulted_run_identical_serial_vs_threaded(self):
+    def test_faulted_run_identical_serial_vs_process(self):
         spec = "crash:w2@3-6,straggle:w0x3@2+,drop:p=0.2"
         results = {}
-        for kind in ("serial", "threaded"):
+        for kind in ("serial", "process"):
             workers = _mlp_workers(4)
             cluster = ClusterConfig(
                 n_workers=4, comm_bytes=1e6, flops_per_sample=1e6,
@@ -206,11 +206,11 @@ class TestExecutorIndependence:
             trainer.executor.shutdown()
         for ps, pt in zip(*[r[0] for r in results.values()]):
             np.testing.assert_array_equal(ps, pt)
-        assert results["serial"][1] == results["threaded"][1]
+        assert results["serial"][1] == results["process"][1]
 
     def test_quorum_lost_raises_same_step_both_executors(self):
         spec = "crash:w1@4+,crash:w2@4+,crash:w3@4+"
-        for kind in ("serial", "threaded"):
+        for kind in ("serial", "process"):
             workers = _mlp_workers(4)
             cluster = ClusterConfig(
                 n_workers=4, comm_bytes=1e6, flops_per_sample=1e6,

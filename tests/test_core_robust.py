@@ -320,14 +320,14 @@ def test_bytewise_determinism(vectors):
 
 def test_determinism_across_executors():
     """A robust-aggregated run produces bitwise-identical parameters on the
-    serial and threaded executors (the cross-backend determinism contract
+    serial and process executors (the cross-backend determinism contract
     the recovery supervisor relies on)."""
     from repro.core import TrainConfig
     from repro.experiments.runner import MethodSpec, build_trainer
     from repro.experiments.workloads import build_workload
 
     finals = []
-    for backend in ("serial", "threaded"):
+    for backend in ("serial", "process"):
         built = build_workload(
             "resnet_cifar10",
             n_workers=4,

@@ -5,7 +5,7 @@ The contracts under test, on a tiny seeded SelSync workload:
 * a planned mid-run join + drain completes with finite loss, emits the
   typed ``membership``/``repartition``/``scale_decision`` events, and
   every post-event partition union covers the full dataset;
-* elastic runs are executor-independent — serial, threaded and process
+* elastic runs are executor-independent — the serial and process
   backends produce byte-identical traces and parameters;
 * ``--elastic off`` is free: the trajectory is bitwise identical to a
   config that never mentions elasticity, no elastic event ever appears,
@@ -151,15 +151,14 @@ class TestJoinDrainMechanics:
 class TestExecutorIndependence:
     def test_traces_and_params_byte_identical(self, tmp_path):
         params, traces = {}, {}
-        for ex in ("serial", "threaded", "process"):
+        for ex in ("serial", "process"):
             path = tmp_path / f"{ex}.jsonl"
             trainer, _ = _run(elastic_spec=PLAN, executor=ex, trace_path=path)
             params[ex] = [w.get_params() for w in trainer.workers]
             traces[ex] = path.read_bytes()
-        assert traces["serial"] == traces["threaded"] == traces["process"]
-        for ex in ("threaded", "process"):
-            for a, b in zip(params["serial"], params[ex]):
-                np.testing.assert_array_equal(a, b)
+        assert traces["serial"] == traces["process"]
+        for a, b in zip(params["serial"], params["process"]):
+            np.testing.assert_array_equal(a, b)
 
 
 class TestElasticOffIsFree:

@@ -21,7 +21,7 @@ from repro.obs import Tracer
 from repro.utils.serialization import save_runlog
 from tests.conftest import make_mlp_cluster
 
-EXECUTORS = ("serial", "threaded", "process")
+EXECUTORS = ("serial", "process")
 TRAINERS = [(BSPTrainer, {}), (SelSyncTrainer, {"delta": 0.3})]
 
 

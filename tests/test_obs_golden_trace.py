@@ -2,7 +2,7 @@
 
 Three contracts, each checked on the same tiny seeded SelSync workload:
 
-1. **Executor independence** — the serial and threaded executors produce
+1. **Executor independence** — the serial and process executors produce
    byte-for-byte identical trace files (event payloads carry no backend
    name and, in deterministic mode, no wall-clock).
 2. **Resume concatenation** — a run killed at step K (``stop_after``) plus
@@ -11,16 +11,26 @@ Three contracts, each checked on the same tiny seeded SelSync workload:
 3. **Zero perturbation** — running with a tracer attached leaves the
    training trajectory bitwise unchanged (params, losses, sim clock).
 
-Plus a structural golden: the per-step event-type skeleton of a SelSync
-step is pinned so accidental re-ordering or dropped instrumentation fails
-loudly rather than silently shifting every downstream view.
+Plus a structural golden: the per-step event-type skeleton of every sync
+rule's step is pinned so accidental re-ordering or dropped instrumentation
+fails loudly rather than silently shifting every downstream view.
 """
 
 import numpy as np
+import pytest
 
 from repro.cluster.worker import build_worker_group
-from repro.core import ClusterConfig, SelSyncTrainer, TrainConfig
+from repro.core import (
+    BSPTrainer,
+    ClusterConfig,
+    EASGDTrainer,
+    FedAvgTrainer,
+    LocalSGDTrainer,
+    SelSyncTrainer,
+    TrainConfig,
+)
 from repro.data import ArrayDataset, BatchLoader, selsync_partition
+from repro.data.injection import DataInjector
 from repro.nn.models import build_model
 from repro.obs import Tracer
 from repro.obs.sink import event_lines
@@ -44,7 +54,11 @@ def _workers():
     )
 
 
-def _run(trace_path=None, executor="serial", ps_shards=1, **cfg_kw):
+def _selsync(workers, cluster):
+    return SelSyncTrainer(workers, cluster, delta=0.1)
+
+
+def _run(trace_path=None, executor="serial", ps_shards=1, make=_selsync, **cfg_kw):
     """One fresh leg: rebuilt workload, same seeds, optional tracing.
 
     ``ps_shards`` is pinned (default 1) rather than inherited from the
@@ -59,13 +73,16 @@ def _run(trace_path=None, executor="serial", ps_shards=1, **cfg_kw):
         executor=executor,
         ps_shards=ps_shards,
     )
-    trainer = SelSyncTrainer(workers, cluster, delta=0.1)
+    trainer = make(workers, cluster)
     tracer = None
     if trace_path is not None:
         tracer = Tracer(path=trace_path, name="golden")
-    res = trainer.run(
-        TrainConfig(n_steps=N_STEPS, eval_fn=None, tracer=tracer, **cfg_kw)
-    )
+    try:
+        res = trainer.run(
+            TrainConfig(n_steps=N_STEPS, eval_fn=None, tracer=tracer, **cfg_kw)
+        )
+    finally:
+        trainer.executor.shutdown()
     if tracer is not None:
         tracer.close()
     return workers, res
@@ -89,10 +106,10 @@ def _run_traced(trace_path, ps_shards=1):
 
 def test_trace_byte_identical_across_executors(tmp_path):
     p_serial = tmp_path / "serial.jsonl"
-    p_threaded = tmp_path / "threaded.jsonl"
+    p_process = tmp_path / "process.jsonl"
     _run(trace_path=p_serial, executor="serial")
-    _run(trace_path=p_threaded, executor="threaded")
-    assert p_serial.read_bytes() == p_threaded.read_bytes()
+    _run(trace_path=p_process, executor="process")
+    assert p_serial.read_bytes() == p_process.read_bytes()
 
 
 def test_resume_concatenation_equals_full_trace(tmp_path):
@@ -138,45 +155,107 @@ def test_tracing_does_not_perturb_training(tmp_path):
     ]
 
 
-def test_golden_step_skeleton(tmp_path):
-    """Pin the event-type skeleton of one SelSync step.
+# Cluster-level (worker == -1) event order of one step, per sync rule:
+# (rule, its sync step, its local step); ``None`` = the rule has no such
+# step. Collectives are spelled ``collective:<op>`` — the two mean-and-charge
+# routes (allreduce vs server + sync) are told apart by ``op``.
+_VOTE = ["collective:allgather_flags", "sync_decision"]
+_SKELETONS = {
+    "bsp": (
+        BSPTrainer,
+        ["collective:allreduce", "aggregation"],
+        None,
+    ),
+    "localsgd": (LocalSGDTrainer, None, []),
+    # FedAvg charges its clock outside the byte ledger: no collective event.
+    "fedavg": (
+        lambda w, c: FedAvgTrainer(w, c, c_fraction=0.5),
+        ["aggregation"],
+        [],
+    ),
+    # The center update is recorded before the round is charged.
+    "easgd": (
+        lambda w, c: EASGDTrainer(w, c, rho=0.1, tau=2),
+        ["aggregation", "collective:sync"],
+        [],
+    ),
+    "selsync": (_selsync, _VOTE + ["collective:sync", "aggregation"], _VOTE),
+    "selsync_ga": (
+        lambda w, c: SelSyncTrainer(w, c, delta=0.1, aggregation="grads"),
+        _VOTE + ["collective:sync", "aggregation"],
+        _VOTE,
+    ),
+}
+
+
+@pytest.mark.parametrize("rule", sorted(_SKELETONS))
+def test_golden_step_skeleton(tmp_path, rule):
+    """Pin the event-type skeleton of one step of every sync rule.
 
     The exact floats are workload-dependent, but the *structure* — which
     events fire, for which workers, in canonical order — is part of the
-    schema contract that views/dashboards build on.
+    schema contract that views/dashboards build on:
+    ``step_begin → [p2p] → compute_phase → [vote round] → collective →
+    aggregation → step_end``, with each rule's own deviations spelled out
+    in ``_SKELETONS``.
     """
     import json
 
+    make, sync_body, local_body = _SKELETONS[rule]
     p = tmp_path / "g.jsonl"
-    _run(trace_path=p)
+    _run(trace_path=p, make=make)
     recs = [json.loads(line) for line in event_lines(p)]
-    step0 = [(r["etype"], r["worker"]) for r in recs if r["step"] == 0]
-    # Step 0 always syncs (EWMA mean is seeded by the first gradient), so
-    # the full skeleton appears: begin, compute+exec per worker, the vote
-    # round (delta per worker, 1-bit allgather, decision), PA traffic and
-    # its aggregation record, then the step summary.
-    assert step0 == [
-        ("step_begin", -1),
-        ("compute_phase", -1),
-        ("collective", -1),     # allgather_flags (the 1-bit vote round)
-        ("sync_decision", -1),
-        ("collective", -1),     # parameter averaging traffic (charge_sync)
-        ("aggregation", -1),
-        ("step_end", -1),
-        ("exec_task", 0),
-        ("delta_eval", 0),
-        ("exec_task", 1),
-        ("delta_eval", 1),
-        ("exec_task", 2),
-        ("delta_eval", 2),
-    ]
-    # Every traced step carries the same per-worker events.
+
+    def spell(r):
+        op = r["data"].get("op") if r["etype"] == "collective" else None
+        return r["etype"] if op is None else f"collective:{op}"
+
+    synced = {
+        r["step"]: r["data"]["synced"] for r in recs if r["etype"] == "step_end"
+    }
+    assert sorted(synced) == list(range(N_STEPS))
+    for want_sync, body in ((True, sync_body), (False, local_body)):
+        steps = [s for s, did in synced.items() if did == want_sync]
+        if body is None:
+            assert not steps
+            continue
+        assert steps, f"{rule} never took a {'sync' if want_sync else 'local'} step"
+        for s in steps:
+            cluster_level = [
+                spell(r) for r in recs if r["step"] == s and r["worker"] == -1
+            ]
+            assert cluster_level == (
+                ["step_begin", "compute_phase"] + body + ["step_end"]
+            ), (rule, s)
+    # Every traced step carries the same per-worker events, after the
+    # cluster-level block: one exec_task each, plus SelSync's Δ(g) vote.
+    per_worker = ["exec_task"] + (["delta_eval"] if rule.startswith("selsync") else [])
     for s in range(N_STEPS):
-        step = [(r["etype"], r["worker"]) for r in recs if r["step"] == s]
-        assert step.count(("exec_task", 0)) == 1
-        assert step.count(("delta_eval", 0)) == 1
-        assert [t for t, w in step if w == -1][0] == "step_begin"
-        assert "step_end" in [t for t, w in step]
+        tail = [
+            (r["etype"], r["worker"])
+            for r in recs
+            if r["step"] == s and r["worker"] != -1
+        ]
+        assert tail == [(t, w) for w in range(N_WORKERS) for t in per_worker]
+
+
+def test_injection_p2p_precedes_compute_phase(tmp_path):
+    """Data injection's P2P transfer is charged before the compute phase
+    opens — the one event a rule emits ahead of ``compute_phase``."""
+    import json
+
+    def make(workers, cluster):
+        inj = DataInjector(0.5, 0.5, N_WORKERS, sample_nbytes=64, rng=0)
+        return SelSyncTrainer(workers, cluster, delta=0.1, injector=inj)
+
+    p = tmp_path / "inj.jsonl"
+    _run(trace_path=p, make=make)
+    recs = [json.loads(line) for line in event_lines(p)]
+    step0 = [r for r in recs if r["step"] == 0 and r["worker"] == -1]
+    assert [r["etype"] for r in step0[:3]] == [
+        "step_begin", "collective", "compute_phase"
+    ]
+    assert step0[1]["data"]["op"] == "p2p"
 
 
 def test_golden_sharded_step_skeleton(tmp_path):

@@ -14,7 +14,7 @@ meaningless. The model, cluster size, protocol, and fault spec are exactly
 the acceptance configuration.
 
 Also pins the executor byte-identity contract for fault-free mean runs
-(serial vs threaded vs process), which is what makes supervised recovery
+(serial vs process), which is what makes supervised recovery
 replay deterministic.
 """
 
@@ -61,7 +61,7 @@ def corrupt_mean():
     # steps, so the conv GEMMs overflow from then on. That divergence is the
     # point of the run (asserted below), not a kernel defect: silence the
     # RuntimeWarnings here. A filter rather than ``np.errstate`` because it
-    # is process-wide, so threaded and forked executors are covered too.
+    # is process-wide, so forked executors are covered too.
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         return _vgg_run("mean", fault_spec="corrupt:p=0.1")
@@ -105,7 +105,7 @@ def test_trimmed_mean_holds_fault_free_accuracy(clean_mean, corrupt_trimmed):
 def test_fault_free_mean_byte_identical_across_executors():
     finals = {}
     evals = {}
-    for backend in ("serial", "threaded", "process"):
+    for backend in ("serial", "process"):
         built = build_workload(
             "resnet_cifar10",
             n_workers=4,
@@ -120,5 +120,5 @@ def test_fault_free_mean_byte_identical_across_executors():
             evals[backend] = [e.metric for e in res.log.evals]
         finally:
             trainer.executor.shutdown()
-    assert finals["serial"] == finals["threaded"] == finals["process"]
-    assert evals["serial"] == evals["threaded"] == evals["process"]
+    assert finals["serial"] == finals["process"]
+    assert evals["serial"] == evals["process"]

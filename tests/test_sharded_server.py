@@ -35,7 +35,7 @@ from repro.optim import SGD
 N_WORKERS = 3
 N_STEPS = 10
 SHARD_COUNTS = (1, 2, 5)
-EXECUTORS = ("serial", "threaded", "process")
+EXECUTORS = ("serial", "process")
 
 
 def _workers():
