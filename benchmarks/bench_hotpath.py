@@ -38,6 +38,9 @@ picks what they measure:
   benchmark's ``xfmr4_selsync`` recipe: alternating blocks of steps; the
   row holds before/after steps/s, pairwise ratios and per-call GELU /
   Linear micro-timings.
+* ``vgg_8w_bsp`` — SmallVGG/8w BSP (this file's own workload): alternating
+  blocks of steps, then one evaluation; the row holds before/after steps/s,
+  pairwise ratios and each side's peak RSS.
 * ``checkpoint_io`` — the e2e benchmark's ``mlp16_chaos_traced`` recipe
   (MLP/16w SelSync under faults, a checkpoint every 50 steps) run to 250
   and on to 750 steps: per checkpoint ``write_ms`` (all of
@@ -54,6 +57,7 @@ import argparse
 import gc
 import json
 import os
+import resource
 import statistics
 import subprocess
 import sys
@@ -71,8 +75,7 @@ from repro.utils.flatten import flatten_arrays, mean_into
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def make_trainer(
-    method: str,
+def make_built(
     executor: str = "serial",
     n_workers: int = 8,
     cluster_extra: dict | None = None,
@@ -81,14 +84,17 @@ def make_trainer(
     kw = {"executor": executor}
     if cluster_extra:
         kw.update(cluster_extra)
-    built = wl.build(
+    return wl.build(
         n_workers=n_workers,
         n_steps=1000,
         data_scale=0.25,
         seed=0,
         cluster_kwargs=kw,
     )
-    return build_trainer(MethodSpec(method, {}), built)
+
+
+def make_trainer(method: str, *built_args, **built_kw):
+    return build_trainer(MethodSpec(method, {}), make_built(*built_args, **built_kw))
 
 
 def time_steps(trainer, start: int, n: int) -> float:
@@ -425,6 +431,19 @@ def _finish(children) -> None:
         c.wait(timeout=60)
 
 
+def _rates_summary(rates) -> dict:
+    """Before/after medians and pairwise ratios of ``[(before, after), ...]``
+    steps/s readings taken in alternating turns."""
+    before, after = zip(*rates)
+    ratios = [a / b for b, a in rates]
+    return {
+        "before_steps_per_sec": round(statistics.median(before), 3),
+        "after_steps_per_sec": round(statistics.median(after), 3),
+        "pairwise_ratios": [round(r, 3) for r in ratios],
+        "speedup_median_pairwise": round(statistics.median(ratios), 3),
+    }
+
+
 def transformer_trial(baseline_src: str, trials: int, steps: int):
     """Interleaved before/after trials across two checkouts of ``repro``.
 
@@ -442,18 +461,61 @@ def transformer_trial(baseline_src: str, trials: int, steps: int):
         rates = [[float(_turn(c)) for c in children] for _ in range(trials)]
     finally:
         _finish(children)
-    before, after = zip(*rates)
-    ratios = [a / b for b, a in rates]
     return {
         "trial": "transformer_4w_selsync",
         "workload": "transformer_wikitext (TinyTransformer), 4 workers, SelSync delta=0.1 PA",
         "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS", "1"),
-        "before_steps_per_sec": round(statistics.median(before), 3),
-        "after_steps_per_sec": round(statistics.median(after), 3),
-        "pairwise_ratios": [round(r, 3) for r in ratios],
-        "speedup_median_pairwise": round(statistics.median(ratios), 3),
+        **_rates_summary(rates),
         "micro_before": micro[0],
         "micro_after": micro[1],
+    }
+
+
+def vgg_child(steps: int) -> None:
+    """One side of :func:`vgg_trial`: time ``steps`` BSP steps on SmallVGG/8w
+    for every ``go`` read from stdin; on ``rss`` run one evaluation (the
+    largest batch shape a run sees) and print the process's peak RSS."""
+    from repro.core import TrainConfig
+
+    built = make_built()
+    trainer = build_trainer(MethodSpec("bsp", {}), built)
+    cfg = TrainConfig(n_steps=1000, eval_fn=built.eval_fn)
+    for i in range(5):
+        trainer.step(i)
+    print("{}", flush=True)
+    i = 5
+    gc.disable()
+    for line in sys.stdin:
+        if line.strip() == "rss":
+            trainer.evaluate(cfg)
+            kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+            print(round(kib / 1024, 1), flush=True)
+        else:
+            print(time_steps(trainer, i, steps), flush=True)
+            i += steps
+
+
+def vgg_trial(baseline_src: str, trials: int, steps: int):
+    """:func:`transformer_trial`'s protocol on SmallVGG/8w BSP, plus the
+    peak RSS of each side's process after training and one evaluation."""
+    children = [
+        _spawn_child(src, "--vgg-child", steps)
+        for src in (baseline_src, ROOT / "src")
+    ]
+    try:
+        for c in children:
+            c.stdout.readline()
+        rates = [[float(_turn(c)) for c in children] for _ in range(trials)]
+        rss = [float(_turn(c, "rss")) for c in children]
+    finally:
+        _finish(children)
+    return {
+        "trial": "vgg_8w_bsp",
+        "workload": "vgg_cifar100 (SmallVGG), 8 workers, BSP, data_scale=0.25",
+        "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS", "1"),
+        **_rates_summary(rates),
+        "before_peak_rss_mb": rss[0],
+        "after_peak_rss_mb": rss[1],
     }
 
 
@@ -568,17 +630,21 @@ def main(argv=None) -> int:
     )
     ap.add_argument(
         "--trial",
-        choices=("transformer_4w_selsync", "checkpoint_io"),
+        choices=("transformer_4w_selsync", "vgg_8w_bsp", "checkpoint_io"),
         default="transformer_4w_selsync",
         help="which cross-commit trial --baseline-src runs",
     )
     ap.add_argument("--pr", type=int, help="PR number of the history entry")
     ap.add_argument("--transformer-child", type=int, help=argparse.SUPPRESS)
+    ap.add_argument("--vgg-child", type=int, help=argparse.SUPPRESS)
     ap.add_argument("--checkpoint-io-child", type=int, help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
 
     if args.transformer_child:
         transformer_child(args.transformer_child)
+        return 0
+    if args.vgg_child:
+        vgg_child(args.vgg_child)
         return 0
     if args.checkpoint_io_child:
         checkpoint_io_child(args.checkpoint_io_child)
@@ -597,6 +663,8 @@ def main(argv=None) -> int:
         if args.trial == "checkpoint_io":
             points = (100, 250) if args.quick else (250, 750)
             trial = checkpoint_io_trial(args.baseline_src, points)
+        elif args.trial == "vgg_8w_bsp":
+            trial = vgg_trial(args.baseline_src, trials, 10 if args.quick else 25)
         else:
             trial = transformer_trial(
                 args.baseline_src, trials, 20 if args.quick else 50

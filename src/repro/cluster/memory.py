@@ -1,10 +1,11 @@
 """Worker memory-footprint accounting (Fig. 2b).
 
 Activation memory is *measured*, not modelled: after a forward pass every
-layer holds the arrays its backward needs (inputs, im2col patches, masks),
-so walking the module tree and summing cached ``ndarray`` attributes gives
-the true activation footprint of this substrate at a given batch size.
-Parameter/gradient/optimizer-slot memory is exact arithmetic on top.
+layer holds the arrays its backward needs (cached inputs and masks, plus the
+workspace it has checked out of the ``nn.workspace`` pool), so walking the
+module tree and summing both gives the true activation footprint of this
+substrate at a given batch size. Parameter/gradient/optimizer-slot memory is
+exact arithmetic on top.
 """
 
 from __future__ import annotations
@@ -14,23 +15,29 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.nn.module import Module
+from repro.nn.workspace import owned_arrays
 
 
 def measure_activation_bytes(model: Module) -> int:
-    """Sum the bytes of every cached array in the module tree.
+    """Sum the bytes of every held workspace and cached array in the tree.
 
     Call immediately after a training-mode forward pass; the result is the
-    memory backward would touch.
+    memory backward would touch. A cached array that is a view into a held
+    workspace (a ReLU's input is the conv accumulator) is counted once.
     """
-    total = 0
-    for m in model.modules():
+    modules = list(model.modules())
+    held = [m._held[2] for m in modules if m._held is not None]
+    scratch = [a for ws in held for a in owned_arrays(ws)]
+    total = sum(a.nbytes for a in scratch)
+    for m in modules:
         for name, value in vars(m).items():
-            if name in ("_params", "_children"):
+            if name in ("_params", "_children", "_held"):
                 continue
-            if isinstance(value, np.ndarray):
-                total += value.nbytes
-            elif isinstance(value, tuple):
-                total += sum(v.nbytes for v in value if isinstance(v, np.ndarray))
+            for v in value if isinstance(value, tuple) else (value,):
+                if isinstance(v, np.ndarray) and not any(
+                    np.may_share_memory(v, a) for a in scratch
+                ):
+                    total += v.nbytes
     return int(total)
 
 

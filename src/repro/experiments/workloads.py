@@ -92,11 +92,13 @@ class Workload:
             return MultiStepDecay(self.base_lr, milestones, gamma=self.lr_gamma)
         return ConstantLR(self.base_lr)
 
-    def make_eval(self, test: Dataset) -> Callable:
+    def make_eval(self, test: Dataset, batch_size: int) -> Callable:
+        """Accuracy is argmax-only, so it runs in training-sized chunks: in
+        the workspaces training already has, at the GEMM sizes it is best at."""
         if self.metric == "top1":
-            return accuracy_eval(test, top_k=1)
+            return accuracy_eval(test, batch_size=batch_size, top_k=1)
         if self.metric == "top5":
-            return accuracy_eval(test, top_k=5)
+            return accuracy_eval(test, batch_size=batch_size, top_k=5)
         if self.metric == "ppl":
             return perplexity_eval(test)
         raise ValueError(f"unknown metric {self.metric!r}")
@@ -171,7 +173,7 @@ class Workload:
             workers=workers,
             cluster=cluster,
             schedule=self.make_schedule(n_steps),
-            eval_fn=self.make_eval(test),
+            eval_fn=self.make_eval(test, b),
             higher_is_better=self.higher_is_better,
             train=train,
             test=test,

@@ -6,7 +6,6 @@ import math
 
 import numpy as np
 
-from repro.nn import functional as F
 from repro.nn.module import Module
 
 _GELU_C = math.sqrt(2.0 / math.pi)
@@ -14,34 +13,22 @@ _GELU_A = 0.044715
 
 
 class ReLU(Module):
-    def __init__(self):
-        super().__init__()
-        self._x: np.ndarray = np.zeros(0)
-        # (out, bool mask, dx) buffers reused while the input shape repeats.
-        self._ws = None
-
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._x = x
-        ws = self._ws
-        if ws is None or ws[0].shape != x.shape:
-            ws = (
-                np.empty(x.shape),
-                np.empty(x.shape, dtype=bool),
-                np.empty(x.shape),
-            )
-            self._ws = ws
+        shape = x.shape
+        # Pooled (out, bool mask, dx) buffers.
+        ws = self._checkout("relu", shape, lambda: (
+            np.empty(shape), np.empty(shape, dtype=bool), np.empty(shape),
+        ))
         np.maximum(x, 0.0, out=ws[0])
         return ws[0]
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        ws = self._ws
-        if ws is None or ws[0].shape != grad_out.shape:
-            return F.relu_grad(self._x, grad_out)
-        out, mask, dx = ws
+        out, mask, dx = self._workspace()
         # out > 0 iff x > 0 (x == 0 clips to 0 either way), and ``out`` is
         # always contiguous while x may be a strided conv-workspace view.
         np.greater(out, 0.0, out=mask)
         np.multiply(grad_out, mask, out=dx)
+        self._release()
         return dx
 
 
@@ -50,20 +37,14 @@ class GELU(Module):
 
     The cubic is two products (``x**3`` goes through libm ``pow``, ~90x the
     cost per element), ``tanh(u)`` is kept from ``forward`` for ``backward``,
-    and every array lives in a workspace reused while the input shape repeats.
+    and every array lives in a pooled workspace ``(out, tanh(u), dx, scratch)``.
     """
-
-    def __init__(self):
-        super().__init__()
-        self._x: np.ndarray = np.zeros(0)
-        self._ws = None  # (out, tanh(u), dx, scratch)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._x = x
-        ws = self._ws
-        if ws is None or ws[0].shape != x.shape:
-            ws = self._ws = tuple(np.empty(x.shape) for _ in range(4))
-        out, t, _, x2 = ws
+        out, t, _, x2 = self._checkout(
+            "gelu", x.shape, lambda: tuple(np.empty(x.shape) for _ in range(4))
+        )
         np.multiply(x, x, out=x2)
         np.multiply(x2, x, out=t)
         t *= _GELU_A
@@ -76,8 +57,8 @@ class GELU(Module):
         return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
+        _, t, dx, s = self._workspace()
         x = self._x
-        _, t, dx, s = self._ws
         # dy/dx = 0.5 * (1 + t) + 0.5 * x * (1 - t^2) * c * (1 + 3a * x^2)
         np.multiply(x, x, out=s)
         s *= 1.5 * _GELU_A * _GELU_C
@@ -90,6 +71,7 @@ class GELU(Module):
         s += 0.5
         dx += s
         dx *= grad_out
+        self._release()
         return dx
 
 

@@ -16,19 +16,16 @@ the upstream gradient is embedded into a plane whose inter-row garbage stays
 zero, so scatter (col2im) disappears as well.
 
 All large intermediates (padded input plane, accumulators, gradient plane)
-live in a per-layer workspace that is reused across steps while shapes
-repeat, so the steady-state hot loop performs no large allocations. The
-workspace is rebuilt when the input shape changes (e.g. train/eval batch
-sizes alternating).
+live in a workspace checked out of the per-process pool (``nn.workspace``)
+in ``forward`` and returned when ``backward`` completes, so the steady-state
+hot loop performs no large allocations and every replica of a cluster works
+in the same buffers.
 
-Strided convolutions fall back to im2col/col2im, also with a reusable patch
-workspace; the patch matrix reference is dropped in ``backward`` so the
-largest allocation of the step is not retained between iterations.
+Strided convolutions fall back to im2col/col2im; their patch matrix is a
+pooled workspace too.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -41,7 +38,7 @@ from repro.utils.rng import RngLike, as_rng
 
 
 class _ShiftWorkspace:
-    """Reusable buffers for the shift-GEMM path, tied to one input shape.
+    """Pooled buffers for the shift-GEMM path, tied to one input shape.
 
     Planes are stored channel-major — ``xf`` is ``(C, N*P)`` with ``P`` the
     padded plane size — so every kernel tap is a *single* ``(O, C) @ (C, L)``
@@ -53,17 +50,9 @@ class _ShiftWorkspace:
     reads past the final sample.
     """
 
-    __slots__ = (
-        "x_shape", "stem", "c", "n", "hp", "wp", "oh", "ow",
-        "plane", "span", "length",
-        "xf", "x_int", "gf", "gv", "acc", "out_view", "tmp_out",
-        "w0", "wr", "dwr", "dxf", "dx_view", "tmp_dx", "dw",
-    )
-
     def __init__(self, x_shape, out_channels, kernel_size, pad, stem=False):
         n, c, h, w = x_shape
         k = kernel_size
-        self.x_shape = x_shape
         self.stem = stem
         self.c = c
         self.n = n
@@ -100,9 +89,7 @@ class _ShiftWorkspace:
             # matching (k, O, k*c) weight-gradient accumulator.
             self.wr = np.empty((k, out_channels, k * c))
             self.dwr = np.empty((k, out_channels, k * c))
-            self.dxf = self.dx_view = self.tmp_dx = self.dw = None
         else:
-            self.wr = self.dwr = None
             self.dxf = np.empty((c, n * self.plane))
             self.tmp_dx = np.empty((c, self.length))
             self.dw = np.empty((out_channels, c, k, k))
@@ -157,28 +144,11 @@ class Conv2d(Module):
         self.bias = (
             Parameter(init.zeros(out_channels), "bias") if bias else None
         )
-        # Fallback (strided) path state: live patch matrix + its workspace.
-        self._cols: Optional[np.ndarray] = None
-        self._cols_ws: Optional[np.ndarray] = None
-        self._x_shape = (0, 0, 0, 0)
-        self._out_hw = (0, 0)
-        # Stride-1 path workspace.
-        self._shift: Optional[_ShiftWorkspace] = None
         # Models set this on their input layer: the gradient w.r.t. the data
         # is never consumed there, so backward can skip the dx GEMMs.
         self.skip_input_grad = False
 
     # -- shift-GEMM path (stride == 1) -------------------------------------
-    def _shift_ws(self, x_shape, stem: bool) -> _ShiftWorkspace:
-        ws = self._shift
-        if ws is None or ws.x_shape != x_shape or ws.stem != stem:
-            ws = _ShiftWorkspace(
-                x_shape, self.out_channels, self.kernel_size, self.padding,
-                stem=stem,
-            )
-            self._shift = ws
-        return ws
-
     def _forward_shift(self, x: np.ndarray) -> np.ndarray:
         k = self.kernel_size
         # Input layers with few channels get the row-grouped layout: the k
@@ -188,7 +158,11 @@ class Conv2d(Module):
         # worthwhile when dx is skipped; the grouped dx scatter costs more
         # than it saves.
         stem = self.skip_input_grad and self.in_channels <= 4
-        ws = self._shift_ws(x.shape, stem)
+        o, pad = self.out_channels, self.padding
+        ws = self._checkout(
+            ("shift", o, k, pad, stem), x.shape,
+            lambda: _ShiftWorkspace(x.shape, o, k, pad, stem=stem),
+        )
         np.copyto(ws.x_int, x.transpose(1, 0, 2, 3))
         W = self.weight.data
         L = ws.length
@@ -229,15 +203,13 @@ class Conv2d(Module):
                 np.matmul(W[:, :, i, j], xf[:c, off : off + L], out=ws.tmp_out)
                 ws.acc += ws.tmp_out
         # Strided window into the accumulator — consumers read it without a
-        # packing copy. Valid until this layer's next forward, which is
-        # after every consumer of this step has read it.
+        # packing copy. Valid until this layer's backward returns the
+        # workspace, which is after every consumer of this step has read it.
         return ws.out_view
 
     def _backward_shift(self, grad_out: np.ndarray) -> np.ndarray:
         k = self.kernel_size
-        ws = self._shift
-        if ws is None:
-            raise RuntimeError("Conv2d.backward called before forward")
+        ws = self._workspace()
         ws.gv[...] = grad_out
         W = self.weight.data
         L = ws.length
@@ -257,6 +229,7 @@ class Conv2d(Module):
             )
             if self.bias is not None:
                 self.bias.accumulate_grad(ws.w0[:, rows])
+            self._release()
             return None
         need_dx = not self.skip_input_grad
         if need_dx:
@@ -290,10 +263,11 @@ class Conv2d(Module):
         self.weight.accumulate_grad(ws.dw)
         if self.bias is not None:
             self.bias.accumulate_grad(ws.w0[:, ws.c])
+        self._release()
         if not need_dx:
             return None
-        # View into the workspace: valid until the next backward through this
-        # layer, which is always after the caller has consumed it.
+        # View into the returned workspace: valid until the next forward
+        # checks it out, which is always after the caller has consumed it.
         return ws.dx_view
 
     # -- im2col fallback (stride > 1) --------------------------------------
@@ -303,13 +277,11 @@ class Conv2d(Module):
         oh = conv_out_size(x.shape[2], k, self.stride, self.padding)
         ow = conv_out_size(x.shape[3], k, self.stride, self.padding)
         shape = (n * oh * ow, self.in_channels * k * k)
-        ws = self._cols_ws
-        if ws is None or ws.shape != shape:
-            ws = None  # let im2col allocate; we keep it for next time
-        cols, oh, ow = im2col(x, k, k, self.stride, self.padding, out=ws)
-        self._cols = self._cols_ws = cols
-        self._x_shape = x.shape
-        self._out_hw = (oh, ow)
+        (cols,) = self._checkout(
+            ("cols", k, self.stride, self.padding), x.shape,
+            lambda: (np.empty(shape),),
+        )
+        im2col(x, k, k, self.stride, self.padding, out=cols)
         w2 = self.weight.data.reshape(self.out_channels, -1)
         out = cols @ w2.T  # (N*OH*OW, out_channels)
         if self.bias is not None:
@@ -317,27 +289,22 @@ class Conv2d(Module):
         return out.reshape(n, oh, ow, self.out_channels).transpose(0, 3, 1, 2)
 
     def _backward_im2col(self, grad_out: np.ndarray) -> np.ndarray:
-        n = self._x_shape[0]
-        oh, ow = self._out_hw
+        (cols,) = self._workspace()
+        x_shape = self._held[1]
+        n, _, oh, ow = grad_out.shape
         k = self.kernel_size
-        cols = self._cols
-        if cols is None:
-            raise RuntimeError("Conv2d.backward called before forward")
         g2 = grad_out.transpose(0, 2, 3, 1).reshape(n * oh * ow, self.out_channels)
         self.weight.accumulate_grad(
             (g2.T @ cols).reshape(self.weight.data.shape)
         )
         if self.bias is not None:
             self.bias.accumulate_grad(g2.sum(axis=0))
-        # Release the live reference: the workspace (``_cols_ws``) persists
-        # for reuse, but nothing points at the patch matrix as "this step's
-        # activation" between iterations anymore.
-        self._cols = None
+        self._release()
         if self.skip_input_grad:
             return None
         w2 = self.weight.data.reshape(self.out_channels, -1)
         dcols = g2 @ w2
-        return col2im(dcols, self._x_shape, k, k, self.stride, self.padding)
+        return col2im(dcols, x_shape, k, k, self.stride, self.padding)
 
     # -- public interface ---------------------------------------------------
     def forward(self, x: np.ndarray) -> np.ndarray:

@@ -14,6 +14,7 @@ from typing import Dict, Iterator, List, Tuple
 import numpy as np
 
 from repro.nn.parameter import Parameter
+from repro.nn import workspace
 
 
 class Module:
@@ -31,6 +32,7 @@ class Module:
         self._arena = None  # lazily-built ParameterArena backing the flat views
         self._arena_ver = -1  # _registry_version the arena was validated at
         self.training: bool = True
+        self._held = None  # (signature, shape, workspace) out of workspace.POOL
 
     # -- registration ------------------------------------------------------
     def register_parameter(self, name: str, param: Parameter) -> Parameter:
@@ -84,15 +86,38 @@ class Module:
         return sum(p.nbytes for p in self.parameters())
 
     # -- modes ---------------------------------------------------------------
+    # A mode call also ends every forward-only workspace hold in the tree,
+    # so it must not sit between a forward and its backward.
     def train(self) -> "Module":
         for m in self.modules():
             m.training = True
+            m._release()
         return self
 
     def eval(self) -> "Module":
         for m in self.modules():
             m.training = False
+            m._release()
         return self
+
+    # -- pooled workspaces (see ``nn.workspace``) ------------------------------
+    def _checkout(self, sig, shape, build):
+        """This forward's workspace, held until :meth:`_release`."""
+        self._release()
+        ws = workspace.POOL.checkout(sig, shape, build)
+        self._held = (sig, shape, ws)
+        return ws
+
+    def _workspace(self):
+        """The workspace the last ``forward`` checked out."""
+        if self._held is None:
+            raise RuntimeError(f"{type(self).__name__}.backward called before forward")
+        return self._held[2]
+
+    def _release(self) -> None:
+        if self._held is not None:
+            held, self._held = self._held, None
+            workspace.POOL.give_back(*held)
 
     # -- gradients -------------------------------------------------------------
     def zero_grad(self) -> None:

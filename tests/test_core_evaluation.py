@@ -46,6 +46,39 @@ class TestAccuracyEval:
         b = accuracy_eval(ds, batch_size=50)(model)
         assert a == b
 
+    @pytest.mark.parametrize("workload", ["vgg_cifar100", "alexnet_imagenet"])
+    def test_chunk_size_does_not_move_a_trained_models_accuracy(self, workload):
+        """``Workload.make_eval`` evaluates in training-sized chunks; top-k
+        is argmax-only, so the float is the one a 256-chunk pass returns."""
+        from repro.experiments.runner import MethodSpec, run_method
+        from repro.experiments.workloads import get_workload
+
+        built = get_workload(workload).build(
+            n_workers=2, n_steps=8, data_scale=0.1, batch_size=32,
+            cluster_kwargs={"executor": "serial"},
+        )
+        res = run_method(MethodSpec("bsp", {}), built, n_steps=8, eval_every=8)
+        model = built.workers[0].model.eval()
+        top_k = 5 if workload == "alexnet_imagenet" else 1
+        small, big = (
+            accuracy_eval(built.test, batch_size=b, top_k=top_k)(model)
+            for b in (32, 256)
+        )
+        assert small == big == res.log.evals[-1].metric
+
+    def test_chunk_size_does_not_move_a_trained_mlps_accuracy(
+        self, mlp_cluster, quick_cfg, blobs_data
+    ):
+        from repro.core import BSPTrainer
+
+        workers, cluster = mlp_cluster
+        BSPTrainer(workers, cluster).run(quick_cfg)
+        model = workers[0].model.eval()
+        small, big = (
+            accuracy_eval(blobs_data[1], batch_size=b)(model) for b in (32, 256)
+        )
+        assert small == big
+
     def test_top_k_validation(self):
         ds = ArrayDataset(np.zeros((2, 1)), np.zeros(2, dtype=int))
         with pytest.raises(ValueError):

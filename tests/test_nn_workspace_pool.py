@@ -1,0 +1,192 @@
+"""The per-process layer-workspace pool (``repro.nn.workspace``).
+
+Layers check their scratch buffers out of one pool in ``forward`` and
+return them when ``backward`` completes. These tests pin what that has to
+guarantee: sharing is invisible in every result (interleaved models,
+repeated same-signature layers inside one model, forward-only use), and the
+pool's size depends on neither the replica count nor the number of batch
+shapes a run has seen.
+"""
+
+import numpy as np
+import pytest
+
+from repro.core import TrainConfig
+from repro.experiments.runner import MethodSpec, build_trainer
+from repro.experiments.workloads import get_workload
+from repro.nn import workspace
+from repro.nn.losses import CrossEntropyLoss
+from repro.nn.models import build_model
+
+RNG = np.random.default_rng(0)
+
+
+@pytest.fixture(autouse=True)
+def pool(monkeypatch):
+    """Every test starts from an empty pool of its own."""
+    fresh = workspace.WorkspacePool()
+    monkeypatch.setattr(workspace, "POOL", fresh)
+    return fresh
+
+
+class PrivatePool(workspace.WorkspacePool):
+    """Reference behaviour: nothing is ever reused, so every forward works
+    in freshly allocated (garbage-filled) buffers no other layer has seen."""
+
+    def give_back(self, sig, shape, ws):
+        pass
+
+
+def free_workspaces(pool):
+    return [ws for sizes in pool.free.values() for free in sizes.values() for ws in free]
+
+
+def n_free(pool):
+    return len(free_workspaces(pool))
+
+
+def n_held(*models):
+    return sum(m._held is not None for model in models for m in model.modules())
+
+
+def images(b):
+    return RNG.normal(size=(b, 3, 16, 16)), RNG.integers(0, 10, b)
+
+
+def grads_of(model, x, y):
+    loss = CrossEntropyLoss()
+    model.zero_grad()
+    loss.forward(model.forward(x), y)
+    model.backward(loss.backward())
+    return model.get_flat_grads(copy=True)
+
+
+@pytest.mark.parametrize("name", ["smallvgg", "smallresnet"])
+def test_interleaved_models_match_back_to_back(name, pool):
+    (xa, ya), (xb, yb) = images(8), images(8)
+    # Fresh twins for the reference: a second pass would draw new dropout masks.
+    expect = [
+        grads_of(build_model(name, rng=s), x, y)
+        for s, x, y in ((0, xa, ya), (1, xb, yb))
+    ]
+    one_set = n_free(pool)
+
+    a, b = (build_model(name, rng=s) for s in (0, 1))
+    la, lb = CrossEntropyLoss(), CrossEntropyLoss()
+    a.zero_grad()
+    b.zero_grad()
+    la.forward(a.forward(xa), ya)
+    lb.forward(b.forward(xb), yb)
+    assert n_free(pool) == 0 and n_held(a, b) == 2 * one_set
+    a.backward(la.backward())
+    b.backward(lb.backward())
+    np.testing.assert_array_equal(a.get_flat_grads(), expect[0])
+    np.testing.assert_array_equal(b.get_flat_grads(), expect[1])
+    assert n_free(pool) == 2 * one_set and n_held(a, b) == 0
+
+
+def train_20_steps(workload, **build_kw):
+    built = get_workload(workload).build(
+        n_workers=2, n_steps=20, cluster_kwargs={"executor": "serial"}, **build_kw
+    )
+    trainer = build_trainer(MethodSpec("bsp", {}), built)
+    losses = [trainer.step(i).loss for i in range(20)]
+    return losses, [w.get_params(copy=True) for w in built.workers]
+
+
+@pytest.mark.parametrize("workload, build_kw", [
+    ("resnet_cifar10", {"data_scale": 0.05, "batch_size": 8}),
+    ("transformer_wikitext", {"data_scale": 0.05, "batch_size": 4}),
+])
+def test_repeated_signatures_train_as_with_private_workspaces(
+    workload, build_kw, monkeypatch
+):
+    """SmallResNet's blocks and the transformer's blocks repeat one layer
+    signature several times inside a model, and both replicas share it."""
+    shared = train_20_steps(workload, **build_kw)
+    monkeypatch.setattr(workspace, "POOL", PrivatePool())
+    private = train_20_steps(workload, **build_kw)
+    assert shared[0] == private[0]
+    for u, v in zip(shared[1], private[1]):
+        np.testing.assert_array_equal(u, v)
+
+
+def workspaces_after_three_steps(n_workers, pool):
+    built = get_workload("vgg_cifar100").build(
+        n_workers=n_workers, n_steps=6, data_scale=0.05, batch_size=8,
+        cluster_kwargs={"executor": "serial"},
+    )
+    trainer = build_trainer(MethodSpec("bsp", {}), built)
+    models = [w.model for w in built.workers]
+    for i in range(3):
+        trainer.step(i)
+    after_steps = n_free(pool)
+    assert n_held(*models) == 0
+    trainer.evaluate(TrainConfig(n_steps=6, eval_fn=built.eval_fn))
+    assert n_held(*models) == 0
+    trainer.step(3)
+    return after_steps, n_free(pool)
+
+
+def test_workspace_count_is_independent_of_replica_count(monkeypatch):
+    counts = []
+    for n_workers in (2, 8):
+        fresh = workspace.WorkspacePool()
+        monkeypatch.setattr(workspace, "POOL", fresh)
+        counts.append(workspaces_after_three_steps(n_workers, fresh))
+    assert counts[0] == counts[1]
+    after_steps, after_eval = counts[0]
+    # One set for the training shape; the evaluation's ragged last chunk
+    # may add one more shape per layer, never one per replica.
+    assert after_steps > 0 and after_steps <= after_eval <= 2 * after_steps
+
+
+def test_retained_shapes_are_bounded(pool):
+    model = build_model("smallvgg", rng=0)
+    grads_of(model, *images(1))
+    one_set = n_free(pool)
+    for b in range(2, 11):
+        grads_of(model, *images(b))
+    assert pool.free and all(list(sizes) == [9, 10] for sizes in pool.free.values())
+    assert n_free(pool) == workspace.MAX_BATCH_SIZES * one_set
+    # The two kept batch sizes are reused, not rebuilt.
+    kept = free_workspaces(pool)
+    grads_of(model, *images(10))
+    grads_of(model, *images(9))
+    after = free_workspaces(pool)
+    assert len(after) == len(kept) and all(any(a is k for k in kept) for a in after)
+
+
+def test_forward_only_model_neither_aliases_nor_leaks(pool):
+    server, trainee = (build_model("smallvgg", rng=s) for s in (0, 1))
+    x, _ = images(8)
+    server.eval()
+    stem = server.net.layers[0]
+    feats = stem.forward(x)  # a view into a held conv workspace
+    snapshot = feats.copy()
+    one_set = n_held(server)
+    assert one_set == 1
+
+    grads_of(trainee, *images(8))  # same signatures, same shapes
+    np.testing.assert_array_equal(feats, snapshot)
+    assert n_held(server) == 1 and n_held(trainee) == 0
+
+    # The next forward re-uses the hold; the mode flip ends it.
+    stem.forward(x)
+    assert n_held(server) == 1
+    before = n_free(pool)
+    server.train()
+    assert n_held(server) == 0 and n_free(pool) == before + 1
+    for _ in range(3):
+        server.eval()
+        server.forward(x)
+        server.train()
+        grads_of(trainee, *images(8))
+    assert n_free(pool) == before + 1
+
+
+def test_backward_without_forward_is_a_typed_error():
+    model = build_model("smallvgg", rng=0)
+    grads_of(model, *images(4))
+    with pytest.raises(RuntimeError, match="backward called before forward"):
+        model.net.layers[0].backward(np.zeros((4, 8, 16, 16)))

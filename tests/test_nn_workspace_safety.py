@@ -1,11 +1,11 @@
 """Workspace-safety tests for the transformer hot path.
 
-GELU keeps its arrays in a shape-keyed workspace, attention caches its
+GELU works in a pooled workspace (``nn.workspace``), attention caches its
 causal mask per ``T`` and every layer on the path works in place. The
 lifetime rule (DESIGN.md, "Hot path"): an array a layer returns from
-``forward`` is valid until that layer's next ``forward``, one returned from
-``backward`` until its next ``backward``. These tests pin what follows
-from it: reuse across shapes and calls never changes a result, activations
+``forward`` is valid until that layer's ``backward`` returns (or its next
+``forward``), one returned from ``backward`` until the next ``forward``
+that checks the workspace out again. These tests pin what follows from it: reuse across shapes and calls never changes a result, activations
 held downstream survive until their consumer's backward, and workspaces are
 not state — a resumed run rebuilds them and stays bitwise identical.
 """
