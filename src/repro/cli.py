@@ -24,15 +24,33 @@ Examples::
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from typing import List, Optional
 
+from repro.cluster.elastic import SCALE_POLICIES
 from repro.cluster.executor import EXECUTOR_KINDS
+from repro.comm.topology import TOPOLOGIES
+from repro.core.config import ClusterConfig
+from repro.core.robust import AGGREGATORS
 from repro.experiments.reporting import render_table, render_table1
-from repro.experiments.runner import MethodSpec, run_method
+from repro.experiments.runner import _TRAINERS, MethodSpec, run_method
 from repro.experiments.workloads import WORKLOADS, get_workload
 from repro.utils.serialization import save_runlog
+
+#: argparse dest -> ``ClusterConfig`` field, for every cluster flag of the
+#: ``run`` / ``compare`` parsers. A flag's default is its field's default
+#: (so ``$REPRO_EXECUTOR`` / ``$REPRO_PS_SHARDS`` are read in one place).
+CLUSTER_FLAGS = {
+    **{name: name for name in (
+        "executor", "fault_spec", "topology", "ps_shards", "retry_max",
+        "retry_base_ms", "min_quorum", "aggregator", "trim_f", "clip_factor",
+        "health", "health_threshold", "probation", "scale_policy",
+        "min_workers", "max_workers",
+    )},
+    "procs": "executor_procs",
+    "net_faults": "net_fault_spec",
+    "elastic": "elastic_spec",
+}
 
 
 def _method_spec(args) -> MethodSpec:
@@ -64,108 +82,111 @@ def _add_workload_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--data-scale", type=float, default=0.3)
     p.add_argument("--batch-size", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
+
+    defaults = ClusterConfig()
+
+    def cluster_flag(flag: str, **kw) -> None:
+        action = p.add_argument(flag, **kw)
+        action.default = getattr(defaults, CLUSTER_FLAGS[action.dest])
+
+    cluster_flag(
         "--executor",
-        default=os.environ.get("REPRO_EXECUTOR", "serial"),
         choices=list(EXECUTOR_KINDS),
         help="backend for the per-worker gradient phase (results are "
         "byte-identical; process scales with cores via shared-memory "
         "arenas; default honours $REPRO_EXECUTOR)",
     )
-    p.add_argument(
-        "--procs", type=int, default=None,
+    cluster_flag(
+        "--procs", type=int,
         help="process-pool width for --executor process "
         "(default: min(n_workers, cpu_count))",
     )
-    p.add_argument(
-        "--fault-spec", default=None, metavar="SPEC",
+    cluster_flag(
+        "--fault-spec", metavar="SPEC",
         help="inject faults, e.g. 'crash:w2@50-120,straggle:w0x4@30+,drop:p=0.05' "
         "(see repro.cluster.faults)",
     )
-    p.add_argument(
-        "--topology", default="ps", choices=["ps", "ring", "tree"],
+    cluster_flag(
+        "--topology", choices=TOPOLOGIES.names(),
         help="collective topology the cost model charges (ps is the "
         "paper's testbed)",
     )
-    p.add_argument(
-        "--ps-shards", type=int,
-        default=int(os.environ.get("REPRO_PS_SHARDS", "1")), metavar="S",
+    cluster_flag(
+        "--ps-shards", type=int, metavar="S",
         help="partition the parameter server into S layer-aligned shards "
         "served in parallel (requires --topology ps; 1 keeps the run "
         "byte-identical to an unsharded build; default honours "
         "$REPRO_PS_SHARDS)",
     )
-    p.add_argument(
-        "--net-faults", default=None, metavar="SPEC",
+    cluster_flag(
+        "--net-faults", metavar="SPEC",
         help="inject link-level network faults, e.g. "
         "'partition:{w0,w1|w2..w7}@100-200,loss:p=0.02,"
         "flap:link(2,5)x3@50+' (see repro.cluster.faults); empty/unset "
         "keeps the run byte-identical to a fault-free build",
     )
-    p.add_argument(
-        "--retry-max", type=int, default=4, metavar="N",
+    cluster_flag(
+        "--retry-max", type=int, metavar="N",
         help="max retransmits per enveloped message before "
         "CollectiveTimeoutError / degraded round (with --net-faults)",
     )
-    p.add_argument(
-        "--retry-base-ms", type=float, default=25.0, metavar="MS",
+    cluster_flag(
+        "--retry-base-ms", type=float, metavar="MS",
         help="base backoff before the first retransmit; doubles per "
         "attempt up to the cap (with --net-faults)",
     )
-    p.add_argument(
-        "--min-quorum", type=int, default=None,
+    cluster_flag(
+        "--min-quorum", type=int,
         help="min workers per aggregation round before QuorumLostError "
         "(default: all workers; 1 with --health)",
     )
-    p.add_argument(
-        "--aggregator", default="mean",
-        choices=["mean", "median", "trimmed_mean", "norm_clip", "krum", "multi_krum"],
+    cluster_flag(
+        "--aggregator", choices=AGGREGATORS.names(),
         help="aggregation strategy for synchronous rounds (mean is the "
         "paper's protocol and the byte-identical default; the rest are "
         "Byzantine-robust — see repro.core.robust)",
     )
-    p.add_argument(
-        "--trim-f", type=int, default=1, metavar="F",
+    cluster_flag(
+        "--trim-f", type=int, metavar="F",
         help="trim/Byzantine count f for trimmed_mean/krum/multi_krum",
     )
-    p.add_argument(
-        "--clip-factor", type=float, default=3.0,
+    cluster_flag(
+        "--clip-factor", type=float,
         help="norm cap multiplier for --aggregator norm_clip",
     )
-    p.add_argument(
+    cluster_flag(
         "--health", action="store_true",
         help="enable per-worker health tracking and quarantine "
         "(see repro.cluster.health)",
     )
-    p.add_argument(
-        "--health-threshold", type=float, default=3.0,
+    cluster_flag(
+        "--health-threshold", type=float,
         help="EWMA outlier score above which a worker is quarantined",
     )
-    p.add_argument(
-        "--probation", type=int, default=20, metavar="STEPS",
+    cluster_flag(
+        "--probation", type=int, metavar="STEPS",
         help="steps a quarantined worker sits out before reinstatement",
     )
-    p.add_argument(
-        "--elastic", default=None, metavar="SPEC",
+    cluster_flag(
+        "--elastic", metavar="SPEC",
         help="elastic membership plan, e.g. "
         "'join:+2@100,drain:w3@50,scale:4..12' (see "
         "repro.cluster.elastic); 'off'/empty/unset keeps the run "
         "byte-identical to a fixed-membership build",
     )
-    p.add_argument(
-        "--scale-policy", default="none",
-        choices=["none", "goodput", "comm"],
+    cluster_flag(
+        "--scale-policy", choices=list(SCALE_POLICIES),
         help="metrics-driven autoscale policy over the live goodput/"
         "sync-ratio/comm-fraction signals; any value other than 'none' "
         "enables the elastic subsystem",
     )
-    p.add_argument(
-        "--min-workers", type=int, default=None, metavar="N",
+    cluster_flag(
+        "--min-workers", type=int, metavar="N",
         help="autoscaler world-size floor (overrides the plan's "
         "scale:MIN..MAX clause)",
     )
-    p.add_argument(
-        "--max-workers", type=int, default=None, metavar="N",
+    cluster_flag(
+        "--max-workers", type=int, metavar="N",
         help="autoscaler world-size ceiling (overrides the plan's "
         "scale:MIN..MAX clause)",
     )
@@ -173,8 +194,7 @@ def _add_workload_args(p: argparse.ArgumentParser) -> None:
 
 def _add_method_args(p: argparse.ArgumentParser) -> None:
     p.add_argument(
-        "--method", default="selsync",
-        choices=["bsp", "selsync", "fedavg", "ssp", "localsgd", "easgd"],
+        "--method", default="selsync", choices=sorted(_TRAINERS),
     )
     p.add_argument("--delta", type=float, default=0.3, help="selsync threshold")
     p.add_argument("--aggregation", default="params", choices=["params", "grads"])
@@ -187,6 +207,12 @@ def _add_method_args(p: argparse.ArgumentParser) -> None:
 
 def _build(args, spec: MethodSpec):
     scheme = args.partition or ("seldp" if spec.kind == "selsync" else "defdp")
+    cluster_kwargs = {field: getattr(args, dest) for dest, field in CLUSTER_FLAGS.items()}
+    # '' means "no net faults" / "no elastic membership" and must behave
+    # exactly like unset (byte-identity contract; parse maps it, and 'off',
+    # to the empty plan, but None keeps even the config field identical).
+    for field in ("net_fault_spec", "elastic_spec"):
+        cluster_kwargs[field] = cluster_kwargs[field] or None
     return get_workload(args.workload).build(
         n_workers=args.n_workers,
         n_steps=args.steps,
@@ -195,32 +221,7 @@ def _build(args, spec: MethodSpec):
         data_scale=args.data_scale,
         batch_size=args.batch_size,
         seed=args.seed,
-        cluster_kwargs={
-            "executor": args.executor,
-            "executor_procs": getattr(args, "procs", None),
-            "fault_spec": getattr(args, "fault_spec", None),
-            "topology": getattr(args, "topology", "ps"),
-            "ps_shards": getattr(args, "ps_shards", 1),
-            # argparse hyphens become underscores; '' means "no net faults"
-            # and must behave exactly like unset (byte-identity contract).
-            "net_fault_spec": getattr(args, "net_faults", None) or None,
-            "retry_max": getattr(args, "retry_max", 4),
-            "retry_base_ms": getattr(args, "retry_base_ms", 25.0),
-            "min_quorum": getattr(args, "min_quorum", None),
-            "aggregator": getattr(args, "aggregator", "mean"),
-            "trim_f": getattr(args, "trim_f", 1),
-            "clip_factor": getattr(args, "clip_factor", 3.0),
-            "health": getattr(args, "health", False),
-            "health_threshold": getattr(args, "health_threshold", 3.0),
-            "probation": getattr(args, "probation", 20),
-            # ''/'off' mean "no elastic membership" and must behave exactly
-            # like unset (byte-identity contract; parse maps them to the
-            # empty plan, but None keeps even the config field identical).
-            "elastic_spec": getattr(args, "elastic", None) or None,
-            "scale_policy": getattr(args, "scale_policy", "none"),
-            "min_workers": getattr(args, "min_workers", None),
-            "max_workers": getattr(args, "max_workers", None),
-        },
+        cluster_kwargs=cluster_kwargs,
     )
 
 
@@ -331,8 +332,6 @@ def cmd_workloads(_args) -> int:
 
 
 def cmd_methods(_args) -> int:
-    from repro.experiments.runner import _TRAINERS
-
     for name, cls in sorted(_TRAINERS.items()):
         doc = (cls.__doc__ or "").strip().splitlines()[0]
         print(f"{name}: {doc}")

@@ -1,13 +1,7 @@
 """Simulated training cluster: workers, parameter server, time models."""
 
 from repro.cluster.compute import ComputeModel
-from repro.cluster.elastic import (
-    ElasticContext,
-    ElasticController,
-    ElasticPlan,
-    canonical_elastic_spec,
-    parse_elastic_spec,
-)
+from repro.cluster.elastic import ElasticContext, ElasticController
 from repro.cluster.memory import MemoryModel, measure_activation_bytes
 from repro.cluster.worker import SimWorker
 from repro.cluster.server import ParameterServer
@@ -17,9 +11,6 @@ __all__ = [
     "ComputeModel",
     "ElasticContext",
     "ElasticController",
-    "ElasticPlan",
-    "canonical_elastic_spec",
-    "parse_elastic_spec",
     "MemoryModel",
     "measure_activation_bytes",
     "SimWorker",

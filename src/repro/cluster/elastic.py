@@ -1,14 +1,11 @@
-"""Elastic cluster membership: plan grammar, scale policies, controller.
+"""Elastic cluster membership: scale policies and the controller.
 
-Spec grammar (comma-separated clauses, in the style of
-:mod:`repro.cluster.faults`)::
-
-    join:+K@STEP          K fresh workers join at the start of STEP
-    drain:wR@STEP         the worker at rank R drains at the start of STEP
-    scale:MIN..MAX        world-size bounds for policy-driven autoscaling
-
-Examples: ``"join:+2@100"``, ``"drain:w3@50"``,
-``"join:+2@100,drain:w3@50,scale:4..12"``.
+A membership plan is a spec string (``ClusterConfig.elastic_spec`` /
+``--elastic``; grammar: :mod:`repro.utils.spec`), e.g.
+``"join:+2@100,drain:w3@50,scale:4..12"``: ``join:+K@STEP`` — K fresh
+workers join at the start of STEP; ``drain:wR@STEP`` — the worker at rank R
+(at that time) drains at the start of STEP; ``scale:MIN..MAX`` — world-size
+bounds for policy-driven autoscaling.
 
 Two sources of membership change share one controller:
 
@@ -35,7 +32,6 @@ rebuilds) live in :class:`repro.core.trainer.DistributedTrainer`.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -43,6 +39,7 @@ import numpy as np
 
 from repro import obs
 from repro.obs.metrics import MetricsRegistry
+from repro.utils.spec import Plan
 
 #: Fixed boot cost charged (in sim-seconds) when one or more joiners are
 #: provisioned at a step, on top of the model transfer each joiner pulls.
@@ -62,167 +59,6 @@ SIGNAL_ALPHA = 0.2
 #: given; generous on purpose — the plan is explicit user intent.
 DEFAULT_MIN_WORKERS = 1
 DEFAULT_MAX_WORKERS = 64
-
-
-class ElasticSpecError(ValueError):
-    """A membership spec string could not be parsed."""
-
-
-# -- plan grammar ------------------------------------------------------------
-
-_JOIN_RE = re.compile(r"^join:\+(\d+)@(\d+)$")
-_DRAIN_RE = re.compile(r"^drain:w(\d+)@(\d+)$")
-_SCALE_RE = re.compile(r"^scale:(\d+)\.\.(\d+)$")
-
-_KNOWN_KINDS = ("join", "drain", "scale")
-
-
-@dataclass(frozen=True)
-class JoinClause:
-    """``join:+K@STEP`` — K fresh workers join at the start of STEP."""
-
-    count: int
-    step: int
-
-    kind = "join"
-
-    def to_spec(self) -> str:
-        return f"join:+{self.count}@{self.step}"
-
-
-@dataclass(frozen=True)
-class DrainClause:
-    """``drain:wR@STEP`` — the worker at rank R (at that time) drains."""
-
-    worker: int
-    step: int
-
-    kind = "drain"
-
-    def to_spec(self) -> str:
-        return f"drain:w{self.worker}@{self.step}"
-
-
-@dataclass(frozen=True)
-class ScaleClause:
-    """``scale:MIN..MAX`` — world-size bounds for the autoscaler."""
-
-    lo: int
-    hi: int
-
-    kind = "scale"
-
-    def to_spec(self) -> str:
-        return f"scale:{self.lo}..{self.hi}"
-
-
-@dataclass(frozen=True)
-class ElasticPlan:
-    """Parsed membership plan: join/drain clauses plus optional bounds."""
-
-    joins: Tuple[JoinClause, ...] = ()
-    drains: Tuple[DrainClause, ...] = ()
-    bounds: Optional[ScaleClause] = None
-
-    @property
-    def empty(self) -> bool:
-        """True when the plan schedules no membership event and sets no
-        bounds — the spec was absent or blank."""
-        return not self.joins and not self.drains and self.bounds is None
-
-    def to_spec(self) -> str:
-        """Canonical spec string: joins by step, drains by (step, rank),
-        bounds last — ``parse_elastic_spec(p.to_spec()) == p``."""
-        clauses = [c.to_spec() for c in sorted(self.joins, key=lambda c: c.step)]
-        clauses += [
-            c.to_spec()
-            for c in sorted(self.drains, key=lambda c: (c.step, c.worker))
-        ]
-        if self.bounds is not None:
-            clauses.append(self.bounds.to_spec())
-        return ",".join(clauses)
-
-    def validate(self, n_workers: int) -> "ElasticPlan":
-        """Clause-level sanity checks.
-
-        Drain ranks are deliberately *not* range-checked against
-        ``n_workers``: a rank refers to the membership at the clause's
-        step, which joins (or a policy) may have grown past the initial
-        size. Out-of-range drains fail loudly when applied.
-        """
-        for c in self.joins:
-            if c.count < 1:
-                raise ElasticSpecError(
-                    f"join clause {c.to_spec()!r}: count must be >= 1"
-                )
-        if self.bounds is not None:
-            b = self.bounds
-            if b.lo < 1 or b.lo > b.hi:
-                raise ElasticSpecError(
-                    f"scale clause {b.to_spec()!r}: need 1 <= MIN <= MAX"
-                )
-        return self
-
-    def joins_at(self, step: int) -> int:
-        return sum(c.count for c in self.joins if c.step == step)
-
-    def drains_at(self, step: int) -> List[int]:
-        return sorted(c.worker for c in self.drains if c.step == step)
-
-
-def parse_elastic_spec(spec: Optional[str]) -> ElasticPlan:
-    """Parse a membership spec string; ``None``/empty/``"off"`` gives the
-    empty plan. Raises :class:`ElasticSpecError` naming the bad clause."""
-    if spec is None:
-        return ElasticPlan()
-    text = spec.strip()
-    if not text or text.lower() == "off":
-        return ElasticPlan()
-    joins: List[JoinClause] = []
-    drains: List[DrainClause] = []
-    bounds: Optional[ScaleClause] = None
-    for raw in text.split(","):
-        clause = raw.strip()
-        if not clause:
-            continue
-        m = _JOIN_RE.match(clause)
-        if m:
-            joins.append(JoinClause(count=int(m.group(1)), step=int(m.group(2))))
-            continue
-        m = _DRAIN_RE.match(clause)
-        if m:
-            drains.append(
-                DrainClause(worker=int(m.group(1)), step=int(m.group(2)))
-            )
-            continue
-        m = _SCALE_RE.match(clause)
-        if m:
-            if bounds is not None:
-                raise ElasticSpecError(
-                    f"duplicate scale clause {clause!r} (one scale:MIN..MAX "
-                    "per spec)"
-                )
-            bounds = ScaleClause(lo=int(m.group(1)), hi=int(m.group(2)))
-            continue
-        kind = clause.split(":", 1)[0]
-        if kind in _KNOWN_KINDS:
-            raise ElasticSpecError(
-                f"malformed {kind} clause {clause!r} (expected "
-                f"'join:+K@STEP', 'drain:wR@STEP' or 'scale:MIN..MAX')"
-            )
-        raise ElasticSpecError(
-            f"unknown membership clause kind {kind!r} in {clause!r}; "
-            f"known kinds: {', '.join(_KNOWN_KINDS)}"
-        )
-    if len({(c.worker, c.step) for c in drains}) != len(drains):
-        raise ElasticSpecError(f"duplicate drain clause in {spec!r}")
-    plan = ElasticPlan(joins=tuple(joins), drains=tuple(drains), bounds=bounds)
-    return plan.validate(0)
-
-
-def canonical_elastic_spec(spec: Optional[str]) -> str:
-    """Canonical form of a membership spec (parse → to_spec round-trip)."""
-    return parse_elastic_spec(spec).to_spec()
 
 
 # -- scale policies ----------------------------------------------------------
@@ -376,15 +212,21 @@ class ElasticController:
 
     def __init__(
         self,
-        plan: ElasticPlan,
+        plan: Plan,
         policy: Optional[ScalePolicy] = None,
-        min_workers: int = DEFAULT_MIN_WORKERS,
-        max_workers: int = DEFAULT_MAX_WORKERS,
+        min_workers: Optional[int] = None,
+        max_workers: Optional[int] = None,
         seed: int = 0,
         decide_every: int = DEFAULT_DECIDE_EVERY,
         cooldown: int = DEFAULT_COOLDOWN,
         boot_s: float = PROVISION_BOOT_S,
     ):
+        # World-size bounds: an explicit argument wins over the plan's
+        # ``scale:MIN..MAX`` clause, which wins over the wide defaults.
+        scale = plan.of("scale")
+        lo, hi = scale[0].target if scale else (DEFAULT_MIN_WORKERS, DEFAULT_MAX_WORKERS)
+        min_workers = lo if min_workers is None else min_workers
+        max_workers = hi if max_workers is None else max_workers
         if min_workers < 1 or min_workers > max_workers:
             raise ValueError(
                 f"need 1 <= min_workers <= max_workers, got "
@@ -437,7 +279,7 @@ class ElasticController:
         clamped to ``[min_workers, max_workers]``.
         """
         acts = MembershipActions(
-            drains=self.plan.drains_at(step), joins=self.plan.joins_at(step)
+            drains=self.drains_at(step), joins=self.joins_at(step)
         )
         if acts.any_change:
             return acts
@@ -470,6 +312,14 @@ class ElasticController:
         elif desired < world_size:
             acts.drains = self.drain_candidates(world_size - desired)
         return acts
+
+    def joins_at(self, step: int) -> int:
+        """Workers the plan has joining at the start of ``step``."""
+        return sum(c.target for c in self.plan.of("join") if c.start == step)
+
+    def drains_at(self, step: int) -> List[int]:
+        """Ranks the plan drains at the start of ``step``, ascending."""
+        return sorted(c.target for c in self.plan.of("drain") if c.start == step)
 
     def drain_candidates(self, count: int) -> List[int]:
         """Ranks to drain on scale-down: worst compute-time EWMA first

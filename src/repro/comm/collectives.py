@@ -159,7 +159,7 @@ class SimGroup:
                 tr.emit(
                     "partition_detected",
                     step=step,
-                    groups=[list(g) for g in part.groups],
+                    groups=[list(g) for g in part.target],
                     majority=list(self.link_faults.majority_side(step)),
                     until=part.end,
                 )

@@ -8,7 +8,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro import obs
-from repro.cluster.faults import NetFaultPlan, PartitionFault, parse_net_fault_spec
+from repro.utils.spec import Clause, Plan
 
 
 @dataclass
@@ -81,10 +81,20 @@ class NetworkModel:
 class LinkFaultModel:
     """Deterministic link-level fault oracle for the simulated fabric.
 
-    Wraps a :class:`~repro.cluster.faults.NetFaultPlan` and answers, for any
-    ``(src, dst, step)`` triple, whether the link is administratively down
-    (partition/flap), how much per-attempt loss and duplication probability
-    applies, and by what factor transfers are slowed. Every stochastic draw
+    What the link-level kinds of a ``net_fault_spec`` (grammar:
+    :mod:`repro.utils.spec`) mean. ``partition`` cuts every link between
+    different groups for its window; workers named in no group, and the
+    parameter server, ride with the majority side (the largest group, ties
+    toward the one holding the lowest worker id). ``flap`` toggles one link
+    with half-period ``PERIOD`` steps, down first: ``flap:link(2,5)x3@50+``
+    is down on 50–52, up on 53–55, down on 56–58. ``loss`` drops each
+    message on the link (no link: every link) with probability ``p`` per
+    attempt; ``dup`` delivers a duplicate — idempotent, but the extra
+    transfer is charged. ``delay`` multiplies the link's transfer time;
+    overlapping clauses multiply. So for any ``(src, dst, step)`` the
+    oracle answers whether the link is administratively down, what loss
+    and duplication probability applies, and how much slower transfers
+    are. Every stochastic draw
     is keyed on ``(seed, src, dst, step, attempt)`` through its own
     :class:`numpy.random.SeedSequence` stream — never the trainer RNGs — so
     outcomes are identical across serial/process executors and
@@ -98,11 +108,27 @@ class LinkFaultModel:
     _SALT_DUP = 102
     _SALT_JITTER = 103
 
-    def __init__(self, plan: NetFaultPlan, n_workers: int, seed: int = 0):
+    def __init__(self, plan: Plan, n_workers: int, seed: int = 0):
         plan.validate(n_workers)
         self.plan = plan
         self.n_workers = int(n_workers)
         self.seed = int(seed)
+        self._flaps = plan.of("flap")
+        self._losses = plan.of("loss")
+        self._dups = plan.of("dup")
+        self._delays = plan.of("delay")
+        # Per partition: the group index of every named worker, and the
+        # majority group's index — the side of everyone else, PS included.
+        self._sides = {
+            p: (
+                {w: gi for gi, group in enumerate(p.target) for w in group},
+                min(
+                    range(len(p.target)),
+                    key=lambda gi: (-len(p.target[gi]), min(p.target[gi])),
+                ),
+            )
+            for p in plan.of("partition")
+        }
 
     @property
     def active(self) -> bool:
@@ -134,9 +160,10 @@ class LinkFaultModel:
 
     # -- administrative link state -------------------------------------
 
-    def partition_at(self, step: int) -> Optional[PartitionFault]:
-        """The partition clause covering ``step``, if any (first wins)."""
-        for p in self.plan.partitions:
+    def partition_at(self, step: int) -> Optional[Clause]:
+        """The partition clause covering ``step``, if any (first wins); its
+        ``target`` holds the groups."""
+        for p in self._sides:
             if p.covers(step):
                 return p
         return None
@@ -147,12 +174,8 @@ class LinkFaultModel:
         p = self.partition_at(step)
         if p is None:
             return None
-        maj = p.majority_index()
-        side = [
-            w for w in range(self.n_workers)
-            if (p.side_of(w) if p.side_of(w) is not None else maj) == maj
-        ]
-        return tuple(side)
+        side_of, maj = self._sides[p]
+        return tuple(w for w in range(self.n_workers) if side_of.get(w, maj) == maj)
 
     def link_down(self, a: int, b: int, step: int) -> bool:
         """Is the undirected link (a, b) administratively down at ``step``?
@@ -163,18 +186,17 @@ class LinkFaultModel:
         """
         p = self.partition_at(step)
         if p is not None:
-            maj = p.majority_index()
-            sa = maj if a == self.ps_rank else (
-                p.side_of(a) if p.side_of(a) is not None else maj
-            )
-            sb = maj if b == self.ps_rank else (
-                p.side_of(b) if p.side_of(b) is not None else maj
-            )
-            if sa != sb:
+            # The PS pseudo-rank is never a named worker: it gets ``maj``.
+            side_of, maj = self._sides[p]
+            if side_of.get(a, maj) != side_of.get(b, maj):
                 return True
-        lo, hi = (a, b) if a <= b else (b, a)
-        for f in self.plan.flaps:
-            if (f.a, f.b) == (lo, hi) and f.is_down(step):
+        link = (a, b) if a <= b else (b, a)
+        for f in self._flaps:
+            if (
+                f.target == link
+                and f.covers(step)
+                and ((step - f.start) // f.value) % 2 == 0
+            ):
                 return True
         return False
 
@@ -183,26 +205,28 @@ class LinkFaultModel:
     def loss_prob(self, a: int, b: int, step: int) -> float:
         """Per-attempt drop probability on the link (clauses combine as
         independent loss processes: 1 − Π(1 − pᵢ))."""
-        keep = 1.0
-        for l in self.plan.losses:
-            if l.covers(a, b, step):
-                keep *= 1.0 - l.p
-        return 1.0 - keep
+        return self._composed(self._losses, a, b, step)
 
     def dup_prob(self, a: int, b: int, step: int) -> float:
+        return self._composed(self._dups, a, b, step)
+
+    @staticmethod
+    def _composed(clauses, a: int, b: int, step: int) -> float:
+        link = (a, b) if a <= b else (b, a)
         keep = 1.0
-        for d in self.plan.dups:
-            if d.covers(a, b, step):
-                keep *= 1.0 - d.p
+        for c in clauses:
+            # A clause without a link covers every link.
+            if (c.target is None or c.target == link) and c.covers(step):
+                keep *= 1.0 - c.value
         return 1.0 - keep
 
     def delay_factor(self, a: int, b: int, step: int) -> float:
         """Multiplier on transfer time (overlapping clauses multiply)."""
-        lo, hi = (a, b) if a <= b else (b, a)
+        link = (a, b) if a <= b else (b, a)
         factor = 1.0
-        for d in self.plan.delays:
-            if (d.a, d.b) == (lo, hi) and d.covers(step):
-                factor *= d.factor
+        for d in self._delays:
+            if d.target == link and d.covers(step):
+                factor *= d.value
         return factor
 
     def message_lost(
@@ -235,12 +259,9 @@ class LinkFaultModel:
 
 
 def make_link_faults(
-    spec: Optional[str], n_workers: int, seed: int = 0
+    plan: Plan, n_workers: int, seed: int = 0
 ) -> Optional[LinkFaultModel]:
-    """Build a :class:`LinkFaultModel` from a spec string, or ``None`` for
-    an empty spec — callers short-circuit on ``None`` so fault-free runs
+    """A :class:`LinkFaultModel` over a parsed link-fault plan, or ``None``
+    for an empty one — callers short-circuit on ``None`` so fault-free runs
     never touch the link-fault code path at all."""
-    plan = parse_net_fault_spec(spec)
-    if plan.empty:
-        return None
-    return LinkFaultModel(plan, n_workers, seed=seed)
+    return None if plan.empty else LinkFaultModel(plan, n_workers, seed=seed)

@@ -4,29 +4,19 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Dict, Optional
 
 from repro.cluster.compute import ComputeModel
-from repro.cluster.elastic import (
-    DEFAULT_MAX_WORKERS,
-    DEFAULT_MIN_WORKERS,
-    SCALE_POLICIES,
-    ElasticController,
-    make_scale_policy,
-    parse_elastic_spec,
-)
+from repro.cluster.elastic import SCALE_POLICIES, ElasticController, make_scale_policy
 from repro.cluster.executor import EXECUTOR_KINDS, WorkerExecutor, make_executor
-from repro.cluster.faults import (
-    FaultInjector,
-    parse_fault_spec,
-    parse_net_fault_spec,
-)
+from repro.cluster.faults import FaultInjector
 from repro.comm.envelope import RetryPolicy
 from repro.cluster.health import HealthTracker
 from repro.comm.collectives import SimGroup
 from repro.comm.network import LinkFaultModel, NetworkModel, make_link_faults
 from repro.comm.sharding import ShardSpec
 from repro.core.robust import AGGREGATORS, Aggregator, make_aggregator
+from repro.utils.spec import Plan, parse_spec
 
 
 @dataclass
@@ -77,12 +67,13 @@ class ClusterConfig:
     #: Process-pool width for the process executor; ``None`` sizes it to
     #: ``min(n_workers, cpu_count)``. Ignored by the serial backend.
     executor_procs: Optional[int] = None
-    #: Fault-injection spec (see :mod:`repro.cluster.faults`), e.g.
+    #: Fault-injection spec (grammar: :mod:`repro.utils.spec`; semantics:
+    #: :mod:`repro.cluster.faults`), e.g.
     #: ``"crash:w2@50-120,straggle:w0x4@30+,drop:p=0.05"``. ``None``/empty
     #: disables injection — the simulation is then bitwise-identical to a
     #: cluster without the fault subsystem.
     fault_spec: Optional[str] = None
-    #: Link-level fault spec (see :mod:`repro.cluster.faults`), e.g.
+    #: Link-level fault spec (semantics: :mod:`repro.comm.network`), e.g.
     #: ``"partition:{w0,w1|w2..w7}@100-200,loss:p=0.02"``. ``None``/empty
     #: disables the resilient-collectives layer entirely — runs are then
     #: bitwise-identical to builds without it.
@@ -148,6 +139,9 @@ class ClusterConfig:
     #: over the clause.
     min_workers: Optional[int] = None
     max_workers: Optional[int] = None
+    #: The three specs, parsed once by ``__post_init__`` (``replace()`` runs
+    #: it again) and handed to the ``make_*`` factories.
+    _plans: Dict[str, Plan] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n_workers < 1:
@@ -165,9 +159,18 @@ class ClusterConfig:
                 f"executor_procs must be >= 1, got {self.executor_procs}"
             )
         # Parse eagerly so a bad spec fails at configuration time, not at
-        # step 50 of a long run; worker ids are range-checked too.
-        parse_fault_spec(self.fault_spec).validate(self.n_workers)
-        parse_net_fault_spec(self.net_fault_spec).validate(self.n_workers)
+        # step 50 of a long run. Building the injector range-checks worker
+        # ids and refuses a plan that crashes every worker for good; the
+        # membership plan is lenient about ranks — membership changes resize
+        # n_workers mid-run via replace(), which reruns this hook against
+        # the *current* size.
+        self._plans = {
+            "worker": parse_spec(self.fault_spec, "worker"),
+            "link": parse_spec(self.net_fault_spec, "link"),
+            "member": parse_spec(self.elastic_spec, "member"),
+        }
+        self.make_fault_injector()
+        self._plans["link"].validate(self.n_workers)
         if self.retry_max < 0:
             raise ValueError(f"retry_max must be >= 0, got {self.retry_max}")
         if self.retry_base_ms < 0:
@@ -209,11 +212,6 @@ class ClusterConfig:
             )
         if self.probation < 1:
             raise ValueError(f"probation must be >= 1, got {self.probation}")
-        # Elastic membership: parse eagerly (bad clauses fail loudly at
-        # configuration time) and keep validation lenient about ranks —
-        # membership changes resize n_workers mid-run via replace(), which
-        # reruns this hook against the *current* size.
-        parse_elastic_spec(self.elastic_spec).validate(self.n_workers)
         if self.scale_policy not in SCALE_POLICIES:
             raise ValueError(
                 f"scale_policy must be one of "
@@ -253,10 +251,7 @@ class ClusterConfig:
     def elastic_enabled(self) -> bool:
         """True when any membership clause is scheduled or an autoscale
         policy is active — the opt-in gate for the elastic subsystem."""
-        return (
-            not parse_elastic_spec(self.elastic_spec).empty
-            or self.scale_policy != "none"
-        )
+        return not self._plans["member"].empty or self.scale_policy != "none"
 
     def make_elastic(self) -> Optional[ElasticController]:
         """Elastic membership controller, or ``None`` when the subsystem is
@@ -264,18 +259,11 @@ class ClusterConfig:
         never touch the elastic code path at all."""
         if not self.elastic_enabled:
             return None
-        plan = parse_elastic_spec(self.elastic_spec)
-        lo = plan.bounds.lo if plan.bounds is not None else DEFAULT_MIN_WORKERS
-        hi = plan.bounds.hi if plan.bounds is not None else DEFAULT_MAX_WORKERS
-        if self.min_workers is not None:
-            lo = self.min_workers
-        if self.max_workers is not None:
-            hi = self.max_workers
         return ElasticController(
-            plan,
+            self._plans["member"],
             policy=make_scale_policy(self.scale_policy),
-            min_workers=lo,
-            max_workers=hi,
+            min_workers=self.min_workers,
+            max_workers=self.max_workers,
             seed=self.seed,
         )
 
@@ -319,15 +307,13 @@ class ClusterConfig:
         )
 
     def make_fault_injector(self) -> FaultInjector:
-        return FaultInjector(
-            parse_fault_spec(self.fault_spec), self.n_workers, seed=self.seed
-        )
+        return FaultInjector(self._plans["worker"], self.n_workers, seed=self.seed)
 
     def make_link_faults(self) -> Optional[LinkFaultModel]:
         """Link-fault oracle, or ``None`` with no ``net_fault_spec`` —
         callers short-circuit on ``None`` so fault-free runs never touch
         the resilient layer."""
-        return make_link_faults(self.net_fault_spec, self.n_workers, seed=self.seed)
+        return make_link_faults(self._plans["link"], self.n_workers, seed=self.seed)
 
     def make_retry_policy(self) -> RetryPolicy:
         return RetryPolicy(

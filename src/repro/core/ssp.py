@@ -133,8 +133,8 @@ class SSPTrainer(DistributedTrainer):
             crash = next(
                 (
                     c
-                    for c in self.faults.plan.crashes
-                    if c.worker == worker_id
+                    for c in self.faults.plan.of("crash")
+                    if c.target == worker_id
                     and c.covers(k)
                     and (worker_id, c.start, c.end) not in served_crashes
                 ),

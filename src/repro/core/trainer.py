@@ -407,20 +407,20 @@ class DistributedTrainer:
         if not self.degraded_mode:
             self._current_live = None
             return sf
-        for c in self.faults.plan.crashes:
-            if c.start == i and c.worker in sf.crashed:
+        for c in self.faults.plan.of("crash"):
+            if c.start == i and c.target in sf.crashed:
                 self._record_fault(
-                    i, c.worker, "crash", until=-1 if c.end is None else c.end
+                    i, c.target, "crash", until=-1 if c.end is None else c.end
                 )
         for wid in sf.rejoined:
             self._restore_rejoined_worker(wid, i)
-        for s in self.faults.plan.straggles:
+        for s in self.faults.plan.of("straggle"):
             if s.start == i:
                 self._record_fault(
                     i,
-                    s.worker,
+                    s.target,
                     "straggle",
-                    factor=s.factor,
+                    factor=s.value,
                     until=-1 if s.end is None else s.end,
                 )
         if self.health is not None:

@@ -77,7 +77,7 @@ FAULT_KINDS = (
     "quarantine",
     "reinstate",
     "recovery",
-    # Link-level network faults (repro.cluster.faults net-fault grammar).
+    # Link-level network faults (the link family of repro.utils.spec).
     "partition",
     "link_drop",
 )

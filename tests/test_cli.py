@@ -38,6 +38,63 @@ class TestParsing:
         assert "requires --max-recoveries" in capsys.readouterr().out
 
 
+class TestClusterFlags:
+    """Cluster defaults and choices are stated once, on ``ClusterConfig`` and
+    the registries; the CLI derives them."""
+
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_defaults_and_choices_come_from_config_and_registries(
+        self, command, monkeypatch
+    ):
+        from repro.cli import CLUSTER_FLAGS
+        from repro.cluster.elastic import SCALE_POLICIES
+        from repro.cluster.executor import EXECUTOR_KINDS
+        from repro.comm.topology import TOPOLOGIES
+        from repro.core import ClusterConfig
+        from repro.core.robust import AGGREGATORS
+        from repro.experiments.runner import _TRAINERS
+
+        monkeypatch.setenv("REPRO_EXECUTOR", "process")
+        monkeypatch.setenv("REPRO_PS_SHARDS", "3")
+        parser = build_parser()
+        args = parser.parse_args([command])
+        config = ClusterConfig()
+        assert (config.executor, config.ps_shards) == ("process", 3)
+        assert len(CLUSTER_FLAGS) == 19
+        for dest, field in CLUSTER_FLAGS.items():
+            assert getattr(args, dest) == getattr(config, field), dest
+        sub = parser._subparsers._group_actions[0].choices[command]
+        choices = {a.dest: a.choices for a in sub._actions if a.choices}
+        assert sorted(choices["aggregator"]) == sorted(AGGREGATORS.names())
+        assert sorted(choices["scale_policy"]) == sorted(SCALE_POLICIES)
+        assert sorted(choices["topology"]) == sorted(TOPOLOGIES.names())
+        assert sorted(choices["method"]) == sorted(_TRAINERS)
+        assert sorted(choices["executor"]) == sorted(EXECUTOR_KINDS)
+
+    def test_parsed_flags_reach_the_cluster_config(self, monkeypatch):
+        import repro.cli as cli
+
+        seen = {}
+
+        class Workload:
+            def build(self, **kw):
+                seen.update(kw["cluster_kwargs"])
+
+        monkeypatch.setattr(cli, "get_workload", lambda name: Workload())
+        args = build_parser().parse_args(
+            ["run", "--net-faults", "", "--elastic", "", "--fault-spec", "",
+             "--procs", "2", "--retry-max", "7", "--health", "--aggregator", "krum"]
+        )
+        cli._build(args, cli._method_spec(args))
+        # '' behaves exactly like unset for the two specs that promise it.
+        assert seen["net_fault_spec"] is None and seen["elastic_spec"] is None
+        assert seen["fault_spec"] == ""
+        assert (seen["executor_procs"], seen["retry_max"]) == (2, 7)
+        assert seen["health"] is True and seen["aggregator"] == "krum"
+        assert set(seen) == set(cli.CLUSTER_FLAGS.values())
+        assert build_parser().parse_args(["run", "--elastic", "off"]).elastic == "off"
+
+
 class TestListing:
     def test_workloads_listed(self, capsys):
         assert main(["workloads"]) == 0

@@ -24,7 +24,12 @@ from repro.comm.envelope import (
     CommEnvelope,
     RetryPolicy,
 )
-from repro.comm.network import make_link_faults
+from repro.comm import network
+from repro.utils.spec import parse_spec
+
+def make_link_faults(spec, n_workers, seed=0):
+    return network.make_link_faults(parse_spec(spec, "link"), n_workers, seed=seed)
+
 
 LOSSY = "loss:p=0.4,dup:p=0.1,delay:link(0,3)x5"
 N_WORKERS = 8

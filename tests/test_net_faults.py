@@ -21,19 +21,13 @@ The slow SmallVGG/8w accuracy regression lives in
 """
 
 import hashlib
+from functools import partial
 
 import numpy as np
 import pytest
 
-from repro.cluster.faults import (
-    LINK_FAULT_KINDS,
-    WORKER_FAULT_KINDS,
-    canonical_net_fault_spec,
-    parse_fault_spec,
-    parse_net_fault_spec,
-)
 from repro.cluster.worker import build_worker_group
-from repro.comm.network import make_link_faults
+from repro.comm import network
 from repro.core import ClusterConfig, TrainConfig
 from repro.core.bsp import BSPTrainer
 from repro.core.recovery import RecoverySupervisor
@@ -43,6 +37,14 @@ from repro.nn.models import build_model
 from repro.obs import Tracer
 from repro.obs import views
 from repro.optim import SGD
+from repro.utils.spec import KINDS, parse_spec
+
+parse_net_fault_spec = partial(parse_spec, family="link")
+
+
+def make_link_faults(spec, n_workers, seed=0):
+    return network.make_link_faults(parse_net_fault_spec(spec), n_workers, seed=seed)
+
 
 ISSUE_SPEC = (
     "partition:{w0,w1|w2..w7}@100-200,flap:link(2,5)x3@50+,"
@@ -67,8 +69,8 @@ ISSUE_SPEC = (
     ],
 )
 def test_spec_round_trips(clause):
-    canon = canonical_net_fault_spec(clause)
-    assert canonical_net_fault_spec(canon) == canon
+    canon = parse_net_fault_spec(clause).to_spec()
+    assert parse_net_fault_spec(canon).to_spec() == canon
     # Round-trip is structural, not just textual.
     assert parse_net_fault_spec(canon) == parse_net_fault_spec(clause)
 
@@ -85,19 +87,17 @@ def test_unknown_kind_lists_both_registries():
     with pytest.raises(ValueError) as ei:
         parse_net_fault_spec("blackhole:link(0,1)")
     msg = str(ei.value)
-    for kind in WORKER_FAULT_KINDS:
-        assert kind in msg
-    for kind in LINK_FAULT_KINDS:
-        assert kind in msg
-    assert "--fault-spec" in msg and "--net-faults" in msg
+    for kind in KINDS.values():
+        assert kind.hint in msg
+    assert "--fault-spec" in msg and "--net-faults" in msg and "--elastic" in msg
 
 
 def test_misplaced_kind_is_redirected():
     # A link-level clause handed to the worker-level parser (and vice
     # versa) names the right home instead of a generic parse failure.
-    with pytest.raises(ValueError, match="link-level fault kind"):
-        parse_fault_spec("loss:p=0.1")
-    with pytest.raises(ValueError, match="worker-level fault kind"):
+    with pytest.raises(ValueError, match="link-level fault kind.*--net-faults"):
+        parse_spec("loss:p=0.1", "worker")
+    with pytest.raises(ValueError, match="worker-level fault kind.*--fault-spec"):
         parse_net_fault_spec("crash:w2@50-120")
 
 
@@ -105,7 +105,7 @@ def test_misplaced_kind_is_redirected():
     "bad",
     [
         "partition:{w0,w1}",          # single group severs nothing
-        "partition:{w0|w0,w1}",       # overlapping groups
+        "partition:{w0|w0,w1}@3",     # overlapping groups
         "loss:p=1.5",                 # probability out of range
         "loss:p=0",                   # zero-probability loss is a typo
         "flap:link(2,2)x3",           # self-loop

@@ -128,9 +128,11 @@ def test_quorum_loss_resumes_from_checkpoint(tmp_path):
 
 
 def test_quorum_loss_exhausts_max_recoveries():
-    # Total loss: every worker crashes; even quorum_floor=1 cannot be met,
-    # so each retry fails again until the budget runs out.
-    spec = ",".join(f"crash:w{w}@5+" for w in range(4))
+    # Total loss: every worker is down from step 5 to past the end of the
+    # run; even quorum_floor=1 cannot be met, so each retry fails again until
+    # the budget runs out. (Bounded windows: a plan that crashes everyone
+    # *for good* is refused when the cluster is configured.)
+    spec = ",".join(f"crash:w{w}@5-1000" for w in range(4))
     trainer = build_trainer(MethodSpec("bsp", {}), _built(spec))
     sup = RecoverySupervisor(max_recoveries=2)
     with pytest.raises(QuorumLostError):
