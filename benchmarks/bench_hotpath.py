@@ -49,12 +49,19 @@ picks what they measure:
   ``state_dict()``, the ``np.savez*`` container write and the rename: the
   run-log encode, plus ~2 ms for the state tree), ``read_ms``
   (``load_checkpoint``) and the file's ``bytes``.
+* ``robust_aggregate`` — ``Aggregator.reduce`` ms per call for
+  ``trimmed_mean`` (f = 2) and ``median`` at the (k, D) shapes of the
+  ``mlp16_chaos_traced`` shards (the 768×128 weight at 13 and 16 pushers, the
+  128×100 weight, a bias): one row per cell with before/after medians,
+  pairwise speedups and ``bytes_equal`` (both sides reduced the same seeded
+  vectors to the same bytes).
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
+import hashlib
 import json
 import os
 import resource
@@ -605,6 +612,68 @@ def checkpoint_io_trial(baseline_src: str, points):
     }
 
 
+#: (k, D) of ``robust_aggregate``: what ``mlp16_chaos_traced``'s four PS shards
+#: hand the aggregator — W1 with a degraded and a full round, W2, a bias.
+ROBUST_CELLS = ((13, 98_304), (16, 98_304), (16, 12_800), (16, 128))
+
+
+def robust_aggregate_child(reps: int) -> None:
+    """One side of :func:`robust_aggregate_trial`: for every ``name k D``
+    line read from stdin, time ``reduce`` on seeded vectors and print the
+    median ms per call and a digest of the result."""
+    from repro.core.robust import make_aggregator
+
+    for line in sys.stdin:
+        name, k, d = line.split()
+        rng = np.random.default_rng(0)
+        vectors = [rng.normal(size=int(d)) for _ in range(int(k))]
+        out = np.empty(int(d))
+        agg = make_aggregator(name, trim_f=2)
+        us = _median_us(lambda: agg.reduce(vectors, out=out), reps)
+        digest = hashlib.sha256(out.tobytes()).hexdigest()
+        print(json.dumps({"ms": us / 1e3, "sha256": digest}), flush=True)
+
+
+def robust_aggregate_trial(baseline_src: str, trials: int, reps: int):
+    """Per-call cost of the coordinate-wise robust reductions, parent vs
+    change: the two children take turns cell by cell, so adjacent readings
+    share the host's momentary speed."""
+    children = [
+        _spawn_child(src, "--robust-aggregate-child", reps)
+        for src in (baseline_src, ROOT / "src")
+    ]
+    cells = []
+    try:
+        for name in ("trimmed_mean", "median"):
+            for k, d in ROBUST_CELLS:
+                turns = [
+                    [json.loads(_turn(c, f"{name} {k} {d}")) for c in children]
+                    for _ in range(trials)
+                ]
+                speedups = [b["ms"] / a["ms"] for b, a in turns]
+                cells.append({
+                    "aggregator": name,
+                    "k": k,
+                    "D": d,
+                    "before_ms": round(statistics.median(b["ms"] for b, _ in turns), 4),
+                    "after_ms": round(statistics.median(a["ms"] for _, a in turns), 4),
+                    "pairwise_speedups": [round(r, 3) for r in speedups],
+                    "speedup_median_pairwise": round(statistics.median(speedups), 3),
+                    "bytes_equal": all(b["sha256"] == a["sha256"] for b, a in turns),
+                })
+                print(f"robust_aggregate: {cells[-1]}")
+    finally:
+        _finish(children)
+    return {
+        "trial": "robust_aggregate",
+        "workload": "Aggregator.reduce(vectors, out=...), trim_f=2, seeded "
+        "normal vectors; ms per call, median of "
+        f"{reps} calls per turn, {trials} alternating turns per cell",
+        "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS", "1"),
+        "cells": cells,
+    }
+
+
 def _git_head(path) -> str:
     out = subprocess.run(
         ["git", "-C", str(path), "rev-parse", "--short", "HEAD"],
@@ -630,7 +699,9 @@ def main(argv=None) -> int:
     )
     ap.add_argument(
         "--trial",
-        choices=("transformer_4w_selsync", "vgg_8w_bsp", "checkpoint_io"),
+        choices=(
+            "transformer_4w_selsync", "vgg_8w_bsp", "checkpoint_io", "robust_aggregate",
+        ),
         default="transformer_4w_selsync",
         help="which cross-commit trial --baseline-src runs",
     )
@@ -638,6 +709,7 @@ def main(argv=None) -> int:
     ap.add_argument("--transformer-child", type=int, help=argparse.SUPPRESS)
     ap.add_argument("--vgg-child", type=int, help=argparse.SUPPRESS)
     ap.add_argument("--checkpoint-io-child", type=int, help=argparse.SUPPRESS)
+    ap.add_argument("--robust-aggregate-child", type=int, help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
 
     if args.transformer_child:
@@ -648,6 +720,9 @@ def main(argv=None) -> int:
         return 0
     if args.checkpoint_io_child:
         checkpoint_io_child(args.checkpoint_io_child)
+        return 0
+    if args.robust_aggregate_child:
+        robust_aggregate_child(args.robust_aggregate_child)
         return 0
 
     trials = 3 if args.quick else 10
@@ -665,6 +740,10 @@ def main(argv=None) -> int:
             trial = checkpoint_io_trial(args.baseline_src, points)
         elif args.trial == "vgg_8w_bsp":
             trial = vgg_trial(args.baseline_src, trials, 10 if args.quick else 25)
+        elif args.trial == "robust_aggregate":
+            trial = robust_aggregate_trial(
+                args.baseline_src, trials, 5 if args.quick else 15
+            )
         else:
             trial = transformer_trial(
                 args.baseline_src, trials, 20 if args.quick else 50

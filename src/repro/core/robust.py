@@ -43,7 +43,7 @@ import numpy as np
 
 from repro import obs
 from repro.cluster.faults import NonFiniteUpdateError
-from repro.utils.flatten import mean_into
+from repro.utils.flatten import mean_into, order_mean_into
 from repro.utils.registry import Registry
 
 #: name → Aggregator subclass. Construction goes through
@@ -79,10 +79,8 @@ class Aggregator:
 
     name = "abstract"
 
-    def aggregate(
-        self, vectors: Sequence[np.ndarray]
-    ) -> Tuple[np.ndarray, Dict]:
-        """Pure reduction: ``(aggregate_vector, info)``.
+    def aggregate(self, vectors: Sequence[np.ndarray], out: np.ndarray) -> Dict:
+        """Pure reduction of ``vectors`` into ``out``; returns ``info``.
 
         ``info`` carries JSON-safe scalars for the ``aggregator_decision``
         event (``n_used`` plus strategy-specific fields).
@@ -106,10 +104,9 @@ class Aggregator:
                 f"all {len(vectors)} update vectors are non-finite; "
                 f"nothing to aggregate ({self.name})"
             )
-        vec, info = self.aggregate(kept)
-        if out is not None:
-            np.copyto(out, vec)
-            vec = out
+        if out is None:
+            out = np.empty_like(kept[0], dtype=np.float64)
+        info = self.aggregate(kept, out)
         tr = obs.active()
         if tr is not None:
             tr.emit(
@@ -121,16 +118,13 @@ class Aggregator:
                 dropped=list(dropped),
                 **info,
             )
-        return vec
+        return out
 
     def async_transform(self, update: np.ndarray) -> np.ndarray:
         """Hook for the asynchronous (SSP) path: transform one update
         before it is applied. Cohort statistics do not exist for a single
         vector, so only norm-based strategies override this."""
         return update
-
-    def describe(self) -> Dict:
-        return {"name": self.name}
 
 
 @AGGREGATORS.register("mean")
@@ -139,8 +133,9 @@ class MeanAggregator(Aggregator):
 
     name = "mean"
 
-    def aggregate(self, vectors):
-        return mean_into(vectors), {"n_used": len(vectors)}
+    def aggregate(self, vectors, out):
+        mean_into(vectors, out)
+        return {"n_used": len(vectors)}
 
 
 @AGGREGATORS.register("median")
@@ -149,9 +144,10 @@ class MedianAggregator(Aggregator):
 
     name = "median"
 
-    def aggregate(self, vectors):
-        stacked = np.stack([np.asarray(v) for v in vectors])
-        return np.median(stacked, axis=0), {"n_used": len(vectors)}
+    def aggregate(self, vectors, out):
+        k = len(vectors)
+        order_mean_into(vectors, (k - 1) // 2, k // 2 + 1, out)
+        return {"n_used": k}
 
 
 @AGGREGATORS.register("trimmed_mean")
@@ -170,20 +166,14 @@ class TrimmedMeanAggregator(Aggregator):
             raise ValueError(f"trim f must be >= 0, got {f}")
         self.f = int(f)
 
-    def aggregate(self, vectors):
+    def aggregate(self, vectors, out):
         k = len(vectors)
         f_eff = min(self.f, (k - 1) // 2)
-        stacked = np.stack([np.asarray(v) for v in vectors])
-        if f_eff == 0:
-            return np.mean(stacked, axis=0), {"n_used": k, "f_eff": 0}
-        stacked.sort(axis=0)
-        return (
-            np.mean(stacked[f_eff : k - f_eff], axis=0),
-            {"n_used": k - 2 * f_eff, "f_eff": f_eff},
-        )
-
-    def describe(self):
-        return {"name": self.name, "f": self.f}
+        if f_eff == 0:  # nothing trimmed: the mean, in worker order
+            mean_into(vectors, out)
+        else:
+            order_mean_into(vectors, f_eff, k - f_eff, out)
+        return {"n_used": k - 2 * f_eff, "f_eff": f_eff}
 
 
 @AGGREGATORS.register("norm_clip")
@@ -210,26 +200,17 @@ class NormClipAggregator(Aggregator):
         self._async_norm: Optional[float] = None
 
     def _clipped(self, vectors, cap: float):
-        out = []
-        n_clipped = 0
-        for v in vectors:
-            v = np.asarray(v)
-            n = float(np.linalg.norm(v))
-            if n > cap and n > 0.0:
-                out.append(v * (cap / n))
-                n_clipped += 1
-            else:
-                out.append(v)
-        return out, n_clipped
+        norms = [float(np.linalg.norm(v)) for v in vectors]
+        over = [n > cap and n > 0.0 for n in norms]
+        scaled = zip(vectors, norms, over)
+        return [v * (cap / n) if o else v for v, n, o in scaled], sum(over)
 
-    def aggregate(self, vectors):
+    def aggregate(self, vectors, out):
         norms = [float(np.linalg.norm(np.asarray(v))) for v in vectors]
         cap = self.factor * float(np.median(norms))
         clipped, n_clipped = self._clipped(vectors, cap)
-        return (
-            np.mean(np.stack(clipped), axis=0),
-            {"n_used": len(vectors), "n_clipped": n_clipped},
-        )
+        mean_into(clipped, out)
+        return {"n_used": len(vectors), "n_clipped": n_clipped}
 
     def async_transform(self, update):
         n = float(np.linalg.norm(update))
@@ -242,9 +223,6 @@ class NormClipAggregator(Aggregator):
             n = cap
         self._async_norm += self.ewma_alpha * (n - self._async_norm)
         return update
-
-    def describe(self):
-        return {"name": self.name, "factor": self.factor}
 
 
 @AGGREGATORS.register("krum")
@@ -259,13 +237,13 @@ class KrumAggregator(Aggregator):
 
     name = "krum"
 
-    def __init__(self, f: int = 1, m: int = 1):
+    def __init__(self, f: int = 1, m: Optional[int] = 1):
         if f < 0:
             raise ValueError(f"krum f must be >= 0, got {f}")
-        if m < 1:
+        if m is not None and m < 1:
             raise ValueError(f"krum m must be >= 1, got {m}")
         self.f = int(f)
-        self.m = int(m)
+        self.m = None if m is None else int(m)
 
     def _scores(self, stacked: np.ndarray) -> np.ndarray:
         k = stacked.shape[0]
@@ -279,29 +257,17 @@ class KrumAggregator(Aggregator):
         part = np.sort(d2, axis=1)[:, :n_neighbors]
         return np.sum(part, axis=1)
 
-    def aggregate(self, vectors):
+    def aggregate(self, vectors, out):
         k = len(vectors)
-        if k == 1:
-            v = np.asarray(vectors[0], dtype=np.float64)
-            return v.copy(), {"n_used": 1, "selected": [0]}
-        stacked = np.stack([np.asarray(v) for v in vectors])
-        scores = self._scores(stacked)
-        m = min(self.m, k)
-        # Stable argsort: equal scores resolve to the lower index.
-        order = np.argsort(scores, kind="stable")[:m]
-        selected = sorted(int(i) for i in order)
-        if m == 1:
-            return stacked[selected[0]].copy(), {
-                "n_used": 1,
-                "selected": selected,
-            }
-        return (
-            np.mean(stacked[selected], axis=0),
-            {"n_used": m, "selected": selected},
-        )
-
-    def describe(self):
-        return {"name": self.name, "f": self.f, "m": self.m}
+        selected = [0]
+        if k > 1:
+            m = max(1, k - self.f - 2) if self.m is None else self.m
+            scores = self._scores(np.stack([np.asarray(v) for v in vectors]))
+            # Stable argsort: equal scores resolve to the lower index.
+            order = np.argsort(scores, kind="stable")[:m]
+            selected = sorted(int(i) for i in order)
+        mean_into([vectors[i] for i in selected], out)
+        return {"n_used": len(selected), "selected": selected}
 
 
 @AGGREGATORS.register("multi_krum")
@@ -315,14 +281,7 @@ class MultiKrumAggregator(KrumAggregator):
     name = "multi_krum"
 
     def __init__(self, f: int = 1, m: Optional[int] = None):
-        super().__init__(f=f, m=1 if m is None else m)
-        self._auto_m = m is None
-
-    def aggregate(self, vectors):
-        if self._auto_m:
-            k = len(vectors)
-            self.m = max(1, min(k, k - self.f - 2))
-        return super().aggregate(vectors)
+        super().__init__(f=f, m=m)
 
 
 def make_aggregator(
@@ -335,17 +294,6 @@ def make_aggregator(
     ``trim_f`` doubles as the Byzantine count ``f`` for trimmed-mean,
     Krum and multi-Krum; ``clip_factor`` parameterizes ``norm_clip``.
     """
-    key = name.lower()
-    if key not in AGGREGATORS:
-        raise KeyError(
-            f"unknown aggregator {name!r}; known: {', '.join(AGGREGATORS.names())}"
-        )
-    if key == "trimmed_mean":
-        return TrimmedMeanAggregator(f=trim_f)
-    if key == "norm_clip":
-        return NormClipAggregator(factor=clip_factor)
-    if key == "krum":
-        return KrumAggregator(f=trim_f, m=1)
-    if key == "multi_krum":
-        return MultiKrumAggregator(f=trim_f)
-    return AGGREGATORS.create(key)
+    f, factor = {"f": trim_f}, {"factor": clip_factor}
+    knobs = {"trimmed_mean": f, "krum": f, "multi_krum": f, "norm_clip": factor}
+    return AGGREGATORS.create(name, **knobs.get(name.lower(), {}))

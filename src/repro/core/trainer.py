@@ -802,9 +802,7 @@ class DistributedTrainer:
         # Arena views in, fresh vector out.
         views = [w.get_params(copy=False) for w in workers]
         if self.aggregator is not None:
-            return np.array(
-                self.aggregator.reduce(views, where="deploy"), copy=True
-            )
+            return self.aggregator.reduce(views, where="deploy")
         return mean_into(views)
 
     def resync_replicas(self) -> None:

@@ -10,6 +10,7 @@ testbed-size constants.
 
 from __future__ import annotations
 
+import time
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -28,7 +29,6 @@ from repro.experiments.workloads import get_workload
 from repro.nn.losses import CrossEntropyLoss
 from repro.nn.models import build_model
 from repro.optim import SGD
-from repro.utils.timer import WallTimer
 
 #: Paper-scale (comm_bytes, flops_per_sample, batch) per model family.
 PAPER_PROFILES = {
@@ -364,11 +364,11 @@ def fig8a_tracker_overhead(
         # Warm the window so every timed update pays the full O(w) pass.
         for _ in range(w):
             tracker.update(float(g @ g))
-        with WallTimer() as t:
-            for _ in range(n_updates):
-                sq = float(g @ g)
-                tracker.update(sq)
-        out[w] = t.elapsed_ms / n_updates
+        t0 = time.perf_counter()
+        for _ in range(n_updates):
+            sq = float(g @ g)
+            tracker.update(sq)
+        out[w] = (time.perf_counter() - t0) * 1e3 / n_updates
     return out
 
 
@@ -397,12 +397,12 @@ def fig8b_partition_overhead(
     for name, n in dataset_sizes.items():
         best_def, best_sel = float("inf"), float("inf")
         for r in range(repeats):
-            with WallTimer() as t1:
-                default_partition(n, n_workers, rng=r)
-            with WallTimer() as t2:
-                selsync_partition(n, n_workers, rng=r)
-            best_def = min(best_def, t1.elapsed)
-            best_sel = min(best_sel, t2.elapsed)
+            t0 = time.perf_counter()
+            default_partition(n, n_workers, rng=r)
+            t1 = time.perf_counter()
+            selsync_partition(n, n_workers, rng=r)
+            best_def = min(best_def, t1 - t0)
+            best_sel = min(best_sel, time.perf_counter() - t1)
         out[name] = {"defdp_s": best_def, "seldp_s": best_sel}
     return out
 

@@ -5,7 +5,6 @@ from repro.utils.ewma import Ewma, ewma_series
 from repro.utils.flatten import flatten_arrays, unflatten_like, tree_map
 from repro.utils.registry import Registry
 from repro.utils.runlog import RunLog, IterationRecord
-from repro.utils.timer import WallTimer
 from repro.utils.serialization import (
     load_model,
     load_runlog,
@@ -26,7 +25,6 @@ __all__ = [
     "Registry",
     "RunLog",
     "IterationRecord",
-    "WallTimer",
     "save_runlog",
     "load_runlog",
     "save_model",
