@@ -55,6 +55,11 @@ picks what they measure:
   128×100 weight, a bias): one row per cell with before/after medians,
   pairwise speedups and ``bytes_equal`` (both sides reduced the same seeded
   vectors to the same bytes).
+* ``conv_kernel`` — ``Conv2d.forward`` and forward + backward ms per call at
+  batch 32 for the stride-1 shapes of the model zoo (``CONV_CELLS``), each
+  with its largest deviation from an einsum reference, then whole-model
+  forward + backward of the three conv models: one row with ``cells`` and
+  ``models``, before/after medians and pairwise speedups.
 """
 
 from __future__ import annotations
@@ -674,6 +679,131 @@ def robust_aggregate_trial(baseline_src: str, trials: int, reps: int):
     }
 
 
+#: ``conv_kernel`` cells, batch 32: (C, O, H = W, k, pad, bias, skip dx) of the
+#: four SmallVGG convolutions, SmallAlexNet's 5x5 stem and SmallResNet's
+#: stage-1 block convolution.
+CONV_CELLS = (
+    (3, 8, 16, 3, 1, 1, 1), (8, 8, 16, 3, 1, 1, 0), (8, 16, 8, 3, 1, 1, 0),
+    (16, 16, 8, 3, 1, 1, 0), (3, 12, 16, 5, 2, 1, 0), (8, 8, 16, 3, 1, 0, 0),
+)
+CONV_MODELS = ("smallvgg", "smallresnet", "smallalexnet")
+
+
+def naive_conv(x, w, b, g, pad):
+    """Stride-1 convolution and its gradients by einsum over explicit
+    windows: ``(out, dw, db, dx)``, the reference the kernel is held to."""
+    k = w.shape[2]
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))
+    out = np.einsum("nchwij,ocij->nohw", win, w) + b[None, :, None, None]
+    dw = np.einsum("nohw,nchwij->ocij", g, win)
+    dxp = np.zeros_like(xp)
+    oh, ow = g.shape[2:]
+    for i in range(k):
+        for j in range(k):
+            dxp[:, :, i : i + oh, j : j + ow] += np.einsum(
+                "nohw,oc->nchw", g, w[:, :, i, j]
+            )
+    h, wd = x.shape[2:]
+    return out, dw, g.sum(axis=(0, 2, 3)), dxp[:, :, pad : pad + h, pad : pad + wd]
+
+
+def conv_kernel_child(reps: int) -> None:
+    """One side of :func:`conv_kernel_trial`. A ``C O H k pad bias skip``
+    line: median ms of ``Conv2d.forward`` and of forward + backward at batch
+    32, and the largest deviation from :func:`naive_conv`. A model name:
+    median ms of that model's forward + backward at batch 32."""
+    from repro.nn.layers.conv import Conv2d
+    from repro.nn.models import build_model
+
+    rng = np.random.default_rng(0)
+    for line in sys.stdin:
+        if line.strip() in CONV_MODELS:
+            model = build_model(line.strip(), rng=0)
+            x = rng.normal(size=(32, 3, 16, 16))
+            g = rng.normal(size=model.forward(x).shape)
+            us = _median_us(lambda: (model.forward(x), model.backward(g)), reps)
+            print(json.dumps({"fwd_bwd_ms": us / 1e3}), flush=True)
+            continue
+        c, o, h, k, pad, bias, skip = map(int, line.split())
+        layer = Conv2d(c, o, k, padding=pad, bias=bool(bias), rng=0)
+        layer.skip_input_grad = bool(skip)
+        x = rng.normal(size=(32, c, h, h))
+        g = rng.normal(size=layer.forward(x).shape)
+        b = np.zeros(o)
+        if bias:
+            b = layer.bias.data
+            b[...] = rng.normal(size=o)
+        layer.zero_grad()
+        out = np.array(layer.forward(x))
+        dx = layer.backward(g)  # None on a layer that skips it
+        got = (out, layer.weight.grad, layer.bias.grad if bias else None, dx)
+        err = max(
+            float(np.abs(a - r).max())
+            for a, r in zip(got, naive_conv(x, layer.weight.data, b, g, pad))
+            if a is not None
+        )
+        print(json.dumps({
+            "fwd_ms": _median_us(lambda: layer.forward(x), reps) / 1e3,
+            "fwd_bwd_ms": _median_us(
+                lambda: (layer.forward(x), layer.backward(g)), reps
+            ) / 1e3,
+            "max_abs_err": err,
+        }), flush=True)
+
+
+def conv_kernel_trial(baseline_src: str, trials: int, reps: int):
+    """Per-call cost of the stride-1 convolution kernel, parent vs change,
+    cell by cell in alternating turns (as :func:`robust_aggregate_trial`),
+    then whole-model forward + backward of the three conv models (the e2e
+    benchmark runs only SmallVGG)."""
+    children = [
+        _spawn_child(src, "--conv-kernel-child", reps)
+        for src in (baseline_src, ROOT / "src")
+    ]
+
+    def cell(label, message, keys):
+        turns = [
+            [json.loads(_turn(c, message)) for c in children] for _ in range(trials)
+        ]
+        row = dict(label)
+        for key in keys:
+            speedups = [b[key] / a[key] for b, a in turns]
+            row["before_" + key] = round(statistics.median(b[key] for b, _ in turns), 4)
+            row["after_" + key] = round(statistics.median(a[key] for _, a in turns), 4)
+            row[key.replace("_ms", "") + "_speedup_median_pairwise"] = round(
+                statistics.median(speedups), 3
+            )
+        if "max_abs_err" in turns[0][0]:
+            row["before_max_abs_err"], row["after_max_abs_err"] = (
+                max(t[side]["max_abs_err"] for t in turns) for side in (0, 1)
+            )
+        print(f"conv_kernel: {row}")
+        return row
+
+    try:
+        cells = [
+            cell(
+                dict(zip(("C", "O", "HW", "k", "pad", "bias", "skip_dx"), shape)),
+                " ".join(map(str, shape)), ("fwd_ms", "fwd_bwd_ms"),
+            )
+            for shape in CONV_CELLS
+        ]
+        models = [cell({"model": name}, name, ("fwd_bwd_ms",)) for name in CONV_MODELS]
+    finally:
+        _finish(children)
+    return {
+        "trial": "conv_kernel",
+        "workload": "Conv2d.forward / forward + backward incl. the embed "
+        "copies, batch 32, float64; ms per call, median of "
+        f"{reps} calls per turn, {trials} alternating turns per cell; "
+        "max_abs_err against an einsum reference (out, dW, db, dx)",
+        "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS", "1"),
+        "cells": cells,
+        "models": models,
+    }
+
+
 def _git_head(path) -> str:
     out = subprocess.run(
         ["git", "-C", str(path), "rev-parse", "--short", "HEAD"],
@@ -701,6 +831,7 @@ def main(argv=None) -> int:
         "--trial",
         choices=(
             "transformer_4w_selsync", "vgg_8w_bsp", "checkpoint_io", "robust_aggregate",
+            "conv_kernel",
         ),
         default="transformer_4w_selsync",
         help="which cross-commit trial --baseline-src runs",
@@ -710,6 +841,7 @@ def main(argv=None) -> int:
     ap.add_argument("--vgg-child", type=int, help=argparse.SUPPRESS)
     ap.add_argument("--checkpoint-io-child", type=int, help=argparse.SUPPRESS)
     ap.add_argument("--robust-aggregate-child", type=int, help=argparse.SUPPRESS)
+    ap.add_argument("--conv-kernel-child", type=int, help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
 
     if args.transformer_child:
@@ -723,6 +855,9 @@ def main(argv=None) -> int:
         return 0
     if args.robust_aggregate_child:
         robust_aggregate_child(args.robust_aggregate_child)
+        return 0
+    if args.conv_kernel_child:
+        conv_kernel_child(args.conv_kernel_child)
         return 0
 
     trials = 3 if args.quick else 10
@@ -743,6 +878,10 @@ def main(argv=None) -> int:
         elif args.trial == "robust_aggregate":
             trial = robust_aggregate_trial(
                 args.baseline_src, trials, 5 if args.quick else 15
+            )
+        elif args.trial == "conv_kernel":
+            trial = conv_kernel_trial(
+                args.baseline_src, trials, 20 if args.quick else 80
             )
         else:
             trial = transformer_trial(

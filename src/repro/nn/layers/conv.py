@@ -1,27 +1,52 @@
-"""2-D convolution: shift-GEMM fast path with an im2col fallback.
+"""2-D convolution: one row-slab kernel for stride 1, im2col for stride > 1.
 
-Stride-1 convolutions (every conv in SmallVGG and all non-downsampling convs
-in SmallResNet) avoid materializing the k²-times-duplicated im2col patch
-matrix entirely. The input is written once into a zero-padded plane buffer
-and each kernel tap (i, j) becomes one batched GEMM against a *view* of that
-plane shifted by ``i*Wp + j`` flat elements::
+Stride-1 convolutions (every conv in SmallVGG and SmallAlexNet, all
+non-downsampling convs in SmallResNet) never build the k²-times-duplicated
+im2col patch matrix. The input is written once into a zero-padded plane laid
+out row-major across the batch — ``xp[r, c, n, q]``: image row outermost,
+then channel, then sample, then column — and read as the 2-D matrix
+``X = xp.reshape(Hp·Cb, Q)``, ``Q = N·Wp``, where ``Cb`` is C plus, for a
+layer with a bias, one constant-ones channel. In ``X`` the k image rows under
+output row ``y`` are the *adjacent* rows ``y·Cb … (y+k)·Cb - 1``, so one
+kernel column ``j`` of the whole layer is one batched GEMM::
 
-    out[:, o, y, x] = Σ_{i,j,c} W[o, c, i, j] · xp[:, c, y+i, x+j]
-                    = Σ_{i,j}  (W[:, :, i, j] @ xp_flat[:, :, off:off+span])
+    out[n, o, y, x] = Σ_j Σ_{i,c} W[o, c, i, j] · xp[y+i, c, n, x+j]
+    acc[y]          = Σ_j w[j] @ taps[j, y]            (O, K) @ (K, Q-k+1)
+    w[j][o, i·Cb + c]              = W[o, c, i, j]      K = k·Cb
+    taps[j, y][i·Cb + c, n·Wp + x] = X[(y+i)·Cb + c, n·Wp + x + j]
 
-The accumulator rows have width ``Wp`` (padded plane), so the valid (OH, OW)
-output is a strided view into it; the few garbage columns between rows are
-computed and discarded. The backward pass runs the same taps in reverse —
-the upstream gradient is embedded into a plane whose inter-row garbage stays
-zero, so scatter (col2im) disappears as well.
+— k GEMM calls with K = k·Cb and k-1 accumulator adds per convolution, where
+one GEMM per tap (i, j) makes k² calls with K = C and k²-1 adds, and each
+output row's B operand is a ``(K, Q)`` slab that stays cache-resident.
+``taps`` is an ``as_strided`` *view* of the plane, shape ``(k, OH, K, Q-k+1)``
+and strides ``(1, Cb·Q, Q, 1)`` elements, so widening K copies nothing.
 
-All large intermediates (padded input plane, accumulators, gradient plane)
-live in a workspace checked out of the per-process pool (``nn.workspace``)
-in ``forward`` and returned when ``backward`` completes, so the steady-state
-hot loop performs no large allocations and every replica of a cluster works
-in the same buffers.
+The view's bound: tap ``[j, y]`` ends at row ``(y+k)·Cb - 1 <= Hp·Cb - 1``
+of ``X`` (``OH = Hp-k+1``) and at column ``j + Q-k <= Q-1`` — its last
+element is the buffer's last element. A plane element appears in up to k²
+tap entries, so the view is read-only and the plane is written through its
+own buffer alone (the interior copy in ``forward``): a write through the
+view would land in k² logical places at once.
 
-Strided convolutions fall back to im2col/col2im; their patch matrix is a
+Columns run across sample boundaries: column ``n·Wp + x`` with ``x >= OW``
+reads on into the next sample's left padding. Those k-1 products per row
+are garbage that the output view never reads — ``acc`` is ``(OH, O, N, Wp)``
+and is handed on as an ``(N, O, OH, OW)`` strided view, without a packing
+copy. The bias is the ones channel's weight at tap (0, 0).
+
+Backward is the same shape of work. ``dW[j] = Σ_y gq[y] @ taps[j, y]ᵀ``, the
+upstream gradient embedded in a plane of the output's layout whose garbage
+columns stay zero (so the ones channel's entry is the bias gradient); ``dx``
+is the forward kernel again, over the gradient inside a zero border of
+``b = k-1-pad`` (cropped by ``-b`` where ``pad > k-1``), with the weights
+flipped and their channel axes swapped.
+
+All large intermediates (planes, accumulators) live in a workspace checked
+out of the per-process pool (``nn.workspace``) in ``forward`` and returned
+when ``backward`` completes, so the steady-state hot loop performs no large
+allocations and every replica of a cluster works in the same buffers.
+
+Strided convolutions go through im2col/col2im; their patch matrix is a
 pooled workspace too.
 """
 
@@ -37,75 +62,86 @@ from repro.nn.parameter import Parameter
 from repro.utils.rng import RngLike, as_rng
 
 
-class _ShiftWorkspace:
-    """Pooled buffers for the shift-GEMM path, tied to one input shape.
+def _slab(rows: int, chans: int, n: int, cols: int, k: int):
+    """A zeroed ``(rows, chans, n, cols)`` slab plane and its tap view.
 
-    Planes are stored channel-major — ``xf`` is ``(C, N*P)`` with ``P`` the
-    padded plane size — so every kernel tap is a *single* ``(O, C) @ (C, L)``
-    GEMM spanning the whole batch, instead of N small batched GEMMs. The
-    shifted slice for a tap runs off the end of each sample's plane into the
-    next sample's zero top-padding; those products land in garbage output
-    columns that the strided output view never reads. ``off + span <= P``
-    holds exactly (the largest shift ends at the plane boundary), so no tap
-    reads past the final sample.
+    ``taps[j, y]`` is the ``(k·chans, Q-k+1)`` matrix of the k image rows
+    under output row ``y``, shifted ``j`` columns (module docstring). The
+    largest offset the view reaches is ``(k-1) + (rows-k)·chans·Q +
+    (k·chans-1)·Q + (Q-k) = rows·chans·Q - 1``: exactly the buffer's last
+    element. Read-only, because its entries overlap k²-fold.
     """
+    buf = np.zeros((rows, chans, n, cols))
+    s_row, s_chan, _, s_col = buf.strides
+    taps = as_strided(
+        buf,
+        shape=(k, rows - k + 1, k * chans, n * cols - k + 1),
+        strides=(s_col, s_row, s_chan, s_col),
+        writeable=False,
+    )
+    return buf, taps
 
-    def __init__(self, x_shape, out_channels, kernel_size, pad, stem=False):
+
+def _nchw(buf: np.ndarray) -> np.ndarray:
+    """A ``(rows, chans, N, cols)`` slab buffer as ``(N, chans, rows, cols)``:
+    the axis order the neighbouring layers read and write."""
+    return buf.transpose(2, 1, 0, 3)
+
+
+def _slab_conv(w: np.ndarray, taps: np.ndarray, acc: np.ndarray, tmp: np.ndarray):
+    """``acc[y] = Σ_j w[j] @ taps[j, y]``: a whole stride-1 convolution as k
+    batched GEMM calls with K = k·chans and k-1 accumulator adds."""
+    rows, out_chans, span = acc.shape[0], acc.shape[1], taps.shape[3]
+    acc_l, tmp_l = (b.reshape(rows, out_chans, -1)[:, :, :span] for b in (acc, tmp))
+    np.matmul(w[0], taps[0], out=acc_l)
+    for wj, tap in zip(w[1:], taps[1:]):
+        np.matmul(wj, tap, out=tmp_l)
+        acc += tmp
+
+
+class _SlabWorkspace:
+    """Pooled buffers of the row-slab path, tied to one input shape."""
+
+    def __init__(self, x_shape, out_channels, k, pad, bias, need_dx):
         n, c, h, w = x_shape
-        k = kernel_size
-        self.stem = stem
-        self.c = c
-        self.n = n
-        self.hp, self.wp = h + 2 * pad, w + 2 * pad
+        o = out_channels
         # conv_out_size validates that the kernel fits (raises otherwise).
-        self.oh = conv_out_size(h, k, 1, pad)
-        self.ow = conv_out_size(w, k, 1, pad)
-        self.plane = self.hp * self.wp
-        self.span = (self.oh - 1) * self.wp + self.ow
-        # GEMM column count: the last sample's valid span plus all earlier
-        # samples' full planes.
-        self.length = (n - 1) * self.plane + self.span
-        # Plane rows, plus one constant-ones row at the bottom that folds
-        # the bias add into the first GEMM (its weight column is the bias).
-        # The stem layout additionally unrolls the k column-taps into k
-        # pre-shifted row blocks, so one GEMM covers a whole kernel row.
-        rows = k * c if stem else c
-        self.xf = np.zeros((rows + 1, n * self.plane))
-        self.xf[rows] = 1.0
-        self.gf = np.zeros((out_channels, self.length))
-        self.acc = np.empty((out_channels, self.length))
-        self.tmp_out = np.empty((out_channels, self.length))
-        self.w0 = np.empty((out_channels, rows + 1))
-        # Zero-initialized planes: the padding border of ``xf`` and the
-        # garbage columns of the gradient plane are written once above and
-        # never again — each step only overwrites the valid interior.
-        self.x_int = self.xf[:c].reshape(c, n, self.hp, self.wp)[
-            :, :, pad : pad + h, pad : pad + w
-        ]
-        self.out_view = self.plane_view(self.acc)
-        self.gv = self.plane_view(self.gf)
-        if stem:
-            # Row-grouped weights [i][o, j*c + cc] = W[o, cc, i, j] and the
-            # matching (k, O, k*c) weight-gradient accumulator.
-            self.wr = np.empty((k, out_channels, k * c))
-            self.dwr = np.empty((k, out_channels, k * c))
-        else:
-            self.dxf = np.empty((c, n * self.plane))
-            self.tmp_dx = np.empty((c, self.length))
-            self.dw = np.empty((out_channels, c, k, k))
-            self.dx_view = self.dxf.reshape(c, n, self.hp, self.wp)[
-                :, :, pad : pad + h, pad : pad + w
-            ].transpose(1, 0, 2, 3)
-
-    def plane_view(self, flat: np.ndarray):
-        """(N, C, OH, OW) strided window into a channel-major plane buffer."""
-        channels = flat.shape[0]
-        sc, se = flat.strides
-        return as_strided(
-            flat,
-            shape=(self.n, channels, self.oh, self.ow),
-            strides=(self.plane * se, sc, self.wp * se, se),
-        )
+        oh, ow = conv_out_size(h, k, 1, pad), conv_out_size(w, k, 1, pad)
+        wp = w + 2 * pad
+        # The bias is the weight of one constant-ones channel below the c
+        # real ones, non-zero at tap (0, 0) only.
+        cb = c + bias
+        self.xp, self.taps = _slab(h + 2 * pad, cb, n, wp, k)
+        self.xp[:, c:] = 1.0
+        self.x_int = _nchw(self.xp)[:, :c, pad : pad + h, pad : pad + w]
+        self.w = np.zeros((k, o, k, cb))
+        # Zeroed, not empty: the GEMMs write columns [0, Q-k+1) of every
+        # (o, Q) row block while the adds run over whole buffers, so the
+        # k-1 tail columns must hold something finite — they stay zero.
+        self.acc = np.zeros((oh, o, n, wp))
+        self.tmp = np.zeros((oh, o, n, wp))
+        self.out_view = _nchw(self.acc)[..., :ow]
+        # dW operand: the upstream gradient in the output's own layout; its
+        # garbage columns are zeroed here and never written.
+        self.gp = np.zeros((oh, o, n, wp))
+        self.g_int = _nchw(self.gp)[..., :ow]
+        self.gq = self.gp.reshape(oh, o, -1)[:, :, : self.taps.shape[3]]
+        self.dw_rows = np.empty((k, oh, o, k * cb))
+        if need_dx:
+            # dx is the same kernel over the gradient inside a zero border
+            # of b = k-1-pad (cropped instead where b < 0), with the weights
+            # flipped and their channel axes swapped.
+            b = k - 1 - pad
+            lo, cut = max(b, 0), max(-b, 0)
+            self.gd, self.taps_d = _slab(h + k - 1, o, n, w + k - 1, k)
+            self.gd_int = _nchw(self.gd)[
+                :, :, lo : lo + oh - 2 * cut, lo : lo + ow - 2 * cut
+            ]
+            self.crop = (..., slice(cut, oh - cut), slice(cut, ow - cut))
+            self.wd = np.empty((k, c, k, o))
+            self.acc_d = np.zeros((h, c, n, w + k - 1))
+            self.tmp_d = np.zeros((h, c, n, w + k - 1))
+            self.dx_view = _nchw(self.acc_d)[..., :w]
 
 
 class Conv2d(Module):
@@ -113,7 +149,7 @@ class Conv2d(Module):
 
     Parameters follow the usual convention: ``weight`` is
     ``(out_channels, in_channels, kh, kw)``. Stride-1 instances run the
-    shift-GEMM kernel described in the module docstring; strided instances
+    row-slab kernel described in the module docstring; strided instances
     unfold with :func:`im2col` into a reusable patch workspace and perform a
     single matrix multiply, keeping the hot loop inside BLAS either way.
     """
@@ -148,124 +184,47 @@ class Conv2d(Module):
         # is never consumed there, so backward can skip the dx GEMMs.
         self.skip_input_grad = False
 
-    # -- shift-GEMM path (stride == 1) -------------------------------------
-    def _forward_shift(self, x: np.ndarray) -> np.ndarray:
-        k = self.kernel_size
-        # Input layers with few channels get the row-grouped layout: the k
-        # column-taps are pre-shifted into adjacent row blocks so a whole
-        # kernel row is one GEMM with a k-times-wider inner dimension — the
-        # (O, C) @ (C, L) taps are too skinny for BLAS when C is tiny. Only
-        # worthwhile when dx is skipped; the grouped dx scatter costs more
-        # than it saves.
-        stem = self.skip_input_grad and self.in_channels <= 4
-        o, pad = self.out_channels, self.padding
+    # -- row-slab path (stride == 1) ----------------------------------------
+    def _forward_slab(self, x: np.ndarray) -> np.ndarray:
+        o, c = self.out_channels, self.in_channels
+        k, pad = self.kernel_size, self.padding
+        bias, need_dx = self.bias is not None, not self.skip_input_grad
         ws = self._checkout(
-            ("shift", o, k, pad, stem), x.shape,
-            lambda: _ShiftWorkspace(x.shape, o, k, pad, stem=stem),
+            ("slab", o, k, pad, bias, need_dx), x.shape,
+            lambda: _SlabWorkspace(x.shape, o, k, pad, bias, need_dx),
         )
-        np.copyto(ws.x_int, x.transpose(1, 0, 2, 3))
-        W = self.weight.data
-        L = ws.length
-        xf = ws.xf
-        if stem:
-            c = ws.c
-            rows = k * c
-            cols = xf.shape[1]
-            for j in range(1, k):
-                xf[j * c : (j + 1) * c, : cols - j] = xf[:c, j:]
-            wr4 = ws.wr.reshape(k, self.out_channels, k, c)
-            wr4[...] = W.transpose(2, 0, 3, 1)
-            if self.bias is not None:
-                ws.w0[:, :rows] = ws.wr[0]
-                ws.w0[:, rows] = self.bias.data
-                np.matmul(ws.w0, xf[:, :L], out=ws.acc)
-            else:
-                np.matmul(ws.wr[0], xf[:rows, :L], out=ws.acc)
-            for i in range(1, k):
-                off = i * ws.wp
-                np.matmul(ws.wr[i], xf[:rows, off : off + L], out=ws.tmp_out)
-                ws.acc += ws.tmp_out
-            return ws.out_view
-        c = ws.c
-        if self.bias is not None:
-            # Tap (0, 0) runs over the ones row as an extra input channel
-            # whose weight column is the bias — the bias add is free.
-            ws.w0[:, :c] = W[:, :, 0, 0]
-            ws.w0[:, c] = self.bias.data
-            np.matmul(ws.w0, xf[:, :L], out=ws.acc)
-        else:
-            np.matmul(W[:, :, 0, 0], xf[:c, :L], out=ws.acc)
-        for i in range(k):
-            for j in range(k):
-                if i == 0 and j == 0:
-                    continue
-                off = i * ws.wp + j
-                np.matmul(W[:, :, i, j], xf[:c, off : off + L], out=ws.tmp_out)
-                ws.acc += ws.tmp_out
+        np.copyto(ws.x_int, x)
+        # w[j, o, i, c] = W[o, c, i, j]; the ones channel's weight is the
+        # bias at tap (0, 0) and stays zero at every other tap.
+        ws.w[..., :c] = self.weight.data.transpose(3, 0, 2, 1)
+        if bias:
+            ws.w[0, :, 0, c] = self.bias.data
+        _slab_conv(ws.w.reshape(k, o, -1), ws.taps, ws.acc, ws.tmp)
         # Strided window into the accumulator — consumers read it without a
         # packing copy. Valid until this layer's backward returns the
         # workspace, which is after every consumer of this step has read it.
         return ws.out_view
 
-    def _backward_shift(self, grad_out: np.ndarray) -> np.ndarray:
-        k = self.kernel_size
+    def _backward_slab(self, grad_out: np.ndarray) -> np.ndarray:
+        o, c, k = self.out_channels, self.in_channels, self.kernel_size
         ws = self._workspace()
-        ws.gv[...] = grad_out
-        W = self.weight.data
-        L = ws.length
-        if ws.stem:
-            c = ws.c
-            rows = k * c
-            # Row 0 runs over the ones row too (reusing ``w0`` as output):
-            # its last column is gf's row sums — the bias gradient — so the
-            # separate reduction over gf disappears.
-            np.matmul(ws.gf, ws.xf[:, :L].T, out=ws.w0)
-            ws.dwr[0] = ws.w0[:, :rows]
-            for i in range(1, k):
-                off = i * ws.wp
-                np.matmul(ws.gf, ws.xf[:rows, off : off + L].T, out=ws.dwr[i])
-            self.weight.accumulate_grad(
-                ws.dwr.reshape(k, self.out_channels, k, c).transpose(1, 3, 0, 2)
-            )
-            if self.bias is not None:
-                self.bias.accumulate_grad(ws.w0[:, rows])
-            self._release()
-            return None
-        need_dx = not self.skip_input_grad
-        if need_dx:
-            # Only the tail [length, n*plane) needs zeroing: the first tap
-            # (off == 0) overwrites [0, length) directly below.
-            ws.dxf[:, ws.length :].fill(0.0)
-        first = True
-        for i in range(k):
-            for j in range(k):
-                off = i * ws.wp + j
-                # One GEMM per tap; the column dimension spans the batch, so
-                # dW's sample sum happens inside the product. Tap (0, 0)
-                # additionally spans the ones row (output into ``w0``),
-                # whose column is gf's row sums — the bias gradient. The
-                # garbage columns of gf are zero, so those sums equal
-                # grad_out.sum(axis=(0, 2, 3)) exactly.
-                if i == 0 and j == 0:
-                    np.matmul(ws.gf, ws.xf[:, :L].T, out=ws.w0)
-                    ws.dw[:, :, 0, 0] = ws.w0[:, : ws.c]
-                else:
-                    xv = ws.xf[: ws.c, off : off + L]
-                    np.matmul(ws.gf, xv.T, out=ws.dw[:, :, i, j])
-                if not need_dx:
-                    continue
-                np.matmul(W[:, :, i, j].T, ws.gf, out=ws.tmp_dx)
-                if first:
-                    np.copyto(ws.dxf[:, :L], ws.tmp_dx)
-                    first = False
-                else:
-                    ws.dxf[:, off : off + L] += ws.tmp_dx
-        self.weight.accumulate_grad(ws.dw)
+        ws.g_int[...] = grad_out
+        # dW[j] = Σ_y gq[y] @ taps[j, y]ᵀ: the GEMM's column dimension spans
+        # the batch, so the sample sum happens inside the product and only
+        # the output rows are left to add up. The ones channel's entry at
+        # tap (0, 0) is gp's total per output channel — the bias gradient
+        # (gp's garbage columns are zero, so nothing but grad_out is in it).
+        np.matmul(ws.gq, ws.taps.transpose(0, 1, 3, 2), out=ws.dw_rows)
+        dw = ws.dw_rows.sum(axis=1).reshape(k, o, k, -1)
+        self.weight.accumulate_grad(dw[..., :c].transpose(1, 3, 2, 0))
         if self.bias is not None:
-            self.bias.accumulate_grad(ws.w0[:, ws.c])
+            self.bias.accumulate_grad(dw[0, :, 0, c])
         self._release()
-        if not need_dx:
+        if self.skip_input_grad:
             return None
+        ws.gd_int[...] = grad_out[ws.crop]
+        ws.wd[...] = self.weight.data[:, :, ::-1, ::-1].transpose(3, 1, 2, 0)
+        _slab_conv(ws.wd.reshape(k, c, -1), ws.taps_d, ws.acc_d, ws.tmp_d)
         # View into the returned workspace: valid until the next forward
         # checks it out, which is always after the caller has consumed it.
         return ws.dx_view
@@ -313,10 +272,10 @@ class Conv2d(Module):
                 f"Conv2d expected (N, {self.in_channels}, H, W), got {x.shape}"
             )
         if self.stride == 1:
-            return self._forward_shift(x)
+            return self._forward_slab(x)
         return self._forward_im2col(x)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self.stride == 1:
-            return self._backward_shift(grad_out)
+            return self._backward_slab(grad_out)
         return self._backward_im2col(grad_out)

@@ -2,7 +2,7 @@
 
 from repro.utils.rng import RngPool, spawn_rngs, as_rng
 from repro.utils.ewma import Ewma, ewma_series
-from repro.utils.flatten import flatten_arrays, unflatten_like, tree_map
+from repro.utils.flatten import flatten_arrays
 from repro.utils.registry import Registry
 from repro.utils.runlog import RunLog, IterationRecord
 from repro.utils.serialization import (
@@ -20,8 +20,6 @@ __all__ = [
     "Ewma",
     "ewma_series",
     "flatten_arrays",
-    "unflatten_like",
-    "tree_map",
     "Registry",
     "RunLog",
     "IterationRecord",

@@ -1,14 +1,14 @@
-"""Flatten/unflatten lists of numpy arrays into a single vector.
+"""Flat-vector helpers: concatenate arrays, and reduce equally-shaped vectors.
 
 The communication layer and the Hessian tooling operate on flat parameter /
-gradient vectors; models expose parameters as lists of arrays. These helpers
-convert between the two without copying more than once.
+gradient vectors; the aggregation sites reduce lists of them without
+materializing a stack.
 """
 
 from __future__ import annotations
 
 import functools
-from typing import Callable, List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -18,29 +18,6 @@ def flatten_arrays(arrays: Sequence[np.ndarray]) -> np.ndarray:
     if len(arrays) == 0:
         return np.zeros(0, dtype=np.float64)
     return np.concatenate([np.asarray(a, dtype=np.float64).ravel() for a in arrays])
-
-
-def unflatten_like(
-    vec: np.ndarray, templates: Sequence[np.ndarray]
-) -> List[np.ndarray]:
-    """Split a flat vector back into arrays shaped like ``templates``.
-
-    Raises ``ValueError`` when sizes do not line up — a mismatch here almost
-    always means two workers disagree about the model architecture.
-    """
-    vec = np.asarray(vec).ravel()
-    total = sum(int(t.size) for t in templates)
-    if vec.size != total:
-        raise ValueError(
-            f"flat vector has {vec.size} elements but templates require {total}"
-        )
-    out: List[np.ndarray] = []
-    offset = 0
-    for t in templates:
-        n = int(t.size)
-        out.append(vec[offset : offset + n].reshape(t.shape).astype(t.dtype, copy=False))
-        offset += n
-    return out
 
 
 def mean_into(
@@ -155,10 +132,3 @@ def order_mean_into(
             np.add(o, bufs[r], out=o)
         np.divide(o, len(rows), out=o)
     return out
-
-
-def tree_map(
-    fn: Callable[[np.ndarray], np.ndarray], arrays: Sequence[np.ndarray]
-) -> List[np.ndarray]:
-    """Apply ``fn`` to every array in a list (a minimal pytree map)."""
-    return [fn(a) for a in arrays]

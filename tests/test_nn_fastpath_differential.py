@@ -1,7 +1,9 @@
 """Differential tests: the hot-path kernels vs naive references.
 
-The shift-GEMM convolution (including the stem row-grouping and bias
-folding), the non-overlapping maxpool and the ReLU workspace all promise
+The stride-1 convolution (one row-slab kernel: k column-shifted GEMMs over
+a padded plane, bias folded into a ones channel — the ``test_shift_conv_*``
+cases; ``tests/test_nn_conv_slab.py`` holds its full shape grid), the
+non-overlapping maxpool and the ReLU workspace all promise
 the *same arithmetic* as the plain implementations they replaced. These
 tests pin that promise against dead-simple loop references — across odd
 spatial shapes, non-contiguous inputs and both float32 and float64. The
@@ -105,7 +107,7 @@ def run_conv(layer, x, grad_out):
     )
 
 
-# -- shift-GEMM convolution --------------------------------------------------
+# -- stride-1 convolution (column-shift GEMMs over a row-slab plane) ----------
 
 
 @pytest.mark.parametrize("shape", [(2, 3, 5, 7), (1, 2, 9, 4), (3, 5, 6, 6)])
@@ -130,8 +132,8 @@ def test_shift_conv_matches_naive_and_im2col(shape, use_bias):
         np.testing.assert_allclose(got[3], ref_db, atol=1e-10)
 
 
-def test_stem_row_grouping_matches_naive():
-    """skip_input_grad + few channels takes the row-grouped stem layout."""
+def test_input_layer_without_dx_matches_naive():
+    """skip_input_grad + few channels: the same kernel, minus the dx plane."""
     rng = np.random.default_rng(11)
     layer = Conv2d(3, 8, kernel_size=3, stride=1, padding=1, bias=True, rng=5)
     layer.skip_input_grad = True
@@ -143,7 +145,7 @@ def test_stem_row_grouping_matches_naive():
     _, ref_dw, ref_db = naive_conv2d_grads(
         x, layer.weight.data, layer.bias.data, g, 1, 1
     )
-    assert dx is None  # stem skips the input gradient entirely
+    assert dx is None  # an input layer skips the input gradient entirely
     np.testing.assert_allclose(out, ref_out, atol=1e-10)
     np.testing.assert_allclose(dw, ref_dw, atol=1e-10)
     np.testing.assert_allclose(db, ref_db, atol=1e-10)

@@ -1,11 +1,10 @@
-"""Tests for flatten/unflatten helpers."""
+"""Tests for the flat-vector helpers."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.utils.flatten import flatten_arrays, mean_into, tree_map, unflatten_like
+from repro.utils.flatten import flatten_arrays, mean_into
 
 
 class TestFlatten:
@@ -22,32 +21,6 @@ class TestFlatten:
         assert out.dtype == np.float64
 
 
-class TestUnflatten:
-    def test_roundtrip(self):
-        arrays = [np.arange(6.0).reshape(2, 3), np.arange(4.0)]
-        flat = flatten_arrays(arrays)
-        back = unflatten_like(flat, arrays)
-        for orig, rec in zip(arrays, back):
-            assert np.array_equal(orig, rec)
-            assert orig.shape == rec.shape
-
-    def test_size_mismatch_raises(self):
-        with pytest.raises(ValueError, match="5 elements"):
-            unflatten_like(np.zeros(5), [np.zeros((2, 3))])
-
-    def test_preserves_dtype(self):
-        t = [np.zeros(3, dtype=np.float32)]
-        out = unflatten_like(np.ones(3), t)
-        assert out[0].dtype == np.float32
-
-
-class TestTreeMap:
-    def test_applies_function(self):
-        out = tree_map(lambda a: a * 2, [np.ones(2), np.ones(3)])
-        assert np.array_equal(out[0], [2, 2])
-        assert np.array_equal(out[1], [2, 2, 2])
-
-
 @given(
     shapes=st.lists(
         st.tuples(st.integers(1, 4), st.integers(1, 4)), min_size=1, max_size=5
@@ -59,9 +32,11 @@ def test_roundtrip_property(shapes):
     arrays = [rng.normal(size=s) for s in shapes]
     flat = flatten_arrays(arrays)
     assert flat.size == sum(a.size for a in arrays)
-    back = unflatten_like(flat, arrays)
-    for orig, rec in zip(arrays, back):
-        assert np.allclose(orig, rec)
+    offset = 0
+    for orig in arrays:
+        rec = flat[offset : offset + orig.size].reshape(orig.shape)
+        assert np.array_equal(orig, rec)
+        offset += orig.size
 
 
 @given(
