@@ -23,7 +23,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.cluster.faults import NonFiniteUpdateError
-from repro.utils.flatten import mean_into
+from repro.utils.flatten import reduce_slices
 
 
 class ParameterServer:
@@ -37,10 +37,27 @@ class ParameterServer:
     bitwise-identical to ``np.mean(np.stack(...), axis=0)``) and hands out
     read-only views, so a sync step allocates nothing proportional to the
     model size.
+
+    With a :class:`~repro.comm.sharding.ShardSpec` the vector is ``S``
+    independently aggregated shards, each a contiguous, layer-aligned
+    slice: robust aggregators see one shard's slices, per-shard versions
+    advance separately, and a worker whose uplink push for one shard was
+    lost (the round's ``absent`` argument) is excluded from *that shard's*
+    aggregation only — a degraded shard round — instead of the whole sync.
+    With no absences and the plain mean the result is **bitwise identical**
+    for every shard count, so sharding alters *when parallelism is charged*
+    and *how faults degrade*, never fault-free numerics. The asynchronous
+    path does not shard: an async push is a full-vector delta applied
+    atomically, which per shard is the same write.
     """
 
-    def __init__(self, init_params: np.ndarray, aggregator=None):
+    def __init__(self, init_params: np.ndarray, aggregator=None, spec=None):
         self._params = np.array(init_params, dtype=np.float64, copy=True)
+        if spec is not None and spec.n_params != self._params.size:
+            raise ValueError(
+                f"shard spec covers {spec.n_params} params but the model "
+                f"has {self._params.size}"
+            )
         # Scratch for gradient aggregation; separate from ``_params`` because
         # GA averages gradients without moving the globals.
         self._agg: Optional[np.ndarray] = None
@@ -54,10 +71,20 @@ class ParameterServer:
         #: often the model moved on partial information.
         self.expected_contributors: Optional[int] = None
         self.degraded_rounds: int = 0
+        #: Shard geometry; ``None`` is the one shard ``slice(None)``.
+        self.spec = spec
+        self.shard_versions: List[int] = [0] * self.n_shards
+        #: Shard-round ledger: ticks once per shard whose round ran with
+        #: fewer contributors than pushed (or did not run at all).
+        self.degraded_shard_rounds: int = 0
 
     @property
     def n_params(self) -> int:
         return int(self._params.size)
+
+    @property
+    def n_shards(self) -> int:
+        return 1 if self.spec is None else int(self.spec.n_shards)
 
     def _readonly(self, vec: np.ndarray) -> np.ndarray:
         view = vec.view()
@@ -76,30 +103,38 @@ class ParameterServer:
             return self._params.copy()
         return self._readonly(self._params)
 
-    def aggregate_params(self, pushed: Sequence[np.ndarray]) -> np.ndarray:
-        """Parameter aggregation: global ← aggregate of pushed replicas."""
-        self._check(pushed)
-        self.version += 1
-        if self.aggregator is not None:
-            self.aggregator.reduce(pushed, out=self._params, where="params")
-        else:
-            mean_into(pushed, out=self._params)
-        return self._readonly(self._params)
+    def aggregate_params(self, pushed: Sequence[np.ndarray], absent=None) -> np.ndarray:
+        """Parameter aggregation: global ← aggregate of pushed replicas.
 
-    def aggregate_grads(self, grads: Sequence[np.ndarray]) -> np.ndarray:
+        ``absent`` maps a shard to the positions in ``pushed`` whose push
+        for it was lost; a shard nobody delivered keeps its parameters."""
+        return self._aggregate(pushed, self._params, "params", absent)
+
+    def aggregate_grads(self, grads: Sequence[np.ndarray], absent=None) -> np.ndarray:
         """Gradient aggregation: return the aggregate gradient (global
         params are NOT moved — in GA each worker applies the aggregate to
         its own replica, which is exactly the divergence mechanism §III-C
-        describes)."""
-        self._check(grads)
-        self.version += 1
+        describes). A shard nobody delivered contributes zeros."""
         if self._agg is None or self._agg.shape != self._params.shape:
             self._agg = np.empty_like(self._params)
-        if self.aggregator is not None:
-            self.aggregator.reduce(grads, out=self._agg, where="grads")
-        else:
-            mean_into(grads, out=self._agg)
-        return self._readonly(self._agg)
+        return self._aggregate(grads, self._agg, "grads", absent)
+
+    def _aggregate(self, vectors, out, where, absent) -> np.ndarray:
+        self._check(vectors)
+        self.version += 1
+        counts = reduce_slices(
+            vectors,
+            out,
+            (slice(None),) if self.spec is None else self.spec.slices(),
+            absent,
+            self.aggregator,
+            where,
+            keep_empty=out is self._params,
+        )
+        for s, k in enumerate(counts):
+            self.degraded_shard_rounds += int(k < len(vectors))
+            self.shard_versions[s] += int(k > 0)
+        return self._readonly(out)
 
     # -- asynchronous (SSP) interface ------------------------------------------
     def async_apply(self, update: np.ndarray) -> int:
@@ -158,6 +193,12 @@ class ParameterServer:
         # checkpoints stay byte-identical to builds without the counter.
         if self.degraded_rounds:
             state["degraded_rounds"] = self.degraded_rounds
+        if self.spec is not None:
+            state["sharding"] = {
+                "bounds": list(self.spec.bounds),
+                "shard_versions": list(self.shard_versions),
+                "degraded_shard_rounds": self.degraded_shard_rounds,
+            }
         return state
 
     def load_state_dict(self, state: dict) -> None:
@@ -171,118 +212,8 @@ class ParameterServer:
         self._agg = None
         self.version = int(state["version"])
         self.degraded_rounds = int(state.get("degraded_rounds", 0))
-
-
-class ShardedParameterServer(ParameterServer):
-    """Parameter server split into ``S`` independently aggregated shards.
-
-    Each shard owns a contiguous, layer-aligned slice of the flat parameter
-    vector (geometry from a :class:`~repro.comm.sharding.ShardSpec`) and
-    runs its round independently: robust aggregators see one shard's slices,
-    per-shard versions advance separately, and a worker whose uplink push
-    for one shard was lost is excluded from *that shard's* aggregation only
-    (a degraded shard round) instead of the whole sync.
-
-    Arithmetic contract: with no absences and the plain mean, aggregating
-    shard-by-shard is **bitwise identical** to the unsharded path —
-    ``mean_into`` accumulates elementwise, so slicing the reduction changes
-    nothing. The sharded server therefore alters *when parallelism is
-    charged* and *how faults degrade*, never fault-free numerics.
-
-    The asynchronous (SSP) path is inherited unchanged: an async push is a
-    full-vector delta applied atomically, which per shard is the same
-    write; only the synchronous rounds track per-shard versions.
-    """
-
-    def __init__(self, init_params: np.ndarray, spec, aggregator=None):
-        super().__init__(init_params, aggregator=aggregator)
-        if spec.n_params != self._params.size:
-            raise ValueError(
-                f"shard spec covers {spec.n_params} params but the model "
-                f"has {self._params.size}"
-            )
-        self.spec = spec
-        self.shard_versions: List[int] = [0] * spec.n_shards
-        #: Shard-round ledger: ticks once per shard whose round ran with
-        #: fewer contributors than pushed (or did not run at all).
-        self.degraded_shard_rounds: int = 0
-        # shard -> positions (indices into the pushed list) absent from the
-        # next round; consumed by the next aggregate call.
-        self._shard_absent: dict = {}
-
-    @property
-    def n_shards(self) -> int:
-        return int(self.spec.n_shards)
-
-    def set_shard_absences(self, absences) -> None:
-        """Positions per shard to exclude from the next aggregation round
-        (mirrors :meth:`repro.comm.collectives.SimGroup.set_shard_absences`)."""
-        clean = {}
-        for s, positions in absences.items():
-            s = int(s)
-            if not 0 <= s < self.n_shards:
-                raise ValueError(
-                    f"shard {s} out of range [0, {self.n_shards})"
-                )
-            if positions:
-                clean[s] = frozenset(int(p) for p in positions)
-        self._shard_absent = clean
-
-    def _take_shard_absences(self) -> dict:
-        absent = self._shard_absent
-        self._shard_absent = {}
-        return absent
-
-    def _reduce_shards(
-        self, pushed: Sequence[np.ndarray], out: np.ndarray, where: str
-    ) -> None:
-        absent = self._take_shard_absences()
-        for s, sl in enumerate(self.spec.slices()):
-            gone = absent.get(s, frozenset())
-            vecs = [v[sl] for i, v in enumerate(pushed) if i not in gone]
-            if len(vecs) < len(pushed):
-                self.degraded_shard_rounds += 1
-            if not vecs:
-                # Round skipped entirely: the shard keeps (params) or
-                # contributes (grads) nothing — out holds the previous
-                # globals for the params buffer, zeros for a grad scratch.
-                if where == "grads":
-                    out[sl] = 0.0
-                continue
-            if self.aggregator is not None:
-                self.aggregator.reduce(
-                    vecs, out=out[sl], where=f"{where}/shard{s}"
-                )
-            else:
-                mean_into(vecs, out=out[sl])
-            self.shard_versions[s] += 1
-
-    def aggregate_params(self, pushed: Sequence[np.ndarray]) -> np.ndarray:
-        self._check(pushed)
-        self.version += 1
-        self._reduce_shards(pushed, self._params, "params")
-        return self._readonly(self._params)
-
-    def aggregate_grads(self, grads: Sequence[np.ndarray]) -> np.ndarray:
-        self._check(grads)
-        self.version += 1
-        if self._agg is None or self._agg.shape != self._params.shape:
-            self._agg = np.empty_like(self._params)
-        self._reduce_shards(grads, self._agg, "grads")
-        return self._readonly(self._agg)
-
-    # -- checkpointing ----------------------------------------------------
-    def state_dict(self) -> dict:
-        state = super().state_dict()
-        state["sharding"] = {
-            "bounds": list(self.spec.bounds),
-            "shard_versions": list(self.shard_versions),
-            "degraded_shard_rounds": self.degraded_shard_rounds,
-        }
-        return state
-
-    def load_state_dict(self, state: dict) -> None:
-        super().load_state_dict(state)
+        if self.spec is None:
+            return
         sh = state.get("sharding")
         if sh is None:
             raise ValueError(
@@ -302,4 +233,3 @@ class ShardedParameterServer(ParameterServer):
             )
         self.shard_versions = versions
         self.degraded_shard_rounds = int(sh["degraded_shard_rounds"])
-        self._shard_absent = {}

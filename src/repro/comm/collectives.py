@@ -5,6 +5,13 @@
 the data movement is real numpy, the elapsed time is the cost model's. Every
 operation returns ``(result, simulated_seconds)`` so trainers charge the
 clock explicitly.
+
+A full-model sync round is produced in one place, :meth:`SimGroup._round`:
+:meth:`~SimGroup.allreduce_mean` (reduce and account),
+:meth:`~SimGroup.charge_sync` (account a round reduced elsewhere) and
+:meth:`~SimGroup.sync_time_only` (seconds only) are entries over it, and
+everything a round needs — its size, the ranks taking part, the per-shard
+absences — arrives as arguments; the group keeps no per-round state.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ from repro.comm.envelope import CollectiveTimeoutError, CommEnvelope, RetryPolic
 from repro.comm.network import LinkFaultModel, NetworkModel
 from repro.comm.sharding import ShardSpec
 from repro.comm.topology import Topology, build_topology
-from repro.utils.flatten import mean_into
+from repro.utils.flatten import reduce_slices
 
 
 class SimGroup:
@@ -50,10 +57,11 @@ class SimGroup:
         Envelope retry/backoff schedule; only consulted with link faults.
     shard_spec:
         Optional :class:`~repro.comm.sharding.ShardSpec`. ``None`` (or a
-        single-shard spec, which is normalized to ``None``) keeps every
-        sync on the original full-vector path — byte-identical to builds
-        without sharding. With ``S > 1`` shards, full-model syncs run one
-        PS round per shard **in parallel** and the clock charges
+        single-shard spec, which is normalized to ``None``) is the one shard
+        ``slice(None)``: the same reduction over one slice, charged by the
+        topology's full-vector formula — byte-identical to builds without
+        sharding. With ``S > 1`` shards, full-model syncs run one PS round
+        per shard **in parallel** and the clock charges
         :func:`~repro.comm.costmodel.sharded_ps_sync_time`; only the
         ``"ps"`` topology supports this (enforced by the config layer).
     """
@@ -68,9 +76,7 @@ class SimGroup:
         retry_policy: Optional[RetryPolicy] = None,
         shard_spec: Optional[ShardSpec] = None,
     ):
-        if n_workers < 1:
-            raise ValueError(f"n_workers must be >= 1, got {n_workers}")
-        self.n_workers = n_workers
+        self.resize(n_workers, shard_spec)
         self.net = net if net is not None else NetworkModel()
         self.topology: Topology = (
             topology if isinstance(topology, Topology) else build_topology(topology)
@@ -101,17 +107,6 @@ class SimGroup:
         self._faulted_links: set = set()
         # Reusable allreduce output; sized on first use.
         self._mean_buf: Optional[np.ndarray] = None
-        # Sharded-PS geometry; a trivial 1-shard spec is normalized away so
-        # the unsharded code paths stay the only ones default runs touch.
-        self.shard_spec: Optional[ShardSpec] = (
-            shard_spec
-            if shard_spec is not None and shard_spec.n_shards > 1
-            else None
-        )
-        # Per-shard absences (shard -> positions in the round's vector
-        # list) pending for the next sharded round; set by the trainer
-        # when an uplink push for one shard was terminally lost.
-        self._shard_absent: dict = {}
         #: Shard rounds that ran with fewer contributors than the sync's
         #: cohort (or did not run at all) — the group-side degradation
         #: ledger, mirroring the sharded server's.
@@ -119,7 +114,8 @@ class SimGroup:
 
     # -- membership --------------------------------------------------------
     def resize(self, n_workers: int, shard_spec: Optional[ShardSpec] = None):
-        """Adopt a new world size after an elastic membership change.
+        """Adopt a world size and shard geometry — at construction, and
+        after an elastic membership change.
 
         Topology objects are stateless over the group size (every
         ``sync_time`` takes ``n_workers`` explicitly), so a resize is just
@@ -129,12 +125,13 @@ class SimGroup:
         if n_workers < 1:
             raise ValueError(f"n_workers must be >= 1, got {n_workers}")
         self.n_workers = int(n_workers)
-        self.shard_spec = (
+        # A trivial 1-shard spec is normalized away, so default runs are
+        # charged by the topology formula.
+        self.shard_spec: Optional[ShardSpec] = (
             shard_spec
             if shard_spec is not None and shard_spec.n_shards > 1
             else None
         )
-        self._shard_absent = {}
 
     # -- step context ------------------------------------------------------
     def begin_step(self, step: int) -> None:
@@ -145,9 +142,6 @@ class SimGroup:
         transitions and emits ``partition_detected`` events.
         """
         self._step = int(step)
-        # Shard absences never survive a step boundary: an aborted round
-        # (quorum loss, rollback) must not leak its drops into the next one.
-        self._shard_absent = {}
         if self.link_faults is None:
             return
         self._faulted_links = set()
@@ -179,6 +173,23 @@ class SimGroup:
                 src=key[0], dst=key[1], kind=kind,
             )
 
+    def _send(self, src: int, dst: int, transfer_s: float, op: str, msg=0, **tag):
+        """One enveloped message: its outcome, with the ``link_fault`` /
+        ``retry`` events and the :attr:`retry_wait_s` it implies."""
+        out = self.envelope.send(src, dst, self._step, transfer_s, msg)
+        if out.attempts > 1 or not out.delivered:
+            down = self.link_faults.link_down(src, dst, self._step)
+            self._record_link_fault(src, dst, "down" if down else "loss")
+            tr = obs.active()
+            if tr is not None:
+                tr.emit(
+                    "retry", step=self._step, src=src, dst=dst,
+                    op=op, attempts=out.attempts, wait_s=out.wait_s,
+                    delivered=out.delivered, **tag,
+                )
+        self.retry_wait_s += out.wait_s
+        return out
+
     def _enveloped_edges(
         self, edges, op: str, transfer_s: float, must_deliver: bool
     ) -> float:
@@ -189,23 +200,10 @@ class SimGroup:
         terminal loss raises :class:`CollectiveTimeoutError` when
         ``must_deliver`` (ring/tree schedules cannot tolerate a hole).
         """
-        env = self.envelope
-        lf = self.link_faults
         extra = 0.0
         for (src, dst) in edges:
-            out = env.send(src, dst, self._step, transfer_s)
-            if out.attempts > 1 or not out.delivered:
-                kind = "down" if lf.link_down(src, dst, self._step) else "loss"
-                self._record_link_fault(src, dst, kind)
-                tr = obs.active()
-                if tr is not None:
-                    tr.emit(
-                        "retry", step=self._step, src=src, dst=dst,
-                        op=op, attempts=out.attempts, wait_s=out.wait_s,
-                        delivered=out.delivered,
-                    )
+            out = self._send(src, dst, transfer_s, op)
             extra += out.wait_s + out.dup_extra_s
-            self.retry_wait_s += out.wait_s
             if not out.delivered and must_deliver:
                 raise CollectiveTimeoutError(
                     op, src, dst, self._step, out.attempts
@@ -248,116 +246,110 @@ class SimGroup:
             )
         return t
 
-    # -- sharded parameter service ----------------------------------------
-    def set_shard_absences(self, absences) -> None:
-        """Install per-shard drops for the *next* sharded sync round.
+    # -- full-model synchronization ---------------------------------------
+    def _round(
+        self,
+        op: str,
+        nbytes: Optional[float],
+        n_live: Optional[int],
+        rank_ids: Optional[Sequence[int]],
+        absent,
+        vectors: Optional[Sequence[np.ndarray]] = None,
+        ledger: bool = True,
+    ) -> float:
+        """One full-model sync round: check, reduce, cost, account.
 
-        ``absences`` maps shard index → positions (indices into the round's
-        vector list) whose uplink push for that shard was terminally lost.
-        Those positions are excluded from that shard's aggregation and its
-        contributor count — a degraded *shard* round — while still counting
-        toward every other shard. Consumed by the next sharded round and
-        cleared at each ``begin_step``.
+        The one place a round's size and payload are validated, its
+        ``vectors`` (when the arithmetic happens here) are reduced into
+        :attr:`_mean_buf`, its seconds are picked — per-shard parallel
+        rounds, the topology formula, or the healed and enveloped schedule
+        under link faults — and, unless ``ledger`` is off, its bytes land
+        in :attr:`bytes_synced` / :attr:`n_syncs` and its ``collective``
+        events are emitted. ``absent`` maps a shard to the positions (in the
+        round's pusher order) whose push for that shard was lost: they sit
+        out that shard's reduction, contributor count, bytes and seconds.
+
+        A sharded round emits one ``collective`` per shard (its ``bytes``
+        is exactly what that shard added to :attr:`bytes_synced`,
+        preserving the events-sum == counter invariant) plus one
+        ``shard_round`` summary whose ``bytes`` recaps the round total
+        without being counted again by the metrics tap.
         """
-        if self.shard_spec is None:
-            raise RuntimeError("set_shard_absences requires a sharded group")
-        clean = {}
-        for s, positions in absences.items():
-            s = int(s)
-            if not 0 <= s < self.shard_spec.n_shards:
-                raise ValueError(
-                    f"shard {s} out of range [0, {self.shard_spec.n_shards})"
-                )
-            if positions:
-                clean[s] = frozenset(int(p) for p in positions)
-        self._shard_absent = clean
-
-    def _take_shard_absences(self) -> dict:
-        absent = self._shard_absent
-        self._shard_absent = {}
-        return absent
-
-    def _sharded_mean(self, vectors: Sequence[np.ndarray]) -> np.ndarray:
-        """Per-shard aggregate of ``vectors`` into the reusable buffer.
-
-        Reads (does not consume) the pending shard absences so the arithmetic
-        and the subsequent :meth:`_sharded_round` charge see the same drops.
-        With no absences and ``aggregator=None`` the result is bitwise equal
-        to the unsharded mean: ``mean_into`` accumulates elementwise, so
-        slicing the reduction per shard changes nothing.
-        """
-        first = np.asarray(vectors[0])
-        if self._mean_buf is None or self._mean_buf.shape != first.shape:
-            self._mean_buf = np.empty(first.shape, dtype=np.float64)
-        for s, sl in enumerate(self.shard_spec.slices()):
-            gone = self._shard_absent.get(s, frozenset())
-            shard_vecs = [
-                np.asarray(v)[sl]
-                for i, v in enumerate(vectors)
-                if i not in gone
-            ]
-            if not shard_vecs:
-                # Nobody delivered this shard: no information, no movement.
-                self._mean_buf[sl] = 0.0
-            elif self.aggregator is not None:
-                self.aggregator.reduce(
-                    shard_vecs, out=self._mean_buf[sl], where="allreduce"
-                )
-            else:
-                mean_into(shard_vecs, out=self._mean_buf[sl])
-        mean = self._mean_buf.view()
-        mean.flags.writeable = False
-        return mean
-
-    def _sharded_round(self, op: str, payload: float, ranks: int) -> float:
-        """Charge one sharded full-model sync round; consumes absences.
-
-        Emits one ``collective`` event per shard (its ``bytes`` is exactly
-        what that shard added to :attr:`bytes_synced`, preserving the
-        events-sum == counter invariant) plus one ``shard_round`` summary
-        event whose ``bytes`` recaps the round total without being counted
-        again by the metrics tap.
-        """
+        ranks = self.n_workers if n_live is None else int(n_live)
+        if not 1 <= ranks <= self.n_workers:
+            raise ValueError(f"n_live must be in [1, {self.n_workers}], got {n_live}")
+        if nbytes is not None and nbytes < 0:
+            raise ValueError(f"nbytes must be >= 0, got {nbytes}")
         spec = self.shard_spec
-        absent = self._take_shard_absences()
-        shard_bytes = spec.int_payloads(payload)
-        ks = [
-            max(0, ranks - len(absent.get(s, ())))
-            for s in range(spec.n_shards)
-        ]
-        total = sharded_ps_sync_time(shard_bytes, ks, self.net)
-        self.degraded_shard_rounds += sum(1 for k in ks if k < ranks)
+        if absent and spec is None:
+            raise RuntimeError("shard absences require a sharded group")
+        if vectors is not None:
+            if len(vectors) != ranks:
+                raise ValueError(f"expected {ranks} vectors, got {len(vectors)}")
+            first = np.asarray(vectors[0])
+            for v in vectors[1:]:
+                if np.asarray(v).shape != first.shape:
+                    raise ValueError("allreduce requires equally-shaped vectors")
+            if self._mean_buf is None or self._mean_buf.shape != first.shape:
+                self._mean_buf = np.empty(first.shape, dtype=np.float64)
+            reduce_slices(
+                vectors,
+                self._mean_buf,
+                (slice(None),) if spec is None else spec.slices(),
+                absent,
+                self.aggregator,
+                "allreduce",
+            )
+            if nbytes is None:
+                nbytes = first.nbytes
+        payload = float(nbytes)
+        if spec is None:
+            sizes, ks = [payload], [ranks]
+            if self.envelope is None:
+                total = self.topology.sync_time(payload, ranks, self.net)
+            else:
+                total = self._resilient_sync(op, payload, ranks, rank_ids)
+        else:
+            gone = absent or {}
+            sizes = spec.int_payloads(payload)
+            ks = [max(0, ranks - len(gone.get(s, ()))) for s in range(len(sizes))]
+            total = sharded_ps_sync_time(sizes, ks, self.net)
+        if not ledger:
+            return total
         round_bytes = 0
-        n_active = 0
-        for s, (b, k) in enumerate(zip(shard_bytes, ks)):
-            t_s = ps_sync_time(float(b), k, self.net) if k >= 1 else 0.0
+        for s, (b, k) in enumerate(zip(sizes, ks)):
             counted = int(b) * k
             self.bytes_synced += counted
             round_bytes += counted
-            if k >= 1:
-                n_active += 1
-            self._trace(op, float(b), counted, k, t_s, shard=s)
+            if spec is None:
+                self._trace(op, payload, counted, k, total)
+            else:
+                t = ps_sync_time(float(b), k, self.net) if k >= 1 else 0.0
+                self._trace(op, float(b), counted, k, t, shard=s)
         self.n_syncs += 1
-        tr = obs.active()
-        if tr is not None:
-            tr.emit(
-                "shard_round",
-                op=op,
-                n_shards=spec.n_shards,
-                n_active=n_active,
-                n_degraded=sum(1 for k in ks if k < ranks),
-                bytes=float(round_bytes),
-                seconds=total,
-            )
+        if spec is not None:
+            n_degraded = sum(k < ranks for k in ks)
+            self.degraded_shard_rounds += n_degraded
+            tr = obs.active()
+            if tr is not None:
+                tr.emit(
+                    "shard_round",
+                    op=op,
+                    n_shards=len(ks),
+                    n_active=sum(k >= 1 for k in ks),
+                    n_degraded=n_degraded,
+                    bytes=float(round_bytes),
+                    seconds=total,
+                )
         return total
 
-    # -- full-model synchronization ---------------------------------------
     def allreduce_mean(
         self,
         vectors: Sequence[np.ndarray],
         nbytes: float = None,
         n_live: Optional[int] = None,
         rank_ids: Optional[Sequence[int]] = None,
+        absent=None,
     ) -> Tuple[np.ndarray, float]:
         """Average one flat vector per rank; returns (mean, sim_seconds).
 
@@ -374,44 +366,14 @@ class SimGroup:
         ``rank_ids`` names the actual participating worker ids (so the
         link-fault layer can route around the links those ranks use);
         ignored without link faults, where only the count matters.
+
+        ``absent`` (sharded groups only) names the lost shard pushes of a
+        degraded *shard* round; see :meth:`_round`. The mean is a read-only
+        view of a buffer the next ``allreduce_mean`` reuses.
         """
-        expected = self.n_workers if n_live is None else int(n_live)
-        if n_live is not None and not 1 <= expected <= self.n_workers:
-            raise ValueError(
-                f"n_live must be in [1, {self.n_workers}], got {n_live}"
-            )
-        if len(vectors) != expected:
-            raise ValueError(
-                f"expected {expected} vectors, got {len(vectors)}"
-            )
-        first = np.asarray(vectors[0])
-        for v in vectors[1:]:
-            if np.asarray(v).shape != first.shape:
-                raise ValueError("allreduce requires equally-shaped vectors")
-        if self.shard_spec is not None:
-            mean = self._sharded_mean(vectors)
-            payload = float(first.nbytes if nbytes is None else nbytes)
-            t = self._sharded_round("allreduce", payload, expected)
-            return mean, t
-        # Average into a reusable buffer and hand out a read-only view —
-        # callers consume the mean before the next collective.
-        if self._mean_buf is None or self._mean_buf.shape != first.shape:
-            self._mean_buf = np.empty(first.shape, dtype=np.float64)
-        if self.aggregator is not None:
-            self.aggregator.reduce(vectors, out=self._mean_buf, where="allreduce")
-        else:
-            mean_into(vectors, out=self._mean_buf)
+        t = self._round("allreduce", nbytes, n_live, rank_ids, absent, vectors)
         mean = self._mean_buf.view()
         mean.flags.writeable = False
-        payload = float(first.nbytes if nbytes is None else nbytes)
-        if self.envelope is None:
-            t = self.topology.sync_time(payload, expected, self.net)
-        else:
-            t = self._resilient_sync("allreduce", payload, expected, rank_ids)
-        counted = int(payload) * expected
-        self.bytes_synced += counted
-        self.n_syncs += 1
-        self._trace("allreduce", payload, counted, expected, t)
         return mean, t
 
     def charge_sync(
@@ -419,6 +381,7 @@ class SimGroup:
         nbytes: float,
         n_live: Optional[int] = None,
         rank_ids: Optional[Sequence[int]] = None,
+        absent=None,
     ) -> float:
         """Account one full-model sync round and return its simulated time.
 
@@ -426,24 +389,10 @@ class SimGroup:
         through the :class:`~repro.cluster.server.ParameterServer`) and only
         need the clock charged once. ``n_live`` charges a degraded round
         over a survivor subset instead of the full group; ``rank_ids``
-        identifies the survivors for the link-fault layer.
+        identifies the survivors for the link-fault layer; ``absent`` is the
+        per-shard absences the server's aggregation was given.
         """
-        if nbytes < 0:
-            raise ValueError(f"nbytes must be >= 0, got {nbytes}")
-        ranks = self.n_workers if n_live is None else int(n_live)
-        if not 1 <= ranks <= self.n_workers:
-            raise ValueError(f"n_live must be in [1, {self.n_workers}], got {n_live}")
-        if self.shard_spec is not None:
-            return self._sharded_round("sync", float(nbytes), ranks)
-        if self.envelope is None:
-            t = self.topology.sync_time(float(nbytes), ranks, self.net)
-        else:
-            t = self._resilient_sync("sync", float(nbytes), ranks, rank_ids)
-        counted = int(nbytes) * ranks
-        self.bytes_synced += counted
-        self.n_syncs += 1
-        self._trace("sync", float(nbytes), counted, ranks, t)
-        return t
+        return self._round("sync", nbytes, n_live, rank_ids, absent)
 
     def sync_time_only(
         self,
@@ -451,26 +400,19 @@ class SimGroup:
         n_live: Optional[int] = None,
         rank_ids: Optional[Sequence[int]] = None,
     ) -> float:
-        """Healed sync time *without* byte accounting or a trace event.
+        """Sync time with no ledger entry and no ``collective`` event.
 
         For trainers (FedAvg) that charge their round's clock against a
         different topology/ledger but still need link faults respected.
-        Identical to ``topology.sync_time`` when link faults are off.
+        Identical to ``topology.sync_time`` when link faults are off. With
+        them on this is *not* a pure query: the healed schedule is built
+        and its messages sent, so ``reroute`` / ``retry`` events are
+        emitted and :attr:`n_reroutes` / :attr:`retry_wait_s` move — once
+        per call, and FedAvg calls it twice per sampled round (its
+        pull-back half-round passes no ``n_live`` / ``rank_ids`` and so is
+        costed over all ``n_workers`` ranks, not the live set).
         """
-        ranks = self.n_workers if n_live is None else int(n_live)
-        if not 1 <= ranks <= self.n_workers:
-            raise ValueError(f"n_live must be in [1, {self.n_workers}], got {n_live}")
-        if self.shard_spec is not None:
-            # Time-only query: uniform contributor counts, and the pending
-            # absences (if any) are left for the accounted round to consume.
-            return sharded_ps_sync_time(
-                self.shard_spec.int_payloads(float(nbytes)),
-                [ranks] * self.shard_spec.n_shards,
-                self.net,
-            )
-        if self.envelope is None:
-            return self.topology.sync_time(float(nbytes), ranks, self.net)
-        return self._resilient_sync("sync", float(nbytes), ranks, rank_ids)
+        return self._round("sync", nbytes, n_live, rank_ids, None, ledger=False)
 
     def push_outcome(
         self, worker: int, nbytes: float, shard: Optional[int] = None
@@ -490,25 +432,12 @@ class SimGroup:
         """
         if self.envelope is None:
             return 0.0, True
-        lf = self.link_faults
         transfer_s = self.net.latency_s + 8.0 * float(nbytes) / self.net.bandwidth_bps
-        msg = 0 if shard is None else int(shard) + 1
-        out = self.envelope.send(worker, lf.ps_rank, self._step, transfer_s, msg)
-        if out.attempts > 1 or not out.delivered:
-            kind = (
-                "down" if lf.link_down(worker, lf.ps_rank, self._step) else "loss"
-            )
-            self._record_link_fault(worker, lf.ps_rank, kind)
-            tr = obs.active()
-            if tr is not None:
-                extra = {} if shard is None else {"shard": int(shard)}
-                tr.emit(
-                    "retry", step=self._step, worker=worker,
-                    src=worker, dst=lf.ps_rank, op="push",
-                    attempts=out.attempts, wait_s=out.wait_s,
-                    delivered=out.delivered, **extra,
-                )
-        self.retry_wait_s += out.wait_s
+        tag = {} if shard is None else {"shard": int(shard)}
+        out = self._send(
+            worker, self.link_faults.ps_rank, transfer_s, "push",
+            msg=0 if shard is None else int(shard) + 1, worker=worker, **tag,
+        )
         return out.wait_s + out.dup_extra_s, out.delivered
 
     # -- SelSync's flag exchange ------------------------------------------
@@ -594,9 +523,7 @@ class SimGroup:
                 "partition_active": self._partition_active,
             }
         if self.shard_spec is not None:
-            # Geometry and the degradation ledger — shard absences are
-            # transient within a step and rounds always complete before a
-            # checkpoint is cut.
+            # Geometry and the degradation ledger.
             state["shard_bounds"] = list(self.shard_spec.bounds)
             state["degraded_shard_rounds"] = self.degraded_shard_rounds
         return state

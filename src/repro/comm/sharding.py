@@ -11,17 +11,21 @@ and per-layer machinery (scheduling, compression) composes with it.
 The spec is pure geometry — which flat indices belong to which shard — and
 is shared by every consumer:
 
-* :class:`~repro.cluster.server.ShardedParameterServer` aggregates each
-  shard independently (robust aggregators operate shard-locally),
+* :func:`repro.utils.flatten.reduce_slices` — the one reduction behind
+  :class:`~repro.cluster.server.ParameterServer` and ``SimGroup.allreduce_mean``
+  — aggregates each of :meth:`ShardSpec.slices` independently (robust
+  aggregators operate shard-locally),
 * :class:`~repro.comm.collectives.SimGroup` charges a sharded sync round as
   the **max over shards served in parallel** plus a per-shard coordination
   latency (see :func:`~repro.comm.costmodel.sharded_ps_sync_time`),
 * the trainer's upload path pushes one enveloped message per shard, so a
-  lost uplink degrades *one shard's* round instead of the whole sync.
+  lost uplink degrades *one shard's* round instead of the whole sync; the
+  losses reach that round as its ``absent`` argument.
 
 ``ShardSpec.from_layers(sizes, 1)`` yields the single-shard spec; callers
 treat ``ps_shards == 1`` as "no sharding" and never construct a spec at
-all, keeping default runs byte-identical to builds without this module.
+all: the same reduction runs over the one slice ``slice(None)``, keeping
+default runs byte-identical to builds without this module.
 """
 
 from __future__ import annotations

@@ -325,8 +325,8 @@ class ClusterConfig:
 
     def make_shard_spec(self, layer_sizes) -> Optional[ShardSpec]:
         """Shard geometry over the model's tensor sizes, or ``None`` with
-        ``ps_shards == 1`` — callers short-circuit on ``None`` so unsharded
-        runs never touch the sharding code path at all."""
+        ``ps_shards == 1`` — the group and the server read ``None`` as the
+        one shard ``slice(None)``."""
         if self.ps_shards <= 1:
             return None
         return ShardSpec.from_layers(layer_sizes, self.ps_shards)

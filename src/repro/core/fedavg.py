@@ -73,7 +73,9 @@ class FedAvgTrainer(DistributedTrainer):
         ]
 
     def exchange(self, pushers, vectors, round_kw):
-        global_params = self.server.aggregate_params(vectors)
+        global_params = self.server.aggregate_params(
+            vectors, absent=round_kw.get("absent")
+        )
         self._emit_aggregation("PA", len(pushers))
         # Aggregation involves the C-fraction; the pull-back reaches all
         # (live) workers. FedAvg charges its clock outside the group's

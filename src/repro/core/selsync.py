@@ -179,10 +179,12 @@ class SelSyncTrainer(DistributedTrainer):
         # replica is consistent again. GA: the same averaged gradient lands
         # on *divergent* local parameters — replicas are NOT re-consistent
         # afterwards (§III-C).
-        if self.exchanges_gradients:
-            pulled = self.server.aggregate_grads(vectors)
-        else:
-            pulled = self.server.aggregate_params(vectors)
+        aggregate = (
+            self.server.aggregate_grads
+            if self.exchanges_gradients
+            else self.server.aggregate_params
+        )
+        pulled = aggregate(vectors, absent=round_kw.get("absent"))
         t_s = self.group.charge_sync(self.comm_bytes, **round_kw)
         self._emit_aggregation(
             "GA" if self.exchanges_gradients else "PA", len(pushers)

@@ -36,7 +36,7 @@ from repro.cluster.compute import ComputeModel
 from repro.cluster.elastic import ElasticContext, derive_rng_seed
 from repro.cluster.faults import QuorumLostError, StepFaults
 from repro.data.loader import BatchLoader
-from repro.cluster.server import ParameterServer, ShardedParameterServer
+from repro.cluster.server import ParameterServer
 from repro.cluster.worker import SimWorker
 from repro.core.config import ClusterConfig, TrainConfig
 from repro.optim.schedules import ConstantLR, LRSchedule
@@ -111,7 +111,7 @@ class DistributedTrainer:
         self.aggregator = cluster.make_aggregator()
         # Shard geometry over the model's tensor sizes (registration order
         # matches the flat arena layout); ``None`` with ps_shards == 1 —
-        # the unsharded fast path every default run takes.
+        # the one shard ``slice(None)``.
         self.shard_spec = cluster.make_shard_spec(
             [int(p.data.size) for p in workers[0].model.parameters()]
         )
@@ -123,16 +123,11 @@ class DistributedTrainer:
         # per-worker events). The process backend also rebinds the arenas
         # to shared memory here, so do it before anything else takes views.
         self.executor.bind(self.workers)
-        if self.shard_spec is not None:
-            self.server = ShardedParameterServer(
-                workers[0].get_params(copy=False),
-                self.shard_spec,
-                aggregator=self.aggregator,
-            )
-        else:
-            self.server = ParameterServer(
-                workers[0].get_params(copy=False), aggregator=self.aggregator
-            )
+        self.server = ParameterServer(
+            workers[0].get_params(copy=False),
+            aggregator=self.aggregator,
+            spec=self.shard_spec,
+        )
         self.schedule = schedule if schedule is not None else ConstantLR(0.01)
         model = workers[0].model
         self.comm_bytes = (
@@ -165,11 +160,6 @@ class DistributedTrainer:
         # health tracker's straggle signal.
         self._last_compute_times: Optional[np.ndarray] = None
         self._wire_lies: Dict[int, np.ndarray] = {}
-        # Sharded push losses of the step in flight: shard -> worker ids
-        # whose uplink message for that shard was terminally lost. Set by
-        # :meth:`upload_penalty`, converted to round positions and handed
-        # to the group/server by :meth:`wire_updates`.
-        self._pending_shard_lost: Dict[int, set] = {}
         # In-memory copy of the latest checkpoint; rejoining workers
         # restore their rank state from it (crash-recovery semantics).
         self._latest_checkpoint: Optional[Dict] = None
@@ -221,7 +211,7 @@ class DistributedTrainer:
         if rec.synced:
             # Push round: upload faults only bite when a round pushes.
             pushers = self.uploaders(live, ok)
-            t_retry, lost = self.upload_penalty(pushers, i)
+            t_retry, lost, shard_lost = self.upload_penalty(pushers, i)
             gone = set(lost)
             pushers = [w for w in pushers if w not in gone]
             if self.health is not None:
@@ -236,6 +226,12 @@ class DistributedTrainer:
                 if self.degraded_mode
                 else {}
             )
+            if shard_lost:
+                # Worker ids → positions in the round's final pusher list.
+                round_kw["absent"] = {
+                    s: {j for j, w in enumerate(pushers) if w in ws}
+                    for s, ws in shard_lost.items()
+                }
             vectors = self.wire_updates(pushers, self.outgoing(pushers))
             pulled, t_s, t_codec = self.exchange(pushers, vectors, round_kw)
             if pulled is not None:
@@ -291,7 +287,9 @@ class DistributedTrainer:
         live worker pulls (``None`` when the rule already moved the
         replicas itself), the modelled sync time before overlap/retry, and
         any compute serialized after it. ``round_kw`` goes verbatim to the
-        group's ``allreduce_mean`` / ``charge_sync`` / ``sync_time_only``.
+        group's ``allreduce_mean`` / ``charge_sync``; its ``absent`` entry
+        (present only when a shard push was lost) also goes to the server's
+        ``aggregate_params`` / ``aggregate_grads``.
         """
         raise NotImplementedError
 
@@ -456,9 +454,19 @@ class DistributedTrainer:
         self.check_quorum(len(sf.live), i)
         return sf
 
-    def _consensus(self, donors: Sequence[int]) -> np.ndarray:
-        """Plain mean of the donors' replicas, as a fresh vector."""
-        return mean_into([self.workers[j].get_params(copy=False) for j in donors])
+    def _rebase(self, wids: Sequence[int], donors: Sequence[int]) -> None:
+        """Re-enter ``wids`` on the plain mean of the donors' replicas with
+        fresh optimizer state (:meth:`~repro.cluster.worker.SimWorker.resync`);
+        with no donor left only the optimizer state is dropped."""
+        if donors:
+            consensus = mean_into(
+                [self.workers[j].get_params(copy=False) for j in donors]
+            )
+        for wid in wids:
+            if donors:
+                self.workers[wid].resync(consensus)
+            else:
+                self.workers[wid].optimizer.reset_state()
 
     def _heal_partition(self, step: int, live: Sequence[int]) -> None:
         """A network partition ended: rebase the formerly-cut workers.
@@ -475,9 +483,8 @@ class DistributedTrainer:
         donors = [w for w in live if w not in cut]
         if not donors:
             return
-        consensus = self._consensus(donors)
+        self._rebase(sorted(cut), donors)
         for wid in sorted(cut):
-            self.workers[wid].resync(consensus)
             self._record_fault(step, wid, "rejoin", healed_partition=True)
 
     def _reinstate_worker(self, wid: int, step: int, live: Sequence[int]) -> None:
@@ -486,16 +493,10 @@ class DistributedTrainer:
         globals are stale for non-PA trainers) with fresh optimizer state,
         and lift its quarantine."""
         self.health.release(wid)
-        w = self.workers[wid]
-        donors = [
-            j
-            for j in live
-            if j != wid and not self.health.quarantined(j)
-        ]
-        if donors:
-            w.resync(self._consensus(donors))
-        else:
-            w.optimizer.reset_state()
+        self._rebase(
+            [wid],
+            [j for j in live if j != wid and not self.health.quarantined(j)],
+        )
         self._on_worker_rejoin(wid, False)
         self._record_fault(step, wid, "reinstate")
         tr = obs.active()
@@ -634,32 +635,16 @@ class DistributedTrainer:
         garbage regardless of protocol phase); adversarially corrupted
         workers' entries are replaced with the hostile vector fabricated
         in :meth:`apply_corruption`. Identity when no lies are active.
-
-        This is also where sharded push losses land: :meth:`step` calls
-        ``wire_updates`` with the round's final uploader list immediately
-        before the exchange, so worker ids recorded by
-        :meth:`upload_penalty` are converted to positions in ``wids`` here
-        and installed on the group and the sharded server for the round
-        about to run.
         """
-        if self.shard_spec is not None and self._pending_shard_lost:
-            absences = {}
-            for s, gone in self._pending_shard_lost.items():
-                positions = {i for i, w in enumerate(wids) if w in gone}
-                if positions:
-                    absences[s] = positions
-            self._pending_shard_lost = {}
-            self.group.set_shard_absences(absences)
-            if isinstance(self.server, ShardedParameterServer):
-                self.server.set_shard_absences(absences)
         if not self._wire_lies:
             return list(vectors)
         return [self._wire_lies.get(wid, v) for wid, v in zip(wids, vectors)]
 
     def upload_penalty(
         self, uploaders: Sequence[int], step: int
-    ) -> Tuple[float, List[int]]:
-        """Retry cost and abandoned uploads for this step's push phase.
+    ) -> Tuple[float, List[int], Dict[int, set]]:
+        """Retry cost, abandoned uploads and lost shard pushes for this
+        step's push phase: ``(seconds, lost, shard_lost)``.
 
         Uploads proceed in parallel, so the charged penalty is the *max*
         over workers (each retry costs one straggle-scaled retransfer plus
@@ -678,16 +663,15 @@ class DistributedTrainer:
         With a **sharded** PS, each uploader sends one enveloped message
         per shard (independent loss fates via the envelope's ``msg`` key).
         A terminally lost shard message drops the worker from *that
-        shard's* round only — recorded in :attr:`_pending_shard_lost` and
-        consumed by :meth:`wire_updates` — never from the whole sync, so
-        ``lost`` stays empty on that path. Per-worker retry waits are the
-        max over its parallel shard streams.
+        shard's* round only — returned as ``shard_lost`` (shard → worker
+        ids), which :meth:`step` hands to the round as its ``absent``
+        argument — never from the whole sync, so ``lost`` stays empty on
+        that path. Per-worker retry waits are the max over its parallel
+        shard streams.
         """
-        self._pending_shard_lost = {}
-        if not self.faults.active and self.net_faults is None:
-            return 0.0, []
         extra = 0.0
         lost: List[int] = []
+        shard_lost: Dict[int, set] = {}
         if self.faults.active:
             transfer_s = self.cluster.net.transfer_time(self.comm_bytes)
             for wid in uploaders:
@@ -719,10 +703,10 @@ class DistributedTrainer:
                     elif s is None:
                         lost.append(wid)
                     else:
-                        self._pending_shard_lost.setdefault(s, set()).add(wid)
+                        shard_lost.setdefault(s, set()).add(wid)
                 net_extra = max(net_extra, worker_wait)
             extra += net_extra
-        return extra, lost
+        return extra, lost, shard_lost
 
     def _upload_outcome(
         self, wid: int, step: int, transfer_s: float
@@ -766,19 +750,14 @@ class DistributedTrainer:
         """Crash-recovery: a rejoining worker restores its rank state from
         the latest checkpoint; with no checkpoint it re-syncs from the
         current deployable model with fresh optimizer state."""
-        w = self.workers[wid]
         ck = self._latest_checkpoint
         from_checkpoint = ck is not None
         if from_checkpoint:
-            w.load_state_dict(ck["workers"][wid])
+            self.workers[wid].load_state_dict(ck["workers"][wid])
         else:
-            live_others = [
-                j for j in self.faults.live_workers(step) if j != wid
-            ]
-            if live_others:
-                w.resync(self._consensus(live_others))
-            else:
-                w.optimizer.reset_state()
+            self._rebase(
+                [wid], [j for j in self.faults.live_workers(step) if j != wid]
+            )
         self._on_worker_rejoin(wid, from_checkpoint)
         self._record_fault(
             step, wid, "rejoin", from_checkpoint=int(from_checkpoint)

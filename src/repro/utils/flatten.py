@@ -2,13 +2,14 @@
 
 The communication layer and the Hessian tooling operate on flat parameter /
 gradient vectors; the aggregation sites reduce lists of them without
-materializing a stack.
+materializing a stack. :func:`reduce_slices` is the one per-shard reduction
+both the collectives and the parameter server run.
 """
 
 from __future__ import annotations
 
 import functools
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -49,6 +50,51 @@ def mean_into(
     if len(vectors) > 1:
         np.divide(out, len(vectors), out=out)
     return out
+
+
+def reduce_slices(
+    vectors: Sequence[np.ndarray],
+    out: np.ndarray,
+    slices: Sequence[slice] = (slice(None),),
+    absent=None,
+    aggregator=None,
+    where: str = "server",
+    keep_empty: bool = False,
+) -> List[int]:
+    """Reduce ``vectors`` into ``out`` one slice (one PS shard) at a time;
+    returns the number of contributors each slice had.
+
+    ``absent`` maps a slice index to the positions in ``vectors`` that sit
+    that slice out (their push for that shard was lost); they still count
+    toward every other slice. A slice nobody delivered is zeroed — no
+    information, no movement — or, with ``keep_empty``, left as it was (the
+    server's parameters keep their previous values). ``aggregator`` is a
+    :class:`~repro.core.robust.Aggregator` or ``None`` for :func:`mean_into`;
+    it sees one slice at a time and, when there is more than one, is told
+    which as ``"{where}/shard{s}"``.
+
+    An unsharded round is the one slice ``slice(None)``; with the plain mean
+    and no absences any slicing gives the same bytes, as ``mean_into``
+    accumulates elementwise.
+    """
+    absent = absent or {}
+    for s in absent:
+        if not 0 <= s < len(slices):
+            raise ValueError(f"shard {s} out of range [0, {len(slices)})")
+    counts = []
+    for s, sl in enumerate(slices):
+        gone = absent.get(s, ())
+        vecs = [np.asarray(v)[sl] for i, v in enumerate(vectors) if i not in gone]
+        counts.append(len(vecs))
+        if not vecs:
+            if not keep_empty:
+                out[sl] = 0.0
+        elif aggregator is None:
+            mean_into(vecs, out=out[sl])
+        else:
+            tag = where if len(slices) == 1 else f"{where}/shard{s}"
+            aggregator.reduce(vecs, out=out[sl], where=tag)
+    return counts
 
 
 #: Columns per :func:`order_mean_into` panel. Trimmed mean, k = 13, f = 2,

@@ -4,8 +4,9 @@ Also hosts a fallback test-order randomizer: when ``pytest-randomly`` is
 installed it owns shuffling (and registers the same ``--randomly-seed``
 option, so this stub stays out of the way); when it is not — this offline
 image does not ship it — a minimal reimplementation shuffles the collected
-items and reseeds the global RNGs per test, so ordering/RNG-leak bugs
-surface locally and in CI either way. CI pins the seed for reproducible
+items the way the plugin does (modules, then classes, then functions) and
+reseeds the global RNGs per test, so ordering/RNG-leak bugs surface locally
+and in CI either way. CI pins the seed for reproducible
 legs; an unpinned run draws one and prints it in the pytest header so a
 failing order can be replayed with ``--randomly-seed=<N>``.
 """
@@ -68,7 +69,24 @@ if not _HAVE_RANDOMLY:
     def pytest_collection_modifyitems(config, items):
         if config.getoption("--randomly-dont-shuffle"):
             return
-        random.Random(_shuffle_seed(config)).shuffle(items)
+        # Modules, then classes within a module, then functions within a
+        # class — pytest-randomly's order. A module's tests stay together,
+        # so a ``scope="module"`` fixture is built once, not once per test.
+        rng = random.Random(_shuffle_seed(config))
+        by_module = {}
+        for item in items:
+            by_class = by_module.setdefault(item.nodeid.split("::", 1)[0], {})
+            by_class.setdefault(getattr(item, "cls", None), []).append(item)
+        modules = list(by_module.values())
+        rng.shuffle(modules)
+        shuffled = []
+        for by_class in modules:
+            classes = list(by_class.values())
+            rng.shuffle(classes)
+            for functions in classes:
+                rng.shuffle(functions)
+                shuffled.extend(functions)
+        items[:] = shuffled
 
     @pytest.fixture(autouse=True)
     def _reseed_global_rngs(request):

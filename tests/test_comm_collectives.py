@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.comm import NetworkModel, SimGroup
+from repro.comm.sharding import ShardSpec
 from repro.comm.topology import PSTopology, build_topology
 
 
@@ -49,6 +50,19 @@ class TestChargeSync:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             SimGroup(2).charge_sync(-1)
+
+    @pytest.mark.parametrize("shard_spec", [None, ShardSpec.from_layers([2, 2], 2)])
+    @pytest.mark.parametrize(
+        "entry", ["allreduce_mean", "charge_sync", "sync_time_only"]
+    )
+    def test_negative_nbytes_rejected_by_every_entry(self, entry, shard_spec):
+        """One check in the shared round routine: the ledger never runs
+        backwards (``allreduce_mean(vs, nbytes=-8)`` used to subtract 24)."""
+        group = SimGroup(3, shard_spec=shard_spec)
+        vectors = ([np.zeros(4)] * 3,) if entry == "allreduce_mean" else ()
+        with pytest.raises(ValueError, match="nbytes must be >= 0"):
+            getattr(group, entry)(*vectors, nbytes=-8)
+        assert group.bytes_synced == 0 and group.n_syncs == 0
 
 
 class TestAllgatherFlags:

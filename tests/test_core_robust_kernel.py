@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster.server import ParameterServer, ShardedParameterServer
+from repro.cluster.server import ParameterServer
 from repro.comm.sharding import ShardSpec
 from repro.core import SelSyncTrainer, TrainConfig
 from repro.core.robust import (
@@ -304,7 +304,7 @@ def test_sharded_server_matches_unsharded_bytes(agg):
     pushed = [rng.normal(size=d) * 10.0 ** rng.integers(-3, 4) for _ in range(k)]
     plain = ParameterServer(np.zeros(d), aggregator=agg)
     spec = ShardSpec(d, (0, 1, 130, ORDER_PANEL + 5, d))
-    sharded = ShardedParameterServer(np.zeros(d), spec, aggregator=agg)
+    sharded = ParameterServer(np.zeros(d), aggregator=agg, spec=spec)
     want = plain.aggregate_params(pushed).tobytes()
     assert sharded.aggregate_params(pushed).tobytes() == want
     assert sharded.aggregate_grads(pushed).tobytes() == want

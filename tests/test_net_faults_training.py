@@ -11,11 +11,16 @@ SmallVGG/8w SelSync — the acceptance configuration:
   partial information, and the PS degraded-round ledger ticks.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from repro.core import FedAvgTrainer, TrainConfig
 from repro.experiments.runner import MethodSpec, run_method
 from repro.experiments.workloads import build_workload
+from repro.obs import Tracer
+from tests.conftest import make_mlp_cluster
 
 pytestmark = pytest.mark.slow
 
@@ -96,3 +101,36 @@ def test_retry_run_charges_more_simulated_time(clean, lossy_with_retries):
     t_lossy = sum(r.sim_time for r in res_lossy.log.iterations)
     # Retries cost simulated seconds (timeouts + backoff), never bytes.
     assert t_lossy > t_clean
+
+
+def test_fedavg_on_a_flapping_ring_pins_sync_time_only_side_effects(blobs_data):
+    """``SimGroup.sync_time_only`` keeps the byte ledger and the
+    ``collective`` stream still, but under link faults it is not a pure
+    query: it heals the ring (``reroute`` events, ``n_reroutes``) on every
+    call, and FedAvg calls it twice per sampled round — the second time for
+    the pull-back half-round, costed over all N ranks. Recorded as it is
+    (ROADMAP item D lists it as a target); changing it moves every
+    FedAvg x net-fault trace."""
+    workers, cluster = make_mlp_cluster(blobs_data[0])
+    cluster = dataclasses.replace(
+        cluster,
+        topology="ring",
+        net_fault_spec="flap:link(1,2)x3@1+",
+        min_quorum=2,
+        ps_shards=1,
+    )
+    trainer = FedAvgTrainer(workers, cluster, c_fraction=0.5, e_factor=0.25)
+    tracer = Tracer(name="fedavg-flap")
+    res = trainer.run(TrainConfig(n_steps=12, eval_fn=None, tracer=tracer))
+    assert res.log.n_synced == 3
+    reroutes = [e for e in tracer.events if e.etype == "reroute"]
+    assert [e.step for e in reroutes] == [3, 3, 7, 7, 11]
+    assert all(e.data["op"] == "sync" for e in reroutes)
+    assert trainer.group.n_reroutes == 5
+    assert trainer.group.retry_wait_s == 0.0
+    assert not any(e.etype == "retry" for e in tracer.events)
+    # No ledger entry and no ``collective`` event for any of the six calls.
+    assert trainer.group.n_syncs == 0 and trainer.group.bytes_synced == 0
+    assert not any(
+        e.etype == "collective" and e.data["op"] == "sync" for e in tracer.events
+    )

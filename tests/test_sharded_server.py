@@ -23,14 +23,19 @@ three executor backends:
 import numpy as np
 import pytest
 
-from repro.cluster.server import ShardedParameterServer
+from repro.cluster.faults import QuorumLostError
+from repro.cluster.server import ParameterServer
 from repro.cluster.worker import build_worker_group
+from repro.comm import SimGroup
 from repro.comm.sharding import ShardSpec
 from repro.core import ClusterConfig, SelSyncTrainer, TrainConfig
 from repro.core.bsp import BSPTrainer
+from repro.core.robust import MedianAggregator, TrimmedMeanAggregator
 from repro.data import ArrayDataset, BatchLoader, selsync_partition
 from repro.nn.models import build_model
+from repro.obs import Tracer
 from repro.optim import SGD
+from repro.utils.flatten import mean_into, reduce_slices
 
 N_WORKERS = 3
 N_STEPS = 10
@@ -100,7 +105,7 @@ def test_params_and_decisions_identical_across_shard_counts(method, executor):
         for (s1, _), (sS, _) in zip(ref_timing, _timing(rS)):
             assert sS <= s1 + 1e-12
         assert rS.log.total_sim_time < r1.log.total_sim_time
-        assert isinstance(tS.server, ShardedParameterServer)
+        assert tS.server.spec is tS.shard_spec
         # The effective shard count clamps to the tensor count.
         assert tS.shard_spec.n_shards == min(
             shards, len(tS.workers[0].model.parameters())
@@ -196,10 +201,8 @@ def test_sharded_server_mean_matches_unsharded_with_absences_empty():
     rng = np.random.default_rng(3)
     init = rng.standard_normal(40)
     spec = ShardSpec.from_layers([10, 10, 20], 3)
-    from repro.cluster.server import ParameterServer
-
     plain = ParameterServer(init)
-    sharded = ShardedParameterServer(init, spec)
+    sharded = ParameterServer(init, spec=spec)
     pushed = [rng.standard_normal(40) for _ in range(4)]
     assert np.array_equal(
         plain.aggregate_params([p.copy() for p in pushed]),
@@ -212,10 +215,9 @@ def test_sharded_server_absence_degrades_one_shard_only():
     rng = np.random.default_rng(4)
     init = rng.standard_normal(30)
     spec = ShardSpec.from_layers([10, 20], 2)
-    server = ShardedParameterServer(init, spec)
+    server = ParameterServer(init, spec=spec)
     pushed = [rng.standard_normal(30) for _ in range(3)]
-    server.set_shard_absences({1: {0}})
-    out = server.aggregate_params(pushed)
+    out = server.aggregate_params(pushed, absent={1: {0}})
     # Shard 0 averages all three; shard 1 averages only pushers 1 and 2.
     np.testing.assert_array_equal(
         out[:10], np.mean(np.stack([p[:10] for p in pushed]), axis=0)
@@ -231,10 +233,9 @@ def test_sharded_server_all_absent_shard_keeps_previous_params():
     rng = np.random.default_rng(5)
     init = rng.standard_normal(30)
     spec = ShardSpec.from_layers([10, 20], 2)
-    server = ShardedParameterServer(init, spec)
+    server = ParameterServer(init, spec=spec)
     pushed = [rng.standard_normal(30) for _ in range(2)]
-    server.set_shard_absences({0: {0, 1}})
-    out = server.aggregate_params(pushed)
+    out = server.aggregate_params(pushed, absent={0: {0, 1}})
     np.testing.assert_array_equal(out[:10], init[:10])
     assert server.shard_versions == [0, 1]
     assert server.degraded_shard_rounds == 1
@@ -242,6 +243,137 @@ def test_sharded_server_all_absent_shard_keeps_previous_params():
 
 def test_sharded_server_rejects_wrong_spec_size():
     with pytest.raises(ValueError, match="shard spec"):
-        ShardedParameterServer(
-            np.zeros(10), ShardSpec.from_layers([4, 4], 2)
+        ParameterServer(np.zeros(10), spec=ShardSpec.from_layers([4, 4], 2))
+
+
+# -- the one reduce kernel ---------------------------------------------------
+LAYERS = [7, 1, 12, 5, 9]
+AGGREGATORS = {
+    "mean": lambda: None,
+    "trimmed_mean": lambda: TrimmedMeanAggregator(f=1),
+    "median": MedianAggregator,
+}
+
+
+def _four_loop_reference(vectors, prev, spec, absent, agg, keep_empty):
+    """What the four loops `reduce_slices` replaced computed: the unsharded
+    group / server bodies reduce the whole vectors in one call; the sharded
+    ones walk the spec's slices, skip each shard's absentees, and leave an
+    empty shard at its previous values (params) or at zero (grads, and the
+    group's mean)."""
+    out = prev.copy()
+    if spec is None and not absent:
+        if agg is None:
+            return mean_into(vectors, out=out)
+        return agg.reduce(vectors, out=out)
+    slices = (slice(None),) if spec is None else spec.slices()
+    for s, sl in enumerate(slices):
+        gone = absent.get(s, frozenset())
+        vecs = [v[sl] for i, v in enumerate(vectors) if i not in gone]
+        if not vecs:
+            if not keep_empty:
+                out[sl] = 0.0
+        elif agg is None:
+            mean_into(vecs, out=out[sl])
+        else:
+            agg.reduce(vecs, out=out[sl])
+    return out
+
+
+@pytest.mark.parametrize("keep_empty", [True, False], ids=["params", "grads"])
+@pytest.mark.parametrize("absence", ["none", "partly", "fully"])
+@pytest.mark.parametrize("agg_name", sorted(AGGREGATORS))
+@pytest.mark.parametrize("shards", SHARD_COUNTS)
+def test_reduce_kernel_matches_four_loop_reference(
+    shards, agg_name, absence, keep_empty
+):
+    rng = np.random.default_rng(17)
+    k, d = 6, sum(LAYERS)
+    vectors = [rng.standard_normal(d) * 10.0 ** rng.integers(-2, 3) for _ in range(k)]
+    prev = rng.standard_normal(d)
+    spec = ShardSpec.from_layers(LAYERS, shards) if shards > 1 else None
+    slices = (slice(None),) if spec is None else spec.slices()
+    last = len(slices) - 1
+    absent = {
+        "none": {},
+        "partly": {last: {0, 2}},
+        "fully": {0: set(range(k))},
+    }[absence]
+    agg = AGGREGATORS[agg_name]()
+    want = _four_loop_reference(vectors, prev, spec, absent, agg, keep_empty)
+    out = prev.copy()
+    counts = reduce_slices(
+        vectors, out, slices, absent, agg, "test", keep_empty=keep_empty
+    )
+    assert out.tobytes() == want.tobytes()
+    assert counts == [k - len(absent.get(s, ())) for s in range(len(slices))]
+    if absent and spec is None:
+        return  # the public entries take absences on sharded layouts only
+    # The public entries over the kernel: the server's two conventions, and
+    # the group's mean (which zeroes an empty shard, as grads do).
+    server = ParameterServer(prev, aggregator=agg, spec=spec)
+    entry = server.aggregate_params if keep_empty else server.aggregate_grads
+    assert entry(vectors, absent=absent).tobytes() == want.tobytes()
+    assert server.shard_versions == [int(c > 0) for c in counts]
+    assert server.degraded_shard_rounds == sum(c < k for c in counts)
+    if not keep_empty:
+        group = SimGroup(k, aggregator=agg, shard_spec=spec)
+        mean, _ = group.allreduce_mean(vectors, absent=absent)
+        assert mean.tobytes() == want.tobytes()
+        assert group.degraded_shard_rounds == sum(c < k for c in counts)
+
+
+def test_reduce_kernel_rejects_out_of_range_shard():
+    vectors = [np.zeros(4), np.zeros(4)]
+    with pytest.raises(ValueError, match=r"shard 2 out of range \[0, 2\)"):
+        reduce_slices(
+            vectors, np.zeros(4), (slice(0, 2), slice(2, 4)), absent={2: {0}}
         )
+
+
+def test_sharded_robust_rounds_say_which_shard_decided(tmp_path):
+    """One ``where`` convention: BSP's sharded robust rounds name the shard
+    (``allreduce/shard{s}``), as the server's always did."""
+    tracer = Tracer(name="where")
+    trainer, _ = _run(
+        "bsp", 2, cluster_kw={"aggregator": "median"}, tracer=tracer
+    )
+    wheres = {
+        e.data["where"] for e in tracer.events if e.etype == "aggregator_decision"
+    }
+    assert wheres == {"allreduce/shard0", "allreduce/shard1"}
+
+
+def test_aborted_round_leaves_no_shard_absence_behind():
+    """Step 0 loses shard pushes *and* a whole upload, so the push round
+    fails its quorum after `upload_penalty` recorded the shard losses. The
+    next step's round must not inherit them: absences are arguments of the
+    round they were drawn for, not state."""
+    workers = _workers()
+    cluster = ClusterConfig(
+        n_workers=N_WORKERS,
+        comm_bytes=1e6,
+        flops_per_sample=1e6,
+        ps_shards=2,
+        fault_spec="drop:w1:p=1.0@0-1",
+        net_fault_spec="loss:p=0.9@0-1",
+        retry_max=0,
+        min_quorum=N_WORKERS,
+    )
+    trainer = BSPTrainer(workers, cluster)
+    penalties = []
+    upload_penalty = trainer.upload_penalty
+    trainer.upload_penalty = lambda pushers, step: (
+        penalties.append(upload_penalty(pushers, step)) or penalties[-1]
+    )
+    with pytest.raises(QuorumLostError):
+        trainer.step(0)
+    _, lost, shard_lost = penalties[0]
+    assert lost == [1] and any(shard_lost.values())
+    assert trainer.group.n_syncs == 0
+    rec = trainer.step(1)
+    assert rec.synced and penalties[1][1:] == ([], {})
+    assert trainer.group.n_syncs == 1
+    assert trainer.group.degraded_shard_rounds == 0
+    assert trainer.server.degraded_shard_rounds == 0
+    assert trainer.group.bytes_synced == int(1e6) * N_WORKERS

@@ -1,0 +1,351 @@
+#!/usr/bin/env python3
+"""Byte-identity of this checkout against a parent revision.
+
+    python tools/identity.py --parent HEAD~1
+    python tools/identity.py --parent HEAD~1 --expect-differs 'bsp/shards3+trimmed_mean/*:trace'
+
+Clones ``--parent`` with plain ``git clone``, runs the same matrix of small
+training runs against both source trees (one subprocess per side, each with
+its own ``PYTHONPATH``) and compares, per cell, the sha256 of four
+artifacts: the RunLog JSONL, the trace JSONL, every replica's final
+parameters and the decoded final checkpoint tree.
+
+The matrix (tier-1 MLP fixture, 4 workers x 30 steps) is rule variant x
+scenario x executor: :data:`RULES` x :data:`SCENARIOS` x {serial, process},
+plus :data:`EXTRA_CELLS`. A cell that raises counts as equal when both sides
+raise the same error (SSP refuses health / elastic / resume; the injector is
+built for a fixed N).
+
+Exit status is non-zero when a cell differs that no ``--expect-differs
+'GLOB[:artifact,...]'`` declares (a glob over ``rule/scenario/executor``;
+with artifacts named, only those may differ). For each unequal cell the
+first differing trace line (or RunLog line, when the traces agree) is
+printed with its step and field.
+"""
+
+from __future__ import annotations
+
+import argparse
+import fnmatch
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+N_WORKERS = 4
+N_STEPS = 30
+KILL_AT = 12
+ARTIFACTS = ("runlog", "trace", "params", "checkpoint")
+EXECUTORS = ("serial", "process")
+
+WORKER_FAULTS = "crash:w1@5-12,straggle:w0x3@3+,drop:p=0.2,corrupt:w2@8,corrupt:p=0.1"
+
+#: scenario -> (ClusterConfig overrides, kill-and-resume?)
+SCENARIOS = {
+    "fault-free": ({}, False),
+    "faults+trimmed_mean+health": (
+        dict(fault_spec=WORKER_FAULTS, aggregator="trimmed_mean", trim_f=1,
+             health=True, probation=5, min_quorum=1),
+        False,
+    ),
+    "faults+mean": (dict(fault_spec=WORKER_FAULTS, min_quorum=1), False),
+    "kill@12+resume": ({}, True),
+    "ring+loss+flap": (
+        dict(topology="ring", net_fault_spec="loss:p=0.1,flap:link(1,2)x3@1+",
+             min_quorum=2),
+        False,
+    ),
+    "ps+loss+partition": (
+        dict(net_fault_spec="loss:p=0.1,partition:{w0|w1,w2,w3}@10-20",
+             min_quorum=2),
+        False,
+    ),
+    "overlap0.5": (dict(overlap_fraction=0.5), False),
+    "shards3": (dict(ps_shards=3), False),
+    "shards3+loss0.3+retry0": (
+        dict(ps_shards=3, net_fault_spec="loss:p=0.3", retry_max=0, min_quorum=1),
+        False,
+    ),
+    "elastic-join+drain": (dict(elastic_spec="join:+2@8,drain:w1@18"), False),
+}
+
+#: rule variants; :func:`_build` holds each one's constructor call
+RULES = (
+    "bsp", "bsp+topk", "selsync-pa", "selsync-ga", "selsync-majority",
+    "selsync+injector", "fedavg-c0.5", "easgd-tau2", "localsgd", "ssp",
+)
+
+#: cells outside the product: (rule, scenario name, overrides, resume?)
+EXTRA_CELLS = (
+    ("bsp", "shards3+trimmed_mean",
+     dict(ps_shards=3, aggregator="trimmed_mean", trim_f=1), False),
+)
+
+
+def cells():
+    for rule in RULES:
+        for scenario, (overrides, resume) in SCENARIOS.items():
+            yield rule, scenario, overrides, resume
+    yield from EXTRA_CELLS
+
+
+# -- one side: run the matrix with whatever ``repro`` is importable ---------
+def _build(rule, overrides, executor):
+    from repro.cluster import ElasticContext
+    from repro.cluster.worker import build_worker_group
+    from repro.core import (
+        BSPTrainer, ClusterConfig, EASGDTrainer, FedAvgTrainer,
+        LocalSGDTrainer, SelSyncTrainer, SSPTrainer,
+    )
+    from repro.core.compression.topk import TopKCompressor
+    from repro.data import BatchLoader, build_dataset, selsync_partition
+    from repro.data.injection import DataInjector
+    from repro.nn.models import build_model
+    from repro.optim import SGD
+
+    train, _ = build_dataset(
+        "blobs", n_train=256, n_test=64, n_features=16, n_classes=4, rng=0
+    )
+    part = selsync_partition(len(train), N_WORKERS, rng=1)
+    loaders = BatchLoader.for_workers(train, part, batch_size=16, seed=2)
+
+    def model_factory():
+        return build_model("mlp", in_features=16, n_classes=4, hidden=(16,), rng=7)
+
+    def optimizer_factory(m):
+        return SGD(m, lr=0.05, momentum=0.9)
+
+    workers = build_worker_group(N_WORKERS, model_factory, optimizer_factory, loaders)
+    cluster = ClusterConfig(
+        n_workers=N_WORKERS, seed=0, comm_bytes=1e6, flops_per_sample=1e6,
+        executor=executor, **{"ps_shards": 1, **overrides},
+    )
+    make = {
+        "bsp": lambda: BSPTrainer(workers, cluster),
+        "bsp+topk": lambda: BSPTrainer(
+            workers, cluster, compressor=TopKCompressor(ratio=0.1)),
+        "selsync-pa": lambda: SelSyncTrainer(workers, cluster, delta=0.1),
+        "selsync-ga": lambda: SelSyncTrainer(
+            workers, cluster, delta=0.1, aggregation="grads"),
+        "selsync-majority": lambda: SelSyncTrainer(
+            workers, cluster, delta=0.1, sync_vote="majority"),
+        "selsync+injector": lambda: SelSyncTrainer(
+            workers, cluster, delta=0.1,
+            injector=DataInjector(0.5, 0.5, N_WORKERS, sample_nbytes=64, rng=0)),
+        "fedavg-c0.5": lambda: FedAvgTrainer(
+            workers, cluster, c_fraction=0.5, e_factor=0.25),
+        "easgd-tau2": lambda: EASGDTrainer(workers, cluster, rho=0.1, tau=2),
+        "localsgd": lambda: LocalSGDTrainer(workers, cluster),
+        "ssp": lambda: SSPTrainer(workers, cluster, staleness=3),
+    }
+    trainer = make[rule]()
+    if trainer.elastic is not None:
+        trainer.bind_elastic(ElasticContext(
+            model_factory=model_factory, optimizer_factory=optimizer_factory,
+            dataset=train, batch_size=16, partition_fn=selsync_partition,
+        ))
+    return trainer
+
+
+def _tree_digest(node, h):
+    """Feed a decoded checkpoint tree to ``h``: keys in order, arrays as
+    dtype + shape + bytes, everything else as its repr."""
+    import numpy as np
+
+    if isinstance(node, dict):
+        for k in node:
+            h.update(repr(k).encode())
+            _tree_digest(node[k], h)
+    elif isinstance(node, (list, tuple)):
+        h.update(f"[{len(node)}".encode())
+        for v in node:
+            _tree_digest(v, h)
+    elif isinstance(node, np.ndarray):
+        h.update(f"{node.dtype}{node.shape}".encode())
+        h.update(np.ascontiguousarray(node).tobytes())
+    else:
+        h.update(repr(node).encode())
+
+
+def _run_cell(rule, overrides, resume, executor, out: Path):
+    from repro.core import TrainConfig
+    from repro.obs import Tracer
+    from repro.utils.serialization import RunLogLines, load_checkpoint
+
+    ck = out / "ck.npz"
+    legs = [dict(stop_after=KILL_AT), dict(resume_from=str(ck))] if resume else [{}]
+    # SSP refuses checkpointing outright; its other cells run without one.
+    checkpointing = resume or rule != "ssp"
+    for n, leg in enumerate(legs):
+        trainer = _build(rule, overrides, executor)
+        tracer = Tracer(path=out / f"trace{n}.jsonl", name="identity")
+        try:
+            res = trainer.run(TrainConfig(
+                n_steps=N_STEPS, eval_fn=None, tracer=tracer,
+                checkpoint_every=6 if checkpointing else None,
+                checkpoint_path=str(ck) if checkpointing else None,
+                **leg,
+            ))
+        finally:
+            trainer.executor.shutdown()
+            tracer.close()
+    trace = "".join((out / f"trace{n}.jsonl").read_text() for n in range(len(legs)))
+    (out / "trace.jsonl").write_text(trace)
+    runlog = RunLogLines().text(res.log) + "\n"
+    (out / "runlog.jsonl").write_text(runlog)
+    params, tree = hashlib.sha256(), hashlib.sha256()
+    for w in trainer.workers:
+        params.update(w.get_params().tobytes())
+    if checkpointing:
+        _tree_digest(load_checkpoint(ck), tree)
+    return {
+        "runlog": hashlib.sha256(runlog.encode()).hexdigest(),
+        "trace": hashlib.sha256(trace.encode()).hexdigest(),
+        "params": params.hexdigest(),
+        "checkpoint": tree.hexdigest(),
+    }
+
+
+def emit(out_dir: Path, only):
+    """Run every selected cell; write artifacts and ``digests.json``."""
+    digests = {}
+    for rule, scenario, overrides, resume in cells():
+        for executor in EXECUTORS:
+            name = f"{rule}/{scenario}/{executor}"
+            if only and not any(fnmatch.fnmatch(name, g) for g in only):
+                continue
+            cell_dir = out_dir / name.replace("/", "__")
+            cell_dir.mkdir(parents=True)
+            try:
+                digests[name] = _run_cell(rule, overrides, resume, executor, cell_dir)
+            except Exception as e:  # an equal failure on both sides is equal
+                digests[name] = {"error": f"{type(e).__name__}: {e}"}
+    (out_dir / "digests.json").write_text(json.dumps(digests, indent=1))
+
+
+# -- the comparison -----------------------------------------------------------
+def _first_difference(a, b, path=""):
+    """``(field path, a's value, b's value)`` of the first difference."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        for k in sorted(set(a) | set(b)):
+            if a.get(k) != b.get(k) or (k in a) != (k in b):
+                return _first_difference(a.get(k), b.get(k), f"{path}.{k}" if path else k)
+    return path or "<line>", a, b
+
+
+def explain(parent_dir: Path, change_dir: Path, name: str) -> str:
+    """Name the first trace (else RunLog) line two sides of a cell disagree on."""
+    cell = name.replace("/", "__")
+    for artifact in ("trace", "runlog"):
+        try:
+            old = (parent_dir / cell / f"{artifact}.jsonl").read_text().splitlines()
+            new = (change_dir / cell / f"{artifact}.jsonl").read_text().splitlines()
+        except OSError:
+            continue
+        for n, (lo, ln) in enumerate(zip(old, new)):
+            if lo != ln:
+                o, c = json.loads(lo), json.loads(ln)
+                field, vo, vc = _first_difference(o, c)
+                kind = o.get("etype", o.get("kind"))
+                return (
+                    f"    first differing {artifact} line {n + 1}: step "
+                    f"{o.get('step')} worker {o.get('worker', -1)} {kind}, "
+                    f"field {field}: parent {vo!r} vs change {vc!r}\n"
+                    f"      parent: {lo}\n      change: {ln}"
+                )
+        if len(old) != len(new):
+            return (
+                f"    {artifact} lengths differ after {min(len(old), len(new))} "
+                f"equal lines: parent {len(old)} vs change {len(new)}"
+            )
+    return "    traces and RunLogs agree line for line"
+
+
+def compare(parent_dir: Path, change_dir: Path, expected) -> int:
+    old = json.loads((parent_dir / "digests.json").read_text())
+    new = json.loads((change_dir / "digests.json").read_text())
+    n_equal = n_failed = 0
+    declared, undeclared = [], []
+    for name in new:
+        if old[name] == new[name]:
+            n_equal += 1
+            n_failed += "error" in new[name]
+            continue
+        differing = sorted(
+            k for k in set(old[name]) | set(new[name])
+            if old[name].get(k) != new[name].get(k)
+        )
+        allowed = [
+            arts for glob, arts in expected
+            if fnmatch.fnmatch(name, glob) and (not arts or set(differing) <= arts)
+        ]
+        (declared if allowed else undeclared).append((name, differing))
+    for title, rows in (("declared", declared), ("UNDECLARED", undeclared)):
+        for name, differing in rows:
+            print(f"  differs ({title}): {name}: {', '.join(differing)}")
+            if "error" in differing:
+                print(f"    parent: {old[name].get('error', 'ran')}")
+                print(f"    change: {new[name].get('error', 'ran')}")
+            else:
+                print(explain(parent_dir, change_dir, name))
+    print(
+        f"{len(new)} cells: {n_equal} equal ({n_failed} of them equal failures), "
+        f"{len(declared)} declared different, {len(undeclared)} undeclared different"
+    )
+    return 1 if undeclared else 0
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--parent", help="revision to compare this checkout against")
+    ap.add_argument(
+        "--expect-differs", action="append", default=[], metavar="GLOB[:ARTIFACTS]",
+        help="declare cells (rule/scenario/executor glob) that may differ, "
+        f"optionally only in the named artifacts ({', '.join(ARTIFACTS)})",
+    )
+    ap.add_argument("--only", action="append", default=[], metavar="GLOB",
+                    help="run only the cells matching GLOB")
+    ap.add_argument("--keep", metavar="DIR",
+                    help="leave both sides' artifacts under DIR")
+    ap.add_argument("--emit", metavar="DIR", help=argparse.SUPPRESS)
+    args = ap.parse_args(argv)
+    if args.emit:
+        emit(Path(args.emit), args.only)
+        return 0
+    if not args.parent:
+        ap.error("--parent is required")
+    expected = []
+    for item in args.expect_differs:
+        glob, _, arts = item.partition(":")
+        expected.append((glob, set(arts.split(",")) if arts else set()))
+    repo = Path(__file__).resolve().parent.parent
+    with tempfile.TemporaryDirectory(prefix="identity-") as tmp:
+        work = Path(args.keep) if args.keep else Path(tmp)
+        work.mkdir(parents=True, exist_ok=True)
+        clone = work / "parent-src"
+        subprocess.run(["git", "clone", "-q", str(repo), str(clone)], check=True)
+        subprocess.run(
+            ["git", "-C", str(clone), "checkout", "-q", "--detach", args.parent],
+            check=True,
+        )
+        sides = {"parent": clone / "src", "change": repo / "src"}
+        procs = {}
+        for side, src in sides.items():
+            cmd = [sys.executable, str(Path(__file__).resolve()),
+                   "--emit", str(work / side)]
+            for g in args.only:
+                cmd += ["--only", g]
+            env = {**os.environ, "PYTHONPATH": str(src)}
+            procs[side] = subprocess.Popen(cmd, env=env, cwd=str(work))
+        failed = [side for side, p in procs.items() if p.wait() != 0]
+        if failed:
+            print(f"matrix run failed on: {', '.join(failed)}", file=sys.stderr)
+            return 2
+        return compare(work / "parent", work / "change", expected)
+
+
+if __name__ == "__main__":
+    sys.exit(main())
