@@ -11,9 +11,9 @@ Two sources of membership change share one controller:
 
 * the **plan** — explicit join/drain clauses applied at fixed steps, and
 * the **policy** — a :class:`ScalePolicy` that reads the controller's live
-  :class:`~repro.obs.metrics.MetricsRegistry` signal stream (goodput in
-  samples per sim-second, sync ratio, communication fraction, per-rank
-  compute EWMAs) and emits scale decisions. Decisions are deterministic:
+  signal stream (:meth:`ElasticController.signals`: goodput in samples per
+  sim-second, sync ratio, communication fraction, per-rank compute EWMAs)
+  and emits scale decisions. Decisions are deterministic:
   pure functions of ``(signals, world_size, step)``, with any tie-break
   randomness drawn from a stream keyed on ``(seed, step)`` — never the
   trainer RNGs — so outcomes are identical across the serial and
@@ -38,7 +38,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro import obs
-from repro.obs.metrics import MetricsRegistry
 from repro.utils.spec import Plan
 
 #: Fixed boot cost charged (in sim-seconds) when one or more joiners are
@@ -204,10 +203,9 @@ class ElasticController:
     """Deterministic membership/autoscale decisions for one training run.
 
     Owns the plan, the policy, the stable-uid ledger and the live signal
-    stream (a :class:`MetricsRegistry` — the same instrument kind the
-    tracer exposes, so the policy literally reads an ``obs.metrics``
-    stream; the tracer's registry is mirrored, never read, keeping traced
-    and untraced runs bitwise identical).
+    stream (:meth:`signals`, all of it checkpointed; the tracer's registry
+    is mirrored, never read, keeping traced and untraced runs bitwise
+    identical).
     """
 
     def __init__(
@@ -242,8 +240,6 @@ class ElasticController:
         self.decide_every = int(decide_every)
         self.cooldown = int(cooldown)
         self.boot_s = float(boot_s)
-        #: Live signal stream the policy reads (obs.metrics machinery).
-        self.metrics = MetricsRegistry()
         # Stable uids, parallel to the trainer's worker list.
         self.uids: List[int] = []
         self._next_uid = 0
@@ -387,9 +383,6 @@ class ElasticController:
                     self._compute_ewma[r] = _ewma(
                         self._compute_ewma[r], float(t)
                     )
-        for name, value in self.signals().items():
-            if np.isfinite(value):
-                self.metrics.set(name, value)
         tr = obs.active()
         if tr is not None:
             m = tr.metrics

@@ -45,7 +45,7 @@ they mean.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -104,7 +104,8 @@ class StepFaults:
     ``adversarial`` lists the live workers whose gradient is replaced with a
     finite hostile vector (they still *look* healthy to any finiteness
     check and stay in the contributing set — only robust aggregation or
-    health screening can defuse them).
+    health screening can defuse them); ``wire_lies`` holds the hostile
+    vector each of them pushes this step, fabricated by the trainer.
     """
 
     step: int
@@ -113,6 +114,7 @@ class StepFaults:
     rejoined: List[int]
     corrupted: List[int]
     adversarial: List[int] = field(default_factory=list)
+    wire_lies: Dict[int, np.ndarray] = field(default_factory=dict)
 
 
 class FaultInjector:

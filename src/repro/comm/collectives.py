@@ -10,8 +10,10 @@ A full-model sync round is produced in one place, :meth:`SimGroup._round`:
 :meth:`~SimGroup.allreduce_mean` (reduce and account),
 :meth:`~SimGroup.charge_sync` (account a round reduced elsewhere) and
 :meth:`~SimGroup.sync_time_only` (seconds only) are entries over it, and
-everything a round needs — its size, the ranks taking part, the per-shard
-absences — arrives as arguments; the group keeps no per-round state.
+everything a round needs — the ranks taking part (their count is its size)
+and the per-shard absences — arrives as arguments; the group keeps no
+per-round state, and nothing about a partition either: onset is read off the
+link-fault plan.
 """
 
 from __future__ import annotations
@@ -102,7 +104,6 @@ class SimGroup:
         # Current training step (fed by the trainer via begin_step) — the
         # key every link-fault draw is salted with.
         self._step: int = 0
-        self._partition_active: bool = False
         # Dedup link_fault events to one per (link, step).
         self._faulted_links: set = set()
         # Reusable allreduce output; sized on first use.
@@ -138,16 +139,16 @@ class SimGroup:
         """Install the step every subsequent link-fault draw is keyed on.
 
         Collectives always run on the coordinator thread, so this is safe
-        under every executor backend. Also detects partition onset/healing
-        transitions and emits ``partition_detected`` events.
+        under every executor backend. A partition's onset — ``step`` is
+        partitioned and ``step - 1`` was not, read off the plan, so a resumed
+        run needs nothing remembered — emits ``partition_detected``.
         """
         self._step = int(step)
         if self.link_faults is None:
             return
         self._faulted_links = set()
         part = self.link_faults.partition_at(step)
-        if part is not None and not self._partition_active:
-            self._partition_active = True
+        if part is not None and self.link_faults.partition_at(step - 1) is None:
             tr = obs.active()
             if tr is not None:
                 tr.emit(
@@ -157,8 +158,6 @@ class SimGroup:
                     majority=list(self.link_faults.majority_side(step)),
                     until=part.end,
                 )
-        elif part is None and self._partition_active:
-            self._partition_active = False
 
     # -- resilient envelope ------------------------------------------------
     def _record_link_fault(self, src: int, dst: int, kind: str) -> None:
@@ -210,7 +209,7 @@ class SimGroup:
                 )
         return extra
 
-    def _resilient_sync(self, op: str, payload: float, ranks: int, rank_ids) -> float:
+    def _resilient_sync(self, op: str, payload: float, ids: List[int]) -> float:
         """Healed + enveloped time for one full-model sync round.
 
         Only reached when link faults are active. Reroutes the schedule
@@ -220,7 +219,6 @@ class SimGroup:
         trainer's upload path, where a lost push degrades one worker
         instead of the whole round.
         """
-        ids = list(range(ranks)) if rank_ids is None else sorted(rank_ids)
         healed = self.topology.healed_sync_time(
             payload, ids, self.n_workers, self.net, self.link_faults, self._step
         )
@@ -251,15 +249,15 @@ class SimGroup:
         self,
         op: str,
         nbytes: Optional[float],
-        n_live: Optional[int],
-        rank_ids: Optional[Sequence[int]],
+        ranks: Optional[Sequence[int]],
         absent,
         vectors: Optional[Sequence[np.ndarray]] = None,
         ledger: bool = True,
     ) -> float:
         """One full-model sync round: check, reduce, cost, account.
 
-        The one place a round's size and payload are validated, its
+        The one place a round's ranks (the worker ids taking part, ``None``
+        = all; their count is the round's size) and payload are validated, its
         ``vectors`` (when the arithmetic happens here) are reduced into
         :attr:`_mean_buf`, its seconds are picked — per-shard parallel
         rounds, the topology formula, or the healed and enveloped schedule
@@ -275,17 +273,20 @@ class SimGroup:
         ``shard_round`` summary whose ``bytes`` recaps the round total
         without being counted again by the metrics tap.
         """
-        ranks = self.n_workers if n_live is None else int(n_live)
-        if not 1 <= ranks <= self.n_workers:
-            raise ValueError(f"n_live must be in [1, {self.n_workers}], got {n_live}")
+        ids = list(range(self.n_workers)) if ranks is None else sorted(ranks)
+        size = len(ids)
+        if size < 1 or len(set(ids)) != size or ids[0] < 0 or ids[-1] >= self.n_workers:
+            raise ValueError(
+                f"ranks must be distinct ids in [0, {self.n_workers}), got {ranks}"
+            )
         if nbytes is not None and nbytes < 0:
             raise ValueError(f"nbytes must be >= 0, got {nbytes}")
         spec = self.shard_spec
         if absent and spec is None:
             raise RuntimeError("shard absences require a sharded group")
         if vectors is not None:
-            if len(vectors) != ranks:
-                raise ValueError(f"expected {ranks} vectors, got {len(vectors)}")
+            if len(vectors) != size:
+                raise ValueError(f"expected {size} vectors, got {len(vectors)}")
             first = np.asarray(vectors[0])
             for v in vectors[1:]:
                 if np.asarray(v).shape != first.shape:
@@ -304,15 +305,15 @@ class SimGroup:
                 nbytes = first.nbytes
         payload = float(nbytes)
         if spec is None:
-            sizes, ks = [payload], [ranks]
+            sizes, ks = [payload], [size]
             if self.envelope is None:
-                total = self.topology.sync_time(payload, ranks, self.net)
+                total = self.topology.sync_time(payload, size, self.net)
             else:
-                total = self._resilient_sync(op, payload, ranks, rank_ids)
+                total = self._resilient_sync(op, payload, ids)
         else:
             gone = absent or {}
             sizes = spec.int_payloads(payload)
-            ks = [max(0, ranks - len(gone.get(s, ()))) for s in range(len(sizes))]
+            ks = [max(0, size - len(gone.get(s, ()))) for s in range(len(sizes))]
             total = sharded_ps_sync_time(sizes, ks, self.net)
         if not ledger:
             return total
@@ -328,7 +329,7 @@ class SimGroup:
                 self._trace(op, float(b), counted, k, t, shard=s)
         self.n_syncs += 1
         if spec is not None:
-            n_degraded = sum(k < ranks for k in ks)
+            n_degraded = sum(k < size for k in ks)
             self.degraded_shard_rounds += n_degraded
             tr = obs.active()
             if tr is not None:
@@ -347,8 +348,7 @@ class SimGroup:
         self,
         vectors: Sequence[np.ndarray],
         nbytes: float = None,
-        n_live: Optional[int] = None,
-        rank_ids: Optional[Sequence[int]] = None,
+        ranks: Optional[Sequence[int]] = None,
         absent=None,
     ) -> Tuple[np.ndarray, float]:
         """Average one flat vector per rank; returns (mean, sim_seconds).
@@ -357,21 +357,19 @@ class SimGroup:
         harness passes the *paper-scale* model size here so Fig. 1a's
         507 MB VGG11 behaviour reproduces with a small in-memory analog).
 
-        ``n_live`` opts in to a degraded round over a survivor subset: the
-        mean is over ``n_live`` vectors and the sync is charged for
-        ``n_live`` ranks. Without it a short vector list is an error —
-        silently averaging fewer replicas than the group has is exactly
-        the wrong-answer mode the fault model exists to make loud.
-
-        ``rank_ids`` names the actual participating worker ids (so the
-        link-fault layer can route around the links those ranks use);
-        ignored without link faults, where only the count matters.
+        ``ranks`` opts in to a degraded round over a survivor subset: it
+        names the participating worker ids (distinct, in range), the mean
+        is over ``len(ranks)`` vectors, the sync is charged for that many
+        ranks and the link-fault layer routes around the links they use.
+        Without it a short vector list is an error — silently averaging
+        fewer replicas than the group has is exactly the wrong-answer mode
+        the fault model exists to make loud.
 
         ``absent`` (sharded groups only) names the lost shard pushes of a
         degraded *shard* round; see :meth:`_round`. The mean is a read-only
         view of a buffer the next ``allreduce_mean`` reuses.
         """
-        t = self._round("allreduce", nbytes, n_live, rank_ids, absent, vectors)
+        t = self._round("allreduce", nbytes, ranks, absent, vectors)
         mean = self._mean_buf.view()
         mean.flags.writeable = False
         return mean, t
@@ -379,26 +377,21 @@ class SimGroup:
     def charge_sync(
         self,
         nbytes: float,
-        n_live: Optional[int] = None,
-        rank_ids: Optional[Sequence[int]] = None,
+        ranks: Optional[Sequence[int]] = None,
         absent=None,
     ) -> float:
         """Account one full-model sync round and return its simulated time.
 
         For callers that perform the aggregation arithmetic elsewhere (e.g.
         through the :class:`~repro.cluster.server.ParameterServer`) and only
-        need the clock charged once. ``n_live`` charges a degraded round
-        over a survivor subset instead of the full group; ``rank_ids``
-        identifies the survivors for the link-fault layer; ``absent`` is the
+        need the clock charged once. ``ranks`` charges a degraded round over
+        the named survivors instead of the full group; ``absent`` is the
         per-shard absences the server's aggregation was given.
         """
-        return self._round("sync", nbytes, n_live, rank_ids, absent)
+        return self._round("sync", nbytes, ranks, absent)
 
     def sync_time_only(
-        self,
-        nbytes: float,
-        n_live: Optional[int] = None,
-        rank_ids: Optional[Sequence[int]] = None,
+        self, nbytes: float, ranks: Optional[Sequence[int]] = None
     ) -> float:
         """Sync time with no ledger entry and no ``collective`` event.
 
@@ -409,10 +402,10 @@ class SimGroup:
         and its messages sent, so ``reroute`` / ``retry`` events are
         emitted and :attr:`n_reroutes` / :attr:`retry_wait_s` move — once
         per call, and FedAvg calls it twice per sampled round (its
-        pull-back half-round passes no ``n_live`` / ``rank_ids`` and so is
-        costed over all ``n_workers`` ranks, not the live set).
+        pull-back half-round passes no ``ranks`` and so is costed over all
+        ``n_workers`` ranks, not the live set).
         """
-        return self._round("sync", nbytes, n_live, rank_ids, None, ledger=False)
+        return self._round("sync", nbytes, ranks, None, ledger=False)
 
     def push_outcome(
         self, worker: int, nbytes: float, shard: Optional[int] = None
@@ -520,7 +513,6 @@ class SimGroup:
                 "envelope": self.envelope.state_dict(),
                 "n_reroutes": self.n_reroutes,
                 "retry_wait_s": self.retry_wait_s,
-                "partition_active": self._partition_active,
             }
         if self.shard_spec is not None:
             # Geometry and the degradation ledger.
@@ -548,4 +540,3 @@ class SimGroup:
             self.envelope.load_state_dict(net["envelope"])
             self.n_reroutes = int(net["n_reroutes"])
             self.retry_wait_s = float(net["retry_wait_s"])
-            self._partition_active = bool(net["partition_active"])

@@ -81,11 +81,9 @@ class ClusterConfig:
     #: Retries per enveloped message after the first attempt (0 = fail
     #: fast). Only consulted when ``net_fault_spec`` is set.
     retry_max: int = 4
-    #: Backoff before the first retry, in milliseconds; doubles per retry
-    #: up to ``retry_cap_ms`` with ±``retry_jitter`` seeded jitter.
+    #: Backoff before the first retry, in milliseconds; doubles per retry up
+    #: to :class:`~repro.comm.envelope.RetryPolicy`'s cap, with its jitter.
     retry_base_ms: float = 25.0
-    retry_cap_ms: float = 2000.0
-    retry_jitter: float = 0.5
     #: Minimum number of workers that must contribute to an aggregation
     #: round; dropping below it raises
     #: :class:`~repro.cluster.faults.QuorumLostError` instead of silently
@@ -171,21 +169,7 @@ class ClusterConfig:
         }
         self.make_fault_injector()
         self._plans["link"].validate(self.n_workers)
-        if self.retry_max < 0:
-            raise ValueError(f"retry_max must be >= 0, got {self.retry_max}")
-        if self.retry_base_ms < 0:
-            raise ValueError(
-                f"retry_base_ms must be >= 0, got {self.retry_base_ms}"
-            )
-        if self.retry_cap_ms < self.retry_base_ms:
-            raise ValueError(
-                f"retry_cap_ms ({self.retry_cap_ms}) must be >= "
-                f"retry_base_ms ({self.retry_base_ms})"
-            )
-        if not 0.0 <= self.retry_jitter < 1.0:
-            raise ValueError(
-                f"retry_jitter must be in [0, 1), got {self.retry_jitter}"
-            )
+        self.make_retry_policy()  # RetryPolicy validates retries / backoff
         if self.min_quorum is not None and not 1 <= self.min_quorum <= self.n_workers:
             raise ValueError(
                 f"min_quorum must be in [1, {self.n_workers}], got {self.min_quorum}"
@@ -316,12 +300,7 @@ class ClusterConfig:
         return make_link_faults(self._plans["link"], self.n_workers, seed=self.seed)
 
     def make_retry_policy(self) -> RetryPolicy:
-        return RetryPolicy(
-            max_retries=self.retry_max,
-            base_s=self.retry_base_ms / 1000.0,
-            cap_s=self.retry_cap_ms / 1000.0,
-            jitter=self.retry_jitter,
-        )
+        return RetryPolicy(self.retry_max, base_s=self.retry_base_ms / 1000.0)
 
     def make_shard_spec(self, layer_sizes) -> Optional[ShardSpec]:
         """Shard geometry over the model's tensor sizes, or ``None`` with

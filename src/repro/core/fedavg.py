@@ -82,11 +82,7 @@ class FedAvgTrainer(DistributedTrainer):
         # byte ledger (the PS aggregation above moved the data), so use
         # the timing-only path — identical to the raw topology formula
         # without link faults, healed/enveloped with them.
-        t_s = self.group.sync_time_only(
-            self.comm_bytes,
-            n_live=len(pushers),
-            rank_ids=round_kw.get("rank_ids"),
-        )
+        t_s = self.group.sync_time_only(self.comm_bytes, ranks=pushers)
         if len(pushers) < len(self.workers):
             t_s += self.group.sync_time_only(self.comm_bytes) / 2.0
         return global_params, t_s, 0.0

@@ -45,7 +45,8 @@ class SelSyncTrainer(DistributedTrainer):
         paper's N/100 heuristic.
     injector:
         Optional non-IID data injection (§III-E); its per-iteration P2P cost
-        is charged to the clock.
+        is charged to the clock and its donor RNG is checkpointed. Built for
+        a fixed N: refused together with ``elastic_spec`` / ``scale_policy``.
     sync_vote:
         ``"any"`` (Alg. 1: one raised flag syncs everyone) or ``"majority"``
         (ablation: sync only when more than half of this step's voters — the
@@ -81,6 +82,12 @@ class SelSyncTrainer(DistributedTrainer):
             raise ValueError(f"aggregation must be 'params' or 'grads', got {aggregation!r}")
         if sync_vote not in ("any", "majority"):
             raise ValueError(f"sync_vote must be 'any' or 'majority', got {sync_vote!r}")
+        if injector is not None and self.elastic is not None:
+            raise NotImplementedError(
+                f"injector: its P2P plan is built for {injector.n_workers} "
+                "ranks and cannot follow a membership change; not supported "
+                "together with elastic_spec / scale_policy"
+            )
         self.delta = float(delta)
         self.aggregation = aggregation
         self.sync_vote = sync_vote
@@ -219,6 +226,8 @@ class SelSyncTrainer(DistributedTrainer):
         state = {"trackers": [t.state_dict() for t in self.trackers]}
         if self.delta_policy is not None:
             state["delta_policy"] = self.delta_policy.state_dict()
+        if self.injector is not None:
+            state["injector_rng"] = self.injector.rng.bit_generator.state
         return state
 
     def _load_extra_state(self, state):
@@ -226,3 +235,5 @@ class SelSyncTrainer(DistributedTrainer):
             t.load_state_dict(s)
         if self.delta_policy is not None:
             self.delta_policy.load_state_dict(state.get("delta_policy", {}))
+        if self.injector is not None:
+            self.injector.rng.bit_generator.state = state["injector_rng"]

@@ -144,10 +144,6 @@ class DistributedTrainer:
         # whenever no net-fault spec is set (the fault-free fast path).
         self.net_faults = self.group.link_faults
         self.quorum = cluster.effective_quorum
-        # Partition bookkeeping: records the onset fault exactly once and
-        # remembers who was cut so the heal can rebase them.
-        self._partitioned = False
-        self._partition_cut: List[int] = []
         if self.degraded_mode:
             # PS-side ledger of partial-information rounds; armed only in
             # degraded-capable runs so fault-free checkpoints never grow
@@ -159,7 +155,6 @@ class DistributedTrainer:
         # Per-worker simulated compute seconds of the latest round; the
         # health tracker's straggle signal.
         self._last_compute_times: Optional[np.ndarray] = None
-        self._wire_lies: Dict[int, np.ndarray] = {}
         # In-memory copy of the latest checkpoint; rejoining workers
         # restore their rank state from it (crash-recovery semantics).
         self._latest_checkpoint: Optional[Dict] = None
@@ -221,18 +216,16 @@ class DistributedTrainer:
             self.check_quorum(len(pushers), i, cap=self.n_participants())
             # The one place a degraded round's arguments are built: without
             # them SimGroup treats a short vector list as an error.
-            round_kw = (
-                {"n_live": len(pushers), "rank_ids": pushers}
-                if self.degraded_mode
-                else {}
-            )
+            round_kw = {"ranks": pushers} if self.degraded_mode else {}
             if shard_lost:
                 # Worker ids → positions in the round's final pusher list.
                 round_kw["absent"] = {
                     s: {j for j, w in enumerate(pushers) if w in ws}
                     for s, ws in shard_lost.items()
                 }
-            vectors = self.wire_updates(pushers, self.outgoing(pushers))
+            vectors = self.wire_updates(
+                pushers, self.outgoing(pushers), sf.wire_lies
+            )
             pulled, t_s, t_codec = self.exchange(pushers, vectors, round_kw)
             if pulled is not None:
                 # Every *live* worker takes the pull — a corrupted or
@@ -428,28 +421,35 @@ class DistributedTrainer:
             if quarantined:
                 sf.live = [w for w in sf.live if w not in quarantined]
         if self.net_faults is not None and self.communicates:
+            # Onset and heal are read off the plan — this step's majority
+            # side against the last step's — so nothing is remembered and a
+            # run resumed inside the window records neither twice.
             majority = self.net_faults.majority_side(i)
+            before = self.net_faults.majority_side(i - 1)
             if majority is not None:
-                if not self._partitioned:
-                    self._partitioned = True
-                    self._partition_cut = [
-                        w for w in sf.live if w not in set(majority)
-                    ]
+                if before is None:
                     self._record_fault(
                         i,
                         -1,
                         "partition",
                         majority=list(majority),
-                        cut=list(self._partition_cut),
+                        cut=[w for w in sf.live if w not in majority],
                     )
                 # Minority-side workers are unreachable (their links to
                 # both the PS and the majority are severed): training
                 # continues on the majority side only.
-                sf.live = [w for w in sf.live if w in set(majority)]
-            else:
-                if self._partitioned:
-                    self._heal_partition(i, sf.live)
-                self._partitioned = False
+                sf.live = [w for w in sf.live if w in majority]
+            elif before is not None:
+                # Healed: live workers off the last partitioned step's
+                # majority side re-enter like a crash rejoin without a
+                # checkpoint (majority consensus, fresh optimizer state) — a
+                # gradient-aggregating rule never re-ships parameters.
+                cut = [w for w in sf.live if w not in before]
+                donors = [w for w in sf.live if w in before]
+                if donors:
+                    self._rebase(cut, donors)
+                    for wid in cut:
+                        self._record_fault(i, wid, "rejoin", healed_partition=True)
         self._current_live = sf.live
         self.check_quorum(len(sf.live), i)
         return sf
@@ -467,25 +467,6 @@ class DistributedTrainer:
                 self.workers[wid].resync(consensus)
             else:
                 self.workers[wid].optimizer.reset_state()
-
-    def _heal_partition(self, step: int, live: Sequence[int]) -> None:
-        """A network partition ended: rebase the formerly-cut workers.
-
-        Gradient-aggregating protocols never re-ship parameters, so a
-        replica that sat out the partition would stay permanently offset
-        from the majority's trajectory. Re-entry therefore goes through
-        :meth:`~repro.cluster.worker.SimWorker.resync` — majority-consensus
-        parameters, fresh optimizer state — exactly like a crash rejoin
-        without a checkpoint.
-        """
-        cut = set(self._partition_cut)
-        self._partition_cut = []
-        donors = [w for w in live if w not in cut]
-        if not donors:
-            return
-        self._rebase(sorted(cut), donors)
-        for wid in sorted(cut):
-            self._record_fault(step, wid, "rejoin", healed_partition=True)
 
     def _reinstate_worker(self, wid: int, step: int, live: Sequence[int]) -> None:
         """Probation elapsed: restore the worker from the current consensus
@@ -601,7 +582,6 @@ class DistributedTrainer:
         finiteness check); only robust aggregation or health screening can
         defuse it.
         """
-        self._wire_lies = {}
         if not sf.corrupted and not sf.adversarial:
             return list(sf.live)
         for wid in sf.corrupted:
@@ -616,7 +596,7 @@ class DistributedTrainer:
             hostile = self.faults.adversarial_gradient(
                 wid, sf.step, w.get_grads(copy=False)
             )
-            self._wire_lies[wid] = hostile
+            sf.wire_lies[wid] = hostile
             # The lie extends to the reported norm: Δ trackers and the
             # health screen see the hostile magnitude, which is exactly
             # the signal quarantine keys on.
@@ -626,19 +606,21 @@ class DistributedTrainer:
         return [wid for wid in sf.live if wid not in corrupted]
 
     def wire_updates(
-        self, wids: Sequence[int], vectors: Sequence[np.ndarray]
+        self,
+        wids: Sequence[int],
+        vectors: Sequence[np.ndarray],
+        lies: Dict[int, np.ndarray],
     ) -> List[np.ndarray]:
         """Apply this step's Byzantine lies at the wire.
 
         ``vectors[j]`` is what worker ``wids[j]`` is about to push
         (gradient, parameters, or elastic difference — a liar sends
         garbage regardless of protocol phase); adversarially corrupted
-        workers' entries are replaced with the hostile vector fabricated
-        in :meth:`apply_corruption`. Identity when no lies are active.
+        workers' entries are replaced with the hostile vector
+        :meth:`apply_corruption` fabricated into ``StepFaults.wire_lies``.
+        Identity when no lies are active.
         """
-        if not self._wire_lies:
-            return list(vectors)
-        return [self._wire_lies.get(wid, v) for wid, v in zip(wids, vectors)]
+        return [lies.get(wid, v) for wid, v in zip(wids, vectors)]
 
     def upload_penalty(
         self, uploaders: Sequence[int], step: int

@@ -49,6 +49,9 @@ class DataInjector:
     sample_nbytes:
         Per-sample payload size, used to account the (small) transfer cost
         the paper quantifies (§III-E: ~132 KB/iter at 16 workers on CIFAR).
+    rng:
+        Donor / sample selection stream — the injector's only evolving
+        state; :class:`~repro.core.selsync.SelSyncTrainer` checkpoints it.
     """
 
     def __init__(

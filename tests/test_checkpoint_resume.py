@@ -6,6 +6,8 @@ continuation reproduces the uninterrupted run exactly: parameters, losses,
 simulated clock (jitter RNG stream) and fault records all match to the bit.
 """
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -20,11 +22,19 @@ from repro.core import (
     TrainConfig,
 )
 from repro.cluster.worker import build_worker_group
+from repro.core.compression import COMPRESSORS, build_compressor
 from repro.data import ArrayDataset, BatchLoader, selsync_partition
+from repro.data.injection import DataInjector
 from repro.nn.models import build_model
+from repro.obs import Tracer
 from repro.optim import SGD
 from repro.utils import serialization
-from repro.utils.serialization import load_checkpoint, runlog_to_jsonable
+from repro.utils.serialization import (
+    RunLogLines,
+    load_checkpoint,
+    runlog_from_jsonable,
+    runlog_to_jsonable,
+)
 from tests.conftest import write_legacy_checkpoint
 
 N_WORKERS = 4
@@ -156,6 +166,109 @@ class TestBitwiseResume:
         res = trainer2.run(TrainConfig(n_steps=N_STEPS, eval_fn=None, resume_from=ck))
         # One contiguous history: steps 0..N-1 once each, no gap or overlap.
         assert [r.step for r in res.log.iterations] == list(range(N_STEPS))
+
+
+def _run_artifacts(build, tmp_path, tag, n_steps, every, **leg):
+    """One traced, checkpointing run of ``build()``'s trainer: RunLog text,
+    trace lines after the header, replica bytes, decoded checkpoint."""
+    workers, trainer = build()
+    tracer = Tracer(path=tmp_path / f"{tag}.jsonl", name="resume")
+    ck = leg.get("resume_from") or str(tmp_path / f"{tag}.npz")
+    res = trainer.run(
+        TrainConfig(n_steps=n_steps, eval_fn=None, tracer=tracer,
+                    checkpoint_every=every, checkpoint_path=ck, **leg)
+    )
+    tracer.close()
+    return {
+        "runlog": RunLogLines().text(res.log),
+        "trace": (tmp_path / f"{tag}.jsonl").read_text().splitlines()[1:],
+        "params": [w.get_params().tobytes() for w in workers],
+        "checkpoint": load_checkpoint(ck),
+    }
+
+
+def _whole_and_resumed(build, tmp_path, n_steps=N_STEPS, kill=KILL_AT, every=3):
+    """Artifacts of the uninterrupted run and of kill-at-``kill`` + resume
+    (its trace = the killed leg's events, then the resumed leg's)."""
+    whole = _run_artifacts(build, tmp_path, "whole", n_steps, every)
+    killed = _run_artifacts(build, tmp_path, "killed", n_steps, every, stop_after=kill)
+    resumed = _run_artifacts(
+        build, tmp_path, "resumed", n_steps, every,
+        resume_from=str(tmp_path / "killed.npz"),
+    )
+    resumed["trace"] = killed["trace"] + resumed["trace"]
+    return whole, resumed
+
+
+def _assert_artifacts_equal(whole, resumed):
+    assert resumed["runlog"] == whole["runlog"]
+    assert resumed["trace"] == whole["trace"]
+    assert resumed["params"] == whole["params"]
+    np.testing.assert_equal(resumed["checkpoint"], whole["checkpoint"])
+
+
+class TestNothingRemembered:
+    """Resume needs no state besides the plan and the checkpoint: partition
+    transitions are read off the plan, codec and injector state is captured
+    whole."""
+
+    PARTITION_RULES = {
+        "bsp": TRAINERS["bsp"],
+        "selsync-pa": TRAINERS["selsync"],
+        "selsync-ga": lambda w, c: SelSyncTrainer(w, c, delta=0.1, aggregation="grads"),
+        "fedavg": TRAINERS["fedavg"],
+        "easgd": TRAINERS["easgd"],
+    }
+
+    @pytest.mark.parametrize("kind", sorted(PARTITION_RULES))
+    def test_partition_spanning_the_kill_is_recorded_once(self, kind, tmp_path):
+        def build():
+            workers = _mlp_workers()
+            cluster = ClusterConfig(
+                n_workers=N_WORKERS, comm_bytes=1e6, flops_per_sample=1e6,
+                net_fault_spec="partition:{w0|w1,w2,w3}@4-9", min_quorum=2,
+            )
+            return workers, self.PARTITION_RULES[kind](workers, cluster)
+
+        whole, resumed = _whole_and_resumed(build, tmp_path)  # killed at 6
+        _assert_artifacts_equal(whole, resumed)
+        log = runlog_from_jsonable(resumed["checkpoint"]["log"])
+        assert [f.step for f in log.faults_of_kind("partition")] == [4]
+        detected = [ln for ln in resumed["trace"] if '"partition_detected"' in ln]
+        assert len(detected) == 1
+
+    def test_injector_rng_survives_the_kill(self, tmp_path):
+        def build():
+            workers = _mlp_workers()
+            cluster = ClusterConfig(
+                n_workers=N_WORKERS, comm_bytes=1e6, flops_per_sample=1e6
+            )
+            injector = DataInjector(0.5, 0.5, N_WORKERS, sample_nbytes=64, rng=0)
+            return workers, SelSyncTrainer(workers, cluster, delta=0.1, injector=injector)
+
+        _assert_artifacts_equal(*_whole_and_resumed(build, tmp_path))
+
+    @pytest.mark.parametrize("codec", COMPRESSORS.names())
+    def test_codec_state_survives_the_kill(self, codec, tmp_path):
+        """Every registered codec, so a new one is covered unedited: its
+        buffers, warm starts, counters and RNG are all in the checkpoint."""
+        def build():
+            workers = _mlp_workers()
+            cluster = ClusterConfig(
+                n_workers=N_WORKERS, comm_bytes=1e6, flops_per_sample=1e6
+            )
+            seeded = "rng" in inspect.signature(COMPRESSORS.get(codec)).parameters
+            compressor = build_compressor(codec, **({"rng": 0} if seeded else {}))
+            return workers, BSPTrainer(workers, cluster, compressor=compressor)
+
+        _assert_artifacts_equal(*_whole_and_resumed(build, tmp_path))
+
+    def test_codec_hyperparameters_are_checked_on_load(self):
+        saved = build_compressor("topk", ratio=0.01).state_dict()
+        with pytest.raises(ValueError, match="ratio=0.01.*ratio=0.1"):
+            build_compressor("topk", ratio=0.1).load_state_dict(saved)
+        with pytest.raises(ValueError, match="DGCCompressor state mismatch"):
+            build_compressor("dgc").load_state_dict(saved)
 
 
 class TestCheckpointLayouts:

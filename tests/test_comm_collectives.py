@@ -64,6 +64,30 @@ class TestChargeSync:
             getattr(group, entry)(*vectors, nbytes=-8)
         assert group.bytes_synced == 0 and group.n_syncs == 0
 
+    @pytest.mark.parametrize("ranks", [[], [0, 0], [0, 3], [-1, 1], [0, 1, 2, 1]])
+    @pytest.mark.parametrize(
+        "entry", ["allreduce_mean", "charge_sync", "sync_time_only"]
+    )
+    def test_ranks_must_be_distinct_ids_in_range(self, entry, ranks):
+        """``ranks`` is the round's one statement of who takes part: its
+        length is the count, so an id named twice or outside the group is
+        refused instead of charging a round nobody could have run."""
+        group = SimGroup(3)
+        vectors = ([np.zeros(4)] * len(ranks),) if entry == "allreduce_mean" else ()
+        with pytest.raises(ValueError, match="distinct ids"):
+            getattr(group, entry)(*vectors, nbytes=8, ranks=ranks)
+        assert group.bytes_synced == 0 and group.n_syncs == 0
+
+    def test_ranks_size_the_round(self):
+        net = NetworkModel()
+        group = SimGroup(4, net=net)
+        mean, t = group.allreduce_mean(
+            [np.zeros(2), np.full(2, 2.0)], nbytes=1e6, ranks=[3, 1]
+        )
+        assert np.array_equal(mean, [1.0, 1.0])
+        assert t == pytest.approx(PSTopology().sync_time(1e6, 2, net))
+        assert group.bytes_synced == 2 * int(1e6)
+
 
 class TestAllgatherFlags:
     def test_returns_bits(self):

@@ -168,6 +168,20 @@ class TestConvergence:
 
 
 class TestDataInjection:
+    @pytest.mark.parametrize(
+        "elastic", [{"elastic_spec": "join:+2@8"}, {"scale_policy": "goodput"}]
+    )
+    def test_injector_refuses_elastic_membership(self, blobs_data, elastic):
+        """The P2P plan is built for N ranks: refused up front, typed, not
+        left to the injector's ``expected 4 batches, got 6`` at the first join."""
+        train, _ = blobs_data
+        workers, cluster = make_mlp_cluster(train, batch_size=8)
+        inj = DataInjector(0.5, 0.5, 4, sample_nbytes=128, rng=0)
+        with pytest.raises(NotImplementedError, match="injector.*elastic_spec / scale_policy"):
+            SelSyncTrainer(
+                workers, dataclasses.replace(cluster, **elastic), delta=0.3, injector=inj
+            )
+
     def test_injection_cost_charged(self, blobs_data, quick_cfg):
         train, _ = blobs_data
         workers, cluster = make_mlp_cluster(train, batch_size=8)

@@ -32,6 +32,7 @@ from repro.core import ClusterConfig, TrainConfig
 from repro.core.bsp import BSPTrainer
 from repro.core.recovery import RecoverySupervisor
 from repro.core.selsync import SelSyncTrainer
+from repro.core.ssp import SSPTrainer
 from repro.data import ArrayDataset, BatchLoader, selsync_partition
 from repro.nn.models import build_model
 from repro.obs import Tracer
@@ -277,6 +278,58 @@ def test_ring_partition_reroutes_and_majority_continues(tmp_path):
     )
 
 
+def test_back_to_back_partitions_record_one_onset(tmp_path):
+    """Onset is "partitioned now, not one step ago", read off the plan: two
+    clauses that meet at step 6 are one outage, healed once at 9."""
+    _, res, tracer, _ = _traced_run(
+        tmp_path, "b2b", BSPTrainer, "serial", n_steps=12,
+        cluster_kw={
+            "net_fault_spec": "partition:{w0|w1,w2,w3}@3-6,partition:{w0|w1,w2,w3}@6-9",
+            "min_quorum": 3,
+        },
+    )
+    parts = views.events_of_type(tracer.events, "partition_detected")
+    assert [e.step for e in parts] == [3]
+    assert [f.step for f in res.log.faults if f.kind == "partition"] == [3]
+    heals = [f for f in res.log.faults if f.detail.get("healed_partition")]
+    assert [(f.step, f.worker) for f in heals] == [(9, 0)]
+
+
+def test_heal_rebases_whoever_is_cut_at_the_heal(tmp_path):
+    """The heal rebases the live workers on the minority side of the
+    partition's last step — not a list remembered from the onset. w0 is down
+    at the onset (step 4) and back up on the minority side at the heal
+    (step 8): rebased. w1 is up at the onset and down at the heal: no
+    ``rejoin`` from the heal (its own crash rejoin at 10 restores it)."""
+    _, res, _, _ = _traced_run(
+        tmp_path, "heal", BSPTrainer, "serial", n_steps=12,
+        cluster_kw={
+            "n_workers": 5,
+            "net_fault_spec": "partition:{w0,w1|w2,w3,w4}@4-8",
+            "fault_spec": "crash:w0@3-6,crash:w1@7-10",
+            "min_quorum": 2,
+        },
+    )
+    onset = [f for f in res.log.faults if f.kind == "partition"]
+    assert [(f.step, f.detail["cut"]) for f in onset] == [(4, [1])]
+    heals = [f for f in res.log.faults if f.detail.get("healed_partition")]
+    assert [(f.step, f.worker) for f in heals] == [(8, 0)]
+    rejoins = [(f.step, f.worker) for f in res.log.faults if f.kind == "rejoin"]
+    assert rejoins == [(6, 0), (8, 0), (10, 1)]
+
+
+def test_ssp_detects_a_partition_once_per_worker(tmp_path):
+    """SSP keys link faults on each worker's own iteration, so its pushes
+    interleave steps inside and outside the window; every worker crosses
+    the onset once, however the pushes interleave."""
+    _, _, tracer, _ = _traced_run(
+        tmp_path, "ssp", SSPTrainer, "serial", n_steps=12, staleness=3,
+        cluster_kw={"net_fault_spec": "partition:{w0|w1,w2,w3}@4-8", "min_quorum": 2},
+    )
+    parts = views.events_of_type(tracer.events, "partition_detected")
+    assert [e.step for e in parts] == [4] * N_WORKERS
+
+
 def test_partition_under_supervisor_records_recovery(tmp_path):
     # Default quorum (= all workers) makes the partition a quorum loss;
     # the supervisor relaxes to the majority side and retries, leaving a
@@ -301,6 +354,12 @@ def test_partition_under_supervisor_records_recovery(tmp_path):
     assert recs and recs[0].detail["reason"] == "quorum_lost"
     assert views.events_of_type(tracer.events, "reroute")
     assert np.isfinite(res.log.iterations[-1].loss)
+    # The retry restarts before the onset and crosses it again: the
+    # transitions are read off the plan, so the log holds one onset and one
+    # heal (no flag outlives the restart to "heal" at step 0).
+    assert [f.step for f in res.log.faults if f.kind == "partition"] == [4]
+    heals = [f for f in res.log.faults if f.detail.get("healed_partition")]
+    assert [(f.step, f.worker) for f in heals] == [(8, 0)]
 
 
 # -- config / CLI surface ----------------------------------------------------

@@ -16,11 +16,18 @@ plus :data:`EXTRA_CELLS`. A cell that raises counts as equal when both sides
 raise the same error (SSP refuses health / elastic / resume; the injector is
 built for a fixed N).
 
+A second, **resume leg** runs on this checkout only (serial executor,
+``checkpoint_every=3``): every non-SSP rule variant x scenario, and BSP
+under each codec of :data:`CODECS`, killed at each step of :data:`KILLS`
+and resumed, must equal its uninterrupted run on all four artifacts (the
+trace without the resumed process's header line).
+
 Exit status is non-zero when a cell differs that no ``--expect-differs
 'GLOB[:artifact,...]'`` declares (a glob over ``rule/scenario/executor``;
-with artifacts named, only those may differ). For each unequal cell the
-first differing trace line (or RunLog line, when the traces agree) is
-printed with its step and field.
+with artifacts named, only those may differ), or when any resume-leg cell
+(``rule/scenario/kill@K``; nothing to declare there) is unequal. For each
+unequal cell the first differing trace line (or RunLog line, when the
+traces agree) is printed with its step and field.
 """
 
 from __future__ import annotations
@@ -38,6 +45,11 @@ from pathlib import Path
 N_WORKERS = 4
 N_STEPS = 30
 KILL_AT = 12
+#: resume leg: kill points (multiples of its checkpoint period, 3) before,
+#: inside and after the partition / crash / join windows of SCENARIOS
+KILLS = (6, 12, 15, 21)
+#: resume leg: codecs BSP runs fault-free, beside ``bsp+topk`` in RULES
+CODECS = ("randomk", "dgc", "terngrad", "signsgd", "powersgd", "accordion")
 ARTIFACTS = ("runlog", "trace", "params", "checkpoint")
 EXECUTORS = ("serial", "process")
 
@@ -88,8 +100,18 @@ EXTRA_CELLS = (
 def cells():
     for rule in RULES:
         for scenario, (overrides, resume) in SCENARIOS.items():
-            yield rule, scenario, overrides, resume
-    yield from EXTRA_CELLS
+            yield rule, scenario, overrides, KILL_AT if resume else None
+    for rule, scenario, overrides, resume in EXTRA_CELLS:
+        yield rule, scenario, overrides, KILL_AT if resume else None
+
+
+def resume_cells():
+    for rule in RULES:
+        if rule != "ssp":  # refuses checkpointing
+            for scenario, (overrides, _) in SCENARIOS.items():
+                yield rule, scenario, overrides
+    for codec in CODECS:
+        yield f"bsp+{codec}", "fault-free", {}
 
 
 # -- one side: run the matrix with whatever ``repro`` is importable ---------
@@ -100,7 +122,7 @@ def _build(rule, overrides, executor):
         BSPTrainer, ClusterConfig, EASGDTrainer, FedAvgTrainer,
         LocalSGDTrainer, SelSyncTrainer, SSPTrainer,
     )
-    from repro.core.compression.topk import TopKCompressor
+    from repro.core.compression import TopKCompressor, build_compressor
     from repro.data import BatchLoader, build_dataset, selsync_partition
     from repro.data.injection import DataInjector
     from repro.nn.models import build_model
@@ -141,6 +163,10 @@ def _build(rule, overrides, executor):
         "localsgd": lambda: LocalSGDTrainer(workers, cluster),
         "ssp": lambda: SSPTrainer(workers, cluster, staleness=3),
     }
+    if rule not in make:  # bsp+<codec>; seeded where the codec draws
+        kw = {"rng": 0} if rule[4:] in ("randomk", "terngrad", "powersgd") else {}
+        make[rule] = lambda: BSPTrainer(
+            workers, cluster, compressor=build_compressor(rule[4:], **kw))
     trainer = make[rule]()
     if trainer.elastic is not None:
         trainer.bind_elastic(ElasticContext(
@@ -170,29 +196,42 @@ def _tree_digest(node, h):
         h.update(repr(node).encode())
 
 
-def _run_cell(rule, overrides, resume, executor, out: Path):
+def _run_cell(rule, overrides, kill, executor, out: Path, every=6):
+    """One cell — killed after ``kill`` steps and resumed, or with ``None``
+    uninterrupted: artifacts under ``out``, their digests returned; an
+    exception is the cell's result (an equal failure on both sides is equal)."""
+    out.mkdir(parents=True)
+    try:
+        return _run_legs(rule, overrides, kill, executor, out, every)
+    except Exception as e:
+        return {"error": f"{type(e).__name__}: {e}"}
+
+
+def _run_legs(rule, overrides, kill, executor, out, every):
     from repro.core import TrainConfig
     from repro.obs import Tracer
     from repro.utils.serialization import RunLogLines, load_checkpoint
 
     ck = out / "ck.npz"
-    legs = [dict(stop_after=KILL_AT), dict(resume_from=str(ck))] if resume else [{}]
+    legs = [dict(stop_after=kill), dict(resume_from=str(ck))] if kill else [{}]
     # SSP refuses checkpointing outright; its other cells run without one.
-    checkpointing = resume or rule != "ssp"
+    checkpointing = bool(kill) or rule != "ssp"
     for n, leg in enumerate(legs):
         trainer = _build(rule, overrides, executor)
         tracer = Tracer(path=out / f"trace{n}.jsonl", name="identity")
         try:
             res = trainer.run(TrainConfig(
                 n_steps=N_STEPS, eval_fn=None, tracer=tracer,
-                checkpoint_every=6 if checkpointing else None,
+                checkpoint_every=every if checkpointing else None,
                 checkpoint_path=str(ck) if checkpointing else None,
                 **leg,
             ))
         finally:
             trainer.executor.shutdown()
             tracer.close()
-    trace = "".join((out / f"trace{n}.jsonl").read_text() for n in range(len(legs)))
+    # One header, then every leg's events: what the uninterrupted run writes.
+    lines = [(out / f"trace{n}.jsonl").read_text().splitlines(True) for n in range(len(legs))]
+    trace = "".join(lines[0][:1] + [ln for leg in lines for ln in leg[1:]])
     (out / "trace.jsonl").write_text(trace)
     runlog = RunLogLines().text(res.log) + "\n"
     (out / "runlog.jsonl").write_text(runlog)
@@ -209,21 +248,48 @@ def _run_cell(rule, overrides, resume, executor, out: Path):
     }
 
 
+def _selected(name, only) -> bool:
+    return not only or any(fnmatch.fnmatch(name, g) for g in only)
+
+
 def emit(out_dir: Path, only):
     """Run every selected cell; write artifacts and ``digests.json``."""
     digests = {}
-    for rule, scenario, overrides, resume in cells():
+    for rule, scenario, overrides, kill in cells():
         for executor in EXECUTORS:
             name = f"{rule}/{scenario}/{executor}"
-            if only and not any(fnmatch.fnmatch(name, g) for g in only):
+            if not _selected(name, only):
                 continue
             cell_dir = out_dir / name.replace("/", "__")
-            cell_dir.mkdir(parents=True)
-            try:
-                digests[name] = _run_cell(rule, overrides, resume, executor, cell_dir)
-            except Exception as e:  # an equal failure on both sides is equal
-                digests[name] = {"error": f"{type(e).__name__}: {e}"}
+            digests[name] = _run_cell(rule, overrides, kill, executor, cell_dir)
     (out_dir / "digests.json").write_text(json.dumps(digests, indent=1))
+
+
+def resume_leg(out_dir: Path, only) -> int:
+    """Kill-and-resume against the uninterrupted run, on the importable
+    ``repro`` alone; the number of unequal cells."""
+    n = bad = n_failed = 0
+    for rule, scenario, overrides in resume_cells():
+        kills = [k for k in KILLS if _selected(f"{rule}/{scenario}/kill@{k}", only)]
+        if not kills:
+            continue
+        whole_dir = out_dir / f"{rule}__{scenario}__uninterrupted"
+        whole = _run_cell(rule, overrides, None, "serial", whole_dir, every=3)
+        for k in kills:
+            cell_dir = out_dir / f"{rule}__{scenario}__kill@{k}"
+            got = _run_cell(rule, overrides, k, "serial", cell_dir, every=3)
+            n += 1
+            n_failed += got == whole and "error" in got
+            if got != whole:
+                bad += 1
+                differing = sorted(a for a in set(whole) | set(got) if whole.get(a) != got.get(a))
+                print(f"  resume differs: {rule}/{scenario}/kill@{k}: {', '.join(differing)}")
+                print(explain(whole_dir, cell_dir, ("uninterrupted", "resumed"), whole, got))
+    print(
+        f"resume leg: {n} cells: {n - bad} equal ({n_failed} of them equal "
+        f"failures), {bad} unequal"
+    )
+    return bad
 
 
 # -- the comparison -----------------------------------------------------------
@@ -236,15 +302,16 @@ def _first_difference(a, b, path=""):
     return path or "<line>", a, b
 
 
-def explain(parent_dir: Path, change_dir: Path, name: str) -> str:
-    """Name the first trace (else RunLog) line two sides of a cell disagree on."""
-    cell = name.replace("/", "__")
+def explain(a_dir: Path, b_dir: Path, sides, a, b) -> str:
+    """Name the first trace (else RunLog) line on which two runs of a cell
+    (directories ``a_dir`` / ``b_dir``, digests ``a`` / ``b``) disagree."""
+    if "error" in a or "error" in b:
+        return "\n".join(
+            f"    {side}: {d.get('error', 'ran')}" for side, d in zip(sides, (a, b))
+        )
     for artifact in ("trace", "runlog"):
-        try:
-            old = (parent_dir / cell / f"{artifact}.jsonl").read_text().splitlines()
-            new = (change_dir / cell / f"{artifact}.jsonl").read_text().splitlines()
-        except OSError:
-            continue
+        old = (a_dir / f"{artifact}.jsonl").read_text().splitlines()
+        new = (b_dir / f"{artifact}.jsonl").read_text().splitlines()
         for n, (lo, ln) in enumerate(zip(old, new)):
             if lo != ln:
                 o, c = json.loads(lo), json.loads(ln)
@@ -253,13 +320,13 @@ def explain(parent_dir: Path, change_dir: Path, name: str) -> str:
                 return (
                     f"    first differing {artifact} line {n + 1}: step "
                     f"{o.get('step')} worker {o.get('worker', -1)} {kind}, "
-                    f"field {field}: parent {vo!r} vs change {vc!r}\n"
-                    f"      parent: {lo}\n      change: {ln}"
+                    f"field {field}: {sides[0]} {vo!r} vs {sides[1]} {vc!r}\n"
+                    f"      {sides[0]}: {lo}\n      {sides[1]}: {ln}"
                 )
         if len(old) != len(new):
             return (
                 f"    {artifact} lengths differ after {min(len(old), len(new))} "
-                f"equal lines: parent {len(old)} vs change {len(new)}"
+                f"equal lines: {sides[0]} {len(old)} vs {sides[1]} {len(new)}"
             )
     return "    traces and RunLogs agree line for line"
 
@@ -286,11 +353,9 @@ def compare(parent_dir: Path, change_dir: Path, expected) -> int:
     for title, rows in (("declared", declared), ("UNDECLARED", undeclared)):
         for name, differing in rows:
             print(f"  differs ({title}): {name}: {', '.join(differing)}")
-            if "error" in differing:
-                print(f"    parent: {old[name].get('error', 'ran')}")
-                print(f"    change: {new[name].get('error', 'ran')}")
-            else:
-                print(explain(parent_dir, change_dir, name))
+            cell = name.replace("/", "__")
+            print(explain(parent_dir / cell, change_dir / cell,
+                          ("parent", "change"), old[name], new[name]))
     print(
         f"{len(new)} cells: {n_equal} equal ({n_failed} of them equal failures), "
         f"{len(declared)} declared different, {len(undeclared)} undeclared different"
@@ -311,10 +376,13 @@ def main(argv=None) -> int:
     ap.add_argument("--keep", metavar="DIR",
                     help="leave both sides' artifacts under DIR")
     ap.add_argument("--emit", metavar="DIR", help=argparse.SUPPRESS)
+    ap.add_argument("--emit-resume", metavar="DIR", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.emit:
         emit(Path(args.emit), args.only)
         return 0
+    if args.emit_resume:
+        return 1 if resume_leg(Path(args.emit_resume), args.only) else 0
     if not args.parent:
         ap.error("--parent is required")
     expected = []
@@ -331,20 +399,23 @@ def main(argv=None) -> int:
             ["git", "-C", str(clone), "checkout", "-q", "--detach", args.parent],
             check=True,
         )
-        sides = {"parent": clone / "src", "change": repo / "src"}
-        procs = {}
-        for side, src in sides.items():
-            cmd = [sys.executable, str(Path(__file__).resolve()),
-                   "--emit", str(work / side)]
+        def side(flag, name, src):
+            cmd = [sys.executable, str(Path(__file__).resolve()), flag, str(work / name)]
             for g in args.only:
                 cmd += ["--only", g]
             env = {**os.environ, "PYTHONPATH": str(src)}
-            procs[side] = subprocess.Popen(cmd, env=env, cwd=str(work))
-        failed = [side for side, p in procs.items() if p.wait() != 0]
+            return subprocess.Popen(cmd, env=env, cwd=str(work))
+
+        procs = {
+            "parent": side("--emit", "parent", clone / "src"),
+            "change": side("--emit", "change", repo / "src"),
+        }
+        failed = [name for name, p in procs.items() if p.wait() != 0]
         if failed:
             print(f"matrix run failed on: {', '.join(failed)}", file=sys.stderr)
             return 2
-        return compare(work / "parent", work / "change", expected)
+        status = compare(work / "parent", work / "change", expected)
+        return side("--emit-resume", "resume", repo / "src").wait() or status
 
 
 if __name__ == "__main__":
