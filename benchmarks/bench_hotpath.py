@@ -60,6 +60,11 @@ picks what they measure:
   with its largest deviation from an einsum reference, then whole-model
   forward + backward of the three conv models: one row with ``cells`` and
   ``models``, before/after medians and pairwise speedups.
+* ``pool_kernel`` — the 2x2 ``MaxPool2d``'s forward and forward + backward
+  ms per call on a conv-output view at SmallVGG's two pool shapes
+  (``POOL_CELLS``), each with ``bytes_equal`` (both sides produced the same
+  output and input-gradient bytes), then SmallVGG whole-model forward +
+  backward: one row with ``cells`` and ``models``, same protocol.
 """
 
 from __future__ import annotations
@@ -752,6 +757,32 @@ def conv_kernel_child(reps: int) -> None:
         }), flush=True)
 
 
+def _cell_row(tag, children, trials, label, message, keys):
+    """One cell of a per-call cross-commit trial: ``message`` sent to both
+    children in ``trials`` alternating turns; before/after medians and the
+    median pairwise speedup of every ``*_ms`` key in ``keys``, the worst
+    ``max_abs_err`` per side, and whether the sides' ``sha256`` agree."""
+    turns = [
+        [json.loads(_turn(c, message)) for c in children] for _ in range(trials)
+    ]
+    row = dict(label)
+    for key in keys:
+        speedups = [b[key] / a[key] for b, a in turns]
+        row["before_" + key] = round(statistics.median(b[key] for b, _ in turns), 4)
+        row["after_" + key] = round(statistics.median(a[key] for _, a in turns), 4)
+        row[key.replace("_ms", "") + "_speedup_median_pairwise"] = round(
+            statistics.median(speedups), 3
+        )
+    if "max_abs_err" in turns[0][0]:
+        row["before_max_abs_err"], row["after_max_abs_err"] = (
+            max(t[side]["max_abs_err"] for t in turns) for side in (0, 1)
+        )
+    if "sha256" in turns[0][0]:
+        row["bytes_equal"] = all(b["sha256"] == a["sha256"] for b, a in turns)
+    print(f"{tag}: {row}")
+    return row
+
+
 def conv_kernel_trial(baseline_src: str, trials: int, reps: int):
     """Per-call cost of the stride-1 convolution kernel, parent vs change,
     cell by cell in alternating turns (as :func:`robust_aggregate_trial`),
@@ -761,35 +792,19 @@ def conv_kernel_trial(baseline_src: str, trials: int, reps: int):
         _spawn_child(src, "--conv-kernel-child", reps)
         for src in (baseline_src, ROOT / "src")
     ]
-
-    def cell(label, message, keys):
-        turns = [
-            [json.loads(_turn(c, message)) for c in children] for _ in range(trials)
-        ]
-        row = dict(label)
-        for key in keys:
-            speedups = [b[key] / a[key] for b, a in turns]
-            row["before_" + key] = round(statistics.median(b[key] for b, _ in turns), 4)
-            row["after_" + key] = round(statistics.median(a[key] for _, a in turns), 4)
-            row[key.replace("_ms", "") + "_speedup_median_pairwise"] = round(
-                statistics.median(speedups), 3
-            )
-        if "max_abs_err" in turns[0][0]:
-            row["before_max_abs_err"], row["after_max_abs_err"] = (
-                max(t[side]["max_abs_err"] for t in turns) for side in (0, 1)
-            )
-        print(f"conv_kernel: {row}")
-        return row
-
     try:
         cells = [
-            cell(
+            _cell_row(
+                "conv_kernel", children, trials,
                 dict(zip(("C", "O", "HW", "k", "pad", "bias", "skip_dx"), shape)),
                 " ".join(map(str, shape)), ("fwd_ms", "fwd_bwd_ms"),
             )
             for shape in CONV_CELLS
         ]
-        models = [cell({"model": name}, name, ("fwd_bwd_ms",)) for name in CONV_MODELS]
+        models = [
+            _cell_row("conv_kernel", children, trials, {"model": name}, name, ("fwd_bwd_ms",))
+            for name in CONV_MODELS
+        ]
     finally:
         _finish(children)
     return {
@@ -798,6 +813,88 @@ def conv_kernel_trial(baseline_src: str, trials: int, reps: int):
         "copies, batch 32, float64; ms per call, median of "
         f"{reps} calls per turn, {trials} alternating turns per cell; "
         "max_abs_err against an einsum reference (out, dW, db, dx)",
+        "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS", "1"),
+        "cells": cells,
+        "models": models,
+    }
+
+
+#: ``pool_kernel`` cells: SmallVGG's two pool inputs at batch 32, (N, C, H, W).
+POOL_CELLS = ((32, 8, 16, 16), (32, 16, 8, 8))
+
+
+def pool_kernel_child(reps: int) -> None:
+    """One side of :func:`pool_kernel_trial`. An ``N C H W`` line: median ms
+    of ``MaxPool2d(2).forward`` and of forward + backward on the strided
+    output view of a same-padding conv (what the pool reads in SmallVGG),
+    and a sha256 over the output and input-gradient bytes. ``smallvgg``:
+    median ms of the model's forward + backward at batch 32 and a sha256
+    over its logits and flat gradient."""
+    from repro.nn.layers.conv import Conv2d
+    from repro.nn.layers.pooling import MaxPool2d
+    from repro.nn.models import build_model
+
+    def sha256(*arrays):
+        return hashlib.sha256(np.concatenate([np.ravel(a) for a in arrays])).hexdigest()
+
+    rng = np.random.default_rng(0)
+    for line in sys.stdin:
+        if line.strip() == "smallvgg":
+            model = build_model("smallvgg", rng=0)
+            x = rng.normal(size=(32, 3, 16, 16))
+            logits = np.array(model.forward(x))
+            g = rng.normal(size=logits.shape)
+            model.zero_grad()
+            model.backward(g)
+            print(json.dumps({
+                "sha256": sha256(logits, model.get_flat_grads()),
+                "fwd_bwd_ms": _median_us(
+                    lambda: (model.forward(x), model.backward(g)), reps
+                ) / 1e3,
+            }), flush=True)
+            continue
+        n, c, h, w = map(int, line.split())
+        conv, pool = Conv2d(c, c, 3, padding=1, rng=0), MaxPool2d(2)
+        x = conv.forward(rng.normal(size=(n, c, h, w)))  # held: a strided view
+        g = rng.normal(size=(n, c, h // 2, w // 2))
+        out = np.array(pool.forward(x))
+        print(json.dumps({
+            "sha256": sha256(out, pool.backward(g)),
+            "fwd_ms": _median_us(lambda: pool.forward(x), reps) / 1e3,
+            "fwd_bwd_ms": _median_us(
+                lambda: (pool.forward(x), pool.backward(g)), reps
+            ) / 1e3,
+        }), flush=True)
+
+
+def pool_kernel_trial(baseline_src: str, trials: int, reps: int):
+    """Per-call cost of the 2x2 max-pool kernel, parent vs change, in
+    :func:`conv_kernel_trial`'s protocol, then SmallVGG whole-model."""
+    children = [
+        _spawn_child(src, "--pool-kernel-child", reps)
+        for src in (baseline_src, ROOT / "src")
+    ]
+    try:
+        cells = [
+            _cell_row(
+                "pool_kernel", children, trials, dict(zip("NCHW", shape)),
+                " ".join(map(str, shape)), ("fwd_ms", "fwd_bwd_ms"),
+            )
+            for shape in POOL_CELLS
+        ]
+        models = [_cell_row(
+            "pool_kernel", children, trials, {"model": "smallvgg"}, "smallvgg",
+            ("fwd_bwd_ms",),
+        )]
+    finally:
+        _finish(children)
+    return {
+        "trial": "pool_kernel",
+        "workload": "MaxPool2d(2).forward / forward + backward on a conv "
+        "output view, float64; ms per call, median of "
+        f"{reps} calls per turn, {trials} alternating turns per cell; "
+        "bytes_equal: both sides' output and input gradient (model: logits "
+        "and flat gradient) hash the same",
         "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS", "1"),
         "cells": cells,
         "models": models,
@@ -831,7 +928,7 @@ def main(argv=None) -> int:
         "--trial",
         choices=(
             "transformer_4w_selsync", "vgg_8w_bsp", "checkpoint_io", "robust_aggregate",
-            "conv_kernel",
+            "conv_kernel", "pool_kernel",
         ),
         default="transformer_4w_selsync",
         help="which cross-commit trial --baseline-src runs",
@@ -842,6 +939,7 @@ def main(argv=None) -> int:
     ap.add_argument("--checkpoint-io-child", type=int, help=argparse.SUPPRESS)
     ap.add_argument("--robust-aggregate-child", type=int, help=argparse.SUPPRESS)
     ap.add_argument("--conv-kernel-child", type=int, help=argparse.SUPPRESS)
+    ap.add_argument("--pool-kernel-child", type=int, help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
 
     if args.transformer_child:
@@ -858,6 +956,9 @@ def main(argv=None) -> int:
         return 0
     if args.conv_kernel_child:
         conv_kernel_child(args.conv_kernel_child)
+        return 0
+    if args.pool_kernel_child:
+        pool_kernel_child(args.pool_kernel_child)
         return 0
 
     trials = 3 if args.quick else 10
@@ -882,6 +983,10 @@ def main(argv=None) -> int:
         elif args.trial == "conv_kernel":
             trial = conv_kernel_trial(
                 args.baseline_src, trials, 20 if args.quick else 80
+            )
+        elif args.trial == "pool_kernel":
+            trial = pool_kernel_trial(
+                args.baseline_src, trials, 50 if args.quick else 200
             )
         else:
             trial = transformer_trial(

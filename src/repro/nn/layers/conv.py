@@ -39,7 +39,13 @@ upstream gradient embedded in a plane of the output's layout whose garbage
 columns stay zero (so the ones channel's entry is the bias gradient); ``dx``
 is the forward kernel again, over the gradient inside a zero border of
 ``b = k-1-pad`` (cropped by ``-b`` where ``pad > k-1``), with the weights
-flipped and their channel axes swapped.
+flipped and their channel axes swapped. With same padding (``b == pad``) the
+two planes are one: the dx plane ``gd`` is ``(H+k-1, O, N, Wp)`` with the
+gradient at rows and columns ``pad…``, so ``gq = gd.reshape(H+k-1, O, Q)
+[pad:pad+OH, :, pad:pad+Q-k+1]`` is the output-layout plane. Its garbage
+columns ``x >= OW`` are ``gd``'s columns ``x+pad``: the right border while
+``x+pad < Wp``, else the next sample's left border (``< pad``) — zero either
+way, so no second plane is kept or copied into.
 
 All large intermediates (planes, accumulators) live in a workspace checked
 out of the per-process pool (``nn.workspace``) in ``forward`` and returned
@@ -121,17 +127,12 @@ class _SlabWorkspace:
         self.acc = np.zeros((oh, o, n, wp))
         self.tmp = np.zeros((oh, o, n, wp))
         self.out_view = _nchw(self.acc)[..., :ow]
-        # dW operand: the upstream gradient in the output's own layout; its
-        # garbage columns are zeroed here and never written.
-        self.gp = np.zeros((oh, o, n, wp))
-        self.g_int = _nchw(self.gp)[..., :ow]
-        self.gq = self.gp.reshape(oh, o, -1)[:, :, : self.taps.shape[3]]
         self.dw_rows = np.empty((k, oh, o, k * cb))
+        b = k - 1 - pad
         if need_dx:
             # dx is the same kernel over the gradient inside a zero border
-            # of b = k-1-pad (cropped instead where b < 0), with the weights
-            # flipped and their channel axes swapped.
-            b = k - 1 - pad
+            # of b (cropped instead where b < 0), with the weights flipped
+            # and their channel axes swapped.
             lo, cut = max(b, 0), max(-b, 0)
             self.gd, self.taps_d = _slab(h + k - 1, o, n, w + k - 1, k)
             self.gd_int = _nchw(self.gd)[
@@ -142,6 +143,18 @@ class _SlabWorkspace:
             self.acc_d = np.zeros((h, c, n, w + k - 1))
             self.tmp_d = np.zeros((h, c, n, w + k - 1))
             self.dx_view = _nchw(self.acc_d)[..., :w]
+        if need_dx and b == pad:
+            # Same padding: the dW operand is a window of the dx plane, pad
+            # rows down and pad columns along (module docstring).
+            self.g_int, plane, lo = None, self.gd, pad
+        else:
+            # dW operand: the upstream gradient in the output's own layout;
+            # its garbage columns are zeroed here and never written.
+            self.gp = plane = np.zeros((oh, o, n, wp))
+            self.g_int, lo = _nchw(plane)[..., :ow], 0
+        self.gq = plane.reshape(len(plane), o, -1)[
+            lo : lo + oh, :, lo : lo + self.taps.shape[3]
+        ]
 
 
 class Conv2d(Module):
@@ -208,12 +221,15 @@ class Conv2d(Module):
     def _backward_slab(self, grad_out: np.ndarray) -> np.ndarray:
         o, c, k = self.out_channels, self.in_channels, self.kernel_size
         ws = self._workspace()
-        ws.g_int[...] = grad_out
+        if not self.skip_input_grad:
+            ws.gd_int[...] = grad_out[ws.crop]
+        if ws.g_int is not None:  # None: gq is a window of the dx plane
+            ws.g_int[...] = grad_out
         # dW[j] = Σ_y gq[y] @ taps[j, y]ᵀ: the GEMM's column dimension spans
         # the batch, so the sample sum happens inside the product and only
         # the output rows are left to add up. The ones channel's entry at
-        # tap (0, 0) is gp's total per output channel — the bias gradient
-        # (gp's garbage columns are zero, so nothing but grad_out is in it).
+        # tap (0, 0) is gq's total per output channel — the bias gradient
+        # (gq's garbage columns are zero, so nothing but grad_out is in it).
         np.matmul(ws.gq, ws.taps.transpose(0, 1, 3, 2), out=ws.dw_rows)
         dw = ws.dw_rows.sum(axis=1).reshape(k, o, k, -1)
         self.weight.accumulate_grad(dw[..., :c].transpose(1, 3, 2, 0))
@@ -222,7 +238,6 @@ class Conv2d(Module):
         self._release()
         if self.skip_input_grad:
             return None
-        ws.gd_int[...] = grad_out[ws.crop]
         ws.wd[...] = self.weight.data[:, :, ::-1, ::-1].transpose(3, 1, 2, 0)
         _slab_conv(ws.wd.reshape(k, c, -1), ws.taps_d, ws.acc_d, ws.tmp_d)
         # View into the returned workspace: valid until the next forward

@@ -1,4 +1,24 @@
-"""Spatial pooling layers over NCHW activations."""
+"""Spatial pooling layers over NCHW activations.
+
+The 2x2 / stride-2 ``MaxPool2d`` (every pool in the model zoo) does no
+per-element integer arithmetic. ``forward`` is value work only: each window's
+taps — ``a b`` over ``c d``, im2col order 0..3 — are copied once out of the
+(usually strided) input into contiguous quarter-size buffers, then ``m01 =
+max(a, b)``, ``m23 = max(c, d)``, ``out = max(m01, m23)``. ``backward`` reads
+each window's winner off the kept taps as a 2-bit code::
+
+    t01 = b > a;  t23 = d > c;  sel = m23 > m01
+    code = t01 + sel * (2 + t23 - t01)      # int8: 0 a, 1 b, 2 c, 3 d
+
+and scatters ``grad_out`` through ``corner + [0, 1, w, w+1][code]``. The
+comparisons are strict, so a tie goes to the earlier tap at each of the three
+decisions: the first maximal tap, ``argmax``'s choice on the general path.
+The code is 0..3 at any width (``w`` is in the offset table only); ``corner``,
+each window's top-left flat index, is built by the first backward a workspace
+sees, never for an evaluation-only shape. Taps and maxima stay in the
+workspace from the forward that checks it out to the backward that returns
+it; a later forward in between overwrites them and is the one differentiated.
+"""
 
 from __future__ import annotations
 
@@ -13,26 +33,14 @@ class _PoolWorkspace:
 
     def __init__(self, x_shape):
         n, c, h, w = x_shape
-        self.oh, self.ow = h // 2, w // 2
-        quarter = (n, c, self.oh, self.ow)
-        self.out = np.empty(quarter)
-        # The max is three elementwise maxima over strided views of the
-        # input, and the winner index falls out of three comparisons.
-        self.m01 = np.empty(quarter)
-        self.m23 = np.empty(quarter)
-        self.t01 = np.empty(quarter, dtype=bool)
-        self.t23 = np.empty(quarter, dtype=bool)
-        self.sel = np.empty(quarter, dtype=bool)
-        # Flat index of each window's top-left corner in the input array;
-        # backward scatters straight into ``dx`` through these (the window
-        # interiors are disjoint, so no index appears twice).
-        grid = (
-            (np.arange(n)[:, None, None, None] * c
-             + np.arange(c)[None, :, None, None]) * h
-            + np.arange(self.oh)[None, None, :, None] * 2
-        ) * w + np.arange(self.ow)[None, None, None, :] * 2
-        self.base = np.ascontiguousarray(grid, dtype=np.intp)
-        self.scratch = np.empty((2, n, c, self.oh, self.ow), dtype=np.intp)
+        quarter = (n, c, h // 2, w // 2)
+        self.taps = np.empty((2, 2, *quarter))  # (a, b), (c, d)
+        self.maxes = np.empty((3, *quarter))  # m01, m23, out
+        self.flags = np.empty((3, *quarter), dtype=np.int8)  # t01, t23, sel
+        # Flat input offset of taps 0..3 from their window's corner.
+        self.offsets = np.array([0, 1, w, w + 1], dtype=np.intp)
+        self.idx = np.empty(quarter, dtype=np.intp)
+        self.corner = None  # built by the first backward
         self.dx = np.empty(x_shape)
 
 
@@ -49,38 +57,15 @@ class MaxPool2d(Module):
         n, c, h, w = x.shape
         k, s = self.kernel_size, self.stride
         if s == k == 2 and h % 2 == 0 and w % 2 == 0:
-            # Non-overlapping 2x2 pooling (every pool in the model zoo): a
-            # reshape groups each window's taps — no im2col patch matrix, no
-            # col2im scatter in backward. Tap order within a window is
-            # (i*k + j), identical to the im2col column order.
             ws = self._checkout("maxpool2", x.shape, lambda: _PoolWorkspace(x.shape))
-            oh, ow = ws.oh, ws.ow
-            row, idx = ws.scratch
-            v = x.reshape(n, c, oh, k, ow, k)
-            # Views of the four window taps — no patch copy. The winner
-            # index comes from strict comparisons, so tie-breaking (first
-            # tap wins) matches argmax on the general path.
-            a, b = v[:, :, :, 0, :, 0], v[:, :, :, 0, :, 1]
-            cc, d = v[:, :, :, 1, :, 0], v[:, :, :, 1, :, 1]
-            np.greater(b, a, out=ws.t01)
-            np.greater(d, cc, out=ws.t23)
-            np.maximum(a, b, out=ws.m01)
-            np.maximum(cc, d, out=ws.m23)
-            np.greater(ws.m23, ws.m01, out=ws.sel)
-            np.maximum(ws.m01, ws.m23, out=ws.out)
-            # arg (window-order 0..3) assembled into ``idx``.
-            np.add(ws.t23, 2, out=row, casting="unsafe")
-            np.copyto(idx, ws.t01, casting="unsafe")
-            np.copyto(idx, row, where=ws.sel)
-            # Decode argmax (i*k + j) into flat *input* indices for the
-            # backward scatter.
-            np.floor_divide(idx, k, out=row)
-            np.remainder(idx, k, out=idx)
-            row *= w
-            idx += row
-            idx += ws.base
+            v = x.reshape(n, c, h // 2, 2, w // 2, 2)  # tap (i, j): v[:, :, :, i, :, j]
+            np.copyto(ws.taps, v.transpose(3, 5, 0, 1, 2, 4))
+            ((a, b), (cc, d)), (m01, m23, out) = ws.taps, ws.maxes
+            np.maximum(a, b, out=m01)
+            np.maximum(cc, d, out=m23)
+            np.maximum(m01, m23, out=out)
             self._cache = None  # backward reads the held workspace
-            return ws.out
+            return out
         # General (overlapping / ragged) pooling: fold channels into the
         # batch dim so im2col produces per-channel patches.
         cols, oh, ow = im2col(x.reshape(n * c, 1, h, w), k, k, s, 0)
@@ -93,14 +78,22 @@ class MaxPool2d(Module):
         k, s = self.kernel_size, self.stride
         if self._cache is None:
             ws = self._workspace()
-            # Scatter the upstream gradient straight into dx through the flat
-            # indices decoded in forward — cheaper than materializing a
-            # zeroed (k*k)-wide window tensor and folding it back.
-            idx = ws.scratch[1]
+            ((a, b), (cc, d)), (m01, m23, _) = ws.taps, ws.maxes
+            t01, code, sel = ws.flags
+            np.greater(b, a, out=t01.view(bool))
+            np.greater(d, cc, out=code.view(bool))
+            np.greater(m23, m01, out=sel.view(bool))
+            code -= t01
+            code += 2
+            code *= sel
+            code += t01
+            if ws.corner is None:  # flat index of each window's top-left element
+                flat = np.arange(ws.dx.size).reshape(ws.dx.shape)
+                ws.corner = np.ascontiguousarray(flat[:, :, ::2, ::2])
+            np.take(ws.offsets, code, out=ws.idx, mode="clip")  # "raise" buffers out
+            ws.idx += ws.corner
             ws.dx.fill(0.0)
-            ws.dx.reshape(-1)[idx.reshape(-1)] = np.ascontiguousarray(
-                grad_out
-            ).reshape(-1)
+            ws.dx.reshape(-1)[ws.idx] = grad_out  # windows are disjoint: no index twice
             self._release()
             return ws.dx
         argmax, x_shape, oh, ow, cols_shape = self._cache

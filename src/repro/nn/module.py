@@ -31,6 +31,7 @@ class Module:
         self._children: Dict[str, "Module"] = {}
         self._arena = None  # lazily-built ParameterArena backing the flat views
         self._arena_ver = -1  # _registry_version the arena was validated at
+        self._tree = (-1, ())  # (_registry_version, flat modules() list)
         self.training: bool = True
         self._held = None  # (signature, shape, workspace) out of workspace.POOL
 
@@ -88,17 +89,18 @@ class Module:
     # -- modes ---------------------------------------------------------------
     # A mode call also ends every forward-only workspace hold in the tree,
     # so it must not sit between a forward and its backward.
-    def train(self) -> "Module":
-        for m in self.modules():
-            m.training = True
+    def train(self, mode: bool = True) -> "Module":
+        # Runs around every gradient computation: the tree is walked once per
+        # registry version (as in ``_ensure_arena``), not once per call.
+        if self._tree[0] != Module._registry_version:
+            self._tree = (Module._registry_version, tuple(self.modules()))
+        for m in self._tree[1]:
+            m.training = mode
             m._release()
         return self
 
     def eval(self) -> "Module":
-        for m in self.modules():
-            m.training = False
-            m._release()
-        return self
+        return self.train(False)
 
     # -- pooled workspaces (see ``nn.workspace``) ------------------------------
     def _checkout(self, sig, shape, build):

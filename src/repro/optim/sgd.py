@@ -11,6 +11,11 @@ from repro.nn.parameter import Parameter
 from repro.optim.base import Optimizer
 
 
+# Elements per panel of the flat update (128 KiB an operand) and its scratch.
+PANEL = 16384
+_scratch = np.empty((2, PANEL))
+
+
 class SGD(Optimizer):
     """SGD implementing Eqn. (1)'s update with the standard extensions.
 
@@ -42,10 +47,10 @@ class SGD(Optimizer):
         self._flat_velocity: Optional[np.ndarray] = None
 
     def step(self) -> None:
-        """One update, vectorized over the whole parameter arena when the
-        module is arena-backed: a handful of ufunc calls on the contiguous
-        param/grad buffers instead of a Python loop over parameters. The
-        arithmetic is elementwise-identical to the per-parameter path."""
+        """One update over the whole parameter arena when the module is
+        arena-backed: the contiguous param/grad buffers walked in cache-sized
+        panels through one scratch, so no model-sized temporary is allocated.
+        Operation for operation the per-parameter path's arithmetic."""
         arena = self.module._ensure_arena()
         if (
             any(s for s in self._state)  # per-parameter slots in use
@@ -54,18 +59,23 @@ class SGD(Optimizer):
             self._spill_flat_state()
             super().step()
             return
-        p = arena.param_buf
-        g = arena.grad_buf
-        if self.weight_decay:
-            g = g + self.weight_decay * p
-        if self.momentum:
-            v = self._flat_velocity
-            if v is None:
-                v = self._flat_velocity = np.zeros_like(p)
-            v *= self.momentum
-            v += g
-            g = g + self.momentum * v if self.nesterov else v
-        p -= self.lr * g
+        p, g, v = arena.param_buf, arena.grad_buf, self._flat_velocity
+        if self.momentum and v is None:
+            v = self._flat_velocity = np.zeros_like(p)
+        for lo in range(0, p.size, PANEL):
+            pp, d = p[lo : lo + PANEL], g[lo : lo + PANEL]
+            s, t = _scratch[:, : pp.size]
+            if self.weight_decay:
+                d = np.add(d, np.multiply(pp, self.weight_decay, out=s), out=s)
+            if self.momentum:
+                vv = v[lo : lo + PANEL]
+                vv *= self.momentum
+                vv += d
+                if self.nesterov:
+                    d = np.add(d, np.multiply(vv, self.momentum, out=t), out=s)
+                else:
+                    d = vv
+            pp -= np.multiply(d, self.lr, out=s)
 
     def _spill_flat_state(self) -> None:
         """Move flat velocity into per-parameter slots so momentum survives

@@ -212,6 +212,67 @@ def test_tap_views_are_read_only_and_end_exactly_at_the_buffer():
         assert extent + taps.itemsize == buf.nbytes
 
 
+# -- the dW operand of a same-padding layer is a window of its dx plane ------------
+
+
+@pytest.mark.parametrize(
+    "k, pad, skip, aliased",
+    [
+        (3, 1, False, True),  # SmallVGG's inner convs
+        (3, 1, True, False),  # its stem: no dx plane to read
+        (3, 0, False, False),
+        (3, 2, False, False),
+        (5, 2, False, True),
+        (1, 0, False, True),
+    ],
+)
+def test_same_padding_dw_operand_is_a_window_of_the_dx_plane(k, pad, skip, aliased):
+    rng = np.random.default_rng(10 * k + pad)
+    layer = make_layer(4, 6, k, pad, skip=skip)
+    x = rng.normal(size=(5, 4, 6, 7))
+    g = rng.normal(size=(5, 6, 6 + 2 * pad - k + 1, 7 + 2 * pad - k + 1))
+    for _ in range(2):  # the second pass re-uses the planes the first one wrote
+        assert_matches(run_conv(layer, x, g), reference(layer, x, g))
+    (ws,) = free_workspaces()
+    assert (ws.g_int is None) == aliased == (not hasattr(ws, "gp"))
+    assert np.shares_memory(ws.gq, ws.gd if aliased else ws.gp)
+
+
+def n_aliased():
+    """(free slab workspaces, those whose dW operand reads the dx plane)."""
+    slabs = [ws for ws in free_workspaces() if isinstance(ws, _SlabWorkspace)]
+    return len(slabs), sum(ws.g_int is None for ws in slabs)
+
+
+class OwnPlaneWorkspace(_SlabWorkspace):
+    """Every layer's dW operand in a plane of its own — the layout all
+    layers had before same-padding ones read the dx plane."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        if self.g_int is None:
+            oh, o, _, _ = self.acc.shape
+            self.gp = np.zeros(self.acc.shape)
+            self.g_int = self.gp.transpose(2, 1, 0, 3)[..., : self.out_view.shape[3]]
+            self.gq = self.gp.reshape(oh, o, -1)[:, :, : self.taps.shape[3]]
+
+
+@pytest.mark.parametrize("name", ["smallvgg", "smallalexnet", "smallresnet"])
+def test_aliased_operand_gives_the_same_gradient_bytes(name, monkeypatch):
+    """Same GEMM on the same values: dW and db do not move by a bit."""
+    rng = np.random.default_rng(6)
+    x, y = rng.normal(size=(8, 3, 16, 16)), rng.integers(0, 10, 8)
+    aliased = model_step(name, x, y)
+    n_slabs, n = n_aliased()
+    assert n > 0
+    monkeypatch.setattr(workspace, "POOL", workspace.WorkspacePool())
+    monkeypatch.setattr(conv_module, "_SlabWorkspace", OwnPlaneWorkspace)
+    own_plane = model_step(name, x, y)
+    assert n_aliased() == (n_slabs, 0)
+    for a, b in zip(aliased, own_plane):
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
 # -- no result depends on scratch the layer did not write ---------------------------
 
 
@@ -262,13 +323,19 @@ def test_planes_carry_nothing_across_steps_beyond_what_their_key_fixes():
         model.backward(loss.backward())
     slabs = [ws for ws in free_workspaces() if isinstance(ws, _SlabWorkspace)]
     assert len(slabs) == 4
+    assert sorted(ws.g_int is None for ws in slabs) == [False, True, True, True]
     for ws in slabs:
         c = ws.x_int.shape[1]
         ws.x_int[...] = 0.0
-        ws.g_int[...] = 0.0
         assert not ws.xp[:, :c].any() and (ws.xp[:, c:] == 1.0).all()
-        assert not ws.gp.any()
         tails = [(ws.acc, ws.taps), (ws.tmp, ws.taps)]
+        if ws.g_int is None:
+            # Same padding with dx: the dW operand is a window of gd, so its
+            # garbage columns are gd's border.
+            assert np.shares_memory(ws.gq, ws.gd) and not hasattr(ws, "gp")
+        else:
+            ws.g_int[...] = 0.0
+            assert not ws.gp.any()
         if hasattr(ws, "gd"):
             ws.gd_int[...] = 0.0
             assert not ws.gd.any()

@@ -107,6 +107,74 @@ class TestSGD:
         assert losses[-1] < 1e-6 < losses[0]
 
 
+def whole_array_sgd(p, g, v, lr, momentum, decay, nesterov):
+    """The flat update as whole-array expressions (what ``SGD.step`` ran
+    before it walked the arena in panels): the reference for its bytes."""
+    if decay:
+        g = g + decay * p
+    if momentum:
+        v *= momentum
+        v += g
+        g = g + momentum * v if nesterov else v
+    p -= lr * g
+
+
+SGD_VARIANTS = {
+    "plain": {},
+    "momentum": {"momentum": 0.9},
+    "momentum+decay": {"momentum": 0.9, "weight_decay": 5e-4},
+    "nesterov": {"momentum": 0.9, "weight_decay": 5e-4, "nesterov": True},
+    "decay": {"weight_decay": 5e-4},
+}
+
+
+class TestPanelledSGD:
+    @pytest.mark.parametrize("d", [1, 16383, 16384, 16385, 111332])
+    @pytest.mark.parametrize("variant", list(SGD_VARIANTS))
+    def test_panels_match_whole_array_update_bitwise(self, d, variant):
+        kw = SGD_VARIANTS[variant]
+        rng = np.random.default_rng(d)
+        model = Linear(d, 1, bias=False, rng=0)
+        model.weight.data[...] = rng.normal(size=(1, d))
+        opt = SGD(model, lr=0.05, **kw)
+        p, v = model.get_flat_params(copy=True), np.zeros(d)
+        for step in range(3):
+            g = rng.normal(size=d)
+            model.set_flat_grads(g)
+            opt.set_lr(0.05 / (step + 1))
+            opt.step()
+            whole_array_sgd(
+                p, g, v, opt.lr, opt.momentum, opt.weight_decay, opt.nesterov
+            )
+            assert model.get_flat_params().tobytes() == p.tobytes()
+            assert model.get_flat_grads().tobytes() == g.tobytes()
+        if opt.momentum:
+            assert opt.state_dict()["flat_velocity"].tobytes() == v.tobytes()
+        else:
+            assert "flat_velocity" not in opt.state_dict()
+
+    def test_state_dict_round_trip_continues_bitwise(self):
+        rng = np.random.default_rng(7)
+        grads = rng.normal(size=(4, 40000))
+
+        def run(reload_at):
+            model = Linear(40000, 1, bias=False, rng=0)
+            opt = SGD(model, lr=0.1, momentum=0.9, weight_decay=1e-3)
+            for i, g in enumerate(grads):
+                if i == reload_at:
+                    state = opt.state_dict()
+                    opt = SGD(model, lr=0.5, momentum=0.9, weight_decay=1e-3)
+                    opt.load_state_dict(state)
+                model.set_flat_grads(g)
+                opt.step()
+            return model.get_flat_params(copy=True), opt.state_dict()
+
+        (p_a, s_a), (p_b, s_b) = run(None), run(2)
+        assert p_a.tobytes() == p_b.tobytes()
+        assert s_a["lr"] == s_b["lr"] and s_a["state"] == s_b["state"]
+        assert s_a["flat_velocity"].tobytes() == s_b["flat_velocity"].tobytes()
+
+
 class TestAdam:
     def test_first_step_size_is_lr(self):
         """With bias correction, the first Adam step has magnitude ≈ lr."""

@@ -12,9 +12,11 @@ parameters and the decoded final checkpoint tree.
 
 The matrix (tier-1 MLP fixture, 4 workers x 30 steps) is rule variant x
 scenario x executor: :data:`RULES` x :data:`SCENARIOS` x {serial, process},
-plus :data:`EXTRA_CELLS`. A cell that raises counts as equal when both sides
-raise the same error (SSP refuses health / elastic / resume; the injector is
-built for a fixed N).
+plus :data:`EXTRA_CELLS` — among them the conv leg, ``bsp@vgg`` and
+``selsync-pa@vgg``: SmallVGG on 16x16 images, batch 16, 12 steps, so "the
+conv models did not move" is a verdict of this tool. A cell that raises
+counts as equal when both sides raise the same error (SSP refuses health /
+elastic / resume; the injector is built for a fixed N).
 
 A second, **resume leg** runs on this checkout only (serial executor,
 ``checkpoint_every=3``): every non-SSP rule variant x scenario, and BSP
@@ -44,6 +46,7 @@ from pathlib import Path
 
 N_WORKERS = 4
 N_STEPS = 30
+VGG_STEPS = 12  # rules named ``<rule>@vgg`` (see :func:`_build`)
 KILL_AT = 12
 #: resume leg: kill points (multiples of its checkpoint period, 3) before,
 #: inside and after the partition / crash / join windows of SCENARIOS
@@ -94,6 +97,8 @@ RULES = (
 EXTRA_CELLS = (
     ("bsp", "shards3+trimmed_mean",
      dict(ps_shards=3, aggregator="trimmed_mean", trim_f=1), False),
+    ("bsp@vgg", "fault-free", {}, False),
+    ("selsync-pa@vgg", "fault-free", {}, False),
 )
 
 
@@ -128,13 +133,22 @@ def _build(rule, overrides, executor):
     from repro.nn.models import build_model
     from repro.optim import SGD
 
-    train, _ = build_dataset(
-        "blobs", n_train=256, n_test=64, n_features=16, n_classes=4, rng=0
-    )
+    rule, _, fixture = rule.partition("@")
+    vgg = fixture == "vgg"
+    if vgg:
+        train, _ = build_dataset(
+            "cifar100_like", n_train=256, n_test=16, n_classes=10, rng=0
+        )
+    else:
+        train, _ = build_dataset(
+            "blobs", n_train=256, n_test=64, n_features=16, n_classes=4, rng=0
+        )
     part = selsync_partition(len(train), N_WORKERS, rng=1)
     loaders = BatchLoader.for_workers(train, part, batch_size=16, seed=2)
 
     def model_factory():
+        if vgg:
+            return build_model("smallvgg", n_classes=10, image_size=16, rng=7)
         return build_model("mlp", in_features=16, n_classes=4, hidden=(16,), rng=7)
 
     def optimizer_factory(m):
@@ -149,7 +163,9 @@ def _build(rule, overrides, executor):
         "bsp": lambda: BSPTrainer(workers, cluster),
         "bsp+topk": lambda: BSPTrainer(
             workers, cluster, compressor=TopKCompressor(ratio=0.1)),
-        "selsync-pa": lambda: SelSyncTrainer(workers, cluster, delta=0.1),
+        # 0.25 on the conv leg: its 12 steps then hold syncs and local steps.
+        "selsync-pa": lambda: SelSyncTrainer(
+            workers, cluster, delta=0.25 if vgg else 0.1),
         "selsync-ga": lambda: SelSyncTrainer(
             workers, cluster, delta=0.1, aggregation="grads"),
         "selsync-majority": lambda: SelSyncTrainer(
@@ -221,7 +237,8 @@ def _run_legs(rule, overrides, kill, executor, out, every):
         tracer = Tracer(path=out / f"trace{n}.jsonl", name="identity")
         try:
             res = trainer.run(TrainConfig(
-                n_steps=N_STEPS, eval_fn=None, tracer=tracer,
+                n_steps=VGG_STEPS if rule.endswith("@vgg") else N_STEPS,
+                eval_fn=None, tracer=tracer,
                 checkpoint_every=every if checkpointing else None,
                 checkpoint_path=str(ck) if checkpointing else None,
                 **leg,
