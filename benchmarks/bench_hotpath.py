@@ -48,7 +48,10 @@ picks what they measure:
   replaced file), ``log_encode_ms`` (what is left of ``write_ms`` without
   ``state_dict()``, the ``np.savez*`` container write and the rename: the
   run-log encode, plus ~2 ms for the state tree), ``read_ms``
-  (``load_checkpoint``) and the file's ``bytes``.
+  (``load_checkpoint``), the file's ``bytes`` and the process's ``rss_mb``
+  afterwards; the row's ``third_write_rss_mb`` is each side's resident set
+  just before and just after the run's third write (two earlier
+  generations are what a retained tree would still hold).
 * ``robust_aggregate`` — ``Aggregator.reduce`` ms per call for
   ``trimmed_mean`` (f = 2) and ``median`` at the (k, D) shapes of the
   ``mlp16_chaos_traced`` shards (the 768×128 weight at 13 and 16 pushers, the
@@ -65,6 +68,11 @@ picks what they measure:
   (``POOL_CELLS``), each with ``bytes_equal`` (both sides produced the same
   output and input-gradient bytes), then SmallVGG whole-model forward +
   backward: one row with ``cells`` and ``models``, same protocol.
+* ``grad_write`` — ``zero_grad`` + forward + backward + the flat-gradient
+  read, ms per replica, with ``GRAD_WRITE_REPLICAS`` replicas of a model taken
+  in turn (so each replica's arenas are cold, as in a 16-worker step): the
+  ``mlp16_chaos_traced`` MLP at b = 32 and TinyTransformer at the
+  ``xfmr4_selsync`` shape; ``bytes_equal`` is on every replica's flat gradient.
 """
 
 from __future__ import annotations
@@ -560,7 +568,19 @@ def checkpoint_io_child(last_step: int) -> None:
 
         return wrapper
 
-    trainer._write_checkpoint = timed(trainer._write_checkpoint, "write")
+    def rss_mb():
+        with open("/proc/self/statm") as f:
+            return round(int(f.read().split()[1]) * os.sysconf("SC_PAGE_SIZE") / 2**20, 1)
+
+    write_rss = []  # (before, after) of every write of the whole run
+    write = trainer._write_checkpoint
+
+    def rss_around_write(*args, **kwargs):
+        before = rss_mb()
+        write(*args, **kwargs)
+        write_rss.append((before, rss_mb()))
+
+    trainer._write_checkpoint = timed(rss_around_write, "write")
     trainer.state_dict = timed(trainer.state_dict, "state")
     np.savez = timed(np.savez, "container")
     np.savez_compressed = timed(np.savez_compressed, "container")
@@ -594,6 +614,8 @@ def checkpoint_io_child(last_step: int) -> None:
                 "rename_ms": tail_median(spans["rename"]),
                 "read_ms": tail_median(reads),
                 "bytes": os.path.getsize(ck),
+                "rss_mb": rss_mb(),
+                "third_write_rss_mb": write_rss[2] if len(write_rss) > 2 else None,
             }
             print(json.dumps(point), flush=True)
 
@@ -613,12 +635,17 @@ def checkpoint_io_trial(baseline_src: str, points):
                 side[str(n)] = json.loads(_turn(child, n))
     finally:
         _finish(children)
+    third = [
+        [p.pop("third_write_rss_mb") for p in side.values()][-1]
+        for side in (before, after)
+    ]
     return {
         "trial": "checkpoint_io",
         "workload": "mlp16_chaos_traced recipe (MLP 768-128-100, 16 workers, "
         "SelSync under faults), a checkpoint every 50 steps",
         "before": before,
         "after": after,
+        "third_write_rss_mb": {"before": third[0], "after": third[1]},
     }
 
 
@@ -901,6 +928,77 @@ def pool_kernel_trial(baseline_src: str, trials: int, reps: int):
     }
 
 
+#: ``grad_write`` cells: model -> (build kwargs, batch shape, vocabulary
+#: size of an integer-token input or ``None`` for a float one).
+GRAD_WRITE_REPLICAS = 16
+GRAD_WRITE_CELLS = {
+    "mlp": (dict(in_features=768, n_classes=100, hidden=(128,)), (32, 768), None),
+    "tinytransformer": (dict(vocab_size=64, dim=32, max_len=16, dropout=0.0), (20, 16), 64),
+}
+
+
+def grad_write_child(reps: int) -> None:
+    """One side of :func:`grad_write_trial`. A model name: median ms per
+    replica of ``zero_grad`` + forward + backward + ``get_flat_grads`` over
+    ``GRAD_WRITE_REPLICAS`` replicas taken in turn, and a sha256 over every
+    replica's flat gradient."""
+    from repro.nn.losses import CrossEntropyLoss
+    from repro.nn.models import build_model
+
+    rng = np.random.default_rng(0)
+    for line in sys.stdin:
+        name = line.strip()
+        kwargs, shape, vocab = GRAD_WRITE_CELLS[name]
+        replicas = [build_model(name, rng=0, **kwargs) for _ in range(GRAD_WRITE_REPLICAS)]
+        if vocab is None:
+            draw = lambda: (rng.normal(size=shape), rng.integers(0, 100, shape[0]))
+        else:
+            draw = lambda: (rng.integers(0, vocab, shape), rng.integers(0, vocab, shape))
+        batches = [draw() for _ in replicas]
+
+        def one_round():
+            for model, (x, y) in zip(replicas, batches):
+                model.zero_grad()
+                loss = CrossEntropyLoss()
+                loss.forward(model.forward(x), y)
+                model.backward(loss.backward())
+                model.get_flat_grads()
+
+        us = _median_us(one_round, reps)
+        digest = hashlib.sha256(
+            np.concatenate([m.get_flat_grads() for m in replicas])
+        ).hexdigest()
+        print(json.dumps({
+            "sha256": digest, "fwd_bwd_ms": us / 1e3 / GRAD_WRITE_REPLICAS,
+        }), flush=True)
+
+
+def grad_write_trial(baseline_src: str, trials: int, reps: int):
+    """Per-replica cost of one gradient computation, parent vs change, in
+    :func:`conv_kernel_trial`'s protocol."""
+    children = [
+        _spawn_child(src, "--grad-write-child", reps)
+        for src in (baseline_src, ROOT / "src")
+    ]
+    try:
+        cells = [
+            _cell_row("grad_write", children, trials, {"model": name}, name, ("fwd_bwd_ms",))
+            for name in GRAD_WRITE_CELLS
+        ]
+    finally:
+        _finish(children)
+    return {
+        "trial": "grad_write",
+        "workload": "zero_grad + forward + backward + get_flat_grads, float64, "
+        f"{GRAD_WRITE_REPLICAS} replicas in turn (MLP 768-128-100 at b = 32; "
+        "TinyTransformer dim 32 at (20, 16)); ms per replica, median of "
+        f"{reps} rounds per turn, {trials} alternating turns per cell; "
+        "bytes_equal: every replica's flat gradient hashes the same",
+        "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS", "1"),
+        "cells": cells,
+    }
+
+
 def _git_head(path) -> str:
     out = subprocess.run(
         ["git", "-C", str(path), "rev-parse", "--short", "HEAD"],
@@ -928,7 +1026,7 @@ def main(argv=None) -> int:
         "--trial",
         choices=(
             "transformer_4w_selsync", "vgg_8w_bsp", "checkpoint_io", "robust_aggregate",
-            "conv_kernel", "pool_kernel",
+            "conv_kernel", "pool_kernel", "grad_write",
         ),
         default="transformer_4w_selsync",
         help="which cross-commit trial --baseline-src runs",
@@ -940,6 +1038,7 @@ def main(argv=None) -> int:
     ap.add_argument("--robust-aggregate-child", type=int, help=argparse.SUPPRESS)
     ap.add_argument("--conv-kernel-child", type=int, help=argparse.SUPPRESS)
     ap.add_argument("--pool-kernel-child", type=int, help=argparse.SUPPRESS)
+    ap.add_argument("--grad-write-child", type=int, help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
 
     if args.transformer_child:
@@ -959,6 +1058,9 @@ def main(argv=None) -> int:
         return 0
     if args.pool_kernel_child:
         pool_kernel_child(args.pool_kernel_child)
+        return 0
+    if args.grad_write_child:
+        grad_write_child(args.grad_write_child)
         return 0
 
     trials = 3 if args.quick else 10
@@ -987,6 +1089,10 @@ def main(argv=None) -> int:
         elif args.trial == "pool_kernel":
             trial = pool_kernel_trial(
                 args.baseline_src, trials, 50 if args.quick else 200
+            )
+        elif args.trial == "grad_write":
+            trial = grad_write_trial(
+                args.baseline_src, trials, 10 if args.quick else 40
             )
         else:
             trial = transformer_trial(

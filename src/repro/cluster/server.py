@@ -23,7 +23,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.cluster.faults import NonFiniteUpdateError
-from repro.utils.flatten import reduce_slices
+from repro.utils.flatten import reduce_slices, snapshot
 
 
 class ParameterServer:
@@ -187,8 +187,8 @@ class ParameterServer:
                     )
 
     # -- checkpointing ----------------------------------------------------
-    def state_dict(self) -> dict:
-        state = {"params": self._params.copy(), "version": self.version}
+    def state_dict(self, copy: bool = True) -> dict:
+        state = {"params": snapshot(self._params, copy), "version": self.version}
         # Key present only once a degraded round happened, so fault-free
         # checkpoints stay byte-identical to builds without the counter.
         if self.degraded_rounds:

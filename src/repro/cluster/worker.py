@@ -11,6 +11,7 @@ from repro.data.loader import BatchLoader
 from repro.nn.losses import CrossEntropyLoss
 from repro.nn.module import Module
 from repro.optim.base import Optimizer
+from repro.utils.flatten import snapshot
 
 
 def record_batch_observations(tr, loss: float, grad_sqnorm: float) -> None:
@@ -239,9 +240,10 @@ class SimWorker:
             m.running_mean[...] = mean
             m.running_var[...] = var
 
-    def state_dict(self) -> Dict:
+    def state_dict(self, copy: bool = True) -> Dict:
         """Full per-rank snapshot: parameters, optimizer slots, loader
-        position/RNG and model-internal RNG streams.
+        position/RNG and model-internal RNG streams (``copy`` as for
+        :meth:`get_params`).
 
         Must be taken at a step boundary — a pending prefetched batch would
         be silently dropped on restore, skewing the data stream.
@@ -253,14 +255,14 @@ class SimWorker:
             )
         return {
             "worker_id": self.worker_id,
-            "params": self.get_params(copy=True),
-            "optimizer": self.optimizer.state_dict(),
+            "params": self.get_params(copy=copy),
+            "optimizer": self.optimizer.state_dict(copy),
             "loader": self.loader.state_dict(),
             "model_rngs": [m.rng.bit_generator.state for m in self._rng_modules()],
             "model_buffers": [
                 {
-                    "running_mean": m.running_mean.copy(),
-                    "running_var": m.running_var.copy(),
+                    "running_mean": snapshot(m.running_mean, copy),
+                    "running_var": snapshot(m.running_var, copy),
                 }
                 for m in self._buffer_modules()
             ],
@@ -269,28 +271,13 @@ class SimWorker:
         }
 
     def load_state_dict(self, state: Dict) -> None:
-        rng_modules = self._rng_modules()
-        if len(state["model_rngs"]) != len(rng_modules):
-            raise ValueError(
-                f"worker {self.worker_id}: checkpoint has "
-                f"{len(state['model_rngs'])} model RNG streams, the model "
-                f"has {len(rng_modules)}"
-            )
-        buffer_modules = self._buffer_modules()
-        if len(state["model_buffers"]) != len(buffer_modules):
-            raise ValueError(
-                f"worker {self.worker_id}: checkpoint has "
-                f"{len(state['model_buffers'])} buffered modules, the model "
-                f"has {len(buffer_modules)}"
-            )
-        for m, buf in zip(buffer_modules, state["model_buffers"]):
-            m.running_mean = np.asarray(buf["running_mean"], dtype=np.float64).copy()
-            m.running_var = np.asarray(buf["running_var"], dtype=np.float64).copy()
+        buffers = [
+            (b["running_mean"], b["running_var"]) for b in state["model_buffers"]
+        ]
+        self.set_model_mutable_state({"rngs": state["model_rngs"], "buffers": buffers})
         self.set_params(np.asarray(state["params"]))
         self.optimizer.load_state_dict(state["optimizer"])
         self.loader.load_state_dict(state["loader"])
-        for m, rng_state in zip(rng_modules, state["model_rngs"]):
-            m.rng.bit_generator.state = rng_state
         self.last_loss = float(state["last_loss"])
         self.last_grad_sqnorm = float(state["last_grad_sqnorm"])
         self._prefetched = None

@@ -38,6 +38,7 @@ from repro.comm.envelope import CollectiveTimeoutError
 from repro.core.config import TrainConfig
 from repro.core.divergence import replica_spread
 from repro.core.trainer import DistributedTrainer, TrainResult
+from repro.utils.serialization import load_checkpoint, save_checkpoint
 from repro.utils.runlog import FaultRecord
 
 
@@ -239,25 +240,19 @@ class RecoverySupervisor:
                 # so the retry restarts from consensus instead of diverging
                 # again from the same state.
                 if cfg.resume_from is not None:
-                    trainer.load_state_dict(_checkpoint_state(cfg.resume_from))
+                    trainer.load_state_dict(
+                        load_checkpoint(cfg.resume_from, subtree=("state",))
+                    )
                 trainer.resync_replicas()
-                if cfg.checkpoint_path is not None:
+                if cfg.resume_from is not None:
                     # Re-snapshot the resynced state so the retry resumes
                     # from consensus (not the divergent checkpoint).
                     _rewrite_checkpoint(cfg, trainer)
 
 
-def _checkpoint_state(path: str) -> dict:
-    from repro.utils.serialization import load_checkpoint
-
-    return load_checkpoint(path)["state"]
-
-
 def _rewrite_checkpoint(cfg: TrainConfig, trainer: DistributedTrainer) -> None:
     """Overwrite the checkpoint file's trainer state with the resynced one
     (step counter / log / best metric are kept as saved)."""
-    from repro.utils.serialization import load_checkpoint, save_checkpoint
-
     ck = load_checkpoint(cfg.checkpoint_path)
-    ck["state"] = trainer.state_dict()
+    ck["state"] = trainer.state_dict(copy=False)
     save_checkpoint(ck, cfg.checkpoint_path)

@@ -21,6 +21,7 @@ from repro.core.grad_tracker import RelativeGradChange
 from repro.core.trainer import DistributedTrainer
 from repro.data.injection import DataInjector
 from repro.optim.schedules import LRSchedule
+from repro.utils.serialization import load_checkpoint
 
 #: Default simulated cost of computing Δ(g_i) with EWMA smoothing at w=25
 #: (paper Fig. 8a: ≈2–17 ms depending on the model; we charge a middle value).
@@ -200,9 +201,10 @@ class SelSyncTrainer(DistributedTrainer):
 
     # -- fault/checkpoint hooks -------------------------------------------
     def _on_worker_rejoin(self, worker_id: int, from_checkpoint: bool) -> None:
-        if from_checkpoint and self._latest_checkpoint is not None:
+        if from_checkpoint:
+            subtree = ("state", "extra", "trackers", worker_id)
             self.trackers[worker_id].load_state_dict(
-                self._latest_checkpoint["extra"]["trackers"][worker_id]
+                load_checkpoint(self._latest_checkpoint, subtree=subtree)
             )
         else:
             # No checkpoint to restore from: the Δ history died with the

@@ -155,9 +155,9 @@ class DistributedTrainer:
         # Per-worker simulated compute seconds of the latest round; the
         # health tracker's straggle signal.
         self._last_compute_times: Optional[np.ndarray] = None
-        # In-memory copy of the latest checkpoint; rejoining workers
-        # restore their rank state from it (crash-recovery semantics).
-        self._latest_checkpoint: Optional[Dict] = None
+        # Path of the checkpoint last written or resumed from; a rejoining
+        # worker reads its rank state back from that file (crash recovery).
+        self._latest_checkpoint: Optional[str] = None
         self._log: Optional[RunLog] = None
         self._log_lines = RunLogLines()
         # Elastic membership controller; ``None`` (the default) keeps the
@@ -732,10 +732,10 @@ class DistributedTrainer:
         """Crash-recovery: a rejoining worker restores its rank state from
         the latest checkpoint; with no checkpoint it re-syncs from the
         current deployable model with fresh optimizer state."""
-        ck = self._latest_checkpoint
-        from_checkpoint = ck is not None
+        path, subtree = self._latest_checkpoint, ("state", "workers", wid)
+        from_checkpoint = path is not None
         if from_checkpoint:
-            self.workers[wid].load_state_dict(ck["workers"][wid])
+            self.workers[wid].load_state_dict(load_checkpoint(path, subtree))
         else:
             self._rebase(
                 [wid], [j for j in self.faults.live_workers(step) if j != wid]
@@ -1015,13 +1015,14 @@ class DistributedTrainer:
         self._resize_per_worker_state([None] * len(workers))
 
     # -- checkpointing ----------------------------------------------------
-    def state_dict(self) -> Dict:
+    def state_dict(self, copy: bool = True) -> Dict:
         """Snapshot of everything that evolves during training: server,
         every worker's rank state, the jitter RNG, traffic counters, and
-        trainer-specific extras."""
+        trainer-specific extras. ``copy=False``: parameter and optimizer arrays
+        are read-only views of the live arenas, stale after the next step."""
         state = {
-            "server": self.server.state_dict(),
-            "workers": [w.state_dict() for w in self.workers],
+            "server": self.server.state_dict(copy),
+            "workers": [w.state_dict(copy) for w in self.workers],
             "compute_rng": self.compute.rng.bit_generator.state,
             "group": self.group.state_dict(),
             "extra": self._extra_state(),
@@ -1074,8 +1075,6 @@ class DistributedTrainer:
             # because two otherwise-identical runs checkpoint to different
             # files (golden-trace byte comparisons depend on this).
             tr.emit("checkpoint_save", step=next_step - 1, next_step=next_step)
-        state = self.state_dict()
-        self._latest_checkpoint = state
         save_checkpoint(
             {
                 "version": CHECKPOINT_VERSION,
@@ -1084,11 +1083,12 @@ class DistributedTrainer:
                 "clock": clock,
                 "best": best,
                 "stale_evals": stale_evals,
-                "state": state,
+                "state": self.state_dict(copy=False),
                 "log": self._log_lines.text(log),
             },
             cfg.checkpoint_path,
         )
+        self._latest_checkpoint = cfg.checkpoint_path
 
     def _resume(self, cfg: TrainConfig) -> Tuple[int, RunLog, Optional[float], int, float]:
         ck = load_checkpoint(cfg.resume_from)
@@ -1103,7 +1103,7 @@ class DistributedTrainer:
                 f"cannot resume with {self.name!r}"
             )
         self.load_state_dict(ck["state"])
-        self._latest_checkpoint = ck["state"]
+        self._latest_checkpoint = cfg.resume_from
         log = runlog_from_jsonable(ck["log"])
         return int(ck["step"]), log, ck["best"], int(ck["stale_evals"]), float(ck["clock"])
 

@@ -17,7 +17,11 @@ After that:
   ``copy=True`` when you need a vector that survives subsequent updates).
 * ``Module.set_flat_params(vec)`` is a single vectorized write into the
   buffer, which every parameter view observes instantly.
-* ``Module.zero_grad()`` is one ``fill(0.0)``.
+* ``Module.zero_grad()`` touches no gradient memory: it marks every
+  parameter *unwritten* and the backward that follows writes each gradient
+  once (:class:`~repro.nn.parameter.Parameter`). ``grad_buf`` may hold stale
+  values until :meth:`ParameterArena.settled_grads`, which every flat
+  gradient read and write goes through, zero-fills what nobody wrote.
 
 Arenas are built lazily on first flat access and rebuilt automatically when
 they no longer cover the module (a parameter was registered afterwards, or
@@ -117,31 +121,32 @@ class ParameterArena:
         """The whole parameter vector: read-only view, or a private copy."""
         return self.param_buf.copy() if copy else self._params_ro
 
+    def settled_grads(self) -> np.ndarray:
+        """``grad_buf`` (writable) with no unwritten parameter left in it."""
+        for p in self.params:
+            p.settle_grad()
+        return self.grad_buf
+
     def flat_grads(self, copy: bool = False) -> np.ndarray:
-        return self.grad_buf.copy() if copy else self._grads_ro
+        g = self.settled_grads()
+        return g.copy() if copy else self._grads_ro
+
+    @staticmethod
+    def _write(buf: np.ndarray, vec: np.ndarray) -> None:
+        vec = np.asarray(vec)
+        if vec.size != buf.size:
+            raise ValueError(
+                f"flat vector has {vec.size} elements, arena holds {buf.size}"
+            )
+        # Writing the arena's own (read-only) view back is a legal no-op.
+        np.copyto(buf, vec.ravel())
 
     def write_params(self, vec: np.ndarray) -> None:
         """One vectorized write; all parameter views see it immediately."""
-        vec = np.asarray(vec)
-        if vec.size != self.param_buf.size:
-            raise ValueError(
-                f"flat vector has {vec.size} elements, arena holds "
-                f"{self.param_buf.size}"
-            )
-        # Writing the arena's own (read-only) view back is a legal no-op.
-        np.copyto(self.param_buf, vec.ravel())
+        self._write(self.param_buf, vec)
 
     def write_grads(self, vec: np.ndarray) -> None:
-        vec = np.asarray(vec)
-        if vec.size != self.grad_buf.size:
-            raise ValueError(
-                f"flat vector has {vec.size} elements, arena holds "
-                f"{self.grad_buf.size}"
-            )
-        np.copyto(self.grad_buf, vec.ravel())
-
-    def zero_grad(self) -> None:
-        self.grad_buf.fill(0.0)
+        self._write(self.settled_grads(), vec)
 
 
 class SharedParameterArena(ParameterArena):

@@ -47,4 +47,4 @@ class Embedding(Module):
         ids = self._ids.ravel()
         onehot = np.zeros((ids.size, self.num_embeddings))
         onehot[np.arange(ids.size), ids] = 1.0
-        self.weight.accumulate_grad(onehot.T @ grad_out.reshape(-1, self.dim))
+        self.weight.accumulate_matmul(onehot.T, grad_out.reshape(-1, self.dim))

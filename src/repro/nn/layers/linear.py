@@ -53,7 +53,7 @@ class Linear(Module):
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         x2 = self._x.reshape(-1, self.in_features)
         g2 = grad_out.reshape(-1, self.out_features)
-        self.weight.accumulate_grad(g2.T @ x2)
+        self.weight.accumulate_matmul(g2.T, x2)
         if self.bias is not None:
             self.bias.accumulate_grad(g2.sum(axis=0))
         if self.skip_input_grad:

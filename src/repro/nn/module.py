@@ -123,7 +123,8 @@ class Module:
 
     # -- gradients -------------------------------------------------------------
     def zero_grad(self) -> None:
-        self._ensure_arena().zero_grad()
+        for p in self._ensure_arena().params:
+            p.zero_grad()
 
     # -- flat parameter / gradient views --------------------------------------
     def _ensure_arena(self) -> "ParameterArena":

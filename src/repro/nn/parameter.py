@@ -21,9 +21,16 @@ class Parameter:
     stay in place (``+=``, ``[...] =``) — rebinding ``p.data`` to a new array
     silently detaches the parameter from the arena (the module detects this
     and rebuilds, but it costs a full re-pack).
+
+    The gradient is written once: :meth:`zero_grad` only marks the buffer
+    *unwritten*, the first ``accumulate_*`` after it stores ``0 + g`` in one
+    pass and later ones add. Every read settles first — ``grad`` zero-fills a
+    buffer nobody wrote (frozen, unused), the arena's flat reads and writes
+    settle all of theirs — so the mark is never observable; layers reach it
+    only through the two ``accumulate`` methods.
     """
 
-    __slots__ = ("data", "grad", "name", "requires_grad")
+    __slots__ = ("data", "_grad", "_unwritten", "name", "requires_grad")
 
     def __init__(
         self,
@@ -32,7 +39,7 @@ class Parameter:
         requires_grad: bool = True,
     ):
         self.data = np.asarray(data, dtype=np.float64)
-        self.grad = np.zeros_like(self.data)
+        self.grad = np.zeros_like(self.data)  # written: the zeros are real
         self.name = name
         self.requires_grad = requires_grad
 
@@ -48,8 +55,21 @@ class Parameter:
     def nbytes(self) -> int:
         return int(self.data.nbytes)
 
+    def settle_grad(self) -> np.ndarray:
+        """The gradient buffer, zero-filled first if still unwritten."""
+        if self._unwritten:
+            self._grad.fill(0.0)
+            self._unwritten = False
+        return self._grad
+
+    def _bind_grad(self, buf: np.ndarray) -> None:
+        self._grad = buf
+        self._unwritten = False
+
+    grad = property(settle_grad, _bind_grad)
+
     def zero_grad(self) -> None:
-        self.grad[...] = 0.0
+        self._unwritten = True
 
     def accumulate_grad(self, g: np.ndarray) -> None:
         if not self.requires_grad:
@@ -59,7 +79,21 @@ class Parameter:
                 f"gradient shape {g.shape} does not match parameter "
                 f"{self.name} shape {self.data.shape}"
             )
-        self.grad += g
+        if self._unwritten:
+            # 0 + g, not a copy: a -0.0 lands as +0.0, as it did on zeros.
+            np.add(g, 0.0, out=self._grad)
+            self._unwritten = False
+        else:
+            self._grad += g
+
+    def accumulate_matmul(self, a: np.ndarray, b: np.ndarray) -> None:
+        """``accumulate_grad(a @ b)``; while unwritten the buffer is the
+        GEMM's ``out=`` — no product-sized temporary, no add."""
+        if self._unwritten and self.requires_grad:
+            np.matmul(a, b, out=self._grad)
+            self._unwritten = False
+        else:
+            self.accumulate_grad(a @ b)
 
     def copy_(self, other: "Parameter") -> None:
         """In-place copy of another parameter's data (not its gradient)."""

@@ -8,6 +8,7 @@ import numpy as np
 
 from repro.nn.module import Module
 from repro.nn.parameter import Parameter
+from repro.utils.flatten import snapshot
 
 
 class Optimizer:
@@ -51,14 +52,15 @@ class Optimizer:
         self._state = [{} for _ in self.module.parameters()]
 
     # -- checkpointing ----------------------------------------------------
-    def state_dict(self) -> Dict:
+    def state_dict(self, copy: bool = True) -> Dict:
         """Checkpointable snapshot: learning rate plus per-parameter slot
         arrays (momentum/Adam moments). Subclasses with extra state
-        (e.g. SGD's whole-model flat velocity) extend this."""
+        (e.g. SGD's whole-model flat velocity) extend this; ``copy=False``
+        hands out read-only live views instead of copies."""
         return {
             "lr": self.lr,
             "state": [
-                {k: np.array(v, copy=True) for k, v in slot.items()}
+                {k: snapshot(v, copy) for k, v in slot.items()}
                 for slot in self._state
             ],
         }

@@ -9,6 +9,7 @@ import numpy as np
 from repro.nn.module import Module
 from repro.nn.parameter import Parameter
 from repro.optim.base import Optimizer
+from repro.utils.flatten import snapshot
 
 
 # Elements per panel of the flat update (128 KiB an operand) and its scratch.
@@ -59,7 +60,7 @@ class SGD(Optimizer):
             self._spill_flat_state()
             super().step()
             return
-        p, g, v = arena.param_buf, arena.grad_buf, self._flat_velocity
+        p, g, v = arena.param_buf, arena.settled_grads(), self._flat_velocity
         if self.momentum and v is None:
             v = self._flat_velocity = np.zeros_like(p)
         for lo in range(0, p.size, PANEL):
@@ -94,10 +95,10 @@ class SGD(Optimizer):
         self._flat_velocity = None
         super().reset_state()
 
-    def state_dict(self) -> Dict:
-        state = super().state_dict()
+    def state_dict(self, copy: bool = True) -> Dict:
+        state = super().state_dict(copy)
         if self._flat_velocity is not None:
-            state["flat_velocity"] = self._flat_velocity.copy()
+            state["flat_velocity"] = snapshot(self._flat_velocity, copy)
         return state
 
     def load_state_dict(self, state: Dict) -> None:

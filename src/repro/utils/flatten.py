@@ -21,6 +21,16 @@ def flatten_arrays(arrays: Sequence[np.ndarray]) -> np.ndarray:
     return np.concatenate([np.asarray(a, dtype=np.float64).ravel() for a in arrays])
 
 
+def snapshot(a: np.ndarray, copy: bool = True) -> np.ndarray:
+    """A private copy of ``a`` or, with ``copy=False``, a read-only live view
+    of it — the ``get_flat_params`` convention for any checkpointed array."""
+    if copy:
+        return a.copy()
+    view = a.view()
+    view.flags.writeable = False
+    return view
+
+
 def mean_into(
     vectors: Sequence[np.ndarray], out: Optional[np.ndarray] = None
 ) -> np.ndarray:

@@ -306,18 +306,18 @@ def _hoist_arrays(obj: Any, arrays: List[np.ndarray]) -> Any:
     return encode_jsonable(obj)
 
 
-def _lower_arrays(obj: Any, arrays: Dict[int, np.ndarray]) -> Any:
+def _lower_arrays(obj: Any, npz) -> Any:  # a member is read when its leaf is reached
     if isinstance(obj, dict):
         if set(obj) == {_NDARRAY_TAG}:
-            return arrays[int(obj[_NDARRAY_TAG])]
+            return npz[f"arr_{int(obj[_NDARRAY_TAG])}"]
         if set(obj) == {_JSONL_TAG}:
-            text = bytes(arrays[int(obj[_JSONL_TAG])]).decode("utf-8")
-            return [_lower_arrays(json.loads(ln), arrays) for ln in text.splitlines()]
+            text = bytes(npz[f"arr_{int(obj[_JSONL_TAG])}"]).decode("utf-8")
+            return [_lower_arrays(json.loads(ln), npz) for ln in text.splitlines()]
         if set(obj) == {_NONFINITE_TAG}:
             return float(obj[_NONFINITE_TAG])
-        return {k: _lower_arrays(v, arrays) for k, v in obj.items()}
+        return {k: _lower_arrays(v, npz) for k, v in obj.items()}
     if isinstance(obj, list):
-        return [_lower_arrays(v, arrays) for v in obj]
+        return [_lower_arrays(v, npz) for v in obj]
     return obj
 
 
@@ -343,11 +343,13 @@ def save_checkpoint(state: Dict, path: PathLike) -> None:
         tmp.unlink(missing_ok=True)
 
 
-def load_checkpoint(path: PathLike) -> Dict:
-    """Inverse of :func:`save_checkpoint` (either layout)."""
-    path = Path(path)
-    with np.load(path) as data:
+def load_checkpoint(path: PathLike, subtree: Tuple = ()) -> Any:
+    """Inverse of :func:`save_checkpoint` (either layout). ``subtree`` — a
+    path of keys / indices into the tree — returns that branch alone and
+    reads only the npz members it references (what one restarted rank reads)."""
+    with np.load(Path(path)) as data:
         tree = json.loads(bytes(data["__tree__"]).decode("utf-8"))
+        for key in subtree:
+            tree = tree[key]
         # data[k] is a fresh array: nothing refers to the file once it closes.
-        arrays = {int(k[4:]): data[k] for k in data.files if k.startswith("arr_")}
-    return _lower_arrays(tree, arrays)
+        return _lower_arrays(tree, data)

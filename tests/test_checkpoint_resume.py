@@ -27,7 +27,7 @@ from repro.data import ArrayDataset, BatchLoader, selsync_partition
 from repro.data.injection import DataInjector
 from repro.nn.models import build_model
 from repro.obs import Tracer
-from repro.optim import SGD
+from repro.optim import SGD, Adam
 from repro.utils import serialization
 from repro.utils.serialization import (
     RunLogLines,
@@ -340,11 +340,40 @@ class TestCheckpointLayouts:
         )
 
 
+def _arrays(tree):
+    """Every ndarray leaf of a checkpoint tree, in traversal order."""
+    if isinstance(tree, np.ndarray):
+        return [tree]
+    if isinstance(tree, dict):
+        tree = list(tree.values())
+    if isinstance(tree, (list, tuple)):
+        return [a for v in tree for a in _arrays(v)]
+    return []
+
+
+def _record_loads(monkeypatch):
+    """Every ``load_checkpoint(path, subtree)`` the trainers make."""
+    import repro.core.selsync as selsync_module
+    import repro.core.trainer as trainer_module
+
+    calls = []
+
+    def recording(path, subtree=()):
+        calls.append((str(path), tuple(subtree)))
+        return load_checkpoint(path, subtree=subtree)
+
+    monkeypatch.setattr(trainer_module, "load_checkpoint", recording)
+    monkeypatch.setattr(selsync_module, "load_checkpoint", recording)
+    return calls
+
+
 class TestRejoinFromCheckpoint:
-    def test_rejoining_worker_restores_from_latest_checkpoint(self, tmp_path):
+    def test_rejoining_worker_restores_from_latest_checkpoint(self, tmp_path, monkeypatch):
         """With periodic checkpoints, a crashed worker rejoins from the
-        latest snapshot (from_checkpoint=1) instead of a peer-mean reseed."""
+        latest checkpoint *file* (from_checkpoint=1) instead of a peer-mean
+        reseed, and reads only its own rank's branches of it."""
         ck = str(tmp_path / "ck.npz")
+        calls = _record_loads(monkeypatch)
         workers, trainer = _build(
             "selsync", fault_spec="crash:w2@4-8", min_quorum=2
         )
@@ -357,6 +386,50 @@ class TestRejoinFromCheckpoint:
         rejoins = res.log.faults_of_kind("rejoin")
         assert [(f.step, f.worker) for f in rejoins] == [(8, 2)]
         assert rejoins[0].detail["from_checkpoint"] == 1
+        assert trainer._latest_checkpoint == ck
+        assert calls == [
+            (ck, ("state", "workers", 2)),
+            (ck, ("state", "extra", "trackers", 2)),
+        ]
+
+    def test_rejoin_after_a_resume_reads_resume_from_until_the_next_write(
+        self, tmp_path, monkeypatch
+    ):
+        first, second = str(tmp_path / "a.npz"), str(tmp_path / "b.npz")
+        kw = dict(fault_spec="crash:w2@4-8", min_quorum=2)
+        _build("selsync", **kw)[1].run(
+            TrainConfig(n_steps=N_STEPS, eval_fn=None, checkpoint_every=3,
+                        checkpoint_path=first, stop_after=6)
+        )
+        for every, rejoin_reads in ((5, first), (1, second)):
+            calls = _record_loads(monkeypatch)
+            workers, trainer = _build("selsync", **kw)
+            res = trainer.run(
+                TrainConfig(n_steps=N_STEPS, eval_fn=None, checkpoint_every=every,
+                            checkpoint_path=second, resume_from=first)
+            )
+            assert [f.detail["from_checkpoint"] for f in res.log.faults_of_kind("rejoin")] == [1]
+            assert calls == [
+                (first, ()),
+                (rejoin_reads, ("state", "workers", 2)),
+                (rejoin_reads, ("state", "extra", "trackers", 2)),
+            ]
+            assert trainer._latest_checkpoint == second
+
+    def test_checkpoint_file_deleted_before_the_rejoin_is_a_typed_error(self, tmp_path):
+        """The file is the only copy: losing it must not degrade silently to
+        a peer reseed (from_checkpoint=0), nor surface as an AttributeError."""
+        import os
+        import re
+
+        ck = str(tmp_path / "ck.npz")
+        workers, trainer = _build("selsync", fault_spec="crash:w2@4-8", min_quorum=2)
+        cfg = TrainConfig(
+            n_steps=N_STEPS, eval_fn=None, checkpoint_every=3, checkpoint_path=ck,
+            step_monitor=lambda t, i: os.remove(ck) if i == 7 else None,
+        )
+        with pytest.raises(FileNotFoundError, match=re.escape(ck)):
+            trainer.run(cfg)
 
     def test_rejoin_without_checkpoint_reseeds_from_peers(self):
         workers, trainer = _build(
@@ -366,6 +439,119 @@ class TestRejoinFromCheckpoint:
         rejoins = res.log.faults_of_kind("rejoin")
         assert [(f.step, f.worker) for f in rejoins] == [(8, 2)]
         assert rejoins[0].detail["from_checkpoint"] == 0
+
+
+class TestStreamedCheckpoint:
+    """A checkpoint is written from read-only views of the live arenas; the
+    default ``state_dict()`` stays a private snapshot."""
+
+    def _stepped(self, kind="selsync"):
+        workers, trainer = _build(kind)
+        trainer.run(TrainConfig(n_steps=3, eval_fn=None))
+        return workers, trainer
+
+    def test_default_state_dict_is_a_snapshot_and_copy_false_aliases_the_arenas(self):
+        workers, trainer = self._stepped()
+        snap, live = trainer.state_dict(), trainer.state_dict(copy=False)
+        frozen = [a.copy() for a in _arrays(snap)]
+        w0 = workers[0]
+        assert np.shares_memory(live["workers"][0]["params"], w0.model.get_flat_params())
+        assert np.shares_memory(
+            live["workers"][0]["optimizer"]["flat_velocity"], w0.optimizer._flat_velocity
+        )
+        assert np.shares_memory(live["server"]["params"], trainer.server._params)
+        for ws in live["workers"]:
+            for a in (ws["params"], ws["optimizer"]["flat_velocity"]):
+                assert not a.flags.writeable
+                with pytest.raises(ValueError):
+                    a[0] = 0.0
+        assert not live["server"]["params"].flags.writeable
+        assert w0.optimizer._flat_velocity.flags.writeable  # only the view is locked
+        trainer.run(TrainConfig(n_steps=6, eval_fn=None))
+        for a, b in zip(_arrays(snap), frozen):
+            np.testing.assert_array_equal(a, b)
+        assert not np.array_equal(snap["workers"][0]["params"], w0.get_params())
+        np.testing.assert_array_equal(live["workers"][0]["params"], w0.get_params())
+
+    @pytest.mark.parametrize("kind", ["selsync", "bsp"])
+    def test_live_tree_and_snapshot_tree_write_identical_members(self, tmp_path, kind):
+        workers, trainer = self._stepped(kind)
+        import zipfile
+
+        a, b = tmp_path / "snap.npz", tmp_path / "live.npz"
+        serialization.save_checkpoint({"state": trainer.state_dict()}, a)
+        serialization.save_checkpoint({"state": trainer.state_dict(copy=False)}, b)
+        # Member by member: the zip directory also holds each write's time.
+        with zipfile.ZipFile(a) as za, zipfile.ZipFile(b) as zb:
+            assert za.namelist() == zb.namelist()
+            for name in za.namelist():
+                assert za.read(name) == zb.read(name), name
+                assert za.getinfo(name).compress_type == zipfile.ZIP_STORED
+
+    @pytest.mark.parametrize("legacy", [False, True])
+    def test_subtree_load_opens_only_the_members_it_references(
+        self, tmp_path, monkeypatch, legacy
+    ):
+        ck = tmp_path / "ck.npz"
+        workers, trainer = _build("selsync")
+        trainer.run(TrainConfig(n_steps=4, eval_fn=None,
+                                checkpoint_every=4, checkpoint_path=str(ck)))
+        whole = load_checkpoint(ck)
+        if legacy:
+            write_legacy_checkpoint(whole, ck)
+        with np.load(ck) as data:
+            npz_type, members = type(data), set(data.files)
+        opened = []
+        getitem = npz_type.__getitem__
+        monkeypatch.setattr(
+            npz_type, "__getitem__", lambda self, k: (opened.append(k), getitem(self, k))[1]
+        )
+        rank = load_checkpoint(ck, subtree=("state", "workers", 1))
+        want = whole["state"]["workers"][1]
+        assert len(opened) == len(set(opened)) == 1 + len(_arrays(want))
+        assert "__tree__" in opened and len(opened) < len(members) / 2
+        assert len(_arrays(rank)) == len(_arrays(want)) > 0
+        for got, ref in zip(_arrays(rank), _arrays(want)):
+            assert got.tobytes() == ref.tobytes()
+        opened.clear()
+        tracker = load_checkpoint(ck, subtree=("state", "extra", "trackers", 1))
+        assert tracker == whole["state"]["extra"]["trackers"][1]
+        assert opened == ["__tree__"]
+        opened.clear()
+        load_checkpoint(ck)
+        assert set(opened) == members and len(opened) == len(members)
+
+    @pytest.mark.parametrize("make_opt", [
+        lambda m: SGD(m, lr=0.1, momentum=0.9),
+        lambda m: SGD(m, lr=0.1, momentum=0.9, nesterov=True, weight_decay=1e-3),
+        lambda m: Adam(m, lr=0.01),
+    ], ids=["sgd", "sgd-nesterov-wd", "adam"])
+    def test_optimizer_state_dict_copy_roundtrip(self, make_opt):
+        def stepped(model, opt, n):
+            rng = np.random.default_rng(3)
+            for _ in range(n):
+                model.set_flat_grads(rng.normal(size=model.n_parameters))
+                opt.step()
+
+        model = build_model("mlp", in_features=8, n_classes=3, rng=5)
+        opt = make_opt(model)
+        stepped(model, opt, 2)
+        snap, live = opt.state_dict(), opt.state_dict(copy=False)
+        assert [a.tobytes() for a in _arrays(snap)] == [a.tobytes() for a in _arrays(live)]
+        assert _arrays(live) and not any(a.flags.writeable for a in _arrays(live))
+        assert all(a.flags.writeable for a in _arrays(snap))
+
+        twin_model = build_model("mlp", in_features=8, n_classes=3, rng=5)
+        twin_model.set_flat_params(model.get_flat_params())
+        twin = make_opt(twin_model)
+        twin.load_state_dict(live)  # loading copies: the twin owns its slots
+        stepped(model, opt, 2)
+        assert [a.tobytes() for a in _arrays(live)] != [a.tobytes() for a in _arrays(snap)]
+        stepped(twin_model, twin, 2)
+        assert twin_model.get_flat_params().tobytes() == model.get_flat_params().tobytes()
+        assert [a.tobytes() for a in _arrays(twin.state_dict())] == [
+            a.tobytes() for a in _arrays(opt.state_dict())
+        ]
 
 
 class TestGuards:

@@ -188,6 +188,24 @@ def test_divergence_without_checkpoint_replays_deterministically():
     assert exc_info.value.step in steps
 
 
+def test_divergence_before_the_first_checkpoint_rolls_back_to_the_snapshot(tmp_path):
+    # A checkpoint path is configured, but the trip (step ~20) comes before
+    # the first write (step 25): there is no file to resume from or to
+    # rewrite, so this is the no-checkpoint case above — not an OSError
+    # from rewriting a checkpoint that does not exist.
+    ck = tmp_path / "ck.npz"
+    trainer = build_trainer(MethodSpec("localsgd", {}), _built())
+    sup = RecoverySupervisor(
+        max_recoveries=2, divergence_threshold=1.5, divergence_patience=3
+    )
+    cfg = TrainConfig(n_steps=30, checkpoint_every=25, checkpoint_path=str(ck))
+    with pytest.raises(DivergenceExceededError) as exc_info:
+        _run(trainer, cfg, sup)
+    assert len(sup.recoveries) == 3
+    assert {r.step for r in sup.recoveries} == {exc_info.value.step}
+    assert exc_info.value.step < 24 and not ck.exists()
+
+
 def test_no_watchdog_leaves_config_untouched():
     sup = RecoverySupervisor()  # divergence_threshold=None
     cfg = TrainConfig(n_steps=5)
