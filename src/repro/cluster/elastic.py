@@ -39,6 +39,7 @@ import numpy as np
 
 from repro import obs
 from repro.utils.spec import Plan
+from repro.utils.state import Captured
 
 #: Fixed boot cost charged (in sim-seconds) when one or more joiners are
 #: provisioned at a step, on top of the model transfer each joiner pulls.
@@ -199,7 +200,7 @@ class ElasticContext:
     loss_factory: Optional[object] = None
 
 
-class ElasticController:
+class ElasticController(Captured):
     """Deterministic membership/autoscale decisions for one training run.
 
     Owns the plan, the policy, the stable-uid ledger and the live signal
@@ -207,6 +208,8 @@ class ElasticController:
     is mirrored, never read, keeping traced and untraced runs bitwise
     identical).
     """
+
+    _structure = ("plan", "policy")
 
     def __init__(
         self,
@@ -410,35 +413,6 @@ class ElasticController:
             "elastic.sim_seconds": float(self._sim_seconds),
             "elastic.worker_seconds": float(self._worker_seconds),
         }
-
-    # -- checkpointing -----------------------------------------------------
-    def state_dict(self) -> Dict:
-        return {
-            "uids": list(self.uids),
-            "next_uid": int(self._next_uid),
-            "compute_ewma": [float(x) for x in self._compute_ewma],
-            "goodput": float(self._goodput),
-            "sync_ewma": float(self._sync_ewma),
-            "comm_frac": float(self._comm_frac),
-            "samples": float(self._samples),
-            "sim_seconds": float(self._sim_seconds),
-            "worker_seconds": float(self._worker_seconds),
-            "last_change_step": int(self._last_change_step),
-            "policy_state": dict(self._policy_state),
-        }
-
-    def load_state_dict(self, state: Dict) -> None:
-        self.uids = [int(u) for u in state["uids"]]
-        self._next_uid = int(state["next_uid"])
-        self._compute_ewma = [float(x) for x in state["compute_ewma"]]
-        self._goodput = float(state["goodput"])
-        self._sync_ewma = float(state["sync_ewma"])
-        self._comm_frac = float(state["comm_frac"])
-        self._samples = float(state["samples"])
-        self._sim_seconds = float(state["sim_seconds"])
-        self._worker_seconds = float(state["worker_seconds"])
-        self._last_change_step = int(state["last_change_step"])
-        self._policy_state = dict(state.get("policy_state", {}))
 
 
 def _ewma(current: float, value: float, alpha: float = SIGNAL_ALPHA) -> float:

@@ -27,6 +27,8 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
+from repro.utils.state import Captured
+
 
 @dataclass(frozen=True)
 class QuarantineDecision:
@@ -38,7 +40,7 @@ class QuarantineDecision:
     until: int  # first step at which reinstatement is allowed
 
 
-class HealthTracker:
+class HealthTracker(Captured):
     """EWMA outlier scoring + quarantine state for ``n_workers`` ranks.
 
     Parameters
@@ -202,25 +204,6 @@ class HealthTracker:
             ):
                 flagged.append(self._quarantine(w, step, reason))
         return flagged
-
-    # -- checkpointing -----------------------------------------------------
-    def state_dict(self) -> Dict:
-        return {
-            "scores": list(self.scores),
-            "strikes": list(self.strikes),
-            "observed": list(self.observed),
-            "quarantined_until": {
-                str(w): int(u) for w, u in self.quarantined_until.items()
-            },
-        }
-
-    def load_state_dict(self, state: Dict) -> None:
-        self.scores = [float(s) for s in state["scores"]]
-        self.strikes = [int(s) for s in state["strikes"]]
-        self.observed = [int(s) for s in state["observed"]]
-        self.quarantined_until = {
-            int(w): int(u) for w, u in state["quarantined_until"].items()
-        }
 
 
 def _median(sorted_vals: Sequence[float]) -> float:

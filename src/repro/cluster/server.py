@@ -65,12 +65,6 @@ class ParameterServer:
         #: Optional robust :class:`~repro.core.robust.Aggregator`; ``None``
         #: keeps the exact legacy mean path (byte-identity contract).
         self.aggregator = aggregator
-        #: Full-cluster contributor count, set by the trainer. When a round
-        #: aggregates fewer vectors (crash, quarantine, partition, lost
-        #: upload), ``degraded_rounds`` ticks — the PS-side ledger of how
-        #: often the model moved on partial information.
-        self.expected_contributors: Optional[int] = None
-        self.degraded_rounds: int = 0
         #: Shard geometry; ``None`` is the one shard ``slice(None)``.
         self.spec = spec
         self.shard_versions: List[int] = [0] * self.n_shards
@@ -164,11 +158,6 @@ class ParameterServer:
     def _check(self, vectors: Sequence[np.ndarray]) -> None:
         if len(vectors) == 0:
             raise ValueError("nothing to aggregate")
-        if (
-            self.expected_contributors is not None
-            and len(vectors) < self.expected_contributors
-        ):
-            self.degraded_rounds += 1
         for v in vectors:
             if v.shape != self._params.shape:
                 raise ValueError(
@@ -189,10 +178,6 @@ class ParameterServer:
     # -- checkpointing ----------------------------------------------------
     def state_dict(self, copy: bool = True) -> dict:
         state = {"params": snapshot(self._params, copy), "version": self.version}
-        # Key present only once a degraded round happened, so fault-free
-        # checkpoints stay byte-identical to builds without the counter.
-        if self.degraded_rounds:
-            state["degraded_rounds"] = self.degraded_rounds
         if self.spec is not None:
             state["sharding"] = {
                 "bounds": list(self.spec.bounds),
@@ -211,7 +196,6 @@ class ParameterServer:
         self._params = params.copy()
         self._agg = None
         self.version = int(state["version"])
-        self.degraded_rounds = int(state.get("degraded_rounds", 0))
         if self.spec is None:
             return
         sh = state.get("sharding")

@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.comm.network import LinkFaultModel
+from repro.utils.state import Captured
 
 __all__ = [
     "CollectiveTimeoutError",
@@ -150,13 +151,19 @@ class SendOutcome:
 
 
 @dataclass
-class CommEnvelope:
+class CommEnvelope(Captured):
     """Per-message timeout/retry state machine over a link-fault model.
 
     Maintains an RTT EWMA (seeded from the first observed transfer) that
     adapts the per-attempt timeout: flaky-but-fast fabrics give up on an
     attempt quickly, congested ones wait longer before burning a retry.
     """
+
+    _structure = ("faults", "policy")
+    _evolving = (
+        "rtt_ewma", "n_sends", "n_retries", "n_losses", "n_dups",
+        "n_exhausted", "total_wait_s",
+    )
 
     faults: LinkFaultModel
     policy: RetryPolicy = field(default_factory=RetryPolicy)
@@ -238,23 +245,3 @@ class CommEnvelope:
             elapsed_s=elapsed,
             wait_s=wait,
         )
-
-    def state_dict(self) -> dict:
-        return {
-            "rtt_ewma": self.rtt_ewma,
-            "n_sends": self.n_sends,
-            "n_retries": self.n_retries,
-            "n_losses": self.n_losses,
-            "n_dups": self.n_dups,
-            "n_exhausted": self.n_exhausted,
-            "total_wait_s": self.total_wait_s,
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        self.rtt_ewma = state["rtt_ewma"]
-        self.n_sends = int(state["n_sends"])
-        self.n_retries = int(state["n_retries"])
-        self.n_losses = int(state["n_losses"])
-        self.n_dups = int(state["n_dups"])
-        self.n_exhausted = int(state["n_exhausted"])
-        self.total_wait_s = float(state["total_wait_s"])

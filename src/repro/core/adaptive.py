@@ -17,22 +17,17 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+from repro.utils.state import Captured
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.core.selsync import SelSyncTrainer
 
 
-class DeltaPolicy:
+class DeltaPolicy(Captured):
     """Maps trainer state to the δ threshold used this iteration."""
 
     def effective_delta(self, trainer: "SelSyncTrainer", step: int) -> float:
         raise NotImplementedError
-
-    # Stateless policies checkpoint as nothing; stateful ones override both.
-    def state_dict(self) -> dict:
-        return {}
-
-    def load_state_dict(self, state: dict) -> None:
-        pass
 
 
 class FixedDelta(DeltaPolicy):
@@ -79,6 +74,8 @@ class TargetLSSRDelta(DeltaPolicy):
     communication budget on this workload.
     """
 
+    _evolving = ("delta",)  # the controller's output, not a setting
+
     def __init__(
         self,
         target_lssr: float = 0.9,
@@ -119,11 +116,3 @@ class TargetLSSRDelta(DeltaPolicy):
         if step < self.warmup:
             return 0.0
         return self.delta
-
-    def state_dict(self) -> dict:
-        return {"delta": self.delta, "local": self._local, "total": self._total}
-
-    def load_state_dict(self, state: dict) -> None:
-        self.delta = float(state["delta"])
-        self._local = int(state["local"])
-        self._total = int(state["total"])

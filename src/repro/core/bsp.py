@@ -9,7 +9,7 @@ import numpy as np
 
 from repro.cluster.worker import SimWorker
 from repro.core.config import ClusterConfig
-from repro.core.trainer import DistributedTrainer
+from repro.core.trainer import DistributedTrainer, PerWorker
 from repro.optim.schedules import LRSchedule
 
 
@@ -25,6 +25,7 @@ class BSPTrainer(DistributedTrainer):
 
     name = "bsp"
     exchanges_gradients = True
+    checkpointed = ("_compressors",)
 
     def __init__(
         self,
@@ -35,32 +36,12 @@ class BSPTrainer(DistributedTrainer):
     ):
         super().__init__(workers, cluster, schedule)
         self.compressor = compressor
-        self._compressors = None
-        if compressor is not None:
-            # Per-worker clones so error-feedback state stays rank-local.
-            self._compressors = [compressor.clone() for _ in workers]
+        # Per-worker clones so error-feedback state stays rank-local.
+        self._compressors = (
+            None if compressor is None else PerWorker(compressor.clone, len(workers))
+        )
         # (payload bytes, codec seconds) of the round in flight.
         self._wire_cost = (self.comm_bytes, 0.0)
-
-    def _resize_per_worker_state(self, mapping):
-        """Realign per-worker compressor clones (error-feedback residuals
-        are rank-local); joiners start from a fresh clone."""
-        if self._compressors is None:
-            return
-        self._compressors = [
-            self._compressors[old] if old is not None else self.compressor.clone()
-            for old in mapping
-        ]
-
-    def _extra_state(self):
-        if self._compressors is None:
-            return {}
-        return {"compressors": [c.state_dict() for c in self._compressors]}
-
-    def _load_extra_state(self, state):
-        if self._compressors is not None:
-            for c, s in zip(self._compressors, state["compressors"]):
-                c.load_state_dict(s)
 
     def decide(self, i, ok, rec):
         return True, ok

@@ -39,6 +39,7 @@ class EASGDTrainer(DistributedTrainer):
     """
 
     name = "easgd"
+    checkpointed = ("center",)
 
     def __init__(
         self,
@@ -51,27 +52,17 @@ class EASGDTrainer(DistributedTrainer):
         super().__init__(workers, cluster, schedule)
         if not 0.0 < rho < 1.0:
             raise ValueError(f"rho must be in (0, 1), got {rho}")
-        if rho * len(workers) > 1.0:
-            raise ValueError(
-                f"unstable elasticity: N*rho = {rho * len(workers):.2f} > 1"
-            )
+        _check_elasticity(rho, len(workers))
         if tau < 1:
             raise ValueError(f"tau must be >= 1, got {tau}")
         self.rho = rho
         self.tau = tau
         self.center = workers[0].get_params()
 
-    def _resize_per_worker_state(self, mapping):
-        # The center variable is parameter-shaped (membership-independent);
-        # only the stability bound N*rho <= 1 must re-hold at the new size.
-        n = len(mapping)
-        if self.rho * n > 1.0:
-            raise ValueError(
-                f"elastic scale-up breaks EASGD stability: N*rho = "
-                f"{self.rho * n:.2f} > 1 at world size {n}"
-            )
-
     def decide(self, i, ok, rec):
+        # The center is parameter-shaped, but a membership change moves N:
+        # the stability bound is re-checked at every world size.
+        _check_elasticity(self.rho, len(self.workers))
         return (i + 1) % self.tau == 0, ok
 
     def uploaders(self, live, ok):
@@ -114,8 +105,9 @@ class EASGDTrainer(DistributedTrainer):
         """EASGD's deployable model is the center variable."""
         return self.center.copy()
 
-    def _extra_state(self):
-        return {"center": self.center.copy()}
 
-    def _load_extra_state(self, state):
-        self.center = np.asarray(state["center"], dtype=np.float64).copy()
+def _check_elasticity(rho: float, n: int) -> None:
+    if rho * n > 1.0:
+        raise ValueError(
+            f"unstable elasticity: N*rho = {rho * n:.2f} > 1 at world size {n}"
+        )

@@ -34,6 +34,7 @@ class FedAvgTrainer(DistributedTrainer):
     """
 
     name = "fedavg"
+    checkpointed = ("_rng",)
 
     def __init__(
         self,
@@ -86,9 +87,3 @@ class FedAvgTrainer(DistributedTrainer):
         if len(pushers) < len(self.workers):
             t_s += self.group.sync_time_only(self.comm_bytes) / 2.0
         return global_params, t_s, 0.0
-
-    def _extra_state(self):
-        return {"rng": self._rng.bit_generator.state}
-
-    def _load_extra_state(self, state):
-        self._rng.bit_generator.state = state["rng"]

@@ -12,14 +12,15 @@ threshold (Fig. 6: δ=0 ⇒ pure BSP, δ>M ⇒ pure local-SGD).
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Optional
 
 import numpy as np
 
 from repro.utils.ewma import Ewma
+from repro.utils.state import Captured
 
 
-class RelativeGradChange:
+class RelativeGradChange(Captured):
     """Streaming Δ(g_i) estimator over squared gradient norms.
 
     Parameters
@@ -97,26 +98,3 @@ class RelativeGradChange:
         self._prev_smoothed = None
         self._last_delta = None
         self._n_updates = 0
-
-    # -- checkpointing ----------------------------------------------------
-    def state_dict(self) -> Dict:
-        """Checkpointable snapshot (``last_delta`` may be ``inf``; the
-        checkpoint encoder handles non-finite floats)."""
-        return {
-            "ewma": self._ewma.state_dict(),
-            "prev_smoothed": self._prev_smoothed,
-            "last_delta": self._last_delta,
-            "max_delta": self._max_delta,
-            "n_updates": self._n_updates,
-        }
-
-    def load_state_dict(self, state: Dict) -> None:
-        self._ewma.load_state_dict(state["ewma"])
-        self._prev_smoothed = (
-            None if state["prev_smoothed"] is None else float(state["prev_smoothed"])
-        )
-        self._last_delta = (
-            None if state["last_delta"] is None else float(state["last_delta"])
-        )
-        self._max_delta = float(state["max_delta"])
-        self._n_updates = int(state["n_updates"])

@@ -189,65 +189,45 @@ class RecoverySupervisor:
                 for rec in self.recoveries:
                     result.log.record_fault(rec)
                 return result
-            except QuorumLostError as e:
+            except (QuorumLostError, CollectiveTimeoutError, DivergenceExceededError) as e:
                 attempt += 1
-                survivors = max(self.quorum_floor, int(getattr(e, "contributing", 0)))
-                detail = {
-                    "quorum_before": trainer.quorum,
-                    "quorum_after": survivors,
-                    "contributing": int(getattr(e, "contributing", -1)),
-                }
-                self._record(
-                    cfg, int(getattr(e, "step", -1)), attempt,
-                    "quorum_lost", detail,
-                )
+                step, reason, detail = self._incident(e, trainer)
+                self._record(cfg, step, attempt, reason, detail)
                 if attempt > self.max_recoveries:
                     raise
-                # Degrade to the surviving worker set: demanding the old
-                # quorum again would fail the same way immediately.
-                trainer.quorum = survivors
+                if reason == "quorum_lost":
+                    # Degrade to the surviving worker set: demanding the old
+                    # quorum again would fail the same way immediately.
+                    trainer.quorum = detail["quorum_after"]
+                # A timed-out collective just retries: a flapping link may be
+                # up again, and a persistent partition has shrunk the live
+                # set to the majority side by then.
                 cfg = self._rollback(trainer, cfg)
-            except CollectiveTimeoutError as e:
-                attempt += 1
-                self._record(
-                    cfg, e.step, attempt,
-                    "collective_timeout",
-                    {
-                        "op": e.op,
-                        "src": e.src,
-                        "dst": e.dst,
-                        "attempts": e.attempts,
-                    },
-                )
-                if attempt > self.max_recoveries:
-                    raise
-                # The schedule could not route around a dead link this
-                # step. Roll back and retry: a flapping link may be up
-                # again, and a persistent partition will have shrunk the
-                # live set by then (the partition filter degrades the
-                # round to the majority side before the collective runs).
-                cfg = self._rollback(trainer, cfg)
-            except DivergenceExceededError as e:
-                attempt += 1
-                self._record(
-                    cfg, e.step, attempt,
-                    "divergence", {"spread": float(e.spread)},
-                )
-                if attempt > self.max_recoveries:
-                    raise
-                cfg = self._rollback(trainer, cfg)
-                # The checkpoint was taken mid-drift; collapse the spread
-                # so the retry restarts from consensus instead of diverging
-                # again from the same state.
-                if cfg.resume_from is not None:
-                    trainer.load_state_dict(
-                        load_checkpoint(cfg.resume_from, subtree=("state",))
-                    )
-                trainer.resync_replicas()
-                if cfg.resume_from is not None:
-                    # Re-snapshot the resynced state so the retry resumes
-                    # from consensus (not the divergent checkpoint).
-                    _rewrite_checkpoint(cfg, trainer)
+                if reason == "divergence":
+                    # The checkpoint was taken mid-drift; collapse the spread
+                    # so the retry restarts from consensus, and re-snapshot
+                    # it so the retry resumes from there.
+                    if cfg.resume_from is not None:
+                        trainer.load_state_dict(
+                            load_checkpoint(cfg.resume_from, subtree=("state",))
+                        )
+                    trainer.resync_replicas()
+                    if cfg.resume_from is not None:
+                        _rewrite_checkpoint(cfg, trainer)
+
+    def _incident(self, e: Exception, trainer: DistributedTrainer):
+        """``(step, reason, detail)`` of one recoverable incident."""
+        if isinstance(e, QuorumLostError):
+            survivors = max(self.quorum_floor, int(getattr(e, "contributing", 0)))
+            return int(getattr(e, "step", -1)), "quorum_lost", {
+                "quorum_before": trainer.quorum,
+                "quorum_after": survivors,
+                "contributing": int(getattr(e, "contributing", -1)),
+            }
+        if isinstance(e, CollectiveTimeoutError):
+            detail = {"op": e.op, "src": e.src, "dst": e.dst, "attempts": e.attempts}
+            return e.step, "collective_timeout", detail
+        return e.step, "divergence", {"spread": float(e.spread)}
 
 
 def _rewrite_checkpoint(cfg: TrainConfig, trainer: DistributedTrainer) -> None:

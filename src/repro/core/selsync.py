@@ -18,10 +18,9 @@ from repro import obs
 from repro.cluster.worker import SimWorker
 from repro.core.config import ClusterConfig
 from repro.core.grad_tracker import RelativeGradChange
-from repro.core.trainer import DistributedTrainer
+from repro.core.trainer import DistributedTrainer, PerWorker
 from repro.data.injection import DataInjector
 from repro.optim.schedules import LRSchedule
-from repro.utils.serialization import load_checkpoint
 
 #: Default simulated cost of computing Δ(g_i) with EWMA smoothing at w=25
 #: (paper Fig. 8a: ≈2–17 ms depending on the model; we charge a middle value).
@@ -61,6 +60,7 @@ class SelSyncTrainer(DistributedTrainer):
     """
 
     name = "selsync"
+    checkpointed = ("trackers", "delta_policy", "injector")
 
     def __init__(
         self,
@@ -96,9 +96,9 @@ class SelSyncTrainer(DistributedTrainer):
         self.delta_overhead_s = delta_overhead_s
         self.delta_policy = delta_policy
         alpha = ewma_alpha if ewma_alpha is not None else min(1.0, max(0.01, cluster.n_workers / 100.0))
-        self.trackers = [
-            RelativeGradChange(alpha=alpha, window=ewma_window) for _ in workers
-        ]
+        self.trackers = PerWorker(
+            lambda: RelativeGradChange(alpha=alpha, window=ewma_window), len(workers)
+        )
 
     @property
     def exchanges_gradients(self) -> bool:
@@ -198,44 +198,3 @@ class SelSyncTrainer(DistributedTrainer):
             "GA" if self.exchanges_gradients else "PA", len(pushers)
         )
         return pulled, t_s, 0.0
-
-    # -- fault/checkpoint hooks -------------------------------------------
-    def _on_worker_rejoin(self, worker_id: int, from_checkpoint: bool) -> None:
-        if from_checkpoint:
-            subtree = ("state", "extra", "trackers", worker_id)
-            self.trackers[worker_id].load_state_dict(
-                load_checkpoint(self._latest_checkpoint, subtree=subtree)
-            )
-        else:
-            # No checkpoint to restore from: the Δ history died with the
-            # worker; restart the EWMA (first update re-seeds it).
-            self.trackers[worker_id].reset()
-
-    def _resize_per_worker_state(self, mapping):
-        """Realign the per-worker Δ trackers with the new membership:
-        surviving workers keep their EWMA history, joiners (and every rank
-        on an elastic resume) start a fresh tracker with the original
-        smoothing parameters."""
-        proto = self.trackers[0]
-        self.trackers = [
-            self.trackers[old]
-            if old is not None
-            else RelativeGradChange(alpha=proto.alpha, window=proto.window)
-            for old in mapping
-        ]
-
-    def _extra_state(self):
-        state = {"trackers": [t.state_dict() for t in self.trackers]}
-        if self.delta_policy is not None:
-            state["delta_policy"] = self.delta_policy.state_dict()
-        if self.injector is not None:
-            state["injector_rng"] = self.injector.rng.bit_generator.state
-        return state
-
-    def _load_extra_state(self, state):
-        for t, s in zip(self.trackers, state["trackers"]):
-            t.load_state_dict(s)
-        if self.delta_policy is not None:
-            self.delta_policy.load_state_dict(state.get("delta_policy", {}))
-        if self.injector is not None:
-            self.injector.rng.bit_generator.state = state["injector_rng"]

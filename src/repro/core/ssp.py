@@ -269,7 +269,7 @@ class SSPTrainer(DistributedTrainer):
             # Periodic evaluation of the global model.
             if cfg.eval_fn is not None and completed % total_eval_interval == 0:
                 best, stale_evals = note_eval(
-                    ev.time, self._eval_global(cfg), best, stale_evals
+                    ev.time, self.evaluate(cfg), best, stale_evals
                 )
                 if cfg.patience is not None and stale_evals >= cfg.patience:
                     stop = True
@@ -295,7 +295,7 @@ class SSPTrainer(DistributedTrainer):
 
         final_metric = None
         if cfg.eval_fn is not None:
-            final_metric = self._eval_global(cfg)
+            final_metric = self.evaluate(cfg)
             # The closing eval only competes for ``best`` (strictly, with
             # no improvement margin); the patience bookkeeping is over.
             note_eval(last_time, final_metric, best, stale_evals)
@@ -314,13 +314,7 @@ class SSPTrainer(DistributedTrainer):
             lssr=None,  # paper: LSSR does not apply to SSP
         )
 
-    def _eval_global(self, cfg: TrainConfig) -> float:
-        w0 = self.workers[0]
-        saved = w0.get_params(copy=True)
-        w0.set_params(self.server.pull(copy=False))
-        w0.model.eval()
-        try:
-            return float(cfg.eval_fn(w0.model))
-        finally:
-            w0.model.train()
-            w0.set_params(saved)
+    def mean_params(self) -> np.ndarray:
+        """SSP's deployable model is the server's: a replica holds only its
+        last, stale pull — every update lives at the PS."""
+        return self.server.pull()

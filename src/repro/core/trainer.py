@@ -27,7 +27,7 @@ untraced one.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace as dataclass_replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -49,6 +49,7 @@ from repro.utils.serialization import (
     runlog_from_jsonable,
     save_checkpoint,
 )
+from repro.utils.state import capture, restore
 
 # Salts for the (seed, salt, step)-keyed RNG streams a membership change
 # draws from — never the trainer streams, so elastic decisions and the
@@ -70,16 +71,29 @@ class TrainResult:
     lssr: Optional[float]
 
 
+class PerWorker(list):
+    """One object per worker rank, each built by ``factory`` — a rule's Δ
+    trackers, its codec clones. Named in the rule's ``checkpointed``, the
+    list follows its ranks: a crash-rejoining worker's entry is read back
+    from the checkpoint, a rejoin without one and a reinstated worker's is
+    reset to a fresh object's state, and a membership change realigns it."""
+
+    def __init__(self, factory: Callable[[], object], n: int):
+        super().__init__(factory() for _ in range(n))
+        self.factory = factory
+
+
 class DistributedTrainer:
     """Shared machinery for the lock-step trainers.
 
     :meth:`step` is the one fixed pipeline; a subclass is a *sync rule*
     filling its hooks — :meth:`decide` and :meth:`exchange`, plus
     :meth:`draw_batches` / :meth:`uploaders` / :meth:`n_participants` /
-    :meth:`outgoing` where the rule departs from the defaults. Everything
-    else (clock, evaluation cadence, early stopping, fault handling,
-    quorum, checkpointing) lives here so all methods are compared under
-    identical protocols.
+    :meth:`outgoing` where the rule departs from the defaults — and naming
+    its own state in :attr:`checkpointed`. Everything else (clock,
+    evaluation cadence, early stopping, fault handling, quorum,
+    checkpointing) lives here so all methods are compared under identical
+    protocols.
     """
 
     name = "abstract"
@@ -92,6 +106,9 @@ class DistributedTrainer:
     #: skips the local update. False (PA): the local update always runs,
     #: pushers send parameters, and the pulled vector replaces the replica.
     exchanges_gradients = False
+    #: The rule's own state, by attribute name: captured whole under the
+    #: checkpoint's ``extra`` section (:mod:`repro.utils.state`).
+    checkpointed: Tuple[str, ...] = ()
 
     def __init__(
         self,
@@ -144,11 +161,6 @@ class DistributedTrainer:
         # whenever no net-fault spec is set (the fault-free fast path).
         self.net_faults = self.group.link_faults
         self.quorum = cluster.effective_quorum
-        if self.degraded_mode:
-            # PS-side ledger of partial-information rounds; armed only in
-            # degraded-capable runs so fault-free checkpoints never grow
-            # the counter key.
-            self.server.expected_contributors = cluster.n_workers
         # Live set of the step in flight; None outside fault/health runs so
         # the deployable mean covers every worker (the fault-free fast path).
         self._current_live: Optional[List[int]] = None
@@ -291,24 +303,30 @@ class DistributedTrainer:
         if tr is not None:
             tr.emit("aggregation", kind=kind, n_contrib=n_contrib)
 
-    def _extra_state(self) -> Dict:
-        """Trainer-specific checkpoint state (tracker/center/RNG...)."""
-        return {}
+    def _per_worker(self) -> List[Tuple[str, PerWorker]]:
+        named = [(name, getattr(self, name)) for name in self.checkpointed]
+        return [(name, v) for name, v in named if isinstance(v, PerWorker)]
 
-    def _load_extra_state(self, state: Dict) -> None:
-        pass
+    def _renew_rank_state(self, wid: int, path: Optional[str] = None) -> None:
+        """A returning worker's :class:`PerWorker` entries, in place: its
+        rank's branch of the checkpoint at ``path``, or a fresh object's
+        state without one."""
+        for name, per in self._per_worker():
+            per[wid].load_state_dict(
+                per.factory().state_dict() if path is None
+                else load_checkpoint(path, ("state", "extra", name, wid))
+            )
 
-    def _on_worker_rejoin(self, worker_id: int, from_checkpoint: bool) -> None:
-        """Hook for trainer-local per-worker state on rejoin (e.g. SelSync
-        restores or resets the worker's Δ tracker)."""
-
-    def _resize_per_worker_state(self, mapping: Sequence[Optional[int]]) -> None:
-        """Hook for trainer-local per-worker state across an elastic
-        membership change. ``mapping[new_rank]`` is the worker's rank
-        before the change, or ``None`` for a fresh joiner (and for every
-        rank on an elastic resume, where the checkpointed state is loaded
-        immediately after). Trainers holding per-worker lists (SelSync's Δ
-        trackers, BSP's compressors) realign them here."""
+    def _realign_per_worker(self, mapping: Sequence[Optional[int]]) -> None:
+        """Follow a membership change: ``mapping[new_rank]`` is the rank
+        before it, or ``None`` for a joiner (and for every rank on an
+        elastic resume, whose state loads right after)."""
+        for name, per in self._per_worker():
+            realigned = PerWorker(per.factory, 0)
+            realigned.extend(
+                per.factory() if old is None else per[old] for old in mapping
+            )
+            setattr(self, name, realigned)
 
     # -- shared helpers --------------------------------------------------------
     def lr(self, i: int) -> float:
@@ -478,7 +496,7 @@ class DistributedTrainer:
             [wid],
             [j for j in live if j != wid and not self.health.quarantined(j)],
         )
-        self._on_worker_rejoin(wid, False)
+        self._renew_rank_state(wid)
         self._record_fault(step, wid, "reinstate")
         tr = obs.active()
         if tr is not None:
@@ -729,21 +747,21 @@ class DistributedTrainer:
             tr.emit("fault", step=step, worker=worker, fault_kind=kind, **detail)
 
     def _restore_rejoined_worker(self, wid: int, step: int) -> None:
-        """Crash-recovery: a rejoining worker restores its rank state from
-        the latest checkpoint; with no checkpoint it re-syncs from the
-        current deployable model with fresh optimizer state."""
-        path, subtree = self._latest_checkpoint, ("state", "workers", wid)
-        from_checkpoint = path is not None
-        if from_checkpoint:
-            self.workers[wid].load_state_dict(load_checkpoint(path, subtree))
+        """Crash-recovery: a rejoining worker restores its rank state — its
+        replica and the rule's per-worker entries — from the latest
+        checkpoint; with no checkpoint it re-syncs from the current
+        deployable model with fresh optimizer and rule state."""
+        path = self._latest_checkpoint
+        if path is not None:
+            self.workers[wid].load_state_dict(
+                load_checkpoint(path, ("state", "workers", wid))
+            )
         else:
             self._rebase(
                 [wid], [j for j in self.faults.live_workers(step) if j != wid]
             )
-        self._on_worker_rejoin(wid, from_checkpoint)
-        self._record_fault(
-            step, wid, "rejoin", from_checkpoint=int(from_checkpoint)
-        )
+        self._renew_rank_state(wid, path)
+        self._record_fault(step, wid, "rejoin", from_checkpoint=int(path is not None))
 
     # -- parameter views --------------------------------------------------
     def mean_params(self) -> np.ndarray:
@@ -909,7 +927,7 @@ class DistributedTrainer:
             w.worker_id = rank
         self._repartition(i)
         self._resize_runtime(i)
-        self._resize_per_worker_state(mapping)
+        self._realign_per_worker(mapping)
         return self.elastic.provision_seconds(
             acts.joins, self.cluster.net, self.comm_bytes
         )
@@ -982,8 +1000,6 @@ class DistributedTrainer:
         self.group.resize(n, shard_spec=self.shard_spec)
         if self.health is not None:
             self.health = self.cluster.make_health()
-        if self.degraded_mode:
-            self.server.expected_contributors = n
         self._last_compute_times = None
         self._current_live = None
         self.executor.shutdown()
@@ -1012,20 +1028,21 @@ class DistributedTrainer:
         # The compute RNG seed here is irrelevant — its bit-generator
         # state is restored from the checkpoint immediately after.
         self._resize_runtime(0)
-        self._resize_per_worker_state([None] * len(workers))
+        self._realign_per_worker([None] * len(workers))
 
     # -- checkpointing ----------------------------------------------------
     def state_dict(self, copy: bool = True) -> Dict:
         """Snapshot of everything that evolves during training: server,
         every worker's rank state, the jitter RNG, traffic counters, and
-        trainer-specific extras. ``copy=False``: parameter and optimizer arrays
-        are read-only views of the live arenas, stale after the next step."""
+        the rule's :attr:`checkpointed` state. ``copy=False``: parameter and
+        optimizer arrays are read-only views of the live arenas, stale after
+        the next step."""
         state = {
             "server": self.server.state_dict(copy),
             "workers": [w.state_dict(copy) for w in self.workers],
             "compute_rng": self.compute.rng.bit_generator.state,
             "group": self.group.state_dict(),
-            "extra": self._extra_state(),
+            "extra": capture(self, self.checkpointed),
         }
         # Only present when health tracking is on — keeps health-off
         # checkpoints byte-identical to builds without the subsystem.
@@ -1058,7 +1075,7 @@ class DistributedTrainer:
             self.health.load_state_dict(state["health"])
         if self.elastic is not None and "elastic" in state:
             self.elastic.load_state_dict(state["elastic"]["controller"])
-        self._load_extra_state(state.get("extra", {}))
+        restore(self, state["extra"], self.checkpointed)
 
     def _write_checkpoint(
         self,

@@ -16,6 +16,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from repro.utils.rng import RngLike, as_rng
+from repro.utils.state import Captured
 
 
 def injected_batch_size(b: int, alpha: float, beta: float, n_workers: int) -> int:
@@ -38,7 +39,7 @@ class InjectionResult:
     bytes_transferred: int
 
 
-class DataInjector:
+class DataInjector(Captured):
     """Applies per-iteration randomized data injection across worker batches.
 
     Parameters
@@ -51,7 +52,8 @@ class DataInjector:
         the paper quantifies (§III-E: ~132 KB/iter at 16 workers on CIFAR).
     rng:
         Donor / sample selection stream — the injector's only evolving
-        state; :class:`~repro.core.selsync.SelSyncTrainer` checkpoints it.
+        state; :class:`~repro.core.selsync.SelSyncTrainer` checkpoints the
+        injector whole.
     """
 
     def __init__(

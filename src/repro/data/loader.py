@@ -2,23 +2,27 @@
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from repro.data.dataset import Dataset
 from repro.data.partition import Partition
 from repro.utils.rng import RngLike, as_rng
+from repro.utils.state import Captured
 
 
-class BatchLoader:
+class BatchLoader(Captured):
     """Sequential mini-batch iterator over one worker's index order.
 
     Walks the order cyclically; after each full pass (one worker-epoch) the
     order is locally reshuffled *within* its original chunk structure when
     ``reshuffle`` is on — preserving SelDP's chunk rotation while decorrelating
-    batches across epochs.
+    batches across epochs. Its checkpoint is the (possibly reshuffled) order,
+    the cursor / epoch position and the reshuffle RNG: the exact batch stream.
     """
+
+    _structure = ("dataset",)
 
     def __init__(
         self,
@@ -81,30 +85,6 @@ class BatchLoader:
             # paper's goal (every worker sees all data) while keeping the
             # first-epoch rotation exact.
             self.rng.shuffle(self.order)
-
-    # -- checkpointing ----------------------------------------------------
-    def state_dict(self) -> Dict:
-        """Checkpointable snapshot: the (possibly reshuffled) order, the
-        cursor/epoch position, and the reshuffle RNG's bit-generator state —
-        everything needed to resume the exact batch stream."""
-        return {
-            "order": self.order.copy(),
-            "cursor": self._cursor,
-            "epoch": self._epoch,
-            "rng": self.rng.bit_generator.state,
-        }
-
-    def load_state_dict(self, state: Dict) -> None:
-        order = np.asarray(state["order"])
-        if order.shape != self.order.shape:
-            raise ValueError(
-                f"loader state mismatch: checkpoint order has "
-                f"{order.shape[0]} samples, this loader has {self.order.shape[0]}"
-            )
-        self.order = order.copy()
-        self._cursor = int(state["cursor"])
-        self._epoch = int(state["epoch"])
-        self.rng.bit_generator.state = state["rng"]
 
     @classmethod
     def for_workers(

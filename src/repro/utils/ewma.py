@@ -10,12 +10,14 @@ from the cluster size (``N/100``).
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Iterable, List, Optional
+from typing import Iterable, List, Optional
 
 import numpy as np
 
+from repro.utils.state import Captured
 
-class Ewma:
+
+class Ewma(Captured):
     """Streaming EWMA over a sliding window.
 
     Parameters
@@ -83,32 +85,6 @@ class Ewma:
     def reset(self) -> None:
         self._buf.clear()
         self._value = None
-
-    # -- checkpointing ----------------------------------------------------
-    def state_dict(self) -> Dict:
-        """Checkpointable snapshot: hyperparameters (for validation on
-        load) plus the window buffer and current smoothed value."""
-        return {
-            "alpha": self.alpha,
-            "window": self.window,
-            "buf": list(self._buf),
-            "value": self._value,
-        }
-
-    def load_state_dict(self, state: Dict) -> None:
-        """Restore a snapshot from :meth:`state_dict`.
-
-        The stored hyperparameters must match this instance's — restoring
-        a w=25 buffer into a w=5 tracker would silently change Δ(g).
-        """
-        if float(state["alpha"]) != self.alpha or int(state["window"]) != self.window:
-            raise ValueError(
-                f"EWMA state mismatch: checkpoint has alpha={state['alpha']}, "
-                f"window={state['window']}; this instance has "
-                f"alpha={self.alpha}, window={self.window}"
-            )
-        self._buf = deque((float(x) for x in state["buf"]), maxlen=self.window)
-        self._value = None if state["value"] is None else float(state["value"])
 
 
 def ewma_series(

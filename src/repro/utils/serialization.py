@@ -32,8 +32,10 @@ from repro.utils.runlog import EvalRecord, FaultRecord, IterationRecord, RunLog
 
 PathLike = Union[str, Path]
 
-#: Current checkpoint layout version (bump on incompatible change).
-CHECKPOINT_VERSION = 1
+#: Current checkpoint layout version (bump on incompatible change). 2: the
+#: bookkeeping objects and a rule's own state are captured by attribute
+#: name (:mod:`repro.utils.state`); version-1 files are refused on resume.
+CHECKPOINT_VERSION = 2
 
 _NONFINITE_TAG = "__nonfinite__"
 _NDARRAY_TAG = "__ndarray__"

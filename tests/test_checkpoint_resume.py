@@ -353,7 +353,6 @@ def _arrays(tree):
 
 def _record_loads(monkeypatch):
     """Every ``load_checkpoint(path, subtree)`` the trainers make."""
-    import repro.core.selsync as selsync_module
     import repro.core.trainer as trainer_module
 
     calls = []
@@ -363,7 +362,6 @@ def _record_loads(monkeypatch):
         return load_checkpoint(path, subtree=subtree)
 
     monkeypatch.setattr(trainer_module, "load_checkpoint", recording)
-    monkeypatch.setattr(selsync_module, "load_checkpoint", recording)
     return calls
 
 

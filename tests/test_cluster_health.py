@@ -197,7 +197,8 @@ def test_health_checkpoint_roundtrip_carries_quarantine_state():
         n_workers=4,
         seed=0,
         data_scale=0.05,
-        cluster_kwargs={"health": True},
+        # The tracker's settings are hyper-parameters, checked on load.
+        cluster_kwargs={"health": True, "health_threshold": 1.5, "probation": 8},
     )
     fresh = build_trainer(MethodSpec("selsync", {}), built)
     try:
