@@ -99,25 +99,3 @@ class ComputeModel:
         if self.jitter_sigma > 0:
             base = base * self.rng.lognormal(0.0, self.jitter_sigma, self.n_workers)
         return base
-
-    @classmethod
-    def heterogeneous(
-        cls,
-        n_workers: int,
-        slow_fraction: float = 0.25,
-        slow_factor: float = 0.5,
-        rng: RngLike = None,
-        **kwargs,
-    ) -> "ComputeModel":
-        """Cluster where a fraction of workers runs at ``slow_factor`` speed."""
-        if not 0.0 <= slow_fraction <= 1.0:
-            raise ValueError(f"slow_fraction must be in [0,1], got {slow_fraction}")
-        if slow_factor <= 0:
-            raise ValueError(f"slow_factor must be positive, got {slow_factor}")
-        r = as_rng(rng)
-        speeds = np.ones(n_workers)
-        n_slow = int(round(slow_fraction * n_workers))
-        if n_slow:
-            idx = r.choice(n_workers, size=n_slow, replace=False)
-            speeds[idx] = slow_factor
-        return cls(n_workers, speeds=speeds, rng=r, **kwargs)

@@ -46,7 +46,7 @@ from repro.utils.state import Captured
 PROVISION_BOOT_S = 5.0
 
 #: Steps between two policy decisions (a decision may still hold).
-DEFAULT_DECIDE_EVERY = 10
+DECIDE_EVERY = 10
 
 #: Minimum steps between two applied membership changes — gives the signal
 #: EWMAs time to reflect the new world size before the next decision.
@@ -218,9 +218,7 @@ class ElasticController(Captured):
         min_workers: Optional[int] = None,
         max_workers: Optional[int] = None,
         seed: int = 0,
-        decide_every: int = DEFAULT_DECIDE_EVERY,
         cooldown: int = DEFAULT_COOLDOWN,
-        boot_s: float = PROVISION_BOOT_S,
     ):
         # World-size bounds: an explicit argument wins over the plan's
         # ``scale:MIN..MAX`` clause, which wins over the wide defaults.
@@ -233,16 +231,12 @@ class ElasticController(Captured):
                 f"need 1 <= min_workers <= max_workers, got "
                 f"[{min_workers}, {max_workers}]"
             )
-        if decide_every < 1:
-            raise ValueError(f"decide_every must be >= 1, got {decide_every}")
         self.plan = plan
         self.policy = policy if policy is not None else NoScalePolicy()
         self.min_workers = int(min_workers)
         self.max_workers = int(max_workers)
         self.seed = int(seed)
-        self.decide_every = int(decide_every)
         self.cooldown = int(cooldown)
-        self.boot_s = float(boot_s)
         # Stable uids, parallel to the trainer's worker list.
         self.uids: List[int] = []
         self._next_uid = 0
@@ -273,7 +267,7 @@ class ElasticController(Captured):
 
         Plan clauses win: on a step with scheduled joins/drains the policy
         sits out (its signals will reflect the new size by the next
-        decision point). Policy decisions fire every ``decide_every``
+        decision point). Policy decisions fire every ``DECIDE_EVERY``
         steps, respect the cooldown after any applied change, and are
         clamped to ``[min_workers, max_workers]``.
         """
@@ -285,7 +279,7 @@ class ElasticController(Captured):
         if (
             isinstance(self.policy, NoScalePolicy)
             or step == 0
-            or step % self.decide_every != 0
+            or step % DECIDE_EVERY != 0
             or step - self._last_change_step < self.cooldown
             or self._sim_seconds <= 0.0
         ):
@@ -352,7 +346,7 @@ class ElasticController(Captured):
         Joiners provision in parallel, so one transfer is charged."""
         if joins <= 0:
             return 0.0
-        return self.boot_s + net.transfer_time(comm_bytes)
+        return PROVISION_BOOT_S + net.transfer_time(comm_bytes)
 
     # -- signal stream -----------------------------------------------------
     def observe_step(

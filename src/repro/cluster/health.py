@@ -29,6 +29,14 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.utils.state import Captured
 
+#: Consecutive non-finite updates before quarantine (NaN/Inf is treated as
+#: hard evidence; two in a row is enough).
+MAX_STRIKES = 2
+
+#: Compute-time ratio over the cohort median that starts counting toward
+#: the score (3 ⇒ only >3× slowdowns accumulate evidence).
+STRAGGLE_TOLERANCE = 3.0
+
 
 @dataclass(frozen=True)
 class QuarantineDecision:
@@ -56,12 +64,6 @@ class HealthTracker(Captured):
         Steps a quarantined worker sits out before reinstatement.
     alpha:
         EWMA smoothing factor for the outlier score.
-    max_strikes:
-        Consecutive non-finite updates before quarantine (NaN/Inf is
-        treated as hard evidence; two in a row is enough by default).
-    straggle_tolerance:
-        Compute-time ratio over the cohort median that starts counting
-        toward the score (3 ⇒ only >3× slowdowns accumulate evidence).
     warmup:
         Rounds observed before score-based quarantine activates (the EWMA
         needs a few samples; strike-based quarantine is always active).
@@ -79,8 +81,6 @@ class HealthTracker(Captured):
         threshold: float = 3.0,
         probation: int = 20,
         alpha: float = 0.3,
-        max_strikes: int = 2,
-        straggle_tolerance: float = 3.0,
         warmup: int = 3,
         min_active: int = 1,
     ):
@@ -92,8 +92,6 @@ class HealthTracker(Captured):
             raise ValueError(f"probation must be >= 1, got {probation}")
         if not 0.0 < alpha <= 1.0:
             raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-        if max_strikes < 1:
-            raise ValueError(f"max_strikes must be >= 1, got {max_strikes}")
         if not 0 <= min_active <= n_workers:
             raise ValueError(
                 f"min_active must be in [0, {n_workers}], got {min_active}"
@@ -103,8 +101,6 @@ class HealthTracker(Captured):
         self.threshold = float(threshold)
         self.probation = int(probation)
         self.alpha = float(alpha)
-        self.max_strikes = int(max_strikes)
-        self.straggle_tolerance = float(straggle_tolerance)
         self.warmup = int(warmup)
         self.scores = [0.0] * self.n_workers
         self.strikes = [0] * self.n_workers
@@ -180,7 +176,7 @@ class HealthTracker(Captured):
             norm = candidates[w]
             if not math.isfinite(norm):
                 self.strikes[w] += 1
-                if self.strikes[w] >= self.max_strikes and capacity() > 0:
+                if self.strikes[w] >= MAX_STRIKES and capacity() > 0:
                     flagged.append(self._quarantine(w, step, "non_finite"))
                 continue
             self.strikes[w] = 0
@@ -192,7 +188,7 @@ class HealthTracker(Captured):
             straggle_excess = 0.0
             t = compute_times.get(w)
             if t is not None and math.isfinite(med_t) and med_t > 0.0:
-                straggle_excess = max(0.0, t / med_t - self.straggle_tolerance)
+                straggle_excess = max(0.0, t / med_t - STRAGGLE_TOLERANCE)
             raw = deviation + straggle_excess
             reason = "straggler" if straggle_excess > deviation else "outlier"
             self.scores[w] += self.alpha * (raw - self.scores[w])

@@ -1,9 +1,8 @@
 """Central parameter server.
 
 Implements the PS side of Alg. 1 (``pushToPS`` / ``pullFromPS``) plus the
-versioned asynchronous interface SSP needs (each async push advances the
-global version; staleness of a worker = versions applied since it last
-pulled).
+asynchronous interface SSP needs (each async push is applied to the global
+parameters as it arrives).
 
 Aggregation is pluggable: with ``aggregator=None`` (the default) the PS
 runs the original plain-mean arithmetic bit-for-bit; handing it a
@@ -18,7 +17,7 @@ drops it on the floor.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -31,7 +30,7 @@ class ParameterServer:
 
     Synchronous aggregation (BSP / FedAvg / SelSync-PA) averages pushed
     vectors; asynchronous application (SSP) applies each worker's update as
-    it arrives and tracks versions.
+    it arrives.
 
     Aggregation averages into preallocated buffers (``mean_into`` is
     bitwise-identical to ``np.mean(np.stack(...), axis=0)``) and hands out
@@ -40,10 +39,9 @@ class ParameterServer:
 
     With a :class:`~repro.comm.sharding.ShardSpec` the vector is ``S``
     independently aggregated shards, each a contiguous, layer-aligned
-    slice: robust aggregators see one shard's slices, per-shard versions
-    advance separately, and a worker whose uplink push for one shard was
-    lost (the round's ``absent`` argument) is excluded from *that shard's*
-    aggregation only — a degraded shard round — instead of the whole sync.
+    slice: robust aggregators see one shard's slices, and a worker whose
+    uplink push for one shard was lost (the round's ``absent`` argument) is
+    excluded from *that shard's* aggregation only — a degraded shard round — instead of the whole sync.
     With no absences and the plain mean the result is **bitwise identical**
     for every shard count, so sharding alters *when parallelism is charged*
     and *how faults degrade*, never fault-free numerics. The asynchronous
@@ -61,24 +59,15 @@ class ParameterServer:
         # Scratch for gradient aggregation; separate from ``_params`` because
         # GA averages gradients without moving the globals.
         self._agg: Optional[np.ndarray] = None
-        self.version: int = 0
         #: Optional robust :class:`~repro.core.robust.Aggregator`; ``None``
         #: keeps the exact legacy mean path (byte-identity contract).
         self.aggregator = aggregator
         #: Shard geometry; ``None`` is the one shard ``slice(None)``.
         self.spec = spec
-        self.shard_versions: List[int] = [0] * self.n_shards
-        #: Shard-round ledger: ticks once per shard whose round ran with
-        #: fewer contributors than pushed (or did not run at all).
-        self.degraded_shard_rounds: int = 0
 
     @property
     def n_params(self) -> int:
         return int(self._params.size)
-
-    @property
-    def n_shards(self) -> int:
-        return 1 if self.spec is None else int(self.spec.n_shards)
 
     def _readonly(self, vec: np.ndarray) -> np.ndarray:
         view = vec.view()
@@ -115,8 +104,7 @@ class ParameterServer:
 
     def _aggregate(self, vectors, out, where, absent) -> np.ndarray:
         self._check(vectors)
-        self.version += 1
-        counts = reduce_slices(
+        reduce_slices(
             vectors,
             out,
             (slice(None),) if self.spec is None else self.spec.slices(),
@@ -125,19 +113,15 @@ class ParameterServer:
             where,
             keep_empty=out is self._params,
         )
-        for s, k in enumerate(counts):
-            self.degraded_shard_rounds += int(k < len(vectors))
-            self.shard_versions[s] += int(k > 0)
         return self._readonly(out)
 
     # -- asynchronous (SSP) interface ------------------------------------------
-    def async_apply(self, update: np.ndarray) -> int:
+    def async_apply(self, update: np.ndarray) -> None:
         """Apply one worker's update vector to the global params immediately.
 
-        Returns the new version. ``update`` is the delta to *add* (callers
-        pass ``-lr * grad``). Non-finite updates are rejected with a typed
-        error — a NaN entering here would poison the globals for every
-        later pull. With a robust aggregator installed, the update first
+        ``update`` is the delta to *add* (callers pass ``-lr * grad``).
+        Non-finite updates are rejected with a typed error — a NaN entering
+        here would poison the globals for every later pull. With a robust aggregator installed, the update first
         passes through its ``async_transform`` hook (norm clipping).
         """
         if update.shape != self._params.shape:
@@ -152,8 +136,6 @@ class ParameterServer:
         if self.aggregator is not None:
             update = self.aggregator.async_transform(update)
         self._params += update
-        self.version += 1
-        return self.version
 
     def _check(self, vectors: Sequence[np.ndarray]) -> None:
         if len(vectors) == 0:
@@ -177,13 +159,9 @@ class ParameterServer:
 
     # -- checkpointing ----------------------------------------------------
     def state_dict(self, copy: bool = True) -> dict:
-        state = {"params": snapshot(self._params, copy), "version": self.version}
+        state = {"params": snapshot(self._params, copy)}
         if self.spec is not None:
-            state["sharding"] = {
-                "bounds": list(self.spec.bounds),
-                "shard_versions": list(self.shard_versions),
-                "degraded_shard_rounds": self.degraded_shard_rounds,
-            }
+            state["sharding"] = {"bounds": list(self.spec.bounds)}
         return state
 
     def load_state_dict(self, state: dict) -> None:
@@ -195,7 +173,6 @@ class ParameterServer:
             )
         self._params = params.copy()
         self._agg = None
-        self.version = int(state["version"])
         if self.spec is None:
             return
         sh = state.get("sharding")
@@ -209,11 +186,3 @@ class ParameterServer:
                 f"shard layout mismatch: checkpoint bounds "
                 f"{list(sh['bounds'])} vs server {list(self.spec.bounds)}"
             )
-        versions = [int(v) for v in sh["shard_versions"]]
-        if len(versions) != self.n_shards:
-            raise ValueError(
-                f"checkpoint has {len(versions)} shard versions, "
-                f"server has {self.n_shards} shards"
-            )
-        self.shard_versions = versions
-        self.degraded_shard_rounds = int(sh["degraded_shard_rounds"])

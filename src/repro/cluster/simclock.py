@@ -10,7 +10,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any
 
 from repro import obs
 
@@ -53,9 +53,6 @@ class EventQueue:
             tr.metrics.inc("simclock.pops")
             tr.metrics.set("simclock.now", self.now)
         return ev
-
-    def peek_time(self) -> Optional[float]:
-        return self._heap[0].time if self._heap else None
 
     def __len__(self) -> int:
         return len(self._heap)

@@ -58,12 +58,12 @@ class SimGroup:
     retry_policy:
         Envelope retry/backoff schedule; only consulted with link faults.
     shard_spec:
-        Optional :class:`~repro.comm.sharding.ShardSpec`. ``None`` (or a
-        single-shard spec, which is normalized to ``None``) is the one shard
-        ``slice(None)``: the same reduction over one slice, charged by the
-        topology's full-vector formula — byte-identical to builds without
-        sharding. With ``S > 1`` shards, full-model syncs run one PS round
-        per shard **in parallel** and the clock charges
+        Optional :class:`~repro.comm.sharding.ShardSpec` of ``S > 1``
+        shards. ``None`` is the one shard ``slice(None)``: the same
+        reduction over one slice, charged by the topology's full-vector
+        formula — byte-identical to builds without sharding. With ``S > 1``
+        shards, full-model syncs run one PS round per shard **in parallel**
+        and the clock charges
         :func:`~repro.comm.costmodel.sharded_ps_sync_time`; only the
         ``"ps"`` topology supports this (enforced by the config layer).
     """
@@ -97,10 +97,6 @@ class SimGroup:
         # Byte/op counters so experiments can report communication volume.
         self.bytes_synced: int = 0
         self.n_syncs: int = 0
-        self.n_allgathers: int = 0
-        # Resilience counters (only move when link faults are active).
-        self.n_reroutes: int = 0
-        self.retry_wait_s: float = 0.0
         # Current training step (fed by the trainer via begin_step) — the
         # key every link-fault draw is salted with.
         self._step: int = 0
@@ -108,10 +104,6 @@ class SimGroup:
         self._faulted_links: set = set()
         # Reusable allreduce output; sized on first use.
         self._mean_buf: Optional[np.ndarray] = None
-        #: Shard rounds that ran with fewer contributors than the sync's
-        #: cohort (or did not run at all) — the group-side degradation
-        #: ledger, mirroring the sharded server's.
-        self.degraded_shard_rounds: int = 0
 
     # -- membership --------------------------------------------------------
     def resize(self, n_workers: int, shard_spec: Optional[ShardSpec] = None):
@@ -126,13 +118,7 @@ class SimGroup:
         if n_workers < 1:
             raise ValueError(f"n_workers must be >= 1, got {n_workers}")
         self.n_workers = int(n_workers)
-        # A trivial 1-shard spec is normalized away, so default runs are
-        # charged by the topology formula.
-        self.shard_spec: Optional[ShardSpec] = (
-            shard_spec
-            if shard_spec is not None and shard_spec.n_shards > 1
-            else None
-        )
+        self.shard_spec: Optional[ShardSpec] = shard_spec
 
     # -- step context ------------------------------------------------------
     def begin_step(self, step: int) -> None:
@@ -174,7 +160,7 @@ class SimGroup:
 
     def _send(self, src: int, dst: int, transfer_s: float, op: str, msg=0, **tag):
         """One enveloped message: its outcome, with the ``link_fault`` /
-        ``retry`` events and the :attr:`retry_wait_s` it implies."""
+        ``retry`` events it implies."""
         out = self.envelope.send(src, dst, self._step, transfer_s, msg)
         if out.attempts > 1 or not out.delivered:
             down = self.link_faults.link_down(src, dst, self._step)
@@ -186,7 +172,6 @@ class SimGroup:
                     op=op, attempts=out.attempts, wait_s=out.wait_s,
                     delivered=out.delivered, **tag,
                 )
-        self.retry_wait_s += out.wait_s
         return out
 
     def _enveloped_edges(
@@ -223,7 +208,6 @@ class SimGroup:
             payload, ids, self.n_workers, self.net, self.link_faults, self._step
         )
         if healed.mode != "normal":
-            self.n_reroutes += 1
             tr = obs.active()
             if tr is not None:
                 tr.emit(
@@ -329,8 +313,6 @@ class SimGroup:
                 self._trace(op, float(b), counted, k, t, shard=s)
         self.n_syncs += 1
         if spec is not None:
-            n_degraded = sum(k < size for k in ks)
-            self.degraded_shard_rounds += n_degraded
             tr = obs.active()
             if tr is not None:
                 tr.emit(
@@ -338,7 +320,7 @@ class SimGroup:
                     op=op,
                     n_shards=len(ks),
                     n_active=sum(k >= 1 for k in ks),
-                    n_degraded=n_degraded,
+                    n_degraded=sum(k < size for k in ks),
                     bytes=float(round_bytes),
                     seconds=total,
                 )
@@ -400,10 +382,10 @@ class SimGroup:
         Identical to ``topology.sync_time`` when link faults are off. With
         them on this is *not* a pure query: the healed schedule is built
         and its messages sent, so ``reroute`` / ``retry`` events are
-        emitted and :attr:`n_reroutes` / :attr:`retry_wait_s` move — once
-        per call, and FedAvg calls it twice per sampled round (its
-        pull-back half-round passes no ``ranks`` and so is costed over all
-        ``n_workers`` ranks, not the live set).
+        emitted and the envelope's counters move — once per call, and
+        FedAvg calls it twice per sampled round (its pull-back half-round
+        passes no ``ranks`` and so is costed over all ``n_workers`` ranks,
+        not the live set).
         """
         return self._round("sync", nbytes, ranks, None, ledger=False)
 
@@ -441,7 +423,6 @@ class SimGroup:
         arr = np.asarray(flags, dtype=np.uint8)
         if arr.size and not np.isin(arr, (0, 1)).all():
             raise ValueError(f"flags must be 0/1 bits, got {list(flags)}")
-        self.n_allgathers += 1
         t = allgather_bits_time(self.n_workers, self.net)
         # Flag exchanges are latency traffic; they do not count toward the
         # full-model ``bytes_synced`` ledger, so ``bytes`` is 0 here.
@@ -503,21 +484,11 @@ class SimGroup:
         The ``net`` key exists only while the resilient layer is active so
         fault-free checkpoints stay byte-identical to builds without it.
         """
-        state = {
-            "bytes_synced": self.bytes_synced,
-            "n_syncs": self.n_syncs,
-            "n_allgathers": self.n_allgathers,
-        }
+        state = {"bytes_synced": self.bytes_synced, "n_syncs": self.n_syncs}
         if self.envelope is not None:
-            state["net"] = {
-                "envelope": self.envelope.state_dict(),
-                "n_reroutes": self.n_reroutes,
-                "retry_wait_s": self.retry_wait_s,
-            }
+            state["net"] = self.envelope.state_dict()
         if self.shard_spec is not None:
-            # Geometry and the degradation ledger.
             state["shard_bounds"] = list(self.shard_spec.bounds)
-            state["degraded_shard_rounds"] = self.degraded_shard_rounds
         return state
 
     def load_state_dict(self, state: dict) -> None:
@@ -530,13 +501,5 @@ class SimGroup:
             )
         self.bytes_synced = int(state["bytes_synced"])
         self.n_syncs = int(state["n_syncs"])
-        self.n_allgathers = int(state["n_allgathers"])
-        if self.shard_spec is not None:
-            self.degraded_shard_rounds = int(
-                state.get("degraded_shard_rounds", 0)
-            )
         if self.envelope is not None and "net" in state:
-            net = state["net"]
-            self.envelope.load_state_dict(net["envelope"])
-            self.n_reroutes = int(net["n_reroutes"])
-            self.retry_wait_s = float(net["retry_wait_s"])
+            self.envelope.load_state_dict(state["net"])

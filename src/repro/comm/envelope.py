@@ -36,6 +36,13 @@ __all__ = [
     "CommEnvelope",
 ]
 
+#: A failed attempt costs ``TIMEOUT_MULT ×`` the adaptive RTT estimate
+#: before the sender declares it lost.
+TIMEOUT_MULT = 4.0
+
+#: EWMA smoothing factor for the RTT estimate.
+RTT_ALPHA = 0.2
+
 
 class CollectiveTimeoutError(RuntimeError):
     """A collective could not complete within its retry budget.
@@ -77,11 +84,6 @@ class RetryPolicy:
         ``1 + jitter * (2u - 1)`` for a keyed uniform ``u`` ∈ [0, 1), so
         the *cap* on interval k (``jitter=0``) is monotone non-decreasing
         and the jittered value stays within ±jitter of it.
-    timeout_mult:
-        A failed attempt costs ``timeout_mult ×`` the adaptive RTT
-        estimate before the sender declares it lost.
-    rtt_alpha:
-        EWMA smoothing factor for the RTT estimate.
     """
 
     max_retries: int = 4
@@ -89,8 +91,6 @@ class RetryPolicy:
     multiplier: float = 2.0
     cap_s: float = 2.0
     jitter: float = 0.5
-    timeout_mult: float = 4.0
-    rtt_alpha: float = 0.2
 
     def __post_init__(self):
         if self.max_retries < 0:
@@ -105,10 +105,6 @@ class RetryPolicy:
             )
         if not 0.0 <= self.jitter < 1.0:
             raise ValueError(f"jitter must be in [0, 1), got {self.jitter}")
-        if self.timeout_mult < 1.0:
-            raise ValueError(f"timeout_mult must be >= 1, got {self.timeout_mult}")
-        if not 0.0 < self.rtt_alpha <= 1.0:
-            raise ValueError(f"rtt_alpha must be in (0, 1], got {self.rtt_alpha}")
 
     @property
     def max_attempts(self) -> int:
@@ -160,31 +156,24 @@ class CommEnvelope(Captured):
     """
 
     _structure = ("faults", "policy")
-    _evolving = (
-        "rtt_ewma", "n_sends", "n_retries", "n_losses", "n_dups",
-        "n_exhausted", "total_wait_s",
-    )
+    _evolving = ("rtt_ewma", "n_retries", "n_exhausted")
 
     faults: LinkFaultModel
     policy: RetryPolicy = field(default_factory=RetryPolicy)
     #: Adaptive RTT estimate in seconds (``None`` until the first success).
     rtt_ewma: Optional[float] = None
     # Lifetime counters (surfaced via SimGroup state/metrics).
-    n_sends: int = 0
     n_retries: int = 0
-    n_losses: int = 0
-    n_dups: int = 0
     n_exhausted: int = 0
-    total_wait_s: float = 0.0
 
     def timeout_s(self, transfer_s: float) -> float:
         """Adaptive per-attempt timeout: a multiple of the RTT estimate,
         never below the time the transfer itself would need."""
         est = transfer_s if self.rtt_ewma is None else self.rtt_ewma
-        return max(transfer_s, self.policy.timeout_mult * est)
+        return max(transfer_s, TIMEOUT_MULT * est)
 
     def _observe(self, rtt: float) -> None:
-        a = self.policy.rtt_alpha
+        a = RTT_ALPHA
         self.rtt_ewma = rtt if self.rtt_ewma is None else (
             (1.0 - a) * self.rtt_ewma + a * rtt
         )
@@ -202,7 +191,6 @@ class CommEnvelope(Captured):
         :class:`SendOutcome` — the caller decides whether a non-delivery
         degrades the round or raises :class:`CollectiveTimeoutError`.
         """
-        self.n_sends += 1
         f = self.faults
         delay = f.delay_factor(src, dst, step)
         effective = transfer_s * delay
@@ -216,9 +204,6 @@ class CommEnvelope(Captured):
                 self._observe(effective)
                 dup = f.message_duplicated(src, dst, step, attempt - 1, msg)
                 dup_extra = effective if dup else 0.0
-                if dup:
-                    self.n_dups += 1
-                self.total_wait_s += wait
                 return SendOutcome(
                     delivered=True,
                     attempts=attempt,
@@ -227,7 +212,6 @@ class CommEnvelope(Captured):
                     duplicated=dup,
                     dup_extra_s=dup_extra,
                 )
-            self.n_losses += 1
             t_out = self.timeout_s(effective)
             elapsed += t_out
             wait += t_out
@@ -238,7 +222,6 @@ class CommEnvelope(Captured):
                 elapsed += b
                 wait += b
         self.n_exhausted += 1
-        self.total_wait_s += wait
         return SendOutcome(
             delivered=False,
             attempts=self.policy.max_attempts,

@@ -23,7 +23,6 @@ from repro.core.metrics import (
 from repro.core.hessian import hessian_top_eigenvalue
 from repro.core.divergence import (
     DivergenceTracker,
-    divergence_from,
     replica_spread,
 )
 from repro.core.robust import (
@@ -61,7 +60,6 @@ __all__ = [
     "time_to_metric",
     "hessian_top_eigenvalue",
     "DivergenceTracker",
-    "divergence_from",
     "replica_spread",
     "AGGREGATORS",
     "Aggregator",

@@ -55,23 +55,16 @@ class AccordionCompressor(Compressor):
         self.high = TopKCompressor(ratio=high_ratio, error_feedback=False)
         self.delta = delta
         self.tracker = RelativeGradChange(alpha=ewma_alpha, window=ewma_window)
-        self._n_critical = 0
 
     @property
     def n_total(self) -> int:
         """Gradients compressed so far — one tracker update each."""
         return self.tracker.n_updates
 
-    @property
-    def critical_fraction(self) -> float:
-        """Fraction of compressed gradients judged critical so far."""
-        return self._n_critical / self.n_total if self.n_total else 0.0
-
     def _encode(self, grad: np.ndarray) -> CompressedMessage:
         sqnorm = float(grad @ grad)
         d = self.tracker.update(sqnorm)
         critical = d >= self.delta
-        self._n_critical += int(critical)
         inner = self.high if critical else self.low
         return inner._encode(grad)
 

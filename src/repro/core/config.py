@@ -303,12 +303,14 @@ class ClusterConfig:
         return RetryPolicy(self.retry_max, base_s=self.retry_base_ms / 1000.0)
 
     def make_shard_spec(self, layer_sizes) -> Optional[ShardSpec]:
-        """Shard geometry over the model's tensor sizes, or ``None`` with
-        ``ps_shards == 1`` — the group and the server read ``None`` as the
-        one shard ``slice(None)``."""
+        """Shard geometry over the model's tensor sizes, or ``None`` when
+        only one shard results (``ps_shards == 1``, or a one-tensor model)
+        — the group and the server read ``None`` as the one shard
+        ``slice(None)``."""
         if self.ps_shards <= 1:
             return None
-        return ShardSpec.from_layers(layer_sizes, self.ps_shards)
+        spec = ShardSpec.from_layers(layer_sizes, self.ps_shards)
+        return spec if spec.n_shards > 1 else None
 
     def make_group(
         self,
@@ -357,8 +359,6 @@ class TrainConfig:
         ``None`` disables early stopping (fixed-step runs). This implements
         the paper's "run until accuracy/perplexity does not improve further"
         protocol for Table I.
-    min_improvement:
-        Smallest metric delta that counts as progress for the patience rule.
     checkpoint_every / checkpoint_path:
         Snapshot the full trainer state (global params, per-worker
         optimizer + loader RNG state, tracker state, step counter, run log)
@@ -394,7 +394,6 @@ class TrainConfig:
     eval_fn: Optional[Callable] = None
     higher_is_better: bool = True
     patience: Optional[int] = None
-    min_improvement: float = 1e-4
     checkpoint_every: Optional[int] = None
     checkpoint_path: Optional[str] = None
     resume_from: Optional[str] = None

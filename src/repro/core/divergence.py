@@ -28,13 +28,6 @@ def replica_spread(workers: Sequence[SimWorker]) -> float:
     return float(np.linalg.norm(params - center, axis=1).mean())
 
 
-def divergence_from(workers: Sequence[SimWorker], reference: np.ndarray) -> float:
-    """Mean L2 distance of each replica from an external reference (e.g. the
-    PS's global parameters) — the local↔global divergence SelSync bounds."""
-    dists = [float(np.linalg.norm(w.get_params() - reference)) for w in workers]
-    return float(np.mean(dists))
-
-
 class DivergenceTracker:
     """Records replica spread over training for post-hoc analysis.
 

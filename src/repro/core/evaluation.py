@@ -8,7 +8,6 @@ import numpy as np
 
 from repro.data.dataset import Dataset
 from repro.nn import functional as F
-from repro.nn.losses import CrossEntropyLoss
 from repro.nn.module import Module
 
 
@@ -51,21 +50,5 @@ def perplexity_eval(dataset: Dataset, batch_size: int = 64) -> Callable:
             total_nll += float(-logp[np.arange(flat_y.size), flat_y].sum())
             total_tokens += flat_y.size
         return float(np.exp(total_nll / total_tokens))
-
-    return evaluate
-
-
-def loss_eval(dataset: Dataset, batch_size: int = 256) -> Callable:
-    """Mean test cross-entropy (lower is better)."""
-
-    def evaluate(model: Module) -> float:
-        n = len(dataset)
-        total = 0.0
-        for start in range(0, n, batch_size):
-            idx = np.arange(start, min(start + batch_size, n))
-            x, y = dataset.get_batch(idx)
-            loss = CrossEntropyLoss()
-            total += loss.forward(model.forward(x), y) * len(idx)
-        return total / n
 
     return evaluate

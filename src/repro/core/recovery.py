@@ -6,11 +6,11 @@ divergence quietly ruins a model long before any metric notices. The
 :class:`RecoverySupervisor` turns both into recoverable incidents:
 
 * **Quorum loss** — relax the quorum to the surviving contributor count
-  (never below ``quorum_floor``), roll back to the latest checkpoint, and
+  (never below one), roll back to the latest checkpoint, and
   retry with the surviving worker set.
 * **Divergence blow-up** — a step monitor (installed through
   ``TrainConfig.step_monitor``) watches the replica spread every step;
-  when it stays above ``divergence_threshold`` for ``divergence_patience``
+  when it stays above ``divergence_threshold`` for ``DIVERGENCE_PATIENCE``
   consecutive steps the run is aborted with
   :class:`DivergenceExceededError`, rolled back, and every replica is
   re-synced to the restored consensus before the retry.
@@ -41,6 +41,13 @@ from repro.core.trainer import DistributedTrainer, TrainResult
 from repro.utils.serialization import load_checkpoint, save_checkpoint
 from repro.utils.runlog import FaultRecord
 
+#: Simulated backoff before retry ``k`` is ``BACKOFF_BASE_S × 2^(k-1)``
+#: seconds — recorded in the ``recovery`` fault record, never slept for real.
+BACKOFF_BASE_S = 1.0
+
+#: Consecutive above-threshold steps before the divergence watchdog aborts.
+DIVERGENCE_PATIENCE = 3
+
 
 class DivergenceExceededError(RuntimeError):
     """Replica spread stayed above the threshold for too many steps."""
@@ -58,46 +65,25 @@ class RecoverySupervisor:
     ----------
     max_recoveries:
         Recovery attempts before giving up (the final failure re-raises).
-    backoff_base_s:
-        Simulated backoff before retry ``k`` is ``base × 2^(k-1)`` seconds
-        — recorded in the ``recovery`` fault record, never slept for real.
     divergence_threshold:
         Replica-spread level that counts as divergence; ``None`` (default)
         installs no watchdog and leaves ``TrainConfig.step_monitor``
         untouched.
-    divergence_patience:
-        Consecutive above-threshold steps before the watchdog aborts.
-    quorum_floor:
-        Lowest quorum the supervisor will relax to after a quorum loss.
     """
 
     def __init__(
         self,
         max_recoveries: int = 3,
-        backoff_base_s: float = 1.0,
         divergence_threshold: Optional[float] = None,
-        divergence_patience: int = 3,
-        quorum_floor: int = 1,
     ):
         if max_recoveries < 0:
             raise ValueError(f"max_recoveries must be >= 0, got {max_recoveries}")
-        if backoff_base_s < 0:
-            raise ValueError(f"backoff_base_s must be >= 0, got {backoff_base_s}")
         if divergence_threshold is not None and divergence_threshold <= 0:
             raise ValueError(
                 f"divergence_threshold must be > 0, got {divergence_threshold}"
             )
-        if divergence_patience < 1:
-            raise ValueError(
-                f"divergence_patience must be >= 1, got {divergence_patience}"
-            )
-        if quorum_floor < 1:
-            raise ValueError(f"quorum_floor must be >= 1, got {quorum_floor}")
         self.max_recoveries = int(max_recoveries)
-        self.backoff_base_s = float(backoff_base_s)
         self.divergence_threshold = divergence_threshold
-        self.divergence_patience = int(divergence_patience)
-        self.quorum_floor = int(quorum_floor)
         #: ``recovery`` records of every incident handled so far (also
         #: appended to the final result's RunLog).
         self.recoveries: List[FaultRecord] = []
@@ -108,7 +94,7 @@ class RecoverySupervisor:
         spread = replica_spread(trainer.workers)
         if spread > self.divergence_threshold:
             self._hot_streak += 1
-            if self._hot_streak >= self.divergence_patience:
+            if self._hot_streak >= DIVERGENCE_PATIENCE:
                 raise DivergenceExceededError(
                     f"step {step}: replica spread {spread:.3g} above "
                     f"{self.divergence_threshold:.3g} for "
@@ -151,7 +137,7 @@ class RecoverySupervisor:
         reason: str,
         detail: dict,
     ) -> FaultRecord:
-        backoff = self.backoff_base_s * (2.0 ** (attempt - 1))
+        backoff = BACKOFF_BASE_S * (2.0 ** (attempt - 1))
         rec = FaultRecord(
             step=step,
             worker=-1,
@@ -218,7 +204,7 @@ class RecoverySupervisor:
     def _incident(self, e: Exception, trainer: DistributedTrainer):
         """``(step, reason, detail)`` of one recoverable incident."""
         if isinstance(e, QuorumLostError):
-            survivors = max(self.quorum_floor, int(getattr(e, "contributing", 0)))
+            survivors = max(1, int(getattr(e, "contributing", 0)))
             return int(getattr(e, "step", -1)), "quorum_lost", {
                 "quorum_before": trainer.quorum,
                 "quorum_after": survivors,

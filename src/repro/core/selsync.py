@@ -40,9 +40,9 @@ class SelSyncTrainer(DistributedTrainer):
         consistent with the global model after each sync; GA lets replicas
         drift because the averaged gradient lands on divergent parameters
         (§III-C) — implemented faithfully so Fig. 10/11 reproduce.
-    ewma_alpha / ewma_window:
-        Smoothing parameters of the Δ tracker. ``None`` alpha uses the
-        paper's N/100 heuristic.
+    ewma_window:
+        Window of the Δ tracker; its smoothing factor is the paper's N/100
+        heuristic.
     injector:
         Optional non-IID data injection (§III-E); its per-iteration P2P cost
         is charged to the clock and its donor RNG is checkpointed. Built for
@@ -69,7 +69,6 @@ class SelSyncTrainer(DistributedTrainer):
         schedule: Optional[LRSchedule] = None,
         delta: float = 0.3,
         aggregation: str = "params",
-        ewma_alpha: Optional[float] = None,
         ewma_window: int = 25,
         injector: Optional[DataInjector] = None,
         sync_vote: str = "any",
@@ -95,7 +94,7 @@ class SelSyncTrainer(DistributedTrainer):
         self.injector = injector
         self.delta_overhead_s = delta_overhead_s
         self.delta_policy = delta_policy
-        alpha = ewma_alpha if ewma_alpha is not None else min(1.0, max(0.01, cluster.n_workers / 100.0))
+        alpha = min(1.0, max(0.01, cluster.n_workers / 100.0))
         self.trackers = PerWorker(
             lambda: RelativeGradChange(alpha=alpha, window=ewma_window), len(workers)
         )

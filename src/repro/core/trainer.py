@@ -58,6 +58,9 @@ _REPART_SALT = 0x9E1A57
 _LOADER_SALT = 0x10ADE5
 _COMPUTE_SALT = 0xC03B17
 
+#: Smallest metric delta that counts as progress for the patience rule.
+MIN_IMPROVEMENT = 1e-4
+
 
 @dataclass
 class TrainResult:
@@ -75,8 +78,9 @@ class PerWorker(list):
     """One object per worker rank, each built by ``factory`` — a rule's Δ
     trackers, its codec clones. Named in the rule's ``checkpointed``, the
     list follows its ranks: a crash-rejoining worker's entry is read back
-    from the checkpoint, a rejoin without one and a reinstated worker's is
-    reset to a fresh object's state, and a membership change realigns it."""
+    from the checkpoint, every other re-entering worker's (a rejoin without
+    one, a reinstatement, a healed partition) is reset to a fresh object's
+    state, and a membership change realigns it."""
 
     def __init__(self, factory: Callable[[], object], n: int):
         super().__init__(factory() for _ in range(n))
@@ -127,8 +131,8 @@ class DistributedTrainer:
         # legacy mean arithmetic.
         self.aggregator = cluster.make_aggregator()
         # Shard geometry over the model's tensor sizes (registration order
-        # matches the flat arena layout); ``None`` with ps_shards == 1 —
-        # the one shard ``slice(None)``.
+        # matches the flat arena layout); ``None`` when only one shard
+        # results — the one shard ``slice(None)``.
         self.shard_spec = cluster.make_shard_spec(
             [int(p.data.size) for p in workers[0].model.parameters()]
         )
@@ -460,8 +464,9 @@ class DistributedTrainer:
             elif before is not None:
                 # Healed: live workers off the last partitioned step's
                 # majority side re-enter like a crash rejoin without a
-                # checkpoint (majority consensus, fresh optimizer state) — a
-                # gradient-aggregating rule never re-ships parameters.
+                # checkpoint (majority consensus, fresh optimizer and rule
+                # state) — a gradient-aggregating rule never re-ships
+                # parameters.
                 cut = [w for w in sf.live if w not in before]
                 donors = [w for w in sf.live if w in before]
                 if donors:
@@ -474,8 +479,8 @@ class DistributedTrainer:
 
     def _rebase(self, wids: Sequence[int], donors: Sequence[int]) -> None:
         """Re-enter ``wids`` on the plain mean of the donors' replicas with
-        fresh optimizer state (:meth:`~repro.cluster.worker.SimWorker.resync`);
-        with no donor left only the optimizer state is dropped."""
+        fresh optimizer state (:meth:`~repro.cluster.worker.SimWorker.resync`)
+        and fresh rule state; with no donor left the replica stays as it is."""
         if donors:
             consensus = mean_into(
                 [self.workers[j].get_params(copy=False) for j in donors]
@@ -485,6 +490,7 @@ class DistributedTrainer:
                 self.workers[wid].resync(consensus)
             else:
                 self.workers[wid].optimizer.reset_state()
+            self._renew_rank_state(wid)
 
     def _reinstate_worker(self, wid: int, step: int, live: Sequence[int]) -> None:
         """Probation elapsed: restore the worker from the current consensus
@@ -496,7 +502,6 @@ class DistributedTrainer:
             [wid],
             [j for j in live if j != wid and not self.health.quarantined(j)],
         )
-        self._renew_rank_state(wid)
         self._record_fault(step, wid, "reinstate")
         tr = obs.active()
         if tr is not None:
@@ -756,11 +761,11 @@ class DistributedTrainer:
             self.workers[wid].load_state_dict(
                 load_checkpoint(path, ("state", "workers", wid))
             )
+            self._renew_rank_state(wid, path)
         else:
             self._rebase(
                 [wid], [j for j in self.faults.live_workers(step) if j != wid]
             )
-        self._renew_rank_state(wid, path)
         self._record_fault(step, wid, "rejoin", from_checkpoint=int(path is not None))
 
     # -- parameter views --------------------------------------------------
@@ -1164,9 +1169,9 @@ class DistributedTrainer:
         if best is None:
             improved = True
         elif cfg.higher_is_better:
-            improved = metric > best + cfg.min_improvement
+            improved = metric > best + MIN_IMPROVEMENT
         else:
-            improved = metric < best - cfg.min_improvement
+            improved = metric < best - MIN_IMPROVEMENT
         return (metric, 0) if improved else (best, stale_evals + 1)
 
     def run(self, cfg: TrainConfig) -> TrainResult:

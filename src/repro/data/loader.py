@@ -67,15 +67,6 @@ class BatchLoader(Captured):
         self._cursor += self.batch_size
         return self.dataset.get_batch(idx)
 
-    def peek_indices(self, k: int) -> np.ndarray:
-        """Indices of the next ``k`` samples without consuming them."""
-        n = len(self.order)
-        if self._cursor + k > n:
-            return np.concatenate(
-                [self.order[self._cursor :], self.order[: k - (n - self._cursor)]]
-            )
-        return self.order[self._cursor : self._cursor + k]
-
     def _wrap(self) -> None:
         self._epoch += 1
         self._cursor = 0

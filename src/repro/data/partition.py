@@ -41,12 +41,6 @@ class Partition:
     def __getitem__(self, worker: int) -> np.ndarray:
         return self.orders[worker]
 
-    def epoch_length(self, worker: int, batch_size: int) -> int:
-        """Iterations for worker ``worker`` to make one pass over its order."""
-        if batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-        return max(1, len(self.orders[worker]) // batch_size)
-
 
 def _chunks(n_samples: int, n_workers: int, rng) -> List[np.ndarray]:
     """Shuffle sample indices once and split into N near-equal chunks."""

@@ -19,10 +19,6 @@ def relu(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0.0)
 
 
-def relu_grad(x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
-    return grad_out * (x > 0.0)
-
-
 # -- softmax family ----------------------------------------------------------
 
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -121,17 +117,3 @@ def col2im(
     if pad > 0:
         return out[:, :, pad:-pad, pad:-pad]
     return out
-
-
-# -- misc ------------------------------------------------------------------
-
-def one_hot(labels: np.ndarray, n_classes: int) -> np.ndarray:
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.min(initial=0) < 0 or labels.max(initial=0) >= n_classes:
-        raise ValueError(
-            f"labels out of range [0, {n_classes}): "
-            f"min={labels.min()}, max={labels.max()}"
-        )
-    out = np.zeros((labels.size, n_classes), dtype=np.float64)
-    out[np.arange(labels.size), labels.ravel()] = 1.0
-    return out.reshape(*labels.shape, n_classes)

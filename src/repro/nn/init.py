@@ -48,10 +48,3 @@ def kaiming_normal(shape, rng: RngLike = None) -> np.ndarray:
     fan_in, _ = _fan_in_out(shape)
     std = np.sqrt(2.0 / fan_in)
     return as_rng(rng).normal(0.0, std, size=shape)
-
-
-def xavier_uniform(shape, rng: RngLike = None) -> np.ndarray:
-    """Glorot initialization — used for attention/embedding projections."""
-    fan_in, fan_out = _fan_in_out(shape)
-    bound = np.sqrt(6.0 / (fan_in + fan_out))
-    return as_rng(rng).uniform(-bound, bound, size=shape)

@@ -36,12 +36,6 @@ class Module:
         self._held = None  # (signature, shape, workspace) out of workspace.POOL
 
     # -- registration ------------------------------------------------------
-    def register_parameter(self, name: str, param: Parameter) -> Parameter:
-        param.name = name
-        self._params[name] = param
-        Module._registry_version += 1
-        return param
-
     def register_module(self, name: str, module: "Module") -> "Module":
         self._children[name] = module
         Module._registry_version += 1

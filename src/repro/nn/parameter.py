@@ -95,13 +95,5 @@ class Parameter:
         else:
             self.accumulate_grad(a @ b)
 
-    def copy_(self, other: "Parameter") -> None:
-        """In-place copy of another parameter's data (not its gradient)."""
-        if other.data.shape != self.data.shape:
-            raise ValueError(
-                f"cannot copy {other.data.shape} into {self.data.shape}"
-            )
-        self.data[...] = other.data
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Parameter({self.name}, shape={self.data.shape})"

@@ -137,17 +137,6 @@ class MetricsRegistry:
             return self._gauges[name].value
         return None
 
-    def counters_with_prefix(self, prefix: str) -> Dict[str, float]:
-        """Counter values whose names start with ``prefix``, sorted by name.
-
-        Namespaced counter families (``comm.*``, ``net.*``) are read as a
-        group by the reporting layer; this keeps that read deterministic
-        and independent of instrument-creation order.
-        """
-        with self._lock:
-            names = sorted(k for k in self._counters if k.startswith(prefix))
-        return {k: self._counters[k].value for k in names}
-
     # -- reporting ---------------------------------------------------------
     def summary(self) -> Dict[str, Dict]:
         """Deterministic snapshot: sorted names, sorted-sample statistics."""

@@ -162,12 +162,6 @@ class Tracer:
         self._current_step: int = -1
         self._closed = False
 
-    # -- step scoping ------------------------------------------------------
-    @property
-    def current_step(self) -> int:
-        """Step currently in flight (set by the ``step_begin`` event)."""
-        return self._current_step
-
     # -- emission ----------------------------------------------------------
     def emit(self, etype: str, step: Optional[int] = None, worker: int = -1, **data):
         """Record one event.

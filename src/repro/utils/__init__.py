@@ -1,7 +1,7 @@
 """Shared utilities: seeded RNG, EWMA smoothing, flattening, registries."""
 
 from repro.utils.rng import RngPool, spawn_rngs, as_rng
-from repro.utils.ewma import Ewma, ewma_series
+from repro.utils.ewma import Ewma
 from repro.utils.flatten import flatten_arrays
 from repro.utils.registry import Registry
 from repro.utils.runlog import RunLog, IterationRecord
@@ -11,14 +11,13 @@ from repro.utils.serialization import (
     save_model,
     save_runlog,
 )
-from repro.utils.asciiplot import histogram, line_plot, sparkline
+from repro.utils.asciiplot import line_plot
 
 __all__ = [
     "RngPool",
     "spawn_rngs",
     "as_rng",
     "Ewma",
-    "ewma_series",
     "flatten_arrays",
     "Registry",
     "RunLog",
@@ -27,7 +26,5 @@ __all__ = [
     "load_runlog",
     "save_model",
     "load_model",
-    "sparkline",
     "line_plot",
-    "histogram",
 ]

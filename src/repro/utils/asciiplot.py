@@ -1,6 +1,6 @@
-"""Terminal plotting: sparklines, line plots and histograms in plain text.
+"""Terminal plotting: line plots in plain text.
 
-The benchmark harness regenerates the paper's *figures*; these helpers let
+The benchmark harness regenerates the paper's *figures*; this helper lets
 the result files show the curve shapes themselves (not just summary tables)
 without any plotting dependency.
 """
@@ -10,33 +10,6 @@ from __future__ import annotations
 from typing import List, Optional, Sequence
 
 import numpy as np
-
-_SPARK_LEVELS = "▁▂▃▄▅▆▇█"
-
-
-def sparkline(values: Sequence[float]) -> str:
-    """One-line sparkline; NaNs render as spaces.
-
-    >>> sparkline([0, 1, 2, 3])
-    '▁▃▆█'
-    """
-    arr = np.asarray(list(values), dtype=np.float64)
-    if arr.size == 0:
-        return ""
-    finite = arr[np.isfinite(arr)]
-    if finite.size == 0:
-        return " " * arr.size
-    lo, hi = float(finite.min()), float(finite.max())
-    span = hi - lo
-    out = []
-    for v in arr:
-        if not np.isfinite(v):
-            out.append(" ")
-            continue
-        frac = 0.5 if span == 0 else (v - lo) / span
-        idx = min(len(_SPARK_LEVELS) - 1, int(frac * len(_SPARK_LEVELS)))
-        out.append(_SPARK_LEVELS[idx])
-    return "".join(out)
 
 
 def line_plot(
@@ -78,26 +51,3 @@ def line_plot(
     lines.append(" " * 11 + "+" + "-" * width)
     return "\n".join(lines)
 
-
-def histogram(
-    values: Sequence[float],
-    bins: int = 20,
-    width: int = 50,
-    label: Optional[str] = None,
-) -> str:
-    """Horizontal-bar histogram."""
-    if bins < 1:
-        raise ValueError(f"bins must be >= 1, got {bins}")
-    arr = np.asarray(list(values), dtype=np.float64)
-    arr = arr[np.isfinite(arr)]
-    if arr.size == 0:
-        return "(no finite data)"
-    counts, edges = np.histogram(arr, bins=bins)
-    peak = counts.max() or 1
-    lines: List[str] = []
-    if label:
-        lines.append(label)
-    for c, lo, hi in zip(counts, edges[:-1], edges[1:]):
-        bar = "#" * int(round(width * c / peak))
-        lines.append(f"{lo:>10.3g} .. {hi:<10.3g} |{bar} {c}")
-    return "\n".join(lines)

@@ -10,7 +10,7 @@ from the cluster size (``N/100``).
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, List, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -85,11 +85,3 @@ class Ewma(Captured):
     def reset(self) -> None:
         self._buf.clear()
         self._value = None
-
-
-def ewma_series(
-    xs: Iterable[float], alpha: float = 0.16, window: int = 25
-) -> List[float]:
-    """Smooth a full series, returning one smoothed value per input sample."""
-    sm = Ewma(alpha=alpha, window=window)
-    return [sm.update(x) for x in xs]

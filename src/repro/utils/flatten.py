@@ -9,7 +9,7 @@ both the collectives and the parameter server run.
 from __future__ import annotations
 
 import functools
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -70,9 +70,8 @@ def reduce_slices(
     aggregator=None,
     where: str = "server",
     keep_empty: bool = False,
-) -> List[int]:
-    """Reduce ``vectors`` into ``out`` one slice (one PS shard) at a time;
-    returns the number of contributors each slice had.
+) -> None:
+    """Reduce ``vectors`` into ``out`` one slice (one PS shard) at a time.
 
     ``absent`` maps a slice index to the positions in ``vectors`` that sit
     that slice out (their push for that shard was lost); they still count
@@ -91,11 +90,9 @@ def reduce_slices(
     for s in absent:
         if not 0 <= s < len(slices):
             raise ValueError(f"shard {s} out of range [0, {len(slices)})")
-    counts = []
     for s, sl in enumerate(slices):
         gone = absent.get(s, ())
         vecs = [np.asarray(v)[sl] for i, v in enumerate(vectors) if i not in gone]
-        counts.append(len(vecs))
         if not vecs:
             if not keep_empty:
                 out[sl] = 0.0
@@ -104,7 +101,6 @@ def reduce_slices(
         else:
             tag = where if len(slices) == 1 else f"{where}/shard{s}"
             aggregator.reduce(vecs, out=out[sl], where=tag)
-    return counts
 
 
 #: Columns per :func:`order_mean_into` panel. Trimmed mean, k = 13, f = 2,

@@ -231,24 +231,6 @@ class RunLog:
             )
         return [f for f in self.faults if f.kind == kind]
 
-    def fault_windows(self) -> List[Dict]:
-        """Per-worker outage windows ``[{"worker", "start", "end"}]`` for
-        figure overlays; ``end`` is ``None`` for workers still down at the
-        end of the log (crash without a recorded rejoin)."""
-        open_since: Dict[int, int] = {}
-        windows: List[Dict] = []
-        for f in self.faults:
-            if f.kind == "crash" and f.worker not in open_since:
-                open_since[f.worker] = f.step
-            elif f.kind == "rejoin" and f.worker in open_since:
-                windows.append(
-                    {"worker": f.worker, "start": open_since.pop(f.worker), "end": f.step}
-                )
-        for worker, start in sorted(open_since.items()):
-            windows.append({"worker": worker, "start": start, "end": None})
-        windows.sort(key=lambda w: (w["start"], w["worker"]))
-        return windows
-
     def summary(self) -> Dict[str, float]:
         """Dictionary of headline statistics for reporting."""
         out = {

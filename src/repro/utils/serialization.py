@@ -34,8 +34,10 @@ PathLike = Union[str, Path]
 
 #: Current checkpoint layout version (bump on incompatible change). 2: the
 #: bookkeeping objects and a rule's own state are captured by attribute
-#: name (:mod:`repro.utils.state`); version-1 files are refused on resume.
-CHECKPOINT_VERSION = 2
+#: name (:mod:`repro.utils.state`). 3: the server's versions, the group's and
+#: the envelope's unread counters and the fixed health / elastic / retry
+#: constants are no longer saved. Older files are refused on resume.
+CHECKPOINT_VERSION = 3
 
 _NONFINITE_TAG = "__nonfinite__"
 _NDARRAY_TAG = "__ndarray__"

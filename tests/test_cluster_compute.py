@@ -54,19 +54,6 @@ class TestHeterogeneity:
         with pytest.raises(ValueError):
             ComputeModel(2, speeds=[1.0, 0.0])
 
-    def test_heterogeneous_factory(self):
-        cm = ComputeModel.heterogeneous(
-            8, slow_fraction=0.25, slow_factor=0.5, rng=0, jitter_sigma=0.0
-        )
-        assert (cm.speeds == 0.5).sum() == 2
-        assert (cm.speeds == 1.0).sum() == 6
-
-    def test_heterogeneous_validation(self):
-        with pytest.raises(ValueError):
-            ComputeModel.heterogeneous(4, slow_fraction=2.0)
-        with pytest.raises(ValueError):
-            ComputeModel.heterogeneous(4, slow_factor=0.0)
-
 
 class TestSampling:
     def test_jitter_zero_is_deterministic(self):

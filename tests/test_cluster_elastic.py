@@ -238,7 +238,7 @@ class TestController:
         assert a.state_dict() == b.state_dict()
 
     def test_provisioning_cost(self):
-        ctl = _controller(boot_s=5.0)
+        ctl = _controller()
         net = _Net()
         assert ctl.provision_seconds(0, net, 2e6) == 0.0
         # Joiners provision in parallel: one boot + one transfer.
@@ -261,8 +261,6 @@ class TestController:
             ElasticController(plan, min_workers=0)
         with pytest.raises(ValueError):
             ElasticController(plan, min_workers=5, max_workers=2)
-        with pytest.raises(ValueError):
-            ElasticController(plan, decide_every=0)
 
 
 class TestPolicyRegistry:

@@ -22,8 +22,6 @@ def test_constructor_validation():
         HealthTracker(4, probation=0)
     with pytest.raises(ValueError):
         HealthTracker(4, alpha=0.0)
-    with pytest.raises(ValueError):
-        HealthTracker(4, max_strikes=0)
 
 
 def test_healthy_cohort_never_flagged():
@@ -59,7 +57,7 @@ def test_warmup_blocks_score_quarantine():
 
 
 def test_nonfinite_strikes_quarantine_without_warmup():
-    t = HealthTracker(4, max_strikes=2, warmup=100)
+    t = HealthTracker(4, warmup=100)
     assert t.observe(0, {0: 1.0, 1: 1.0, 2: 1.0, 3: float("nan")}) == []
     flagged = t.observe(1, {0: 1.0, 1: 1.0, 2: 1.0, 3: float("inf")})
     assert [d.worker for d in flagged] == [3]
@@ -67,7 +65,7 @@ def test_nonfinite_strikes_quarantine_without_warmup():
 
 
 def test_finite_round_resets_strikes():
-    t = HealthTracker(4, max_strikes=2)
+    t = HealthTracker(4)
     t.observe(0, {0: 1.0, 1: 1.0, 2: 1.0, 3: float("nan")})
     t.observe(1, {0: 1.0, 1: 1.0, 2: 1.0, 3: 1.0})  # recovers
     assert t.strikes[3] == 0
@@ -76,9 +74,7 @@ def test_finite_round_resets_strikes():
 
 
 def test_straggler_reason_and_tolerance():
-    t = HealthTracker(
-        4, threshold=1.0, alpha=1.0, warmup=0, straggle_tolerance=3.0
-    )
+    t = HealthTracker(4, threshold=1.0, alpha=1.0, warmup=0)
     norms = {w: 1.0 for w in range(4)}
     # 2x the median compute time: inside tolerance, no evidence.
     times = {0: 1.0, 1: 1.0, 2: 1.0, 3: 2.0}

@@ -21,7 +21,6 @@ class TestSynchronous:
         out = ps.aggregate_params([np.full(4, 2.0), np.full(4, 4.0)])
         assert np.allclose(out, 3.0)
         assert np.allclose(ps.pull(), 3.0)
-        assert ps.version == 1
 
     def test_aggregate_grads_does_not_move_global(self, ps):
         """GA returns the mean but leaves the global state — the divergence
@@ -44,11 +43,6 @@ class TestAsynchronous:
         ps.async_apply(np.full(4, 1.0))
         ps.async_apply(np.full(4, 2.0))
         assert np.allclose(ps.pull(), 3.0)
-
-    def test_version_increments(self, ps):
-        v1 = ps.async_apply(np.zeros(4))
-        v2 = ps.async_apply(np.zeros(4))
-        assert v2 == v1 + 1
 
     def test_shape_check(self, ps):
         with pytest.raises(ValueError):

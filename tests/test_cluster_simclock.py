@@ -43,13 +43,6 @@ class TestEventQueue:
         q.push(1.0)
         assert q and len(q) == 1
 
-    def test_peek_time(self):
-        q = EventQueue()
-        assert q.peek_time() is None
-        q.push(4.0)
-        assert q.peek_time() == 4.0
-        assert len(q) == 1  # peek does not consume
-
     def test_payload_carried(self):
         q = EventQueue()
         q.push(1.0, worker=3, payload={"grad": 7})

@@ -22,7 +22,6 @@ class TestRegimeSwitching:
         assert msgs[0].nbytes == 8 * 500
         # Later messages: stable → low ratio (10 kept).
         assert msgs[-1].nbytes == 8 * 10
-        assert 0.0 < c.critical_fraction < 1.0
 
     def test_norm_spike_triggers_high_ratio(self):
         c = AccordionCompressor(

@@ -1,10 +1,9 @@
 """Tests for replica-divergence diagnostics."""
 
-import numpy as np
 import pytest
 
 from repro.core import BSPTrainer, LocalSGDTrainer, SelSyncTrainer, TrainConfig
-from repro.core.divergence import DivergenceTracker, divergence_from, replica_spread
+from repro.core.divergence import DivergenceTracker, replica_spread
 from tests.conftest import make_mlp_cluster
 
 
@@ -26,16 +25,6 @@ class TestReplicaSpread:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             replica_spread([])
-
-
-class TestDivergenceFrom:
-    def test_matches_manual(self, mlp_cluster):
-        workers, _ = mlp_cluster
-        ref = np.zeros_like(workers[0].get_params())
-        expected = np.mean(
-            [np.linalg.norm(w.get_params()) for w in workers]
-        )
-        assert divergence_from(workers, ref) == pytest.approx(expected)
 
 
 class TestTracker:

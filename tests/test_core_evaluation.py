@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.evaluation import accuracy_eval, loss_eval, perplexity_eval
+from repro.core.evaluation import accuracy_eval, perplexity_eval
 from repro.data import ArrayDataset, SequenceDataset
 from repro.nn.models import build_model
 
@@ -124,12 +124,3 @@ class TestPerplexityEval:
             opt.step()
         m.eval()
         assert perplexity_eval(test)(m) < 16.0
-
-
-class TestLossEval:
-    def test_matches_cross_entropy(self):
-        rng = np.random.default_rng(0)
-        ds = ArrayDataset(rng.normal(size=(20, 8)), rng.integers(0, 3, 20))
-        model = build_model("mlp", in_features=8, n_classes=3, rng=0)
-        val = loss_eval(ds)(model)
-        assert np.isfinite(val) and val > 0

@@ -7,6 +7,7 @@ import pytest
 
 from repro.core import SelSyncTrainer, TrainConfig
 from repro.data.injection import DataInjector
+from repro.obs import Tracer
 from tests.conftest import make_mlp_cluster
 
 
@@ -67,10 +68,15 @@ class TestAlgorithmSemantics:
 
     def test_flag_allgather_charged_every_step(self, mlp_cluster, quick_cfg):
         workers, cluster = mlp_cluster
+        tracer = Tracer(name="flags")
         trainer = SelSyncTrainer(workers, cluster, delta=1e12)
-        res = trainer.run(quick_cfg)
+        res = trainer.run(dataclasses.replace(quick_cfg, tracer=tracer))
         assert all(r.comm_time > 0 for r in res.log.iterations)
-        assert trainer.group.n_allgathers == res.steps
+        flags = [
+            e for e in tracer.events
+            if e.etype == "collective" and e.data["op"] == "allgather_flags"
+        ]
+        assert len(flags) == res.steps
 
     def test_grad_change_recorded(self, mlp_cluster, quick_cfg):
         workers, cluster = mlp_cluster

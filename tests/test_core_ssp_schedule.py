@@ -8,6 +8,7 @@ from repro.core.config import ClusterConfig
 from repro.cluster.worker import build_worker_group
 from repro.data import ArrayDataset, BatchLoader, default_partition
 from repro.nn.models import build_model
+from repro.obs import Tracer
 from repro.optim import SGD, MultiStepDecay
 
 
@@ -40,7 +41,7 @@ def test_ssp_lr_schedule_indexed_per_worker():
 
 
 def test_ssp_applies_updates_in_time_order():
-    """The PS version counter must equal the number of applied updates."""
+    """Every completed worker step lands as one async aggregation."""
     rng = np.random.default_rng(0)
     ds = ArrayDataset(rng.normal(size=(64, 4)), rng.integers(0, 2, 64))
     part = default_partition(64, 3, rng=1)
@@ -53,7 +54,12 @@ def test_ssp_applies_updates_in_time_order():
     )
     cluster = ClusterConfig(n_workers=3, comm_bytes=1e6, flops_per_sample=1e6)
     trainer = SSPTrainer(workers, cluster, staleness=50)
-    cfg = TrainConfig(n_steps=7, eval_every=7, eval_fn=None)
+    tracer = Tracer(name="ssp")
+    cfg = TrainConfig(n_steps=7, eval_every=7, eval_fn=None, tracer=tracer)
     res = trainer.run(cfg)
-    assert trainer.server.version == 3 * 7
+    applied = [
+        e for e in tracer.events
+        if e.etype == "aggregation" and e.data["kind"] == "async"
+    ]
+    assert len(applied) == 3 * 7
     assert res.log.n_steps == 3 * 7

@@ -53,18 +53,6 @@ class TestBatchLoader:
         _, y2 = loader.next_batch()
         assert np.array_equal(y1, y2)
 
-    def test_peek_does_not_consume(self, dataset):
-        loader = BatchLoader(dataset, np.arange(20), batch_size=5, reshuffle=False, rng=0)
-        peeked = loader.peek_indices(5)
-        _, y = loader.next_batch()
-        assert np.array_equal(peeked, y)
-
-    def test_peek_wraps(self, dataset):
-        loader = BatchLoader(dataset, np.arange(20), batch_size=5, reshuffle=False, rng=0)
-        for _ in range(3):
-            loader.next_batch()
-        assert len(loader.peek_indices(10)) == 10
-
     def test_validation(self, dataset):
         with pytest.raises(ValueError):
             BatchLoader(dataset, np.arange(20), batch_size=0)

@@ -59,12 +59,6 @@ class TestSelDP:
         s = selsync_partition(100, 4, rng=7)
         assert np.array_equal(d[0], s[0][:25])
 
-    def test_epoch_length(self):
-        part = selsync_partition(100, 4, rng=0)
-        assert part.epoch_length(0, batch_size=10) == 10
-        with pytest.raises(ValueError):
-            part.epoch_length(0, batch_size=0)
-
     @given(
         n_samples=st.integers(8, 300),
         n_workers=st.integers(1, 8),

@@ -223,9 +223,6 @@ def test_faulty_run_emits_retry_events_and_charges_time(tmp_path):
     assert tracer.metrics.get("comm.retry_wait_s") > 0.0
     series = views.retry_series(tracer.events)
     assert series is not None and series.sum() >= len(retries)
-    # The namespaced counter family reads as one deterministic group.
-    fam = tracer.metrics.counters_with_prefix("comm.")
-    assert "comm.retries" in fam and "comm.retry_wait_s" in fam
     assert np.isfinite(res.log.iterations[-1].loss)
 
 

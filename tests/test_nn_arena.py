@@ -63,7 +63,7 @@ def test_arena_rebuilds_after_late_registration():
     m = make_model()
     old = m._ensure_arena()
     size = old.size
-    m.register_parameter("extra", Parameter(np.ones(5)))
+    m.extra = Parameter(np.ones(5))
     arena = m._ensure_arena()
     assert arena is not old
     assert arena.size == size + 5
@@ -157,7 +157,7 @@ def test_structure_change_under_shared_arena_is_loud():
     m = make_model()
     share_arena(m)
     try:
-        m.register_parameter("extra", Parameter(np.ones(5)))
+        m.extra = Parameter(np.ones(5))
         with pytest.raises(RuntimeError, match="structure changed"):
             m._ensure_arena()
     finally:

@@ -15,11 +15,6 @@ class TestActivations:
         x = np.array([-2.0, 0.0, 3.0])
         assert np.array_equal(F.relu(x), [0.0, 0.0, 3.0])
 
-    def test_relu_grad_mask(self):
-        x = np.array([-1.0, 2.0])
-        g = F.relu_grad(x, np.ones(2))
-        assert np.array_equal(g, [0.0, 1.0])
-
     def test_gelu_asymptotes(self):
         assert GELU().forward(np.array([10.0]))[0] == pytest.approx(10.0, rel=1e-4)
         assert GELU().forward(np.array([-10.0]))[0] == pytest.approx(0.0, abs=1e-4)

@@ -242,14 +242,6 @@ class TestFunctional:
         x = RNG.normal(size=(3, 5))
         assert np.allclose(F.log_softmax(x), np.log(F.softmax(x)))
 
-    def test_one_hot(self):
-        oh = F.one_hot(np.array([0, 2]), 3)
-        assert np.array_equal(oh, [[1, 0, 0], [0, 0, 1]])
-
-    def test_one_hot_range_check(self):
-        with pytest.raises(ValueError):
-            F.one_hot(np.array([3]), 3)
-
     def test_im2col_col2im_adjoint(self):
         """col2im must be the exact adjoint of im2col: <Ax, y> == <x, A'y>."""
         x = RNG.normal(size=(2, 3, 6, 6))

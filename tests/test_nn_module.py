@@ -123,8 +123,3 @@ class TestParameterObject:
         p = Parameter(np.zeros(3), requires_grad=False)
         p.accumulate_grad(np.ones(3))
         assert not np.any(p.grad)
-
-    def test_copy_shape_check(self):
-        p = Parameter(np.zeros(3))
-        with pytest.raises(ValueError):
-            p.copy_(Parameter(np.zeros(4)))

@@ -88,7 +88,6 @@ def test_step_none_scopes_to_current_step():
     tr.emit("step_begin", step=5)
     ev = tr.emit("collective", op="sync", bytes=4.0, seconds=0.1)
     assert ev.step == 5
-    assert tr.current_step == 5
 
 
 def test_events_sorted_regardless_of_emission_order():

@@ -9,7 +9,8 @@
   cannot capture is a ``TypeError`` unless the class names it as structure.
 * A rule's per-worker state follows its replica: a crash-rejoining BSP
   worker's codec comes back from the checkpoint its replica comes back
-  from, and a reinstated worker's codec starts fresh.
+  from, and a reinstated worker's codec — or a worker's codec or Δ tracker
+  back from a partition — starts fresh.
 * SSP deploys the server's model; EASGD re-checks N·ρ ≤ 1 when membership
   grows; a checkpoint written in the previous layout is refused by version.
 """
@@ -26,7 +27,9 @@ from repro.cluster.health import HealthTracker
 from repro.cluster.worker import build_worker_group
 from repro.comm.envelope import CommEnvelope, RetryPolicy
 from repro.comm.network import make_link_faults
-from repro.core import BSPTrainer, ClusterConfig, EASGDTrainer, SSPTrainer, TrainConfig
+from repro.core import (
+    BSPTrainer, ClusterConfig, EASGDTrainer, SelSyncTrainer, SSPTrainer, TrainConfig,
+)
 from repro.core.adaptive import FixedDelta, FractionOfMaxDelta, TargetLSSRDelta
 from repro.core.compression import COMPRESSORS, TopKCompressor, build_compressor
 from repro.core.grad_tracker import RelativeGradChange
@@ -353,6 +356,36 @@ def test_a_reinstated_bsp_worker_restarts_its_codec():
     np.testing.assert_equal(seen[2], TopKCompressor(ratio=0.1).state_dict())
 
 
+@pytest.mark.parametrize(
+    "rule, per_worker",
+    [
+        (lambda w, c: BSPTrainer(w, c, compressor=TopKCompressor(ratio=0.1)), "_compressors"),
+        (lambda w, c: SelSyncTrainer(w, c, delta=0.1), "trackers"),
+    ],
+    ids=["bsp+topk", "selsync-pa"],
+)
+def test_a_worker_back_from_a_partition_restarts_its_rule_state(rule, per_worker):
+    """Worker 0 is cut off at steps 4-7 and re-enters at step 8 on the
+    majority's consensus replica, so its codec / Δ tracker starts fresh,
+    not with what it built before the cut."""
+    trainer = _trainer(
+        rule, net_fault_spec="partition:{w0|w1,w2,w3}@4-8", min_quorum=2
+    )
+    seen = {}
+    record = trainer._record_fault
+
+    def spy(step, worker, kind, **detail):
+        record(step, worker, kind, **detail)
+        if kind == "rejoin":
+            seen[(step, worker)] = getattr(trainer, per_worker)[worker].state_dict()
+
+    trainer._record_fault = spy
+    _run(trainer, n_steps=10)
+    per = getattr(trainer, per_worker)
+    assert list(seen) == [(8, 0)]
+    np.testing.assert_equal(seen[(8, 0)], per.factory().state_dict())
+
+
 # -- SSP, EASGD, the layout version -------------------------------------------
 
 
@@ -384,8 +417,10 @@ def test_a_checkpoint_in_the_previous_layout_is_refused(tmp_path):
     ck = tmp_path / "ck.npz"
     _run(_bsp_topk(), n_steps=3, checkpoint_every=3, checkpoint_path=str(ck))
     tree = load_checkpoint(ck)
-    tree["version"] = 1  # what the layout before capture wrote
-    save_checkpoint(tree, ck)
-    assert CHECKPOINT_VERSION == 2
-    with pytest.raises(ValueError, match=r"checkpoint version 1 != 2"):
-        _run(_bsp_topk(), n_steps=6, resume_from=str(ck))
+    assert CHECKPOINT_VERSION == 3
+    # 1: the layout before capture; 2: before the unread counters went.
+    for old in (1, 2):
+        tree["version"] = old
+        save_checkpoint(tree, ck)
+        with pytest.raises(ValueError, match=rf"checkpoint version {old} != 3"):
+            _run(_bsp_topk(), n_steps=6, resume_from=str(ck))

@@ -3,27 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.utils.asciiplot import histogram, line_plot, sparkline
-
-
-class TestSparkline:
-    def test_monotone_ramp(self):
-        s = sparkline([0, 1, 2, 3])
-        assert s[0] == "▁" and s[-1] == "█"
-        assert len(s) == 4
-
-    def test_constant_series(self):
-        s = sparkline([5, 5, 5])
-        assert len(set(s)) == 1
-
-    def test_nan_renders_space(self):
-        assert sparkline([0.0, float("nan"), 1.0])[1] == " "
-
-    def test_empty(self):
-        assert sparkline([]) == ""
-
-    def test_all_nan(self):
-        assert sparkline([float("nan")] * 3) == "   "
+from repro.utils.asciiplot import line_plot
 
 
 class TestLinePlot:
@@ -53,21 +33,3 @@ class TestLinePlot:
     def test_no_data(self):
         assert "no finite data" in line_plot([float("nan")])
 
-
-class TestHistogram:
-    def test_counts_sum(self):
-        rng = np.random.default_rng(0)
-        data = rng.normal(size=500)
-        out = histogram(data, bins=10)
-        counts = [int(l.rsplit(" ", 1)[1]) for l in out.splitlines()]
-        assert sum(counts) == 500
-
-    def test_peak_bar_is_longest(self):
-        data = [0.0] * 90 + [1.0] * 10
-        out = histogram(data, bins=2, width=20)
-        lines = out.splitlines()
-        assert lines[0].count("#") > lines[-1].count("#")
-
-    def test_bins_validation(self):
-        with pytest.raises(ValueError):
-            histogram([1.0], bins=0)

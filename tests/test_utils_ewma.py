@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.utils.ewma import Ewma, ewma_series
+from repro.utils.ewma import Ewma
 
 
 class TestEwmaBasics:
@@ -67,17 +67,6 @@ class TestEwmaBasics:
         assert e.update(9.0) == 9.0
 
 
-class TestEwmaSeries:
-    def test_length_preserved(self):
-        assert len(ewma_series([1.0, 2.0, 3.0])) == 3
-
-    def test_matches_streaming(self):
-        xs = [1.0, 4.0, 2.0, 8.0]
-        stream = Ewma(alpha=0.4, window=3)
-        expected = [stream.update(x) for x in xs]
-        assert ewma_series(xs, alpha=0.4, window=3) == expected
-
-
 class TestEwmaProperties:
     @given(
         xs=st.lists(st.floats(min_value=0.0, max_value=1e6), min_size=1, max_size=50),
@@ -100,7 +89,8 @@ class TestEwmaProperties:
     @settings(max_examples=40, deadline=None)
     def test_homogeneous(self, scale, xs):
         """EWMA is linear: scaling inputs scales outputs."""
-        a = ewma_series(xs, alpha=0.3, window=5)
-        b = ewma_series([scale * x for x in xs], alpha=0.3, window=5)
+        ea, eb = Ewma(alpha=0.3, window=5), Ewma(alpha=0.3, window=5)
+        a = [ea.update(x) for x in xs]
+        b = [eb.update(scale * x) for x in xs]
         for va, vb in zip(a, b):
             assert vb == pytest.approx(scale * va, rel=1e-9)
