@@ -73,6 +73,11 @@ picks what they measure:
   in turn (so each replica's arenas are cold, as in a 16-worker step): the
   ``mlp16_chaos_traced`` MLP at b = 32 and TinyTransformer at the
   ``xfmr4_selsync`` shape; ``bytes_equal`` is on every replica's flat gradient.
+* ``dataset_build`` — ms per ``build_dataset`` call of the e2e benchmark's
+  three dataset recipes (``DATASET_CELLS``), then ms per
+  ``build_worker_group`` of ``mlp16_chaos_traced``'s 16 MLP replicas: one row
+  per cell with before/after medians, pairwise speedups and ``bytes_equal``
+  (the datasets' bytes; the replicas' initial parameters and first gradient).
 """
 
 from __future__ import annotations
@@ -999,6 +1004,101 @@ def grad_write_trial(baseline_src: str, trials: int, reps: int):
     }
 
 
+#: ``dataset_build`` cells: the e2e benchmark's three dataset recipes
+#: (workload -> generator, kwargs), then ``build_worker_group`` on
+#: ``mlp16_chaos_traced``'s (16 replicas of the 768-128-100 MLP, SGD).
+DATASET_CELLS = {
+    "vgg8_bsp": ("cifar100_like", dict(n_train=3000, n_test=600, n_classes=20)),
+    "xfmr4_selsync": (
+        "wikitext_like", dict(n_train_tokens=40_000, n_test_tokens=8_000, bptt=16),
+    ),
+    "mlp16_chaos_traced": ("cifar100_like", dict(n_train=3000, n_test=600, n_classes=100)),
+}
+GROUP_CELL = "build_worker_group"
+
+
+def dataset_build_child(reps: int) -> None:
+    """One side of :func:`dataset_build_trial`. A workload name: median ms
+    of its dataset build (seed 0) and a sha256 over the train / test bytes.
+    ``build_worker_group``: median ms of building the 16 MLP replicas and a
+    sha256 over every replica's initial parameters and first gradient."""
+    from repro.cluster.worker import build_worker_group
+    from repro.data import BatchLoader, build_dataset
+    from repro.nn.models import build_model
+    from repro.optim import SGD
+
+    def sha256(arrays):
+        h = hashlib.sha256()
+        for a in arrays:
+            h.update(np.ascontiguousarray(a).tobytes())
+        return h.hexdigest()
+
+    def group():
+        return build_worker_group(
+            16,
+            lambda: build_model("mlp", in_features=768, n_classes=100, hidden=(128,), rng=3),
+            lambda m: SGD(m, lr=0.05, momentum=0.9, weight_decay=5e-4),
+            loaders,
+        )
+
+    data, _ = build_dataset("blobs", n_train=64, n_test=1, n_features=768, n_classes=100, rng=0)
+    loaders = [BatchLoader(data, np.arange(64), batch_size=32, rng=i) for i in range(16)]
+    for line in sys.stdin:
+        name = line.strip()
+        if name == GROUP_CELL:
+            workers = group()
+            arrays = [w.get_params() for w in workers]
+            for w in workers:
+                w.compute_gradient()
+                arrays.append(w.get_grads())
+            build = group
+        else:
+            generator, kwargs = DATASET_CELLS[name]
+            build = lambda: build_dataset(generator, rng=0, **kwargs)
+            arrays = [
+                a for ds in build()
+                for a in ((ds.tokens,) if hasattr(ds, "tokens") else (ds.x, ds.y))
+            ]
+        print(json.dumps({
+            "sha256": sha256(arrays), "build_ms": _median_us(build, reps) / 1e3,
+        }), flush=True)
+
+
+def dataset_build_trial(baseline_src: str, trials: int, reps: int):
+    """Set-up cost, parent vs change, in :func:`conv_kernel_trial`'s
+    protocol: each benchmark dataset recipe, then the replica build."""
+    children = [
+        _spawn_child(src, "--dataset-build-child", reps)
+        for src in (baseline_src, ROOT / "src")
+    ]
+    try:
+        cells = [
+            _cell_row(
+                "dataset_build", children, trials,
+                {"generator": DATASET_CELLS[name][0], "recipe": name}, name,
+                ("build_ms",),
+            )
+            for name in DATASET_CELLS
+        ]
+        cells.append(_cell_row(
+            "dataset_build", children, trials,
+            {"generator": GROUP_CELL, "recipe": "mlp16_chaos_traced"}, GROUP_CELL,
+            ("build_ms",),
+        ))
+    finally:
+        _finish(children)
+    return {
+        "trial": "dataset_build",
+        "workload": "build_dataset(seed 0) of the e2e benchmark's three dataset "
+        "recipes, and build_worker_group of 16 MLP 768-128-100 replicas; "
+        f"ms per build, median of {reps} builds per turn, {trials} alternating "
+        "turns per cell; bytes_equal: both sides' train / test bytes (group: "
+        "every replica's initial parameters and first gradient) hash the same",
+        "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS", "1"),
+        "cells": cells,
+    }
+
+
 def _git_head(path) -> str:
     out = subprocess.run(
         ["git", "-C", str(path), "rev-parse", "--short", "HEAD"],
@@ -1026,7 +1126,7 @@ def main(argv=None) -> int:
         "--trial",
         choices=(
             "transformer_4w_selsync", "vgg_8w_bsp", "checkpoint_io", "robust_aggregate",
-            "conv_kernel", "pool_kernel", "grad_write",
+            "conv_kernel", "pool_kernel", "grad_write", "dataset_build",
         ),
         default="transformer_4w_selsync",
         help="which cross-commit trial --baseline-src runs",
@@ -1039,6 +1139,7 @@ def main(argv=None) -> int:
     ap.add_argument("--conv-kernel-child", type=int, help=argparse.SUPPRESS)
     ap.add_argument("--pool-kernel-child", type=int, help=argparse.SUPPRESS)
     ap.add_argument("--grad-write-child", type=int, help=argparse.SUPPRESS)
+    ap.add_argument("--dataset-build-child", type=int, help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
 
     if args.transformer_child:
@@ -1061,6 +1162,9 @@ def main(argv=None) -> int:
         return 0
     if args.grad_write_child:
         grad_write_child(args.grad_write_child)
+        return 0
+    if args.dataset_build_child:
+        dataset_build_child(args.dataset_build_child)
         return 0
 
     trials = 3 if args.quick else 10
@@ -1093,6 +1197,10 @@ def main(argv=None) -> int:
         elif args.trial == "grad_write":
             trial = grad_write_trial(
                 args.baseline_src, trials, 10 if args.quick else 40
+            )
+        elif args.trial == "dataset_build":
+            trial = dataset_build_trial(
+                args.baseline_src, trials, 2 if args.quick else 5
             )
         else:
             trial = transformer_trial(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -293,23 +294,22 @@ def build_worker_group(
     """Construct N identically initialized workers.
 
     ``model_factory`` must be deterministic (seeded) so every replica starts
-    from the same parameters; this is verified rather than assumed.
+    from the same parameters; this is verified rather than assumed, on a
+    second build. Replicas 2..N-1 are copies of replica 0 taken before its
+    arena exists; every arena is then built here, in replica order, which
+    keeps the process's peak resident set where a factory-built group left it.
     """
     if len(loaders) != n_workers:
         raise ValueError(f"need {n_workers} loaders, got {len(loaders)}")
-    workers = []
-    ref: Optional[np.ndarray] = None
-    for n in range(n_workers):
-        model = model_factory()
-        flat = model.get_flat_params()
-        if ref is None:
-            ref = flat
-        elif not np.array_equal(ref, flat):
+    models = [model_factory() for _ in range(min(n_workers, 2))]
+    models += [copy.deepcopy(models[0]) for _ in range(n_workers - 2)]
+    for model in models[1:]:
+        if not np.array_equal(models[0].get_flat_params(), model.get_flat_params()):
             raise ValueError(
                 "model_factory produced different initial parameters for "
                 "different replicas; seed it deterministically"
             )
-        workers.append(
-            SimWorker(n, model, optimizer_factory(model), loaders[n], loss_factory)
-        )
-    return workers
+    return [
+        SimWorker(n, model, optimizer_factory(model), loaders[n], loss_factory)
+        for n, model in enumerate(models)
+    ]

@@ -11,9 +11,11 @@ uniform baseline.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.data.dataset import ArrayDataset, SequenceDataset
 from repro.utils.registry import Registry
@@ -60,16 +62,24 @@ def _image_dataset(
     """Shared class-template image generator."""
     rng = as_rng(rng)
     templates = rng.normal(0.0, 1.0, size=(n_classes, channels, image_size, image_size))
+    # Random circular shifts in [-2, 2]² give intra-class spatial variability
+    # that a conv net absorbs but a linear probe does not. Each one is a
+    # window of the templates wrapped by 2: a circular shift by s starts at 2 - s.
+    wrapped = np.pad(templates, ((0, 0), (0, 0), (2, 2), (2, 2)), mode="wrap")
+    windows = sliding_window_view(wrapped, (image_size, image_size), axis=(2, 3))
 
     def sample(n):
         y = rng.integers(0, n_classes, n)
-        x = templates[y].copy()
-        # Random circular shifts give intra-class spatial variability that a
-        # conv net absorbs but a linear probe does not.
         shifts = rng.integers(-2, 3, size=(n, 2))
-        for i in range(n):
-            x[i] = np.roll(x[i], shifts[i], axis=(1, 2))
-        x += rng.normal(0.0, noise, size=x.shape)
+        x = windows[y, :, 2 - shifts[:, 0], 2 - shifts[:, 1]]
+        # The stream and bytes of x += rng.normal(0, noise, x.shape), drawn
+        # in chunks so no dataset-sized temporary is made.
+        z = np.empty((min(n, 256),) + x.shape[1:])
+        for i in range(0, n, 256):
+            part = z[: n - i]
+            rng.standard_normal(out=part)
+            part *= noise
+            x[i : i + len(part)] += part
         return ArrayDataset(x, y)
 
     return sample(n_train), sample(n_test)
@@ -136,16 +146,20 @@ def wikitext_like(
     if vocab_size < 2:
         raise ValueError(f"vocab_size must be >= 2, got {vocab_size}")
     trans = rng.dirichlet(np.full(vocab_size, concentration), size=vocab_size)
+    cdf = np.cumsum(trans, axis=1)
+    # A cumsum row can end below 1.0; a draw past its end would name token
+    # ``vocab_size``.
+    cdf[:, -1] = 1.0
+    rows = cdf.tolist()
 
     def gen(n):
+        # Ancestral sampling is sequential in the chain: one inverse-CDF
+        # lookup per token, the first CDF entry >= u.
         toks = np.empty(n, dtype=np.int64)
         toks[0] = rng.integers(0, vocab_size)
-        # Vectorized ancestral sampling via inverse-CDF lookups per step is
-        # still sequential in the chain; keep the loop but precompute CDFs.
-        cdf = np.cumsum(trans, axis=1)
-        u = rng.random(n)
+        u, out, tok = memoryview(rng.random(n)), memoryview(toks), int(toks[0])
         for i in range(1, n):
-            toks[i] = np.searchsorted(cdf[toks[i - 1]], u[i])
+            tok = out[i] = bisect_left(rows[tok], u[i])
         return SequenceDataset(toks, bptt=bptt)
 
     return gen(n_train_tokens), gen(n_test_tokens)

@@ -100,6 +100,71 @@ class TestWorkerGroup:
                 self._loaders(2),
             )
 
+    def test_replicas_share_no_buffer(self):
+        """The copied replicas (2..N-1) are independent: params, velocity,
+        Dropout RNG and arenas are their own."""
+        ws = build_worker_group(
+            4,
+            lambda: build_model("tinytransformer", vocab_size=16, max_len=8, rng=5),
+            lambda m: SGD(m, lr=0.1, momentum=0.9),
+            self._loaders(4),
+        )
+        arenas = [w.model._ensure_arena() for w in ws]
+        for i, a in enumerate(arenas):
+            for b in arenas[i + 1 :]:
+                assert not np.shares_memory(a.param_buf, b.param_buf)
+                assert not np.shares_memory(a.grad_buf, b.grad_buf)
+        x, y = np.zeros((2, 8), dtype=np.int64), np.ones((2, 8), dtype=np.int64)
+        for w in ws:
+            w.compute_gradient((x, y))
+            w.local_step(0.1)
+        params = [w.get_params() for w in ws]
+        velocities = [w.optimizer._flat_velocity.copy() for w in ws]
+        rngs = [w.model_mutable_state()["rngs"] for w in ws]
+        assert rngs[2] == rngs[0] and np.array_equal(params[2], params[0])
+
+        target = ws[2]
+        target.set_params(np.zeros_like(params[2]))
+        target.optimizer._flat_velocity[...] = 7.0
+        for m in target._rng_modules():
+            m.rng.random(3)
+        for i, w in enumerate(ws):
+            if w is target:
+                continue
+            assert np.array_equal(w.get_params(), params[i])
+            assert np.array_equal(w.optimizer._flat_velocity, velocities[i])
+            assert w.model_mutable_state()["rngs"] == rngs[i]
+
+    @pytest.mark.parametrize("name,kwargs,batch", [
+        ("mlp", dict(in_features=12, n_classes=3, hidden=(16,)), "float"),
+        ("smallvgg", dict(n_classes=5, image_size=8), "image"),
+        ("tinytransformer", dict(vocab_size=16, max_len=8), "tokens"),
+    ])
+    def test_copied_replicas_match_factory_built(self, name, kwargs, batch):
+        """First-step gradients (dropout on) of the copied replicas are
+        bitwise those of replicas each built by the factory."""
+        factory = lambda: build_model(name, rng=3, **kwargs)
+        rng = np.random.default_rng(4)
+        if batch == "float":
+            x, y = rng.normal(size=(6, 12)), rng.integers(0, 3, 6)
+        elif batch == "image":
+            x, y = rng.normal(size=(6, 3, 8, 8)), rng.integers(0, 5, 6)
+        else:
+            x, y = rng.integers(0, 16, (3, 8)), rng.integers(0, 16, (3, 8))
+        n = 4
+        copied = build_worker_group(n, factory, lambda m: SGD(m, lr=0.1), self._loaders(n))
+        built = [
+            SimWorker(i, m, SGD(m, lr=0.1), loader)
+            for i, (m, loader) in enumerate(
+                zip((factory() for _ in range(n)), self._loaders(n))
+            )
+        ]
+        for a, b in zip(copied, built):
+            a.compute_gradient((x, y))
+            b.compute_gradient((x, y))
+            assert a.get_grads().tobytes() == b.get_grads().tobytes()
+            assert a.last_loss == b.last_loss
+
     def test_models_are_independent_replicas(self):
         ws = build_worker_group(
             2,
