@@ -78,6 +78,10 @@ picks what they measure:
   ``build_worker_group`` of ``mlp16_chaos_traced``'s 16 MLP replicas: one row
   per cell with before/after medians, pairwise speedups and ``bytes_equal``
   (the datasets' bytes; the replicas' initial parameters and first gradient).
+* ``trace_write`` — the emit calls of a 400-step ``mlp16_chaos_traced`` run
+  replayed into a path-backed ``Tracer`` and closed: µs per event for emit +
+  encode + write, ``bytes_equal`` on the trace file, and ``tracemalloc`` bytes
+  the tracer holds after 100 and after 400 steps (before ``close``).
 """
 
 from __future__ import annotations
@@ -1099,6 +1103,109 @@ def dataset_build_trial(baseline_src: str, trials: int, reps: int):
     }
 
 
+#: ``trace_write``: the event stream of this many steps of
+#: ``mlp16_chaos_traced`` is replayed; retained bytes are read at each point.
+TRACE_STEPS = 400
+TRACE_POINTS = (100, 400)
+
+
+def trace_write_child(reps: int) -> None:
+    """One side of :func:`trace_write_trial`. Records the emit calls of a
+    ``TRACE_STEPS``-step ``mlp16_chaos_traced`` run, then answers each stdin
+    line: ``time`` — µs per event of replaying the whole stream into a
+    path-backed tracer and closing it (emit + encode + write; median of
+    ``reps`` replays) and the file's sha256; ``mem N`` — ``tracemalloc``
+    bytes the tracer still holds after replaying the first ``N`` steps."""
+    import tracemalloc
+
+    sys.path.insert(0, str(ROOT / "benchmarks" / "e2e"))
+    from workloads import BY_NAME  # read-only use of the benchmark's recipe
+
+    from repro.core import TrainConfig
+    from repro.obs import Tracer
+
+    calls = []
+
+    class Recording(Tracer):
+        def emit(self, etype, step=None, worker=-1, **data):
+            ev = super().emit(etype, step, worker, **data)
+            calls.append((etype, ev.step, ev.worker, data))
+            return ev
+
+    spec = BY_NAME["mlp16_chaos_traced"]
+    built, trainer = spec.build(seed=0, n_steps=TRACE_STEPS)
+    with tempfile.TemporaryDirectory() as tmp:
+        trainer.run(TrainConfig(
+            n_steps=TRACE_STEPS, eval_every=spec.block, eval_fn=built.eval_fn,
+            tracer=Recording(), checkpoint_every=spec.block,
+            checkpoint_path=os.path.join(tmp, "ck.npz"),
+        ))
+        trace = os.path.join(tmp, "trace.jsonl")
+
+        def replay(n_steps=TRACE_STEPS):
+            tracer = Tracer(path=trace, name=spec.name)
+            for etype, step, worker, data in calls:
+                if step < n_steps:
+                    tracer.emit(etype, step, worker, **data)
+            return tracer
+
+        for line in sys.stdin:
+            if line.startswith("mem"):
+                n_steps = int(line.split()[1])
+                gc.collect()
+                tracemalloc.start()
+                base = tracemalloc.get_traced_memory()[0]
+                tracer = replay(n_steps)
+                gc.collect()
+                held = tracemalloc.get_traced_memory()[0] - base
+                tracemalloc.stop()
+                tracer.close()
+                print(json.dumps({"retained_bytes": held}), flush=True)
+                continue
+            us = _median_us(lambda: replay().close(), reps) / len(calls)
+            with open(trace, "rb") as f:
+                digest = hashlib.sha256(f.read()).hexdigest()
+            print(json.dumps({
+                "sha256": digest, "us_per_event": us, "events": len(calls),
+            }), flush=True)
+
+
+def trace_write_trial(baseline_src: str, trials: int, reps: int):
+    """What a traced run pays for its trace, parent vs change: µs per event
+    in :func:`conv_kernel_trial`'s protocol, then the bytes a tracer holds
+    after ``TRACE_POINTS`` steps of the same stream."""
+    children = [
+        _spawn_child(src, "--trace-write-child", reps)
+        for src in (baseline_src, ROOT / "src")
+    ]
+    try:
+        row = _cell_row(
+            "trace_write", children, trials, {"recipe": "mlp16_chaos_traced"},
+            "time", ("us_per_event",),
+        )
+        retained = {
+            side: {
+                str(n): json.loads(_turn(child, f"mem {n}"))["retained_bytes"]
+                for n in TRACE_POINTS
+            }
+            for side, child in zip(("before", "after"), children)
+        }
+        row["events"] = json.loads(_turn(children[1], "time"))["events"]
+    finally:
+        _finish(children)
+    return {
+        "trial": "trace_write",
+        "workload": f"the emit calls of a {TRACE_STEPS}-step mlp16_chaos_traced "
+        "run replayed into a path-backed Tracer, then close(): us per event "
+        f"(emit + encode + write), median of {reps} replays per turn, {trials} "
+        "alternating turns; retained_bytes: tracemalloc bytes still allocated "
+        "after replaying the first N steps, before close(); bytes_equal: both "
+        "sides wrote the same trace file",
+        "cells": [row],
+        "retained_bytes": retained,
+    }
+
+
 def _git_head(path) -> str:
     out = subprocess.run(
         ["git", "-C", str(path), "rev-parse", "--short", "HEAD"],
@@ -1127,6 +1234,7 @@ def main(argv=None) -> int:
         choices=(
             "transformer_4w_selsync", "vgg_8w_bsp", "checkpoint_io", "robust_aggregate",
             "conv_kernel", "pool_kernel", "grad_write", "dataset_build",
+            "trace_write",
         ),
         default="transformer_4w_selsync",
         help="which cross-commit trial --baseline-src runs",
@@ -1140,6 +1248,7 @@ def main(argv=None) -> int:
     ap.add_argument("--pool-kernel-child", type=int, help=argparse.SUPPRESS)
     ap.add_argument("--grad-write-child", type=int, help=argparse.SUPPRESS)
     ap.add_argument("--dataset-build-child", type=int, help=argparse.SUPPRESS)
+    ap.add_argument("--trace-write-child", type=int, help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
 
     if args.transformer_child:
@@ -1165,6 +1274,9 @@ def main(argv=None) -> int:
         return 0
     if args.dataset_build_child:
         dataset_build_child(args.dataset_build_child)
+        return 0
+    if args.trace_write_child:
+        trace_write_child(args.trace_write_child)
         return 0
 
     trials = 3 if args.quick else 10
@@ -1200,6 +1312,10 @@ def main(argv=None) -> int:
             )
         elif args.trial == "dataset_build":
             trial = dataset_build_trial(
+                args.baseline_src, trials, 2 if args.quick else 5
+            )
+        elif args.trial == "trace_write":
+            trial = trace_write_trial(
                 args.baseline_src, trials, 2 if args.quick else 5
             )
         else:

@@ -12,9 +12,12 @@ Usage::
 
     tracer = Tracer(path="trace.jsonl", name="selsync")
     with use(tracer):
-        trainer.run(cfg)
-    tracer.close()                      # sorted, deterministic JSONL
+        trainer.run(cfg)                # whole steps stream to trace.jsonl.part
+    tracer.close()                      # renamed to trace.jsonl
     print(tracer.metrics.summary())
+
+Between steps a path-backed tracer holds one step's events; a run that never
+reaches ``close`` leaves its whole steps, sorted, in ``<path>.part``.
 """
 
 from __future__ import annotations

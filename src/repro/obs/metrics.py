@@ -121,7 +121,8 @@ class MetricsRegistry:
 
     # -- shorthands --------------------------------------------------------
     def inc(self, name: str, amount: float = 1.0) -> None:
-        self.counter(name).inc(amount)
+        # Lock-free once the counter exists: the lock guards creation only.
+        (self._counters.get(name) or self.counter(name)).inc(amount)
 
     def set(self, name: str, value: float) -> None:
         self.gauge(name).set(value)

@@ -11,24 +11,14 @@ run's trace.
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
-from typing import Dict, Iterable, List, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Tuple, Union
 
 from repro.obs.trace import TRACE_SCHEMA_VERSION, TraceEvent
 from repro.utils.serialization import decode_jsonable, encode_jsonable
 
 PathLike = Union[str, Path]
-
-
-def event_to_jsonable(ev: TraceEvent) -> Dict:
-    """One event as a strict-JSON-safe dict with a fixed key order."""
-    return {
-        "etype": ev.etype,
-        "step": ev.step,
-        "worker": ev.worker,
-        "seq": ev.seq,
-        "data": encode_jsonable(ev.data),
-    }
 
 
 def event_from_jsonable(rec: Dict) -> TraceEvent:
@@ -41,23 +31,50 @@ def event_from_jsonable(rec: Dict) -> TraceEvent:
     )
 
 
+#: ``json.dumps(..., sort_keys=True, allow_nan=False)`` without an encoder per call.
+_encode = json.JSONEncoder(sort_keys=True, allow_nan=False, check_circular=False).encode
+
+
 def event_line(ev: TraceEvent) -> str:
     """The canonical serialized form of one event (no newline).
 
-    ``sort_keys`` makes the byte layout independent of dict build order
-    inside ``data`` — the trace's byte-identity guarantees rest on it.
+    The fixed keys are a template in sorted order (``etype`` is plain ASCII)
+    and only ``data`` is encoded, with ``sort_keys``: the byte layout does not
+    depend on dict build order — the trace's byte-identity rests on it.
     """
-    return json.dumps(event_to_jsonable(ev), sort_keys=True, allow_nan=False)
+    return '{"data": %s, "etype": "%s", "seq": %d, "step": %d, "worker": %d}' % (
+        _encode(encode_jsonable(ev.data)), ev.etype, ev.seq, ev.step, ev.worker
+    )
+
+
+def part_path(path: PathLike) -> Path:
+    """Where a trace is written before it is renamed to ``path``."""
+    return Path(f"{path}.part")
+
+
+def open_part(path: PathLike, header: Dict):
+    """``<path>.part`` opened for binary writing, its header line written."""
+    f = part_path(path).open("wb")
+    f.write(json.dumps(header, sort_keys=True, allow_nan=False).encode() + b"\n")
+    return f
+
+
+def read_segment(path: PathLike, offset: int, count: int) -> Iterator[TraceEvent]:
+    """The ``count`` events written from byte ``offset`` of ``path``."""
+    with open(path, "rb") as f:
+        f.seek(offset)
+        for _ in range(count):
+            yield event_from_jsonable(json.loads(f.readline()))
 
 
 def write_trace(path: PathLike, header: Dict, events: Iterable[TraceEvent]) -> None:
-    """Write header + events as JSONL. Events must already be in canonical
-    order (:attr:`repro.obs.trace.Tracer.events` returns them sorted)."""
-    path = Path(path)
-    with path.open("w") as f:
-        f.write(json.dumps(header, sort_keys=True, allow_nan=False) + "\n")
+    """Write header + events as JSONL to ``<path>.part``, renamed to ``path``
+    when complete. Events must already be in canonical order
+    (:attr:`repro.obs.trace.Tracer.events` returns them sorted)."""
+    with open_part(path, header) as f:
         for ev in events:
-            f.write(event_line(ev) + "\n")
+            f.write(event_line(ev).encode() + b"\n")
+    os.replace(part_path(path), path)
 
 
 def read_trace(path: PathLike) -> Tuple[Dict, List[TraceEvent]]:

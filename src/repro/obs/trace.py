@@ -15,8 +15,10 @@ the serial and process executors and across a checkpoint/resume boundary:
   worker) counter, so two events of the same logical stream keep their
   emission order, while streams of different workers are independent of
   thread interleaving.
-* The buffer is sorted by that key at flush; file order never reflects
-  emission order.
+* Events are written sorted by that key, a step's worth at a time: when
+  ``step_begin(s)`` arrives the earlier steps are appended to
+  ``<path>.part``, renamed to ``path`` by :meth:`Tracer.close` (DESIGN.md,
+  "How the trace is persisted"). File order never reflects emission order.
 * No wall-clock timestamps are recorded. Passing ``deterministic=False``
   adds a ``t_wall`` field to every event (useful for profiling real
   elapsed time, never for regression comparison).
@@ -28,10 +30,13 @@ the serial and process executors and across a checkpoint/resume boundary:
 
 from __future__ import annotations
 
+import heapq
 import math
+import os
 import threading
 import time
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Dict, List, Optional, Tuple
 
 from repro.obs.metrics import MetricsRegistry
@@ -102,9 +107,12 @@ class TraceEvent:
                 f"expected one of {EVENT_TYPES}"
             )
 
-    @property
-    def key(self) -> Tuple[int, int, int]:
-        return (self.step, self.worker, self.seq)
+    #: The canonical order, ``(step, worker, seq)``.
+    key = property(attrgetter("step", "worker", "seq"))
+
+
+#: ``TraceEvent.key`` without the property lookup: the sort and merge key.
+_KEY = TraceEvent.key.fget
 
 
 def _num(d: Dict, key: str, default: float) -> float:
@@ -133,7 +141,7 @@ class Tracer:
     Parameters
     ----------
     path:
-        JSONL sink written by :meth:`close` (``None`` keeps the trace
+        JSONL sink written as the run goes (``None`` keeps the trace
         in memory only — the events remain accessible via :attr:`events`).
     name:
         Run name recorded in the trace header.
@@ -156,7 +164,11 @@ class Tracer:
         self.deterministic = bool(deterministic)
         self.meta: Dict = dict(meta) if meta else {}
         self.metrics = MetricsRegistry()
-        self._buffer: List[TraceEvent] = []
+        self._pending: List[TraceEvent] = []
+        # Path-backed: the open ``<path>.part``, the header at its top, its
+        # sorted segments as [byte offset, event count], the last key written.
+        self._file = self._header = self._last_key = None
+        self._segments: List[List[int]] = []
         self._seq: Dict[Tuple[int, int], int] = {}
         self._lock = threading.Lock()
         self._current_step: int = -1
@@ -182,7 +194,9 @@ class Tracer:
             key = (ev.step, ev.worker)
             ev.seq = self._seq.get(key, 0)
             self._seq[key] = ev.seq + 1
-            self._buffer.append(ev)
+            if etype == "step_begin" and self.path is not None:
+                self._write_pending(before=ev.step)
+            self._pending.append(ev)
         self._derive_metrics(ev)
         if etype == "step_begin":
             self._current_step = ev.step
@@ -259,11 +273,41 @@ class Tracer:
             m.inc("elastic.repartitions")
 
     # -- access / persistence ---------------------------------------------
+    def _write_pending(self, before: float) -> None:
+        """Append the pending events of the steps before ``before`` to
+        ``<path>.part``, sorted; a batch that starts below the last key
+        written (a step replayed after a rollback) starts a new segment."""
+        from repro.obs.sink import event_line, open_part
+
+        batch = [e for e in self._pending if e.step < before]
+        self._pending = [e for e in self._pending if e.step >= before]
+        batch.sort(key=_KEY)
+        if self._file is None:
+            self._header = self.header()
+            self._file = open_part(self.path, self._header)
+        if batch:
+            if not self._segments or batch[0].key < self._last_key:
+                self._segments.append([self._file.tell(), 0])
+            self._file.write("".join([event_line(e) + "\n" for e in batch]).encode())
+            self._file.flush()
+            self._segments[-1][1] += len(batch)
+            self._last_key = batch[-1].key
+
     @property
     def events(self) -> List[TraceEvent]:
-        """Events in canonical (step, worker, seq) order."""
+        """Events in canonical (step, worker, seq) order; for a path-backed
+        tracer, the file read back and the pending tail."""
+        from repro.obs.sink import part_path, read_segment, read_trace
+
         with self._lock:
-            return sorted(self._buffer, key=lambda e: e.key)
+            tail = sorted(self._pending, key=_KEY)
+            if self._file is None:
+                return tail
+            if self._closed:
+                return read_trace(self.path)[1]
+            part = part_path(self.path)
+            written = [read_segment(part, *segment) for segment in self._segments]
+            return list(heapq.merge(*written, tail, key=_KEY))
 
     def header(self) -> Dict:
         return {
@@ -275,11 +319,22 @@ class Tracer:
         }
 
     def close(self) -> None:
-        """Sort and write the trace to :attr:`path` (if one was given)."""
-        if self._closed:
-            return
-        self._closed = True
-        if self.path is not None:
-            from repro.obs.sink import write_trace
+        """Write what is pending and complete the file at :attr:`path`."""
+        from repro.obs.sink import part_path, read_segment, write_trace
 
-            write_trace(self.path, self.header(), self.events)
+        with self._lock:
+            closed, self._closed = self._closed, True
+            if closed or self.path is None:
+                return
+            self._write_pending(math.inf)
+            self._file.close()
+            part, header = part_path(self.path), self.header()
+            if len(self._segments) <= 1 and header == self._header:
+                os.replace(part, self.path)
+                return
+            segments = f"{part}.segments"  # merged into a new ``part``
+            os.replace(part, segments)
+            written = [read_segment(segments, *segment) for segment in self._segments]
+            merged = heapq.merge(*written, key=_KEY)
+            write_trace(self.path, header, merged)
+            os.unlink(segments)

@@ -21,6 +21,7 @@ and cannot collide with a legitimate string value.
 from __future__ import annotations
 
 import json
+import math
 from itertools import chain
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
@@ -54,28 +55,26 @@ def encode_jsonable(obj: Any) -> Any:
     at any depth (the top-level-only encoding this replaces silently wrote
     invalid JSON for diverged eval records and metrics dicts).
     """
+    if type(obj) is float and math.isfinite(obj):  # the common case first
+        return obj
     if obj is None or isinstance(obj, (bool, str, int)):
         return obj
-    if isinstance(obj, (np.bool_,)):
+    if isinstance(obj, dict):
+        return {
+            k if isinstance(k, str) else str(k): encode_jsonable(v)
+            for k, v in obj.items()
+        }
+    if isinstance(obj, (list, tuple)):
+        return [encode_jsonable(v) for v in obj]
+    if isinstance(obj, np.bool_):
         return bool(obj)
-    if isinstance(obj, (np.integer,)):
+    if isinstance(obj, np.integer):
         return int(obj)
     if isinstance(obj, (float, np.floating)):
         f = float(obj)
-        if np.isnan(f):
-            return {_NONFINITE_TAG: "nan"}
-        if np.isinf(f):
-            return {_NONFINITE_TAG: "inf" if f > 0 else "-inf"}
-        return f
-    if isinstance(obj, dict):
-        out = {}
-        for k, v in obj.items():
-            if not isinstance(k, str):
-                k = str(k)
-            out[k] = encode_jsonable(v)
-        return out
-    if isinstance(obj, (list, tuple)):
-        return [encode_jsonable(v) for v in obj]
+        if math.isfinite(f):
+            return f
+        return {_NONFINITE_TAG: "nan" if f != f else ("inf" if f > 0 else "-inf")}
     raise TypeError(f"cannot JSON-encode object of type {type(obj).__name__}")
 
 

@@ -1,0 +1,312 @@
+"""A path-backed tracer writes its trace as the run goes.
+
+The reference is the writer it replaced, kept here: hold every event until
+the end, sort them all by ``(step, worker, seq)`` and serialize each with
+``json.dumps`` over the whole record. The streamed file must equal its
+output byte for byte — on the CLI golden smoke run, under the recovery
+supervisor's rollback (events for steps already written: a second sorted
+segment), under SSP (events keyed by completion, no ``step_begin``) and
+across an elastic join + drain. A run stopped without :meth:`Tracer.close`
+leaves a ``.part`` file holding the first whole steps of the closed trace,
+and between steps a tracer holds only the step in flight.
+"""
+
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core import ClusterConfig, TrainConfig
+from repro.core.bsp import BSPTrainer
+from repro.core.recovery import RecoverySupervisor
+from repro.core.selsync import SelSyncTrainer
+from repro.core.ssp import SSPTrainer
+from repro.data import ArrayDataset, default_partition
+from repro.obs import TraceEvent, Tracer
+from repro.obs.sink import event_line, part_path, read_trace
+from repro.utils.serialization import encode_jsonable
+from tests.conftest import make_mlp_cluster
+
+_NONFINITE_TAG = "__nonfinite__"
+
+
+# -- the replaced writer -----------------------------------------------------
+def ref_encode(obj):
+    """``encode_jsonable`` as it was: numpy tests on every float."""
+    if obj is None or isinstance(obj, (bool, str, int)):
+        return obj
+    if isinstance(obj, (np.bool_,)):
+        return bool(obj)
+    if isinstance(obj, (np.integer,)):
+        return int(obj)
+    if isinstance(obj, (float, np.floating)):
+        f = float(obj)
+        if np.isnan(f):
+            return {_NONFINITE_TAG: "nan"}
+        if np.isinf(f):
+            return {_NONFINITE_TAG: "inf" if f > 0 else "-inf"}
+        return f
+    if isinstance(obj, dict):
+        out = {}
+        for k, v in obj.items():
+            if not isinstance(k, str):
+                k = str(k)
+            out[k] = ref_encode(v)
+        return out
+    if isinstance(obj, (list, tuple)):
+        return [ref_encode(v) for v in obj]
+    raise TypeError(f"cannot JSON-encode object of type {type(obj).__name__}")
+
+
+def ref_event_line(ev):
+    rec = {
+        "etype": ev.etype,
+        "step": ev.step,
+        "worker": ev.worker,
+        "seq": ev.seq,
+        "data": ref_encode(ev.data),
+    }
+    return json.dumps(rec, sort_keys=True, allow_nan=False)
+
+
+def ref_write(path, header, events):
+    """Sort everything, then write."""
+    with open(path, "w") as f:
+        f.write(json.dumps(header, sort_keys=True, allow_nan=False) + "\n")
+        for ev in sorted(events, key=lambda e: e.key):
+            f.write(ref_event_line(ev) + "\n")
+
+
+class RecordingTracer(Tracer):
+    """A path-backed tracer that also keeps every event it was handed —
+    exactly what the replaced writer held until ``close``."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.emitted = []
+
+    def emit(self, *args, **kwargs):
+        ev = super().emit(*args, **kwargs)
+        self.emitted.append(ev)
+        return ev
+
+
+def assert_matches_reference(tracer, tmp_path):
+    ref = tmp_path / "reference.jsonl"
+    ref_write(ref, tracer.header(), tracer.emitted)
+    assert Path(tracer.path).read_bytes() == ref.read_bytes()
+    assert not part_path(tracer.path).exists()
+
+
+# -- the CLI golden smoke run --------------------------------------------------
+GOLDEN_ARGS = [
+    "run", "--workload", "resnet_cifar10", "--method", "selsync", "--steps", "20",
+    "--eval-every", "20", "--data-scale", "0.15", "--trace",
+]
+
+
+@pytest.fixture(scope="module")
+def golden(tmp_path_factory):
+    from repro.cli import main
+
+    tmp = tmp_path_factory.mktemp("golden")
+    made = []
+
+    def recording(*args, **kwargs):
+        made.append(RecordingTracer(*args, **kwargs))
+        return made[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("repro.obs.Tracer", recording)
+        assert main(GOLDEN_ARGS + ["--trace-path", str(tmp / "golden_trace.jsonl")]) == 0
+    (tracer,) = made
+    return tracer, tmp
+
+
+def test_golden_smoke_trace_matches_the_sort_all_writer(golden):
+    tracer, tmp = golden
+    assert len(tracer._segments) == 1  # lock-step: close only renamed
+    assert_matches_reference(tracer, tmp)
+
+
+def test_golden_smoke_events_encode_as_before(golden):
+    tracer, _ = golden
+    assert len(tracer.emitted) > 200
+    for ev in tracer.emitted:
+        assert event_line(ev) == ref_event_line(ev)
+
+
+# -- the encoder against the replaced one --------------------------------------
+_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=8),
+    st.floats(allow_nan=True, allow_infinity=True).map(np.float64),
+    st.floats(width=32, allow_nan=True, allow_infinity=True).map(np.float32),
+    st.integers(min_value=-(2**63), max_value=2**63 - 1).map(np.int64),
+    st.booleans().map(np.bool_),
+)
+_keys = st.one_of(st.text(max_size=6), st.integers(-5, 5), st.booleans(), st.none())
+
+
+def _containers(inner):
+    return st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(_keys, inner, max_size=4),
+    )
+
+
+_payloads = st.recursive(_scalars, _containers, max_leaves=20)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    data=st.dictionaries(_keys, _payloads, max_size=5),
+    step=st.integers(-1, 10**6),
+    worker=st.integers(-1, 64),
+    seq=st.integers(0, 10**4),
+)
+def test_event_line_matches_the_replaced_encoder(data, step, worker, seq):
+    ev = TraceEvent("fault", step=step, worker=worker, seq=seq, data=data)
+    assert event_line(ev) == ref_event_line(ev)
+    assert json.dumps(encode_jsonable(data), sort_keys=True) == json.dumps(
+        ref_encode(data), sort_keys=True
+    )
+
+
+def test_encoder_still_refuses_what_json_cannot_hold():
+    with pytest.raises(TypeError, match="ndarray"):
+        encode_jsonable({"x": np.zeros(2)})
+
+
+# -- late events: rollback, SSP, elastic -----------------------------------------
+def test_supervisor_rollback_merges_segments_into_the_reference(tmp_path):
+    """``tests/test_net_faults.py``'s supervisor scenario: the retry replays
+    steps the file already holds, so the run writes two sorted segments."""
+    from tests.test_net_faults import N_WORKERS, RING_PARTITION, _workers
+
+    cluster = ClusterConfig(
+        n_workers=N_WORKERS,
+        comm_bytes=1e6,
+        flops_per_sample=1e6,
+        net_fault_spec=RING_PARTITION,
+        topology="ring",
+        ps_shards=1,
+    )
+    tracer = RecordingTracer(path=tmp_path / "sup.jsonl", name="sup")
+    RecoverySupervisor(max_recoveries=2).run(
+        BSPTrainer(_workers(), cluster),
+        TrainConfig(n_steps=14, eval_fn=None, tracer=tracer),
+    )
+    assert len(tracer._segments) == 2
+    before_close = [(e.key, e.etype) for e in tracer.events]
+    tracer.close()
+    assert_matches_reference(tracer, tmp_path)
+    assert not (tmp_path / "sup.jsonl.part.segments").exists()
+    assert [(e.key, e.etype) for e in tracer.events] == before_close
+
+
+def test_ssp_trace_matches_the_reference(tmp_path):
+    rng = np.random.default_rng(0)
+    ds = ArrayDataset(rng.normal(size=(64, 4)), rng.integers(0, 2, 64))
+    workers, _ = make_mlp_cluster(
+        ds, n_workers=3, batch_size=8, n_features=4, n_classes=2, hidden=(4,),
+        lr=0.1, momentum=0.0, partition_fn=default_partition,
+    )
+    cluster = ClusterConfig(
+        n_workers=3, comm_bytes=1e6, flops_per_sample=1e6,
+        fault_spec="straggle:w1x3@2+",
+    )
+    tracer = RecordingTracer(path=tmp_path / "ssp.jsonl", name="ssp")
+    SSPTrainer(workers, cluster, staleness=2).run(
+        TrainConfig(n_steps=7, eval_every=7, eval_fn=None, tracer=tracer)
+    )
+    tracer.close()
+    assert_matches_reference(tracer, tmp_path)
+
+
+def test_elastic_join_and_drain_trace_matches_the_reference(tmp_path):
+    from tests.test_elastic_training import N_STEPS, PLAN, _build
+
+    trainer = _build(elastic_spec=PLAN)
+    tracer = RecordingTracer(path=tmp_path / "elastic.jsonl", name="elastic")
+    try:
+        trainer.run(TrainConfig(n_steps=N_STEPS, eval_fn=None, tracer=tracer))
+    finally:
+        trainer.executor.shutdown()
+    tracer.close()
+    assert {e.data["action"] for e in tracer.events if e.etype == "membership"} == {
+        "join", "drain"
+    }
+    assert_matches_reference(tracer, tmp_path)
+
+
+def test_late_events_and_a_changed_header(tmp_path):
+    """Emitted by hand: late events at several depths, a step never begun,
+    and header metadata set after the first write."""
+    plan = [
+        ("step_begin", 0, -1), ("compute_phase", 0, 1), ("step_begin", 1, -1),
+        ("fault", 0, 2), ("step_begin", 2, -1), ("fault", 1, 0), ("fault", 0, -1),
+        ("step_begin", 3, -1), ("eval", 5, -1), ("step_begin", 4, -1),
+        ("fault", 2, 3),
+    ]
+    memory = Tracer()
+    tracer = RecordingTracer(path=tmp_path / "late.jsonl", name="late")
+    for i, (etype, step, worker) in enumerate(plan):
+        for tr in (memory, tracer):
+            tr.emit(etype, step=step, worker=worker, i=i)
+        assert [e.key for e in tracer.events] == [e.key for e in memory.events]
+    tracer.meta["note"] = "set late"
+    tracer.close()
+    assert len(tracer._segments) == 3
+    assert_matches_reference(tracer, tmp_path)
+    assert read_trace(tracer.path)[0]["meta"] == {"note": "set late"}
+
+
+# -- a stopped run and a long one -----------------------------------------------
+def _selsync_run(tracer, n_steps, step_monitor=None):
+    rng = np.random.default_rng(0)
+    ds = ArrayDataset(rng.normal(size=(256, 16)), rng.integers(0, 4, 256))
+    workers, cluster = make_mlp_cluster(ds)
+    SelSyncTrainer(workers, cluster, delta=0.1).run(
+        TrainConfig(
+            n_steps=n_steps, eval_fn=None, tracer=tracer, step_monitor=step_monitor
+        )
+    )
+
+
+def test_stopped_run_leaves_a_canonical_prefix_of_whole_steps(tmp_path):
+    stopped = Tracer(path=tmp_path / "stopped.jsonl", name="t")
+    _selsync_run(stopped, 40)  # and never closed
+    assert not stopped.path.exists()
+    part = part_path(stopped.path)
+    _, events = read_trace(part)
+    assert {e.step for e in events} == set(range(39))  # step_begin(39) wrote 0..38
+
+    closed = Tracer(path=tmp_path / "closed.jsonl", name="t")
+    _selsync_run(closed, 40)
+    closed.close()
+    lines = closed.path.read_text().splitlines(keepends=True)
+    prefix = part.read_text().splitlines(keepends=True)
+    assert prefix == lines[: len(prefix)]
+    assert json.loads(lines[len(prefix)])["step"] == 39
+    stopped._file.close()
+
+
+def test_tracer_holds_one_step_between_steps(tmp_path):
+    tracer = Tracer(path=tmp_path / "long.jsonl", name="long")
+    held = []
+
+    def monitor(trainer, i):
+        held.append({e.step for e in tracer._pending})
+
+    _selsync_run(tracer, 400, step_monitor=monitor)
+    assert held == [{i} for i in range(400)]
+    tracer.close()
+    assert {e.step for e in read_trace(tracer.path)[1]} == set(range(400))

@@ -247,8 +247,8 @@ def test_read_trace_rejects_out_of_order(tmp_path):
     tr.emit("step_begin", step=1)
     tr.emit("step_begin", step=0)
     p = tmp_path / "ooo.jsonl"
-    # Bypass the sorted flush deliberately.
-    write_trace(p, tr.header(), list(tr._buffer))
+    # Write the canonical order reversed, deliberately.
+    write_trace(p, tr.header(), tr.events[::-1])
     with pytest.raises(ValueError, match="order"):
         read_trace(p)
 
