@@ -82,6 +82,14 @@ picks what they measure:
   replayed into a path-backed ``Tracer`` and closed: µs per event for emit +
   encode + write, ``bytes_equal`` on the trace file, and ``tracemalloc`` bytes
   the tracer holds after 100 and after 400 steps (before ``close``).
+* ``activation_memory`` — the e2e benchmark's ``xfmr4_selsync`` and
+  ``mlp16_chaos_traced`` recipes run one block, then one evaluation, under
+  ``tracemalloc``: bytes held afterwards (the whole process, and split into
+  arrays the replicas' modules keep and pooled workspaces), the traced peak
+  during the evaluation, the bytes one replica's training forward keeps for
+  its backward, and a sha256 of every replica's parameters (``params_equal``:
+  both sides trained to the same bytes). One run per side: the counts are
+  deterministic.
 """
 
 from __future__ import annotations
@@ -1206,6 +1214,115 @@ def trace_write_trial(baseline_src: str, trials: int, reps: int):
     }
 
 
+#: ``activation_memory``: the recipes measured.
+ACTIVATION_RECIPES = ("xfmr4_selsync", "mlp16_chaos_traced")
+
+
+def _held_bytes(arrays) -> int:
+    """Bytes of the buffers ``arrays`` keep alive, each counted once."""
+    buffers = {}
+    for a in arrays:
+        while isinstance(a.base, np.ndarray):
+            a = a.base
+        buffers[id(a)] = a.nbytes
+    return sum(buffers.values())
+
+
+def activation_memory_child(recipe: str) -> None:
+    """One side of :func:`activation_memory_trial` for one recipe: a block of
+    steps and one evaluation under ``tracemalloc``; prints one JSON line."""
+    import tracemalloc
+
+    sys.path.insert(0, str(ROOT / "benchmarks" / "e2e"))
+    from workloads import BY_NAME  # read-only use of the benchmark's recipe
+
+    from repro.core import TrainConfig
+    from repro.nn import workspace
+    from repro.nn.workspace import owned_arrays
+
+    def module_arrays(models):
+        """Every ndarray a module keeps outside its parameters (any cache
+        attribute, at either commit) and every workspace it holds."""
+        out = []
+        for model in models:
+            for m in model.modules():
+                if m._held is not None:
+                    out += owned_arrays(m._held[2])
+                for value in vars(m).values():
+                    values = value if isinstance(value, tuple) else (value,)
+                    out += [v for v in values if isinstance(v, np.ndarray)]
+        return out
+
+    def pool_arrays():
+        return [
+            a for sizes in workspace.POOL.free.values() for free in sizes.values()
+            for ws in free for a in owned_arrays(ws)
+        ]
+
+    spec = BY_NAME[recipe]
+    gc.collect()
+    tracemalloc.start()
+    base = tracemalloc.get_traced_memory()[0]
+    built, trainer = spec.build(seed=0, n_steps=spec.block)
+    trainer.run(TrainConfig(n_steps=spec.block, eval_every=spec.block))
+    models = [w.model for w in built.workers]
+    gc.collect()
+    before_eval = tracemalloc.get_traced_memory()[0]
+    tracemalloc.reset_peak()
+    trainer.evaluate(TrainConfig(n_steps=spec.block, eval_fn=built.eval_fn))
+    eval_peak = tracemalloc.get_traced_memory()[1] - before_eval
+    gc.collect()
+    held = tracemalloc.get_traced_memory()[0] - base
+    kept, pooled = module_arrays(models), pool_arrays()
+    sizes = sorted({b for held in workspace.POOL.free.values() for b in held})
+    digest = hashlib.sha256(b"".join(w.get_params().tobytes() for w in built.workers))
+    # One replica's training forward: what it keeps for its backward.
+    x, _ = built.workers[0].loader.next_batch()
+    models[0].forward(x)  # in training mode: ``evaluate`` ends in ``train()``
+    forward = _held_bytes(module_arrays(models[:1]))
+    tracemalloc.stop()
+    print(json.dumps({
+        "held_bytes": held,
+        "module_bytes": _held_bytes(kept),
+        "pool_bytes": _held_bytes(pooled),
+        "module_and_pool_bytes": _held_bytes(kept + pooled),
+        "pool_batch_sizes": sizes,
+        "eval_peak_bytes": eval_peak,
+        "replica_forward_bytes": forward,
+        "param_bytes": sum(m.nbytes for m in models),
+        "params_sha256": digest.hexdigest(),
+    }), flush=True)
+
+
+def activation_memory_trial(baseline_src: str):
+    """Parent vs change, one child per recipe and side, one after another."""
+    recipes = {}
+    for recipe in ACTIVATION_RECIPES:
+        sides = {}
+        for side, src in (("before", baseline_src), ("after", ROOT / "src")):
+            child = _spawn_child(src, "--activation-memory-child", recipe)
+            sides[side] = json.loads(child.stdout.readline())
+            _finish([child])
+        sides["params_equal"] = (
+            sides["before"]["params_sha256"] == sides["after"]["params_sha256"]
+        )
+        recipes[recipe] = sides
+    return {
+        "trial": "activation_memory",
+        "workload": "each recipe built at seed 0, one block of trainer.run, then "
+        "trainer.evaluate, under tracemalloc: held_bytes (everything allocated "
+        "since before the build and still alive), module_bytes (ndarrays the "
+        "replicas' modules keep outside their parameters, held workspaces "
+        "included), pool_bytes (workspace.POOL's free workspaces), "
+        "module_and_pool_bytes (both, each buffer once), pool_batch_sizes, "
+        "eval_peak_bytes (traced peak during the evaluation over the bytes "
+        "before it), replica_forward_bytes (module arrays of replica 0 after "
+        "one more training forward); params_equal: both sides' replicas "
+        "hold the same parameter bytes",
+        "recipes": recipes,
+    }
+
+
 def _git_head(path) -> str:
     out = subprocess.run(
         ["git", "-C", str(path), "rev-parse", "--short", "HEAD"],
@@ -1234,7 +1351,7 @@ def main(argv=None) -> int:
         choices=(
             "transformer_4w_selsync", "vgg_8w_bsp", "checkpoint_io", "robust_aggregate",
             "conv_kernel", "pool_kernel", "grad_write", "dataset_build",
-            "trace_write",
+            "trace_write", "activation_memory",
         ),
         default="transformer_4w_selsync",
         help="which cross-commit trial --baseline-src runs",
@@ -1249,6 +1366,7 @@ def main(argv=None) -> int:
     ap.add_argument("--grad-write-child", type=int, help=argparse.SUPPRESS)
     ap.add_argument("--dataset-build-child", type=int, help=argparse.SUPPRESS)
     ap.add_argument("--trace-write-child", type=int, help=argparse.SUPPRESS)
+    ap.add_argument("--activation-memory-child", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
 
     if args.transformer_child:
@@ -1277,6 +1395,9 @@ def main(argv=None) -> int:
         return 0
     if args.trace_write_child:
         trace_write_child(args.trace_write_child)
+        return 0
+    if args.activation_memory_child:
+        activation_memory_child(args.activation_memory_child)
         return 0
 
     trials = 3 if args.quick else 10
@@ -1318,6 +1439,8 @@ def main(argv=None) -> int:
             trial = trace_write_trial(
                 args.baseline_src, trials, 2 if args.quick else 5
             )
+        elif args.trial == "activation_memory":
+            trial = activation_memory_trial(args.baseline_src)
         else:
             trial = transformer_trial(
                 args.baseline_src, trials, 20 if args.quick else 50

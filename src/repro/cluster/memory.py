@@ -1,11 +1,11 @@
 """Worker memory-footprint accounting (Fig. 2b).
 
-Activation memory is *measured*, not modelled: after a forward pass every
-layer holds the arrays its backward needs (cached inputs and masks, plus the
-workspace it has checked out of the ``nn.workspace`` pool), so walking the
-module tree and summing both gives the true activation footprint of this
-substrate at a given batch size. Parameter/gradient/optimizer-slot memory is
-exact arithmetic on top.
+Activation memory is *measured*, not modelled: after a training forward
+every layer holds exactly what its backward needs — the arrays in its saved
+slot plus the workspace it has checked out of the ``nn.workspace`` pool — so
+walking the module tree and summing both gives the true activation footprint
+of this substrate at a given batch size. Parameter/gradient/optimizer-slot
+memory is exact arithmetic on top.
 """
 
 from __future__ import annotations
@@ -19,26 +19,24 @@ from repro.nn.workspace import owned_arrays
 
 
 def measure_activation_bytes(model: Module) -> int:
-    """Sum the bytes of every held workspace and cached array in the tree.
+    """Sum the bytes of every held workspace and saved array in the tree.
 
     Call immediately after a training-mode forward pass; the result is the
-    memory backward would touch. A cached array that is a view into a held
-    workspace (a ReLU's input is the conv accumulator) is counted once.
+    memory backward would touch (BatchNorm running statistics or a causal
+    mask are not). A saved array is charged as the buffer it keeps alive, so
+    a view of a workspace (a ReLU's input is the conv accumulator) or of an
+    array another layer saved counts once.
     """
-    modules = list(model.modules())
-    held = [m._held[2] for m in modules if m._held is not None]
-    scratch = [a for ws in held for a in owned_arrays(ws)]
-    total = sum(a.nbytes for a in scratch)
-    for m in modules:
-        for name, value in vars(m).items():
-            if name in ("_params", "_children", "_held"):
-                continue
-            for v in value if isinstance(value, tuple) else (value,):
-                if isinstance(v, np.ndarray) and not any(
-                    np.may_share_memory(v, a) for a in scratch
-                ):
-                    total += v.nbytes
-    return int(total)
+    buffers = {}
+    for m in model.modules():
+        arrays = [a for a in m._saved or () if isinstance(a, np.ndarray)]
+        if m._held is not None:
+            arrays += owned_arrays(m._held[2])
+        for a in arrays:
+            while isinstance(a.base, np.ndarray):
+                a = a.base
+            buffers[id(a)] = a.nbytes
+    return int(sum(buffers.values()))
 
 
 @dataclass

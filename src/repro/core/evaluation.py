@@ -8,7 +8,7 @@ import numpy as np
 
 from repro.data.dataset import Dataset
 from repro.nn import functional as F
-from repro.nn.module import Module
+from repro.nn.module import Module, no_grad
 
 
 def accuracy_eval(dataset: Dataset, batch_size: int = 256, top_k: int = 1) -> Callable:
@@ -23,7 +23,8 @@ def accuracy_eval(dataset: Dataset, batch_size: int = 256, top_k: int = 1) -> Ca
         for start in range(0, n, batch_size):
             idx = np.arange(start, min(start + batch_size, n))
             x, y = dataset.get_batch(idx)
-            logits = model.forward(x)
+            with no_grad():
+                logits = model.forward(x)
             if top_k == 1:
                 correct += int((logits.argmax(axis=-1) == y).sum())
             else:
@@ -44,7 +45,8 @@ def perplexity_eval(dataset: Dataset, batch_size: int = 64) -> Callable:
         for start in range(0, n, batch_size):
             idx = np.arange(start, min(start + batch_size, n))
             x, y = dataset.get_batch(idx)
-            logits = model.forward(x)
+            with no_grad():
+                logits = model.forward(x)
             logp = F.log_softmax(logits.reshape(-1, logits.shape[-1]), axis=-1)
             flat_y = y.reshape(-1)
             total_nll += float(-logp[np.arange(flat_y.size), flat_y].sum())

@@ -5,7 +5,7 @@ differences in the test suite), losses, initializers and a model zoo of
 downscaled analogs of the paper's four DNN families.
 """
 
-from repro.nn.module import Module
+from repro.nn.module import Module, no_grad
 from repro.nn.parameter import Parameter
 from repro.nn import functional, init
 from repro.nn.losses import CrossEntropyLoss, MSELoss, perplexity
@@ -14,6 +14,7 @@ from repro.nn import models
 
 __all__ = [
     "Module",
+    "no_grad",
     "Parameter",
     "functional",
     "init",

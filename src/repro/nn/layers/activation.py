@@ -41,10 +41,10 @@ class GELU(Module):
     """
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._x = x
         out, t, _, x2 = self._checkout(
             "gelu", x.shape, lambda: tuple(np.empty(x.shape) for _ in range(4))
         )
+        self._save(x)
         np.multiply(x, x, out=x2)
         np.multiply(x2, x, out=t)
         t *= _GELU_A
@@ -57,8 +57,8 @@ class GELU(Module):
         return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
+        (x,) = self._take()
         _, t, dx, s = self._workspace()
-        x = self._x
         # dy/dx = 0.5 * (1 + t) + 0.5 * x * (1 - t^2) * c * (1 + 3a * x^2)
         np.multiply(x, x, out=s)
         s *= 1.5 * _GELU_A * _GELU_C
@@ -76,13 +76,11 @@ class GELU(Module):
 
 
 class Tanh(Module):
-    def __init__(self):
-        super().__init__()
-        self._out: np.ndarray = np.zeros(0)
-
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._out = np.tanh(x)
-        return self._out
+        out = np.tanh(x)
+        self._save(out)
+        return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        return grad_out * (1.0 - self._out**2)
+        (out,) = self._take()
+        return grad_out * (1.0 - out**2)

@@ -41,7 +41,6 @@ class MultiHeadSelfAttention(Module):
         self.out_proj = Linear(dim, dim, rng=ro)
         self._scale = 1.0 / math.sqrt(self.head_dim)
         self._mask = np.zeros((0, 0))  # additive causal mask for the last T
-        self._cache = None
 
     def _split_heads(self, x: np.ndarray) -> np.ndarray:
         b, t, _ = x.shape
@@ -74,11 +73,11 @@ class MultiHeadSelfAttention(Module):
         np.exp(probs, out=probs)
         probs /= probs.sum(axis=-1, keepdims=True)
         out = self.out_proj.forward(self._merge_heads(probs @ v))
-        self._cache = (q, k, v, probs, self._scale)
+        self._save(q, k, v, probs)
         return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        q, k, v, probs, scale = self._cache
+        q, k, v, probs = self._take()
         d_attn = self._split_heads(self.out_proj.backward(grad_out))
         d_scores = d_attn @ v.transpose(0, 1, 3, 2)  # d_probs (B, H, T, T)
         d_v = probs.transpose(0, 1, 3, 2) @ d_attn
@@ -89,7 +88,7 @@ class MultiHeadSelfAttention(Module):
         d_scores -= dot
         d_scores *= probs
         d_q = self._merge_heads(d_scores @ k)
-        d_q *= scale
+        d_q *= self._scale
         d_k = d_scores.transpose(0, 1, 3, 2) @ q  # q already carries scale
         dx = self.q_proj.backward(d_q)
         dx += self.k_proj.backward(self._merge_heads(d_k))

@@ -21,17 +21,18 @@ class Dropout(Module):
             raise ValueError(f"dropout probability must be in [0, 1), got {p}")
         self.p = p
         self.rng = as_rng(rng)
-        self._mask: np.ndarray = np.zeros(0)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         if not self.training or self.p == 0.0:
-            self._mask = np.ones(0)  # sentinel: identity backward
+            self._save(None)  # identity backward
             return x
         keep = 1.0 - self.p
-        self._mask = (self.rng.random(x.shape) < keep) / keep
-        return x * self._mask
+        mask = (self.rng.random(x.shape) < keep) / keep
+        self._save(mask)
+        return x * mask
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._mask.size == 0:
+        (mask,) = self._take()
+        if mask is None:
             return grad_out
-        return grad_out * self._mask
+        return grad_out * mask

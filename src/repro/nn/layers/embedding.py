@@ -28,7 +28,6 @@ class Embedding(Module):
             init.normal((num_embeddings, dim), std=0.1, rng=as_rng(rng)),
             "weight",
         )
-        self._ids: np.ndarray = np.zeros(0, dtype=np.int64)
 
     def forward(self, ids: np.ndarray) -> np.ndarray:
         ids = np.asarray(ids)
@@ -39,12 +38,12 @@ class Embedding(Module):
                 f"token ids out of range [0, {self.num_embeddings}): "
                 f"min={ids.min()}, max={ids.max()}"
             )
-        self._ids = ids
+        self._save(ids)
         return self.weight.data[ids]
 
     def backward(self, grad_out: np.ndarray) -> None:
         """Integer inputs have no gradient: returns None, like the conv stem."""
-        ids = self._ids.ravel()
+        ids = self._take()[0].ravel()
         onehot = np.zeros((ids.size, self.num_embeddings))
         onehot[np.arange(ids.size), ids] = 1.0
         self.weight.accumulate_matmul(onehot.T, grad_out.reshape(-1, self.dim))

@@ -35,7 +35,6 @@ class Linear(Module):
         self.bias = (
             Parameter(init.zeros(out_features), "bias") if bias else None
         )
-        self._x: np.ndarray = np.zeros(0)
         # Models set this on their input layer, where dx is never consumed.
         self.skip_input_grad = False
 
@@ -44,18 +43,19 @@ class Linear(Module):
             raise ValueError(
                 f"Linear expected last dim {self.in_features}, got {x.shape}"
             )
-        self._x = x
+        self._save(x)
         y = x.reshape(-1, self.in_features) @ self.weight.data.T
         if self.bias is not None:
             y += self.bias.data
         return y.reshape(*x.shape[:-1], self.out_features)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        x2 = self._x.reshape(-1, self.in_features)
+        (x,) = self._take()
+        x2 = x.reshape(-1, self.in_features)
         g2 = grad_out.reshape(-1, self.out_features)
         self.weight.accumulate_matmul(g2.T, x2)
         if self.bias is not None:
             self.bias.accumulate_grad(g2.sum(axis=0))
         if self.skip_input_grad:
             return None
-        return (g2 @ self.weight.data).reshape(self._x.shape)
+        return (g2 @ self.weight.data).reshape(x.shape)

@@ -26,7 +26,6 @@ class BatchNorm2d(Module):
         self.bias = Parameter(init.zeros(num_features), "bias")
         self.running_mean = np.zeros(num_features, dtype=np.float64)
         self.running_var = np.ones(num_features, dtype=np.float64)
-        self._cache = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         if x.ndim != 4 or x.shape[1] != self.num_features:
@@ -45,18 +44,15 @@ class BatchNorm2d(Module):
         inv_std = 1.0 / np.sqrt(var + self.eps)
         inv4 = inv_std[None, :, None, None]
         xhat = (x - mean4) * inv4
-        if self.training:
-            self._cache = (xhat, inv_std, x.shape)
+        if self.training:  # eval-mode statistics have no backward here
+            self._save(xhat, inv_std)
         return self.weight.data[None, :, None, None] * xhat + self.bias.data[
             None, :, None, None
         ]
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._cache is None:
-            raise RuntimeError("BatchNorm2d.backward called without a training forward")
-        xhat, inv_std, shape = self._cache
-        n, _, h, w = shape
-        m = n * h * w  # samples per channel
+        xhat, inv_std = self._take()
+        m = xhat.size // self.num_features  # samples per channel
         self.weight.accumulate_grad((grad_out * xhat).sum(axis=(0, 2, 3)))
         self.bias.accumulate_grad(grad_out.sum(axis=(0, 2, 3)))
         g = grad_out * self.weight.data[None, :, None, None]
@@ -80,7 +76,6 @@ class LayerNorm(Module):
         self.eps = eps
         self.weight = Parameter(init.ones(dim), "weight")
         self.bias = Parameter(init.zeros(dim), "bias")
-        self._cache = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         if x.shape[-1] != self.dim:
@@ -89,13 +84,13 @@ class LayerNorm(Module):
         out = xhat * xhat  # squares now, the output below
         inv_std = 1.0 / np.sqrt(out.mean(axis=-1, keepdims=True) + self.eps)
         xhat *= inv_std
-        self._cache = (xhat, inv_std)
+        self._save(xhat, inv_std)
         np.multiply(xhat, self.weight.data, out=out)
         out += self.bias.data
         return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        xhat, inv_std = self._cache
+        xhat, inv_std = self._take()
         d = self.dim
         axes = tuple(range(grad_out.ndim - 1))
         tmp = grad_out * xhat

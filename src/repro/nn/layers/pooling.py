@@ -51,7 +51,6 @@ class MaxPool2d(Module):
         super().__init__()
         self.kernel_size = kernel_size
         self.stride = kernel_size if stride is None else stride
-        self._cache = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         n, c, h, w = x.shape
@@ -64,19 +63,20 @@ class MaxPool2d(Module):
             np.maximum(a, b, out=m01)
             np.maximum(cc, d, out=m23)
             np.maximum(m01, m23, out=out)
-            self._cache = None  # backward reads the held workspace
+            self._save(None, x.shape)  # backward reads the held workspace
             return out
         # General (overlapping / ragged) pooling: fold channels into the
         # batch dim so im2col produces per-channel patches.
         cols, oh, ow = im2col(x.reshape(n * c, 1, h, w), k, k, s, 0)
         argmax = cols.argmax(axis=1)
         out = cols[np.arange(cols.shape[0]), argmax]
-        self._cache = (argmax, (n, c, h, w), oh, ow, cols.shape)
+        self._save(argmax, x.shape)
         return out.reshape(n, c, oh, ow)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         k, s = self.kernel_size, self.stride
-        if self._cache is None:
+        argmax, (n, c, h, w) = self._take()
+        if argmax is None:
             ws = self._workspace()
             ((a, b), (cc, d)), (m01, m23, _) = ws.taps, ws.maxes
             t01, code, sel = ws.flags
@@ -96,10 +96,8 @@ class MaxPool2d(Module):
             ws.dx.reshape(-1)[ws.idx] = grad_out  # windows are disjoint: no index twice
             self._release()
             return ws.dx
-        argmax, x_shape, oh, ow, cols_shape = self._cache
-        n, c, h, w = x_shape
-        dcols = np.zeros(cols_shape, dtype=grad_out.dtype)
-        dcols[np.arange(cols_shape[0]), argmax] = grad_out.ravel()
+        dcols = np.zeros((argmax.size, k * k), dtype=grad_out.dtype)
+        dcols[np.arange(argmax.size), argmax] = grad_out.ravel()
         dx = col2im(dcols, (n * c, 1, h, w), k, k, s, 0)
         return dx.reshape(n, c, h, w)
 
@@ -111,22 +109,18 @@ class AvgPool2d(Module):
         super().__init__()
         self.kernel_size = kernel_size
         self.stride = kernel_size if stride is None else stride
-        self._cache = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         n, c, h, w = x.shape
         k, s = self.kernel_size, self.stride
         cols, oh, ow = im2col(x.reshape(n * c, 1, h, w), k, k, s, 0)
-        self._cache = ((n, c, h, w), cols.shape, oh, ow)
+        self._save(x.shape)
         return cols.mean(axis=1).reshape(n, c, oh, ow)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        x_shape, cols_shape, oh, ow = self._cache
-        n, c, h, w = x_shape
+        ((n, c, h, w),) = self._take()
         k, s = self.kernel_size, self.stride
-        dcols = np.repeat(
-            grad_out.reshape(-1, 1) / (k * k), cols_shape[1], axis=1
-        )
+        dcols = np.repeat(grad_out.reshape(-1, 1) / (k * k), k * k, axis=1)
         dx = col2im(dcols, (n * c, 1, h, w), k, k, s, 0)
         return dx.reshape(n, c, h, w)
 
@@ -134,15 +128,11 @@ class AvgPool2d(Module):
 class GlobalAvgPool2d(Module):
     """Collapse each channel's spatial map to its mean: (N,C,H,W) -> (N,C)."""
 
-    def __init__(self):
-        super().__init__()
-        self._hw = (0, 0)
-
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._hw = x.shape[2:]
+        self._save(x.shape[2:])
         return x.mean(axis=(2, 3))
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        h, w = self._hw
+        ((h, w),) = self._take()
         g = grad_out[:, :, None, None] / (h * w)
         return np.broadcast_to(g, (*grad_out.shape, h, w)).copy()

@@ -10,13 +10,10 @@ from repro.nn.module import Module
 class Flatten(Module):
     """Collapse all but the leading (batch) dimension."""
 
-    def __init__(self):
-        super().__init__()
-        self._shape = None
-
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._shape = x.shape
+        self._save(x.shape)
         return x.reshape(x.shape[0], -1)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        return grad_out.reshape(self._shape)
+        (shape,) = self._take()
+        return grad_out.reshape(shape)

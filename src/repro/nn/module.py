@@ -1,20 +1,37 @@
 """Base class for all network modules.
 
-The library uses explicit layer-wise backpropagation: ``forward`` caches the
-activations it needs, ``backward`` consumes the upstream gradient, adds to
-each parameter's ``grad`` and returns the gradient w.r.t. its input. This is
-simpler and faster in numpy than a full tape-based autograd, and every layer
-is verified against finite differences in the test suite.
+The library uses explicit layer-wise backpropagation: ``forward`` saves what
+its backward needs in one slot (nothing inside :func:`no_grad`), ``backward``
+takes it out, consumes the upstream gradient, adds to each parameter's
+``grad`` and returns the gradient w.r.t. its input. This is simpler and
+faster in numpy than a full tape-based autograd, and every layer is verified
+against finite differences in the test suite.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from typing import Dict, Iterator, List, Tuple
 
 import numpy as np
 
 from repro.nn.parameter import Parameter
 from repro.nn import workspace
+
+_grad_enabled = True  # False inside ``no_grad()``
+
+
+@contextmanager
+def no_grad():
+    """Forward-only region (evaluation): forwards save nothing, and a
+    workspace of a batch size the pool does not hold is private (dropped on
+    release), so evaluation-only sizes never enter ``nn.workspace.POOL``."""
+    global _grad_enabled
+    prev, _grad_enabled = _grad_enabled, False
+    try:
+        yield
+    finally:
+        _grad_enabled = prev
 
 
 class Module:
@@ -34,6 +51,7 @@ class Module:
         self._tree = (-1, ())  # (_registry_version, flat modules() list)
         self.training: bool = True
         self._held = None  # (signature, shape, workspace) out of workspace.POOL
+        self._saved = None  # what the last forward kept for its backward
 
     # -- registration ------------------------------------------------------
     def register_module(self, name: str, module: "Module") -> "Module":
@@ -81,7 +99,7 @@ class Module:
         return sum(p.nbytes for p in self.parameters())
 
     # -- modes ---------------------------------------------------------------
-    # A mode call also ends every forward-only workspace hold in the tree,
+    # A mode call also ends every workspace hold and saved slot in the tree,
     # so it must not sit between a forward and its backward.
     def train(self, mode: bool = True) -> "Module":
         # Runs around every gradient computation: the tree is walked once per
@@ -96,21 +114,40 @@ class Module:
     def eval(self) -> "Module":
         return self.train(False)
 
+    # -- what a forward keeps for its backward ---------------------------------
+    def _no_forward(self) -> RuntimeError:
+        name = type(self).__name__
+        return RuntimeError(f"{name}.backward called before forward (one per forward)")
+
+    def _save(self, *arrays) -> None:
+        """Keep ``arrays`` for this forward's backward (nothing under
+        :func:`no_grad`). Called after any ``_checkout``, which clears it."""
+        if _grad_enabled:
+            self._saved = arrays
+
+    def _take(self) -> tuple:
+        """What the last forward saved, which this backward consumes."""
+        saved, self._saved = self._saved, None
+        if saved is None:
+            raise self._no_forward()
+        return saved
+
     # -- pooled workspaces (see ``nn.workspace``) ------------------------------
     def _checkout(self, sig, shape, build):
         """This forward's workspace, held until :meth:`_release`."""
         self._release()
-        ws = workspace.POOL.checkout(sig, shape, build)
+        ws = workspace.POOL.checkout(sig, shape, build, keep=_grad_enabled)
         self._held = (sig, shape, ws)
         return ws
 
     def _workspace(self):
         """The workspace the last ``forward`` checked out."""
         if self._held is None:
-            raise RuntimeError(f"{type(self).__name__}.backward called before forward")
+            raise self._no_forward()
         return self._held[2]
 
     def _release(self) -> None:
+        self._saved = None
         if self._held is not None:
             held, self._held = self._held, None
             workspace.POOL.give_back(*held)

@@ -17,8 +17,8 @@ from collections import OrderedDict
 import numpy as np
 
 # Batch sizes kept per (signature, per-sample shape), least recently used
-# first out: the training batch plus one other (an evaluation's ragged
-# tail), so a run that sees many batch sizes cannot grow the pool.
+# first out, so a run whose training batches change size cannot grow the
+# pool. Evaluation (``no_grad``) adds none.
 MAX_BATCH_SIZES = 2
 
 
@@ -27,14 +27,17 @@ class WorkspacePool:
         # {(signature, per-sample shape): {batch size: [free workspaces]}}
         self.free = {}
 
-    def checkout(self, sig, shape: tuple, build):
+    def checkout(self, sig, shape: tuple, build, keep: bool = True):
         """A free workspace for input ``shape`` (batch first) of a layer with
-        signature ``sig``, or ``build()`` if none is free."""
-        sizes = self.free.setdefault((sig, shape[1:]), OrderedDict())
-        free = sizes.setdefault(shape[0], [])
-        sizes.move_to_end(shape[0])
-        if len(sizes) > MAX_BATCH_SIZES:
-            sizes.popitem(last=False)
+        signature ``sig``, or ``build()`` if none is free. ``keep=False``
+        (``no_grad``) adds no batch size: one not held is dropped on return."""
+        if keep:
+            sizes = self.free.setdefault((sig, shape[1:]), OrderedDict())
+            sizes.setdefault(shape[0], [])
+            sizes.move_to_end(shape[0])
+            if len(sizes) > MAX_BATCH_SIZES:
+                sizes.popitem(last=False)
+        free = self.free.get((sig, shape[1:]), {}).get(shape[0])
         return free.pop() if free else build()
 
     def give_back(self, sig, shape: tuple, ws) -> None:

@@ -46,8 +46,10 @@ class TestActivationMeasurement:
         out = relu.forward(x)
         scratch = 2 * x.nbytes + x.size  # out, dx and the bool mask
         assert measure_activation_bytes(relu) == scratch
-        relu.kept_view = out[:2]  # a layer caching a slice of pooled memory
-        relu.kept_copy = x
+        # A layer saving a slice of pooled memory, and a private array.
+        relu._saved = (out[:2], x)
+        assert measure_activation_bytes(relu) == scratch + x.nbytes
+        relu._saved = (x, x[1:], x.reshape(-1))  # one buffer, three views
         assert measure_activation_bytes(relu) == scratch + x.nbytes
 
     def test_transformer_grows_with_batch(self):
@@ -58,6 +60,24 @@ class TestActivationMeasurement:
         model.forward(RNG.integers(0, 32, (16, 8)))
         large = measure_activation_bytes(model)
         assert large > small
+
+    @pytest.mark.parametrize("name", ["smallresnet", "tinytransformer"])
+    def test_only_what_backward_needs_is_counted(self, name):
+        """BatchNorm running statistics, attention's causal mask and the
+        transformer's position table are ndarray attributes but not
+        activations: once the backward has consumed the saved slots and
+        returned the workspaces, nothing is left to count."""
+        if name == "smallresnet":
+            model = build_model(name, rng=0)
+            x, shape = RNG.normal(size=(4, 3, 16, 16)), (4, 10)
+        else:
+            model = build_model(name, vocab_size=32, max_len=8, rng=0)
+            x, shape = RNG.integers(0, 32, (4, 8)), (4, 8, 32)
+        model.train()
+        model.forward(x)
+        assert measure_activation_bytes(model) > 0
+        model.backward(np.zeros(shape))
+        assert measure_activation_bytes(model) == 0
 
     def test_positive_after_forward(self):
         model = build_model("mlp", rng=0)

@@ -12,7 +12,7 @@ class TestAttentionSemantics:
     def test_probs_rows_are_distributions(self):
         attn = MultiHeadSelfAttention(8, 2, causal=True, rng=0)
         attn.forward(RNG.normal(size=(1, 5, 8)))
-        _, _, _, probs, _ = attn._cache
+        _, _, _, probs = attn._saved
         assert np.allclose(probs.sum(axis=-1), 1.0)
         # Causal: the mask zeroes strictly-upper-triangular probabilities.
         t = probs.shape[-1]
@@ -22,7 +22,7 @@ class TestAttentionSemantics:
     def test_first_token_attends_only_to_itself(self):
         attn = MultiHeadSelfAttention(8, 2, causal=True, rng=0)
         attn.forward(RNG.normal(size=(2, 4, 8)))
-        _, _, _, probs, _ = attn._cache
+        _, _, _, probs = attn._saved
         assert np.allclose(probs[:, :, 0, 0], 1.0)
 
     def test_permutation_equivariance_noncausal(self):

@@ -35,7 +35,7 @@ def fast_pool(x, g, pool=None):
     """Private copies of ``(out, dx)`` from the fast path."""
     pool = pool or MaxPool2d(2)
     out = np.array(pool.forward(x))
-    assert pool._cache is None, "input did not take the 2x2 fast path"
+    assert pool._saved[0] is None, "input did not take the 2x2 fast path"
     return out, np.array(pool.backward(g))
 
 
@@ -48,7 +48,7 @@ def general_pool(x, g):
     ragged[:, :, :h, :w] = x
     pool = MaxPool2d(2)
     out = pool.forward(ragged)
-    assert pool._cache is not None
+    assert pool._saved[0] is not None  # the argmax of the general path
     dx = pool.backward(g)
     assert not dx[:, :, h:, :].any() and not dx[:, :, :, w:].any()
     return out, dx[:, :, :h, :w]

@@ -136,9 +136,27 @@ def test_workspace_count_is_independent_of_replica_count(monkeypatch):
         counts.append(workspaces_after_three_steps(n_workers, fresh))
     assert counts[0] == counts[1]
     after_steps, after_eval = counts[0]
-    # One set for the training shape; the evaluation's ragged last chunk
-    # may add one more shape per layer, never one per replica.
-    assert after_steps > 0 and after_steps <= after_eval <= 2 * after_steps
+    # One set for the training shape. The evaluation's ragged last chunk is
+    # built privately under ``no_grad`` and dropped: it adds no shape.
+    assert after_steps > 0 and after_eval == after_steps
+
+
+def test_perplexity_evaluation_keeps_only_the_training_size(pool):
+    """Evaluation chunks of 64 and a ragged 51 used to enter the pool's
+    two-size LRU and push the training batch size out of it, so the step
+    after every evaluation rebuilt the training set."""
+    built = get_workload("transformer_wikitext").build(
+        n_workers=2, n_steps=4, cluster_kwargs={"executor": "serial"}
+    )
+    trainer = build_trainer(MethodSpec("bsp", {}), built)
+    trainer.step(0)
+    kept = free_workspaces(pool)
+    trainer.evaluate(TrainConfig(n_steps=4, eval_fn=built.eval_fn))
+    trainer.step(1)
+    gelu = [list(sizes) for (sig, _), sizes in pool.free.items() if sig == "gelu"]
+    assert gelu == [[built.batch_size]]
+    after = free_workspaces(pool)
+    assert len(after) == len(kept) and all(any(a is k for k in kept) for a in after)
 
 
 def test_retained_shapes_are_bounded(pool):

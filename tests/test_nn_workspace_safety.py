@@ -6,16 +6,19 @@ lifetime rule (DESIGN.md, "Hot path"): an array a layer returns from
 ``forward`` is valid until that layer's ``backward`` returns (or its next
 ``forward``), one returned from ``backward`` until the next ``forward``
 that checks the workspace out again. These tests pin what follows from it: reuse across shapes and calls never changes a result, activations
-held downstream survive until their consumer's backward, and workspaces are
-not state — a resumed run rebuilds them and stays bitwise identical.
+held downstream survive until their consumer's backward (and no longer), and
+workspaces are not state — a resumed run rebuilds them and stays bitwise
+identical.
 """
 
 import numpy as np
 import pytest
 
+from repro.core.evaluation import perplexity_eval
+from repro.data.dataset import SequenceDataset
 from repro.experiments.runner import MethodSpec, run_method
 from repro.experiments.workloads import get_workload
-from repro.nn.layers import GELU, LayerNorm, Linear, MultiHeadSelfAttention
+from repro.nn.layers import Embedding, GELU, LayerNorm, Linear, MultiHeadSelfAttention
 from repro.nn.models import build_model
 
 RNG = np.random.default_rng(0)
@@ -70,29 +73,39 @@ def test_backward_pairs_with_the_latest_forward(name):
 
 
 def test_held_activations_survive_until_their_backward():
-    """Every array a layer keeps for backward (``Linear._x`` is the previous
+    """What a layer saves for backward (``Linear``'s input is the previous
     layer's output buffer — LayerNorm's, GELU's workspace, a Residual sum)
-    must still hold its forward value when the whole backward is done."""
+    must still hold its forward value when that layer's backward starts;
+    once the backward is done, and after an evaluation, nothing is held."""
     model = build_model("tinytransformer", vocab_size=16, max_len=8, rng=0, dropout=0.0)
     ids = RNG.integers(0, 16, (3, 8))
     g = RNG.normal(size=(3, 8, 16))
 
-    def held():
-        out = []
-        for m in model.modules():
-            if isinstance(m, (Linear, GELU)):
-                out.append(m._x)
-            elif isinstance(m, LayerNorm):
-                out.append(m._cache[0])
-            elif isinstance(m, MultiHeadSelfAttention):
-                out.extend(m._cache[:4])
-        return out
+    def saved(m):
+        return [a for a in m._saved or () if isinstance(a, np.ndarray)]
+
+    checked = []
+
+    def checking(m, at_forward):
+        inner = m.backward
+
+        def backward(grad_out):
+            assert_same(saved(m), at_forward)
+            checked.append(m)
+            return inner(grad_out)
+
+        return backward
 
     model.zero_grad()
     model.forward(ids)
-    before = [a.copy() for a in held()]
+    for m in model.modules():
+        if saved(m):
+            m.backward = checking(m, [a.copy() for a in saved(m)])
     model.backward(g)
-    assert_same(held(), before)
+    assert {type(m) for m in checked} == {
+        Embedding, GELU, LayerNorm, Linear, MultiHeadSelfAttention
+    }
+    assert all(m._saved is None and m._held is None for m in model.modules())
     grads = model.get_flat_grads(copy=True)
 
     # Reuse is invisible: the same step again, and on a fresh model.
@@ -104,6 +117,13 @@ def test_held_activations_survive_until_their_backward():
     fresh.forward(ids)
     fresh.backward(g)
     np.testing.assert_array_equal(fresh.get_flat_grads(), grads)
+
+    # An evaluation saves nothing; the mode flip after it ends its holds.
+    model.eval()
+    perplexity_eval(SequenceDataset(RNG.integers(0, 16, 200), bptt=8))(model)
+    assert all(m._saved is None for m in model.modules())
+    model.train()
+    assert all(m._held is None for m in model.modules())
 
 
 def test_transformer_selsync_resume_is_bitwise_identical(tmp_path):
