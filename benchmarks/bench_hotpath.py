@@ -1061,7 +1061,7 @@ def dataset_build_child(reps: int) -> None:
             workers = group()
             arrays = [w.get_params() for w in workers]
             for w in workers:
-                w.compute_gradient()
+                w.compute_gradient(w.loader.next_batch())
                 arrays.append(w.get_grads())
             build = group
         else:

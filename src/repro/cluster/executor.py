@@ -5,16 +5,17 @@ forward/backward passes, one per simulated worker. An executor owns *how*
 those passes run — sequentially in the caller's thread, or fanned out over
 a persistent pool of **worker processes** sharing the parameter/gradient
 arenas — while trainers stay oblivious; they call
-``executor.compute_gradients(workers)`` and get the per-worker losses back
-in worker order.
+``executor.compute_gradients(workers, batches)`` and get the per-worker
+losses back in worker order. An executor only computes: the trainer draws
+every mini-batch (:meth:`~repro.core.trainer.DistributedTrainer.draw_batches`)
+on its own thread, in worker order, before handing them over.
 
 Determinism contract
 --------------------
 Both backends produce **byte-identical** results:
 
-* Batch draws are sequenced on the caller's thread in worker order (via
-  :meth:`~repro.cluster.worker.SimWorker.draw_batch`) before any task is
-  submitted, so loader RNG streams advance identically under every backend.
+* Batches arrive already drawn, so loader RNG streams advance identically
+  under every backend.
 * Each worker owns its model, optimizer, arena and RNG; tasks share no
   mutable state, so the floating-point work per worker is the same
   instruction sequence regardless of interleaving or address space.
@@ -59,7 +60,7 @@ Batch = Tuple[np.ndarray, np.ndarray]
 EXECUTOR_KINDS = ("serial", "process")
 
 
-def _compute_one(worker, batch: Optional[Batch]) -> float:
+def _compute_one(worker, batch: Batch) -> float:
     """One worker's forward/backward, with an ``exec_task`` trace event.
 
     The event deliberately excludes the backend name and (in deterministic
@@ -94,17 +95,17 @@ class WorkerExecutor:
         """
 
     def compute_gradients(
-        self,
-        workers: Sequence,
-        batches: Optional[Sequence[Batch]] = None,
+        self, workers: Sequence, batches: Sequence[Batch]
     ) -> List[float]:
-        """Forward/backward every worker once; return losses in worker order.
+        """Forward/backward every worker once on its batch (``batches[j]``
+        belongs to ``workers[j]``); return losses in worker order."""
+        if len(batches) != len(workers):
+            raise ValueError(
+                f"got {len(batches)} batches for {len(workers)} workers"
+            )
+        return self._run(workers, batches)
 
-        When ``batches`` is ``None`` each worker's next mini-batch is drawn
-        here, on the calling thread, in worker order — so the data stream is
-        identical whichever backend runs the math. Callers that already
-        drew (or transformed) the batches pass them explicitly.
-        """
+    def _run(self, workers: Sequence, batches: Sequence[Batch]) -> List[float]:
         raise NotImplementedError
 
     def shutdown(self) -> None:
@@ -124,15 +125,7 @@ class SerialExecutor(WorkerExecutor):
 
     name = "serial"
 
-    def compute_gradients(self, workers, batches=None):
-        if batches is None:
-            for w in workers:
-                w.draw_batch()
-            return [_compute_one(w, None) for w in workers]
-        if len(batches) != len(workers):
-            raise ValueError(
-                f"got {len(batches)} batches for {len(workers)} workers"
-            )
+    def _run(self, workers, batches):
         return [_compute_one(w, b) for w, b in zip(workers, batches)]
 
 
@@ -481,20 +474,8 @@ class ProcessExecutor(WorkerExecutor):
         self._pool.check_membership(workers)
         return self._pool
 
-    def compute_gradients(self, workers, batches=None):
-        pool = self._ensure_pool(workers)
-        if batches is None:
-            # Sequence the data draws on the parent, in worker order: the
-            # loaders stay authoritative here and the stream is identical
-            # to the serial backend's.
-            for w in workers:
-                w.draw_batch()
-            batches = [w.take_prefetched() for w in workers]
-        elif len(batches) != len(workers):
-            raise ValueError(
-                f"got {len(batches)} batches for {len(workers)} workers"
-            )
-        return pool.run_tasks(workers, batches)
+    def _run(self, workers, batches):
+        return self._ensure_pool(workers).run_tasks(workers, batches)
 
     def shutdown(self) -> None:
         if self._pool is not None:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import copy
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
 import numpy as np
 
@@ -37,9 +37,9 @@ class SimWorker:
     """One simulated rank: a model replica, its optimizer and its data view.
 
     Trainers orchestrate workers; a worker only knows how to produce a
-    gradient from its next mini-batch and apply an optimizer step. Workers in
-    one group always start from byte-identical parameters (the cluster
-    builder seeds every replica with the same RNG), matching BSP's
+    gradient from the mini-batch it is handed and apply an optimizer step.
+    Workers in one group always start from byte-identical parameters (the
+    cluster builder seeds every replica with the same RNG), matching BSP's
     pull-initial-state-from-PS contract.
     """
 
@@ -58,67 +58,17 @@ class SimWorker:
         self.loss_factory = loss_factory
         self.last_loss: float = float("nan")
         self.last_grad_sqnorm: float = float("nan")
-        self._prefetched: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     # -- gradient computation ------------------------------------------------
-    def draw_batch(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Pull the next mini-batch now; the following ``compute_gradient()``
-        consumes it.
-
-        Executors call this on the coordinating thread, in worker order,
-        before fanning the math out — loader RNG streams then advance
-        identically under every backend. Drawing twice without a consuming
-        ``compute_gradient`` is always a bug (a batch would be silently
-        skipped), so it raises.
-        """
-        if self._prefetched is not None:
-            raise RuntimeError(
-                f"worker {self.worker_id}: draw_batch() called with a "
-                "prefetched batch still pending; the previous batch was "
-                "never consumed by compute_gradient()"
-            )
-        self._prefetched = self.loader.next_batch()
-        return self._prefetched
-
-    def take_prefetched(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Hand over the pending prefetched batch, clearing the guard.
-
-        The process executor consumes batches here: the draw happened on the
-        coordinating process (keeping the loader authoritative there), while
-        the forward/backward that would normally consume ``_prefetched``
-        runs in a child process on a staged copy.
-        """
-        if self._prefetched is None:
-            raise RuntimeError(
-                f"worker {self.worker_id}: take_prefetched() without a "
-                "pending draw_batch()"
-            )
-        batch, self._prefetched = self._prefetched, None
-        return batch
-
-    def compute_gradient(
-        self, batch: Optional[Tuple[np.ndarray, np.ndarray]] = None
-    ) -> float:
-        """Forward/backward on the next (or a given) mini-batch.
+    def compute_gradient(self, batch: Tuple[np.ndarray, np.ndarray]) -> float:
+        """Forward/backward on ``batch``, an ``(inputs, targets)`` pair the
+        trainer drew (:meth:`~repro.core.trainer.DistributedTrainer.draw_batches`).
 
         Leaves the gradient accumulated in the model and returns the loss.
         Also records the squared L2 gradient norm, which the SelSync tracker
         consumes (Eqn. 2 works on ``||∇F||²``).
         """
-        if batch is None:
-            if self._prefetched is not None:
-                x, y = self._prefetched
-                self._prefetched = None
-            else:
-                x, y = self.loader.next_batch()
-        else:
-            if self._prefetched is not None:
-                raise RuntimeError(
-                    f"worker {self.worker_id}: explicit batch passed while a "
-                    "prefetched batch is pending; one of them would be "
-                    "consumed twice or dropped"
-                )
-            x, y = batch
+        x, y = batch
         self.model.train()
         self.model.zero_grad()
         loss = self.loss_factory()
@@ -244,16 +194,7 @@ class SimWorker:
     def state_dict(self, copy: bool = True) -> Dict:
         """Full per-rank snapshot: parameters, optimizer slots, loader
         position/RNG and model-internal RNG streams (``copy`` as for
-        :meth:`get_params`).
-
-        Must be taken at a step boundary — a pending prefetched batch would
-        be silently dropped on restore, skewing the data stream.
-        """
-        if self._prefetched is not None:
-            raise RuntimeError(
-                f"worker {self.worker_id}: state_dict() with a prefetched "
-                "batch pending; checkpoint only at step boundaries"
-            )
+        :meth:`get_params`)."""
         return {
             "worker_id": self.worker_id,
             "params": self.get_params(copy=copy),
@@ -281,7 +222,6 @@ class SimWorker:
         self.loader.load_state_dict(state["loader"])
         self.last_loss = float(state["last_loss"])
         self.last_grad_sqnorm = float(state["last_grad_sqnorm"])
-        self._prefetched = None
 
 
 def build_worker_group(

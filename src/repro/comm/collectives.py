@@ -1,7 +1,7 @@
 """In-process collectives over numpy buffers, with simulated timing.
 
 :class:`SimGroup` mirrors the mpi4py surface the paper's PS calls map onto
-(allreduce / allgather / broadcast / p2p) but executes within one process:
+(allreduce / allgather / p2p) but executes within one process:
 the data movement is real numpy, the elapsed time is the cost model's. Every
 operation returns ``(result, simulated_seconds)`` so trainers charge the
 clock explicitly.
@@ -429,18 +429,7 @@ class SimGroup:
         self._trace("allgather_flags", float(self.n_workers), 0, self.n_workers, t)
         return arr, t
 
-    # -- broadcast / p2p -----------------------------------------------------
-    def broadcast(self, vector: np.ndarray, nbytes: float = None) -> Tuple[List[np.ndarray], float]:
-        """Root sends one vector to all ranks (initial model pull, Alg. 1 line 3)."""
-        payload = float(vector.nbytes if nbytes is None else nbytes)
-        # All pulls proceed in parallel, PS egress shared — same as one PS phase.
-        t = self.topology.sync_time(payload, self.n_workers, self.net) / 2.0
-        copies = [vector.copy() for _ in range(self.n_workers)]
-        counted = int(payload) * self.n_workers
-        self.bytes_synced += counted
-        self._trace("broadcast", payload, counted, self.n_workers, t)
-        return copies, t
-
+    # -- p2p ----------------------------------------------------------------
     def p2p(self, payload_nbytes: float) -> float:
         """Timing for one point-to-point transfer (data injection)."""
         t = p2p_time(payload_nbytes, self.net)

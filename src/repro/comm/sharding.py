@@ -116,11 +116,6 @@ class ShardSpec:
             bounds.append(offset)
         return cls(n_params=total, bounds=tuple(bounds))
 
-    @classmethod
-    def single(cls, n_params: int) -> "ShardSpec":
-        """The trivial one-shard spec over ``n_params`` entries."""
-        return cls(n_params=int(n_params), bounds=(0, int(n_params)))
-
     # -- geometry ----------------------------------------------------------
     @property
     def n_shards(self) -> int:
@@ -145,27 +140,6 @@ class ShardSpec:
             slice(lo, hi) for lo, hi in zip(self.bounds, self.bounds[1:])
         )
 
-    def shard_of(self, index: int) -> int:
-        """Shard owning flat index ``index``."""
-        if not 0 <= index < self.n_params:
-            raise ValueError(
-                f"index must be in [0, {self.n_params}), got {index}"
-            )
-        import bisect
-
-        return bisect.bisect_right(self.bounds, index) - 1
-
-    def payloads(self, total_nbytes: float) -> Tuple[float, ...]:
-        """Per-shard byte payloads for a ``total_nbytes`` full-model sync.
-
-        Proportional split; experiments override ``comm_bytes`` with the
-        paper-scale model size, so shard payloads scale with it rather
-        than the in-memory analog.
-        """
-        if total_nbytes < 0:
-            raise ValueError(f"total_nbytes must be >= 0, got {total_nbytes}")
-        return tuple(f * float(total_nbytes) for f in self.fractions)
-
     def int_payloads(self, total_nbytes: float) -> Tuple[int, ...]:
         """Exact integer byte split: sums to ``int(total_nbytes)``.
 
@@ -187,29 +161,6 @@ class ShardSpec:
         for s in order[:short]:
             floors[s] += 1
         return tuple(floors)
-
-    # -- canonical string form --------------------------------------------
-    def to_spec(self) -> str:
-        """Canonical string form, e.g. ``"0,216,1976,27244"``.
-
-        Round-trips through :meth:`parse` exactly (property-tested), so a
-        spec can live in a checkpoint, a CLI flag, or a trace header.
-        """
-        return ",".join(str(b) for b in self.bounds)
-
-    @classmethod
-    def parse(cls, spec: str) -> "ShardSpec":
-        """Inverse of :meth:`to_spec`."""
-        parts = [p.strip() for p in spec.split(",") if p.strip()]
-        if len(parts) < 2:
-            raise ValueError(
-                f"shard spec needs at least 2 bounds, got {spec!r}"
-            )
-        try:
-            bounds = tuple(int(p) for p in parts)
-        except ValueError as e:
-            raise ValueError(f"bad shard spec {spec!r}: {e}") from None
-        return cls(n_params=bounds[-1], bounds=bounds)
 
     def aligned_to(self, layer_sizes: Sequence[int]) -> bool:
         """True when every shard boundary is a tensor boundary of

@@ -81,22 +81,6 @@ class Topology:
             edges=self.schedule_edges(ranks, faults.ps_rank),
         )
 
-    def neighbors(self, rank: int, n_workers: int) -> frozenset:
-        """Worker ranks that ``rank`` exchanges data with directly.
-
-        Invariants (property-tested): never contains ``rank`` itself, every
-        member is in ``[0, n_workers)``, and peer links are symmetric
-        (``a in neighbors(b)`` iff ``b in neighbors(a)``).
-        """
-        if n_workers < 1:
-            raise ValueError(f"n_workers must be >= 1, got {n_workers}")
-        if not 0 <= rank < n_workers:
-            raise ValueError(f"rank must be in [0, {n_workers}), got {rank}")
-        return self._neighbors(rank, n_workers)
-
-    def _neighbors(self, rank: int, n_workers: int) -> frozenset:
-        raise NotImplementedError
-
 
 @TOPOLOGIES.register("ps")
 class PSTopology(Topology):
@@ -106,11 +90,6 @@ class PSTopology(Topology):
 
     def sync_time(self, nbytes: float, n_workers: int, net: NetworkModel) -> float:
         return ps_sync_time(nbytes, n_workers, net)
-
-    def _neighbors(self, rank: int, n_workers: int) -> frozenset:
-        # All traffic goes through the PS node, which is not a worker rank:
-        # workers never talk to each other directly.
-        return frozenset()
 
     def schedule_edges(
         self, ranks: Sequence[int], ps_rank: int
@@ -131,14 +110,6 @@ class RingTopology(Topology):
 
     def sync_time(self, nbytes: float, n_workers: int, net: NetworkModel) -> float:
         return ring_allreduce_time(nbytes, n_workers, net)
-
-    def _neighbors(self, rank: int, n_workers: int) -> frozenset:
-        # Predecessor and successor on the ring; a 1- or 2-worker ring
-        # collapses (no self-loops, and the two-ring's peers coincide).
-        return frozenset(
-            p for p in ((rank - 1) % n_workers, (rank + 1) % n_workers)
-            if p != rank
-        )
 
     def schedule_edges(
         self, ranks: Sequence[int], ps_rank: int
@@ -209,17 +180,6 @@ class TreeTopology(Topology):
 
     def sync_time(self, nbytes: float, n_workers: int, net: NetworkModel) -> float:
         return tree_allreduce_time(nbytes, n_workers, net)
-
-    def _neighbors(self, rank: int, n_workers: int) -> frozenset:
-        # Binary-heap layout: parent (rank-1)//2, children 2r+1 / 2r+2.
-        # n_workers ranks form a connected tree with n_workers - 1 edges.
-        peers = []
-        if rank > 0:
-            peers.append((rank - 1) // 2)
-        for child in (2 * rank + 1, 2 * rank + 2):
-            if child < n_workers:
-                peers.append(child)
-        return frozenset(peers)
 
     def schedule_edges(
         self, ranks: Sequence[int], ps_rank: int

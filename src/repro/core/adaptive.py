@@ -108,10 +108,6 @@ class TargetLSSRDelta(DeltaPolicy):
         # versa. Clamped to stay strictly positive.
         self.delta = max(1e-12, self.delta * (1.0 + self.gain * (self.target - realized)))
 
-    @property
-    def realized_lssr(self) -> float:
-        return self._local / self._total if self._total else 0.0
-
     def effective_delta(self, trainer, step: int) -> float:
         if step < self.warmup:
             return 0.0

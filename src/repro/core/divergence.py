@@ -57,5 +57,3 @@ class DivergenceTracker:
             raise ValueError("no snapshots recorded")
         return self.spreads[-1]
 
-    def as_arrays(self):
-        return np.array(self.steps), np.array(self.spreads)

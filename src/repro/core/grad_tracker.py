@@ -73,10 +73,6 @@ class RelativeGradChange(Captured):
         return delta
 
     @property
-    def last_delta(self) -> Optional[float]:
-        return self._last_delta
-
-    @property
     def max_delta(self) -> float:
         """Running extremum M of finite Δ(g_i) values (paper §III-B)."""
         return self._max_delta
@@ -84,14 +80,6 @@ class RelativeGradChange(Captured):
     @property
     def n_updates(self) -> int:
         return self._n_updates
-
-    def exceeds(self, delta_threshold: float) -> bool:
-        """Alg. 1 line 10: does the latest Δ(g_i) call for synchronization?"""
-        if delta_threshold < 0:
-            raise ValueError(f"δ must be >= 0, got {delta_threshold}")
-        if self._last_delta is None:
-            raise RuntimeError("exceeds() called before any update()")
-        return self._last_delta >= delta_threshold
 
     def reset(self) -> None:
         self._ewma.reset()

@@ -115,8 +115,7 @@ class SelSyncTrainer(DistributedTrainer):
         ranks), so it is skipped on degraded steps where some workers are
         down — a fault-mode limitation, not a reproduction caveat.
         """
-        batches = [w.loader.next_batch() for w in live_workers]
-        inject_time = 0.0
+        batches, inject_time = super().draw_batches(live_workers)
         if self.injector is not None and len(live_workers) == len(self.workers):
             result = self.injector.inject(batches)
             batches = result.batches

@@ -162,7 +162,8 @@ class SSPTrainer(DistributedTrainer):
                 return
             w = self.workers[worker_id]
             w.set_params(self.server.pull(copy=False))
-            self.executor.compute_gradients([w])
+            batches, _ = self.draw_batches([w])
+            self.executor.compute_gradients([w], batches)
             t_c = self.compute.sample_time(self.flops_per_sample, batch, worker_id)
             if self.faults.active:
                 t_c *= self.faults.straggle_factor(worker_id, k)

@@ -11,9 +11,9 @@ aggregation over the live worker subset with a configurable quorum, and
 checkpoint/resume with bitwise-identical continuation.
 
 Fault-free runs are bitwise-identical to a build without the fault
-subsystem: every fault hook short-circuits when no ``fault_spec`` is set,
-and the compute-jitter RNG is always drawn for the full worker set so the
-stream never shifts.
+subsystem: with no ``fault_spec`` every fault hook leaves the live set
+whole, and the compute-jitter RNG is always drawn for the full worker set
+so the stream never shifts.
 
 When ``TrainConfig.tracer`` carries a :class:`repro.obs.Tracer`, the run
 loop emits the step/eval/checkpoint/fault spine of the event trace
@@ -165,9 +165,9 @@ class DistributedTrainer:
         # whenever no net-fault spec is set (the fault-free fast path).
         self.net_faults = self.group.link_faults
         self.quorum = cluster.effective_quorum
-        # Live set of the step in flight; None outside fault/health runs so
-        # the deployable mean covers every worker (the fault-free fast path).
-        self._current_live: Optional[List[int]] = None
+        # Live set of the step in flight (every rank until a step opens);
+        # the deployable mean covers exactly these replicas.
+        self._current_live: List[int] = list(range(len(workers)))
         # Per-worker simulated compute seconds of the latest round; the
         # health tracker's straggle signal.
         self._last_compute_times: Optional[np.ndarray] = None
@@ -199,12 +199,7 @@ class DistributedTrainer:
         live_workers = [self.workers[w] for w in live]
         lr = self.lr(i)
         batches, t_inject = self.draw_batches(live_workers)
-        batch_size = (
-            self.workers[0].loader.batch_size
-            if batches is None
-            else len(batches[0][0])
-        )
-        t_c = self.max_compute_time(batch_size, step=i, live=live)
+        t_c = self.max_compute_time(len(batches[0][0]), i)
         losses = self.executor.compute_gradients(live_workers, batches)
         # Live workers whose update survived corruption and health
         # screening: only they vote, step locally and may push.
@@ -261,9 +256,10 @@ class DistributedTrainer:
 
     # -- rule hooks ----------------------------------------------------------
     def draw_batches(self, live_workers: Sequence[SimWorker]):
-        """``(batches, p2p_seconds)`` for this step. ``None`` batches let
-        the executor draw each worker's next mini-batch itself."""
-        return None, 0.0
+        """``(batches, p2p_seconds)`` for this step — the one place a
+        mini-batch is drawn: each worker's next batch, in worker order, on
+        the coordinating thread, so every executor sees the same stream."""
+        return [w.loader.next_batch() for w in live_workers], 0.0
 
     def decide(
         self, i: int, ok: List[int], rec: IterationRecord
@@ -350,46 +346,33 @@ class DistributedTrainer:
             or self.net_faults is not None
         )
 
-    def max_compute_time(
-        self,
-        batch_size: int,
-        step: Optional[int] = None,
-        live: Optional[Sequence[int]] = None,
-    ) -> float:
+    def max_compute_time(self, batch_size: int, step: int) -> float:
         """Lock-step compute phase: all workers run concurrently, the round
         takes as long as the slowest (the straggler effect of §II-A).
 
         The jitter RNG is always drawn for the *full* worker set so the
         stream is identical with and without faults; injected straggle
         factors then scale per-worker times and the max is taken over the
-        live subset only (a dead worker delays nobody).
+        step's live set only (a dead worker delays nobody).
         """
         times = self.compute.sample_all(self.flops_per_sample, batch_size)
-        if self.faults.active and step is not None:
+        if self.faults.active:
             factors = np.array(
                 [self.faults.straggle_factor(w, step) for w in range(len(self.workers))]
             )
             times = times * factors
-        full_times = times
         # Keep the full round's per-worker times around: the health
         # tracker's straggle signal (pure observation, no RNG effect).
-        self._last_compute_times = full_times
-        if (
-            self.degraded_mode
-            and step is not None
-            and live is not None
-            and len(live) < len(self.workers)
-        ):
-            times = times[np.asarray(live, dtype=np.intp)]
-        t_max = float(times.max())
+        self._last_compute_times = times
+        t_max = float(times[self._current_live].max())
         tr = obs.active()
-        if tr is not None and step is not None:
+        if tr is not None:
             # Per-worker compute times of this round — the straggler
             # heatmap's raw data (see repro.obs.views.straggler_matrix).
             tr.emit(
                 "compute_phase",
                 step=step,
-                times=[float(x) for x in full_times],
+                times=[float(x) for x in times],
                 max=t_max,
             )
         return t_max
@@ -412,14 +395,11 @@ class DistributedTrainer:
         workers whose quarantine probation has elapsed, filters
         still-quarantined workers out of the live set, and raises
         :class:`QuorumLostError` if fewer live workers remain than the
-        configured quorum. A no-op returning the full live set when both
-        fault injection and health tracking are disabled.
+        configured quorum. The step's live set becomes
+        :attr:`_current_live`.
         """
         self.group.begin_step(i)
         sf = self.faults.begin_step(i)
-        if not self.degraded_mode:
-            self._current_live = None
-            return sf
         for c in self.faults.plan.of("crash"):
             if c.start == i and c.target in sf.crashed:
                 self._record_fault(
@@ -770,21 +750,15 @@ class DistributedTrainer:
 
     # -- parameter views --------------------------------------------------
     def mean_params(self) -> np.ndarray:
-        """Aggregate of the (live) worker replicas — the deployable params.
+        """Aggregate of the live worker replicas — the deployable params.
 
-        Under an active fault plan or health quarantine the aggregate
-        covers the current live, non-quarantined subset only; a crashed or
-        quarantined worker's stale replica must not drag the serving model
-        backwards. With a robust aggregator configured, deployment uses
-        the same strategy as training rounds.
+        The aggregate covers the current step's live, non-quarantined set
+        only; a crashed or quarantined worker's stale replica must not drag
+        the serving model backwards. With a robust aggregator configured,
+        deployment uses the same strategy as training rounds.
         """
-        workers = (
-            self.workers
-            if self._current_live is None
-            else [self.workers[w] for w in self._current_live]
-        )
         # Arena views in, fresh vector out.
-        views = [w.get_params(copy=False) for w in workers]
+        views = [self.workers[w].get_params(copy=False) for w in self._current_live]
         if self.aggregator is not None:
             return self.aggregator.reduce(views, where="deploy")
         return mean_into(views)
@@ -894,6 +868,10 @@ class DistributedTrainer:
             uid = self.elastic.on_drain(rank, i)
             self.workers.pop(rank)
             mapping.pop(rank)
+            # The joiners' consensus below reads the surviving live ranks.
+            self._current_live = [
+                w - (w > rank) for w in self._current_live if w != rank
+            ]
             if tr is not None:
                 tr.emit(
                     "membership",
@@ -1006,7 +984,7 @@ class DistributedTrainer:
         if self.health is not None:
             self.health = self.cluster.make_health()
         self._last_compute_times = None
-        self._current_live = None
+        self._current_live = list(range(n))
         self.executor.shutdown()
         self.executor.bind(self.workers)
 

@@ -11,6 +11,7 @@ generalization penalty the paper cites.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -20,14 +21,16 @@ from repro.utils.state import Captured
 
 
 def injected_batch_size(b: int, alpha: float, beta: float, n_workers: int) -> int:
-    """Eqn. (3): local batch size ``b'`` such that ``b'(1 + αβN) = b``."""
+    """Eqn. (3): local batch size ``b'`` such that ``b'(1 + αβN) = b``,
+    rounded to nearest (ties to even) in exact arithmetic over the given
+    floats, so ``|b'(1 + αβN) − b| ≤ (1 + αβN) / 2`` holds exactly."""
     if b < 1:
         raise ValueError(f"batch size must be >= 1, got {b}")
     if not 0.0 <= alpha <= 1.0 or not 0.0 <= beta <= 1.0:
         raise ValueError(f"alpha/beta must be in [0, 1], got {alpha}, {beta}")
     if n_workers < 1:
         raise ValueError(f"n_workers must be >= 1, got {n_workers}")
-    return max(1, int(round(b / (1.0 + alpha * beta * n_workers))))
+    return max(1, round(b / (1 + Fraction(alpha) * Fraction(beta) * n_workers)))
 
 
 @dataclass

@@ -33,16 +33,12 @@ Shared-memory arenas
 --------------------
 :class:`SharedParameterArena` keeps the exact same layout but places both
 buffers in one ``multiprocessing.shared_memory`` segment, so worker
-*processes* forked (or attached by name) afterwards observe every parameter
-and gradient write with zero copies and zero pickling — the transport the
+*processes* forked afterwards observe every parameter and gradient write with zero copies and zero pickling — the transport the
 :class:`~repro.cluster.executor.ProcessExecutor` is built on. Lifecycle:
 
 * :func:`share_arena` promotes a module's arena to shared memory in place
   (idempotent); :func:`unshare_arena` copies the current values back into a
   private arena and releases the segment.
-* A child process calls :meth:`SharedParameterArena.attach` with the
-  segment name to rebind its (forked or rebuilt) parameter list onto the
-  parent's storage — the segment's values win, nothing is copied in.
 * A shared arena must never be *silently* replaced while children may be
   attached; ``Module._ensure_arena`` raises instead of rebuilding one.
 """
@@ -72,7 +68,7 @@ class ParameterArena:
     #: True for arenas whose storage other processes may be attached to.
     shared = False
 
-    def __init__(self, params: Sequence[Parameter], _take_storage: bool = False):
+    def __init__(self, params: Sequence[Parameter]):
         self.params: List[Parameter] = list(params)
         total = sum(int(p.data.size) for p in self.params)
         self.param_buf, self.grad_buf = self._allocate(total)
@@ -80,9 +76,8 @@ class ParameterArena:
         for p in self.params:
             n = int(p.data.size)
             sl = slice(offset, offset + n)
-            if not _take_storage:
-                self.param_buf[sl] = p.data.ravel()
-                self.grad_buf[sl] = p.grad.ravel()
+            self.param_buf[sl] = p.data.ravel()
+            self.grad_buf[sl] = p.grad.ravel()
             p.data = self.param_buf[sl].reshape(p.data.shape)
             p.grad = self.grad_buf[sl].reshape(p.grad.shape)
             offset += n
@@ -153,48 +148,18 @@ class SharedParameterArena(ParameterArena):
     """Arena whose buffers live in one shared-memory segment.
 
     Layout: ``[ param_buf | grad_buf ]``, each ``total * 8`` bytes of
-    float64. The creating process owns the segment (``owner=True``) and is
-    responsible for :meth:`release`-ing it; attached processes only close
-    their mapping. Forked children need neither — they inherit the mapping
-    directly and their views stay valid until the process exits.
+    float64. The creating process owns the segment and is responsible for
+    :meth:`release`-ing it. Forked children inherit the mapping directly
+    and their views stay valid until the process exits.
     """
 
-    __slots__ = ("shm", "owner")
+    __slots__ = ("shm",)
 
     shared = True
 
-    def __init__(self, params: Sequence[Parameter]):
-        self.owner = True
-        super().__init__(params)
-
-    @classmethod
-    def attach(
-        cls, name: str, params: Sequence[Parameter]
-    ) -> "SharedParameterArena":
-        """Rebind ``params`` onto an existing segment created elsewhere.
-
-        The segment's contents win: the given parameters' current values are
-        discarded and every ``.data`` / ``.grad`` becomes a view into the
-        shared storage (the child side of the executor protocol).
-        """
-        self = cls.__new__(cls)
-        self.owner = False
-        self.shm = shared_memory.SharedMemory(name=name)
-        total = sum(int(p.data.size) for p in params)
-        if self.shm.size < 16 * total:
-            raise ValueError(
-                f"shared segment {name!r} holds {self.shm.size} bytes, "
-                f"need {16 * total} for {total} parameters"
-            )
-        ParameterArena.__init__(self, params, _take_storage=True)
-        return self
-
     def _allocate(self, total: int):
         nbytes = 8 * total
-        if self.owner:
-            self.shm = shared_memory.SharedMemory(
-                create=True, size=max(16, 2 * nbytes)
-            )
+        self.shm = shared_memory.SharedMemory(create=True, size=max(16, 2 * nbytes))
         param_buf = np.ndarray((total,), dtype=np.float64, buffer=self.shm.buf)
         grad_buf = np.ndarray(
             (total,), dtype=np.float64, buffer=self.shm.buf, offset=nbytes
@@ -202,7 +167,7 @@ class SharedParameterArena(ParameterArena):
         return param_buf, grad_buf
 
     def release(self) -> None:
-        """Drop this process's mapping (and the segment itself when owner).
+        """Drop this process's mapping and unlink the segment.
 
         Only legal once no parameter views point into the buffers anymore —
         callers rebind through :func:`unshare_arena` first. Idempotent.
@@ -215,11 +180,10 @@ class SharedParameterArena(ParameterArena):
         self.param_buf = self.grad_buf = None
         self._params_ro = self._grads_ro = None
         shm.close()
-        if self.owner:
-            try:
-                shm.unlink()
-            except FileNotFoundError:  # pragma: no cover - double unlink race
-                pass
+        try:
+            shm.unlink()
+        except FileNotFoundError:  # pragma: no cover - double unlink race
+            pass
 
     def __deepcopy__(self, memo):
         # A deep-copied module gets detached private parameter arrays; its

@@ -178,13 +178,6 @@ class RunLog:
             raise ValueError("LSSR undefined on an empty run log")
         return self.n_local / self.n_steps
 
-    def communication_reduction(self) -> float:
-        """Communication reduction w.r.t. BSP: ``1 / (1 - LSSR)``."""
-        lssr = self.lssr()
-        if lssr >= 1.0:
-            return float("inf")
-        return 1.0 / (1.0 - lssr)
-
     def losses(self) -> np.ndarray:
         return np.array([r.loss for r in self.iterations], dtype=np.float64)
 
@@ -197,9 +190,6 @@ class RunLog:
             ],
             dtype=np.float64,
         )
-
-    def sim_times(self) -> np.ndarray:
-        return np.array([r.sim_time for r in self.iterations], dtype=np.float64)
 
     def eval_curve(self):
         """Return ``(steps, metrics)`` arrays of the evaluation snapshots."""

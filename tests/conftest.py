@@ -118,6 +118,12 @@ def blobs_data():
     )
 
 
+def next_batches(workers):
+    """Each worker's next mini-batch, in worker order — what the trainer's
+    ``draw_batches`` hands an executor."""
+    return [w.loader.next_batch() for w in workers]
+
+
 def make_mlp_cluster(
     train,
     n_workers: int = 4,

@@ -1,4 +1,4 @@
-"""Executor backends: construction, ordering and batch-draw safety.
+"""Executor backends: construction, ordering and the batch-count check.
 
 Serial ≡ process byte-identity of whole runs lives in
 ``tests/test_executor_process.py``.
@@ -14,48 +14,21 @@ from repro.cluster.executor import (
     SerialExecutor,
     make_executor,
 )
-from tests.conftest import make_mlp_cluster
+from tests.conftest import make_mlp_cluster, next_batches
 
 
 def test_executor_losses_in_worker_order(blobs_data):
     train, _ = blobs_data
     workers, _ = make_mlp_cluster(train)
     with ProcessExecutor(procs=2) as ex:
-        losses = ex.compute_gradients(workers)
+        losses = ex.compute_gradients(workers, next_batches(workers))
         assert losses == [w.last_loss for w in workers]
-
-
-def test_draw_batch_twice_raises(blobs_data):
-    train, _ = blobs_data
-    workers, _ = make_mlp_cluster(train, n_workers=1)
-    w = workers[0]
-    w.draw_batch()
-    with pytest.raises(RuntimeError):
-        w.draw_batch()
-    # Consuming the prefetched batch clears the guard.
-    w.compute_gradient()
-    w.draw_batch()
-    with pytest.raises(RuntimeError):
-        w.compute_gradient(batch=w._prefetched)
-    w.compute_gradient()
-
-
-def test_prefetched_batch_is_the_one_consumed(blobs_data):
-    train, _ = blobs_data
-    workers, _ = make_mlp_cluster(train, n_workers=2)
-    a, b = workers
-    xa, ya = a.draw_batch()
-    loss_pre = a.compute_gradient()
-    # Replaying the identical batch explicitly on the twin replica must give
-    # the identical loss (worker b starts from byte-identical parameters).
-    loss_explicit = b.compute_gradient((xa, ya))
-    assert loss_pre == loss_explicit
 
 
 def test_explicit_batches_path(blobs_data):
     train, _ = blobs_data
     workers, _ = make_mlp_cluster(train)
-    batches = [w.loader.next_batch() for w in workers]
+    batches = next_batches(workers)
     losses = SerialExecutor().compute_gradients(workers, batches)
     assert len(losses) == len(workers)
     with pytest.raises(ValueError):
@@ -89,7 +62,7 @@ def test_shutdown_is_idempotent_and_context_managed(blobs_data):
     for kind in EXECUTOR_KINDS:
         with make_executor(kind) as ex:
             ex.bind(workers)
-            losses = ex.compute_gradients(workers)
+            losses = ex.compute_gradients(workers, next_batches(workers))
             assert len(losses) == 2
         ex.shutdown()  # after __exit__: must be a no-op
         ex.shutdown()

@@ -20,27 +20,27 @@ def make_worker(seed=0, wid=0):
 class TestSimWorker:
     def test_compute_gradient_populates_state(self):
         w = make_worker()
-        loss = w.compute_gradient()
+        loss = w.compute_gradient(w.loader.next_batch())
         assert np.isfinite(loss)
         assert w.last_grad_sqnorm > 0.0
         assert np.linalg.norm(w.get_grads()) > 0.0
 
     def test_grad_sqnorm_matches_grads(self):
         w = make_worker()
-        w.compute_gradient()
+        w.compute_gradient(w.loader.next_batch())
         g = w.get_grads()
         assert w.last_grad_sqnorm == pytest.approx(float(g @ g))
 
     def test_local_step_moves_params(self):
         w = make_worker()
         before = w.get_params()
-        w.compute_gradient()
+        w.compute_gradient(w.loader.next_batch())
         w.local_step(lr=0.1)
         assert not np.array_equal(before, w.get_params())
 
     def test_apply_gradient_replaces(self):
         w = make_worker()
-        w.compute_gradient()
+        w.compute_gradient(w.loader.next_batch())
         before = w.get_params()
         custom = np.ones_like(before)
         w.apply_gradient(custom, lr=0.5)
@@ -59,7 +59,7 @@ class TestSimWorker:
         w = make_worker()
         assert w.epoch == 0.0
         for _ in range(8):
-            w.compute_gradient()
+            w.compute_gradient(w.loader.next_batch())
         assert w.epoch >= 1.0
 
 

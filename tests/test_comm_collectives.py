@@ -111,17 +111,6 @@ class TestAllgatherFlags:
         assert t_flags < 0.05 * t_sync
 
 
-class TestBroadcast:
-    def test_copies_are_independent(self):
-        group = SimGroup(3)
-        src = np.arange(4.0)
-        copies, t = group.broadcast(src)
-        copies[0][0] = 99.0
-        assert src[0] == 0.0
-        assert copies[1][0] == 0.0
-        assert t > 0.0
-
-
 class TestTopologyRegistry:
     @pytest.mark.parametrize("name", ["ps", "ring", "tree"])
     def test_buildable(self, name):

@@ -1,9 +1,10 @@
-"""Neighbor-set invariants and edge cases for sync topologies.
+"""Link-schedule invariants and edge cases for sync topologies.
 
-The :meth:`Topology.neighbors` contract is property-tested across every
-registered topology: no self-loops, all peers in range, links symmetric.
-Structural facts (ring degree, tree connectivity with n-1 edges, PS
-emptiness) are pinned explicitly.
+The :meth:`Topology.schedule_edges` contract is property-tested across every
+registered topology and any participating subset: no self-loops, every id
+a participant (or the PS pseudo-rank), no link twice. Structural facts
+(ring degree, tree connectivity with k-1 edges, PS links only to the PS)
+are pinned explicitly.
 """
 
 import pytest
@@ -22,88 +23,77 @@ from repro.comm.topology import (
 ALL_NAMES = sorted(TOPOLOGIES.names()) if hasattr(TOPOLOGIES, "names") else [
     "ps", "ring", "tree"
 ]
+#: The PS pseudo-rank (``LinkFaultModel.ps_rank`` is the worker count).
+PS = 64
+
+
+def links(topo, ranks):
+    """The schedule as a set of undirected links."""
+    return {frozenset(e) for e in topo.schedule_edges(ranks, PS)}
+
+
+def peers(topo, rank, ranks):
+    return {p for e in links(topo, ranks) if rank in e for p in e if p != rank}
 
 
 @settings(max_examples=200, deadline=None)
 @given(
     name=st.sampled_from(ALL_NAMES),
-    n_workers=st.integers(min_value=1, max_value=64),
-    data=st.data(),
+    ranks=st.sets(st.integers(min_value=0, max_value=PS - 1), min_size=1),
 )
-def test_neighbor_invariants(name, n_workers, data):
+def test_neighbor_invariants(name, ranks):
     topo = build_topology(name)
-    rank = data.draw(st.integers(min_value=0, max_value=n_workers - 1))
-    peers = topo.neighbors(rank, n_workers)
-    assert isinstance(peers, frozenset)
-    assert rank not in peers  # no self-loops
-    assert all(0 <= p < n_workers for p in peers)  # in range
-    for p in peers:  # symmetry: every link is seen from both ends
-        assert rank in topo.neighbors(p, n_workers)
-
-
-@pytest.mark.parametrize("name", ALL_NAMES)
-def test_neighbors_validates_arguments(name):
-    topo = build_topology(name)
-    with pytest.raises(ValueError):
-        topo.neighbors(0, 0)
-    with pytest.raises(ValueError):
-        topo.neighbors(-1, 4)
-    with pytest.raises(ValueError):
-        topo.neighbors(4, 4)
+    edges = topo.schedule_edges(sorted(ranks), PS)
+    assert all(a != b for a, b in edges)  # no self-loops
+    assert all(x in ranks or x == PS for e in edges for x in e)  # in range
+    assert len({frozenset(e) for e in edges}) == len(edges)  # no link twice
 
 
 class TestPS:
     @pytest.mark.parametrize("n", [1, 2, 7])
     def test_workers_never_peer_directly(self, n):
-        topo = PSTopology()
-        for r in range(n):
-            assert topo.neighbors(r, n) == frozenset()
+        edges = PSTopology().schedule_edges(range(n), PS)
+        assert sorted(edges) == [(r, PS) for r in range(n)]
 
 
 class TestRing:
     def test_single_worker_ring_collapses(self):
-        assert RingTopology().neighbors(0, 1) == frozenset()
+        assert RingTopology().schedule_edges([0], PS) == ()
 
     def test_two_ring_is_one_link(self):
-        topo = RingTopology()
-        assert topo.neighbors(0, 2) == frozenset({1})
-        assert topo.neighbors(1, 2) == frozenset({0})
+        assert links(RingTopology(), [0, 1]) == {frozenset({0, 1})}
 
     def test_ring_of_five(self):
         topo = RingTopology()
-        assert topo.neighbors(0, 5) == frozenset({4, 1})
-        assert topo.neighbors(2, 5) == frozenset({1, 3})
-        assert topo.neighbors(4, 5) == frozenset({3, 0})
+        assert peers(topo, 0, range(5)) == {4, 1}
+        assert peers(topo, 2, range(5)) == {1, 3}
+        assert peers(topo, 4, range(5)) == {3, 0}
 
     @pytest.mark.parametrize("n", [3, 4, 9])
     def test_every_rank_has_degree_two(self, n):
         topo = RingTopology()
         for r in range(n):
-            assert len(topo.neighbors(r, n)) == 2
+            assert len(peers(topo, r, range(n))) == 2
 
 
 class TestTree:
     def test_root_children(self):
         topo = TreeTopology()
-        assert topo.neighbors(0, 7) == frozenset({1, 2})
-        assert topo.neighbors(0, 2) == frozenset({1})
-        assert topo.neighbors(0, 1) == frozenset()
+        assert peers(topo, 0, range(7)) == {1, 2}
+        assert peers(topo, 0, range(2)) == {1}
+        assert peers(topo, 0, range(1)) == set()
 
     @pytest.mark.parametrize("n", [1, 2, 3, 8, 17])
     def test_connected_with_n_minus_one_edges(self, n):
         topo = TreeTopology()
-        edges = set()
-        for r in range(n):
-            for p in topo.neighbors(r, n):
-                edges.add(frozenset({r, p}))
-        assert len(edges) == n - 1
+        assert len(links(topo, range(n))) == n - 1
         # BFS from the root reaches every rank → the edge set is one tree.
         seen = {0}
         frontier = [0]
         while frontier:
             nxt = []
             for r in frontier:
-                for p in topo.neighbors(r, n):
+                for p in peers(topo, r, range(n)):
                     if p not in seen:
                         seen.add(p)
                         nxt.append(p)

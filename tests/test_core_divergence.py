@@ -36,10 +36,9 @@ class TestTracker:
         for i in range(20):
             trainer.step(i)
             tracker.snapshot(i, workers)
-        steps, spreads = tracker.as_arrays()
-        assert len(steps) == 20
+        assert tracker.steps == list(range(20))
         # Pure local training: spread grows from ~0.
-        assert tracker.final_spread > spreads[0]
+        assert tracker.final_spread > tracker.spreads[0]
         assert tracker.max_spread >= tracker.final_spread
 
     def test_pa_sync_resets_spread(self, blobs_data):

@@ -14,11 +14,6 @@ class TestFirstIteration:
         t = RelativeGradChange()
         assert t.update(1.0) == float("inf")
 
-    def test_exceeds_any_threshold_first_step(self):
-        t = RelativeGradChange()
-        t.update(5.0)
-        assert t.exceeds(1e12)
-
 
 class TestDeltaFormula:
     def test_exact_relative_change_with_alpha_one(self):
@@ -65,26 +60,6 @@ class TestDeltaFormula:
             RelativeGradChange().update(-1.0)
 
 
-class TestThreshold:
-    def test_exceeds_semantics(self):
-        t = RelativeGradChange(alpha=1.0, window=1)
-        t.update(1.0)
-        t.update(1.3)  # Δ = 0.3
-        assert t.exceeds(0.25)
-        assert t.exceeds(0.3)  # ≥ per Alg. 1 line 10
-        assert not t.exceeds(0.31)
-
-    def test_exceeds_before_update_raises(self):
-        with pytest.raises(RuntimeError):
-            RelativeGradChange().exceeds(0.1)
-
-    def test_negative_delta_threshold_rejected(self):
-        t = RelativeGradChange()
-        t.update(1.0)
-        with pytest.raises(ValueError):
-            t.exceeds(-0.1)
-
-
 class TestMaxDelta:
     def test_tracks_finite_extremum(self):
         t = RelativeGradChange(alpha=1.0, window=1)
@@ -98,8 +73,8 @@ class TestMaxDelta:
         t.update(1.0)
         t.update(2.0)
         t.reset()
-        assert t.last_delta is None
         assert t.n_updates == 0
+        assert t.update(3.0) == float("inf")  # no predecessor again
 
 
 class TestConvergenceBehaviour:

@@ -38,14 +38,6 @@ class TestControllerConvergenceAcrossTargets:
         res = SelSyncTrainer(workers, cluster, delta_policy=policy).run(cfg)
         assert res.lssr == pytest.approx(target, abs=0.25)
 
-    def test_realized_lssr_property_matches_log(self, blobs_data):
-        train, _ = blobs_data
-        workers, cluster = make_mlp_cluster(train)
-        policy = TargetLSSRDelta(target_lssr=0.6, initial_delta=0.05, gain=0.2)
-        cfg = TrainConfig(n_steps=60, eval_every=60, eval_fn=None)
-        res = SelSyncTrainer(workers, cluster, delta_policy=policy).run(cfg)
-        assert policy.realized_lssr == pytest.approx(res.lssr, abs=1e-9)
-
 
 class TestFractionPolicyInteractsWithTrackers:
     def test_threshold_scales_with_observed_extremum(self, blobs_data):

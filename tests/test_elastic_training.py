@@ -13,6 +13,8 @@ The contracts under test, on a tiny seeded SelSync workload:
 * kill-and-resume across a membership change is bitwise identical to the
   uninterrupted run (the resumed trainer rebuilds the grown worker group
   from a config that still says ``n_workers=3``);
+* a drain under health tracking renumbers the step's live set before the
+  joiners bootstrap from it;
 * SSP's event-driven loop refuses elasticity loudly.
 """
 
@@ -27,6 +29,7 @@ from repro.nn.models import build_model
 from repro.obs import Tracer
 from repro.obs.sink import event_lines
 from repro.optim import SGD
+from repro.utils.flatten import mean_into
 
 N_WORKERS = 3
 N_STEPS = 14
@@ -222,6 +225,39 @@ class TestKillAndResume:
         for r in r_res.log.iterations:
             assert r.loss == full[r.step].loss
             assert r.sim_time == full[r.step].sim_time
+
+
+class TestElasticUnderHealth:
+    def test_drain_and_join_at_one_step_bootstrap_from_survivors(self):
+        """Draining the last rank while a joiner arrives: the joiner starts
+        on the mean of the surviving live replicas, and the run finishes
+        (the live set of the step before the change must not index the
+        shrunken worker list)."""
+        trainer = _build(elastic_spec="join:+1@4,drain:w2@4", health=True)
+        seen = {}
+
+        def monitor(t, i):
+            if i == 3:
+                seen["live"] = list(t._current_live)
+
+        step = trainer.step
+
+        def spy(i):
+            if i == 4:
+                survivors = [w for w in seen["live"] if w != 2]
+                seen["expected"] = mean_into(
+                    [trainer.workers[w].get_params(copy=False) for w in survivors]
+                )
+                seen["joiner"] = trainer.workers[-1].get_params()
+            return step(i)
+
+        trainer.step = spy
+        res = trainer.run(
+            TrainConfig(n_steps=N_STEPS, eval_fn=None, step_monitor=monitor)
+        )
+        assert res.steps == N_STEPS
+        assert len(trainer.workers) == N_WORKERS
+        assert seen["joiner"].tobytes() == seen["expected"].tobytes()
 
 
 class TestSSPGate:

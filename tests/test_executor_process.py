@@ -19,7 +19,7 @@ from repro.core.bsp import BSPTrainer
 from repro.core.selsync import SelSyncTrainer
 from repro.obs import Tracer
 from repro.utils.serialization import save_runlog
-from tests.conftest import make_mlp_cluster
+from tests.conftest import make_mlp_cluster, next_batches
 
 EXECUTORS = ("serial", "process")
 TRAINERS = [(BSPTrainer, {}), (SelSyncTrainer, {"delta": 0.3})]
@@ -139,12 +139,12 @@ def test_child_crash_is_loud(blobs_data):
     ex = ProcessExecutor(procs=1)
     try:
         ex.bind(workers)
-        ex.compute_gradients(workers)
+        ex.compute_gradients(workers, next_batches(workers))
         for proc in ex._pool.procs:
             proc.kill()
             proc.join()
         with pytest.raises(RuntimeError, match="died"):
-            ex.compute_gradients(workers)
+            ex.compute_gradients(workers, next_batches(workers))
     finally:
         ex.shutdown()
 
@@ -162,7 +162,7 @@ def test_child_exception_carries_traceback(blobs_data):
         with pytest.raises(RuntimeError, match="failed in the child"):
             ex.compute_gradients(workers, bad)
         # The pool survives a task failure: a good batch still computes.
-        losses = ex.compute_gradients(workers)
+        losses = ex.compute_gradients(workers, next_batches(workers))
         assert all(np.isfinite(l) for l in losses)
     finally:
         ex.shutdown()
@@ -173,10 +173,10 @@ def test_subset_compute_after_full_bind(blobs_data):
     workers, _ = make_mlp_cluster(train)
     with ProcessExecutor(procs=2) as ex:
         ex.bind(workers)
-        losses = ex.compute_gradients(workers[1:3])
+        losses = ex.compute_gradients(workers[1:3], next_batches(workers[1:3]))
         assert losses == [w.last_loss for w in workers[1:3]]
         # Single-worker calls (the SSP event-loop shape) also go through.
-        one = ex.compute_gradients([workers[0]])
+        one = ex.compute_gradients([workers[0]], next_batches([workers[0]]))
         assert one == [workers[0].last_loss]
 
 
@@ -186,9 +186,9 @@ def test_foreign_worker_rejected(blobs_data):
     twins, _ = make_mlp_cluster(train, n_workers=2)
     with ProcessExecutor(procs=1) as ex:
         ex.bind(workers)
-        ex.compute_gradients(workers)
+        ex.compute_gradients(workers, next_batches(workers))
         with pytest.raises(RuntimeError, match="different object"):
-            ex.compute_gradients(twins)
+            ex.compute_gradients(twins, next_batches(twins))
 
 
 def test_shutdown_idempotent_and_context_manager(blobs_data):
@@ -197,7 +197,7 @@ def test_shutdown_idempotent_and_context_manager(blobs_data):
     ex = make_executor("process", procs=1)
     with ex:
         ex.bind(workers)
-        ex.compute_gradients(workers)
+        ex.compute_gradients(workers, next_batches(workers))
         pool = ex._pool
     assert ex._pool is None
     assert all(not p.is_alive() for p in pool.procs)
@@ -205,22 +205,10 @@ def test_shutdown_idempotent_and_context_manager(blobs_data):
     # Workers are folded back to private arenas and remain fully usable.
     for w in workers:
         assert not w.model._arena.shared
-    losses = make_executor("serial").compute_gradients(workers)
+    losses = make_executor("serial").compute_gradients(
+        workers, next_batches(workers)
+    )
     assert all(np.isfinite(l) for l in losses)
-
-
-def test_take_prefetched_guard(blobs_data):
-    train, _ = blobs_data
-    workers, _ = make_mlp_cluster(train, n_workers=1)
-    w = workers[0]
-    with pytest.raises(RuntimeError, match="without a pending"):
-        w.take_prefetched()
-    drawn = w.draw_batch()
-    taken = w.take_prefetched()
-    assert np.array_equal(drawn[0], taken[0])
-    # The guard is cleared: drawing again is legal.
-    w.draw_batch()
-    w.compute_gradient()
 
 
 def test_process_results_match_serial_losses(blobs_data):
@@ -230,8 +218,8 @@ def test_process_results_match_serial_losses(blobs_data):
     ws_b, _ = make_mlp_cluster(train)
     with ProcessExecutor() as ex:
         ex.bind(ws_a)
-        got = ex.compute_gradients(ws_a)
-    ref = make_executor("serial").compute_gradients(ws_b)
+        got = ex.compute_gradients(ws_a, next_batches(ws_a))
+    ref = make_executor("serial").compute_gradients(ws_b, next_batches(ws_b))
     assert got == ref
     for a, b in zip(ws_a, ws_b):
         assert np.array_equal(a.get_grads(copy=True), b.get_grads(copy=True))

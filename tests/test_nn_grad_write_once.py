@@ -248,7 +248,9 @@ def test_three_steps_serial_and_process_are_bit_equal():
                 _poison(w.model)
             grads = []
             for _ in range(3):
-                ex.compute_gradients(workers)
+                ex.compute_gradients(
+                    workers, [w.loader.next_batch() for w in workers]
+                )
                 grads.append([w.get_grads(copy=True).tobytes() for w in workers])
                 for w in workers:
                     w.local_step(0.1)

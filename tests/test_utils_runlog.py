@@ -37,14 +37,6 @@ class TestLssr:
         with pytest.raises(ValueError):
             RunLog().lssr()
 
-    def test_communication_reduction(self):
-        # Paper: LSSR 0.9 ⇒ 10× fewer communication rounds than BSP.
-        log = make_log([True] + [False] * 9)
-        assert log.communication_reduction() == pytest.approx(10.0)
-
-    def test_reduction_infinite_for_pure_local(self):
-        assert make_log([False] * 4).communication_reduction() == float("inf")
-
     @given(st.lists(st.booleans(), min_size=1, max_size=100))
     @settings(max_examples=60, deadline=None)
     def test_lssr_in_unit_interval(self, flags):

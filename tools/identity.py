@@ -85,6 +85,12 @@ SCENARIOS = {
         False,
     ),
     "elastic-join+drain": (dict(elastic_spec="join:+2@8,drain:w1@18"), False),
+    # A drain and a join at one step under health tracking: the joiner's
+    # consensus reads the live set renumbered through the drain.
+    "elastic+health": (
+        dict(elastic_spec="join:+1@8,drain:w3@8", health=True, probation=5),
+        False,
+    ),
 }
 
 #: rule variants; :func:`_build` holds each one's constructor call
