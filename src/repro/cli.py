@@ -24,49 +24,58 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import inspect
 import sys
+import typing
 from typing import List, Optional
 
-from repro.cluster.elastic import SCALE_POLICIES
-from repro.cluster.executor import EXECUTOR_KINDS
-from repro.comm.topology import TOPOLOGIES
 from repro.core.config import ClusterConfig
-from repro.core.robust import AGGREGATORS
+from repro.core.selsync import AGGREGATIONS
 from repro.experiments.reporting import render_table, render_table1
 from repro.experiments.runner import _TRAINERS, MethodSpec, run_method
 from repro.experiments.workloads import WORKLOADS, get_workload
 from repro.utils.serialization import save_runlog
 
-#: argparse dest -> ``ClusterConfig`` field, for every cluster flag of the
-#: ``run`` / ``compare`` parsers. A flag's default is its field's default
-#: (so ``$REPRO_EXECUTOR`` / ``$REPRO_PS_SHARDS`` are read in one place).
-CLUSTER_FLAGS = {
-    **{name: name for name in (
-        "executor", "fault_spec", "topology", "ps_shards", "retry_max",
-        "retry_base_ms", "min_quorum", "aggregator", "trim_f", "clip_factor",
-        "health", "health_threshold", "probation", "scale_policy",
-        "min_workers", "max_workers",
-    )},
-    "procs": "executor_procs",
-    "net_faults": "net_fault_spec",
-    "elastic": "elastic_spec",
+#: The ``ClusterConfig`` fields the ``run`` / ``compare`` parsers expose: the
+#: ones whose ``flag`` metadata declares the flag (help, name, choices,
+#: metavar). Type and default come from the field itself.
+CLUSTER_FLAGS = [
+    f for f in dataclasses.fields(ClusterConfig) if "flag" in f.metadata
+]
+
+#: Method -> the constructor keywords its flags expose, each with any extra
+#: ``add_argument`` keywords. Default and type come from the trainer's
+#: signature.
+METHOD_FLAGS = {
+    "selsync": {
+        "delta": {"help": "selsync threshold"},
+        "aggregation": {"choices": list(AGGREGATIONS)},
+    },
+    "fedavg": {"c_fraction": {"help": "fedavg C"}, "e_factor": {"help": "fedavg E"}},
+    "ssp": {"staleness": {"help": "ssp s"}},
+    "easgd": {"rho": {"help": "easgd elasticity"}, "tau": {"help": "easgd period"}},
 }
 
 
 def _method_spec(args) -> MethodSpec:
-    params = {}
-    if args.method == "selsync":
-        params["delta"] = args.delta
-        params["aggregation"] = args.aggregation
-    elif args.method == "fedavg":
-        params["c_fraction"] = args.c_fraction
-        params["e_factor"] = args.e_factor
-    elif args.method == "ssp":
-        params["staleness"] = args.staleness
-    elif args.method == "easgd":
-        params["rho"] = args.rho
-        params["tau"] = args.tau
-    return MethodSpec(args.method, params)
+    keywords = METHOD_FLAGS.get(args.method, {})
+    return MethodSpec(args.method, {kw: getattr(args, kw) for kw in keywords})
+
+
+def _add_flag(
+    p: argparse.ArgumentParser, dest: str, kind, default, name=None, **kw
+) -> None:
+    """One generated flag, ``--dest`` with ``-`` for ``_`` unless ``name`` is
+    given: a ``bool`` is ``store_true``; any other kind is the flag's
+    ``type`` unless it is ``str`` or ``choices`` are given."""
+    if kind is bool:
+        kw["action"] = "store_true"
+    elif "choices" not in kw and kind is not str:
+        kw["type"] = kind
+    p.add_argument(
+        name or "--" + dest.replace("_", "-"), dest=dest, default=default, **kw
+    )
 
 
 def _add_workload_args(p: argparse.ArgumentParser) -> None:
@@ -83,131 +92,30 @@ def _add_workload_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--batch-size", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
 
+    # A default is its field's default, so $REPRO_EXECUTOR / $REPRO_PS_SHARDS
+    # are read in one place.
     defaults = ClusterConfig()
-
-    def cluster_flag(flag: str, **kw) -> None:
-        action = p.add_argument(flag, **kw)
-        action.default = getattr(defaults, CLUSTER_FLAGS[action.dest])
-
-    cluster_flag(
-        "--executor",
-        choices=list(EXECUTOR_KINDS),
-        help="backend for the per-worker gradient phase (results are "
-        "byte-identical; process scales with cores via shared-memory "
-        "arenas; default honours $REPRO_EXECUTOR)",
-    )
-    cluster_flag(
-        "--procs", type=int,
-        help="process-pool width for --executor process "
-        "(default: min(n_workers, cpu_count))",
-    )
-    cluster_flag(
-        "--fault-spec", metavar="SPEC",
-        help="inject faults, e.g. 'crash:w2@50-120,straggle:w0x4@30+,drop:p=0.05' "
-        "(see repro.cluster.faults)",
-    )
-    cluster_flag(
-        "--topology", choices=TOPOLOGIES.names(),
-        help="collective topology the cost model charges (ps is the "
-        "paper's testbed)",
-    )
-    cluster_flag(
-        "--ps-shards", type=int, metavar="S",
-        help="partition the parameter server into S layer-aligned shards "
-        "served in parallel (requires --topology ps; 1 keeps the run "
-        "byte-identical to an unsharded build; default honours "
-        "$REPRO_PS_SHARDS)",
-    )
-    cluster_flag(
-        "--net-faults", metavar="SPEC",
-        help="inject link-level network faults, e.g. "
-        "'partition:{w0,w1|w2..w7}@100-200,loss:p=0.02,"
-        "flap:link(2,5)x3@50+' (see repro.cluster.faults); empty/unset "
-        "keeps the run byte-identical to a fault-free build",
-    )
-    cluster_flag(
-        "--retry-max", type=int, metavar="N",
-        help="max retransmits per enveloped message before "
-        "CollectiveTimeoutError / degraded round (with --net-faults)",
-    )
-    cluster_flag(
-        "--retry-base-ms", type=float, metavar="MS",
-        help="base backoff before the first retransmit; doubles per "
-        "attempt up to the cap (with --net-faults)",
-    )
-    cluster_flag(
-        "--min-quorum", type=int,
-        help="min workers per aggregation round before QuorumLostError "
-        "(default: all workers; 1 with --health)",
-    )
-    cluster_flag(
-        "--aggregator", choices=AGGREGATORS.names(),
-        help="aggregation strategy for synchronous rounds (mean is the "
-        "paper's protocol and the byte-identical default; the rest are "
-        "Byzantine-robust — see repro.core.robust)",
-    )
-    cluster_flag(
-        "--trim-f", type=int, metavar="F",
-        help="trim/Byzantine count f for trimmed_mean/krum/multi_krum",
-    )
-    cluster_flag(
-        "--clip-factor", type=float,
-        help="norm cap multiplier for --aggregator norm_clip",
-    )
-    cluster_flag(
-        "--health", action="store_true",
-        help="enable per-worker health tracking and quarantine "
-        "(see repro.cluster.health)",
-    )
-    cluster_flag(
-        "--health-threshold", type=float,
-        help="EWMA outlier score above which a worker is quarantined",
-    )
-    cluster_flag(
-        "--probation", type=int, metavar="STEPS",
-        help="steps a quarantined worker sits out before reinstatement",
-    )
-    cluster_flag(
-        "--elastic", metavar="SPEC",
-        help="elastic membership plan, e.g. "
-        "'join:+2@100,drain:w3@50,scale:4..12' (see "
-        "repro.cluster.elastic); 'off'/empty/unset keeps the run "
-        "byte-identical to a fixed-membership build",
-    )
-    cluster_flag(
-        "--scale-policy", choices=list(SCALE_POLICIES),
-        help="metrics-driven autoscale policy over the live goodput/"
-        "sync-ratio/comm-fraction signals; any value other than 'none' "
-        "enables the elastic subsystem",
-    )
-    cluster_flag(
-        "--min-workers", type=int, metavar="N",
-        help="autoscaler world-size floor (overrides the plan's "
-        "scale:MIN..MAX clause)",
-    )
-    cluster_flag(
-        "--max-workers", type=int, metavar="N",
-        help="autoscaler world-size ceiling (overrides the plan's "
-        "scale:MIN..MAX clause)",
-    )
+    hints = typing.get_type_hints(ClusterConfig)
+    for f in CLUSTER_FLAGS:
+        kinds = [k for k in typing.get_args(hints[f.name]) if k is not type(None)]
+        kind = kinds[0] if kinds else hints[f.name]
+        _add_flag(p, f.name, kind, getattr(defaults, f.name), **f.metadata["flag"])
 
 
 def _add_method_args(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--method", default="selsync", choices=sorted(_TRAINERS),
     )
-    p.add_argument("--delta", type=float, default=0.3, help="selsync threshold")
-    p.add_argument("--aggregation", default="params", choices=["params", "grads"])
-    p.add_argument("--c-fraction", type=float, default=1.0, help="fedavg C")
-    p.add_argument("--e-factor", type=float, default=0.25, help="fedavg E")
-    p.add_argument("--staleness", type=int, default=100, help="ssp s")
-    p.add_argument("--rho", type=float, default=0.1, help="easgd elasticity")
-    p.add_argument("--tau", type=int, default=4, help="easgd period")
+    for method, keywords in METHOD_FLAGS.items():
+        params = inspect.signature(_TRAINERS[method]).parameters
+        for kw, extra in keywords.items():
+            default = params[kw].default
+            _add_flag(p, kw, type(default), default, **extra)
 
 
 def _build(args, spec: MethodSpec):
     scheme = args.partition or ("seldp" if spec.kind == "selsync" else "defdp")
-    cluster_kwargs = {field: getattr(args, dest) for dest, field in CLUSTER_FLAGS.items()}
+    cluster_kwargs = {f.name: getattr(args, f.name) for f in CLUSTER_FLAGS}
     # '' means "no net faults" / "no elastic membership" and must behave
     # exactly like unset (byte-identity contract; parse maps it, and 'off',
     # to the empty plan, but None keeps even the config field identical).

@@ -37,7 +37,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro import obs
 from repro.utils.spec import Plan
 from repro.utils.state import Captured
 
@@ -357,12 +356,7 @@ class ElasticController(Captured):
         batch_size: int,
         compute_times: Optional[Sequence[float]],
     ) -> None:
-        """Fold one completed step into the signal stream.
-
-        Mirrors the gauges/counters into the active tracer's registry (the
-        ``cluster.world_size`` gauge and goodput/cost-efficiency counters)
-        — mirroring only, so tracing stays purely observational.
-        """
+        """Fold one completed step into the signal stream."""
         samples = float(world_size * batch_size)
         self._samples += samples
         self._sim_seconds += float(rec.sim_time)
@@ -380,14 +374,6 @@ class ElasticController(Captured):
                     self._compute_ewma[r] = _ewma(
                         self._compute_ewma[r], float(t)
                     )
-        tr = obs.active()
-        if tr is not None:
-            m = tr.metrics
-            m.set("cluster.world_size", float(world_size))
-            if np.isfinite(self._goodput):
-                m.set("elastic.goodput", float(self._goodput))
-            m.inc("elastic.samples", samples)
-            m.inc("elastic.worker_seconds", float(world_size * rec.sim_time))
 
     def signals(self) -> Dict[str, float]:
         """Snapshot of the signal stream the policy decides over."""

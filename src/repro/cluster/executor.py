@@ -358,9 +358,6 @@ class _ProcessPool:
                 w.last_loss = r["loss"]
                 w.last_grad_sqnorm = r["grad_sqnorm"]
                 if tr is not None:
-                    from repro.cluster.worker import record_batch_observations
-
-                    record_batch_observations(tr, r["loss"], r["grad_sqnorm"])
                     data = {"loss": float(r["loss"])}
                     if not tr.deterministic:
                         data["wall_s"] = r["wall_s"]

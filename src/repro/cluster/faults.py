@@ -49,7 +49,6 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from repro import obs
 from repro.utils.spec import Plan, SpecError
 
 
@@ -254,11 +253,6 @@ class FaultInjector:
         if retries == 0:
             return 0.0, 0, False
         scaled = transfer_s * self.straggle_factor(worker, step)
-        tr = obs.active()
-        if tr is not None:
-            tr.metrics.inc("faults.upload_retries", retries)
-            if lost:
-                tr.metrics.inc("faults.uploads_lost")
         return retries * scaled + retry_backoff_seconds(retries), retries, lost
 
     # -- corruption -------------------------------------------------------
@@ -270,9 +264,6 @@ class FaultInjector:
     def corrupt_gradient(self, worker: int, step: int, grad: np.ndarray) -> np.ndarray:
         """Return a NaN/inf-poisoned copy of ``grad`` (deterministic burst:
         ~1% of entries NaN, one entry ±inf)."""
-        tr = obs.active()
-        if tr is not None:
-            tr.metrics.inc("faults.corruptions")
         rng = self._event_rng(worker, step, salt=0xC0)
         out = np.array(grad, dtype=np.float64, copy=True)
         n = out.size
@@ -309,9 +300,6 @@ class FaultInjector:
         model robust aggregation exists for. Deterministic per
         ``(seed, worker, step)``.
         """
-        tr = obs.active()
-        if tr is not None:
-            tr.metrics.inc("faults.adversarial")
         rng = self._event_rng(worker, step, salt=0xAE)
         g = np.asarray(grad, dtype=np.float64)
         norm = float(np.linalg.norm(g))

@@ -12,8 +12,6 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro import obs
-
 
 @dataclass(order=True)
 class Event:
@@ -39,19 +37,12 @@ class EventQueue:
                 f"cannot schedule event at {time} before current time {self.now}"
             )
         heapq.heappush(self._heap, Event(time, next(self._counter), worker, payload))
-        tr = obs.active()
-        if tr is not None:
-            tr.metrics.inc("simclock.pushes")
 
     def pop(self) -> Event:
         if not self._heap:
             raise IndexError("pop from empty event queue")
         ev = heapq.heappop(self._heap)
         self.now = ev.time
-        tr = obs.active()
-        if tr is not None:
-            tr.metrics.inc("simclock.pops")
-            tr.metrics.set("simclock.now", self.now)
         return ev
 
     def __len__(self) -> int:

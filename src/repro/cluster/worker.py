@@ -7,30 +7,11 @@ from typing import Callable, Dict, List, Tuple
 
 import numpy as np
 
-from repro import obs
 from repro.data.loader import BatchLoader
 from repro.nn.losses import CrossEntropyLoss
 from repro.nn.module import Module
 from repro.optim.base import Optimizer
 from repro.utils.flatten import snapshot
-
-
-def record_batch_observations(tr, loss: float, grad_sqnorm: float) -> None:
-    """Metrics one consumed mini-batch contributes to an installed tracer.
-
-    Factored out so every executor backend reports identically: the
-    serial backend reaches it through ``compute_gradient`` on the thread
-    that ran the math, while the process backend's parent replays it
-    from the child's result (children run with tracing uninstalled).
-    Histogram summaries sort their samples, so the interleaving of
-    concurrent workers cannot leak in — as long as no NaN enters the sort,
-    hence the finite guards.
-    """
-    tr.metrics.inc("worker.batches")
-    if np.isfinite(loss):
-        tr.metrics.observe("worker.loss", float(loss))
-    if np.isfinite(grad_sqnorm):
-        tr.metrics.observe("worker.grad_sqnorm", float(grad_sqnorm))
 
 
 class SimWorker:
@@ -78,10 +59,6 @@ class SimWorker:
         self.last_loss = value
         g = self.model.get_flat_grads()
         self.last_grad_sqnorm = float(g @ g)
-        tr = obs.active()
-        if tr is not None:
-            # Metrics only (no event; the executor owns the exec_task event).
-            record_batch_observations(tr, value, self.last_grad_sqnorm)
         return value
 
     # -- updates -----------------------------------------------------------

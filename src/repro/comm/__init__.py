@@ -35,12 +35,9 @@ from repro.comm.topology import (
 from repro.comm.collectives import SimGroup
 from repro.comm.scheduling import (
     bucketed_schedule,
-    compare_schedules,
-    expected_attempts,
     fused_schedule,
     layer_sizes_bytes,
     per_layer_schedule,
-    sharded_schedule,
 )
 
 __all__ = [
@@ -68,10 +65,7 @@ __all__ = [
     "build_topology",
     "SimGroup",
     "layer_sizes_bytes",
-    "expected_attempts",
     "fused_schedule",
     "per_layer_schedule",
     "bucketed_schedule",
-    "sharded_schedule",
-    "compare_schedules",
 ]

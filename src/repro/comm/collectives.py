@@ -377,15 +377,14 @@ class SimGroup:
     ) -> float:
         """Sync time with no ledger entry and no ``collective`` event.
 
-        For trainers (FedAvg) that charge their round's clock against a
-        different topology/ledger but still need link faults respected.
+        For time a trainer charges outside the byte ledger (FedAvg's
+        pull-back half-round) that still needs link faults respected.
         Identical to ``topology.sync_time`` when link faults are off. With
         them on this is *not* a pure query: the healed schedule is built
         and its messages sent, so ``reroute`` / ``retry`` events are
-        emitted and the envelope's counters move — once per call, and
-        FedAvg calls it twice per sampled round (its pull-back half-round
-        passes no ``ranks`` and so is costed over all ``n_workers`` ranks,
-        not the live set).
+        emitted and the envelope's counters move — once per call (FedAvg's
+        call passes no ``ranks`` and so is costed over all ``n_workers``
+        ranks, not the live set).
         """
         return self._round("sync", nbytes, ranks, None, ledger=False)
 

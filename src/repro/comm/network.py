@@ -7,7 +7,6 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro import obs
 from repro.utils.spec import Clause, Plan
 
 
@@ -67,15 +66,7 @@ class NetworkModel:
         if nbytes < 0:
             raise ValueError(f"nbytes must be >= 0, got {nbytes}")
         bw = self.bandwidth_bps if bandwidth_bps is None else bandwidth_bps
-        t = self.latency_s + 8.0 * nbytes / bw
-        tr = obs.active()
-        if tr is not None:
-            # Metrics only, no events: transfer_time is the primitive inside
-            # every collective cost formula, so emitting events here would
-            # double-count against the per-collective records.
-            tr.metrics.inc("net.transfers")
-            tr.metrics.inc("net.seconds", t)
-        return t
+        return self.latency_s + 8.0 * nbytes / bw
 
 
 class LinkFaultModel:

@@ -23,8 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence
 
-import numpy as np
-
 from repro.comm.network import NetworkModel
 from repro.nn.module import Module
 
@@ -48,34 +46,18 @@ class ScheduleResult:
     n_messages: int
 
 
-def expected_attempts(loss_p: float) -> float:
-    """Expected send count for one message under i.i.d. loss ``loss_p``.
-
-    A lost message is retransmitted until it lands, so attempts are
-    geometric with mean ``1/(1-p)``. This is the steady-state cost a
-    ``loss:p=...`` link fault adds to a schedule, before timeout/backoff
-    overhead (which :class:`repro.comm.envelope.CommEnvelope` charges on
-    the live path).
-    """
-    if not 0.0 <= loss_p < 1.0:
-        raise ValueError(f"loss_p must be in [0, 1), got {loss_p}")
-    return 1.0 / (1.0 - loss_p)
-
-
-def _transfer(nbytes: float, net: NetworkModel, loss_p: float = 0.0) -> float:
-    one = net.latency_s + 8.0 * nbytes / net.effective_worker_bandwidth()
-    return one * expected_attempts(loss_p)
+def _transfer(nbytes: float, net: NetworkModel) -> float:
+    return net.latency_s + 8.0 * nbytes / net.effective_worker_bandwidth()
 
 
 def fused_schedule(
     sizes: Sequence[int],
     backward_time: float,
     net: NetworkModel,
-    loss_p: float = 0.0,
 ) -> ScheduleResult:
     """One message after the full backward pass."""
     total_bytes = float(sum(sizes))
-    t = _transfer(total_bytes, net, loss_p)
+    t = _transfer(total_bytes, net)
     return ScheduleResult(
         total_time=backward_time + t, comm_tail=t, n_messages=1
     )
@@ -83,7 +65,7 @@ def fused_schedule(
 
 def _overlapped(
     chunks: Sequence[float], backward_time: float, net: NetworkModel,
-    ready_fracs: Sequence[float], loss_p: float = 0.0,
+    ready_fracs: Sequence[float],
 ) -> ScheduleResult:
     """Simulate a single link draining ``chunks`` as they become ready.
 
@@ -94,7 +76,7 @@ def _overlapped(
     for frac, nbytes in zip(ready_fracs, chunks):
         ready_at = frac * backward_time
         start = max(clock, ready_at)
-        clock = start + _transfer(nbytes, net, loss_p)
+        clock = start + _transfer(nbytes, net)
     return ScheduleResult(
         total_time=max(clock, backward_time),
         comm_tail=max(0.0, clock - backward_time),
@@ -106,7 +88,6 @@ def per_layer_schedule(
     sizes: Sequence[int],
     backward_time: float,
     net: NetworkModel,
-    loss_p: float = 0.0,
 ) -> ScheduleResult:
     """Send each layer as soon as its gradient exists (GradientFlow)."""
     n = len(sizes)
@@ -115,9 +96,7 @@ def per_layer_schedule(
     # Layer i (backward order) is ready after (i+1)/n of the backward pass;
     # readiness is proportional to work done, approximated as uniform.
     fracs = [(i + 1) / n for i in range(n)]
-    return _overlapped(
-        [float(s) for s in sizes], backward_time, net, fracs, loss_p
-    )
+    return _overlapped([float(s) for s in sizes], backward_time, net, fracs)
 
 
 def bucketed_schedule(
@@ -125,7 +104,6 @@ def bucketed_schedule(
     backward_time: float,
     net: NetworkModel,
     bucket_bytes: float = 1e6,
-    loss_p: float = 0.0,
 ) -> ScheduleResult:
     """Coalesce ready layers into ≥``bucket_bytes`` messages (ByteScheduler)."""
     if bucket_bytes <= 0:
@@ -143,62 +121,4 @@ def bucketed_schedule(
             buckets.append(acc)
             fracs.append((i + 1) / n)  # ready when its last layer is ready
             acc = 0.0
-    return _overlapped(buckets, backward_time, net, fracs, loss_p)
-
-
-def sharded_schedule(
-    sizes: Sequence[int],
-    backward_time: float,
-    net: NetworkModel,
-    n_shards: int,
-    loss_p: float = 0.0,
-) -> ScheduleResult:
-    """Fused send split across ``n_shards`` parallel PS shard links.
-
-    The full backward completes, then one message per shard leaves
-    concurrently (each shard server has its own ingress), so the comm tail
-    is the *slowest shard's* transfer plus one coordination latency per
-    extra shard — the schedule-level analog of
-    :func:`repro.comm.costmodel.sharded_ps_sync_time`. Shard payloads come
-    from the same layer-aligned geometry the live path uses
-    (:meth:`repro.comm.sharding.ShardSpec.from_layers` over the backward-
-    order sizes), so the modelled split matches what a sharded run ships.
-    With one shard this is exactly :func:`fused_schedule`.
-    """
-    from repro.comm.sharding import ShardSpec
-
-    if not sizes:
-        return ScheduleResult(backward_time, 0.0, 0)
-    spec = ShardSpec.from_layers([int(s) for s in sizes], n_shards)
-    payloads = spec.int_payloads(float(sum(sizes)))
-    tail = max(_transfer(float(b), net, loss_p) for b in payloads)
-    tail += (spec.n_shards - 1) * net.latency_s
-    return ScheduleResult(
-        total_time=backward_time + tail,
-        comm_tail=tail,
-        n_messages=spec.n_shards,
-    )
-
-
-def compare_schedules(
-    model: Module,
-    backward_time: float,
-    net: NetworkModel = None,
-    bucket_bytes: float = 1e6,
-    loss_p: float = 0.0,
-) -> dict:
-    """Run all three schedules over a model's real layer sizes.
-
-    ``loss_p`` scales every message by its expected retransmit count —
-    lossy links hurt per-layer schedules the most (many small messages
-    each paying the geometric attempt tax on their own latency).
-    """
-    net = net if net is not None else NetworkModel()
-    sizes = layer_sizes_bytes(model)
-    return {
-        "fused": fused_schedule(sizes, backward_time, net, loss_p),
-        "per_layer": per_layer_schedule(sizes, backward_time, net, loss_p),
-        "bucketed": bucketed_schedule(
-            sizes, backward_time, net, bucket_bytes, loss_p
-        ),
-    }
+    return _overlapped(buckets, backward_time, net, fracs)

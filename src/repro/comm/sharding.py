@@ -5,8 +5,7 @@ served concurrently; sharded parameter servers (each shard server owning a
 contiguous slice of the model) are the classic realization. A
 :class:`ShardSpec` partitions the flat parameter/gradient arena into ``S``
 contiguous, **layer-aligned** shards: every shard boundary coincides with a
-parameter-tensor boundary, so a shard is always a whole number of tensors
-and per-layer machinery (scheduling, compression) composes with it.
+parameter-tensor boundary, so a shard is always a whole number of tensors.
 
 The spec is pure geometry — which flat indices belong to which shard — and
 is shared by every consumer:

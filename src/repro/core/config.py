@@ -15,8 +15,20 @@ from repro.cluster.health import HealthTracker
 from repro.comm.collectives import SimGroup
 from repro.comm.network import LinkFaultModel, NetworkModel, make_link_faults
 from repro.comm.sharding import ShardSpec
+from repro.comm.topology import TOPOLOGIES
 from repro.core.robust import AGGREGATORS, Aggregator, make_aggregator
 from repro.utils.spec import Plan, parse_spec
+
+
+def flag(help: str, name: Optional[str] = None, **argparse_kw) -> Dict:
+    """Field metadata exposing a :class:`ClusterConfig` field as a ``run`` /
+    ``compare`` flag, generated by :mod:`repro.cli`.
+
+    ``help`` is the field's one documentation text; ``name`` replaces the
+    ``--field-name`` spelling; ``argparse_kw`` (``choices``, ``metavar``) go
+    to ``add_argument`` as they are.
+    """
+    return {"flag": dict(argparse_kw, help=help, name=name)}
 
 
 @dataclass
@@ -43,7 +55,14 @@ class ClusterConfig:
 
     n_workers: int = 4
     net: NetworkModel = field(default_factory=NetworkModel)
-    topology: str = "ps"
+    topology: str = field(
+        default="ps",
+        metadata=flag(
+            "collective topology the cost model charges (ps is the paper's "
+            "testbed)",
+            choices=TOPOLOGIES.names(),
+        ),
+    )
     comm_bytes: Optional[float] = None
     flops_per_sample: Optional[float] = None
     device_flops: float = 2.0e12
@@ -55,88 +74,159 @@ class ClusterConfig:
     #: strictly sequential compute-then-communicate; 1 means communication
     #: can fully hide under compute.
     overlap_fraction: float = 0.0
-    #: Backend for the per-worker gradient phase: ``"serial"`` (reference)
-    #: or ``"process"`` (persistent process pool over shared-memory
-    #: arenas) — byte-identical, see
-    #: :mod:`repro.cluster.executor`. The ``REPRO_EXECUTOR`` environment
-    #: variable overrides the default, so a whole test/CI run can be
-    #: switched to another backend without touching call sites.
     executor: str = field(
-        default_factory=lambda: os.environ.get("REPRO_EXECUTOR", "serial")
+        default_factory=lambda: os.environ.get("REPRO_EXECUTOR", "serial"),
+        metadata=flag(
+            "backend for the per-worker gradient phase: serial (the "
+            "reference) or process (a persistent process pool over "
+            "shared-memory arenas, scales with cores); results are "
+            "byte-identical (see repro.cluster.executor); default honours "
+            "$REPRO_EXECUTOR",
+            choices=list(EXECUTOR_KINDS),
+        ),
     )
-    #: Process-pool width for the process executor; ``None`` sizes it to
-    #: ``min(n_workers, cpu_count)``. Ignored by the serial backend.
-    executor_procs: Optional[int] = None
-    #: Fault-injection spec (grammar: :mod:`repro.utils.spec`; semantics:
-    #: :mod:`repro.cluster.faults`), e.g.
-    #: ``"crash:w2@50-120,straggle:w0x4@30+,drop:p=0.05"``. ``None``/empty
-    #: disables injection — the simulation is then bitwise-identical to a
-    #: cluster without the fault subsystem.
-    fault_spec: Optional[str] = None
-    #: Link-level fault spec (semantics: :mod:`repro.comm.network`), e.g.
-    #: ``"partition:{w0,w1|w2..w7}@100-200,loss:p=0.02"``. ``None``/empty
-    #: disables the resilient-collectives layer entirely — runs are then
-    #: bitwise-identical to builds without it.
-    net_fault_spec: Optional[str] = None
-    #: Retries per enveloped message after the first attempt (0 = fail
-    #: fast). Only consulted when ``net_fault_spec`` is set.
-    retry_max: int = 4
-    #: Backoff before the first retry, in milliseconds; doubles per retry up
-    #: to :class:`~repro.comm.envelope.RetryPolicy`'s cap, with its jitter.
-    retry_base_ms: float = 25.0
-    #: Minimum number of workers that must contribute to an aggregation
-    #: round; dropping below it raises
-    #: :class:`~repro.cluster.faults.QuorumLostError` instead of silently
-    #: averaging a partial mean. ``None`` means *all* workers (any loss of
-    #: a contribution is loud); set lower to opt in to degraded-mode
-    #: aggregation over the live subset. With health quarantine enabled,
-    #: ``None`` falls back to a floor of 1 instead — quarantining any
-    #: worker would otherwise always violate the all-workers quorum.
-    min_quorum: Optional[int] = None
-    #: Aggregation strategy for every synchronous round (see
-    #: :mod:`repro.core.robust`): ``"mean"`` (the paper's protocol, exact
-    #: legacy arithmetic — byte-identical to builds without the robust
-    #: layer), ``"median"``, ``"trimmed_mean"``, ``"norm_clip"``,
-    #: ``"krum"`` or ``"multi_krum"``.
-    aggregator: str = "mean"
-    #: Trim/Byzantine count f for ``trimmed_mean``/``krum``/``multi_krum``.
-    trim_f: int = 1
-    #: Norm cap multiplier for ``norm_clip`` (cap = factor × median norm).
-    clip_factor: float = 3.0
-    #: Number of parameter-server shards. 1 (the default) disables sharding
-    #: entirely — runs are byte-identical to builds without the subsystem.
-    #: With ``S > 1`` the flat parameter vector is partitioned into ``S``
-    #: contiguous layer-aligned shards (see :mod:`repro.comm.sharding`)
-    #: served by independent shard servers in parallel; requires the
-    #: ``"ps"`` topology. The ``REPRO_PS_SHARDS`` environment variable
-    #: overrides the default, so a whole test/CI run can be switched to a
-    #: sharded server without touching call sites.
+    executor_procs: Optional[int] = field(
+        default=None,
+        metadata=flag(
+            "process-pool width for --executor process (default: "
+            "min(n_workers, cpu_count)); ignored by the serial backend",
+            name="--procs",
+        ),
+    )
+    fault_spec: Optional[str] = field(
+        default=None,
+        metadata=flag(
+            "inject worker faults, e.g. 'crash:w2@50-120,straggle:w0x4@30+,"
+            "drop:p=0.05' (grammar: repro.utils.spec; semantics: "
+            "repro.cluster.faults); empty/unset disables injection and keeps "
+            "the run byte-identical to a build without the fault subsystem",
+            metavar="SPEC",
+        ),
+    )
+    net_fault_spec: Optional[str] = field(
+        default=None,
+        metadata=flag(
+            "inject link-level network faults, e.g. "
+            "'partition:{w0,w1|w2..w7}@100-200,loss:p=0.02,"
+            "flap:link(2,5)x3@50+' (grammar: repro.utils.spec; semantics: "
+            "repro.comm.network); empty/unset disables the "
+            "resilient-collectives layer and keeps the run byte-identical to "
+            "a fault-free build",
+            name="--net-faults", metavar="SPEC",
+        ),
+    )
+    retry_max: int = field(
+        default=4,
+        metadata=flag(
+            "max retransmits per enveloped message after the first attempt "
+            "(0 = fail fast) before CollectiveTimeoutError / a degraded "
+            "round (with --net-faults)",
+            metavar="N",
+        ),
+    )
+    retry_base_ms: float = field(
+        default=25.0,
+        metadata=flag(
+            "backoff before the first retransmit, in ms; doubles per attempt "
+            "up to the RetryPolicy cap, with its jitter (with --net-faults)",
+            metavar="MS",
+        ),
+    )
+    min_quorum: Optional[int] = field(
+        default=None,
+        metadata=flag(
+            "min workers per aggregation round; fewer raises QuorumLostError "
+            "instead of averaging a partial mean (default: all workers, so "
+            "any lost contribution is loud; 1 with --health, where "
+            "quarantining any worker would otherwise break the quorum)",
+        ),
+    )
+    aggregator: str = field(
+        default="mean",
+        metadata=flag(
+            "aggregation strategy for synchronous rounds (mean is the "
+            "paper's protocol and the byte-identical default; the rest are "
+            "Byzantine-robust; see repro.core.robust)",
+            choices=AGGREGATORS.names(),
+        ),
+    )
+    trim_f: int = field(
+        default=1,
+        metadata=flag(
+            "trim/Byzantine count f for trimmed_mean/krum/multi_krum",
+            metavar="F",
+        ),
+    )
+    clip_factor: float = field(
+        default=3.0,
+        metadata=flag(
+            "norm cap multiplier for --aggregator norm_clip (cap = factor x "
+            "median norm)",
+        ),
+    )
     ps_shards: int = field(
-        default_factory=lambda: int(os.environ.get("REPRO_PS_SHARDS", "1"))
+        default_factory=lambda: int(os.environ.get("REPRO_PS_SHARDS", "1")),
+        metadata=flag(
+            "partition the parameter server into S contiguous layer-aligned "
+            "shards served in parallel (see repro.comm.sharding; requires "
+            "--topology ps); 1 keeps the run byte-identical to an unsharded "
+            "build; default honours $REPRO_PS_SHARDS",
+            metavar="S",
+        ),
     )
-    #: Enable per-worker health tracking and quarantine
-    #: (:class:`repro.cluster.health.HealthTracker`). Off by default —
-    #: health-off runs are byte-identical to builds without the subsystem.
-    health: bool = False
-    #: Quarantine when a worker's EWMA outlier score exceeds this.
-    health_threshold: float = 3.0
-    #: Steps a quarantined worker sits out before reinstatement.
-    probation: int = 20
-    #: Elastic membership plan spec (see :mod:`repro.cluster.elastic`),
-    #: e.g. ``"join:+2@100,drain:w3@50,scale:4..12"``. ``None``/empty/
-    #: ``"off"`` (the default) disables the elastic subsystem entirely —
-    #: runs are then bitwise-identical to builds without it.
-    elastic_spec: Optional[str] = None
-    #: Metrics-driven autoscale policy (see
-    #: :data:`repro.cluster.elastic.SCALE_POLICIES`): ``"none"`` (plan-only
-    #: elasticity, the default), ``"goodput"`` or ``"comm"``. Any value
-    #: other than ``"none"`` enables the elastic subsystem.
-    scale_policy: str = "none"
-    #: World-size bounds for the autoscaler. ``None`` defers to the plan's
-    #: ``scale:MIN..MAX`` clause (or wide defaults). Explicit values win
-    #: over the clause.
-    min_workers: Optional[int] = None
-    max_workers: Optional[int] = None
+    health: bool = field(
+        default=False,
+        metadata=flag(
+            "enable per-worker health tracking and quarantine (see "
+            "repro.cluster.health); off keeps the run byte-identical to a "
+            "build without the subsystem",
+        ),
+    )
+    health_threshold: float = field(
+        default=3.0,
+        metadata=flag("EWMA outlier score above which a worker is quarantined"),
+    )
+    probation: int = field(
+        default=20,
+        metadata=flag(
+            "steps a quarantined worker sits out before reinstatement",
+            metavar="STEPS",
+        ),
+    )
+    elastic_spec: Optional[str] = field(
+        default=None,
+        metadata=flag(
+            "elastic membership plan, e.g. 'join:+2@100,drain:w3@50,"
+            "scale:4..12' (see repro.cluster.elastic); 'off'/empty/unset "
+            "keeps the run byte-identical to a fixed-membership build",
+            name="--elastic", metavar="SPEC",
+        ),
+    )
+    scale_policy: str = field(
+        default="none",
+        metadata=flag(
+            "metrics-driven autoscale policy over the live goodput/"
+            "sync-ratio/comm-fraction signals; any value other than 'none' "
+            "(plan-only elasticity) enables the elastic subsystem",
+            choices=list(SCALE_POLICIES),
+        ),
+    )
+    min_workers: Optional[int] = field(
+        default=None,
+        metadata=flag(
+            "autoscaler world-size floor (overrides the plan's "
+            "scale:MIN..MAX clause)",
+            metavar="N",
+        ),
+    )
+    max_workers: Optional[int] = field(
+        default=None,
+        metadata=flag(
+            "autoscaler world-size ceiling (overrides the plan's "
+            "scale:MIN..MAX clause)",
+            metavar="N",
+        ),
+    )
     #: The three specs, parsed once by ``__post_init__`` (``replace()`` runs
     #: it again) and handed to the ``make_*`` factories.
     _plans: Dict[str, Plan] = field(init=False, repr=False, compare=False)

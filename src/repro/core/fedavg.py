@@ -74,16 +74,11 @@ class FedAvgTrainer(DistributedTrainer):
         ]
 
     def exchange(self, pushers, vectors, round_kw):
-        global_params = self.server.aggregate_params(
-            vectors, absent=round_kw.get("absent")
-        )
-        self._emit_aggregation("PA", len(pushers))
-        # Aggregation involves the C-fraction; the pull-back reaches all
-        # (live) workers. FedAvg charges its clock outside the group's
-        # byte ledger (the PS aggregation above moved the data), so use
-        # the timing-only path — identical to the raw topology formula
-        # without link faults, healed/enveloped with them.
-        t_s = self.group.sync_time_only(self.comm_bytes, ranks=pushers)
+        # The C-sample's push round is the default PS round, over the
+        # sampled ranks even on a fault-free run; the pull-back reaches all
+        # (live) workers as a timing-only half-round.
+        round_kw = {"ranks": pushers, "absent": round_kw.get("absent")}
+        global_params, t_s, _ = super().exchange(pushers, vectors, round_kw)
         if len(pushers) < len(self.workers):
             t_s += self.group.sync_time_only(self.comm_bytes) / 2.0
         return global_params, t_s, 0.0

@@ -26,6 +26,9 @@ from repro.optim.schedules import LRSchedule
 #: (paper Fig. 8a: ≈2–17 ms depending on the model; we charge a middle value).
 DEFAULT_DELTA_OVERHEAD_S = 3e-3
 
+#: The two ways a sync round aggregates: parameters (PA) or gradients (GA).
+AGGREGATIONS = ("params", "grads")
+
 
 class SelSyncTrainer(DistributedTrainer):
     """The paper's contribution — the ``Δ(g) ≥ δ`` vote rule.
@@ -78,8 +81,8 @@ class SelSyncTrainer(DistributedTrainer):
         super().__init__(workers, cluster, schedule)
         if delta < 0:
             raise ValueError(f"δ must be >= 0, got {delta}")
-        if aggregation not in ("params", "grads"):
-            raise ValueError(f"aggregation must be 'params' or 'grads', got {aggregation!r}")
+        if aggregation not in AGGREGATIONS:
+            raise ValueError(f"aggregation must be one of {AGGREGATIONS}, got {aggregation!r}")
         if sync_vote not in ("any", "majority"):
             raise ValueError(f"sync_vote must be 'any' or 'majority', got {sync_vote!r}")
         if injector is not None and self.elastic is not None:
@@ -179,20 +182,3 @@ class SelSyncTrainer(DistributedTrainer):
         rec.grad_change = float(max(finite)) if finite else float("inf")
         rec.extra["n_flags"] = float(int(gathered.sum()))
         return sync, voters
-
-    def exchange(self, pushers, vectors, round_kw):
-        # PA (Alg. 1 lines 14-15): push w_{i+1}, pull the average — every
-        # replica is consistent again. GA: the same averaged gradient lands
-        # on *divergent* local parameters — replicas are NOT re-consistent
-        # afterwards (§III-C).
-        aggregate = (
-            self.server.aggregate_grads
-            if self.exchanges_gradients
-            else self.server.aggregate_params
-        )
-        pulled = aggregate(vectors, absent=round_kw.get("absent"))
-        t_s = self.group.charge_sync(self.comm_bytes, **round_kw)
-        self._emit_aggregation(
-            "GA" if self.exchanges_gradients else "PA", len(pushers)
-        )
-        return pulled, t_s, 0.0

@@ -91,7 +91,7 @@ class DistributedTrainer:
     """Shared machinery for the lock-step trainers.
 
     :meth:`step` is the one fixed pipeline; a subclass is a *sync rule*
-    filling its hooks — :meth:`decide` and :meth:`exchange`, plus
+    filling its hooks — :meth:`decide`, plus :meth:`exchange` /
     :meth:`draw_batches` / :meth:`uploaders` / :meth:`n_participants` /
     :meth:`outgoing` where the rule departs from the defaults — and naming
     its own state in :attr:`checkpointed`. Everything else (clock,
@@ -295,8 +295,24 @@ class DistributedTrainer:
         group's ``allreduce_mean`` / ``charge_sync``; its ``absent`` entry
         (present only when a shard push was lost) also goes to the server's
         ``aggregate_params`` / ``aggregate_grads``.
+
+        The default is one parameter-server round: the server averages the
+        pushed parameters (PA, Alg. 1 lines 14-15: every replica is
+        consistent again) or gradients (GA: the same mean lands on
+        *divergent* replicas, §III-C), then the round is charged to the
+        byte ledger.
         """
-        raise NotImplementedError
+        aggregate = (
+            self.server.aggregate_grads
+            if self.exchanges_gradients
+            else self.server.aggregate_params
+        )
+        pulled = aggregate(vectors, absent=round_kw.get("absent"))
+        t_s = self.group.charge_sync(self.comm_bytes, **round_kw)
+        self._emit_aggregation(
+            "GA" if self.exchanges_gradients else "PA", len(pushers)
+        )
+        return pulled, t_s, 0.0
 
     def _emit_aggregation(self, kind: str, n_contrib: int) -> None:
         tr = obs.active()

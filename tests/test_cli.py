@@ -39,37 +39,104 @@ class TestParsing:
 
 
 class TestClusterFlags:
-    """Cluster defaults and choices are stated once, on ``ClusterConfig`` and
-    the registries; the CLI derives them."""
+    """Every setting is declared once: a cluster flag by its ``ClusterConfig``
+    field (``flag`` metadata, annotation, default) and the registry it is
+    checked against, a method flag by its trainer's signature. The CLI
+    generates both."""
+
+    @staticmethod
+    def _actions(parser, command):
+        sub = parser._subparsers._group_actions[0].choices[command]
+        return {a.dest: a for a in sub._actions}
 
     @pytest.mark.parametrize("command", ["run", "compare"])
     def test_defaults_and_choices_come_from_config_and_registries(
         self, command, monkeypatch
     ):
+        for env in ("unset", "overridden"):
+            if env == "unset":
+                monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
+                monkeypatch.delenv("REPRO_PS_SHARDS", raising=False)
+            else:
+                monkeypatch.setenv("REPRO_EXECUTOR", "process")
+                monkeypatch.setenv("REPRO_PS_SHARDS", "3")
+            self._check_cluster_flags(command, env)
+
+    def _check_cluster_flags(self, command, env):
+        import argparse
+        import dataclasses
+        import typing
+
         from repro.cli import CLUSTER_FLAGS
         from repro.cluster.elastic import SCALE_POLICIES
         from repro.cluster.executor import EXECUTOR_KINDS
         from repro.comm.topology import TOPOLOGIES
         from repro.core import ClusterConfig
         from repro.core.robust import AGGREGATORS
+
+        actions = self._actions(build_parser(), command)
+        config = ClusterConfig()
+        expected = ("process", 3) if env == "overridden" else ("serial", 1)
+        assert (config.executor, config.ps_shards) == expected
+        fields = dataclasses.fields(ClusterConfig)
+        flagged = [f for f in fields if "flag" in f.metadata]
+        assert CLUSTER_FLAGS == flagged and len(flagged) == 19
+        # The cluster flags are exactly the flagged fields (``--n-workers`` and
+        # ``--seed`` go to the workload builder, which sizes and seeds more
+        # than the cluster).
+        named = {f.name for f in fields} & set(actions) - {"n_workers", "seed"}
+        assert named == {f.name for f in flagged}
+        registries = {
+            "executor": EXECUTOR_KINDS,
+            "topology": TOPOLOGIES.names(),
+            "aggregator": AGGREGATORS.names(),
+            "scale_policy": SCALE_POLICIES,
+        }
+        hints = typing.get_type_hints(ClusterConfig)
+        for f in flagged:
+            a = actions[f.name]
+            spelled = f.metadata["flag"]["name"] or "--" + f.name.replace("_", "-")
+            assert a.option_strings == [spelled]
+            assert a.help == f.metadata["flag"]["help"]
+            assert a.default == getattr(config, f.name), f.name
+            kinds = [k for k in typing.get_args(hints[f.name]) if k is not type(None)]
+            kind = kinds[0] if kinds else hints[f.name]
+            if kind is bool:
+                assert isinstance(a, argparse._StoreTrueAction), f.name
+            elif f.name in registries:
+                assert a.type is None and a.choices is not None, f.name
+                assert sorted(a.choices) == sorted(registries[f.name]), f.name
+            else:
+                assert a.choices is None, f.name
+                assert a.type is (None if kind is str else kind), f.name
+        assert {f.name for f in flagged if f.metadata["flag"]["name"]} == {
+            "executor_procs", "net_fault_spec", "elastic_spec",
+        }
+
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_method_flags_take_the_trainer_signature_defaults(self, command):
+        import inspect
+
+        from repro.cli import METHOD_FLAGS
+        from repro.core.selsync import AGGREGATIONS
         from repro.experiments.runner import _TRAINERS
 
-        monkeypatch.setenv("REPRO_EXECUTOR", "process")
-        monkeypatch.setenv("REPRO_PS_SHARDS", "3")
-        parser = build_parser()
-        args = parser.parse_args([command])
-        config = ClusterConfig()
-        assert (config.executor, config.ps_shards) == ("process", 3)
-        assert len(CLUSTER_FLAGS) == 19
-        for dest, field in CLUSTER_FLAGS.items():
-            assert getattr(args, dest) == getattr(config, field), dest
-        sub = parser._subparsers._group_actions[0].choices[command]
-        choices = {a.dest: a.choices for a in sub._actions if a.choices}
-        assert sorted(choices["aggregator"]) == sorted(AGGREGATORS.names())
-        assert sorted(choices["scale_policy"]) == sorted(SCALE_POLICIES)
-        assert sorted(choices["topology"]) == sorted(TOPOLOGIES.names())
-        assert sorted(choices["method"]) == sorted(_TRAINERS)
-        assert sorted(choices["executor"]) == sorted(EXECUTOR_KINDS)
+        actions = self._actions(build_parser(), command)
+        assert sorted(actions["method"].choices) == sorted(_TRAINERS)
+        assert {m: list(kws) for m, kws in METHOD_FLAGS.items()} == {
+            "selsync": ["delta", "aggregation"],
+            "fedavg": ["c_fraction", "e_factor"],
+            "ssp": ["staleness"],
+            "easgd": ["rho", "tau"],
+        }
+        for method, keywords in METHOD_FLAGS.items():
+            params = inspect.signature(_TRAINERS[method]).parameters
+            for kw in keywords:
+                a = actions[kw]
+                default = params[kw].default
+                assert a.default == default and type(a.default) is type(default), kw
+                assert a.type is (None if kw == "aggregation" else type(default)), kw
+        assert actions["aggregation"].choices == list(AGGREGATIONS)
 
     def test_parsed_flags_reach_the_cluster_config(self, monkeypatch):
         import repro.cli as cli
@@ -91,8 +158,9 @@ class TestClusterFlags:
         assert seen["fault_spec"] == ""
         assert (seen["executor_procs"], seen["retry_max"]) == (2, 7)
         assert seen["health"] is True and seen["aggregator"] == "krum"
-        assert set(seen) == set(cli.CLUSTER_FLAGS.values())
-        assert build_parser().parse_args(["run", "--elastic", "off"]).elastic == "off"
+        assert set(seen) == {f.name for f in cli.CLUSTER_FLAGS}
+        args = build_parser().parse_args(["run", "--elastic", "off"])
+        assert args.elastic_spec == "off"
 
 
 class TestListing:

@@ -9,7 +9,6 @@ import pytest
 
 from repro import obs
 from repro.comm.network import NetworkModel
-from repro.obs import Tracer
 
 
 class TestValidation:
@@ -71,18 +70,6 @@ class TestEffectiveBandwidth:
 
 
 class TestMetricsHook:
-    def test_transfer_counts_into_active_tracer(self):
-        net = NetworkModel(latency_s=1e-3, bandwidth_bps=8e9)
-        tr = Tracer()
-        with obs.use(tr):
-            t1 = net.transfer_time(1e6)
-            t2 = net.transfer_time(0)
-        assert tr.metrics.get("net.transfers") == 2.0
-        assert tr.metrics.get("net.seconds") == pytest.approx(t1 + t2)
-        # Metrics only — the transfer primitive never emits events (it sits
-        # inside every collective formula and would double-count).
-        assert tr.events == []
-
     def test_no_tracer_no_side_effects(self):
         assert obs.active() is None
         NetworkModel().transfer_time(1e6)  # must not raise or install one

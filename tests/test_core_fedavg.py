@@ -1,9 +1,12 @@
 """Tests for the FedAvg trainer."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.core import FedAvgTrainer, TrainConfig
+from repro.obs import Tracer
 from tests.conftest import make_mlp_cluster
 
 
@@ -63,6 +66,28 @@ class TestParticipation:
             FedAvgTrainer(workers, cluster, c_fraction=0.0)
         with pytest.raises(ValueError):
             FedAvgTrainer(workers, cluster, e_factor=1.5)
+
+
+class TestByteLedger:
+    def test_a_sampled_round_reaches_the_byte_ledger(self, mlp_cluster):
+        """Each round charges its C-sample's pushes: bytes_synced is
+        Σ_rounds len(pushers) · comm_bytes, and the trace's ``collective``
+        events and ``comm.bytes`` metric say the same."""
+        workers, cluster = mlp_cluster
+        cluster = dataclasses.replace(cluster, ps_shards=1)
+        t = FedAvgTrainer(workers, cluster, c_fraction=0.5, e_factor=0.25)
+        tracer = Tracer(name="fedavg-ledger")
+        res = t.run(TrainConfig(n_steps=12, eval_fn=None, tracer=tracer))
+        pushers = [
+            e.data["n_contrib"] for e in tracer.events if e.etype == "aggregation"
+        ]
+        assert len(pushers) == res.log.n_synced >= 2 and set(pushers) == {2}
+        expected = sum(pushers) * int(cluster.comm_bytes)
+        assert t.group.n_syncs == len(pushers)
+        assert t.group.bytes_synced == expected
+        collective = [e for e in tracer.events if e.etype == "collective"]
+        assert sum(e.data["bytes"] for e in collective) == expected
+        assert tracer.metrics.get("comm.bytes") == expected
 
 
 class TestConvergence:

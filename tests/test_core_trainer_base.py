@@ -119,18 +119,14 @@ class TestTimeComposition:
 
 class EveryHTrainer(DistributedTrainer):
     """A complete sync rule — parameter averaging every ``H`` steps — that
-    calls no protocol helper: faults, screening, quorum, wire, overlap and
-    the record all come from ``DistributedTrainer.step``."""
+    calls no protocol helper: faults, screening, quorum, wire, the PS round,
+    overlap and the record all come from ``DistributedTrainer``."""
 
     name = "every_h"
     H = 3
 
     def decide(self, i, ok, rec):
         return (i + 1) % self.H == 0, ok
-
-    def exchange(self, pushers, vectors, round_kw):
-        pulled = self.server.aggregate_params(vectors)
-        return pulled, self.group.charge_sync(self.comm_bytes, **round_kw), 0.0
 
 
 class TestPipelineSeam:

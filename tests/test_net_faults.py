@@ -381,7 +381,7 @@ def test_cli_accepts_net_fault_flags():
             "--retry-base-ms", "10", "--topology", "ring",
         ]
     )
-    assert args.net_faults == "loss:p=0.1"
+    assert args.net_fault_spec == "loss:p=0.1"
     assert args.retry_max == 2
     assert args.retry_base_ms == 10.0
     assert args.topology == "ring"

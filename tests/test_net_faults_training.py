@@ -104,13 +104,13 @@ def test_retry_run_charges_more_simulated_time(clean, lossy_with_retries):
 
 
 def test_fedavg_on_a_flapping_ring_pins_sync_time_only_side_effects(blobs_data):
-    """``SimGroup.sync_time_only`` keeps the byte ledger and the
-    ``collective`` stream still, but under link faults it is not a pure
-    query: it heals the ring (``reroute`` events, ``comm.reroutes``) on every
-    call, and FedAvg calls it twice per sampled round — the second time for
-    the pull-back half-round, costed over all N ranks. Recorded as it is
-    (ROADMAP item D lists it as a target); changing it moves every
-    FedAvg x net-fault trace."""
+    """A FedAvg round is charged twice under link faults: its C-sample's
+    push round goes to the byte ledger (``charge_sync``), and its pull-back
+    half-round, costed over all N ranks, through ``SimGroup.sync_time_only``
+    — which keeps the ledger and the ``collective`` stream still but is not
+    a pure query: it heals the ring (``reroute`` events, ``comm.reroutes``)
+    on every call. Recorded as it is (ROADMAP item D lists the pull-back as
+    a target); changing it moves every FedAvg x net-fault trace."""
     workers, cluster = make_mlp_cluster(blobs_data[0])
     cluster = dataclasses.replace(
         cluster,
@@ -129,8 +129,11 @@ def test_fedavg_on_a_flapping_ring_pins_sync_time_only_side_effects(blobs_data):
     assert tracer.metrics.get("comm.reroutes") == 5
     assert not tracer.metrics.get("comm.retry_wait_s")
     assert not any(e.etype == "retry" for e in tracer.events)
-    # No ledger entry and no ``collective`` event for any of the six calls.
-    assert trainer.group.n_syncs == 0 and trainer.group.bytes_synced == 0
-    assert not any(
-        e.etype == "collective" and e.data["op"] == "sync" for e in tracer.events
-    )
+    # One ledger entry and one ``collective`` event per round: the push
+    # round's; the pull-back half-round adds neither.
+    assert trainer.group.n_syncs == 3
+    syncs = [
+        e for e in tracer.events if e.etype == "collective" and e.data["op"] == "sync"
+    ]
+    assert [e.step for e in syncs] == [3, 7, 11]
+    assert trainer.group.bytes_synced == sum(e.data["bytes"] for e in syncs) > 0

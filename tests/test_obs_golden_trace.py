@@ -167,10 +167,9 @@ _SKELETONS = {
         None,
     ),
     "localsgd": (LocalSGDTrainer, None, []),
-    # FedAvg charges its clock outside the byte ledger: no collective event.
     "fedavg": (
         lambda w, c: FedAvgTrainer(w, c, c_fraction=0.5),
-        ["aggregation"],
+        ["collective:sync", "aggregation"],
         [],
     ),
     # The center update is recorded before the round is charged.
