@@ -189,7 +189,7 @@ def cmd_run(args) -> int:
 
             with open(args.metrics_summary, "w") as f:
                 json.dump(
-                    encode_jsonable(tracer.metrics.summary()),
+                    encode_jsonable(tracer.metrics),
                     f, indent=2, sort_keys=True,
                 )
             print(f"metrics summary written to {args.metrics_summary}")
@@ -353,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_run.add_argument(
         "--metrics-summary", default=None, metavar="FILE",
-        help="write the metrics registry summary as JSON here (implies --trace)",
+        help="write the run metrics as JSON here (implies --trace)",
     )
     p_run.add_argument(
         "--max-recoveries", type=int, default=None, metavar="N",

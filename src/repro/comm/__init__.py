@@ -10,7 +10,6 @@ from repro.comm.network import LinkFaultModel, NetworkModel, make_link_faults
 from repro.comm.costmodel import (
     allgather_bits_time,
     chain_allreduce_time,
-    p2p_time,
     ps_sync_time,
     ring_allreduce_time,
     sharded_ps_sync_time,
@@ -52,7 +51,6 @@ __all__ = [
     "chain_allreduce_time",
     "tree_reparent_time",
     "allgather_bits_time",
-    "p2p_time",
     "CollectiveTimeoutError",
     "CommEnvelope",
     "RetryPolicy",

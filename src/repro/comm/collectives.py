@@ -25,7 +25,6 @@ import numpy as np
 from repro import obs
 from repro.comm.costmodel import (
     allgather_bits_time,
-    p2p_time,
     ps_sync_time,
     sharded_ps_sync_time,
 )
@@ -220,8 +219,8 @@ class SimGroup:
             # Full payload crosses each healed hop (chain/tree hop cost);
             # the normal ring's per-hop share is payload/k but retries there
             # retransmit the full segment stream, so charge conservatively.
-            per_hop = self.net.latency_s + 8.0 * payload / (
-                self.net.effective_worker_bandwidth()
+            per_hop = self.net.transfer_time(
+                payload, self.net.effective_worker_bandwidth()
             )
             t += self._enveloped_edges(
                 healed.edges, op, per_hop, must_deliver=True
@@ -255,7 +254,7 @@ class SimGroup:
         is exactly what that shard added to :attr:`bytes_synced`,
         preserving the events-sum == counter invariant) plus one
         ``shard_round`` summary whose ``bytes`` recaps the round total
-        without being counted again by the metrics tap.
+        without being counted again by the metrics view.
         """
         ids = list(range(self.n_workers)) if ranks is None else sorted(ranks)
         size = len(ids)
@@ -406,7 +405,7 @@ class SimGroup:
         """
         if self.envelope is None:
             return 0.0, True
-        transfer_s = self.net.latency_s + 8.0 * float(nbytes) / self.net.bandwidth_bps
+        transfer_s = self.net.transfer_time(float(nbytes))
         tag = {} if shard is None else {"shard": int(shard)}
         out = self._send(
             worker, self.link_faults.ps_rank, transfer_s, "push",
@@ -431,7 +430,7 @@ class SimGroup:
     # -- p2p ----------------------------------------------------------------
     def p2p(self, payload_nbytes: float) -> float:
         """Timing for one point-to-point transfer (data injection)."""
-        t = p2p_time(payload_nbytes, self.net)
+        t = self.net.transfer_time(payload_nbytes)
         self._trace("p2p", float(payload_nbytes), 0, 2, t)
         return t
 

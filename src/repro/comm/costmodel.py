@@ -11,11 +11,6 @@ from __future__ import annotations
 from repro.comm.network import NetworkModel
 
 
-def p2p_time(nbytes: float, net: NetworkModel) -> float:
-    """One point-to-point transfer (data injection uses this)."""
-    return net.transfer_time(nbytes)
-
-
 def ps_sync_time(nbytes: float, n_workers: int, net: NetworkModel) -> float:
     """Full PS round: N workers push ``nbytes`` each, then pull the update.
 

@@ -46,10 +46,6 @@ class ScheduleResult:
     n_messages: int
 
 
-def _transfer(nbytes: float, net: NetworkModel) -> float:
-    return net.latency_s + 8.0 * nbytes / net.effective_worker_bandwidth()
-
-
 def fused_schedule(
     sizes: Sequence[int],
     backward_time: float,
@@ -57,7 +53,7 @@ def fused_schedule(
 ) -> ScheduleResult:
     """One message after the full backward pass."""
     total_bytes = float(sum(sizes))
-    t = _transfer(total_bytes, net)
+    t = net.transfer_time(total_bytes, net.effective_worker_bandwidth())
     return ScheduleResult(
         total_time=backward_time + t, comm_tail=t, n_messages=1
     )
@@ -76,7 +72,7 @@ def _overlapped(
     for frac, nbytes in zip(ready_fracs, chunks):
         ready_at = frac * backward_time
         start = max(clock, ready_at)
-        clock = start + _transfer(nbytes, net)
+        clock = start + net.transfer_time(nbytes, net.effective_worker_bandwidth())
     return ScheduleResult(
         total_time=max(clock, backward_time),
         comm_tail=max(0.0, clock - backward_time),

@@ -59,17 +59,6 @@ class SSPTrainer(DistributedTrainer):
             )
         self.staleness = staleness
 
-    def _push_pull_time(self) -> float:
-        """Asynchronous point-to-point exchange with the PS (pull + push).
-
-        No barrier: the cost is a single worker's link, not the cluster-wide
-        ingress collapse that synchronous PS rounds pay.
-        """
-        bits = 8.0 * self.comm_bytes
-        net = self.cluster.net
-        one_way = net.latency_s + bits / net.bandwidth_bps
-        return 2.0 * one_way
-
     # The event-driven loop replaces the lock-step run().
     def run(self, cfg: TrainConfig) -> TrainResult:
         if cfg.checkpoint_every is not None or cfg.resume_from is not None:
@@ -94,7 +83,9 @@ class SSPTrainer(DistributedTrainer):
         blocked: List[int] = []
         batch = self.workers[0].loader.batch_size
         lr_of = self.lr
-        comm_t = self._push_pull_time()
+        # Pull + push over one worker's link: no barrier, so none of the
+        # cluster-wide ingress collapse synchronous PS rounds pay.
+        comm_t = 2.0 * self.cluster.net.transfer_time(self.comm_bytes)
         best: Optional[float] = None
         stale_evals = 0
         stop = False

@@ -113,8 +113,9 @@ def render_run_dashboard(tracer) -> str:
     steps = views.events_of_type(events, "step_end")
     if not steps:
         return "\n".join(lines + ["(no step events in trace)"])
-    ratio = views.sync_ratio(events)
-    bps = views.bytes_per_step(events)
+    m = views.metrics(events)
+    ratio = m.get("steps.synced", 0.0) / len(steps)
+    bps = m.get("comm.bytes", 0.0) / len(steps)
     lines.append(
         f"steps: {len(steps)}   sync ratio: {fmt(ratio)}   "
         f"bytes/step: {fmt(bps)}"

@@ -1,4 +1,4 @@
-"""Structured run observability: tracing + metrics (``repro.obs``).
+"""Structured run observability: tracing and the views over it (``repro.obs``).
 
 One :class:`~repro.obs.trace.Tracer` is *installed* for the duration of a
 run; every instrumented component (trainers, collectives, the network
@@ -14,7 +14,7 @@ Usage::
     with use(tracer):
         trainer.run(cfg)                # whole steps stream to trace.jsonl.part
     tracer.close()                      # renamed to trace.jsonl
-    print(tracer.metrics.summary())
+    print(tracer.metrics)               # run totals, a view of the events
 
 Between steps a path-backed tracer holds one step's events; a run that never
 reaches ``close`` leaves its whole steps, sorted, in ``<path>.part``.
@@ -26,7 +26,6 @@ import threading
 from contextlib import contextmanager
 from typing import Optional
 
-from repro.obs.metrics import MetricsRegistry  # noqa: F401
 from repro.obs.trace import (  # noqa: F401
     AGGREGATION_KINDS,
     EVENT_TYPES,

@@ -22,10 +22,10 @@ the serial and process executors and across a checkpoint/resume boundary:
 * No wall-clock timestamps are recorded. Passing ``deterministic=False``
   adds a ``t_wall`` field to every event (useful for profiling real
   elapsed time, never for regression comparison).
-* Only *step-scoped* events are written. Run-level aggregates live in the
-  :class:`~repro.obs.metrics.MetricsRegistry`; a resumed run's event lines
-  therefore concatenate with the interrupted run's to reproduce the
-  uninterrupted trace exactly.
+* Only *step-scoped* events are written. Run-level totals are computed
+  from them (:attr:`Tracer.metrics`, :func:`repro.obs.views.metrics`); a
+  resumed run's event lines therefore concatenate with the interrupted
+  run's to reproduce the uninterrupted trace exactly.
 """
 
 from __future__ import annotations
@@ -38,8 +38,6 @@ import time
 from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Dict, List, Optional, Tuple
-
-from repro.obs.metrics import MetricsRegistry
 
 #: Trace file schema version; bump on any incompatible record change.
 TRACE_SCHEMA_VERSION = 1
@@ -115,28 +113,8 @@ class TraceEvent:
 _KEY = TraceEvent.key.fget
 
 
-def _num(d: Dict, key: str, default: float) -> float:
-    """``d[key]`` as a float: ``default`` if absent, NaN if not a number."""
-    try:
-        return default if d.get(key) is None else float(d[key])
-    except (TypeError, ValueError, OverflowError):
-        return float("nan")
-
-
-def _count(m: MetricsRegistry, name: str, amount: float) -> None:
-    if 0.0 <= amount < math.inf:
-        m.inc(name, amount)
-
-
-def _sample(m: MetricsRegistry, name: str, value: float) -> None:
-    # Non-finite values (first EWMA update, corrupted gradients) stay out:
-    # sorting NaNs is insertion-order dependent and would leak thread timing.
-    if math.isfinite(value):
-        m.observe(name, value)
-
-
 class Tracer:
-    """Collects :class:`TraceEvent` records and derives metrics from them.
+    """Collects :class:`TraceEvent` records; run metrics are a view of them.
 
     Parameters
     ----------
@@ -163,7 +141,6 @@ class Tracer:
         self.name = name
         self.deterministic = bool(deterministic)
         self.meta: Dict = dict(meta) if meta else {}
-        self.metrics = MetricsRegistry()
         self._pending: List[TraceEvent] = []
         # Path-backed: the open ``<path>.part``, the header at its top, its
         # sorted segments as [byte offset, event count], the last key written.
@@ -197,80 +174,9 @@ class Tracer:
             if etype == "step_begin" and self.path is not None:
                 self._write_pending(before=ev.step)
             self._pending.append(ev)
-        self._derive_metrics(ev)
         if etype == "step_begin":
             self._current_step = ev.step
         return ev
-
-    def _derive_metrics(self, ev: TraceEvent) -> None:
-        """Standard metrics every run gets for free, derived per event.
-
-        The ``comm.bytes`` counter sums exactly the ``bytes`` field of
-        ``collective`` events, so the invariant *sum of per-collective
-        payload bytes == run-summary bytes counter* holds by construction
-        (and is still asserted by the property tests — a refactor that
-        breaks it should fail loudly).
-
-        Total over payloads — ``emit`` must never raise from here: a field its
-        metric cannot take (text, a list, a negative count, NaN) is left out.
-        """
-        m = self.metrics
-        m.inc("events.total")
-        m.inc(f"events.{ev.etype}")
-        d = ev.data
-        if ev.etype == "collective":
-            _count(m, "comm.bytes", _num(d, "bytes", 0.0))
-            _sample(m, "comm.seconds", _num(d, "seconds", 0.0))
-        elif ev.etype == "step_end":
-            _sample(m, "step.sim_time", _num(d, "sim_time", 0.0))
-            _sample(m, "step.comm_time", _num(d, "comm_time", 0.0))
-            m.inc("steps.synced" if d.get("synced") else "steps.local")
-        elif ev.etype == "delta_eval":
-            _sample(m, "delta.value", _num(d, "delta", float("nan")))
-            if d.get("vote"):
-                m.inc("delta.votes")
-        elif ev.etype == "fault":
-            m.inc(f"faults.{d.get('fault_kind', 'unknown')}")
-        elif ev.etype == "exec_task":
-            m.inc("executor.tasks")
-        elif ev.etype == "checkpoint_save":
-            m.inc("checkpoint.saves")
-        elif ev.etype == "eval":
-            m.set("eval.last_metric", _num(d, "metric", float("nan")))
-        elif ev.etype == "aggregator_decision":
-            m.inc("robust.rounds")
-            _count(m, "robust.dropped", _num(d, "n_dropped", 0.0))
-        elif ev.etype == "quarantine":
-            m.inc("health.quarantines")
-        elif ev.etype == "reinstate":
-            m.inc("health.reinstatements")
-        elif ev.etype == "retry":
-            _count(m, "comm.retries", max(0.0, _num(d, "attempts", 1.0) - 1.0))
-            _count(m, "comm.retry_wait_s", _num(d, "wait_s", 0.0))
-            if not d.get("delivered", True):
-                m.inc("comm.exhausted")
-        elif ev.etype == "reroute":
-            m.inc("comm.reroutes")
-        elif ev.etype == "link_fault":
-            m.inc("net.link_faults")
-        elif ev.etype == "partition_detected":
-            m.inc("net.partitions")
-        elif ev.etype == "shard_round":
-            # Round summary only — its ``bytes`` recaps the per-shard
-            # ``collective`` events (which already fed ``comm.bytes``), so
-            # counting it here would double the ledger.
-            m.inc("comm.shard_rounds")
-            _count(m, "comm.degraded_shard_rounds", _num(d, "n_degraded", 0.0))
-            _sample(m, "shard.round_seconds", _num(d, "seconds", 0.0))
-        elif ev.etype == "membership":
-            m.inc(f"elastic.{d.get('action', 'unknown')}s")
-            m.set("cluster.world_size", _num(d, "size_after", float("nan")))
-        elif ev.etype == "scale_decision":
-            m.inc("elastic.scale_decisions")
-            if d.get("applied"):
-                m.inc("elastic.scale_applied")
-        elif ev.etype == "repartition":
-            m.inc("elastic.repartitions")
 
     # -- access / persistence ---------------------------------------------
     def _write_pending(self, before: float) -> None:
@@ -308,6 +214,13 @@ class Tracer:
             part = part_path(self.path)
             written = [read_segment(part, *segment) for segment in self._segments]
             return list(heapq.merge(*written, tail, key=_KEY))
+
+    @property
+    def metrics(self) -> Dict:
+        """Run totals of :attr:`events` (:func:`repro.obs.views.metrics`)."""
+        from repro.obs.views import metrics
+
+        return metrics(self.events)
 
     def header(self) -> Dict:
         return {

@@ -1,14 +1,15 @@
-"""Derived views over a trace: run logs and dashboard aggregates.
+"""Derived views over a trace: run logs, run metrics and dashboard aggregates.
 
 The trace is the ground truth of a run; everything the reporting layer
-needs — the classic :class:`~repro.utils.runlog.RunLog` summary, sync
-ratios, bytes per step, the straggler heatmap — is recomputed from the
+needs — the classic :class:`~repro.utils.runlog.RunLog` summary, the run
+metrics (:func:`metrics`), the straggler heatmap — is recomputed from the
 event stream here, so any consumer can work from a persisted ``.jsonl``
 trace alone.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
@@ -73,24 +74,111 @@ def events_of_type(events: Iterable[TraceEvent], etype: str) -> List[TraceEvent]
     return [e for e in events if e.etype == etype]
 
 
-def sync_ratio(events: Sequence[TraceEvent]) -> Optional[float]:
-    """Fraction of completed steps that synchronized (1 - LSSR)."""
-    ends = events_of_type(events, "step_end")
-    if not ends:
-        return None
-    return sum(1 for e in ends if e.data.get("synced")) / len(ends)
+#: Events each of which adds one to a count of their own.
+_TALLIES = {
+    "exec_task": "executor.tasks",
+    "checkpoint_save": "checkpoint.saves",
+    "quarantine": "health.quarantines",
+    "reinstate": "health.reinstatements",
+    "reroute": "comm.reroutes",
+    "link_fault": "net.link_faults",
+    "partition_detected": "net.partitions",
+    "repartition": "elastic.repartitions",
+}
 
 
-def bytes_per_step(events: Sequence[TraceEvent]) -> Optional[float]:
-    """Mean collective payload bytes per completed step."""
-    ends = events_of_type(events, "step_end")
-    if not ends:
-        return None
-    total = sum(
-        float(e.data.get("bytes", 0.0))
-        for e in events_of_type(events, "collective")
-    )
-    return total / len(ends)
+def _num(d: Dict, key: str, default: float) -> float:
+    """``d[key]`` as a float: ``default`` if absent, NaN if not a number."""
+    try:
+        return default if d.get(key) is None else float(d[key])
+    except (TypeError, ValueError, OverflowError):
+        return float("nan")
+
+
+def _summary(samples: List[float]) -> Dict[str, float]:
+    arr = np.sort(np.asarray(samples, dtype=np.float64))
+    out = {"count": int(arr.size), "mean": float(arr.mean()),
+           "min": float(arr[0]), "max": float(arr[-1])}
+    for p in (50, 90, 99):
+        out[f"p{p}"] = float(np.percentile(arr, p))
+    return out
+
+
+def metrics(events: Iterable[TraceEvent]) -> Dict:
+    """Run totals of a trace: one flat dict, ordered by name.
+
+    Each entry is a count or sum (``comm.bytes``, ``steps.synced``), a
+    gauge's last value (``eval.last_metric``) or a sampled quantity's
+    ``count`` / ``mean`` / ``min`` / ``max`` / ``p50`` / ``p90`` / ``p99``
+    (``step.sim_time``). Sums run in the order given; :attr:`Tracer.events`
+    and :func:`~repro.obs.sink.read_trace` give the canonical ``(step,
+    worker, seq)`` one, so every metric equals the fold over the file.
+    ``comm.bytes`` sums exactly the ``bytes`` of ``collective`` events.
+    Total over payloads: a field its metric cannot take (text, a list, a
+    negative count, NaN, inf) is left out.
+    """
+    sums: Dict[str, float] = {}
+    last: Dict[str, float] = {}
+    samples: Dict[str, List[float]] = {}
+
+    def count(name: str, amount: float = 1.0) -> None:
+        if 0.0 <= amount < math.inf:
+            sums[name] = sums.get(name, 0.0) + amount
+
+    def gauge(name: str, value: float) -> None:
+        if math.isfinite(value):
+            last[name] = value
+
+    def sample(name: str, value: float) -> None:
+        # Non-finite values (first EWMA update, corrupted gradients) stay
+        # out; ``+ 0.0`` stores -0.0 as 0.0, so min/max carry no sign.
+        if math.isfinite(value):
+            samples.setdefault(name, []).append(value + 0.0)
+
+    for ev in events:
+        d = ev.data
+        count("events.total")
+        count(f"events.{ev.etype}")
+        if ev.etype in _TALLIES:
+            count(_TALLIES[ev.etype])
+        elif ev.etype == "collective":
+            count("comm.bytes", _num(d, "bytes", 0.0))
+            sample("comm.seconds", _num(d, "seconds", 0.0))
+        elif ev.etype == "step_end":
+            sample("step.sim_time", _num(d, "sim_time", 0.0))
+            sample("step.comm_time", _num(d, "comm_time", 0.0))
+            count("steps.synced" if d.get("synced") else "steps.local")
+        elif ev.etype == "delta_eval":
+            sample("delta.value", _num(d, "delta", math.nan))
+            if d.get("vote"):
+                count("delta.votes")
+        elif ev.etype == "fault":
+            count(f"faults.{d.get('fault_kind', 'unknown')}")
+        elif ev.etype == "eval":
+            gauge("eval.last_metric", _num(d, "metric", math.nan))
+        elif ev.etype == "aggregator_decision":
+            count("robust.rounds")
+            count("robust.dropped", _num(d, "n_dropped", 0.0))
+        elif ev.etype == "retry":
+            count("comm.retries", max(0.0, _num(d, "attempts", 1.0) - 1.0))
+            count("comm.retry_wait_s", _num(d, "wait_s", 0.0))
+            if not d.get("delivered", True):
+                count("comm.exhausted")
+        elif ev.etype == "shard_round":
+            # Round summary only: its ``bytes`` recaps the per-shard
+            # ``collective`` events, so counting it would double the ledger.
+            count("comm.shard_rounds")
+            count("comm.degraded_shard_rounds", _num(d, "n_degraded", 0.0))
+            sample("shard.round_seconds", _num(d, "seconds", 0.0))
+        elif ev.etype == "membership":
+            count(f"elastic.{d.get('action', 'unknown')}s")
+            gauge("cluster.world_size", _num(d, "size_after", math.nan))
+        elif ev.etype == "scale_decision":
+            count("elastic.scale_decisions")
+            if d.get("applied"):
+                count("elastic.scale_applied")
+    out = {**sums, **last, **{k: _summary(v) for k, v in samples.items()}}
+    return dict(sorted(out.items()))
 
 
 def straggler_matrix(

@@ -203,6 +203,33 @@ class TestRun:
         back = load_runlog(log_path)
         assert back.n_steps == 12
 
+    def test_run_writes_flat_metrics_summary(self, tmp_path, monkeypatch, capsys):
+        """``--metrics-summary`` is the flat, name-ordered view of the trace;
+        its byte total is the trace's and the trainer's ledger."""
+        import json
+
+        from repro.experiments import runner
+        from repro.obs.sink import read_trace
+
+        trainers, build = [], runner.build_trainer
+
+        def spy(*args):
+            trainers.append(build(*args))
+            return trainers[-1]
+
+        monkeypatch.setattr(runner, "build_trainer", spy)
+        trace, summary = tmp_path / "t.jsonl", tmp_path / "m.json"
+        assert main(
+            ["run", *self.ARGS, "--method", "bsp", "--trace-path", str(trace),
+             "--metrics-summary", str(summary)]
+        ) == 0
+        m = json.loads(summary.read_text())
+        assert list(m) == sorted(m) and m["step.sim_time"]["count"] == 12
+        collective = sum(
+            e.data["bytes"] for e in read_trace(trace)[1] if e.etype == "collective"
+        )
+        assert m["comm.bytes"] == collective == trainers[0].group.bytes_synced > 0
+
     def test_compare(self, capsys):
         assert main(
             ["compare", *self.ARGS, "--methods", "bsp,localsgd"]

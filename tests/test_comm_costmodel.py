@@ -6,11 +6,11 @@ from hypothesis import strategies as st
 
 from repro.comm.costmodel import (
     allgather_bits_time,
-    p2p_time,
     ps_sync_time,
     ring_allreduce_time,
     tree_allreduce_time,
 )
+from repro.comm.collectives import SimGroup
 from repro.comm.network import NetworkModel
 
 
@@ -109,7 +109,7 @@ class TestFlagAllgather:
 
 class TestP2P:
     def test_matches_transfer(self, net):
-        assert p2p_time(1e6, net) == net.transfer_time(1e6)
+        assert SimGroup(2, net).p2p(1e6) == net.transfer_time(1e6)
 
 
 @given(

@@ -99,11 +99,14 @@ class TestAsyncBehaviour:
         cluster = dataclasses.replace(cluster, ps_shards=1)
         trainer = SSPTrainer(workers, cluster, staleness=10)
         barrier = trainer.group.charge_sync(trainer.comm_bytes)
-        assert trainer._push_pull_time() <= barrier
+        res = trainer.run(TrainConfig(n_steps=4, eval_every=4))
+        push_pull = res.log.iterations[0].comm_time
+        assert {it.comm_time for it in res.log.iterations} == {push_pull}
+        assert push_pull <= barrier
         from repro.comm.costmodel import ps_sync_time
 
         big_barrier = ps_sync_time(trainer.comm_bytes, 16, cluster.net)
-        assert trainer._push_pull_time() < big_barrier
+        assert push_pull < big_barrier
 
 
 class TestHeterogeneity:

@@ -166,7 +166,7 @@ class TestPipelineSeam:
         assert all(np.isfinite(r.loss) for r in log.iterations)
         kinds = {f.kind for f in log.faults}
         assert {"crash", "rejoin", "drop", "corrupt", "quarantine"} <= kinds
-        # The three byte ledgers agree: trace events, metrics tap, counter.
+        # The three byte ledgers agree: trace events, metrics view, counter.
         _, events = read_trace(tmp_path / "t.jsonl")
         trace_bytes = sum(
             e.data["bytes"] for e in events if e.etype == "collective"

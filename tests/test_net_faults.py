@@ -37,6 +37,7 @@ from repro.data import ArrayDataset, BatchLoader, selsync_partition
 from repro.nn.models import build_model
 from repro.obs import Tracer
 from repro.obs import views
+from repro.obs.sink import read_trace
 from repro.optim import SGD
 from repro.utils.spec import KINDS, parse_spec
 
@@ -231,6 +232,25 @@ def test_bytes_reconcile_with_retries_charged(tmp_path):
     coll = views.events_of_type(tracer.events, "collective")
     event_bytes = sum(float(e.data.get("bytes", 0.0)) for e in coll)
     assert event_bytes == pytest.approx(tracer.metrics.get("comm.bytes"), abs=0.0)
+
+
+def test_metrics_are_the_fold_over_the_written_file(tmp_path):
+    """Run totals are a view of the trace: mid-run over the ``.part``
+    segments and the pending tail, and after ``close`` over the file, the
+    same flat dict — sums run in file order, not emission order."""
+    workers = _workers()
+    cluster = ClusterConfig(
+        n_workers=N_WORKERS, comm_bytes=1e6, flops_per_sample=1e6,
+        net_fault_spec=FAULTY, ps_shards=3, min_quorum=1,
+    )
+    trainer = BSPTrainer(workers, cluster)
+    path = tmp_path / "fold.jsonl"
+    tracer = Tracer(path=path, name="fold")
+    trainer.run(TrainConfig(n_steps=12, eval_fn=None, tracer=tracer))
+    in_run = tracer.metrics
+    tracer.close()
+    assert in_run["comm.retries"] > 0 and in_run["comm.shard_rounds"] > 0
+    assert views.metrics(read_trace(path)[1]) == in_run == tracer.metrics
 
 
 # -- ring partition: reroute + majority-side continuation --------------------

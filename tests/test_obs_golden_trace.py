@@ -318,7 +318,7 @@ def test_trace_bytes_reconcile_three_ways(tmp_path):
     """trace events == metrics counter == cost-model charge, any shard count.
 
     The ``bytes`` field of every ``collective`` event is defined as exactly
-    what that operation added to ``SimGroup.bytes_synced``; the metrics tap
+    what that operation added to ``SimGroup.bytes_synced``; the metrics view
     sums those same fields into ``comm.bytes``. This pins the three ledgers
     to each other for both the unsharded and the sharded path (where
     ``shard_round`` summaries must recap — not double-count — the bytes).

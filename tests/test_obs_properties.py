@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro import obs
-from repro.obs import EVENT_TYPES, Tracer
+from repro.obs import EVENT_TYPES, Tracer, views
 from repro.obs.sink import event_line, roundtrip
 from repro.obs.views import events_of_type
 
@@ -58,8 +58,8 @@ emissions = st.lists(
 
 @settings(max_examples=50, deadline=None)
 @given(emissions)
-# Payload keys the metrics tap reads, holding what it cannot count: emit
-# used to raise from ``_derive_metrics`` on each of these.
+# Payload keys the metrics view reads, holding what it cannot count: emit
+# once raised on each of these.
 @example([("retry", 0, 0, {"wait_s": -1})])
 @example([("retry", 0, 0, {"wait_s": ""})])
 @example([("retry", 0, 0, {"wait_s": []})])
@@ -111,25 +111,50 @@ def test_event_lines_parse_as_strict_json(items):
         json.loads(event_line(ev))  # allow_nan=False round-trip must not raise
 
 
-@settings(max_examples=30, deadline=None)
-@given(
-    # float32-range magnitudes: the sum of 50 of them cannot overflow the
-    # float64 accumulator, so the mean stays finite and warning-free.
-    st.lists(st.floats(allow_nan=False, allow_infinity=False, width=32),
-             max_size=50),
-    st.randoms(use_true_random=False),
+#: Payload fields the metrics view reads (:func:`repro.obs.views.metrics`).
+_METRIC_FIELDS = (
+    "bytes", "seconds", "sim_time", "comm_time", "synced", "delta", "vote",
+    "fault_kind", "metric", "n_dropped", "attempts", "wait_s", "delivered",
+    "n_degraded", "action", "size_after", "applied",
 )
-def test_histogram_summary_permutation_invariant(values, rnd):
-    from repro.obs import MetricsRegistry
 
-    a, b = MetricsRegistry(), MetricsRegistry()
-    shuffled = list(values)
+#: Metrics a shuffle may move: sums of payload floats (in the last bit) and
+#: a gauge's last value (by definition).
+_ORDER_SENSITIVE = {
+    "comm.bytes", "comm.retries", "comm.retry_wait_s", "robust.dropped",
+    "comm.degraded_shard_rounds", "eval.last_metric", "cluster.world_size",
+}
+
+metric_emissions = st.lists(
+    st.tuples(
+        st.sampled_from(EVENT_TYPES),
+        st.integers(min_value=-1, max_value=50),
+        st.integers(min_value=-1, max_value=7),
+        st.dictionaries(
+            st.sampled_from(_METRIC_FIELDS),
+            st.one_of(all_floats, st.integers(-3, 10), st.booleans(),
+                      st.sampled_from(["", "crash", "join"])),
+            max_size=4,
+        ),
+    ),
+    max_size=60,
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(metric_emissions, st.randoms(use_true_random=False))
+def test_metrics_view_is_shuffle_invariant(items, rnd):
+    """Shuffling the events moves no sampled summary and no tally."""
+    tr = Tracer()
+    for etype, step, worker, data in items:
+        tr.emit(etype, step=step, worker=worker, **data)
+    events = tr.events
+    shuffled = list(events)
     rnd.shuffle(shuffled)
-    for v in values:
-        a.observe("h", v)
-    for v in shuffled:
-        b.observe("h", v)
-    assert _norm(a.summary()) == _norm(b.summary())
+    a, b = views.metrics(events), views.metrics(shuffled)
+    assert a.keys() == b.keys()
+    for name in a.keys() - _ORDER_SENSITIVE:
+        assert _norm(a[name]) == _norm(b[name]), name
 
 
 # -- invariants over real runs ----------------------------------------------

@@ -1,12 +1,13 @@
 """Unit tests for the repro.obs tracing/metrics subsystem."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 
 from repro import obs
-from repro.obs import MetricsRegistry, TraceEvent, Tracer
+from repro.obs import TraceEvent, Tracer
 from repro.obs.sink import (
     event_line,
     event_lines,
@@ -15,50 +16,6 @@ from repro.obs.sink import (
     write_trace,
 )
 from repro.obs import views
-
-
-# -- metrics -----------------------------------------------------------------
-
-
-def test_counter_gauge_histogram_basics():
-    m = MetricsRegistry()
-    m.inc("a")
-    m.inc("a", 2.5)
-    m.set("g", 7.0)
-    for v in (3.0, 1.0, 2.0):
-        m.observe("h", v)
-    assert m.get("a") == 3.5
-    assert m.get("g") == 7.0
-    assert m.get("missing") is None
-    s = m.summary()
-    assert s["counters"] == {"a": 3.5}
-    assert s["gauges"] == {"g": 7.0}
-    h = s["histograms"]["h"]
-    assert h["count"] == 3 and h["min"] == 1.0 and h["max"] == 3.0
-    assert h["mean"] == pytest.approx(2.0)
-
-
-def test_counter_rejects_negative():
-    m = MetricsRegistry()
-    with pytest.raises(ValueError):
-        m.inc("x", -1.0)
-
-
-def test_histogram_summary_order_independent():
-    rng = np.random.default_rng(0)
-    vals = rng.normal(size=200)
-    a, b = MetricsRegistry(), MetricsRegistry()
-    for v in vals:
-        a.observe("h", v)
-    for v in rng.permutation(vals):
-        b.observe("h", v)
-    assert a.summary() == b.summary()
-
-
-def test_empty_histogram_summary():
-    m = MetricsRegistry()
-    m.histogram("h")
-    assert m.summary()["histograms"]["h"] == {"count": 0}
 
 
 # -- tracer ------------------------------------------------------------------
@@ -123,7 +80,7 @@ def test_derived_metrics_from_events():
     assert m.get("steps.synced") == 1.0
     assert m.get("steps.local") == 1.0
     assert m.get("events.total") == 6.0
-    assert m.histogram("step.sim_time").count == 2
+    assert m["step.sim_time"]["count"] == 2
 
 
 @pytest.mark.parametrize("bad", [-1, "", [], float("nan"), float("inf"), 10**400])
@@ -143,17 +100,22 @@ def test_derived_metrics_from_events():
     ],
 )
 def test_deriving_metrics_never_makes_emit_raise(etype, key, bad):
-    """A payload field holding what its metric cannot take is left out of
-    the metric; the event itself is recorded and well-formed ones count."""
+    """``emit`` records whatever the payload holds; the view is total over
+    it: a field its metric cannot take is left out, well-formed ones count,
+    and every value it reports is finite and never negative, unless it is
+    the payload's own -1 taken as a gauge or a sample."""
     tr = Tracer()
     tr.emit(etype, step=0, worker=0, **{key: bad})
     tr.emit("retry", step=0, worker=0, attempts=3, wait_s=0.25)
     assert len(tr.events) == 2
+    m = tr.metrics
+    assert m == views.metrics(tr.events)
     expect = {"comm.retries": 2.0, "comm.retry_wait_s": 0.25}
     for name, well_formed in expect.items():
-        assert tr.metrics.get(name) == well_formed
-    for name, value in tr.metrics.summary()["counters"].items():
-        assert 0.0 <= value < float("inf"), name
+        assert m.get(name) == well_formed
+    for name, value in m.items():
+        for v in value.values() if isinstance(value, dict) else [value]:
+            assert math.isfinite(v) and (v >= 0.0 or v == bad), name
 
 
 def test_emit_after_close_raises():
@@ -298,7 +260,9 @@ def test_runlog_is_derived_view_of_trace(traced_run):
 def test_views_aggregates(traced_run):
     tr, result = traced_run
     events = tr.events
-    assert views.sync_ratio(events) == pytest.approx(result.log.sync_ratio)
+    m = views.metrics(events)
+    n_steps = m["events.step_end"]
+    assert m.get("steps.synced", 0.0) / n_steps == pytest.approx(result.log.sync_ratio)
     totals = views.collective_totals(events)
     assert "allgather_flags" in totals
     assert totals["allgather_flags"]["count"] == result.log.n_steps
