@@ -54,8 +54,8 @@ DEFAULT_COOLDOWN = 10
 #: EWMA smoothing factor for the controller's signal stream.
 SIGNAL_ALPHA = 0.2
 
-#: Default world-size bounds when no ``scale:`` clause or CLI override is
-#: given; generous on purpose — the plan is explicit user intent.
+#: Default world-size bounds when the plan has no ``scale:`` clause;
+#: generous on purpose — the plan is explicit user intent.
 DEFAULT_MIN_WORKERS = 1
 DEFAULT_MAX_WORKERS = 64
 
@@ -203,9 +203,9 @@ class ElasticController(Captured):
     """Deterministic membership/autoscale decisions for one training run.
 
     Owns the plan, the policy, the stable-uid ledger and the live signal
-    stream (:meth:`signals`, all of it checkpointed; the tracer's registry
-    is mirrored, never read, keeping traced and untraced runs bitwise
-    identical).
+    stream (:meth:`signals`, all of it checkpointed). The signals are
+    folded here from each step's record, never read back from the trace,
+    so traced and untraced runs stay bitwise identical.
     """
 
     _structure = ("plan", "policy")
@@ -214,26 +214,17 @@ class ElasticController(Captured):
         self,
         plan: Plan,
         policy: Optional[ScalePolicy] = None,
-        min_workers: Optional[int] = None,
-        max_workers: Optional[int] = None,
         seed: int = 0,
         cooldown: int = DEFAULT_COOLDOWN,
     ):
-        # World-size bounds: an explicit argument wins over the plan's
-        # ``scale:MIN..MAX`` clause, which wins over the wide defaults.
+        # World-size bounds: the plan's ``scale:MIN..MAX`` clause (the
+        # grammar checks ``1 <= MIN <= MAX``), else the wide defaults.
         scale = plan.of("scale")
         lo, hi = scale[0].target if scale else (DEFAULT_MIN_WORKERS, DEFAULT_MAX_WORKERS)
-        min_workers = lo if min_workers is None else min_workers
-        max_workers = hi if max_workers is None else max_workers
-        if min_workers < 1 or min_workers > max_workers:
-            raise ValueError(
-                f"need 1 <= min_workers <= max_workers, got "
-                f"[{min_workers}, {max_workers}]"
-            )
         self.plan = plan
         self.policy = policy if policy is not None else NoScalePolicy()
-        self.min_workers = int(min_workers)
-        self.max_workers = int(max_workers)
+        self.min_workers = int(lo)
+        self.max_workers = int(hi)
         self.seed = int(seed)
         self.cooldown = int(cooldown)
         # Stable uids, parallel to the trainer's worker list.

@@ -49,7 +49,7 @@ class ClusterConfig:
     flops_per_sample:
         Compute cost per sample. ``None`` uses the model's own estimate;
         experiments override with the paper-scale figure.
-    device_flops / jitter_sigma / speeds:
+    jitter_sigma / speeds:
         Passed through to :class:`ComputeModel`.
     """
 
@@ -65,15 +65,9 @@ class ClusterConfig:
     )
     comm_bytes: Optional[float] = None
     flops_per_sample: Optional[float] = None
-    device_flops: float = 2.0e12
     jitter_sigma: float = 0.02
     speeds: Optional[list] = None
     seed: int = 0
-    #: Fraction of the compute phase that synchronization can hide behind
-    #: (PipeDream/GradientFlow/ByteScheduler-style overlap, §II-D). 0 means
-    #: strictly sequential compute-then-communicate; 1 means communication
-    #: can fully hide under compute.
-    overlap_fraction: float = 0.0
     executor: str = field(
         default_factory=lambda: os.environ.get("REPRO_EXECUTOR", "serial"),
         metadata=flag(
@@ -124,14 +118,6 @@ class ClusterConfig:
             metavar="N",
         ),
     )
-    retry_base_ms: float = field(
-        default=25.0,
-        metadata=flag(
-            "backoff before the first retransmit, in ms; doubles per attempt "
-            "up to the RetryPolicy cap, with its jitter (with --net-faults)",
-            metavar="MS",
-        ),
-    )
     min_quorum: Optional[int] = field(
         default=None,
         metadata=flag(
@@ -157,13 +143,6 @@ class ClusterConfig:
             metavar="F",
         ),
     )
-    clip_factor: float = field(
-        default=3.0,
-        metadata=flag(
-            "norm cap multiplier for --aggregator norm_clip (cap = factor x "
-            "median norm)",
-        ),
-    )
     ps_shards: int = field(
         default_factory=lambda: int(os.environ.get("REPRO_PS_SHARDS", "1")),
         metadata=flag(
@@ -181,10 +160,6 @@ class ClusterConfig:
             "repro.cluster.health); off keeps the run byte-identical to a "
             "build without the subsystem",
         ),
-    )
-    health_threshold: float = field(
-        default=3.0,
-        metadata=flag("EWMA outlier score above which a worker is quarantined"),
     )
     probation: int = field(
         default=20,
@@ -211,22 +186,6 @@ class ClusterConfig:
             choices=list(SCALE_POLICIES),
         ),
     )
-    min_workers: Optional[int] = field(
-        default=None,
-        metadata=flag(
-            "autoscaler world-size floor (overrides the plan's "
-            "scale:MIN..MAX clause)",
-            metavar="N",
-        ),
-    )
-    max_workers: Optional[int] = field(
-        default=None,
-        metadata=flag(
-            "autoscaler world-size ceiling (overrides the plan's "
-            "scale:MIN..MAX clause)",
-            metavar="N",
-        ),
-    )
     #: The three specs, parsed once by ``__post_init__`` (``replace()`` runs
     #: it again) and handed to the ``make_*`` factories.
     _plans: Dict[str, Plan] = field(init=False, repr=False, compare=False)
@@ -234,10 +193,6 @@ class ClusterConfig:
     def __post_init__(self):
         if self.n_workers < 1:
             raise ValueError(f"n_workers must be >= 1, got {self.n_workers}")
-        if not 0.0 <= self.overlap_fraction <= 1.0:
-            raise ValueError(
-                f"overlap_fraction must be in [0, 1], got {self.overlap_fraction}"
-            )
         if self.executor not in EXECUTOR_KINDS:
             raise ValueError(
                 f"executor must be one of {EXECUTOR_KINDS}, got {self.executor!r}"
@@ -271,8 +226,6 @@ class ClusterConfig:
             )
         if self.trim_f < 0:
             raise ValueError(f"trim_f must be >= 0, got {self.trim_f}")
-        if self.clip_factor <= 0:
-            raise ValueError(f"clip_factor must be > 0, got {self.clip_factor}")
         if self.ps_shards < 1:
             raise ValueError(f"ps_shards must be >= 1, got {self.ps_shards}")
         if self.ps_shards > 1 and self.topology != "ps":
@@ -280,29 +233,12 @@ class ClusterConfig:
                 f"ps_shards > 1 requires the 'ps' topology (shards are "
                 f"parameter-server endpoints), got topology={self.topology!r}"
             )
-        if self.health_threshold <= 0:
-            raise ValueError(
-                f"health_threshold must be > 0, got {self.health_threshold}"
-            )
         if self.probation < 1:
             raise ValueError(f"probation must be >= 1, got {self.probation}")
         if self.scale_policy not in SCALE_POLICIES:
             raise ValueError(
                 f"scale_policy must be one of "
                 f"{sorted(SCALE_POLICIES)}, got {self.scale_policy!r}"
-            )
-        if self.min_workers is not None and self.min_workers < 1:
-            raise ValueError(
-                f"min_workers must be >= 1, got {self.min_workers}"
-            )
-        if (
-            self.min_workers is not None
-            and self.max_workers is not None
-            and self.min_workers > self.max_workers
-        ):
-            raise ValueError(
-                f"min_workers ({self.min_workers}) must be <= "
-                f"max_workers ({self.max_workers})"
             )
         if self.elastic_enabled:
             if self.fault_spec:
@@ -336,8 +272,6 @@ class ClusterConfig:
         return ElasticController(
             self._plans["member"],
             policy=make_scale_policy(self.scale_policy),
-            min_workers=self.min_workers,
-            max_workers=self.max_workers,
             seed=self.seed,
         )
 
@@ -360,9 +294,7 @@ class ClusterConfig:
         """
         if self.aggregator == "mean":
             return None
-        return make_aggregator(
-            self.aggregator, trim_f=self.trim_f, clip_factor=self.clip_factor
-        )
+        return make_aggregator(self.aggregator, trim_f=self.trim_f)
 
     def make_health(self) -> Optional[HealthTracker]:
         if not self.health:
@@ -375,7 +307,6 @@ class ClusterConfig:
         floor = max(self.effective_quorum, self.n_workers // 2 + 1)
         return HealthTracker(
             self.n_workers,
-            threshold=self.health_threshold,
             probation=self.probation,
             min_active=min(floor, self.n_workers),
         )
@@ -390,7 +321,7 @@ class ClusterConfig:
         return make_link_faults(self._plans["link"], self.n_workers, seed=self.seed)
 
     def make_retry_policy(self) -> RetryPolicy:
-        return RetryPolicy(self.retry_max, base_s=self.retry_base_ms / 1000.0)
+        return RetryPolicy(self.retry_max)
 
     def make_shard_spec(self, layer_sizes) -> Optional[ShardSpec]:
         """Shard geometry over the model's tensor sizes, or ``None`` when
@@ -421,13 +352,15 @@ class ClusterConfig:
     def make_executor(self) -> WorkerExecutor:
         return make_executor(self.executor, procs=self.executor_procs)
 
-    def make_compute(self) -> ComputeModel:
+    def make_compute(self, rng: int) -> ComputeModel:
+        """Compute-time model over the current ``n_workers``, its jitter
+        stream seeded by ``rng`` (``seed`` at start-up, a per-step draw
+        after a resize)."""
         return ComputeModel(
             self.n_workers,
-            device_flops=self.device_flops,
             speeds=self.speeds,
             jitter_sigma=self.jitter_sigma,
-            rng=self.seed,
+            rng=rng,
         )
 
 

@@ -97,7 +97,6 @@ class SSPTrainer(DistributedTrainer):
         # downs worker 1 from its 40th to its 60th iteration. A crashed
         # worker recovers by pulling the current globals from the PS — the
         # asynchronous analogue of the lock-step checkpoint restore.
-        dead: set = set()  # permanently crashed (open-ended window)
         alive = np.ones(n, dtype=bool)
         # Crash windows already served: a worker's iteration counter does
         # not advance while it is down, so after the rejoin the same window
@@ -138,7 +137,6 @@ class SSPTrainer(DistributedTrainer):
                     until=-1 if crash.end is None else crash.end,
                 )
                 if crash.end is None:
-                    dead.add(worker_id)
                     alive[worker_id] = False
                     self.check_quorum(int(alive.sum()), k)
                     return

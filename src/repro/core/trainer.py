@@ -32,7 +32,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro import obs
-from repro.cluster.compute import ComputeModel
 from repro.cluster.elastic import ElasticContext, derive_rng_seed
 from repro.cluster.faults import QuorumLostError, StepFaults
 from repro.data.loader import BatchLoader
@@ -137,7 +136,7 @@ class DistributedTrainer:
             [int(p.data.size) for p in workers[0].model.parameters()]
         )
         self.group = cluster.make_group(self.aggregator, shard_spec=self.shard_spec)
-        self.compute = cluster.make_compute()
+        self.compute = cluster.make_compute(cluster.seed)
         self.executor = cluster.make_executor()
         # Stateful backends need the full group before the first compute
         # call — trainers routinely hand them subsets (live workers, SSP's
@@ -246,8 +245,8 @@ class DistributedTrainer:
                         w.apply_gradient(pulled, lr)
                     else:
                         w.set_params(pulled)
-            # Retry traffic serializes after the sync (no compute overlap).
-            t_s = self.effective_sync_time(t_s, t_c) + t_retry
+            # Retry traffic serializes after the sync.
+            t_s += t_retry
         for t in (t_s, t_inject):
             rec.sim_time += t
             rec.comm_time += t
@@ -290,7 +289,7 @@ class DistributedTrainer:
 
         Returns ``(pulled, sync_seconds, codec_seconds)``: the vector every
         live worker pulls (``None`` when the rule already moved the
-        replicas itself), the modelled sync time before overlap/retry, and
+        replicas itself), the modelled sync time before retries, and
         any compute serialized after it. ``round_kw`` goes verbatim to the
         group's ``allreduce_mean`` / ``charge_sync``; its ``absent`` entry
         (present only when a shard push was lost) also goes to the server's
@@ -392,15 +391,6 @@ class DistributedTrainer:
                 max=t_max,
             )
         return t_max
-
-    def effective_sync_time(self, t_s: float, t_c: float) -> float:
-        """Apply the configured compute/communication overlap.
-
-        With ``overlap_fraction = f``, up to ``f·t_c`` of the sync can hide
-        behind the compute phase (backward-pass overlap as in GradientFlow /
-        ByteScheduler, §II-D); the remainder is serialized.
-        """
-        return max(0.0, t_s - self.cluster.overlap_fraction * t_c)
 
     # -- fault machinery --------------------------------------------------
     def begin_faults(self, i: int) -> StepFaults:
@@ -990,11 +980,8 @@ class DistributedTrainer:
         )
         self.quorum = self.cluster.effective_quorum
         self.faults = self.cluster.make_fault_injector()
-        self.compute = ComputeModel(
-            n,
-            device_flops=self.cluster.device_flops,
-            jitter_sigma=self.cluster.jitter_sigma,
-            rng=derive_rng_seed(self.cluster.seed, _COMPUTE_SALT, i),
+        self.compute = self.cluster.make_compute(
+            derive_rng_seed(self.cluster.seed, _COMPUTE_SALT, i)
         )
         self.group.resize(n, shard_spec=self.shard_spec)
         if self.health is not None:

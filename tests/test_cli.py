@@ -80,7 +80,7 @@ class TestClusterFlags:
         assert (config.executor, config.ps_shards) == expected
         fields = dataclasses.fields(ClusterConfig)
         flagged = [f for f in fields if "flag" in f.metadata]
-        assert CLUSTER_FLAGS == flagged and len(flagged) == 19
+        assert CLUSTER_FLAGS == flagged and len(flagged) == 14
         # The cluster flags are exactly the flagged fields (``--n-workers`` and
         # ``--seed`` go to the workload builder, which sizes and seeds more
         # than the cluster).
@@ -112,6 +112,28 @@ class TestClusterFlags:
         assert {f.name for f in flagged if f.metadata["flag"]["name"]} == {
             "executor_procs", "net_fault_spec", "elastic_spec",
         }
+
+    #: Settings whose one value lives in their subsystem's constructor; the
+    #: five with a flag are listed with it.
+    REMOVED = {
+        "overlap_fraction": None, "device_flops": None,
+        "health_threshold": "--health-threshold", "clip_factor": "--clip-factor",
+        "retry_base_ms": "--retry-base-ms", "min_workers": "--min-workers",
+        "max_workers": "--max-workers",
+    }
+
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_removed_settings_are_refused(self, command):
+        from repro.core import ClusterConfig
+
+        base = [command, "--workload", "resnet_cifar10"]
+        build_parser().parse_args(base + ["--retry-max", "2"])  # a kept flag parses
+        for name, spelled in self.REMOVED.items():
+            with pytest.raises(TypeError, match=name):
+                ClusterConfig(**{name: 1})
+            if spelled is not None:
+                with pytest.raises(SystemExit):
+                    build_parser().parse_args(base + [spelled, "2"])
 
     @pytest.mark.parametrize("command", ["run", "compare"])
     def test_method_flags_take_the_trainer_signature_defaults(self, command):

@@ -119,19 +119,38 @@ class TestClusterConfigIntegration:
             ClusterConfig(n_workers=4, scale_policy="bogus")
 
     def test_bad_bounds(self):
-        with pytest.raises(ValueError):
-            ClusterConfig(n_workers=4, min_workers=6, max_workers=2)
+        """Bounds are the grammar's to check: one place refuses them."""
+        for spec in ("scale:6..2", "scale:0..4"):
+            with pytest.raises(ElasticSpecError, match="1 <= MIN <= MAX"):
+                ClusterConfig(n_workers=4, elastic_spec=spec)
 
     def test_bounds_resolution(self):
-        """scale: clause sets the bounds; explicit fields override it."""
+        """The scale: clause sets the bounds."""
         c = ClusterConfig(n_workers=4, elastic_spec="scale:2..8")
         ctl = c.make_elastic()
         assert (ctl.min_workers, ctl.max_workers) == (2, 8)
+
+    @pytest.mark.parametrize(
+        "flags, bounds",
+        [
+            (["--elastic", "scale:4..12", "--scale-policy", "comm"], (4, 12)),
+            (["--scale-policy", "comm"], (1, 64)),
+        ],
+    )
+    def test_cli_bounds_come_from_the_plan(self, flags, bounds):
+        """README's autoscale example: the bounds are the plan's clause,
+        else the wide defaults."""
+        from repro.cli import CLUSTER_FLAGS, build_parser
+
+        args = build_parser().parse_args(
+            ["run", "--workload", "resnet_cifar10", "--n-workers", "8"] + flags
+        )
         c = ClusterConfig(
-            n_workers=4, elastic_spec="scale:2..8", min_workers=3, max_workers=6
+            n_workers=args.n_workers,
+            **{f.name: getattr(args, f.name) for f in CLUSTER_FLAGS},
         )
         ctl = c.make_elastic()
-        assert (ctl.min_workers, ctl.max_workers) == (3, 6)
+        assert (ctl.min_workers, ctl.max_workers) == bounds
 
 
 def _controller(spec="", policy=None, n=4, **kw):
@@ -181,9 +200,7 @@ class TestController:
             ctl.observe_step(i, _Rec(sim_time=1.0, comm_time=0.5), world, 8, None)
 
     def test_policy_cadence_and_clamping(self):
-        ctl = _controller(
-            policy=make_scale_policy("comm"), min_workers=2, max_workers=4
-        )
+        ctl = _controller("scale:2..4", policy=make_scale_policy("comm"))
         self._warm(ctl)  # comm fraction 0.5 > hi ⇒ wants to shrink
         assert ctl.actions_for_step(0, 4).decision is None  # never at step 0
         assert ctl.actions_for_step(13, 4).decision is None  # off-cadence
@@ -256,11 +273,13 @@ class TestController:
         assert sig["elastic.straggle_spread"] == pytest.approx(1.5)
 
     def test_bad_ctor_args(self):
+        """Bounds have one spelling, the plan's ``scale:MIN..MAX`` clause;
+        the grammar refuses bad ones before a controller exists."""
         plan = parse_elastic_spec("")
-        with pytest.raises(ValueError):
-            ElasticController(plan, min_workers=0)
-        with pytest.raises(ValueError):
-            ElasticController(plan, min_workers=5, max_workers=2)
+        with pytest.raises(TypeError):
+            ElasticController(plan, min_workers=2)
+        with pytest.raises(ElasticSpecError):
+            parse_elastic_spec("scale:5..2")
 
 
 class TestPolicyRegistry:

@@ -130,7 +130,7 @@ def _run(health, fault_spec=None, n_steps=30, method="selsync", params=None):
     from repro.experiments.workloads import build_workload
     from repro.obs import Tracer
 
-    kw = {"health": health, "health_threshold": 1.5, "probation": 8}
+    kw = {"health": health, "probation": 8}
     if fault_spec:
         kw.update({"fault_spec": fault_spec, "min_quorum": 2})
     built = build_workload(
@@ -194,7 +194,7 @@ def test_health_checkpoint_roundtrip_carries_quarantine_state():
         seed=0,
         data_scale=0.05,
         # The tracker's settings are hyper-parameters, checked on load.
-        cluster_kwargs={"health": True, "health_threshold": 1.5, "probation": 8},
+        cluster_kwargs={"health": True, "probation": 8},
     )
     fresh = build_trainer(MethodSpec("selsync", {}), built)
     try:

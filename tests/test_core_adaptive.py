@@ -90,30 +90,3 @@ class TestTargetLSSR:
             TargetLSSRDelta(initial_delta=0.0)
         with pytest.raises(ValueError):
             TargetLSSRDelta(gain=0.0)
-
-
-class TestOverlapModelling:
-    def test_overlap_reduces_sync_cost(self, blobs_data, quick_cfg):
-        from repro.core import BSPTrainer
-        from repro.core.config import ClusterConfig
-
-        train, _ = blobs_data
-        times = {}
-        for f in (0.0, 1.0):
-            workers, cluster = make_mlp_cluster(train)
-            cluster = ClusterConfig(
-                n_workers=cluster.n_workers,
-                comm_bytes=1e9,  # comm-heavy so overlap matters
-                flops_per_sample=1e9,
-                seed=0,
-                overlap_fraction=f,
-            )
-            res = BSPTrainer(workers, cluster).run(quick_cfg)
-            times[f] = res.sim_time
-        assert times[1.0] < times[0.0]
-
-    def test_overlap_validation(self):
-        from repro.core.config import ClusterConfig
-
-        with pytest.raises(ValueError):
-            ClusterConfig(overlap_fraction=1.5)

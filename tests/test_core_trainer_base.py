@@ -83,15 +83,6 @@ class TestEarlyStopping:
 
 
 class TestTimeComposition:
-    def test_effective_sync_time_clamps_at_zero(self, blobs_data):
-        train, _ = blobs_data
-        workers, _ = make_mlp_cluster(train)
-        cluster = ClusterConfig(
-            n_workers=4, comm_bytes=1.0, flops_per_sample=1e9, overlap_fraction=1.0
-        )
-        trainer = BSPTrainer(workers, cluster)
-        assert trainer.effective_sync_time(t_s=1e-9, t_c=10.0) == 0.0
-
     def test_lr_follows_schedule(self, mlp_cluster):
         workers, cluster = mlp_cluster
         trainer = BSPTrainer(

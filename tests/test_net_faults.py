@@ -398,12 +398,11 @@ def test_cli_accepts_net_fault_flags():
         [
             "run", "--workload", "resnet_cifar10", "--steps", "2",
             "--net-faults", "loss:p=0.1", "--retry-max", "2",
-            "--retry-base-ms", "10", "--topology", "ring",
+            "--topology", "ring",
         ]
     )
     assert args.net_fault_spec == "loss:p=0.1"
     assert args.retry_max == 2
-    assert args.retry_base_ms == 10.0
     assert args.topology == "ring"
 
 

@@ -78,7 +78,6 @@ SCENARIOS = {
              min_quorum=2),
         False,
     ),
-    "overlap0.5": (dict(overlap_fraction=0.5), False),
     "shards3": (dict(ps_shards=3), False),
     "shards3+loss0.3+retry0": (
         dict(ps_shards=3, net_fault_spec="loss:p=0.3", retry_max=0, min_quorum=1),
@@ -90,6 +89,11 @@ SCENARIOS = {
     "elastic+health": (
         dict(elastic_spec="join:+1@8,drain:w3@8", health=True, probation=5),
         False,
+    ),
+    # Policy-driven scaling inside the plan's bounds: the comm policy drains
+    # toward the floor or joins toward the ceiling, depending on the rule.
+    "elastic-scale-comm": (
+        dict(elastic_spec="scale:2..6", scale_policy="comm"), False,
     ),
 }
 
