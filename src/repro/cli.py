@@ -247,19 +247,30 @@ def cmd_methods(_args) -> int:
 
 
 def cmd_table1(args) -> int:
-    from repro.experiments.table1 import DEFAULT_METHODS, run_table1
+    from repro.experiments.table1 import DEFAULT_METHODS, DegenerateRowError, run_table1
 
-    workloads = tuple(args.workloads.split(","))
-    rows = run_table1(
-        workloads=workloads,
-        methods=tuple(DEFAULT_METHODS),
-        n_workers=args.n_workers,
-        n_steps=args.steps,
-        eval_every=args.eval_every,
-        data_scale=args.data_scale,
-        seed=args.seed,
-    )
+    def grid(workload, refused=()):
+        return run_table1(
+            workloads=(workload,),
+            methods=[m for m in DEFAULT_METHODS if (workload, m.display) not in refused],
+            n_workers=args.n_workers,
+            n_steps=args.steps,
+            eval_every=args.eval_every,
+            data_scale=args.data_scale,
+            seed=args.seed,
+        )
+
+    rows, refused = [], {}
+    for workload in args.workloads.split(","):
+        try:
+            rows += grid(workload)
+        except DegenerateRowError as e:
+            # Refused before any training step: the rest of the grid runs.
+            refused.update(e.refused)
+            rows += grid(workload, e.refused)
     print(render_table1(rows))
+    for (w, m), why in refused.items():
+        print(f"{w} / {m}: not reproduced ({why})")
     return 0
 
 

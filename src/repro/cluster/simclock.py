@@ -8,9 +8,8 @@ events are processed in global time order through a priority queue.
 from __future__ import annotations
 
 import heapq
-import itertools
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Dict
 
 
 @dataclass(order=True)
@@ -24,11 +23,14 @@ class Event:
 
 
 class EventQueue:
-    """Min-heap of :class:`Event` ordered by (time, insertion order)."""
+    """Min-heap of :class:`Event` ordered by (time, insertion order).
+
+    Its checkpoint is the heap as it lies, the insertion counter and
+    ``now``: a restored queue pops the same events in the same order."""
 
     def __init__(self):
         self._heap: list = []
-        self._counter = itertools.count()
+        self._counter = 0
         self.now: float = 0.0
 
     def push(self, time: float, worker: int = -1, payload: Any = None) -> None:
@@ -36,7 +38,8 @@ class EventQueue:
             raise ValueError(
                 f"cannot schedule event at {time} before current time {self.now}"
             )
-        heapq.heappush(self._heap, Event(time, next(self._counter), worker, payload))
+        heapq.heappush(self._heap, Event(time, self._counter, worker, payload))
+        self._counter += 1
 
     def pop(self) -> Event:
         if not self._heap:
@@ -50,3 +53,15 @@ class EventQueue:
 
     def __bool__(self) -> bool:
         return bool(self._heap)
+
+    def state_dict(self) -> Dict[str, Any]:
+        return {
+            "heap": [[e.time, e.seq, e.worker, e.payload] for e in self._heap],
+            "counter": self._counter,
+            "now": self.now,
+        }
+
+    def load_state_dict(self, state: Dict[str, Any]) -> None:
+        self._heap = [Event(*e) for e in state["heap"]]
+        self._counter = int(state["counter"])
+        self.now = float(state["now"])

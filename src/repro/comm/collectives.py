@@ -126,7 +126,10 @@ class SimGroup:
         Collectives always run on the coordinator thread, so this is safe
         under every executor backend. A partition's onset — ``step`` is
         partitioned and ``step - 1`` was not, read off the plan, so a resumed
-        run needs nothing remembered — emits ``partition_detected``.
+        run needs nothing remembered — emits ``partition_detected``. Events
+        go to the trace's step in flight: the same step for a lock-step
+        rule, the landed push for SSP (whose draws key on a worker's own
+        iteration).
         """
         self._step = int(step)
         if self.link_faults is None:
@@ -138,7 +141,6 @@ class SimGroup:
             if tr is not None:
                 tr.emit(
                     "partition_detected",
-                    step=step,
                     groups=[list(g) for g in part.target],
                     majority=list(self.link_faults.majority_side(step)),
                     until=part.end,
@@ -152,10 +154,7 @@ class SimGroup:
         self._faulted_links.add(key)
         tr = obs.active()
         if tr is not None:
-            tr.emit(
-                "link_fault", step=self._step,
-                src=key[0], dst=key[1], kind=kind,
-            )
+            tr.emit("link_fault", src=key[0], dst=key[1], kind=kind)
 
     def _send(self, src: int, dst: int, transfer_s: float, op: str, msg=0, **tag):
         """One enveloped message: its outcome, with the ``link_fault`` /
@@ -167,7 +166,7 @@ class SimGroup:
             tr = obs.active()
             if tr is not None:
                 tr.emit(
-                    "retry", step=self._step, src=src, dst=dst,
+                    "retry", src=src, dst=dst,
                     op=op, attempts=out.attempts, wait_s=out.wait_s,
                     delivered=out.delivered, **tag,
                 )
@@ -210,7 +209,7 @@ class SimGroup:
             tr = obs.active()
             if tr is not None:
                 tr.emit(
-                    "reroute", step=self._step, op=op,
+                    "reroute", op=op,
                     topology=self.topology.name, mode=healed.mode,
                     detail=healed.detail, n_dead=healed.n_dead,
                 )

@@ -8,7 +8,9 @@ deployable model, the paper's until-no-improvement stopping rule, RunLog
 assembly — and, beyond the paper, the fault/recovery machinery:
 deterministic fault injection (:mod:`repro.cluster.faults`), degraded-mode
 aggregation over the live worker subset with a configurable quorum, and
-checkpoint/resume with bitwise-identical continuation.
+checkpoint/resume with bitwise-identical continuation. SSP runs the same
+loop with one landed push as its step (the schedule hooks :meth:`horizon`,
+:meth:`eval_period`, :meth:`eval_point` and :meth:`result`).
 
 Fault-free runs are bitwise-identical to a build without the fault
 subsystem: with no ``fault_spec`` every fault hook leaves the live set
@@ -87,9 +89,9 @@ class PerWorker(list):
 
 
 class DistributedTrainer:
-    """Shared machinery for the lock-step trainers.
+    """Shared machinery for every trainer: one run loop.
 
-    :meth:`step` is the one fixed pipeline; a subclass is a *sync rule*
+    :meth:`step` is the one fixed lock-step pipeline; a subclass is a *sync rule*
     filling its hooks — :meth:`decide`, plus :meth:`exchange` /
     :meth:`draw_batches` / :meth:`uploaders` / :meth:`n_participants` /
     :meth:`outgoing` where the rule departs from the defaults — and naming
@@ -1121,20 +1123,17 @@ class DistributedTrainer:
         metric: float,
         best: Optional[float],
         stale_evals: int,
-        metric_name: str = "metric",
     ) -> Tuple[Optional[float], int]:
         """Record one evaluation (``EvalRecord`` + ``eval`` event) and fold
         it into the until-no-improvement bookkeeping; returns the new
-        ``(best, stale_evals)`` — the caller applies ``cfg.patience``.
-        ``metric_name`` labels the RunLog record only (SSP's keep the
-        ``EvalRecord`` default); the event always says ``"metric"``."""
+        ``(best, stale_evals)`` — the caller applies ``cfg.patience``."""
         log.record_eval(
             EvalRecord(
                 step=step,
                 epoch=epoch,
                 sim_time=sim_time,
                 metric=metric,
-                metric_name=metric_name,
+                metric_name="metric",
             )
         )
         tr = obs.active()
@@ -1155,6 +1154,29 @@ class DistributedTrainer:
             improved = metric < best - MIN_IMPROVEMENT
         return (metric, 0) if improved else (best, stale_evals + 1)
 
+    # -- schedule hooks: what one step of the run loop is ---------------------
+    def horizon(self, cfg: TrainConfig) -> int:
+        """Steps in the run (asked once, as it opens): one per iteration."""
+        return cfg.n_steps
+
+    def eval_period(self, cfg: TrainConfig) -> int:
+        """Steps between two evaluations."""
+        return cfg.eval_every
+
+    def eval_point(self, clock: float) -> Tuple[float, float]:
+        """``(epoch, sim_time)`` an evaluation is recorded at."""
+        return self.workers[0].epoch, clock
+
+    def result(self, log: RunLog, best: Optional[float]) -> TrainResult:
+        return TrainResult(
+            log=log,
+            final_metric=log.final_metric() if log.evals else None,
+            best_metric=best,
+            steps=log.n_steps,
+            sim_time=log.total_sim_time,
+            lssr=log.lssr() if log.n_steps else None,
+        )
+
     def run(self, cfg: TrainConfig) -> TrainResult:
         log = RunLog(name=self.name)
         best: Optional[float] = None
@@ -1164,10 +1186,11 @@ class DistributedTrainer:
         if cfg.resume_from is not None:
             start_step, log, best, stale_evals, clock = self._resume(cfg)
         self._log = log
+        horizon, period = self.horizon(cfg), self.eval_period(cfg)
         try:
             with obs.use(cfg.tracer):
                 tr = obs.active()
-                for i in range(start_step, cfg.n_steps):
+                for i in range(start_step, horizon):
                     provision_s = 0.0
                     if self.elastic is not None:
                         provision_s = self._apply_membership(i)
@@ -1202,10 +1225,10 @@ class DistributedTrainer:
                         )
                     if cfg.step_monitor is not None:
                         cfg.step_monitor(self, i)
-                    last = i == cfg.n_steps - 1
-                    if cfg.eval_fn is not None and ((i + 1) % cfg.eval_every == 0 or last):
+                    last = i == horizon - 1
+                    if cfg.eval_fn is not None and ((i + 1) % period == 0 or last):
                         best, stale_evals = self._note_eval(
-                            cfg, log, i, self.workers[0].epoch, clock,
+                            cfg, log, i, *self.eval_point(clock),
                             self.evaluate(cfg), best, stale_evals,
                         )
                         if cfg.patience is not None and stale_evals >= cfg.patience:
@@ -1219,12 +1242,4 @@ class DistributedTrainer:
                         break  # simulated kill; the checkpoint is the survivor
         finally:
             self._log = None
-        final = log.final_metric() if log.evals else None
-        return TrainResult(
-            log=log,
-            final_metric=final,
-            best_metric=best,
-            steps=log.n_steps,
-            sim_time=log.total_sim_time,
-            lssr=log.lssr() if log.n_steps else None,
-        )
+        return self.result(log, best)

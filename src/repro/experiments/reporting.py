@@ -50,7 +50,7 @@ def render_table1(rows) -> str:
     """Render :func:`repro.experiments.table1.run_table1` output."""
     headers = [
         "Workload", "Method", "Iterations", "LSSR", "Metric",
-        "ConvDiff", "BeatsBSP", "Speedup",
+        "ConvDiff", "BeatsBSP", "Speedup", "Interval", "MaxStale", "Note",
     ]
     body = [
         [
@@ -62,6 +62,9 @@ def render_table1(rows) -> str:
             r.conv_diff,
             r.outperforms_bsp,
             r.speedup,
+            r.sync_interval,
+            r.max_staleness,
+            r.note,
         ]
         for r in rows
     ]

@@ -78,9 +78,11 @@ def run_method(
     stop_after: Optional[int] = None,
     tracer=None,
     supervisor=None,
+    trainer: Optional[DistributedTrainer] = None,
 ) -> TrainResult:
     """Run one method on an already-built workload (workers are consumed:
-    rebuild the workload for the next method so everyone starts fresh).
+    rebuild the workload for the next method so everyone starts fresh);
+    ``trainer`` is one :func:`build_trainer` already made of the two.
 
     ``tracer`` (a :class:`repro.obs.Tracer`) is installed for the run and
     receives the reproducibility manifest as its metadata; the caller owns
@@ -90,7 +92,8 @@ def run_method(
     wraps the run with rollback-and-retry on quorum loss / divergence;
     ``None`` runs the trainer directly.
     """
-    trainer = build_trainer(spec, built)
+    if trainer is None:
+        trainer = build_trainer(spec, built)
     manifest = _manifest(spec, built, n_steps)
     if tracer is not None and not tracer.meta:
         tracer.meta = manifest

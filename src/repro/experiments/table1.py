@@ -9,12 +9,12 @@ vs BSP, the outperform flag, and overall speedup.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.metrics import convergence_difference, speedup_vs_bsp
 from repro.core.trainer import TrainResult
-from repro.experiments.runner import MethodSpec, run_method
-from repro.experiments.workloads import get_workload
+from repro.experiments.runner import MethodSpec, build_trainer, run_method
+from repro.experiments.workloads import BuiltWorkload, get_workload
 
 #: The paper's method grid (Table I rows per workload). The SelSync rows use
 #: δ = 0.1 / 0.2 — the paper's δ = 0.3 / 0.5 mapped onto this substrate's
@@ -41,7 +41,12 @@ DEFAULT_WORKLOADS = (
 
 @dataclass
 class Table1Row:
-    """One (workload, method) cell group of Table I."""
+    """One (workload, method) cell group of Table I.
+
+    ``sync_interval`` is FedAvg's realized steps between rounds and
+    ``max_staleness`` SSP's largest recorded lead; ``note`` reads "bound
+    never binds" when that lead stayed under ``s`` (unbounded async SGD).
+    """
 
     workload: str
     method: str
@@ -52,6 +57,50 @@ class Table1Row:
     outperforms_bsp: Optional[bool]
     speedup: Optional[float]
     sim_time: float
+    sync_interval: Optional[int]
+    max_staleness: Optional[float]
+    note: str
+
+
+class DegenerateRowError(ValueError):
+    """Grid cells whose realized schedule is another method's: a FedAvg
+    interval that rounds to one step is BSP. ``refused`` maps each
+    ``(workload, method)`` to the reason; raised before any training step."""
+
+    def __init__(self, refused: Dict[Tuple[str, str], str]):
+        self.refused = refused
+        super().__init__(
+            "; ".join(f"{w} / {m}: {why}" for (w, m), why in refused.items())
+        )
+
+
+def _build(wname: str, spec: MethodSpec, **kw) -> BuiltWorkload:
+    from repro.experiments.figures import BENCH_DATASET_OVERRIDES
+
+    # SSP and the paper's FedAvg/SelSync runs use the partitioning native
+    # to each method: SelDP for SelSync, DefDP otherwise.
+    return get_workload(wname).build(
+        partition_scheme="seldp" if spec.kind == "selsync" else "defdp",
+        dataset_overrides=BENCH_DATASET_OVERRIDES.get(wname),
+        **kw,
+    )
+
+
+def _refusals(workloads, methods, **kw) -> Dict[Tuple[str, str], str]:
+    refused = {}
+    for wname in workloads:
+        for spec in methods:
+            if spec.kind != "fedavg":
+                continue
+            trainer = build_trainer(spec, _build(wname, spec, **kw))
+            trainer.executor.shutdown()
+            if trainer.sync_interval == 1:
+                refused[(wname, spec.display)] = (
+                    f"e_factor={trainer.e_factor} x steps_per_epoch="
+                    f"{trainer.workers[0].loader.steps_per_epoch} rounds to a "
+                    "sync interval of 1, BSP's schedule"
+                )
+    return refused
 
 
 def run_table1(
@@ -72,33 +121,37 @@ def run_table1(
     interpreted *relative* to the BSP metric's magnitude so it works on both
     the accuracy scale (≈1) and the perplexity scale (≈tens).
     """
+    kw = dict(n_workers=n_workers, n_steps=n_steps, data_scale=data_scale, seed=seed)
+    refused = _refusals(workloads, methods, **kw)
+    if refused:
+        raise DegenerateRowError(refused)
     rows: List[Table1Row] = []
     for wname in workloads:
         w = get_workload(wname)
         results: Dict[str, TrainResult] = {}
+        schedule: Dict[str, dict] = {}
         bsp_result: Optional[TrainResult] = None
-        from repro.experiments.figures import BENCH_DATASET_OVERRIDES
-
         for spec in methods:
-            # SSP and the paper's FedAvg/SelSync runs use the partitioning
-            # native to each method: SelDP for SelSync, DefDP otherwise.
-            scheme = "seldp" if spec.kind == "selsync" else "defdp"
-            built = w.build(
-                n_workers=n_workers,
-                n_steps=n_steps,
-                partition_scheme=scheme,
-                data_scale=data_scale,
-                seed=seed,
-                dataset_overrides=BENCH_DATASET_OVERRIDES.get(wname),
-            )
+            built = _build(wname, spec, **kw)
+            trainer = build_trainer(spec, built)
             res = run_method(
                 spec,
                 built,
                 n_steps=n_steps,
                 eval_every=eval_every,
                 patience=patience,
+                trainer=trainer,
             )
             results[spec.display] = res
+            row = schedule[spec.display] = dict(
+                sync_interval=None, max_staleness=None, note=""
+            )
+            if spec.kind == "fedavg":
+                row["sync_interval"] = trainer.sync_interval
+            elif spec.kind == "ssp":
+                lead = max(r.extra["staleness"] for r in res.log.iterations)
+                row["max_staleness"] = lead
+                row["note"] = "bound never binds" if lead < trainer.staleness else ""
             if spec.kind == "bsp":
                 bsp_result = res
 
@@ -132,6 +185,7 @@ def run_table1(
                     outperforms_bsp=outp,
                     speedup=speed,
                     sim_time=res.sim_time,
+                    **schedule[spec.display],
                 )
             )
     return rows

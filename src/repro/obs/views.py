@@ -59,12 +59,16 @@ def runlog_from_trace(
                 )
             )
         elif ev.etype == "fault":
+            # SSP's faults are keyed on a worker's own ``iteration``.
             log.record_fault(
                 FaultRecord(
-                    step=ev.step,
+                    step=d.get("iteration", ev.step),
                     worker=ev.worker,
                     kind=d["fault_kind"],
-                    detail={k: v for k, v in d.items() if k != "fault_kind"},
+                    detail={
+                        k: v for k, v in d.items()
+                        if k not in ("fault_kind", "iteration")
+                    },
                 )
             )
     return log

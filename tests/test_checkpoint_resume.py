@@ -115,6 +115,47 @@ class TestBitwiseResume:
         assert res_c.steps == N_STEPS
         _assert_same(_fingerprint(workers_a, res_a), _fingerprint(workers_c, res_c))
 
+    @pytest.mark.parametrize("kill", [3, 14, 29])
+    def test_ssp_kill_and_resume_is_bitwise_identical(self, kill, tmp_path):
+        """SSP's checkpoint is its event heap and counters — no gradient is
+        in flight between two landed pushes. Killed at a push inside a crash
+        window, with a straggler holding the others at the staleness bound,
+        the resumed run writes the uninterrupted run's RunLog, trace, server
+        and replicas."""
+        ck = str(tmp_path / "ck.npz")
+
+        def run(tag, **leg):
+            workers = _mlp_workers()
+            cluster = ClusterConfig(
+                n_workers=N_WORKERS, comm_bytes=1e6, flops_per_sample=1e6,
+                fault_spec="crash:w1@2-5,straggle:w0x4@1+,drop:p=0.2",
+                min_quorum=1,
+            )
+            trainer = SSPTrainer(workers, cluster, staleness=1)
+            tracer = Tracer(path=tmp_path / f"{tag}.jsonl", name="ssp")
+            res = trainer.run(TrainConfig(
+                n_steps=N_STEPS, eval_every=2, tracer=tracer,
+                eval_fn=lambda m: float(m.get_flat_params().sum()),
+                checkpoint_every=kill,
+                checkpoint_path=leg.pop("path", ck), **leg,
+            ))
+            tracer.close()
+            lines = (tmp_path / f"{tag}.jsonl").read_text().splitlines(True)
+            return trainer, res, lines
+
+        whole, res_a, trace_a = run("whole", path=str(tmp_path / "whole.npz"))
+        _, _, trace_b = run("killed", stop_after=kill)
+        resumed, res_c, trace_c = run("resumed", resume_from=ck)
+        assert res_c.steps == res_a.steps == N_STEPS
+        assert res_c.sim_time == res_a.sim_time
+        assert RunLogLines().text(res_c.log) == RunLogLines().text(res_a.log)
+        # Every event of a push is at that push's step, so the killed run's
+        # lines and the resumed run's concatenate to the uninterrupted trace.
+        assert trace_a[1:] == trace_b[1:] + trace_c[1:]
+        np.testing.assert_array_equal(resumed.server.pull(), whole.server.pull())
+        for wa, wc in zip(whole.workers, resumed.workers):
+            np.testing.assert_array_equal(wa.get_params(), wc.get_params())
+
     def test_faulted_run_resumes_identically(self, tmp_path):
         """Fault draws are keyed on (seed, worker, step), so the injector
         needs no checkpoint state of its own — the resumed half replays the
@@ -553,20 +594,6 @@ class TestStreamedCheckpoint:
 
 
 class TestGuards:
-    def test_ssp_rejects_checkpointing(self, tmp_path):
-        ck = str(tmp_path / "ck.npz")
-        workers = _mlp_workers()
-        cluster = ClusterConfig(n_workers=N_WORKERS, comm_bytes=1e6,
-                                flops_per_sample=1e6)
-        trainer = SSPTrainer(workers, cluster, staleness=10)
-        with pytest.raises(NotImplementedError, match="event-driven"):
-            trainer.run(
-                TrainConfig(n_steps=4, eval_fn=None,
-                            checkpoint_every=2, checkpoint_path=ck)
-            )
-        with pytest.raises(NotImplementedError, match="event-driven"):
-            trainer.run(TrainConfig(n_steps=4, eval_fn=None, resume_from=ck))
-
     def test_wrong_trainer_rejected_on_resume(self, tmp_path):
         ck = str(tmp_path / "ck.npz")
         workers, trainer = _build("bsp")

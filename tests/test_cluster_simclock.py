@@ -48,3 +48,19 @@ class TestEventQueue:
         q.push(1.0, worker=3, payload={"grad": 7})
         ev = q.pop()
         assert ev.payload["grad"] == 7
+
+    def test_state_round_trip_pops_the_same_events(self):
+        q = EventQueue()
+        for t, w in ((3.0, 0), (1.0, 1), (1.0, 2), (2.0, 3)):
+            q.push(t, worker=w, payload="rejoin" if w == 3 else None)
+        q.pop()
+        twin = EventQueue()
+        twin.load_state_dict(q.state_dict())
+        assert twin.now == q.now == 1.0
+        q.push(1.5, worker=4)
+        twin.push(1.5, worker=4)
+        popped = [(e.time, e.seq, e.worker, e.payload) for e in (q.pop() for _ in range(4))]
+        assert popped == [
+            (e.time, e.seq, e.worker, e.payload) for e in (twin.pop() for _ in range(4))
+        ]
+        assert [w for _, _, w, _ in popped] == [2, 4, 3, 0]

@@ -2,9 +2,10 @@
 
 import pytest
 
+from repro.experiments import table1
 from repro.experiments.reporting import fmt, render_table, render_table1
 from repro.experiments.runner import MethodSpec
-from repro.experiments.table1 import run_table1
+from repro.experiments.table1 import DEFAULT_METHODS, DegenerateRowError, run_table1
 
 
 @pytest.fixture(scope="module")
@@ -71,3 +72,43 @@ class TestReporting:
     def test_render_table1(self, tiny_rows):
         text = render_table1(tiny_rows)
         assert "BSP" in text and "Speedup" in text
+
+
+class TestDegenerateRows:
+    """Table I's bench grid — resnet, N = 4, ``data_scale=0.25``, DefDP —
+    gives each worker 3 steps per epoch. Both degenerate-row checks fire
+    there; these tests build that configuration but do not run the grid."""
+
+    BENCH = dict(workloads=("resnet_cifar10",), n_workers=4, data_scale=0.25)
+
+    def test_fedavg_interval_of_one_is_refused_before_any_training_step(
+        self, monkeypatch
+    ):
+        trained = []
+        monkeypatch.setattr(table1, "run_method", lambda *a, **k: trained.append(a))
+        fedavg = [m for m in DEFAULT_METHODS if m.kind == "fedavg"]
+        with pytest.raises(DegenerateRowError) as err:
+            run_table1(methods=DEFAULT_METHODS, n_steps=250, **self.BENCH)
+        assert set(err.value.refused) == {("resnet_cifar10", m.display) for m in fedavg}
+        assert "e_factor=0.25 x steps_per_epoch=3" in str(err.value)
+        assert "e_factor=0.125 x steps_per_epoch=3" in str(err.value)
+        assert not trained
+
+    def test_ssp_rows_say_the_bound_never_binds(self):
+        rows = run_table1(
+            methods=(
+                MethodSpec("bsp", label="BSP"),
+                *(m for m in DEFAULT_METHODS if m.kind == "ssp"),
+                MethodSpec("ssp", {"staleness": 0}, label="SSP s=0"),
+            ),
+            n_steps=12, eval_every=12, patience=None, **self.BENCH,
+        )
+        ssp = {r.method: r for r in rows if "SSP" in r.method}
+        assert set(ssp) == {"SSP s=100", "SSP s=200", "SSP s=0"}
+        for label in ("SSP s=100", "SSP s=200"):
+            # Jitter alone never puts a worker more than a step or two ahead.
+            assert ssp[label].max_staleness <= 2
+            assert ssp[label].note == "bound never binds"
+        assert ssp["SSP s=0"].max_staleness >= 1 and ssp["SSP s=0"].note == ""
+        text = render_table1(rows)
+        assert text.count("bound never binds") == 2

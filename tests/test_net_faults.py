@@ -338,13 +338,16 @@ def test_heal_rebases_whoever_is_cut_at_the_heal(tmp_path):
 def test_ssp_detects_a_partition_once_per_worker(tmp_path):
     """SSP keys link faults on each worker's own iteration, so its pushes
     interleave steps inside and outside the window; every worker crosses
-    the onset once, however the pushes interleave."""
-    _, _, tracer, _ = _traced_run(
+    the onset once, at its own 4th iteration, however the pushes
+    interleave. The event is the landed push's (the run's step axis)."""
+    _, res, tracer, _ = _traced_run(
         tmp_path, "ssp", SSPTrainer, "serial", n_steps=12, staleness=3,
         cluster_kw={"net_fault_spec": "partition:{w0|w1,w2,w3}@4-8", "min_quorum": 2},
     )
     parts = views.events_of_type(tracer.events, "partition_detected")
-    assert [e.step for e in parts] == [4] * N_WORKERS
+    pusher = [int(r.extra["worker"]) for r in res.log.iterations]
+    crossed = [(pusher[e.step], pusher[: e.step].count(pusher[e.step])) for e in parts]
+    assert sorted(crossed) == [(w, 4) for w in range(N_WORKERS)]
 
 
 def test_partition_under_supervisor_records_recovery(tmp_path):

@@ -5,10 +5,11 @@ the end, sort them all by ``(step, worker, seq)`` and serialize each with
 ``json.dumps`` over the whole record. The streamed file must equal its
 output byte for byte — on the CLI golden smoke run, under the recovery
 supervisor's rollback (events for steps already written: a second sorted
-segment), under SSP (events keyed by completion, no ``step_begin``) and
-across an elastic join + drain. A run stopped without :meth:`Tracer.close`
-leaves a ``.part`` file holding the first whole steps of the closed trace,
-and between steps a tracer holds only the step in flight.
+segment), under SSP (a step per landed push, streamed like a lock-step run)
+and across an elastic join + drain. A run stopped without
+:meth:`Tracer.close` leaves a ``.part`` file holding the first whole steps
+of the closed trace, and between steps a tracer holds only the step in
+flight.
 """
 
 import json
@@ -25,9 +26,9 @@ from repro.core.recovery import RecoverySupervisor
 from repro.core.selsync import SelSyncTrainer
 from repro.core.ssp import SSPTrainer
 from repro.data import ArrayDataset, default_partition
-from repro.obs import TraceEvent, Tracer
+from repro.obs import TraceEvent, Tracer, views
 from repro.obs.sink import event_line, part_path, read_trace
-from repro.utils.serialization import encode_jsonable
+from repro.utils.serialization import RunLogLines, encode_jsonable
 from tests.conftest import make_mlp_cluster
 
 _NONFINITE_TAG = "__nonfinite__"
@@ -212,7 +213,7 @@ def test_supervisor_rollback_merges_segments_into_the_reference(tmp_path):
     assert [(e.key, e.etype) for e in tracer.events] == before_close
 
 
-def test_ssp_trace_matches_the_reference(tmp_path):
+def _ssp(fault_spec="straggle:w1x3@2+"):
     rng = np.random.default_rng(0)
     ds = ArrayDataset(rng.normal(size=(64, 4)), rng.integers(0, 2, 64))
     workers, _ = make_mlp_cluster(
@@ -221,14 +222,47 @@ def test_ssp_trace_matches_the_reference(tmp_path):
     )
     cluster = ClusterConfig(
         n_workers=3, comm_bytes=1e6, flops_per_sample=1e6,
-        fault_spec="straggle:w1x3@2+",
+        fault_spec=fault_spec, min_quorum=1,
     )
+    return SSPTrainer(workers, cluster, staleness=2)
+
+
+def test_ssp_trace_matches_the_reference(tmp_path):
     tracer = RecordingTracer(path=tmp_path / "ssp.jsonl", name="ssp")
-    SSPTrainer(workers, cluster, staleness=2).run(
-        TrainConfig(n_steps=7, eval_every=7, eval_fn=None, tracer=tracer)
-    )
+    _ssp().run(TrainConfig(n_steps=7, eval_every=7, eval_fn=None, tracer=tracer))
     tracer.close()
     assert_matches_reference(tracer, tmp_path)
+
+
+def test_ssp_trace_streams_by_landed_push(tmp_path):
+    """Every event of a push — faults keyed on a worker's own iteration
+    included — is at that push's step: the closed pushes are on disk in one
+    sorted segment before ``close()``, and the tracer holds only the last."""
+    tracer = RecordingTracer(path=tmp_path / "ssp.jsonl", name="ssp")
+    res = _ssp("crash:w2@1-3,straggle:w1x3@2+,drop:p=0.3").run(
+        TrainConfig(n_steps=7, eval_every=2, eval_fn=lambda m: 0.5, tracer=tracer)
+    )
+    last = res.log.n_steps - 1
+    assert {e.step for e in tracer._pending} == {last}
+    lines = part_path(tracer.path).read_text().splitlines()[1:]
+    assert sorted({json.loads(ln)["step"] for ln in lines}) == list(range(last))
+    assert {"fault", "step_end", "eval"} <= {json.loads(ln)["etype"] for ln in lines}
+    assert len(tracer._segments) == 1
+    tracer.close()
+    assert_matches_reference(tracer, tmp_path)
+
+
+def test_ssp_runlog_is_a_view_of_its_trace():
+    """The one run loop writes SSP's ``step_end`` (``extra.worker``
+    included) and its evaluations under the loop's label."""
+    tracer = Tracer(name="ssp")
+    res = _ssp().run(TrainConfig(
+        n_steps=7, eval_every=2, tracer=tracer,
+        eval_fn=lambda m: float(m.get_flat_params().sum()),
+    ))
+    rebuilt = views.runlog_from_trace(tracer.events, name=res.log.name)
+    assert len(res.log.evals) == 4  # every 2·N pushes, and the last
+    assert RunLogLines().text(rebuilt) == RunLogLines().text(res.log)
 
 
 def test_elastic_join_and_drain_trace_matches_the_reference(tmp_path):

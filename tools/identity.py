@@ -16,13 +16,14 @@ plus :data:`EXTRA_CELLS` — among them the conv leg, ``bsp@vgg`` and
 ``selsync-pa@vgg``: SmallVGG on 16x16 images, batch 16, 12 steps, so "the
 conv models did not move" is a verdict of this tool. A cell that raises
 counts as equal when both sides raise the same error (SSP refuses health /
-elastic / resume; the injector is built for a fixed N).
+elastic; the injector is built for a fixed N).
 
 A second, **resume leg** runs on this checkout only (serial executor,
-``checkpoint_every=3``): every non-SSP rule variant x scenario, and BSP
-under each codec of :data:`CODECS`, killed at each step of :data:`KILLS`
-and resumed, must equal its uninterrupted run on all four artifacts (the
-trace without the resumed process's header line).
+``checkpoint_every=3``): every rule variant x scenario, and BSP under each
+codec of :data:`CODECS`, killed at each step of :data:`KILLS` (SSP at N
+times as many landed pushes, the same iterations) and resumed, must equal
+its uninterrupted run on all four artifacts (the trace without the resumed
+process's header line).
 
 Exit status is non-zero when a cell differs that no ``--expect-differs
 'GLOB[:artifact,...]'`` declares (a glob over ``rule/scenario/executor``;
@@ -122,9 +123,8 @@ def cells():
 
 def resume_cells():
     for rule in RULES:
-        if rule != "ssp":  # refuses checkpointing
-            for scenario, (overrides, _) in SCENARIOS.items():
-                yield rule, scenario, overrides
+        for scenario, (overrides, _) in SCENARIOS.items():
+            yield rule, scenario, overrides
     for codec in CODECS:
         yield f"bsp+{codec}", "fault-free", {}
 
@@ -240,8 +240,6 @@ def _run_legs(rule, overrides, kill, executor, out, every):
 
     ck = out / "ck.npz"
     legs = [dict(stop_after=kill), dict(resume_from=str(ck))] if kill else [{}]
-    # SSP refuses checkpointing outright; its other cells run without one.
-    checkpointing = bool(kill) or rule != "ssp"
     for n, leg in enumerate(legs):
         trainer = _build(rule, overrides, executor)
         tracer = Tracer(path=out / f"trace{n}.jsonl", name="identity")
@@ -249,8 +247,7 @@ def _run_legs(rule, overrides, kill, executor, out, every):
             res = trainer.run(TrainConfig(
                 n_steps=VGG_STEPS if rule.endswith("@vgg") else N_STEPS,
                 eval_fn=None, tracer=tracer,
-                checkpoint_every=every if checkpointing else None,
-                checkpoint_path=str(ck) if checkpointing else None,
+                checkpoint_every=every, checkpoint_path=str(ck),
                 **leg,
             ))
         finally:
@@ -265,8 +262,7 @@ def _run_legs(rule, overrides, kill, executor, out, every):
     params, tree = hashlib.sha256(), hashlib.sha256()
     for w in trainer.workers:
         params.update(w.get_params().tobytes())
-    if checkpointing:
-        _tree_digest(load_checkpoint(ck), tree)
+    _tree_digest(load_checkpoint(ck), tree)
     return {
         "runlog": hashlib.sha256(runlog.encode()).hexdigest(),
         "trace": hashlib.sha256(trace.encode()).hexdigest(),
@@ -297,7 +293,12 @@ def resume_leg(out_dir: Path, only) -> int:
     ``repro`` alone; the number of unequal cells."""
     n = bad = n_failed = 0
     for rule, scenario, overrides in resume_cells():
-        kills = [k for k in KILLS if _selected(f"{rule}/{scenario}/kill@{k}", only)]
+        # SSP's step is one landed push, N of them per worker iteration.
+        scale = N_WORKERS if rule == "ssp" else 1
+        kills = [
+            k * scale for k in KILLS
+            if _selected(f"{rule}/{scenario}/kill@{k * scale}", only)
+        ]
         if not kills:
             continue
         whole_dir = out_dir / f"{rule}__{scenario}__uninterrupted"
