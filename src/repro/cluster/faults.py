@@ -104,7 +104,8 @@ class StepFaults:
     finite hostile vector (they still *look* healthy to any finiteness
     check and stay in the contributing set — only robust aggregation or
     health screening can defuse them); ``wire_lies`` holds the hostile
-    vector each of them pushes this step, fabricated by the trainer.
+    vector each of them pushes this step, fabricated by the trainer's
+    fault protocol (:mod:`repro.core.fault_protocol`).
     """
 
     step: int

@@ -33,6 +33,7 @@ import dataclasses
 import os
 from typing import List, Optional
 
+from repro import obs
 from repro.cluster.faults import QuorumLostError
 from repro.comm.envelope import CollectiveTimeoutError
 from repro.core.config import TrainConfig
@@ -131,33 +132,23 @@ class RecoverySupervisor:
 
     def _record(
         self,
+        trainer: DistributedTrainer,
         cfg: TrainConfig,
         step: int,
         attempt: int,
         reason: str,
         detail: dict,
-    ) -> FaultRecord:
+    ) -> None:
         backoff = BACKOFF_BASE_S * (2.0 ** (attempt - 1))
-        rec = FaultRecord(
-            step=step,
-            worker=-1,
-            kind="recovery",
-            detail={"attempt": attempt, "reason": reason, "backoff_s": backoff, **detail},
-        )
-        self.recoveries.append(rec)
-        tr = cfg.tracer
-        if tr is not None:
-            # Emitted directly (the run that raised has already torn down
-            # its obs context): the trace keeps the aborted attempt's
-            # events *and* the incident that ended it.
-            tr.emit(
-                "fault",
-                step=step,
-                worker=-1,
-                fault_kind="recovery",
-                **rec.detail,
-            )
-        return rec
+        # Through the trainer's one fault writer, into the tracer the run
+        # that raised has already torn down: the trace keeps the aborted
+        # attempt's events *and* the incident that ended it. Only a quorum
+        # loss is keyed on a worker's own iteration (SSP).
+        with obs.use(cfg.tracer):
+            self.recoveries.append(trainer.fault_protocol.record(
+                step, -1, "recovery", at_iteration=reason == "quorum_lost",
+                attempt=attempt, reason=reason, backoff_s=backoff, **detail,
+            ))
 
     # -- the supervised loop ----------------------------------------------
     def run(self, trainer: DistributedTrainer, cfg: TrainConfig) -> TrainResult:
@@ -178,13 +169,13 @@ class RecoverySupervisor:
             except (QuorumLostError, CollectiveTimeoutError, DivergenceExceededError) as e:
                 attempt += 1
                 step, reason, detail = self._incident(e, trainer)
-                self._record(cfg, step, attempt, reason, detail)
+                self._record(trainer, cfg, step, attempt, reason, detail)
                 if attempt > self.max_recoveries:
                     raise
                 if reason == "quorum_lost":
                     # Degrade to the surviving worker set: demanding the old
                     # quorum again would fail the same way immediately.
-                    trainer.quorum = detail["quorum_after"]
+                    trainer.fault_protocol.quorum = detail["quorum_after"]
                 # A timed-out collective just retries: a flapping link may be
                 # up again, and a persistent partition has shrunk the live
                 # set to the majority side by then.
@@ -206,7 +197,7 @@ class RecoverySupervisor:
         if isinstance(e, QuorumLostError):
             survivors = max(1, int(getattr(e, "contributing", 0)))
             return int(getattr(e, "step", -1)), "quorum_lost", {
-                "quorum_before": trainer.quorum,
+                "quorum_before": trainer.fault_protocol.quorum,
                 "quorum_after": survivors,
                 "contributing": int(getattr(e, "contributing", -1)),
             }

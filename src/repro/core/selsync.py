@@ -22,9 +22,10 @@ from repro.core.trainer import DistributedTrainer, PerWorker
 from repro.data.injection import DataInjector
 from repro.optim.schedules import LRSchedule
 
-#: Default simulated cost of computing Δ(g_i) with EWMA smoothing at w=25
-#: (paper Fig. 8a: ≈2–17 ms depending on the model; we charge a middle value).
-DEFAULT_DELTA_OVERHEAD_S = 3e-3
+#: Simulated per-step cost of computing Δ(g_i) with EWMA smoothing at w=25,
+#: charged only to SelSync (BSP/FedAvg/SSP do not compute it — §IV-B; paper
+#: Fig. 8a: ≈2–17 ms depending on the model; we charge a middle value).
+DELTA_OVERHEAD_S = 3e-3
 
 #: The two ways a sync round aggregates: parameters (PA) or gradients (GA).
 AGGREGATIONS = ("params", "grads")
@@ -54,9 +55,6 @@ class SelSyncTrainer(DistributedTrainer):
         ``"any"`` (Alg. 1: one raised flag syncs everyone) or ``"majority"``
         (ablation: sync only when more than half of this step's voters — the
         live, unquarantined, uncorrupted workers — vote for it).
-    delta_overhead_s:
-        Simulated per-step cost of the Δ(g_i) computation, charged only to
-        SelSync (BSP/FedAvg/SSP do not compute it — §IV-B).
     delta_policy:
         Optional :class:`~repro.core.adaptive.DeltaPolicy` that picks the
         threshold online (extension beyond the paper); overrides ``delta``.
@@ -75,7 +73,6 @@ class SelSyncTrainer(DistributedTrainer):
         ewma_window: int = 25,
         injector: Optional[DataInjector] = None,
         sync_vote: str = "any",
-        delta_overhead_s: float = DEFAULT_DELTA_OVERHEAD_S,
         delta_policy=None,
     ):
         super().__init__(workers, cluster, schedule)
@@ -95,7 +92,6 @@ class SelSyncTrainer(DistributedTrainer):
         self.aggregation = aggregation
         self.sync_vote = sync_vote
         self.injector = injector
-        self.delta_overhead_s = delta_overhead_s
         self.delta_policy = delta_policy
         alpha = min(1.0, max(0.01, cluster.n_workers / 100.0))
         self.trackers = PerWorker(
@@ -176,7 +172,7 @@ class SelSyncTrainer(DistributedTrainer):
         # The decision's own cost: the flag allgather is communication, the
         # Δ(g) computation is compute charged only to SelSync (§IV-B).
         rec.sim_time += t_flags
-        rec.sim_time += self.delta_overhead_s
+        rec.sim_time += DELTA_OVERHEAD_S
         rec.comm_time += t_flags
         finite = [d for d in deltas if np.isfinite(d)]
         rec.grad_change = float(max(finite)) if finite else float("inf")

@@ -27,7 +27,7 @@ from repro.cluster.worker import SimWorker
 from repro.core.config import ClusterConfig, TrainConfig
 from repro.core.trainer import DistributedTrainer, TrainResult
 from repro.optim.schedules import LRSchedule
-from repro.utils.runlog import FaultRecord, IterationRecord, RunLog
+from repro.utils.runlog import IterationRecord, RunLog
 
 
 class SSPTrainer(DistributedTrainer):
@@ -37,6 +37,7 @@ class SSPTrainer(DistributedTrainer):
     60th iteration, after which it pulls the current globals."""
 
     name = "ssp"
+    iteration_keyed = True
     checkpointed = ("queue", "iters", "alive", "blocked", "served", "_last_time")
 
     def __init__(self, workers: List[SimWorker], cluster: ClusterConfig,
@@ -103,35 +104,19 @@ class SSPTrainer(DistributedTrainer):
                 self._start(wid, 0.0)
         ev = self.queue.pop()
         while ev.payload == "rejoin":
-            self._record_fault(int(self.iters[ev.worker]), ev.worker, "rejoin", from_checkpoint=0)
+            self.fault_protocol.record(
+                int(self.iters[ev.worker]), ev.worker, "rejoin", from_checkpoint=0
+            )
             self._start(ev.worker, ev.time)
             ev = self.queue.pop()
         wid, k = ev.worker, int(self.iters[ev.worker])
         w = self.workers[wid]
         self.executor.compute_gradients([w], self.draw_batches([w])[0])
-        push_delay, apply_update = 0.0, True
-        if self.faults.active:
-            if self.faults.corrupts(wid, k):
-                # The PS rejects a NaN/inf burst; the iteration still counts.
-                self._record_fault(k, wid, "corrupt")
-                apply_update = False
-            else:
-                push_delay, lost = self._upload_outcome(wid, k, self._comm_t / 2.0)
-                if lost:
-                    apply_update, push_delay = False, 0.0
-        if apply_update and self.net_faults is not None:
-            # Link draws are keyed on (worker, PS, k). A terminal loss drops
-            # this push; the worker's next one lands the newer gradient.
-            self.group.begin_step(k)
-            wait_s, apply_update = self._push_outcome(wid, k, self.comm_bytes)
-            push_delay += wait_s if apply_update else 0.0
-        if apply_update:
-            grad = w.get_grads()
-            if self.faults.active and self.faults.adversarial_corrupts(wid, k):
-                # Finite hostile push: only norm clipping can blunt it here.
-                grad = self.faults.adversarial_gradient(wid, k, grad)
-                self._record_fault(k, wid, "corrupt", adversarial=1)
-            self.server.async_apply(-self.lr(k) * grad)
+        # A rejected or lost push still counts as an iteration; the
+        # worker's next one lands the newer gradient.
+        landed, push_delay = self.fault_protocol.async_push(wid, k)
+        if landed is not None:
+            self.server.async_apply(-self.lr(k) * landed)
         self.iters[wid] += 1
         lead = float(self.iters[wid] - self._live_min())
         rec = IterationRecord(
@@ -143,7 +128,7 @@ class SSPTrainer(DistributedTrainer):
         if tr is not None:  # latency traffic, outside the ``bytes_synced`` ledger
             tr.emit("collective", step=i, worker=wid, op="async_pushpull", ranks=2,
                     payload=float(self.comm_bytes), bytes=0.0, seconds=self._comm_t)
-            if apply_update:
+            if landed is not None:
                 tr.emit("aggregation", step=i, worker=wid, kind="async", n_contrib=1)
         self._last_time = ev.time
         if lead > self.staleness and self.iters[wid] < self._cap:
@@ -157,16 +142,6 @@ class SSPTrainer(DistributedTrainer):
             else:
                 self.blocked.append(b)
         return rec
-
-    def _record_fault(self, step: int, worker: int, kind: str, **detail) -> None:
-        """At a worker's own iteration ``step``: the record's step; the event
-        is the push in flight's, carrying it as ``iteration`` (every event of
-        a push at its step: the trace streams, a resumed one concatenates)."""
-        if self._log is not None:
-            self._log.record_fault(FaultRecord(step, worker, kind, detail))
-        tr = obs.active()
-        if tr is not None:
-            tr.emit("fault", worker=worker, fault_kind=kind, iteration=step, **detail)
 
     def _live_min(self) -> int:
         """Staleness floor; a permanently dead worker is not holding anyone."""
@@ -183,10 +158,11 @@ class SSPTrainer(DistributedTrainer):
         batch = self.workers[wid].loader.batch_size
         if crash is not None:
             self.served.append([wid, crash.start, crash.end])
-            self._record_fault(k, wid, "crash", until=-1 if crash.end is None else crash.end)
+            fp = self.fault_protocol
+            fp.record(k, wid, "crash", until=-1 if crash.end is None else crash.end)
             if crash.end is None:
                 self.alive[wid] = False
-                self.check_quorum(int(self.alive.sum()), k)
+                fp.check_quorum(int(self.alive.sum()), k)
                 return
             # Downtime: the rest of the window at the nominal step duration.
             t_step = self.compute.mean_time(self.flops_per_sample, batch, wid) + self._comm_t

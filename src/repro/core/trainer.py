@@ -5,10 +5,11 @@ rules* of the one :meth:`DistributedTrainer.step` pipeline — each supplies
 only the per-iteration decision and the exchange arithmetic — and inherit
 the shared loop: per-step time accounting, periodic evaluation of the
 deployable model, the paper's until-no-improvement stopping rule, RunLog
-assembly — and, beyond the paper, the fault/recovery machinery:
-deterministic fault injection (:mod:`repro.cluster.faults`), degraded-mode
-aggregation over the live worker subset with a configurable quorum, and
-checkpoint/resume with bitwise-identical continuation. SSP runs the same
+assembly — and, beyond the paper, the fault/recovery machinery: every
+fault decision and record is the :class:`FaultProtocol`'s
+(:mod:`repro.core.fault_protocol`: deterministic injection, degraded-mode
+aggregation over the live worker subset with a configurable quorum), and
+checkpoint/resume continues bitwise-identically. SSP runs the same
 loop with one landed push as its step (the schedule hooks :meth:`horizon`,
 :meth:`eval_period`, :meth:`eval_point` and :meth:`result`).
 
@@ -35,14 +36,15 @@ import numpy as np
 
 from repro import obs
 from repro.cluster.elastic import ElasticContext, derive_rng_seed
-from repro.cluster.faults import QuorumLostError, StepFaults
+from repro.cluster.faults import StepFaults
 from repro.data.loader import BatchLoader
 from repro.cluster.server import ParameterServer
 from repro.cluster.worker import SimWorker
 from repro.core.config import ClusterConfig, TrainConfig
+from repro.core.fault_protocol import FaultProtocol
 from repro.optim.schedules import ConstantLR, LRSchedule
 from repro.utils.flatten import mean_into
-from repro.utils.runlog import EvalRecord, FaultRecord, IterationRecord, RunLog
+from repro.utils.runlog import EvalRecord, IterationRecord, RunLog
 from repro.utils.serialization import (
     CHECKPOINT_VERSION,
     RunLogLines,
@@ -96,9 +98,9 @@ class DistributedTrainer:
     :meth:`draw_batches` / :meth:`uploaders` / :meth:`n_participants` /
     :meth:`outgoing` where the rule departs from the defaults — and naming
     its own state in :attr:`checkpointed`. Everything else (clock,
-    evaluation cadence, early stopping, fault handling, quorum,
-    checkpointing) lives here so all methods are compared under identical
-    protocols.
+    evaluation cadence, early stopping, checkpointing, and through
+    :attr:`fault_protocol` fault handling and quorum) lives here so all
+    methods are compared under identical protocols.
     """
 
     name = "abstract"
@@ -114,6 +116,9 @@ class DistributedTrainer:
     #: The rule's own state, by attribute name: captured whole under the
     #: checkpoint's ``extra`` section (:mod:`repro.utils.state`).
     checkpointed: Tuple[str, ...] = ()
+    #: True when fault windows are read on each worker's own iteration
+    #: (SSP) instead of the run's step (:class:`FaultProtocol`).
+    iteration_keyed = False
 
     def __init__(
         self,
@@ -160,22 +165,12 @@ class DistributedTrainer:
             if cluster.flops_per_sample is None
             else float(cluster.flops_per_sample)
         )
-        self.faults = cluster.make_fault_injector()
-        self.health = cluster.make_health()
-        # Link-level fault oracle shared with the collectives; ``None``
-        # whenever no net-fault spec is set (the fault-free fast path).
-        self.net_faults = self.group.link_faults
-        self.quorum = cluster.effective_quorum
-        # Live set of the step in flight (every rank until a step opens);
-        # the deployable mean covers exactly these replicas.
-        self._current_live: List[int] = list(range(len(workers)))
-        # Per-worker simulated compute seconds of the latest round; the
-        # health tracker's straggle signal.
-        self._last_compute_times: Optional[np.ndarray] = None
+        self.fault_protocol = FaultProtocol(
+            cluster, self.group, workers, self.comm_bytes, self.shard_spec, type(self)
+        )
         # Path of the checkpoint last written or resumed from; a rejoining
         # worker reads its rank state back from that file (crash recovery).
         self._latest_checkpoint: Optional[str] = None
-        self._log: Optional[RunLog] = None
         self._log_lines = RunLogLines()
         # Elastic membership controller; ``None`` (the default) keeps the
         # fixed-membership fast path — no elastic code runs anywhere, and
@@ -225,10 +220,11 @@ class DistributedTrainer:
                 # A rule that uploads beyond ``ok`` (EASGD: all of
                 # ``live``) must still sit out this step's quarantines.
                 pushers = [w for w in pushers if not self.health.quarantined(w)]
-            self.check_quorum(len(pushers), i, cap=self.n_participants())
+            fp = self.fault_protocol
+            fp.check_quorum(len(pushers), i, cap=self.n_participants())
             # The one place a degraded round's arguments are built: without
             # them SimGroup treats a short vector list as an error.
-            round_kw = {"ranks": pushers} if self.degraded_mode else {}
+            round_kw = {"ranks": pushers} if fp.degraded_mode else {}
             if shard_lost:
                 # Worker ids → positions in the round's final pusher list.
                 round_kw["absent"] = {
@@ -349,20 +345,6 @@ class DistributedTrainer:
     def lr(self, i: int) -> float:
         return self.schedule(i)
 
-    @property
-    def degraded_mode(self) -> bool:
-        """True when aggregation rounds may cover a strict subset of the
-        cluster — under an active fault plan, with health quarantine
-        enabled, or with link faults injected (a partition or a terminally
-        lost upload shrinks the round). With all three idle every round
-        still covers all N workers, so degraded-mode accounting is
-        byte-identical to the plain path."""
-        return (
-            self.faults.active
-            or self.health is not None
-            or self.net_faults is not None
-        )
-
     def max_compute_time(self, batch_size: int, step: int) -> float:
         """Lock-step compute phase: all workers run concurrently, the round
         takes as long as the slowest (the straggler effect of §II-A).
@@ -372,16 +354,10 @@ class DistributedTrainer:
         factors then scale per-worker times and the max is taken over the
         step's live set only (a dead worker delays nobody).
         """
-        times = self.compute.sample_all(self.flops_per_sample, batch_size)
-        if self.faults.active:
-            factors = np.array(
-                [self.faults.straggle_factor(w, step) for w in range(len(self.workers))]
-            )
-            times = times * factors
-        # Keep the full round's per-worker times around: the health
-        # tracker's straggle signal (pure observation, no RNG effect).
-        self._last_compute_times = times
-        t_max = float(times[self._current_live].max())
+        times = self.fault_protocol.straggled(
+            self.compute.sample_all(self.flops_per_sample, batch_size), step
+        )
+        t_max = float(times[self.fault_protocol.live].max())
         tr = obs.active()
         if tr is not None:
             # Per-worker compute times of this round — the straggler
@@ -394,76 +370,29 @@ class DistributedTrainer:
             )
         return t_max
 
-    # -- fault machinery --------------------------------------------------
-    def begin_faults(self, i: int) -> StepFaults:
-        """Open step ``i`` under the fault plan.
+    # -- fault protocol --------------------------------------------------------
+    # The step's protocol calls, named on the trainer so a profiler can wrap
+    # them; every decision and record is the FaultProtocol's. The trainer
+    # keeps only what moves replicas and rule state.
+    faults = property(lambda self: self.fault_protocol.faults)
+    health = property(lambda self: self.fault_protocol.health)
 
-        Records crash/rejoin/straggle transitions as typed RunLog records,
-        restores rejoining workers from the latest checkpoint, reinstates
-        workers whose quarantine probation has elapsed, filters
-        still-quarantined workers out of the live set, and raises
-        :class:`QuorumLostError` if fewer live workers remain than the
-        configured quorum. The step's live set becomes
-        :attr:`_current_live`.
-        """
-        self.group.begin_step(i)
-        sf = self.faults.begin_step(i)
-        for c in self.faults.plan.of("crash"):
-            if c.start == i and c.target in sf.crashed:
-                self._record_fault(
-                    i, c.target, "crash", until=-1 if c.end is None else c.end
-                )
-        for wid in sf.rejoined:
-            self._restore_rejoined_worker(wid, i)
-        for s in self.faults.plan.of("straggle"):
-            if s.start == i:
-                self._record_fault(
-                    i,
-                    s.target,
-                    "straggle",
-                    factor=s.value,
-                    until=-1 if s.end is None else s.end,
-                )
-        if self.health is not None:
-            for wid in self.health.due_reinstatements(i):
-                self._reinstate_worker(wid, i, sf.live)
-            quarantined = set(self.health.quarantined_workers)
-            if quarantined:
-                sf.live = [w for w in sf.live if w not in quarantined]
-        if self.net_faults is not None and self.communicates:
-            # Onset and heal are read off the plan — this step's majority
-            # side against the last step's — so nothing is remembered and a
-            # run resumed inside the window records neither twice.
-            majority = self.net_faults.majority_side(i)
-            before = self.net_faults.majority_side(i - 1)
-            if majority is not None:
-                if before is None:
-                    self._record_fault(
-                        i,
-                        -1,
-                        "partition",
-                        majority=list(majority),
-                        cut=[w for w in sf.live if w not in majority],
-                    )
-                # Minority-side workers are unreachable (their links to
-                # both the PS and the majority are severed): training
-                # continues on the majority side only.
-                sf.live = [w for w in sf.live if w in majority]
-            elif before is not None:
-                # Healed: live workers off the last partitioned step's
-                # majority side re-enter like a crash rejoin without a
-                # checkpoint (majority consensus, fresh optimizer and rule
-                # state) — a gradient-aggregating rule never re-ships
-                # parameters.
-                cut = [w for w in sf.live if w not in before]
-                donors = [w for w in sf.live if w in before]
-                if donors:
-                    self._rebase(cut, donors)
-                    for wid in cut:
-                        self._record_fault(i, wid, "rejoin", healed_partition=True)
-        self._current_live = sf.live
-        self.check_quorum(len(sf.live), i)
-        return sf
+    def begin_faults(self, i: int) -> StepFaults:
+        """Open step ``i`` (:meth:`FaultProtocol.begin`), moving the
+        re-entering replicas."""
+        return self.fault_protocol.begin(i, self._restore_rejoined_worker, self._rebase)
+
+    def apply_corruption(self, sf: StepFaults) -> List[int]:
+        return self.fault_protocol.apply_corruption(sf)
+
+    def screen_updates(self, step, candidates, observed=None) -> List[int]:
+        return self.fault_protocol.screen_updates(step, candidates, observed)
+
+    def upload_penalty(self, uploaders, step) -> Tuple[float, List[int], Dict[int, set]]:
+        return self.fault_protocol.upload_penalty(uploaders, step)
+
+    def wire_updates(self, wids, vectors, lies) -> List[np.ndarray]:
+        return self.fault_protocol.wire_updates(wids, vectors, lies)
 
     def _rebase(self, wids: Sequence[int], donors: Sequence[int]) -> None:
         """Re-enter ``wids`` on the plain mean of the donors' replicas with
@@ -480,281 +409,18 @@ class DistributedTrainer:
                 self.workers[wid].optimizer.reset_state()
             self._renew_rank_state(wid)
 
-    def _reinstate_worker(self, wid: int, step: int, live: Sequence[int]) -> None:
-        """Probation elapsed: restore the worker from the current consensus
-        model (mean of the non-quarantined live replicas — the server's
-        globals are stale for non-PA trainers) with fresh optimizer state,
-        and lift its quarantine."""
-        self.health.release(wid)
-        self._rebase(
-            [wid],
-            [j for j in live if j != wid and not self.health.quarantined(j)],
-        )
-        self._record_fault(step, wid, "reinstate")
-        tr = obs.active()
-        if tr is not None:
-            tr.emit("reinstate", step=step, worker=wid)
-
-    def screen_updates(
-        self,
-        step: int,
-        candidates: Sequence[int],
-        observed: Optional[Sequence[int]] = None,
-    ) -> List[int]:
-        """Health-screen this round's contributing workers.
-
-        Feeds each observed worker's update norm (NaN for a poisoned
-        gradient) and simulated compute time to the
-        :class:`HealthTracker`; newly flagged workers are quarantined —
-        recorded as typed RunLog faults plus ``quarantine`` trace events —
-        and excluded from the returned contributing set. ``observed``
-        widens the scored set beyond the contributors (a NaN-poisoned
-        worker already fell out of ``candidates`` but must still collect
-        its strike). Identity when health tracking is disabled.
-        """
-        if self.health is None:
-            return list(candidates)
-        observed = candidates if observed is None else observed
-        norms: Dict[int, float] = {}
-        for wid in observed:
-            sq = float(self.workers[wid].last_grad_sqnorm)
-            norms[wid] = float(np.sqrt(sq)) if sq >= 0.0 else float("nan")
-        times: Optional[Dict[int, float]] = None
-        if self._last_compute_times is not None:
-            times = {
-                wid: float(self._last_compute_times[wid]) for wid in observed
-            }
-        flagged = self.health.observe(step, norms, times)
-        if not flagged:
-            return list(candidates)
-        tr = obs.active()
-        for d in flagged:
-            self._record_fault(
-                step,
-                d.worker,
-                "quarantine",
-                reason=d.reason,
-                score=float(d.score),
-                until=d.until,
-            )
-            if tr is not None:
-                tr.emit(
-                    "quarantine",
-                    step=step,
-                    worker=d.worker,
-                    reason=d.reason,
-                    score=float(d.score),
-                    until=d.until,
-                )
-        bad = {d.worker for d in flagged}
-        return [w for w in candidates if w not in bad]
-
-    def check_quorum(
-        self, n_contributing: int, step: int, cap: Optional[int] = None
-    ) -> None:
-        """Raise loudly when fewer than ``quorum`` workers can contribute.
-
-        ``cap`` is the round's planned size: a FedAvg round sampling ``k``
-        workers can never have more than ``k`` contributors, so it is only
-        held to ``min(quorum, k)``. The raised :class:`QuorumLostError`
-        carries ``step`` / ``contributing`` / ``quorum`` so the recovery
-        supervisor can relax the quorum to the surviving count before
-        retrying.
-        """
-        if n_contributing >= (self.quorum if cap is None else min(self.quorum, cap)):
-            return
-        self._record_fault(
-            step, -1, "quorum_lost", contributing=n_contributing, quorum=self.quorum
-        )
-        err = QuorumLostError(
-            f"step {step}: only {n_contributing} worker(s) can contribute "
-            f"but min_quorum={self.quorum}; refusing to aggregate a "
-            "partial mean"
-        )
-        err.step = step
-        err.contributing = n_contributing
-        err.quorum = self.quorum
-        raise err
-
-    def apply_corruption(self, sf: StepFaults) -> List[int]:
-        """Poison the gradients of this step's corrupt-targeted workers.
-
-        Returns the contributing subset of ``sf.live`` — live workers whose
-        gradient survived. A NaN-poisoned worker's ``last_grad_sqnorm`` is
-        NaN'd so no tracker can silently smooth it, and it drops out of the
-        contributing set.
-
-        An *adversarially* corrupted worker is a Byzantine liar, not a sick
-        node: its local replica and gradient stay honest, but whatever it
-        puts on the wire this step — the vector :meth:`step` later routes
-        through :meth:`wire_updates`, and the ``last_grad_sqnorm`` any
-        tracker or health screen reads — is a finite hostile fabrication.
-        It stays in the contributing set (it looks healthy to every
-        finiteness check); only robust aggregation or health screening can
-        defuse it.
-        """
-        if not sf.corrupted and not sf.adversarial:
-            return list(sf.live)
-        for wid in sf.corrupted:
-            w = self.workers[wid]
-            w.model.set_flat_grads(
-                self.faults.corrupt_gradient(wid, sf.step, w.get_grads(copy=False))
-            )
-            w.last_grad_sqnorm = float("nan")
-            self._record_fault(sf.step, wid, "corrupt")
-        for wid in sf.adversarial:
-            w = self.workers[wid]
-            hostile = self.faults.adversarial_gradient(
-                wid, sf.step, w.get_grads(copy=False)
-            )
-            sf.wire_lies[wid] = hostile
-            # The lie extends to the reported norm: Δ trackers and the
-            # health screen see the hostile magnitude, which is exactly
-            # the signal quarantine keys on.
-            w.last_grad_sqnorm = float(np.dot(hostile, hostile))
-            self._record_fault(sf.step, wid, "corrupt", adversarial=1)
-        corrupted = set(sf.corrupted)
-        return [wid for wid in sf.live if wid not in corrupted]
-
-    def wire_updates(
-        self,
-        wids: Sequence[int],
-        vectors: Sequence[np.ndarray],
-        lies: Dict[int, np.ndarray],
-    ) -> List[np.ndarray]:
-        """Apply this step's Byzantine lies at the wire.
-
-        ``vectors[j]`` is what worker ``wids[j]`` is about to push
-        (gradient, parameters, or elastic difference — a liar sends
-        garbage regardless of protocol phase); adversarially corrupted
-        workers' entries are replaced with the hostile vector
-        :meth:`apply_corruption` fabricated into ``StepFaults.wire_lies``.
-        Identity when no lies are active.
-        """
-        return [lies.get(wid, v) for wid, v in zip(wids, vectors)]
-
-    def upload_penalty(
-        self, uploaders: Sequence[int], step: int
-    ) -> Tuple[float, List[int], Dict[int, set]]:
-        """Retry cost, abandoned uploads and lost shard pushes for this
-        step's push phase: ``(seconds, lost, shard_lost)``.
-
-        Uploads proceed in parallel, so the charged penalty is the *max*
-        over workers (each retry costs one straggle-scaled retransfer plus
-        exponential backoff). Workers whose upload was abandoned after
-        :data:`~repro.cluster.faults.MAX_UPLOAD_RETRIES` are returned so
-        the caller excludes them from the aggregation round.
-
-        With link faults active and a PS topology, each uploader's push
-        also travels through the collectives' retrying envelope: retry
-        latency is charged the same parallel-max way, and a push that
-        exhausts its attempts drops that worker from the round — the same
-        degradation path worker-level drop faults take. (Ring/tree
-        schedules handle link faults inside the collective itself, where a
-        dead link heals or raises ``CollectiveTimeoutError``.)
-
-        With a **sharded** PS, each uploader sends one enveloped message
-        per shard (independent loss fates via the envelope's ``msg`` key).
-        A terminally lost shard message drops the worker from *that
-        shard's* round only — returned as ``shard_lost`` (shard → worker
-        ids), which :meth:`step` hands to the round as its ``absent``
-        argument — never from the whole sync, so ``lost`` stays empty on
-        that path. Per-worker retry waits are the max over its parallel
-        shard streams.
-        """
-        extra = 0.0
-        lost: List[int] = []
-        shard_lost: Dict[int, set] = {}
-        if self.faults.active:
-            transfer_s = self.cluster.net.transfer_time(self.comm_bytes)
-            for wid in uploaders:
-                penalty, abandoned = self._upload_outcome(wid, step, transfer_s)
-                if abandoned:
-                    lost.append(wid)
-                else:
-                    extra = max(extra, penalty)
-        if self.net_faults is not None and self.group.topology.name == "ps":
-            net_extra = 0.0
-            already = set(lost)
-            # One enveloped stream per shard; unsharded, the single stream
-            # is the whole payload and losing it loses the worker.
-            streams = (
-                [(None, self.comm_bytes)]
-                if self.shard_spec is None
-                else list(enumerate(self.shard_spec.int_payloads(self.comm_bytes)))
-            )
-            for wid in uploaders:
-                if wid in already:
-                    continue
-                worker_wait = 0.0
-                for s, b in streams:
-                    wait_s, delivered = self._push_outcome(wid, step, b, shard=s)
-                    if delivered:
-                        # Streams run in parallel; the worker's push phase
-                        # ends with its slowest one.
-                        worker_wait = max(worker_wait, wait_s)
-                    elif s is None:
-                        lost.append(wid)
-                    else:
-                        shard_lost.setdefault(s, set()).add(wid)
-                net_extra = max(net_extra, worker_wait)
-            extra += net_extra
-        return extra, lost, shard_lost
-
-    def _upload_outcome(
-        self, wid: int, step: int, transfer_s: float
-    ) -> Tuple[float, bool]:
-        """One worker's upload under the ``drop`` fault: ``(retry seconds,
-        abandoned)``, with the typed ``drop`` record when it retried."""
-        penalty, retries, abandoned = self.faults.upload_penalty_seconds(
-            wid, step, transfer_s
-        )
-        if retries:
-            self._record_fault(
-                step, wid, "drop", retries=retries, lost=int(abandoned)
-            )
-        return penalty, abandoned
-
-    def _push_outcome(
-        self, wid: int, step: int, nbytes: float, shard: Optional[int] = None
-    ) -> Tuple[float, bool]:
-        """One worker's PS uplink push through the retrying envelope:
-        ``(wait seconds, delivered)``, with the typed ``link_drop`` record
-        on a terminal loss."""
-        wait_s, delivered = self.group.push_outcome(wid, nbytes, shard=shard)
-        if not delivered:
-            where = {} if shard is None else {"shard": shard}
-            self._record_fault(
-                step, wid, "link_drop", **where, wait_s=float(wait_s)
-            )
-        return wait_s, delivered
-
-    def _record_fault(self, step: int, worker: int, kind: str, **detail) -> None:
-        """One typed fault: a RunLog :class:`FaultRecord` plus the matching
-        ``fault`` trace event (``worker=-1`` for cluster-wide incidents)."""
-        rec = FaultRecord(step=step, worker=worker, kind=kind, detail=detail)
-        if self._log is not None:
-            self._log.record_fault(rec)
-        tr = obs.active()
-        if tr is not None:
-            tr.emit("fault", step=step, worker=worker, fault_kind=kind, **detail)
-
-    def _restore_rejoined_worker(self, wid: int, step: int) -> None:
+    def _restore_rejoined_worker(self, wid: int, donors: Sequence[int]) -> bool:
         """Crash-recovery: a rejoining worker restores its rank state — its
         replica and the rule's per-worker entries — from the latest
-        checkpoint; with no checkpoint it re-syncs from the current
-        deployable model with fresh optimizer and rule state."""
+        checkpoint (returns True); with no checkpoint it re-enters on the
+        donors' mean with fresh optimizer and rule state."""
         path = self._latest_checkpoint
-        if path is not None:
-            self.workers[wid].load_state_dict(
-                load_checkpoint(path, ("state", "workers", wid))
-            )
-            self._renew_rank_state(wid, path)
-        else:
-            self._rebase(
-                [wid], [j for j in self.faults.live_workers(step) if j != wid]
-            )
-        self._record_fault(step, wid, "rejoin", from_checkpoint=int(path is not None))
+        if path is None:
+            self._rebase([wid], donors)
+            return False
+        self.workers[wid].load_state_dict(load_checkpoint(path, ("state", "workers", wid)))
+        self._renew_rank_state(wid, path)
+        return True
 
     # -- parameter views --------------------------------------------------
     def mean_params(self) -> np.ndarray:
@@ -766,7 +432,7 @@ class DistributedTrainer:
         deployment uses the same strategy as training rounds.
         """
         # Arena views in, fresh vector out.
-        views = [self.workers[w].get_params(copy=False) for w in self._current_live]
+        views = [self.workers[w].get_params(copy=False) for w in self.fault_protocol.live]
         if self.aggregator is not None:
             return self.aggregator.reduce(views, where="deploy")
         return mean_into(views)
@@ -877,8 +543,8 @@ class DistributedTrainer:
             self.workers.pop(rank)
             mapping.pop(rank)
             # The joiners' consensus below reads the surviving live ranks.
-            self._current_live = [
-                w - (w > rank) for w in self._current_live if w != rank
+            self.fault_protocol.live = [
+                w - (w > rank) for w in self.fault_protocol.live if w != rank
             ]
             if tr is not None:
                 tr.emit(
@@ -980,16 +646,11 @@ class DistributedTrainer:
         self.cluster = dataclass_replace(
             self.cluster, n_workers=n, min_quorum=min_quorum
         )
-        self.quorum = self.cluster.effective_quorum
-        self.faults = self.cluster.make_fault_injector()
+        self.fault_protocol.resize(self.cluster)
         self.compute = self.cluster.make_compute(
             derive_rng_seed(self.cluster.seed, _COMPUTE_SALT, i)
         )
         self.group.resize(n, shard_spec=self.shard_spec)
-        if self.health is not None:
-            self.health = self.cluster.make_health()
-        self._last_compute_times = None
-        self._current_live = list(range(n))
         self.executor.shutdown()
         self.executor.bind(self.workers)
 
@@ -1185,7 +846,7 @@ class DistributedTrainer:
         start_step = 0
         if cfg.resume_from is not None:
             start_step, log, best, stale_evals, clock = self._resume(cfg)
-        self._log = log
+        self.fault_protocol.log = log
         horizon, period = self.horizon(cfg), self.eval_period(cfg)
         try:
             with obs.use(cfg.tracer):
@@ -1221,7 +882,7 @@ class DistributedTrainer:
                             rec,
                             len(self.workers),
                             self.workers[0].loader.batch_size,
-                            self._last_compute_times,
+                            self.fault_protocol.compute_times,
                         )
                     if cfg.step_monitor is not None:
                         cfg.step_monitor(self, i)
@@ -1241,5 +902,5 @@ class DistributedTrainer:
                     if cfg.stop_after is not None and (i + 1) >= cfg.stop_after:
                         break  # simulated kill; the checkpoint is the survivor
         finally:
-            self._log = None
+            self.fault_protocol.log = None
         return self.result(log, best)

@@ -164,9 +164,12 @@ class TestConvergence:
         assert sel.best_metric >= bsp.best_metric - 0.05
         assert sel.log.total_comm_time < bsp.log.total_comm_time
 
-    def test_delta_overhead_only_on_selsync(self, mlp_cluster, quick_cfg):
+    def test_delta_overhead_only_on_selsync(self, mlp_cluster, quick_cfg, monkeypatch):
+        from repro.core import selsync
+
+        monkeypatch.setattr(selsync, "DELTA_OVERHEAD_S", 0.5)
         workers, cluster = mlp_cluster
-        trainer = SelSyncTrainer(workers, cluster, delta=1e12, delta_overhead_s=0.5)
+        trainer = SelSyncTrainer(workers, cluster, delta=1e12)
         res = trainer.run(quick_cfg)
         # 0.5s per step dominates everything else on local steps.
         local = [r for r in res.log.iterations if not r.synced]

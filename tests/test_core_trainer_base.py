@@ -219,7 +219,7 @@ class TestPushRoundQuorum:
         than workers; fault-free, SimGroup's guard must still fire."""
         workers, cluster = mlp_cluster
         trainer = BSPTrainer(workers, dataclasses.replace(cluster, min_quorum=2))
-        assert not trainer.degraded_mode
+        assert not trainer.fault_protocol.degraded_mode
         trainer.uploaders = lambda live, ok: ok[:-1]
         with pytest.raises(ValueError, match="expected 4 vectors, got 3"):
             trainer.step(0)

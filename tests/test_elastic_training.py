@@ -238,7 +238,7 @@ class TestElasticUnderHealth:
 
         def monitor(t, i):
             if i == 3:
-                seen["live"] = list(t._current_live)
+                seen["live"] = list(t.fault_protocol.live)
 
         step = trainer.step
 

@@ -21,6 +21,7 @@ CALLS = {
     "divergence_patience": lambda: RecoverySupervisor(divergence_patience=3),
     "quorum_floor": lambda: RecoverySupervisor(quorum_floor=1),
     "ewma_alpha": lambda: SelSyncTrainer([], None, ewma_alpha=0.04),
+    "delta_overhead_s": lambda: SelSyncTrainer([], None, delta_overhead_s=3e-3),
     "min_improvement": lambda: TrainConfig(min_improvement=1e-4),
     "timeout_mult": lambda: RetryPolicy(timeout_mult=4.0),
     "rtt_alpha": lambda: RetryPolicy(rtt_alpha=0.2),

@@ -20,9 +20,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cluster.faults import QuorumLostError
 from repro.core import ClusterConfig, TrainConfig
 from repro.core.bsp import BSPTrainer
-from repro.core.recovery import RecoverySupervisor
+from repro.core.recovery import DivergenceExceededError, RecoverySupervisor
 from repro.core.selsync import SelSyncTrainer
 from repro.core.ssp import SSPTrainer
 from repro.data import ArrayDataset, default_partition
@@ -213,16 +214,16 @@ def test_supervisor_rollback_merges_segments_into_the_reference(tmp_path):
     assert [(e.key, e.etype) for e in tracer.events] == before_close
 
 
-def _ssp(fault_spec="straggle:w1x3@2+"):
+def _ssp(fault_spec="straggle:w1x3@2+", n_workers=3, min_quorum=1):
     rng = np.random.default_rng(0)
     ds = ArrayDataset(rng.normal(size=(64, 4)), rng.integers(0, 2, 64))
     workers, _ = make_mlp_cluster(
-        ds, n_workers=3, batch_size=8, n_features=4, n_classes=2, hidden=(4,),
-        lr=0.1, momentum=0.0, partition_fn=default_partition,
+        ds, n_workers=n_workers, batch_size=8, n_features=4, n_classes=2,
+        hidden=(4,), lr=0.1, momentum=0.0, partition_fn=default_partition,
     )
     cluster = ClusterConfig(
-        n_workers=3, comm_bytes=1e6, flops_per_sample=1e6,
-        fault_spec=fault_spec, min_quorum=1,
+        n_workers=n_workers, comm_bytes=1e6, flops_per_sample=1e6,
+        fault_spec=fault_spec, min_quorum=min_quorum,
     )
     return SSPTrainer(workers, cluster, staleness=2)
 
@@ -254,15 +255,71 @@ def test_ssp_trace_streams_by_landed_push(tmp_path):
 
 def test_ssp_runlog_is_a_view_of_its_trace():
     """The one run loop writes SSP's ``step_end`` (``extra.worker``
-    included) and its evaluations under the loop's label."""
-    tracer = Tracer(name="ssp")
-    res = _ssp().run(TrainConfig(
-        n_steps=7, eval_every=2, tracer=tracer,
-        eval_fn=lambda m: float(m.get_flat_params().sum()),
-    ))
-    rebuilt = views.runlog_from_trace(tracer.events, name=res.log.name)
-    assert len(res.log.evals) == 4  # every 2·N pushes, and the last
-    assert RunLogLines().text(rebuilt) == RunLogLines().text(res.log)
+    included) and its evaluations under the loop's label; the one fault
+    writer keys every fault on the worker's own ``iteration``."""
+    for fault_spec, kinds in [
+        ("straggle:w1x3@2+", set()),
+        (
+            "crash:w2@1-3,straggle:w1x3@2+,drop:p=0.3,corrupt:p=0.2",
+            {"crash", "rejoin", "drop", "corrupt"},
+        ),
+    ]:
+        tracer = Tracer(name="ssp")
+        res = _ssp(fault_spec).run(TrainConfig(
+            n_steps=7, eval_every=2, tracer=tracer,
+            eval_fn=lambda m: float(m.get_flat_params().sum()),
+        ))
+        rebuilt = views.runlog_from_trace(tracer.events, name=res.log.name)
+        assert len(res.log.evals) == 4  # every 2·N pushes, and the last
+        assert RunLogLines().text(rebuilt) == RunLogLines().text(res.log)
+        faults = [e for e in tracer.events if e.etype == "fault"]
+        assert len(faults) == len(res.log.faults)
+        assert {e.data["fault_kind"] for e in faults} == kinds
+        assert all("iteration" in e.data for e in faults)
+
+
+def test_ssp_quorum_loss_and_its_recovery_share_the_push_in_flight(tmp_path):
+    """Worker 1 of 4 crashes for good at its 6th iteration under a quorum of
+    4. The supervisor's ``recovery`` record goes through the same fault
+    writer as the ``quorum_lost`` that raised: both at the landed push in
+    flight with ``iteration=6``, so the closed trace is one sorted segment;
+    the RunLog record keeps the worker's iteration as its step."""
+    tracer = Tracer(path=tmp_path / "ssp.jsonl", name="ssp")
+    sup = RecoverySupervisor(max_recoveries=0)
+    with pytest.raises(QuorumLostError):
+        sup.run(
+            _ssp("crash:w1@6+", n_workers=4, min_quorum=4),
+            TrainConfig(n_steps=10, eval_fn=None, tracer=tracer),
+        )
+    tracer.close()
+    assert len(tracer._segments) == 1
+    faults = {
+        e.data["fault_kind"]: e for e in tracer.events if e.etype == "fault"
+    }
+    lost, recovery = faults["quorum_lost"], faults["recovery"]
+    assert recovery.step == lost.step > 6
+    assert recovery.data["iteration"] == lost.data["iteration"] == 6
+    assert [r.step for r in sup.recoveries] == [6]
+
+
+def test_ssp_divergence_recovery_is_at_the_loop_step(tmp_path):
+    """A divergence is the loop's incident, not a worker's: the watchdog
+    trips at a landed push, and the ``recovery`` record sits at that push
+    with no ``iteration``, in the same one sorted segment."""
+    tracer = Tracer(path=tmp_path / "ssp.jsonl", name="ssp")
+    sup = RecoverySupervisor(max_recoveries=0, divergence_threshold=1e-12)
+    with pytest.raises(DivergenceExceededError) as exc:
+        sup.run(_ssp(), TrainConfig(n_steps=10, eval_fn=None, tracer=tracer))
+    tracer.close()
+    assert len(tracer._segments) == 1
+    (recovery,) = [
+        e for e in tracer.events
+        if e.etype == "fault" and e.data["fault_kind"] == "recovery"
+    ]
+    assert recovery.step == exc.value.step == max(e.step for e in tracer.events)
+    assert recovery.data["reason"] == "divergence"
+    assert "iteration" not in recovery.data
+    assert [r.step for r in sup.recoveries] == [exc.value.step]
 
 
 def test_elastic_join_and_drain_trace_matches_the_reference(tmp_path):

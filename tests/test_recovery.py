@@ -98,7 +98,7 @@ def test_quorum_loss_recovers_with_supervisor():
     assert rec.detail["quorum_after"] == 3
     assert rec.detail["backoff_s"] == 1.0
     # The quorum was relaxed to the survivor count for the retry.
-    assert trainer.quorum == 3
+    assert trainer.fault_protocol.quorum == 3
     # The incident landed on the final run's log as a typed fault record.
     assert [f.kind for f in res.log.faults].count("recovery") == 1
     assert np.isfinite(res.log.iterations[-1].loss)

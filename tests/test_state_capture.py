@@ -312,14 +312,14 @@ def _bsp_topk(**cluster_kw):
 def _codec_when(trainer, fault_kind):
     """worker -> its codec's state the moment a ``fault_kind`` record is made."""
     seen = {}
-    record = trainer._record_fault
+    record = trainer.fault_protocol.record
 
     def spy(step, worker, kind, **detail):
         record(step, worker, kind, **detail)
         if kind == fault_kind:
             seen[worker] = trainer._compressors[worker].state_dict()
 
-    trainer._record_fault = spy
+    trainer.fault_protocol.record = spy
     return seen
 
 
@@ -372,14 +372,14 @@ def test_a_worker_back_from_a_partition_restarts_its_rule_state(rule, per_worker
         rule, net_fault_spec="partition:{w0|w1,w2,w3}@4-8", min_quorum=2
     )
     seen = {}
-    record = trainer._record_fault
+    record = trainer.fault_protocol.record
 
     def spy(step, worker, kind, **detail):
         record(step, worker, kind, **detail)
         if kind == "rejoin":
             seen[(step, worker)] = getattr(trainer, per_worker)[worker].state_dict()
 
-    trainer._record_fault = spy
+    trainer.fault_protocol.record = spy
     _run(trainer, n_steps=10)
     per = getattr(trainer, per_worker)
     assert list(seen) == [(8, 0)]
