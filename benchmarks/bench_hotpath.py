@@ -44,10 +44,14 @@ picks what they measure:
 * ``checkpoint_io`` — the e2e benchmark's ``mlp16_chaos_traced`` recipe
   (MLP/16w SelSync under faults, a checkpoint every 50 steps) run to 250
   and on to 750 steps: per checkpoint ``write_ms`` (all of
-  ``_write_checkpoint``), ``rename_ms`` (the atomic rename, which frees the
-  replaced file), ``log_encode_ms`` (what is left of ``write_ms`` without
-  ``state_dict()``, the ``np.savez*`` container write and the rename: the
-  run-log encode, plus ~2 ms for the state tree), ``read_ms``
+  ``_write_checkpoint``, the step path's share), ``publish_ms`` (the atomic
+  rename onto the previous file, on whichever thread runs it: inside
+  ``write_ms`` for a tree that renames on the step path, on the publisher
+  thread otherwise), ``settle_ms`` (the part of ``write_ms`` spent waiting
+  for the previous publish; 0 on a tree without one), ``log_encode_ms``
+  (what is left of ``write_ms`` without ``state_dict()``, the ``np.savez*``
+  container write, the settle and a rename on the step path: the run-log
+  encode, plus ~2 ms for the state tree), ``read_ms``
   (``load_checkpoint``), the file's ``bytes`` and the process's ``rss_mb``
   afterwards; the row's ``third_write_rss_mb`` is each side's resident set
   just before and just after the run's third write (two earlier
@@ -104,6 +108,7 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 from pathlib import Path
 
@@ -572,8 +577,15 @@ def checkpoint_io_child(last_step: int) -> None:
 
     spec = BY_NAME["mlp16_chaos_traced"]
     _, trainer = spec.build(seed=0, n_steps=last_step)
-    # ms per call; "write" (all of _write_checkpoint) first, then its parts.
-    spans = {"write": [], "state": [], "container": [], "rename": []}
+    from repro.utils import serialization
+
+    # Per checkpoint, ms: "write" (all of _write_checkpoint) and its parts on
+    # the step path — "settle" waits for the previous publish, "rename" is a
+    # rename the training thread runs itself. "publish": every rename's ms.
+    parts = ("state", "container", "settle", "rename")
+    spans = {"write": [], **{name: [] for name in parts}}
+    publish = []
+    in_write = {}  # the parts of the write in flight
 
     def timed(fn, name):
         def wrapper(*args, **kwargs):
@@ -581,7 +593,11 @@ def checkpoint_io_child(last_step: int) -> None:
             try:
                 return fn(*args, **kwargs)
             finally:
-                spans[name].append((time.perf_counter() - t0) * 1e3)
+                ms = (time.perf_counter() - t0) * 1e3
+                if name == "publish":
+                    publish.append(ms)
+                elif in_write and threading.current_thread() is threading.main_thread():
+                    in_write[name] += ms
 
         return wrapper
 
@@ -592,16 +608,23 @@ def checkpoint_io_child(last_step: int) -> None:
     write_rss = []  # (before, after) of every write of the whole run
     write = trainer._write_checkpoint
 
-    def rss_around_write(*args, **kwargs):
+    def timed_write(*args, **kwargs):
         before = rss_mb()
+        in_write.update(dict.fromkeys(parts, 0.0))
+        t0 = time.perf_counter()
         write(*args, **kwargs)
+        spans["write"].append((time.perf_counter() - t0) * 1e3)
+        for name in parts:
+            spans[name].append(in_write.pop(name))
         write_rss.append((before, rss_mb()))
 
-    trainer._write_checkpoint = timed(rss_around_write, "write")
+    trainer._write_checkpoint = timed_write
     trainer.state_dict = timed(trainer.state_dict, "state")
     np.savez = timed(np.savez, "container")
     np.savez_compressed = timed(np.savez_compressed, "container")
-    Path.replace = timed(Path.replace, "rename")
+    Path.replace = timed(timed(Path.replace, "publish"), "rename")
+    if hasattr(serialization, "settle_checkpoints"):  # a tree that publishes off the step path
+        serialization.settle_checkpoints = timed(serialization.settle_checkpoints, "settle")
 
     def tail_median(values):
         return round(statistics.median(values[-3:]), 3)
@@ -610,7 +633,7 @@ def checkpoint_io_child(last_step: int) -> None:
         ck = os.path.join(tmp, "ck.npz")
         resume = None
         for line in sys.stdin:
-            for v in spans.values():
+            for v in (*spans.values(), publish):
                 v.clear()
             trainer.run(
                 TrainConfig(
@@ -624,11 +647,12 @@ def checkpoint_io_child(last_step: int) -> None:
                 t0 = time.perf_counter()
                 load_checkpoint(ck)
                 reads.append((time.perf_counter() - t0) * 1e3)
-            rest = [w - sum(parts) for w, *parts in zip(*spans.values())]
+            rest = [w - sum(p) for w, *p in zip(*spans.values())]
             point = {
                 "write_ms": tail_median(spans["write"]),
                 "log_encode_ms": tail_median(rest),
-                "rename_ms": tail_median(spans["rename"]),
+                "settle_ms": tail_median(spans["settle"]),
+                "publish_ms": tail_median(publish),
                 "read_ms": tail_median(reads),
                 "bytes": os.path.getsize(ck),
                 "rss_mb": rss_mb(),

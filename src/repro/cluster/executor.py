@@ -259,6 +259,7 @@ class _ProcessPool:
 
     def __init__(self, workers: List, n_procs: int):
         from repro.nn.arena import share_arena
+        from repro.utils.serialization import settle_checkpoints
 
         import multiprocessing as mp
 
@@ -273,8 +274,9 @@ class _ProcessPool:
         self.workers = {w.worker_id: w for w in workers}
         if len(self.workers) != len(workers):
             raise ValueError("duplicate worker ids in the bound group")
-        # Promote every replica's arena to shared memory *before* forking;
-        # children inherit views straight into the segments.
+        # Promote every replica's arena to shared memory *before* forking (no
+        # checkpoint publisher may be alive across it); children inherit views.
+        settle_checkpoints()
         for w in workers:
             share_arena(w.model)
         self.staging = {w.worker_id: _BatchStaging() for w in workers}

@@ -51,6 +51,7 @@ from repro.utils.serialization import (
     load_checkpoint,
     runlog_from_jsonable,
     save_checkpoint,
+    settle_checkpoints,
 )
 from repro.utils.state import capture, restore
 
@@ -903,4 +904,5 @@ class DistributedTrainer:
                         break  # simulated kill; the checkpoint is the survivor
         finally:
             self.fault_protocol.log = None
+            settle_checkpoints()  # whatever ends the run, the file is published
         return self.result(log, best)

@@ -21,12 +21,12 @@ from repro.utils.runlog import EvalRecord, FaultRecord, IterationRecord, RunLog
 def runlog_from_trace(
     events: Sequence[TraceEvent], name: str = "run", meta: Optional[Dict] = None
 ) -> RunLog:
-    """Rebuild a :class:`RunLog` from ``step_end``/``eval``/``fault`` events.
-
-    The result is record-for-record equal to the RunLog the trainer built
-    in memory during the same run (asserted by the obs test suite) — the
-    runlog summary rows are a *view* of the trace, not a second source of
-    truth.
+    """Rebuild a :class:`RunLog` from ``step_end``/``eval``/``fault`` events:
+    a *view* of the trace. Against the RunLog the trainer built in memory
+    during the same run, iteration and eval records are equal in order, and
+    fault records equal per step in the trace's (step, worker, seq) order —
+    the trainer appends them as they happen, which within a step is not
+    worker order (asserted by the obs test suite).
     """
     log = RunLog(name=name, meta=meta)
     for ev in events:

@@ -5,12 +5,7 @@ from repro.utils.ewma import Ewma
 from repro.utils.flatten import flatten_arrays
 from repro.utils.registry import Registry
 from repro.utils.runlog import RunLog, IterationRecord
-from repro.utils.serialization import (
-    load_model,
-    load_runlog,
-    save_model,
-    save_runlog,
-)
+from repro.utils.serialization import load_runlog, save_runlog
 from repro.utils.asciiplot import line_plot
 
 __all__ = [
@@ -24,7 +19,5 @@ __all__ = [
     "IterationRecord",
     "save_runlog",
     "load_runlog",
-    "save_model",
-    "load_model",
     "line_plot",
 ]

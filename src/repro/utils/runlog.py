@@ -10,7 +10,7 @@ When tracing is enabled (:mod:`repro.obs`), the event trace is the ground
 truth and the run log is a *derived view* over it:
 :func:`repro.obs.views.runlog_from_trace` rebuilds an equivalent ``RunLog``
 from the ``step_end``/``eval``/``fault`` events alone, which the test suite
-asserts record-for-record against the trainer-maintained one.
+asserts against the trainer-maintained one (fault records per step).
 """
 
 from __future__ import annotations

@@ -2,10 +2,9 @@
 
 Training runs are expensive; these helpers persist a
 :class:`~repro.utils.runlog.RunLog` (JSONL: one iteration, eval or fault
-record per line), model state dicts (``.npz``), and full training
-checkpoints (global params, per-worker optimizer/loader/RNG state, tracker
-state, step counter) so experiments can be killed, resumed, re-plotted or
-diffed without re-running.
+record per line) and full training checkpoints (global params, per-worker
+optimizer/loader/RNG state, tracker state, step counter) so experiments can
+be killed, resumed, re-plotted or diffed without re-running.
 
 Non-finite floats
 -----------------
@@ -22,13 +21,13 @@ from __future__ import annotations
 
 import json
 import math
+import threading
 from itertools import chain
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.nn.module import Module
 from repro.utils.runlog import EvalRecord, FaultRecord, IterationRecord, RunLog
 
 PathLike = Union[str, Path]
@@ -228,12 +227,7 @@ def save_runlog(log: RunLog, path: PathLike) -> None:
 def load_runlog(path: PathLike) -> RunLog:
     """Inverse of :func:`save_runlog`."""
     path = Path(path)
-    records = []
-    with path.open() as f:
-        for line in f:
-            line = line.strip()
-            if line:
-                records.append(json.loads(line))
+    records = [json.loads(ln) for ln in path.read_text().split("\n") if ln.strip()]
     try:
         return runlog_from_jsonable(records)
     except ValueError as e:
@@ -254,33 +248,7 @@ def _encode_float(x):
 
 
 def _decode_float(x):
-    if x is None:
-        return None
-    if isinstance(x, str):
-        return float(x)
-    return float(x)
-
-
-# -- models ------------------------------------------------------------------
-
-
-def save_model(model: Module, path: PathLike) -> None:
-    """Persist a model's named parameters as a (stored) ``.npz``."""
-    state = model.state_dict()
-    # npz keys cannot contain '/'; dots are fine.
-    np.savez(Path(path), **state)
-
-
-def load_model(model: Module, path: PathLike) -> Module:
-    """Load parameters saved by :func:`save_model` into ``model`` in place.
-
-    The architectures must match exactly — mismatches raise via
-    :meth:`Module.load_state_dict`.
-    """
-    with np.load(Path(path)) as data:
-        state: Dict[str, np.ndarray] = {k: data[k] for k in data.files}
-    model.load_state_dict(state)
-    return model
+    return None if x is None else float(x)
 
 
 # -- checkpoints -------------------------------------------------------------
@@ -324,12 +292,41 @@ def _lower_arrays(obj: Any, npz) -> Any:  # a member is read when its leaf is re
     return obj
 
 
+#: The checkpoint publish in flight: its thread and what it raised.
+_publishing: Optional[Tuple[threading.Thread, List[BaseException]]] = None
+
+
+def _publish(tmp: Path, path: Path, failed: List[BaseException]) -> None:
+    try:
+        tmp.replace(path)
+    except BaseException as e:  # re-raised by settle_checkpoints
+        failed.append(e)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def settle_checkpoints() -> None:
+    """Wait for the checkpoint publish in flight, if any, and re-raise what
+    it hit. Either way no ``.tmp`` is left and no publisher thread is alive."""
+    global _publishing
+    if _publishing is not None:
+        (thread, failed), _publishing = _publishing, None
+        thread.join()
+        if failed:
+            raise failed[0]
+
+
 def save_checkpoint(state: Dict, path: PathLike) -> None:
     """Persist a checkpoint tree (dicts/lists of arrays and scalars).
 
-    Written atomically: the file is complete or absent, never torn — a kill
-    mid-checkpoint must not destroy the previous good checkpoint.
+    ``path`` always names a complete checkpoint: a kill leaves the previous
+    one. The tree is written to ``<path>.tmp`` here; the atomic rename onto
+    ``path`` (on ext4, a writeback of the new file when it replaces one) runs
+    on one non-daemon publisher thread, off the step path. The next save, any
+    load, the end of ``DistributedTrainer.run`` and interpreter exit wait for it.
     """
+    global _publishing
+    settle_checkpoints()
     path = Path(path)
     arrays: List[np.ndarray] = []
     tree = _hoist_arrays(state, arrays)
@@ -341,15 +338,21 @@ def save_checkpoint(state: Dict, path: PathLike) -> None:
     try:
         with tmp.open("wb") as f:
             np.savez(f, **payload)
-        tmp.replace(path)
-    finally:
+    except BaseException:
         tmp.unlink(missing_ok=True)
+        raise
+    failed: List[BaseException] = []
+    thread = threading.Thread(target=_publish, args=(tmp, path, failed), daemon=False)
+    thread.start()
+    _publishing = thread, failed
 
 
 def load_checkpoint(path: PathLike, subtree: Tuple = ()) -> Any:
     """Inverse of :func:`save_checkpoint` (either layout). ``subtree`` — a
     path of keys / indices into the tree — returns that branch alone and
-    reads only the npz members it references (what one restarted rank reads)."""
+    reads only the npz members it references (what one restarted rank reads).
+    A publish in flight is settled first."""
+    settle_checkpoints()
     with np.load(Path(path)) as data:
         tree = json.loads(bytes(data["__tree__"]).decode("utf-8"))
         for key in subtree:

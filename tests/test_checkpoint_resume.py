@@ -463,9 +463,15 @@ class TestRejoinFromCheckpoint:
 
         ck = str(tmp_path / "ck.npz")
         workers, trainer = _build("selsync", fault_spec="crash:w2@4-8", min_quorum=2)
+
+        def lose_the_file(t, i):
+            if i == 7:
+                serialization.settle_checkpoints()  # step 6's publish may be in flight
+                os.remove(ck)
+
         cfg = TrainConfig(
             n_steps=N_STEPS, eval_fn=None, checkpoint_every=3, checkpoint_path=ck,
-            step_monitor=lambda t, i: os.remove(ck) if i == 7 else None,
+            step_monitor=lose_the_file,
         )
         with pytest.raises(FileNotFoundError, match=re.escape(ck)):
             trainer.run(cfg)
@@ -520,6 +526,7 @@ class TestStreamedCheckpoint:
         a, b = tmp_path / "snap.npz", tmp_path / "live.npz"
         serialization.save_checkpoint({"state": trainer.state_dict()}, a)
         serialization.save_checkpoint({"state": trainer.state_dict(copy=False)}, b)
+        serialization.settle_checkpoints()
         # Member by member: the zip directory also holds each write's time.
         with zipfile.ZipFile(a) as za, zipfile.ZipFile(b) as zb:
             assert za.namelist() == zb.namelist()

@@ -26,10 +26,10 @@ from repro.core.bsp import BSPTrainer
 from repro.core.recovery import DivergenceExceededError, RecoverySupervisor
 from repro.core.selsync import SelSyncTrainer
 from repro.core.ssp import SSPTrainer
-from repro.data import ArrayDataset, default_partition
+from repro.data import ArrayDataset, build_dataset, default_partition
 from repro.obs import TraceEvent, Tracer, views
 from repro.obs.sink import event_line, part_path, read_trace
-from repro.utils.serialization import RunLogLines, encode_jsonable
+from repro.utils.serialization import RunLogLines, encode_jsonable, runlog_to_jsonable
 from tests.conftest import make_mlp_cluster
 
 _NONFINITE_TAG = "__nonfinite__"
@@ -276,6 +276,41 @@ def test_ssp_runlog_is_a_view_of_its_trace():
         assert len(faults) == len(res.log.faults)
         assert {e.data["fault_kind"] for e in faults} == kinds
         assert all("iteration" in e.data for e in faults)
+
+
+def test_lock_step_runlog_is_a_view_of_its_trace_per_step():
+    """Lock-step under worker faults on the identity tool's MLP fixture:
+    iteration and eval records come back equal in order; fault records come
+    back equal per step, in the trace's (step, worker, seq) order — the
+    trainer appends them as they happen, which within a step is not worker
+    order (a rejoin is recorded before an earlier worker's corruption)."""
+    train, _ = build_dataset(
+        "blobs", n_train=256, n_test=64, n_features=16, n_classes=4, rng=0
+    )
+    workers, _ = make_mlp_cluster(train)
+    cluster = ClusterConfig(
+        n_workers=4, seed=0, comm_bytes=1e6, flops_per_sample=1e6, min_quorum=1, ps_shards=1,
+        fault_spec="crash:w1@5-12,straggle:w0x3@3+,drop:p=0.2,corrupt:w2@8,corrupt:p=0.1",
+    )
+    tracer = Tracer(name="bsp")
+    res = BSPTrainer(workers, cluster).run(TrainConfig(
+        n_steps=30, eval_every=10, tracer=tracer,
+        eval_fn=lambda m: float(m.get_flat_params().sum()),
+    ))
+
+    def by_kind(log):
+        records = runlog_to_jsonable(log)[1:]
+        return {k: [r for r in records if r["kind"] == k] for k in ("iter", "eval", "fault")}
+
+    rebuilt = by_kind(views.runlog_from_trace(tracer.events, name=res.log.name))
+    kept = by_kind(res.log)
+    assert len(kept["iter"]) == 30 and len(kept["eval"]) == 3
+    assert rebuilt["iter"] == kept["iter"] and rebuilt["eval"] == kept["eval"]
+    in_step_order = sorted(kept["fault"], key=lambda r: (r["step"], r["worker"]))
+    assert rebuilt["fault"] == in_step_order
+    # Not vacuous: on this plan the RunLog's own order is not worker order.
+    assert kept["fault"] != in_step_order
+    assert {"crash", "rejoin", "drop", "corrupt"} <= {r["fault_kind"] for r in kept["fault"]}
 
 
 def test_ssp_quorum_loss_and_its_recovery_share_the_push_in_flight(tmp_path):
