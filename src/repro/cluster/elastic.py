@@ -14,9 +14,8 @@ Two sources of membership change share one controller:
   signal stream (:meth:`ElasticController.signals`: goodput in samples per
   sim-second, sync ratio, communication fraction, per-rank compute EWMAs)
   and emits scale decisions. Decisions are deterministic:
-  pure functions of ``(signals, world_size, step)``, with any tie-break
-  randomness drawn from a stream keyed on ``(seed, step)`` — never the
-  trainer RNGs — so outcomes are identical across the serial and
+  pure functions of ``(signals, world_size, step)`` and the policy's
+  checkpointed state, so outcomes are identical across the serial and
   process executors and across a checkpoint/resume boundary.
 
 Worker identity: ranks are always the dense ``0..N-1`` positions of the
@@ -67,22 +66,16 @@ class ScalePolicy:
     """Deterministic world-size policy over the controller's signals.
 
     ``decide`` receives a read-only snapshot of the signal stream, the
-    current world size, the step, a mutable ``state`` dict (checkpointed by
-    the controller) and an RNG keyed on ``(seed, step)`` for tie-breaks.
-    It returns the *desired* world size; the controller clamps to the
-    configured bounds and converts the difference into join/drain actions.
+    current world size, the step and a mutable ``state`` dict (checkpointed
+    by the controller). It returns the *desired* world size; the controller
+    clamps to the configured bounds and converts the difference into
+    join/drain actions.
     """
 
     name = "abstract"
 
-    def decide(
-        self,
-        signals: Dict[str, float],
-        world_size: int,
-        step: int,
-        state: Dict,
-        rng: np.random.Generator,
-    ) -> int:
+    def decide(self, signals: Dict[str, float], world_size: int, step: int,
+               state: Dict) -> int:
         raise NotImplementedError
 
 
@@ -91,7 +84,7 @@ class NoScalePolicy(ScalePolicy):
 
     name = "none"
 
-    def decide(self, signals, world_size, step, state, rng):
+    def decide(self, signals, world_size, step, state):
         return world_size
 
 
@@ -110,7 +103,7 @@ class GoodputHillClimb(ScalePolicy):
     #: Relative improvement below which a probe counts as a regression.
     rel_eps = 0.01
 
-    def decide(self, signals, world_size, step, state, rng):
+    def decide(self, signals, world_size, step, state):
         goodput = signals.get("elastic.goodput", float("nan"))
         if not np.isfinite(goodput):
             return world_size
@@ -136,7 +129,7 @@ class CommFractionPolicy(ScalePolicy):
     lo = 0.15
     hi = 0.45
 
-    def decide(self, signals, world_size, step, state, rng):
+    def decide(self, signals, world_size, step, state):
         frac = signals.get("elastic.comm_fraction", float("nan"))
         if not np.isfinite(frac):
             return world_size
@@ -225,6 +218,8 @@ class ElasticController(Captured):
         self.policy = policy if policy is not None else NoScalePolicy()
         self.min_workers = int(lo)
         self.max_workers = int(hi)
+        # Read by nothing, but captured in the checkpoint: dropping it is a
+        # CHECKPOINT_VERSION change.
         self.seed = int(seed)
         self.cooldown = int(cooldown)
         # Stable uids, parallel to the trainer's worker list.
@@ -274,11 +269,8 @@ class ElasticController(Captured):
             or self._sim_seconds <= 0.0
         ):
             return acts
-        rng = np.random.default_rng(
-            np.random.SeedSequence([self.seed, 0x5CA1E, step])
-        )
         desired = self.policy.decide(
-            self.signals(), world_size, step, self._policy_state, rng
+            self.signals(), world_size, step, self._policy_state
         )
         desired = max(self.min_workers, min(self.max_workers, int(desired)))
         acts.decision = {
@@ -368,18 +360,10 @@ class ElasticController(Captured):
 
     def signals(self) -> Dict[str, float]:
         """Snapshot of the signal stream the policy decides over."""
-        ewma = np.asarray(self._compute_ewma, dtype=np.float64)
-        finite = ewma[np.isfinite(ewma)]
-        spread = (
-            float(finite.max() / np.median(finite))
-            if finite.size and np.median(finite) > 0
-            else float("nan")
-        )
         return {
             "elastic.goodput": float(self._goodput),
             "elastic.sync_ratio": float(self._sync_ewma),
             "elastic.comm_fraction": float(self._comm_frac),
-            "elastic.straggle_spread": spread,
             "elastic.samples": float(self._samples),
             "elastic.sim_seconds": float(self._sim_seconds),
             "elastic.worker_seconds": float(self._worker_seconds),

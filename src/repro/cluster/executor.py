@@ -68,15 +68,11 @@ def _compute_one(worker, batch: Batch) -> float:
     produce byte-identical traces (the process pool replays the same event
     from each child's result).
     """
-    tr = obs.active()
-    if tr is None:
-        return worker.compute_gradient(batch)
-    t0 = None if tr.deterministic else time.perf_counter()
+    tr = obs.active()  # ``wall_s`` is timed only for a non-deterministic trace
+    t0 = None if tr is None or tr.deterministic else time.perf_counter()
     loss = worker.compute_gradient(batch)
-    data = {"loss": float(loss)}
-    if t0 is not None:
-        data["wall_s"] = time.perf_counter() - t0
-    tr.emit("exec_task", worker=worker.worker_id, **data)
+    wall = {} if t0 is None else {"wall_s": time.perf_counter() - t0}
+    obs.emit("exec_task", worker=worker.worker_id, loss=float(loss), **wall)
     return loss
 
 
@@ -334,6 +330,7 @@ class _ProcessPool:
 
     def run_tasks(self, workers: Sequence, batches: Sequence[Batch]) -> List[float]:
         tr = obs.active()
+        timed = tr is not None and not tr.deterministic
         for w, (x, y) in zip(workers, batches):
             task = {
                 "worker": w.worker_id,
@@ -359,11 +356,8 @@ class _ProcessPool:
                 w.set_model_mutable_state(r["state"])
                 w.last_loss = r["loss"]
                 w.last_grad_sqnorm = r["grad_sqnorm"]
-                if tr is not None:
-                    data = {"loss": float(r["loss"])}
-                    if not tr.deterministic:
-                        data["wall_s"] = r["wall_s"]
-                    tr.emit("exec_task", worker=w.worker_id, **data)
+                wall = {"wall_s": r["wall_s"]} if timed else {}
+                obs.emit("exec_task", worker=w.worker_id, loss=float(r["loss"]), **wall)
                 losses.append(r["loss"])
         except Exception:
             # A failed task leaves this round's later results in flight;

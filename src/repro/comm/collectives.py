@@ -3,8 +3,9 @@
 :class:`SimGroup` mirrors the mpi4py surface the paper's PS calls map onto
 (allreduce / allgather / p2p) but executes within one process:
 the data movement is real numpy, the elapsed time is the cost model's. Every
-operation returns ``(result, simulated_seconds)`` so trainers charge the
-clock explicitly.
+operation returns its simulated seconds and records them on its
+``collective`` event — the trainer's clock is the fold over those events
+(:func:`repro.obs.views.clock`).
 
 A full-model sync round is produced in one place, :meth:`SimGroup._round`:
 :meth:`~SimGroup.allreduce_mean` (reduce and account),
@@ -137,14 +138,8 @@ class SimGroup:
         self._faulted_links = set()
         part = self.link_faults.partition_at(step)
         if part is not None and self.link_faults.partition_at(step - 1) is None:
-            tr = obs.active()
-            if tr is not None:
-                tr.emit(
-                    "partition_detected",
-                    groups=[list(g) for g in part.target],
-                    majority=list(self.link_faults.majority_side(step)),
-                    until=part.end,
-                )
+            obs.emit("partition_detected", groups=[list(g) for g in part.target],
+                     majority=list(self.link_faults.majority_side(step)), until=part.end)
 
     # -- resilient envelope ------------------------------------------------
     def _record_link_fault(self, src: int, dst: int, kind: str) -> None:
@@ -152,9 +147,7 @@ class SimGroup:
         if key in self._faulted_links:
             return
         self._faulted_links.add(key)
-        tr = obs.active()
-        if tr is not None:
-            tr.emit("link_fault", src=key[0], dst=key[1], kind=kind)
+        obs.emit("link_fault", src=key[0], dst=key[1], kind=kind)
 
     def _send(self, src: int, dst: int, transfer_s: float, op: str, msg=0, **tag):
         """One enveloped message: its outcome, with the ``link_fault`` /
@@ -163,13 +156,8 @@ class SimGroup:
         if out.attempts > 1 or not out.delivered:
             down = self.link_faults.link_down(src, dst, self._step)
             self._record_link_fault(src, dst, "down" if down else "loss")
-            tr = obs.active()
-            if tr is not None:
-                tr.emit(
-                    "retry", src=src, dst=dst,
-                    op=op, attempts=out.attempts, wait_s=out.wait_s,
-                    delivered=out.delivered, **tag,
-                )
+            obs.emit("retry", src=src, dst=dst, op=op, attempts=out.attempts,
+                     wait_s=out.wait_s, delivered=out.delivered, **tag)
         return out
 
     def _enveloped_edges(
@@ -206,13 +194,8 @@ class SimGroup:
             payload, ids, self.n_workers, self.net, self.link_faults, self._step
         )
         if healed.mode != "normal":
-            tr = obs.active()
-            if tr is not None:
-                tr.emit(
-                    "reroute", op=op,
-                    topology=self.topology.name, mode=healed.mode,
-                    detail=healed.detail, n_dead=healed.n_dead,
-                )
+            obs.emit("reroute", op=op, topology=self.topology.name, mode=healed.mode,
+                     detail=healed.detail, n_dead=healed.n_dead)
         t = healed.seconds
         if self.topology.name != "ps" and healed.mode != "ps_fallback":
             # Full payload crosses each healed hop (chain/tree hop cost);
@@ -235,6 +218,7 @@ class SimGroup:
         absent,
         vectors: Optional[Sequence[np.ndarray]] = None,
         ledger: bool = True,
+        upload_s: Optional[float] = None,
     ) -> float:
         """One full-model sync round: check, reduce, cost, account.
 
@@ -248,12 +232,15 @@ class SimGroup:
         events are emitted. ``absent`` maps a shard to the positions (in the
         round's pusher order) whose push for that shard was lost: they sit
         out that shard's reduction, contributor count, bytes and seconds.
+        ``upload_s`` (given only when above 0) is the push phase's wait
+        before the round: recorded on the round's ``collective`` (or
+        ``shard_round``) event, never added to its ``seconds``.
 
-        A sharded round emits one ``collective`` per shard (its ``bytes``
-        is exactly what that shard added to :attr:`bytes_synced`,
-        preserving the events-sum == counter invariant) plus one
-        ``shard_round`` summary whose ``bytes`` recaps the round total
-        without being counted again by the metrics view.
+        A ``collective`` event's ``bytes`` is exactly what the round added
+        to :attr:`bytes_synced` (the events-sum == counter invariant the
+        property tests pin). A sharded round emits one per shard (tagged
+        ``shard=s``) plus one ``shard_round`` summary whose ``bytes`` recaps
+        the round total without being counted again by the metrics view.
         """
         ids = list(range(self.n_workers)) if ranks is None else sorted(ranks)
         size = len(ids)
@@ -299,29 +286,24 @@ class SimGroup:
             total = sharded_ps_sync_time(sizes, ks, self.net)
         if not ledger:
             return total
+        upload = {} if upload_s is None else {"upload_s": upload_s}
         round_bytes = 0
         for s, (b, k) in enumerate(zip(sizes, ks)):
             counted = int(b) * k
             self.bytes_synced += counted
             round_bytes += counted
             if spec is None:
-                self._trace(op, payload, counted, k, total)
+                obs.emit("collective", op=op, payload=payload, bytes=float(counted),
+                         ranks=k, seconds=total, **upload)
             else:
                 t = ps_sync_time(float(b), k, self.net) if k >= 1 else 0.0
-                self._trace(op, float(b), counted, k, t, shard=s)
+                obs.emit("collective", op=op, payload=float(b), bytes=float(counted),
+                         ranks=k, seconds=t, shard=s)
         self.n_syncs += 1
         if spec is not None:
-            tr = obs.active()
-            if tr is not None:
-                tr.emit(
-                    "shard_round",
-                    op=op,
-                    n_shards=len(ks),
-                    n_active=sum(k >= 1 for k in ks),
-                    n_degraded=sum(k < size for k in ks),
-                    bytes=float(round_bytes),
-                    seconds=total,
-                )
+            obs.emit("shard_round", op=op, n_shards=len(ks), n_active=sum(k >= 1 for k in ks),
+                     n_degraded=sum(k < size for k in ks), bytes=float(round_bytes),
+                     seconds=total, **upload)
         return total
 
     def allreduce_mean(
@@ -330,6 +312,7 @@ class SimGroup:
         nbytes: float = None,
         ranks: Optional[Sequence[int]] = None,
         absent=None,
+        upload_s: Optional[float] = None,
     ) -> Tuple[np.ndarray, float]:
         """Average one flat vector per rank; returns (mean, sim_seconds).
 
@@ -346,10 +329,11 @@ class SimGroup:
         the fault model exists to make loud.
 
         ``absent`` (sharded groups only) names the lost shard pushes of a
-        degraded *shard* round; see :meth:`_round`. The mean is a read-only
-        view of a buffer the next ``allreduce_mean`` reuses.
+        degraded *shard* round and ``upload_s`` the push phase's wait; see
+        :meth:`_round`. The mean is a read-only view of a buffer the next
+        ``allreduce_mean`` reuses.
         """
-        t = self._round("allreduce", nbytes, ranks, absent, vectors)
+        t = self._round("allreduce", nbytes, ranks, absent, vectors, upload_s=upload_s)
         mean = self._mean_buf.view()
         mean.flags.writeable = False
         return mean, t
@@ -359,6 +343,7 @@ class SimGroup:
         nbytes: float,
         ranks: Optional[Sequence[int]] = None,
         absent=None,
+        upload_s: Optional[float] = None,
     ) -> float:
         """Account one full-model sync round and return its simulated time.
 
@@ -366,9 +351,10 @@ class SimGroup:
         through the :class:`~repro.cluster.server.ParameterServer`) and only
         need the clock charged once. ``ranks`` charges a degraded round over
         the named survivors instead of the full group; ``absent`` is the
-        per-shard absences the server's aggregation was given.
+        per-shard absences the server's aggregation was given, ``upload_s``
+        the push phase's wait (:meth:`_round`).
         """
-        return self._round("sync", nbytes, ranks, absent)
+        return self._round("sync", nbytes, ranks, absent, upload_s=upload_s)
 
     def sync_time_only(
         self, nbytes: float, ranks: Optional[Sequence[int]] = None
@@ -423,45 +409,17 @@ class SimGroup:
         t = allgather_bits_time(self.n_workers, self.net)
         # Flag exchanges are latency traffic; they do not count toward the
         # full-model ``bytes_synced`` ledger, so ``bytes`` is 0 here.
-        self._trace("allgather_flags", float(self.n_workers), 0, self.n_workers, t)
+        obs.emit("collective", op="allgather_flags", payload=float(self.n_workers),
+                 bytes=0.0, ranks=self.n_workers, seconds=t)
         return arr, t
 
     # -- p2p ----------------------------------------------------------------
     def p2p(self, payload_nbytes: float) -> float:
         """Timing for one point-to-point transfer (data injection)."""
         t = self.net.transfer_time(payload_nbytes)
-        self._trace("p2p", float(payload_nbytes), 0, 2, t)
+        obs.emit("collective", op="p2p", payload=float(payload_nbytes), bytes=0.0,
+                 ranks=2, seconds=t)
         return t
-
-    # -- tracing ----------------------------------------------------------
-    def _trace(
-        self,
-        op: str,
-        payload: float,
-        counted: int,
-        ranks: int,
-        seconds: float,
-        **extra,
-    ) -> None:
-        """Emit one ``collective`` event when a tracer is installed.
-
-        ``bytes`` is exactly the amount this operation added to
-        :attr:`bytes_synced`, so the trace-wide sum of event ``bytes``
-        equals the counter — the invariant the property tests pin down.
-        Sharded rounds pass ``shard=s``; unsharded events carry no extra
-        keys (trace byte-identity).
-        """
-        tr = obs.active()
-        if tr is not None:
-            tr.emit(
-                "collective",
-                op=op,
-                payload=payload,
-                bytes=float(counted),
-                ranks=ranks,
-                seconds=seconds,
-                **extra,
-            )
 
     # -- checkpointing ----------------------------------------------------
     def state_dict(self) -> dict:

@@ -7,6 +7,7 @@ from typing import List, Optional
 
 import numpy as np
 
+from repro import obs
 from repro.cluster.worker import SimWorker
 from repro.core.config import ClusterConfig
 from repro.core.trainer import DistributedTrainer, PerWorker
@@ -63,9 +64,9 @@ class BSPTrainer(DistributedTrainer):
         return grads
 
     def exchange(self, pushers, vectors, round_kw):
-        payload, t_codec = self._wire_cost
-        mean_grad, t_s = self.group.allreduce_mean(
-            vectors, nbytes=payload, **round_kw
-        )
-        self._emit_aggregation("GA", len(pushers))
-        return mean_grad, t_s, t_codec
+        payload, codec_s = self._wire_cost
+        mean_grad, _ = self.group.allreduce_mean(vectors, nbytes=payload, **round_kw)
+        # The slowest codec's seconds serialize after the round.
+        codec = {} if self._compressors is None else {"codec_s": codec_s}
+        obs.emit("aggregation", kind="GA", n_contrib=len(pushers), **codec)
+        return mean_grad

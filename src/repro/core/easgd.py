@@ -19,6 +19,7 @@ from typing import List, Optional
 
 import numpy as np
 
+from repro import obs
 from repro.cluster.worker import SimWorker
 from repro.core.config import ClusterConfig
 from repro.core.trainer import DistributedTrainer
@@ -98,8 +99,9 @@ class EASGDTrainer(DistributedTrainer):
             self.center = self.center + self.rho * len(diffs) * agg
         else:
             self.center = self.center + self.rho * np.sum(diffs, axis=0)
-        self._emit_aggregation("elastic", len(pushers))
-        return None, self.group.charge_sync(self.comm_bytes, **round_kw), 0.0
+        obs.emit("aggregation", kind="elastic", n_contrib=len(pushers))
+        self.group.charge_sync(self.comm_bytes, **round_kw)
+        return None
 
     def mean_params(self) -> np.ndarray:
         """EASGD's deployable model is the center variable."""

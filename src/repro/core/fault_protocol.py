@@ -78,12 +78,10 @@ class FaultProtocol:
         rec = FaultRecord(step=step, worker=worker, kind=kind, detail=detail)
         if self.log is not None:
             self.log.record_fault(rec)
-        tr = obs.active()
-        if tr is not None:
-            if self.iteration_keyed and at_iteration:
-                tr.emit("fault", worker=worker, fault_kind=kind, iteration=step, **detail)
-            else:
-                tr.emit("fault", step=step, worker=worker, fault_kind=kind, **detail)
+        if self.iteration_keyed and at_iteration:
+            obs.emit("fault", worker=worker, fault_kind=kind, iteration=step, **detail)
+        else:
+            obs.emit("fault", step=step, worker=worker, fault_kind=kind, **detail)
         return rec
 
     # -- opening a lock-step step -------------------------------------------------
@@ -125,9 +123,7 @@ class FaultProtocol:
                 self.health.release(wid)
                 rebase([wid], [j for j in sf.live if j != wid and not self.health.quarantined(j)])
                 self.record(i, wid, "reinstate")
-                tr = obs.active()
-                if tr is not None:
-                    tr.emit("reinstate", step=i, worker=wid)
+                obs.emit("reinstate", step=i, worker=wid)
             quarantined = set(self.health.quarantined_workers)
             if quarantined:
                 sf.live = [w for w in sf.live if w not in quarantined]
@@ -225,12 +221,10 @@ class FaultProtocol:
         flagged = self.health.observe(step, norms, times)
         if not flagged:
             return list(candidates)
-        tr = obs.active()
         for d in flagged:
             detail = dict(reason=d.reason, score=float(d.score), until=d.until)
             self.record(step, d.worker, "quarantine", **detail)
-            if tr is not None:
-                tr.emit("quarantine", step=step, worker=d.worker, **detail)
+            obs.emit("quarantine", step=step, worker=d.worker, **detail)
         bad = {d.worker for d in flagged}
         return [w for w in candidates if w not in bad]
 

@@ -107,17 +107,8 @@ class Aggregator:
         if out is None:
             out = np.empty_like(kept[0], dtype=np.float64)
         info = self.aggregate(kept, out)
-        tr = obs.active()
-        if tr is not None:
-            tr.emit(
-                "aggregator_decision",
-                aggregator=self.name,
-                where=where,
-                n_in=len(vectors),
-                n_dropped=len(dropped),
-                dropped=list(dropped),
-                **info,
-            )
+        obs.emit("aggregator_decision", aggregator=self.name, where=where,
+                 n_in=len(vectors), n_dropped=len(dropped), dropped=list(dropped), **info)
         return out
 
     def async_transform(self, update: np.ndarray) -> np.ndarray:

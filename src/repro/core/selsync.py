@@ -114,12 +114,12 @@ class SelSyncTrainer(DistributedTrainer):
         ranks), so it is skipped on degraded steps where some workers are
         down — a fault-mode limitation, not a reproduction caveat.
         """
-        batches, inject_time = super().draw_batches(live_workers)
+        batches = super().draw_batches(live_workers)
         if self.injector is not None and len(live_workers) == len(self.workers):
             result = self.injector.inject(batches)
             batches = result.batches
-            inject_time = self.group.p2p(result.bytes_transferred)
-        return batches, inject_time
+            self.group.p2p(result.bytes_transferred)
+        return batches
 
     def decide(self, i, ok, rec):
         threshold = (
@@ -138,42 +138,26 @@ class SelSyncTrainer(DistributedTrainer):
         voters = [w for w in ok if np.isfinite(self.workers[w].last_grad_sqnorm)]
         flags = [0] * len(self.workers)
         deltas = []
-        tr = obs.active()
         for wid in voters:
             d = self.trackers[wid].update(self.workers[wid].last_grad_sqnorm)
             deltas.append(d)
             flags[wid] = 1 if d >= threshold else 0
-            if tr is not None:
-                tr.emit(
-                    "delta_eval",
-                    worker=wid,
-                    delta=float(d),
-                    vote=bool(flags[wid]),
-                    threshold=float(threshold),
-                )
+            obs.emit("delta_eval", worker=wid, delta=float(d), vote=bool(flags[wid]),
+                     threshold=float(threshold))
 
-        gathered, t_flags = self.group.allgather_flags(flags)
+        gathered, _ = self.group.allgather_flags(flags)
         if self.sync_vote == "any":
             sync = bool(gathered.any())
         else:
             # Majority of the workers that could vote this step: crashed,
             # quarantined and corrupted workers cannot raise a flag.
             sync = int(gathered.sum()) > len(voters) // 2
-        if tr is not None:
-            tr.emit(
-                "sync_decision",
-                synced=bool(sync),
-                n_flags=int(gathered.sum()),
-                vote=self.sync_vote,
-            )
-        if self.delta_policy is not None and hasattr(self.delta_policy, "observe"):
-            self.delta_policy.observe(sync)
-
         # The decision's own cost: the flag allgather is communication, the
         # Δ(g) computation is compute charged only to SelSync (§IV-B).
-        rec.sim_time += t_flags
-        rec.sim_time += DELTA_OVERHEAD_S
-        rec.comm_time += t_flags
+        obs.emit("sync_decision", synced=bool(sync), n_flags=int(gathered.sum()),
+                 vote=self.sync_vote, overhead_s=DELTA_OVERHEAD_S)
+        if self.delta_policy is not None and hasattr(self.delta_policy, "observe"):
+            self.delta_policy.observe(sync)
         finite = [d for d in deltas if np.isfinite(d)]
         rec.grad_change = float(max(finite)) if finite else float("inf")
         rec.extra["n_flags"] = float(int(gathered.sum()))

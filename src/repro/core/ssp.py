@@ -111,7 +111,7 @@ class SSPTrainer(DistributedTrainer):
             ev = self.queue.pop()
         wid, k = ev.worker, int(self.iters[ev.worker])
         w = self.workers[wid]
-        self.executor.compute_gradients([w], self.draw_batches([w])[0])
+        self.executor.compute_gradients([w], self.draw_batches([w]))
         # A rejected or lost push still counts as an iteration; the
         # worker's next one lands the newer gradient.
         landed, push_delay = self.fault_protocol.async_push(wid, k)
@@ -124,12 +124,11 @@ class SSPTrainer(DistributedTrainer):
             comm_time=self._comm_t, loss=w.last_loss,
             extra={"worker": float(wid), "staleness": lead},
         )
-        tr = obs.active()
-        if tr is not None:  # latency traffic, outside the ``bytes_synced`` ledger
-            tr.emit("collective", step=i, worker=wid, op="async_pushpull", ranks=2,
-                    payload=float(self.comm_bytes), bytes=0.0, seconds=self._comm_t)
-            if landed is not None:
-                tr.emit("aggregation", step=i, worker=wid, kind="async", n_contrib=1)
+        # Latency traffic, outside the ``bytes_synced`` ledger.
+        obs.emit("collective", step=i, worker=wid, op="async_pushpull", ranks=2,
+                 payload=float(self.comm_bytes), bytes=0.0, seconds=self._comm_t)
+        if landed is not None:
+            obs.emit("aggregation", step=i, worker=wid, kind="async", n_contrib=1)
         self._last_time = ev.time
         if lead > self.staleness and self.iters[wid] < self._cap:
             self.blocked.append(wid)  # too far ahead: wait for stragglers

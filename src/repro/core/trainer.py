@@ -18,13 +18,12 @@ subsystem: with no ``fault_spec`` every fault hook leaves the live set
 whole, and the compute-jitter RNG is always drawn for the full worker set
 so the stream never shifts.
 
-When ``TrainConfig.tracer`` carries a :class:`repro.obs.Tracer`, the run
-loop emits the step/eval/checkpoint/fault spine of the event trace
-(``step_begin``/``step_end``/``compute_phase``/``eval``/
-``checkpoint_save``/``fault``); trainers and the comm/cluster layers add
-their own events through the same installed tracer. Tracing is purely
-observational — a traced run's arithmetic is bitwise-identical to an
-untraced one.
+Every component records events through :func:`repro.obs.emit` — the run
+loop the ``step_begin``/``step_end``/``compute_phase``/``eval``/
+``checkpoint_save`` spine, the fault protocol ``fault``, the rules and the
+comm/cluster layers their own — and a step's simulated clock is
+:func:`repro.obs.views.clock` over the events it emitted, whether or not
+``TrainConfig.tracer`` installs a :class:`repro.obs.Tracer`.
 """
 
 from __future__ import annotations
@@ -35,6 +34,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro import obs
+from repro.obs import views
 from repro.cluster.elastic import ElasticContext, derive_rng_seed
 from repro.cluster.faults import StepFaults
 from repro.data.loader import BatchLoader
@@ -188,83 +188,79 @@ class DistributedTrainer:
         """One lock-step iteration (stage list: DESIGN.md, "Step pipeline").
 
         The protocol order — faults, compute, corrupt + screen, decide,
-        local update, push round, exchange, clock — is fixed here; a rule
-        only fills the hooks below and never calls a protocol helper.
+        local update, push round, exchange — is fixed here; a rule only
+        fills the hooks below and never calls a protocol helper. Each
+        simulated second is on the event that charges it: the step's clock
+        is :func:`repro.obs.views.clock` over the events it emitted.
         """
-        sf = self.begin_faults(i)
-        live = sf.live
-        live_workers = [self.workers[w] for w in live]
-        lr = self.lr(i)
-        batches, t_inject = self.draw_batches(live_workers)
-        t_c = self.max_compute_time(len(batches[0][0]), i)
-        losses = self.executor.compute_gradients(live_workers, batches)
-        # Live workers whose update survived corruption and health
-        # screening: only they vote, step locally and may push.
-        ok = self.screen_updates(i, self.apply_corruption(sf), observed=live)
-        rec = IterationRecord(
-            step=i, synced=False, sim_time=t_c, loss=float(np.mean(losses))
-        )
-        rec.synced, ok = self.decide(i, ok, rec)
-        if not (rec.synced and self.exchanges_gradients):
-            # A dropped (corrupt / quarantined) gradient never lands on
-            # its replica; on a sync step the pull heals that worker.
-            for wid in ok:
-                self.workers[wid].local_step(lr)
-        t_s = t_codec = 0.0
-        if rec.synced:
-            # Push round: upload faults only bite when a round pushes.
-            pushers = self.uploaders(live, ok)
-            t_retry, lost, shard_lost = self.upload_penalty(pushers, i)
-            gone = set(lost)
-            pushers = [w for w in pushers if w not in gone]
-            if self.health is not None:
-                # A rule that uploads beyond ``ok`` (EASGD: all of
-                # ``live``) must still sit out this step's quarantines.
-                pushers = [w for w in pushers if not self.health.quarantined(w)]
-            fp = self.fault_protocol
-            fp.check_quorum(len(pushers), i, cap=self.n_participants())
-            # The one place a degraded round's arguments are built: without
-            # them SimGroup treats a short vector list as an error.
-            round_kw = {"ranks": pushers} if fp.degraded_mode else {}
-            if shard_lost:
-                # Worker ids → positions in the round's final pusher list.
-                round_kw["absent"] = {
-                    s: {j for j, w in enumerate(pushers) if w in ws}
-                    for s, ws in shard_lost.items()
-                }
-            vectors = self.wire_updates(
-                pushers, self.outgoing(pushers), sf.wire_lies
-            )
-            pulled, t_s, t_codec = self.exchange(pushers, vectors, round_kw)
-            if pulled is not None:
-                # Every *live* worker takes the pull — a corrupted or
-                # upload-lost worker too, which heals its replica.
-                for w in live_workers:
-                    if self.exchanges_gradients:
-                        w.apply_gradient(pulled, lr)
-                    else:
-                        w.set_params(pulled)
-            # Retry traffic serializes after the sync.
-            t_s += t_retry
-        for t in (t_s, t_inject):
-            rec.sim_time += t
-            rec.comm_time += t
-        rec.sim_time += t_codec
+        with obs.collect() as events:
+            sf = self.begin_faults(i)
+            live = sf.live
+            live_workers = [self.workers[w] for w in live]
+            lr = self.lr(i)
+            batches = self.draw_batches(live_workers)
+            self.compute_phase(len(batches[0][0]), i)
+            losses = self.executor.compute_gradients(live_workers, batches)
+            # Live workers whose update survived corruption and health
+            # screening: only they vote, step locally and may push.
+            ok = self.screen_updates(i, self.apply_corruption(sf), observed=live)
+            rec = IterationRecord(step=i, synced=False, sim_time=0.0, loss=float(np.mean(losses)))
+            rec.synced, ok = self.decide(i, ok, rec)
+            if not (rec.synced and self.exchanges_gradients):
+                # A dropped (corrupt / quarantined) gradient never lands on
+                # its replica; on a sync step the pull heals that worker.
+                for wid in ok:
+                    self.workers[wid].local_step(lr)
+            if rec.synced:
+                # Push round: upload faults only bite when a round pushes.
+                pushers = self.uploaders(live, ok)
+                upload_s, lost, shard_lost = self.upload_penalty(pushers, i)
+                gone = set(lost)
+                pushers = [w for w in pushers if w not in gone]
+                if self.health is not None:
+                    # A rule that uploads beyond ``ok`` (EASGD: all of
+                    # ``live``) must still sit out this step's quarantines.
+                    pushers = [w for w in pushers if not self.health.quarantined(w)]
+                fp = self.fault_protocol
+                fp.check_quorum(len(pushers), i, cap=self.n_participants())
+                # The one place a round's arguments are built: without
+                # them SimGroup treats a short vector list as an error.
+                round_kw = {"ranks": pushers} if fp.degraded_mode else {}
+                if shard_lost:
+                    # Worker ids → positions in the round's final pusher list.
+                    round_kw["absent"] = {
+                        s: {j for j, w in enumerate(pushers) if w in ws}
+                        for s, ws in shard_lost.items()
+                    }
+                if upload_s > 0.0:
+                    # The push phase's wait, serialized after the sync.
+                    round_kw["upload_s"] = upload_s
+                vectors = self.wire_updates(pushers, self.outgoing(pushers), sf.wire_lies)
+                pulled = self.exchange(pushers, vectors, round_kw)
+                if pulled is not None:
+                    # Every *live* worker takes the pull — a corrupted or
+                    # upload-lost worker too, which heals its replica.
+                    for w in live_workers:
+                        if self.exchanges_gradients:
+                            w.apply_gradient(pulled, lr)
+                        else:
+                            w.set_params(pulled)
+        rec.sim_time, rec.comm_time = views.clock(events)
         return rec
 
     # -- rule hooks ----------------------------------------------------------
-    def draw_batches(self, live_workers: Sequence[SimWorker]):
-        """``(batches, p2p_seconds)`` for this step — the one place a
-        mini-batch is drawn: each worker's next batch, in worker order, on
-        the coordinating thread, so every executor sees the same stream."""
-        return [w.loader.next_batch() for w in live_workers], 0.0
+    def draw_batches(self, live_workers: Sequence[SimWorker]) -> List:
+        """This step's batches — the one place a mini-batch is drawn: each
+        worker's next batch, in worker order, on the coordinating thread,
+        so every executor sees the same stream."""
+        return [w.loader.next_batch() for w in live_workers]
 
     def decide(
         self, i: int, ok: List[int], rec: IterationRecord
     ) -> Tuple[bool, List[int]]:
         """The rule's per-iteration choice: ``(sync?, ok)``. May narrow the
-        contributing set, charge the decision's own cost to ``rec`` and
-        annotate it (``grad_change``, ``extra``)."""
+        contributing set and annotate ``rec`` (``grad_change``, ``extra``);
+        what the decision costs is on the events it emits."""
         raise NotImplementedError
 
     def uploaders(self, live: List[int], ok: List[int]) -> List[int]:
@@ -283,16 +279,14 @@ class DistributedTrainer:
 
     def exchange(
         self, pushers: List[int], vectors: List[np.ndarray], round_kw: Dict
-    ) -> Tuple[Optional[np.ndarray], float, float]:
+    ) -> Optional[np.ndarray]:
         """Aggregate the vectors that arrived and charge the round.
 
-        Returns ``(pulled, sync_seconds, codec_seconds)``: the vector every
-        live worker pulls (``None`` when the rule already moved the
-        replicas itself), the modelled sync time before retries, and
-        any compute serialized after it. ``round_kw`` goes verbatim to the
-        group's ``allreduce_mean`` / ``charge_sync``; its ``absent`` entry
-        (present only when a shard push was lost) also goes to the server's
-        ``aggregate_params`` / ``aggregate_grads``.
+        Returns the vector every live worker pulls (``None`` when the rule
+        already moved the replicas itself). ``round_kw`` goes verbatim to
+        the group's ``allreduce_mean`` / ``charge_sync``; its ``absent``
+        entry (present only when a shard push was lost) also goes to the
+        server's ``aggregate_params`` / ``aggregate_grads``.
 
         The default is one parameter-server round: the server averages the
         pushed parameters (PA, Alg. 1 lines 14-15: every replica is
@@ -306,16 +300,10 @@ class DistributedTrainer:
             else self.server.aggregate_params
         )
         pulled = aggregate(vectors, absent=round_kw.get("absent"))
-        t_s = self.group.charge_sync(self.comm_bytes, **round_kw)
-        self._emit_aggregation(
-            "GA" if self.exchanges_gradients else "PA", len(pushers)
-        )
-        return pulled, t_s, 0.0
-
-    def _emit_aggregation(self, kind: str, n_contrib: int) -> None:
-        tr = obs.active()
-        if tr is not None:
-            tr.emit("aggregation", kind=kind, n_contrib=n_contrib)
+        self.group.charge_sync(self.comm_bytes, **round_kw)
+        obs.emit("aggregation", kind="GA" if self.exchanges_gradients else "PA",
+                 n_contrib=len(pushers))
+        return pulled
 
     def _per_worker(self) -> List[Tuple[str, PerWorker]]:
         named = [(name, getattr(self, name)) for name in self.checkpointed]
@@ -346,30 +334,23 @@ class DistributedTrainer:
     def lr(self, i: int) -> float:
         return self.schedule(i)
 
-    def max_compute_time(self, batch_size: int, step: int) -> float:
+    def compute_phase(self, batch_size: int, step: int) -> None:
         """Lock-step compute phase: all workers run concurrently, the round
-        takes as long as the slowest (the straggler effect of §II-A).
+        takes as long as the slowest (the straggler effect of §II-A) — the
+        ``compute_phase`` event's ``max``.
 
         The jitter RNG is always drawn for the *full* worker set so the
         stream is identical with and without faults; injected straggle
         factors then scale per-worker times and the max is taken over the
-        step's live set only (a dead worker delays nobody).
+        step's live set only (a dead worker delays nobody). The per-worker
+        times are the straggler heatmap's raw data
+        (:func:`repro.obs.views.straggler_matrix`).
         """
         times = self.fault_protocol.straggled(
             self.compute.sample_all(self.flops_per_sample, batch_size), step
         )
-        t_max = float(times[self.fault_protocol.live].max())
-        tr = obs.active()
-        if tr is not None:
-            # Per-worker compute times of this round — the straggler
-            # heatmap's raw data (see repro.obs.views.straggler_matrix).
-            tr.emit(
-                "compute_phase",
-                step=step,
-                times=[float(x) for x in times],
-                max=t_max,
-            )
-        return t_max
+        obs.emit("compute_phase", step=step, times=[float(x) for x in times],
+                 max=float(times[self.fault_protocol.live].max()))
 
     # -- fault protocol --------------------------------------------------------
     # The step's protocol calls, named on the trainer so a profiler can wrap
@@ -515,9 +496,8 @@ class DistributedTrainer:
         (sim-seconds) charged to the step that admitted the joiners.
         """
         acts = self.elastic.actions_for_step(i, len(self.workers))
-        tr = obs.active()
-        if acts.decision is not None and tr is not None:
-            tr.emit("scale_decision", step=i, **acts.decision)
+        if acts.decision is not None:
+            obs.emit("scale_decision", step=i, **acts.decision)
         if not acts.any_change:
             return 0.0
         ctx = self.elastic_ctx
@@ -547,16 +527,8 @@ class DistributedTrainer:
             self.fault_protocol.live = [
                 w - (w > rank) for w in self.fault_protocol.live if w != rank
             ]
-            if tr is not None:
-                tr.emit(
-                    "membership",
-                    step=i,
-                    worker=rank,
-                    action="drain",
-                    uid=uid,
-                    size_before=size_before,
-                    size_after=len(self.workers),
-                )
+            obs.emit("membership", step=i, worker=rank, action="drain", uid=uid,
+                     size_before=size_before, size_after=len(self.workers))
         if acts.joins:
             consensus = np.array(
                 self.mean_params(), dtype=np.float64, copy=True
@@ -570,17 +542,9 @@ class DistributedTrainer:
                 w.resync(consensus)
                 self.workers.append(w)
                 mapping.append(None)
-                if tr is not None:
-                    tr.emit(
-                        "membership",
-                        step=i,
-                        worker=w.worker_id,
-                        action="join",
-                        uid=uid,
-                        bootstrap="donor_consensus",
-                        size_before=size_before,
-                        size_after=len(self.workers),
-                    )
+                obs.emit("membership", step=i, worker=w.worker_id, action="join", uid=uid,
+                         bootstrap="donor_consensus", size_before=size_before,
+                         size_after=len(self.workers))
         for rank, w in enumerate(self.workers):
             w.worker_id = rank
         self._repartition(i)
@@ -619,16 +583,9 @@ class DistributedTrainer:
         covered = set()
         for r in range(n):
             covered.update(int(x) for x in part[r])
-        tr = obs.active()
-        if tr is not None:
-            tr.emit(
-                "repartition",
-                step=i,
-                scheme=getattr(part, "scheme", "unknown"),
-                n_workers=n,
-                n_samples=int(len(ctx.dataset)),
-                coverage=len(covered) / max(1, len(ctx.dataset)),
-            )
+        obs.emit("repartition", step=i, scheme=getattr(part, "scheme", "unknown"),
+                 n_workers=n, n_samples=int(len(ctx.dataset)),
+                 coverage=len(covered) / max(1, len(ctx.dataset)))
 
     def _resize_runtime(self, i: int) -> None:
         """Rebuild every size-dependent runtime piece for the new world
@@ -736,12 +693,10 @@ class DistributedTrainer:
         stale_evals: int,
         clock: float,
     ) -> None:
-        tr = obs.active()
-        if tr is not None:
-            # The path stays out of the event: a trace must not differ just
-            # because two otherwise-identical runs checkpoint to different
-            # files (golden-trace byte comparisons depend on this).
-            tr.emit("checkpoint_save", step=next_step - 1, next_step=next_step)
+        # The path stays out of the event: a trace must not differ just
+        # because two otherwise-identical runs checkpoint to different
+        # files (golden-trace byte comparisons depend on this).
+        obs.emit("checkpoint_save", step=next_step - 1, next_step=next_step)
         save_checkpoint(
             {
                 "version": CHECKPOINT_VERSION,
@@ -798,16 +753,8 @@ class DistributedTrainer:
                 metric_name="metric",
             )
         )
-        tr = obs.active()
-        if tr is not None:
-            tr.emit(
-                "eval",
-                step=step,
-                metric=metric,
-                epoch=epoch,
-                sim_time=sim_time,
-                metric_name="metric",
-            )
+        obs.emit("eval", step=step, metric=metric, epoch=epoch, sim_time=sim_time,
+                 metric_name="metric")
         if best is None:
             improved = True
         elif cfg.higher_is_better:
@@ -851,13 +798,11 @@ class DistributedTrainer:
         horizon, period = self.horizon(cfg), self.eval_period(cfg)
         try:
             with obs.use(cfg.tracer):
-                tr = obs.active()
                 for i in range(start_step, horizon):
                     provision_s = 0.0
                     if self.elastic is not None:
                         provision_s = self._apply_membership(i)
-                    if tr is not None:
-                        tr.emit("step_begin", step=i)
+                    obs.emit("step_begin", step=i)
                     rec = self.step(i)
                     if provision_s > 0.0:
                         # Joiner provisioning (boot + model pull) is charged
@@ -866,17 +811,9 @@ class DistributedTrainer:
                         rec.extra["provision_s"] = provision_s
                     clock += rec.sim_time
                     log.record_iteration(rec)
-                    if tr is not None:
-                        tr.emit(
-                            "step_end",
-                            step=i,
-                            synced=rec.synced,
-                            sim_time=rec.sim_time,
-                            comm_time=rec.comm_time,
-                            loss=rec.loss,
-                            grad_change=rec.grad_change,
-                            extra=dict(rec.extra),
-                        )
+                    obs.emit("step_end", step=i, synced=rec.synced, sim_time=rec.sim_time,
+                             comm_time=rec.comm_time, loss=rec.loss,
+                             grad_change=rec.grad_change, extra=dict(rec.extra))
                     if self.elastic is not None:
                         self.elastic.observe_step(
                             i,

@@ -2,11 +2,12 @@
 
 One :class:`~repro.obs.trace.Tracer` is *installed* for the duration of a
 run; every instrumented component (trainers, collectives, the network
-model, executors, the fault injector) asks :func:`active` for it and emits
-typed events when — and only when — one is installed. With no tracer
-installed every instrumentation site reduces to a single ``None`` check,
-so untraced runs pay nothing and are bitwise-identical to a build without
-this package.
+model, executors, the fault injector) records an event with one call,
+:func:`emit`, to the installed tracer, if any, and to the step's clock
+collector (:func:`collect`): a lock-step step's seconds are
+:func:`repro.obs.views.clock` over its events, traced or not. An untraced
+run builds each payload but writes nothing; its arithmetic is
+bitwise-identical to a traced one.
 
 Usage::
 
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from typing import Optional
+from typing import List, Optional
 
 from repro.obs.trace import (  # noqa: F401
     AGGREGATION_KINDS,
@@ -36,11 +37,38 @@ from repro.obs.trace import (  # noqa: F401
 
 _installed: Optional[Tracer] = None
 _install_lock = threading.Lock()
+#: The events of the open :func:`collect` block, or ``None``.
+_collected: Optional[List[TraceEvent]] = None
 
 
 def active() -> Optional[Tracer]:
-    """The installed tracer, or ``None`` (the zero-overhead common case)."""
+    """The installed tracer, or ``None``: asked only by a site that computes
+    something just for the trace (the executor's ``wall_s``)."""
     return _installed
+
+
+def emit(etype: str, step: Optional[int] = None, worker: int = -1, **data) -> None:
+    """Record one event: on the installed tracer, if any (``step=None`` is
+    the step in flight, :meth:`Tracer.emit`), and in the open
+    :func:`collect` block."""
+    tr = _installed
+    ev = None if tr is None else tr.emit(etype, step, worker, **data)
+    if _collected is not None:
+        if ev is None:
+            ev = TraceEvent(etype, -1 if step is None else int(step), int(worker), data=data)
+        _collected.append(ev)
+
+
+@contextmanager
+def collect():
+    """Gather every event emitted inside the block, in emission order — a
+    lock-step step's clock terms (:func:`repro.obs.views.clock`)."""
+    global _collected
+    _collected = events = []
+    try:
+        yield events
+    finally:
+        _collected = None
 
 
 def install(tracer: Optional[Tracer]) -> None:

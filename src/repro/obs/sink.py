@@ -21,6 +21,10 @@ from repro.utils.serialization import decode_jsonable, encode_jsonable
 PathLike = Union[str, Path]
 
 
+class TraceSchemaError(ValueError):
+    """A trace file written under another :data:`TRACE_SCHEMA_VERSION`."""
+
+
 def event_from_jsonable(rec: Dict) -> TraceEvent:
     return TraceEvent(
         etype=rec["etype"],
@@ -97,7 +101,7 @@ def read_trace(path: PathLike) -> Tuple[Dict, List[TraceEvent]]:
                 if rec.get("kind") != "header":
                     raise ValueError(f"{path}: first line is not a trace header")
                 if rec.get("schema") != TRACE_SCHEMA_VERSION:
-                    raise ValueError(
+                    raise TraceSchemaError(
                         f"{path}: trace schema {rec.get('schema')} != "
                         f"{TRACE_SCHEMA_VERSION}"
                     )

@@ -39,8 +39,9 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Dict, List, Optional, Tuple
 
-#: Trace file schema version; bump on any incompatible record change.
-TRACE_SCHEMA_VERSION = 1
+#: Trace file schema version; bump on any incompatible record change (2: each
+#: simulated second is on an event, :func:`repro.obs.views.clock`).
+TRACE_SCHEMA_VERSION = 2
 
 #: Known event types. Emitting an unknown type raises — the schema is the
 #: contract every figure benchmark asserts against, so it must not drift

@@ -1,21 +1,76 @@
-"""Derived views over a trace: run logs, run metrics and dashboard aggregates.
+"""Derived views over a trace: the clock, run logs, run metrics and dashboard
+aggregates.
 
 The trace is the ground truth of a run; everything the reporting layer
-needs — the classic :class:`~repro.utils.runlog.RunLog` summary, the run
-metrics (:func:`metrics`), the straggler heatmap — is recomputed from the
-event stream here, so any consumer can work from a persisted ``.jsonl``
-trace alone.
+needs — a step's simulated seconds (:func:`clock`), the classic
+:class:`~repro.utils.runlog.RunLog` summary, the run metrics
+(:func:`metrics`), the straggler heatmap — is recomputed from the event
+stream here, so any consumer can work from a persisted ``.jsonl`` trace
+alone.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional, Sequence
+from collections import defaultdict
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.obs.trace import TraceEvent
 from repro.utils.runlog import EvalRecord, FaultRecord, IterationRecord, RunLog
+
+
+class ClockError(ValueError):
+    """Events that do not fold into a lock-step clock: an SSP step (its
+    clock is its event times) or a schema-1 vote without its overhead."""
+
+
+#: The clock term of each unsharded ``collective`` op.
+_TERMS = {"allgather_flags": "flags", "pull": "pull", "p2p": "p2p",
+          "allreduce": "round", "sync": "round"}
+
+
+def clock(events: Iterable[TraceEvent]) -> Tuple[float, float]:
+    """``(sim_time, comm_time)`` of one lock-step step: the fold over its
+    events in the trainer's float order (docs/simulation.md, "One step's
+    clock"), equal to its ``step_end`` with ``==``. A sharded round counts
+    once, as its ``shard_round``; ``step_end.extra.provision_s`` is the run
+    loop's term, so the events a step collected leave it out."""
+    t = dict.fromkeys(("max", "flags", "overhead", "round", "pull", "upload",
+                       "p2p", "codec", "provision"), 0.0)
+    for ev in events:
+        d = ev.data
+        if ev.etype == "compute_phase":
+            t["max"] = d["max"]
+        elif ev.etype == "collective" and d["op"] == "async_pushpull":
+            raise ClockError("an SSP step's clock is its event times, not a fold")
+        elif ev.etype == "shard_round" or (ev.etype == "collective" and "shard" not in d):
+            t["round" if ev.etype == "shard_round" else _TERMS[d["op"]]] += d["seconds"]
+            t["upload"] += d.get("upload_s", 0.0)
+        elif ev.etype == "sync_decision":
+            if "overhead_s" not in d:
+                raise ClockError("a schema-1 sync_decision carries no overhead_s")
+            t["overhead"] += d["overhead_s"]
+        elif ev.etype == "aggregation":
+            t["codec"] += d.get("codec_s", 0.0)
+        elif ev.etype == "step_end":
+            t["provision"] += d["extra"].get("provision_s", 0.0)
+    sync = (t["round"] + t["pull"]) + t["upload"]
+    sim = ((t["max"] + t["flags"]) + t["overhead"]) + sync
+    return (((sim + t["p2p"]) + t["codec"]) + t["provision"],
+            (t["flags"] + sync) + t["p2p"])
+
+
+def clocks(path) -> Dict[int, Tuple[float, float]]:
+    """:func:`clock` of each step of the trace file at ``path``; a trace of
+    another schema raises :class:`~repro.obs.sink.TraceSchemaError`."""
+    from repro.obs.sink import read_trace
+
+    by_step: Dict[int, List[TraceEvent]] = defaultdict(list)
+    for ev in read_trace(path)[1]:
+        by_step[ev.step].append(ev)
+    return {step: clock(evs) for step, evs in sorted(by_step.items())}
 
 
 def runlog_from_trace(

@@ -270,7 +270,6 @@ class TestController:
         assert sig["elastic.comm_fraction"] == pytest.approx(0.25)
         assert sig["elastic.sim_seconds"] == pytest.approx(2.0)
         assert sig["elastic.worker_seconds"] == pytest.approx(4.0)
-        assert sig["elastic.straggle_spread"] == pytest.approx(1.5)
 
     def test_bad_ctor_args(self):
         """Bounds have one spelling, the plan's ``scale:MIN..MAX`` clause;

@@ -167,9 +167,10 @@ _SKELETONS = {
         None,
     ),
     "localsgd": (LocalSGDTrainer, None, []),
+    # A C-sample round, then the pull-back half-round to every worker.
     "fedavg": (
         lambda w, c: FedAvgTrainer(w, c, c_fraction=0.5),
-        ["collective:sync", "aggregation"],
+        ["collective:sync", "aggregation", "collective:pull"],
         [],
     ),
     # The center update is recorded before the round is charged.

@@ -249,7 +249,7 @@ def test_trace_parse_roundtrips_through_schema(seed, tmp_path_factory):
     path = tmp_path_factory.mktemp("trace") / f"t{seed}.jsonl"
     write_trace(path, tracer.header(), tracer.events)
     header, events = read_trace(path)
-    assert header["schema"] == 1
+    assert header["schema"] == 2
     originals = tracer.events
     assert len(events) == len(originals)
     for a, b in zip(originals, events):

@@ -3,6 +3,7 @@
 
     python tools/identity.py --parent HEAD~1
     python tools/identity.py --parent HEAD~1 --expect-differs 'bsp/shards3+trimmed_mean/*:trace'
+    python tools/identity.py --parent HEAD~1 --declare 'header.schema,sync_decision.overhead_s'
 
 Clones ``--parent`` with plain ``git clone``, runs the same matrix of small
 training runs against both source trees (one subprocess per side, each with
@@ -31,6 +32,13 @@ with artifacts named, only those may differ), or when any resume-leg cell
 (``rule/scenario/kill@K``; nothing to declare there) is unequal. For each
 unequal cell the first differing trace line (or RunLog line, when the
 traces agree) is printed with its step and field.
+
+``--declare 'ITEM,...'`` names a trace change every cell may carry: both
+sides' traces are normalized before their digests are compared — a
+``header.FIELD`` is dropped from the header, an ``ETYPE.FIELD`` from every
+event of that type, and an event matching ``ETYPE/KEY=VALUE`` is dropped
+whole (the ``seq`` of each ``(step, worker)`` is renumbered after it). No
+other artifact can be declared this way.
 """
 
 from __future__ import annotations
@@ -43,6 +51,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from collections import defaultdict
 from pathlib import Path
 
 N_WORKERS = 4
@@ -330,16 +339,58 @@ def _first_difference(a, b, path=""):
     return path or "<line>", a, b
 
 
-def explain(a_dir: Path, b_dir: Path, sides, a, b) -> str:
+def normalize(trace: str, declared) -> str:
+    """``trace`` (JSONL text) without what ``declared`` names: header
+    fields, event fields and whole events (see the module docstring)."""
+    fields, events = defaultdict(set), []
+    for item in declared:
+        if "/" in item:
+            etype, _, cond = item.partition("/")
+            key, _, value = cond.partition("=")
+            events.append((etype, key, value))
+        else:
+            etype, _, name = item.partition(".")
+            fields[etype].add(name)
+    lines = trace.splitlines()
+    header = {k: v for k, v in json.loads(lines[0]).items() if k not in fields["header"]}
+    out, seq = [json.dumps(header, sort_keys=True)], {}
+    for line in lines[1:]:
+        rec = json.loads(line)
+        data = rec["data"]
+        if any(rec["etype"] == e and str(data.get(k)) == v for e, k, v in events):
+            continue
+        for name in fields[rec["etype"]]:
+            data.pop(name, None)
+        key = (rec["step"], rec["worker"])
+        rec["seq"] = seq.get(key, 0)
+        seq[key] = rec["seq"] + 1
+        out.append(json.dumps(rec, sort_keys=True))
+    return "\n".join(out) + "\n"
+
+
+def _declare(out_dir: Path, digests, declared) -> None:
+    """Replace each cell's trace digest by its normalized trace's, written
+    beside it as ``trace.declared.jsonl``."""
+    for name, cell in digests.items():
+        if "error" in cell:
+            continue
+        d = out_dir / name.replace("/", "__")
+        text = normalize((d / "trace.jsonl").read_text(), declared)
+        (d / "trace.declared.jsonl").write_text(text)
+        cell["trace"] = hashlib.sha256(text.encode()).hexdigest()
+
+
+def explain(a_dir: Path, b_dir: Path, sides, a, b, trace="trace.jsonl") -> str:
     """Name the first trace (else RunLog) line on which two runs of a cell
-    (directories ``a_dir`` / ``b_dir``, digests ``a`` / ``b``) disagree."""
+    (directories ``a_dir`` / ``b_dir``, digests ``a`` / ``b``) disagree;
+    ``trace`` names the trace file compared."""
     if "error" in a or "error" in b:
         return "\n".join(
             f"    {side}: {d.get('error', 'ran')}" for side, d in zip(sides, (a, b))
         )
-    for artifact in ("trace", "runlog"):
-        old = (a_dir / f"{artifact}.jsonl").read_text().splitlines()
-        new = (b_dir / f"{artifact}.jsonl").read_text().splitlines()
+    for artifact, name in (("trace", trace), ("runlog", "runlog.jsonl")):
+        old = (a_dir / name).read_text().splitlines()
+        new = (b_dir / name).read_text().splitlines()
         for n, (lo, ln) in enumerate(zip(old, new)):
             if lo != ln:
                 o, c = json.loads(lo), json.loads(ln)
@@ -359,9 +410,12 @@ def explain(a_dir: Path, b_dir: Path, sides, a, b) -> str:
     return "    traces and RunLogs agree line for line"
 
 
-def compare(parent_dir: Path, change_dir: Path, expected) -> int:
+def compare(parent_dir: Path, change_dir: Path, expected, normalized=()) -> int:
     old = json.loads((parent_dir / "digests.json").read_text())
     new = json.loads((change_dir / "digests.json").read_text())
+    if normalized:
+        _declare(parent_dir, old, normalized)
+        _declare(change_dir, new, normalized)
     n_equal = n_failed = 0
     declared, undeclared = [], []
     for name in new:
@@ -382,8 +436,9 @@ def compare(parent_dir: Path, change_dir: Path, expected) -> int:
         for name, differing in rows:
             print(f"  differs ({title}): {name}: {', '.join(differing)}")
             cell = name.replace("/", "__")
-            print(explain(parent_dir / cell, change_dir / cell,
-                          ("parent", "change"), old[name], new[name]))
+            print(explain(parent_dir / cell, change_dir / cell, ("parent", "change"),
+                          old[name], new[name],
+                          "trace.declared.jsonl" if normalized else "trace.jsonl"))
     print(
         f"{len(new)} cells: {n_equal} equal ({n_failed} of them equal failures), "
         f"{len(declared)} declared different, {len(undeclared)} undeclared different"
@@ -398,6 +453,11 @@ def main(argv=None) -> int:
         "--expect-differs", action="append", default=[], metavar="GLOB[:ARTIFACTS]",
         help="declare cells (rule/scenario/executor glob) that may differ, "
         f"optionally only in the named artifacts ({', '.join(ARTIFACTS)})",
+    )
+    ap.add_argument(
+        "--declare", action="append", default=[], metavar="ITEM[,ITEM...]",
+        help="trace changes every cell may carry, normalized away before the "
+        "comparison: header.FIELD, ETYPE.FIELD or ETYPE/KEY=VALUE (whole events)",
     )
     ap.add_argument("--only", action="append", default=[], metavar="GLOB",
                     help="run only the cells matching GLOB")
@@ -442,7 +502,8 @@ def main(argv=None) -> int:
         if failed:
             print(f"matrix run failed on: {', '.join(failed)}", file=sys.stderr)
             return 2
-        status = compare(work / "parent", work / "change", expected)
+        normalized = [i for item in args.declare for i in item.split(",") if i]
+        status = compare(work / "parent", work / "change", expected, normalized)
         return side("--emit-resume", "resume", repo / "src").wait() or status
 
 
