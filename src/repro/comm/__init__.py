@@ -32,12 +32,6 @@ from repro.comm.topology import (
     build_topology,
 )
 from repro.comm.collectives import SimGroup
-from repro.comm.scheduling import (
-    bucketed_schedule,
-    fused_schedule,
-    layer_sizes_bytes,
-    per_layer_schedule,
-)
 
 __all__ = [
     "NetworkModel",
@@ -62,8 +56,4 @@ __all__ = [
     "TreeTopology",
     "build_topology",
     "SimGroup",
-    "layer_sizes_bytes",
-    "fused_schedule",
-    "per_layer_schedule",
-    "bucketed_schedule",
 ]

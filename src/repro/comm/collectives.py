@@ -2,19 +2,19 @@
 
 :class:`SimGroup` mirrors the mpi4py surface the paper's PS calls map onto
 (allreduce / allgather / p2p) but executes within one process:
-the data movement is real numpy, the elapsed time is the cost model's. Every
-operation returns its simulated seconds and records them on its
-``collective`` event — the trainer's clock is the fold over those events
+the data movement is real numpy, the elapsed time is the cost model's. An
+operation returns data or nothing: its simulated seconds exist only on its
+``collective`` event, and the trainer's clock is the fold over those events
 (:func:`repro.obs.views.clock`).
 
 A full-model sync round is produced in one place, :meth:`SimGroup._round`:
-:meth:`~SimGroup.allreduce_mean` (reduce and account),
-:meth:`~SimGroup.charge_sync` (account a round reduced elsewhere) and
-:meth:`~SimGroup.sync_time_only` (seconds only) are entries over it, and
-everything a round needs — the ranks taking part (their count is its size)
-and the per-shard absences — arrives as arguments; the group keeps no
-per-round state, and nothing about a partition either: onset is read off the
-link-fault plan.
+:meth:`~SimGroup.allreduce_mean` (reduce and account) and
+:meth:`~SimGroup.charge_sync` (account a round reduced elsewhere) are
+entries over it, :meth:`~SimGroup.pull` (FedAvg's pull-back half-round)
+shares its rank check and seconds, and everything a round needs — the
+ranks taking part (their count is its size) and the per-shard absences —
+arrives as arguments; the group keeps no per-round state, and nothing about
+a partition either: onset is read off the link-fault plan.
 """
 
 from __future__ import annotations
@@ -160,9 +160,7 @@ class SimGroup:
                      wait_s=out.wait_s, delivered=out.delivered, **tag)
         return out
 
-    def _enveloped_edges(
-        self, edges, op: str, transfer_s: float, must_deliver: bool
-    ) -> float:
+    def _enveloped_edges(self, edges, op: str, transfer_s: float, must_deliver: bool) -> float:
         """Push one enveloped message across each schedule edge.
 
         Returns the summed retry latency (timeouts + backoffs + duplicate
@@ -175,9 +173,7 @@ class SimGroup:
             out = self._send(src, dst, transfer_s, op)
             extra += out.wait_s + out.dup_extra_s
             if not out.delivered and must_deliver:
-                raise CollectiveTimeoutError(
-                    op, src, dst, self._step, out.attempts
-                )
+                raise CollectiveTimeoutError(op, src, dst, self._step, out.attempts)
         return extra
 
     def _resilient_sync(self, op: str, payload: float, ids: List[int]) -> float:
@@ -201,47 +197,15 @@ class SimGroup:
             # Full payload crosses each healed hop (chain/tree hop cost);
             # the normal ring's per-hop share is payload/k but retries there
             # retransmit the full segment stream, so charge conservatively.
-            per_hop = self.net.transfer_time(
-                payload, self.net.effective_worker_bandwidth()
-            )
-            t += self._enveloped_edges(
-                healed.edges, op, per_hop, must_deliver=True
-            )
+            per_hop = self.net.transfer_time(payload, self.net.effective_worker_bandwidth())
+            t += self._enveloped_edges(healed.edges, op, per_hop, must_deliver=True)
         return t
 
     # -- full-model synchronization ---------------------------------------
-    def _round(
-        self,
-        op: str,
-        nbytes: Optional[float],
-        ranks: Optional[Sequence[int]],
-        absent,
-        vectors: Optional[Sequence[np.ndarray]] = None,
-        ledger: bool = True,
-        upload_s: Optional[float] = None,
-    ) -> float:
-        """One full-model sync round: check, reduce, cost, account.
-
-        The one place a round's ranks (the worker ids taking part, ``None``
-        = all; their count is the round's size) and payload are validated, its
-        ``vectors`` (when the arithmetic happens here) are reduced into
-        :attr:`_mean_buf`, its seconds are picked — per-shard parallel
-        rounds, the topology formula, or the healed and enveloped schedule
-        under link faults — and, unless ``ledger`` is off, its bytes land
-        in :attr:`bytes_synced` / :attr:`n_syncs` and its ``collective``
-        events are emitted. ``absent`` maps a shard to the positions (in the
-        round's pusher order) whose push for that shard was lost: they sit
-        out that shard's reduction, contributor count, bytes and seconds.
-        ``upload_s`` (given only when above 0) is the push phase's wait
-        before the round: recorded on the round's ``collective`` (or
-        ``shard_round``) event, never added to its ``seconds``.
-
-        A ``collective`` event's ``bytes`` is exactly what the round added
-        to :attr:`bytes_synced` (the events-sum == counter invariant the
-        property tests pin). A sharded round emits one per shard (tagged
-        ``shard=s``) plus one ``shard_round`` summary whose ``bytes`` recaps
-        the round total without being counted again by the metrics view.
-        """
+    def _ranks(self, nbytes: Optional[float], ranks: Optional[Sequence[int]]) -> List[int]:
+        """The sorted worker ids of a round (``None`` = all; their count is
+        its size), refused unless distinct and in range; a payload, when
+        given, must not run the ledger backwards."""
         ids = list(range(self.n_workers)) if ranks is None else sorted(ranks)
         size = len(ids)
         if size < 1 or len(set(ids)) != size or ids[0] < 0 or ids[-1] >= self.n_workers:
@@ -250,42 +214,68 @@ class SimGroup:
             )
         if nbytes is not None and nbytes < 0:
             raise ValueError(f"nbytes must be >= 0, got {nbytes}")
+        return ids
+
+    def _seconds(self, op: str, payload: float, ids: List[int], absent):
+        """``(shard sizes, contributors per shard, seconds)`` of one round
+        over ``ids``: per-shard parallel rounds, the topology formula, or
+        the healed and enveloped schedule under link faults."""
+        if self.shard_spec is None:
+            if self.envelope is None:
+                return [payload], [len(ids)], self.topology.sync_time(payload, len(ids), self.net)
+            return [payload], [len(ids)], self._resilient_sync(op, payload, ids)
+        gone = absent or {}
+        sizes = self.shard_spec.int_payloads(payload)
+        ks = [max(0, len(ids) - len(gone.get(s, ()))) for s in range(len(sizes))]
+        return sizes, ks, sharded_ps_sync_time(sizes, ks, self.net)
+
+    def _round(
+        self,
+        op: str,
+        nbytes: Optional[float],
+        ranks: Optional[Sequence[int]],
+        absent,
+        vectors: Optional[Sequence[np.ndarray]] = None,
+        upload_s: Optional[float] = None,
+    ) -> None:
+        """One full-model sync round: check, reduce, cost, account.
+
+        The one place a round's ranks (:meth:`_ranks`) and payload are
+        validated, its ``vectors`` (when the arithmetic happens here) are
+        reduced into :attr:`_mean_buf`, its seconds are picked
+        (:meth:`_seconds`) and put on its ``collective`` events, and its
+        bytes land in :attr:`bytes_synced` / :attr:`n_syncs`. ``absent``
+        maps a shard to the positions (in the round's pusher order) whose
+        push for that shard was lost: they sit out that shard's reduction,
+        contributor count, bytes and seconds. ``upload_s`` (given only when
+        above 0) is the push phase's wait before the round: recorded on the
+        round's ``collective`` (or ``shard_round``) event, never added to
+        its ``seconds``.
+
+        A ``collective`` event's ``bytes`` is exactly what the round added
+        to :attr:`bytes_synced` (the events-sum == counter invariant the
+        property tests pin). A sharded round emits one per shard (tagged
+        ``shard=s``) plus one ``shard_round`` summary whose ``bytes`` recaps
+        the round total without being counted again by the metrics view.
+        """
+        ids = self._ranks(nbytes, ranks)
         spec = self.shard_spec
         if absent and spec is None:
             raise RuntimeError("shard absences require a sharded group")
         if vectors is not None:
-            if len(vectors) != size:
-                raise ValueError(f"expected {size} vectors, got {len(vectors)}")
+            if len(vectors) != len(ids):
+                raise ValueError(f"expected {len(ids)} vectors, got {len(vectors)}")
             first = np.asarray(vectors[0])
-            for v in vectors[1:]:
-                if np.asarray(v).shape != first.shape:
-                    raise ValueError("allreduce requires equally-shaped vectors")
+            if any(np.asarray(v).shape != first.shape for v in vectors[1:]):
+                raise ValueError("allreduce requires equally-shaped vectors")
             if self._mean_buf is None or self._mean_buf.shape != first.shape:
                 self._mean_buf = np.empty(first.shape, dtype=np.float64)
-            reduce_slices(
-                vectors,
-                self._mean_buf,
-                (slice(None),) if spec is None else spec.slices(),
-                absent,
-                self.aggregator,
-                "allreduce",
-            )
+            slices = (slice(None),) if spec is None else spec.slices()
+            reduce_slices(vectors, self._mean_buf, slices, absent, self.aggregator, "allreduce")
             if nbytes is None:
                 nbytes = first.nbytes
         payload = float(nbytes)
-        if spec is None:
-            sizes, ks = [payload], [size]
-            if self.envelope is None:
-                total = self.topology.sync_time(payload, size, self.net)
-            else:
-                total = self._resilient_sync(op, payload, ids)
-        else:
-            gone = absent or {}
-            sizes = spec.int_payloads(payload)
-            ks = [max(0, size - len(gone.get(s, ()))) for s in range(len(sizes))]
-            total = sharded_ps_sync_time(sizes, ks, self.net)
-        if not ledger:
-            return total
+        sizes, ks, total = self._seconds(op, payload, ids, absent)
         upload = {} if upload_s is None else {"upload_s": upload_s}
         round_bytes = 0
         for s, (b, k) in enumerate(zip(sizes, ks)):
@@ -302,9 +292,8 @@ class SimGroup:
         self.n_syncs += 1
         if spec is not None:
             obs.emit("shard_round", op=op, n_shards=len(ks), n_active=sum(k >= 1 for k in ks),
-                     n_degraded=sum(k < size for k in ks), bytes=float(round_bytes),
+                     n_degraded=sum(k < len(ids) for k in ks), bytes=float(round_bytes),
                      seconds=total, **upload)
-        return total
 
     def allreduce_mean(
         self,
@@ -313,8 +302,9 @@ class SimGroup:
         ranks: Optional[Sequence[int]] = None,
         absent=None,
         upload_s: Optional[float] = None,
-    ) -> Tuple[np.ndarray, float]:
-        """Average one flat vector per rank; returns (mean, sim_seconds).
+    ) -> np.ndarray:
+        """Average one flat vector per rank and charge the round; returns
+        the mean (the round's seconds are on its ``collective`` event).
 
         ``nbytes`` overrides the payload size for timing (the experiment
         harness passes the *paper-scale* model size here so Fig. 1a's
@@ -333,10 +323,10 @@ class SimGroup:
         :meth:`_round`. The mean is a read-only view of a buffer the next
         ``allreduce_mean`` reuses.
         """
-        t = self._round("allreduce", nbytes, ranks, absent, vectors, upload_s=upload_s)
+        self._round("allreduce", nbytes, ranks, absent, vectors, upload_s=upload_s)
         mean = self._mean_buf.view()
         mean.flags.writeable = False
-        return mean, t
+        return mean
 
     def charge_sync(
         self,
@@ -344,8 +334,8 @@ class SimGroup:
         ranks: Optional[Sequence[int]] = None,
         absent=None,
         upload_s: Optional[float] = None,
-    ) -> float:
-        """Account one full-model sync round and return its simulated time.
+    ) -> None:
+        """Account one full-model sync round.
 
         For callers that perform the aggregation arithmetic elsewhere (e.g.
         through the :class:`~repro.cluster.server.ParameterServer`) and only
@@ -354,23 +344,21 @@ class SimGroup:
         per-shard absences the server's aggregation was given, ``upload_s``
         the push phase's wait (:meth:`_round`).
         """
-        return self._round("sync", nbytes, ranks, absent, upload_s=upload_s)
+        self._round("sync", nbytes, ranks, absent, upload_s=upload_s)
 
-    def sync_time_only(
-        self, nbytes: float, ranks: Optional[Sequence[int]] = None
-    ) -> float:
-        """Sync time with no ledger entry and no ``collective`` event.
+    def pull(self, nbytes: float, ranks: Sequence[int]) -> None:
+        """FedAvg's pull-back: every rank in ``ranks`` (the live workers)
+        takes the new global model, half of a full round over them.
 
-        For time a trainer charges outside the byte ledger (FedAvg's
-        pull-back half-round) that still needs link faults respected.
-        Identical to ``topology.sync_time`` when link faults are off. With
-        them on this is *not* a pure query: the healed schedule is built
-        and its messages sent, so ``reroute`` / ``retry`` events are
-        emitted and the envelope's counters move — once per call (FedAvg's
-        call passes no ``ranks`` and so is costed over all ``n_workers``
-        ranks, not the live set).
+        Outside the byte ledger, like :meth:`allgather_flags`: one
+        ``collective`` with ``op="pull"`` and ``bytes=0.0``. Under link
+        faults the half-round travels the healed sync schedule, so its
+        ``reroute`` / ``retry`` events carry ``op="sync"``.
         """
-        return self._round("sync", nbytes, ranks, None, ledger=False)
+        ids = self._ranks(nbytes, ranks)
+        seconds = self._seconds("sync", float(nbytes), ids, None)[2] / 2.0
+        obs.emit("collective", op="pull", payload=float(nbytes), bytes=0.0,
+                 ranks=len(ids), seconds=seconds)
 
     def push_outcome(
         self, worker: int, nbytes: float, shard: Optional[int] = None
@@ -399,27 +387,26 @@ class SimGroup:
         return out.wait_s + out.dup_extra_s, out.delivered
 
     # -- SelSync's flag exchange ------------------------------------------
-    def allgather_flags(self, flags: Sequence[int]) -> Tuple[np.ndarray, float]:
-        """Alg. 1 line 12: share each worker's 1-bit sync status with all."""
+    def allgather_flags(self, flags: Sequence[int]) -> np.ndarray:
+        """Alg. 1 line 12: share each worker's 1-bit sync status with all;
+        returns the gathered bits."""
         if len(flags) != self.n_workers:
             raise ValueError(f"expected {self.n_workers} flags, got {len(flags)}")
         arr = np.asarray(flags, dtype=np.uint8)
         if arr.size and not np.isin(arr, (0, 1)).all():
             raise ValueError(f"flags must be 0/1 bits, got {list(flags)}")
-        t = allgather_bits_time(self.n_workers, self.net)
         # Flag exchanges are latency traffic; they do not count toward the
         # full-model ``bytes_synced`` ledger, so ``bytes`` is 0 here.
         obs.emit("collective", op="allgather_flags", payload=float(self.n_workers),
-                 bytes=0.0, ranks=self.n_workers, seconds=t)
-        return arr, t
+                 bytes=0.0, ranks=self.n_workers,
+                 seconds=allgather_bits_time(self.n_workers, self.net))
+        return arr
 
     # -- p2p ----------------------------------------------------------------
-    def p2p(self, payload_nbytes: float) -> float:
-        """Timing for one point-to-point transfer (data injection)."""
-        t = self.net.transfer_time(payload_nbytes)
+    def p2p(self, payload_nbytes: float) -> None:
+        """Charge one point-to-point transfer (data injection)."""
         obs.emit("collective", op="p2p", payload=float(payload_nbytes), bytes=0.0,
-                 ranks=2, seconds=t)
-        return t
+                 ranks=2, seconds=self.net.transfer_time(payload_nbytes))
 
     # -- checkpointing ----------------------------------------------------
     def state_dict(self) -> dict:

@@ -65,7 +65,7 @@ class BSPTrainer(DistributedTrainer):
 
     def exchange(self, pushers, vectors, round_kw):
         payload, codec_s = self._wire_cost
-        mean_grad, _ = self.group.allreduce_mean(vectors, nbytes=payload, **round_kw)
+        mean_grad = self.group.allreduce_mean(vectors, nbytes=payload, **round_kw)
         # The slowest codec's seconds serialize after the round.
         codec = {} if self._compressors is None else {"codec_s": codec_s}
         obs.emit("aggregation", kind="GA", n_contrib=len(pushers), **codec)

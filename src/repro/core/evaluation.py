@@ -13,7 +13,12 @@ from repro.nn.module import Module, no_grad
 
 def accuracy_eval(dataset: Dataset, batch_size: int = 256, top_k: int = 1) -> Callable:
     """Top-k test accuracy over a held-out dataset (top-1 for CIFAR-like,
-    top-5 for the ImageNet-like workload, matching the paper)."""
+    top-5 for the ImageNet-like workload, matching the paper).
+
+    A ragged last chunk is padded back to ``batch_size`` with samples
+    already scored, and only its new rows count: every forward then runs at
+    one batch size, in the workspaces training at that size already holds,
+    instead of private ones built for the remainder."""
     if top_k < 1:
         raise ValueError(f"top_k must be >= 1, got {top_k}")
 
@@ -21,10 +26,12 @@ def accuracy_eval(dataset: Dataset, batch_size: int = 256, top_k: int = 1) -> Ca
         n = len(dataset)
         correct = 0
         for start in range(0, n, batch_size):
-            idx = np.arange(start, min(start + batch_size, n))
-            x, y = dataset.get_batch(idx)
+            stop = min(start + batch_size, n)
+            lo = max(0, stop - batch_size)
+            x, y = dataset.get_batch(np.arange(lo, stop))
             with no_grad():
-                logits = model.forward(x)
+                logits = model.forward(x)[start - lo:]
+            y = y[start - lo:]
             if top_k == 1:
                 correct += int((logits.argmax(axis=-1) == y).sum())
             else:

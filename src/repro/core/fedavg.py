@@ -13,7 +13,6 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro import obs
 from repro.cluster.worker import SimWorker
 from repro.core.config import ClusterConfig
 from repro.core.trainer import DistributedTrainer
@@ -76,13 +75,9 @@ class FedAvgTrainer(DistributedTrainer):
 
     def exchange(self, pushers, vectors, round_kw):
         # The C-sample's push round is the default PS round, over the
-        # sampled ranks even on a fault-free run; the pull-back reaches all
-        # (live) workers as a half-round outside the byte ledger.
+        # sampled ranks even on a fault-free run; the pull-back reaches the
+        # live workers as a half-round outside the byte ledger.
         global_params = super().exchange(pushers, vectors, {**round_kw, "ranks": pushers})
         if len(pushers) < len(self.workers):
-            obs.emit(
-                "collective", op="pull", payload=self.comm_bytes, bytes=0.0,
-                ranks=self.group.n_workers,
-                seconds=self.group.sync_time_only(self.comm_bytes) / 2.0,
-            )
+            self.group.pull(self.comm_bytes, self.fault_protocol.live)
         return global_params

@@ -145,7 +145,7 @@ class SelSyncTrainer(DistributedTrainer):
             obs.emit("delta_eval", worker=wid, delta=float(d), vote=bool(flags[wid]),
                      threshold=float(threshold))
 
-        gathered, _ = self.group.allgather_flags(flags)
+        gathered = self.group.allgather_flags(flags)
         if self.sync_vote == "any":
             sync = bool(gathered.any())
         else:

@@ -6,8 +6,9 @@ model, executors, the fault injector) records an event with one call,
 :func:`emit`, to the installed tracer, if any, and to the step's clock
 collector (:func:`collect`): a lock-step step's seconds are
 :func:`repro.obs.views.clock` over its events, traced or not. An untraced
-run builds each payload but writes nothing; its arithmetic is
-bitwise-identical to a traced one.
+run builds an event only for the types the clock reads
+(:data:`~repro.obs.views.CLOCK_TYPES`) and writes nothing; its arithmetic
+is bitwise-identical to a traced one.
 
 Usage::
 
@@ -34,6 +35,7 @@ from repro.obs.trace import (  # noqa: F401
     TraceEvent,
     Tracer,
 )
+from repro.obs.views import CLOCK_TYPES
 
 _installed: Optional[Tracer] = None
 _install_lock = threading.Lock()
@@ -49,11 +51,11 @@ def active() -> Optional[Tracer]:
 
 def emit(etype: str, step: Optional[int] = None, worker: int = -1, **data) -> None:
     """Record one event: on the installed tracer, if any (``step=None`` is
-    the step in flight, :meth:`Tracer.emit`), and in the open
-    :func:`collect` block."""
+    the step in flight, :meth:`Tracer.emit`), and, if the clock reads its
+    type, in the open :func:`collect` block."""
     tr = _installed
     ev = None if tr is None else tr.emit(etype, step, worker, **data)
-    if _collected is not None:
+    if _collected is not None and etype in CLOCK_TYPES:
         if ev is None:
             ev = TraceEvent(etype, -1 if step is None else int(step), int(worker), data=data)
         _collected.append(ev)
@@ -61,8 +63,8 @@ def emit(etype: str, step: Optional[int] = None, worker: int = -1, **data) -> No
 
 @contextmanager
 def collect():
-    """Gather every event emitted inside the block, in emission order — a
-    lock-step step's clock terms (:func:`repro.obs.views.clock`)."""
+    """Gather the clock-type events emitted inside the block, in emission
+    order — a lock-step step's clock terms (:func:`repro.obs.views.clock`)."""
     global _collected
     _collected = events = []
     try:

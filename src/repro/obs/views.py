@@ -26,6 +26,10 @@ class ClockError(ValueError):
     clock is its event times) or a schema-1 vote without its overhead."""
 
 
+#: The event types :func:`clock` reads: an untraced step builds and
+#: collects only these (:func:`repro.obs.emit`).
+CLOCK_TYPES = frozenset(("compute_phase", "collective", "shard_round", "sync_decision",
+                         "aggregation", "step_end"))
 #: The clock term of each unsharded ``collective`` op.
 _TERMS = {"allgather_flags": "flags", "pull": "pull", "p2p": "p2p",
           "allreduce": "round", "sync": "round"}

@@ -21,11 +21,13 @@ import zlib
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.cluster.worker import build_worker_group
 from repro.core import ClusterConfig, TrainConfig
 from repro.core.evaluation import accuracy_eval
 from repro.data import BatchLoader, build_dataset, selsync_partition
 from repro.nn.models import build_model
+from repro.obs import views
 from repro.optim import SGD
 
 try:  # the real plugin wins when present
@@ -122,6 +124,15 @@ def next_batches(workers):
     """Each worker's next mini-batch, in worker order — what the trainer's
     ``draw_batches`` hands an executor."""
     return [w.loader.next_batch() for w in workers]
+
+
+def charged(fn, *args, **kwargs):
+    """``(fn(*args, **kwargs), seconds)`` for a ``SimGroup`` entry: the
+    entry returns data or ``None``, and the seconds it charged are on its
+    events — their comm term under :func:`repro.obs.views.clock`."""
+    with obs.collect() as events:
+        out = fn(*args, **kwargs)
+    return out, views.clock(events)[1]
 
 
 def make_mlp_cluster(

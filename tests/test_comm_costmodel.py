@@ -12,6 +12,7 @@ from repro.comm.costmodel import (
 )
 from repro.comm.collectives import SimGroup
 from repro.comm.network import NetworkModel
+from tests.conftest import charged
 
 
 @pytest.fixture
@@ -109,7 +110,7 @@ class TestFlagAllgather:
 
 class TestP2P:
     def test_matches_transfer(self, net):
-        assert SimGroup(2, net).p2p(1e6) == net.transfer_time(1e6)
+        assert charged(SimGroup(2, net).p2p, 1e6) == (None, net.transfer_time(1e6))
 
 
 @given(

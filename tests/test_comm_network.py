@@ -9,6 +9,7 @@ import pytest
 
 from repro import obs
 from repro.comm.network import NetworkModel
+from tests.conftest import charged
 
 
 class TestValidation:
@@ -85,7 +86,7 @@ class TestZeroByteAndSingleWorkerCollectives:
         from repro.comm import SimGroup
 
         g = SimGroup(3)
-        mean, t = g.allreduce_mean([np.zeros(4)] * 3, nbytes=0)
+        mean, t = charged(g.allreduce_mean, [np.zeros(4)] * 3, nbytes=0)
         assert np.array_equal(mean, np.zeros(4))
         assert g.bytes_synced == 0  # zero payload adds nothing to the ledger
         assert t >= 0.0
@@ -94,9 +95,10 @@ class TestZeroByteAndSingleWorkerCollectives:
         from repro.comm import SimGroup
 
         g = SimGroup(2)
-        assert g.charge_sync(0) >= 0.0
+        out, t = charged(g.charge_sync, 0)
+        assert out is None and t >= 0.0
         assert g.bytes_synced == 0
-        assert g.p2p(0) == g.net.latency_s
+        assert charged(g.p2p, 0) == (None, g.net.latency_s)
 
     def test_single_worker_sync_is_free(self):
         import numpy as np
@@ -104,10 +106,10 @@ class TestZeroByteAndSingleWorkerCollectives:
         from repro.comm import SimGroup
 
         g = SimGroup(1)
-        mean, t = g.allreduce_mean([np.arange(4.0)], nbytes=1e9)
+        mean, t = charged(g.allreduce_mean, [np.arange(4.0)], nbytes=1e9)
         assert np.array_equal(mean, np.arange(4.0))
         assert t == 0.0  # no peers, no wire time — for any topology
-        assert g.charge_sync(1e9) == 0.0
+        assert charged(g.charge_sync, 1e9) == (None, 0.0)
         # The byte ledger still counts the (degenerate) round.
         assert g.bytes_synced == 2 * int(1e9)
 
@@ -115,7 +117,7 @@ class TestZeroByteAndSingleWorkerCollectives:
         from repro.comm import SimGroup
 
         g = SimGroup(1, topology="ring")
-        assert g.charge_sync(1e9) == 0.0
+        assert charged(g.charge_sync, 1e9) == (None, 0.0)
 
     def test_single_worker_flag_round(self):
         import numpy as np
@@ -123,6 +125,6 @@ class TestZeroByteAndSingleWorkerCollectives:
         from repro.comm import SimGroup
 
         g = SimGroup(1)
-        flags, t = g.allgather_flags([1])
+        flags, t = charged(g.allgather_flags, [1])
         assert np.array_equal(flags, [1])
         assert t >= 0.0

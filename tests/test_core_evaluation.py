@@ -79,6 +79,25 @@ class TestAccuracyEval:
         )
         assert small == big
 
+    @pytest.mark.parametrize("n, want", [(50, [16] * 4), (10, [10])])
+    def test_a_ragged_last_chunk_runs_at_the_batch_size(self, n, want):
+        """The last chunk is padded with rows already scored, so every
+        forward sees ``batch_size`` rows (when the dataset has that many),
+        and only the new rows count."""
+        rng = np.random.default_rng(0)
+        logits, labels = rng.normal(size=(n, 3)), rng.integers(0, 3, n)
+        sizes = []
+
+        class Recording(FixedLogitModel):
+            def forward(self, x):
+                sizes.append(len(x))
+                return super().forward(x)
+
+        ds = ArrayDataset(np.arange(float(n)).reshape(n, 1), labels)
+        acc = accuracy_eval(ds, batch_size=16)(Recording(logits))
+        assert sizes == want
+        assert acc == int((logits.argmax(axis=-1) == labels).sum()) / n
+
     def test_top_k_validation(self):
         ds = ArrayDataset(np.zeros((2, 1)), np.zeros(2, dtype=int))
         with pytest.raises(ValueError):

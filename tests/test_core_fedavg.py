@@ -90,6 +90,34 @@ class TestByteLedger:
         assert tracer.metrics.get("comm.bytes") == expected
 
 
+class TestPullBack:
+    def test_pull_back_is_half_a_round_over_the_live_workers(self, mlp_cluster):
+        """A round's pull-back reaches the live workers only: while w1 is
+        down its ``collective(op="pull")`` has ``ranks`` equal to the live
+        count and ``seconds`` equal to half the topology's round over them,
+        outside the byte ledger."""
+        workers, cluster = mlp_cluster
+        cluster = dataclasses.replace(
+            cluster, topology="ring", ps_shards=1, fault_spec="crash:w1@2-9", min_quorum=1
+        )
+        t = FedAvgTrainer(workers, cluster, c_fraction=0.5, e_factor=0.25)
+        tracer = Tracer(name="fedavg-pull")
+        t.run(TrainConfig(n_steps=12, eval_fn=None, tracer=tracer))
+        pulls = {
+            e.step: e.data for e in tracer.events
+            if e.etype == "collective" and e.data["op"] == "pull"
+        }
+        assert sorted(pulls) == [3, 7, 11]
+        half = {
+            k: t.group.topology.sync_time(t.comm_bytes, k, cluster.net) / 2.0 for k in (3, 4)
+        }
+        assert half[3] != half[4]
+        for step, live in ((3, 3), (7, 3), (11, 4)):
+            assert pulls[step]["ranks"] == live
+            assert pulls[step]["seconds"] == half[live]
+            assert pulls[step]["bytes"] == 0.0
+
+
 class TestConvergence:
     def test_learns_blobs(self, mlp_cluster, quick_cfg):
         workers, cluster = mlp_cluster

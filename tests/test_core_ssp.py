@@ -10,7 +10,7 @@ from repro.data import BatchLoader, build_dataset, default_partition
 from repro.cluster.worker import build_worker_group
 from repro.nn.models import build_model
 from repro.optim import SGD
-from tests.conftest import make_mlp_cluster
+from tests.conftest import charged, make_mlp_cluster
 
 
 def make_hetero_cluster(train, speeds, seed=0):
@@ -98,7 +98,7 @@ class TestAsyncBehaviour:
         # serial async push/pull, which is never sharded.
         cluster = dataclasses.replace(cluster, ps_shards=1)
         trainer = SSPTrainer(workers, cluster, staleness=10)
-        barrier = trainer.group.charge_sync(trainer.comm_bytes)
+        _, barrier = charged(trainer.group.charge_sync, trainer.comm_bytes)
         res = trainer.run(TrainConfig(n_steps=4, eval_every=4))
         push_pull = res.log.iterations[0].comm_time
         assert {it.comm_time for it in res.log.iterations} == {push_pull}

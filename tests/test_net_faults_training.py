@@ -103,14 +103,13 @@ def test_retry_run_charges_more_simulated_time(clean, lossy_with_retries):
     assert t_lossy > t_clean
 
 
-def test_fedavg_on_a_flapping_ring_pins_sync_time_only_side_effects(blobs_data):
+def test_fedavg_on_a_flapping_ring_pins_its_pull_back(blobs_data):
     """A FedAvg round is charged twice under link faults: its C-sample's
     push round goes to the byte ledger (``charge_sync``), and its pull-back
-    half-round, costed over all N ranks, through ``SimGroup.sync_time_only``
-    — which keeps the ledger and the ``collective`` stream still but is not
-    a pure query: it heals the ring (``reroute`` events, ``comm.reroutes``)
-    on every call. Recorded as it is (ROADMAP item D lists the pull-back as
-    a target); changing it moves every FedAvg x net-fault trace."""
+    half-round over the live workers (``SimGroup.pull``) adds a
+    ``collective`` with ``op="pull"`` and no bytes. The pull-back is not a
+    pure query: it travels the healed sync schedule, so it reroutes the
+    ring too (``reroute`` events with ``op="sync"``, ``comm.reroutes``)."""
     workers, cluster = make_mlp_cluster(blobs_data[0])
     cluster = dataclasses.replace(
         cluster,
@@ -129,11 +128,17 @@ def test_fedavg_on_a_flapping_ring_pins_sync_time_only_side_effects(blobs_data):
     assert tracer.metrics.get("comm.reroutes") == 5
     assert not tracer.metrics.get("comm.retry_wait_s")
     assert not any(e.etype == "retry" for e in tracer.events)
-    # One ledger entry and one ``collective`` event per round: the push
-    # round's; the pull-back half-round adds neither.
+    # One ledger entry and one ``sync`` collective per round: the push
+    # round's; the pull-back half-round adds no ledger entry.
     assert trainer.group.n_syncs == 3
     syncs = [
         e for e in tracer.events if e.etype == "collective" and e.data["op"] == "sync"
     ]
     assert [e.step for e in syncs] == [3, 7, 11]
     assert trainer.group.bytes_synced == sum(e.data["bytes"] for e in syncs) > 0
+    pulls = [
+        e for e in tracer.events if e.etype == "collective" and e.data["op"] == "pull"
+    ]
+    assert [(e.step, e.data["ranks"], e.data["bytes"]) for e in pulls] == [
+        (3, 4, 0.0), (7, 4, 0.0), (11, 4, 0.0)
+    ]

@@ -1,7 +1,7 @@
 """Differential tests: the hot-path kernels vs naive references.
 
 The stride-1 convolution (one row-slab kernel: k column-shifted GEMMs over
-a padded plane, bias folded into a ones channel — the ``test_shift_conv_*``
+a padded plane, bias folded into a ones channel — the ``test_row_slab_conv_*``
 cases; ``tests/test_nn_conv_slab.py`` holds its full shape grid), the
 non-overlapping maxpool and the ReLU workspace all promise
 the *same arithmetic* as the plain implementations they replaced. These
@@ -112,7 +112,7 @@ def run_conv(layer, x, grad_out):
 
 @pytest.mark.parametrize("shape", [(2, 3, 5, 7), (1, 2, 9, 4), (3, 5, 6, 6)])
 @pytest.mark.parametrize("use_bias", [True, False])
-def test_shift_conv_matches_naive_and_im2col(shape, use_bias):
+def test_row_slab_conv_matches_naive(shape, use_bias):
     rng = np.random.default_rng(7)
     n, c, h, w = shape
     layer = Conv2d(c, 4, kernel_size=3, stride=1, padding=1, bias=use_bias, rng=3)
@@ -164,7 +164,7 @@ def test_bias_folding_equals_separate_bias_add():
     np.testing.assert_allclose(folded, separate, atol=1e-12)
 
 
-def test_shift_conv_non_contiguous_input():
+def test_row_slab_conv_non_contiguous_input():
     rng = np.random.default_rng(17)
     layer = Conv2d(3, 4, kernel_size=3, stride=1, padding=1, rng=9)
     big = rng.normal(size=(2, 3, 12, 14))
@@ -179,7 +179,7 @@ def test_shift_conv_non_contiguous_input():
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_shift_conv_dtypes(dtype):
+def test_row_slab_conv_dtypes(dtype):
     rng = np.random.default_rng(19)
     layer = Conv2d(2, 3, kernel_size=3, stride=1, padding=1, rng=4)
     x = rng.normal(size=(2, 2, 5, 5)).astype(dtype)
@@ -204,7 +204,7 @@ def test_strided_conv_im2col_matches_naive():
             np.testing.assert_allclose(a, b, atol=1e-10)
 
 
-def test_shift_conv_workspace_rebuild_on_shape_change():
+def test_row_slab_conv_workspace_rebuild_on_shape_change():
     """Alternating shapes (train/eval batch sizes) must stay correct."""
     rng = np.random.default_rng(29)
     layer = Conv2d(2, 3, kernel_size=3, stride=1, padding=1, rng=8)

@@ -34,7 +34,8 @@ from repro.data.injection import DataInjector
 from repro.nn.models import build_model
 from repro.obs import TRACE_SCHEMA_VERSION, Tracer
 from repro.obs.sink import TraceSchemaError, event_from_jsonable
-from repro.obs.views import ClockError, clock, clocks
+from repro.obs import views
+from repro.obs.views import CLOCK_TYPES, ClockError, clock, clocks
 from repro.optim import SGD
 from repro.utils.serialization import RunLogLines
 
@@ -173,6 +174,40 @@ def test_push_phase_wait_is_on_the_round(probe):
                 planned += d["wait_s"]
         misses += abs(planned - res.log.iterations[step].sim_time) > 1e-9
     assert misses > 0
+
+
+@pytest.mark.parametrize("rule, scenario", [
+    ("selsync+injector", "faults+mean"),
+    ("fedavg-c0.5", "faults+mean"),
+    ("bsp", "shards3+loss0.3+retry0"),
+])
+def test_an_untraced_step_collects_only_what_the_clock_reads(monkeypatch, rule, scenario):
+    """With no tracer installed a step builds only the events the clock
+    reads: per step, the untraced run collects exactly the clock-type
+    events the traced run emitted inside its step, in the same order, and
+    both fold to the same clock with ``==``."""
+    folded = []
+    real = views.clock
+    monkeypatch.setattr(views, "clock", lambda evs: folded.append(list(evs)) or real(evs))
+    _run(rule, SCENARIOS[scenario])
+    untraced, folded[:] = folded[:], []
+    _, events = _traced(rule, SCENARIOS[scenario])
+    traced = folded
+    assert len(untraced) == len(traced) == N_STEPS
+    by_step = _steps(events)
+    dropped = set()
+    for step, (u, t) in enumerate(zip(untraced, traced)):
+        assert [(e.etype, e.worker, e.data) for e in u] == [
+            (e.etype, e.worker, e.data) for e in t
+        ]
+        # ``step_end`` is the run loop's, emitted after the step's block.
+        assert sorted(t, key=lambda e: e.key) == [
+            e for e in by_step[step] if e.etype in CLOCK_TYPES - {"step_end"}
+        ]
+        dropped |= {e.etype for e in by_step[step]} - CLOCK_TYPES
+        assert real(u) == real(t) == real(by_step[step])
+    # The filter bites: a traced step records types the clock never reads.
+    assert {"step_begin", "exec_task"} <= dropped
 
 
 def test_fedavg_pull_back_is_a_collective_outside_the_ledger():

@@ -350,7 +350,7 @@ def test_reduce_kernel_matches_four_loop_reference(
     assert entry(vectors, absent=absent).tobytes() == want.tobytes()
     if not keep_empty:
         group = SimGroup(k, aggregator=agg, shard_spec=spec)
-        mean, _ = group.allreduce_mean(vectors, absent=absent)
+        mean = group.allreduce_mean(vectors, absent=absent)
         assert mean.tobytes() == want.tobytes()
 
 
