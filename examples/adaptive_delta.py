@@ -36,11 +36,12 @@ def run_policy(label, **selsync_kwargs):
     )
     divergence = DivergenceTracker()
     # Drive the step loop by hand so we can snapshot replica spread.
+    n_synced = 0
     for i in range(N_STEPS):
-        trainer.step(i)
+        n_synced += trainer.step(i).synced
         divergence.snapshot(i, built.workers)
     acc = built.eval_fn(trainer_deploy(trainer, built))
-    lssr = 1.0 - trainer.group.n_syncs / N_STEPS
+    lssr = 1.0 - n_synced / N_STEPS
     return [label, round(acc, 3), round(lssr, 3),
             round(divergence.max_spread, 3), round(divergence.final_spread, 3)]
 

@@ -12,7 +12,7 @@ Two sources of membership change share one controller:
 * the **plan** — explicit join/drain clauses applied at fixed steps, and
 * the **policy** — a :class:`ScalePolicy` that reads the controller's live
   signal stream (:meth:`ElasticController.signals`: goodput in samples per
-  sim-second, sync ratio, communication fraction, per-rank compute EWMAs)
+  sim-second, communication fraction, per-rank compute EWMAs)
   and emits scale decisions. Decisions are deterministic:
   pure functions of ``(signals, world_size, step)`` and the policy's
   checkpointed state, so outcomes are identical across the serial and
@@ -207,7 +207,6 @@ class ElasticController(Captured):
         self,
         plan: Plan,
         policy: Optional[ScalePolicy] = None,
-        seed: int = 0,
         cooldown: int = DEFAULT_COOLDOWN,
     ):
         # World-size bounds: the plan's ``scale:MIN..MAX`` clause (the
@@ -218,9 +217,6 @@ class ElasticController(Captured):
         self.policy = policy if policy is not None else NoScalePolicy()
         self.min_workers = int(lo)
         self.max_workers = int(hi)
-        # Read by nothing, but captured in the checkpoint: dropping it is a
-        # CHECKPOINT_VERSION change.
-        self.seed = int(seed)
         self.cooldown = int(cooldown)
         # Stable uids, parallel to the trainer's worker list.
         self.uids: List[int] = []
@@ -229,7 +225,6 @@ class ElasticController(Captured):
         # drains by; parallel to the worker list.
         self._compute_ewma: List[float] = []
         self._goodput = float("nan")
-        self._sync_ewma = float("nan")
         self._comm_frac = float("nan")
         self._samples = 0.0
         self._sim_seconds = 0.0
@@ -350,7 +345,6 @@ class ElasticController(Captured):
             self._comm_frac = _ewma(
                 self._comm_frac, float(rec.comm_time) / float(rec.sim_time)
             )
-        self._sync_ewma = _ewma(self._sync_ewma, 1.0 if rec.synced else 0.0)
         if compute_times is not None:
             for r, t in enumerate(compute_times[:world_size]):
                 if r < len(self._compute_ewma):
@@ -362,7 +356,6 @@ class ElasticController(Captured):
         """Snapshot of the signal stream the policy decides over."""
         return {
             "elastic.goodput": float(self._goodput),
-            "elastic.sync_ratio": float(self._sync_ewma),
             "elastic.comm_fraction": float(self._comm_frac),
             "elastic.samples": float(self._samples),
             "elastic.sim_seconds": float(self._sim_seconds),

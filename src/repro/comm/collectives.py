@@ -94,9 +94,8 @@ class SimGroup:
             None if link_faults is None
             else CommEnvelope(link_faults, retry_policy or RetryPolicy())
         )
-        # Byte/op counters so experiments can report communication volume.
+        # Byte counter so experiments can report communication volume.
         self.bytes_synced: int = 0
-        self.n_syncs: int = 0
         # Current training step (fed by the trainer via begin_step) — the
         # key every link-fault draw is salted with.
         self._step: int = 0
@@ -112,8 +111,8 @@ class SimGroup:
 
         Topology objects are stateless over the group size (every
         ``sync_time`` takes ``n_workers`` explicitly), so a resize is just
-        the new count plus fresh shard geometry; byte/op counters carry
-        over — they ledger the whole run, not one membership epoch.
+        the new count plus fresh shard geometry; the byte counter carries
+        over — it ledgers the whole run, not one membership epoch.
         """
         if n_workers < 1:
             raise ValueError(f"n_workers must be >= 1, got {n_workers}")
@@ -244,7 +243,7 @@ class SimGroup:
         validated, its ``vectors`` (when the arithmetic happens here) are
         reduced into :attr:`_mean_buf`, its seconds are picked
         (:meth:`_seconds`) and put on its ``collective`` events, and its
-        bytes land in :attr:`bytes_synced` / :attr:`n_syncs`. ``absent``
+        bytes land in :attr:`bytes_synced`. ``absent``
         maps a shard to the positions (in the round's pusher order) whose
         push for that shard was lost: they sit out that shard's reduction,
         contributor count, bytes and seconds. ``upload_s`` (given only when
@@ -289,7 +288,6 @@ class SimGroup:
                 t = ps_sync_time(float(b), k, self.net) if k >= 1 else 0.0
                 obs.emit("collective", op=op, payload=float(b), bytes=float(counted),
                          ranks=k, seconds=t, shard=s)
-        self.n_syncs += 1
         if spec is not None:
             obs.emit("shard_round", op=op, n_shards=len(ks), n_active=sum(k >= 1 for k in ks),
                      n_degraded=sum(k < len(ids) for k in ks), bytes=float(round_bytes),
@@ -410,27 +408,18 @@ class SimGroup:
 
     # -- checkpointing ----------------------------------------------------
     def state_dict(self) -> dict:
-        """Traffic counters (the only mutable state besides scratch).
+        """The byte counter (the only mutable state besides scratch).
 
         The ``net`` key exists only while the resilient layer is active so
         fault-free checkpoints stay byte-identical to builds without it.
+        The shard layout is the server's to check (``sharding.bounds``).
         """
-        state = {"bytes_synced": self.bytes_synced, "n_syncs": self.n_syncs}
+        state = {"bytes_synced": self.bytes_synced}
         if self.envelope is not None:
             state["net"] = self.envelope.state_dict()
-        if self.shard_spec is not None:
-            state["shard_bounds"] = list(self.shard_spec.bounds)
         return state
 
     def load_state_dict(self, state: dict) -> None:
-        saved = state.get("shard_bounds")
-        ours = None if self.shard_spec is None else list(self.shard_spec.bounds)
-        if saved is not None and ours is not None and list(saved) != ours:
-            raise ValueError(
-                f"shard layout mismatch: checkpoint bounds {list(saved)} "
-                f"vs group {ours}"
-            )
         self.bytes_synced = int(state["bytes_synced"])
-        self.n_syncs = int(state["n_syncs"])
         if self.envelope is not None and "net" in state:
             self.envelope.load_state_dict(state["net"])

@@ -270,9 +270,7 @@ class ClusterConfig:
         if not self.elastic_enabled:
             return None
         return ElasticController(
-            self._plans["member"],
-            policy=make_scale_policy(self.scale_policy),
-            seed=self.seed,
+            self._plans["member"], policy=make_scale_policy(self.scale_policy)
         )
 
     @property

@@ -75,9 +75,10 @@ class FedAvgTrainer(DistributedTrainer):
 
     def exchange(self, pushers, vectors, round_kw):
         # The C-sample's push round is the default PS round, over the
-        # sampled ranks even on a fault-free run; the pull-back reaches the
-        # live workers as a half-round outside the byte ledger.
+        # sampled ranks even on a fault-free run; when a live worker did not
+        # push, the pull-back reaches the live workers as a half-round
+        # outside the byte ledger.
         global_params = super().exchange(pushers, vectors, {**round_kw, "ranks": pushers})
-        if len(pushers) < len(self.workers):
+        if len(pushers) < len(self.fault_protocol.live):
             self.group.pull(self.comm_bytes, self.fault_protocol.live)
         return global_params

@@ -35,7 +35,6 @@ class RelativeGradChange(Captured):
     def __init__(self, alpha: float = 0.16, window: int = 25):
         self._ewma = Ewma(alpha=alpha, window=window)
         self._prev_smoothed: Optional[float] = None
-        self._last_delta: Optional[float] = None
         self._max_delta: float = 0.0
         self._n_updates: int = 0
 
@@ -66,7 +65,6 @@ class RelativeGradChange(Captured):
         else:
             delta = abs((smoothed - self._prev_smoothed) / self._prev_smoothed)
         self._prev_smoothed = smoothed
-        self._last_delta = delta
         if np.isfinite(delta):
             self._max_delta = max(self._max_delta, delta)
         self._n_updates += 1
@@ -84,5 +82,4 @@ class RelativeGradChange(Captured):
     def reset(self) -> None:
         self._ewma.reset()
         self._prev_smoothed = None
-        self._last_delta = None
         self._n_updates = 0

@@ -209,7 +209,7 @@ class RecoverySupervisor:
 
 def _rewrite_checkpoint(cfg: TrainConfig, trainer: DistributedTrainer) -> None:
     """Overwrite the checkpoint file's trainer state with the resynced one
-    (step counter / log / best metric are kept as saved)."""
+    (the step counter and the log are kept as saved)."""
     ck = load_checkpoint(cfg.checkpoint_path)
     ck["state"] = trainer.state_dict(copy=False)
     save_checkpoint(ck, cfg.checkpoint_path)

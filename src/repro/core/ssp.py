@@ -38,7 +38,7 @@ class SSPTrainer(DistributedTrainer):
 
     name = "ssp"
     iteration_keyed = True
-    checkpointed = ("queue", "iters", "alive", "blocked", "served", "_last_time")
+    checkpointed = ("queue", "iters", "alive", "blocked", "served")
 
     def __init__(self, workers: List[SimWorker], cluster: ClusterConfig,
                  schedule: Optional[LRSchedule] = None, staleness: int = 100):
@@ -70,7 +70,6 @@ class SSPTrainer(DistributedTrainer):
         self.alive = np.ones(n, dtype=bool)
         self.blocked: List[int] = []
         self.served: List[list] = []
-        self._last_time = 0.0
 
     # -- the run loop's hooks -------------------------------------------------
     def horizon(self, cfg: TrainConfig) -> int:
@@ -86,12 +85,12 @@ class SSPTrainer(DistributedTrainer):
         return cfg.eval_every * len(self.workers)
 
     def eval_point(self, clock: float) -> Tuple[float, float]:
-        return float(np.mean([w.epoch for w in self.workers])), self._last_time
+        return float(np.mean([w.epoch for w in self.workers])), self.queue.now
 
     def result(self, log: RunLog, best: Optional[float]) -> TrainResult:
         # Per-worker iterations; paper: LSSR does not apply to SSP.
         return replace(super().result(log, best), steps=int(self.iters.max()),
-                       sim_time=self._last_time, lssr=None)
+                       sim_time=self.queue.now, lssr=None)
 
     def mean_params(self) -> np.ndarray:  # a replica holds only its stale pull
         return self.server.pull()
@@ -102,6 +101,7 @@ class SSPTrainer(DistributedTrainer):
             self._reset()
             for wid in range(len(self.workers)):
                 self._start(wid, 0.0)
+        last_push = self.queue.now
         ev = self.queue.pop()
         while ev.payload == "rejoin":
             self.fault_protocol.record(
@@ -120,7 +120,7 @@ class SSPTrainer(DistributedTrainer):
         self.iters[wid] += 1
         lead = float(self.iters[wid] - self._live_min())
         rec = IterationRecord(
-            step=i, synced=False, sim_time=ev.time - self._last_time,
+            step=i, synced=False, sim_time=ev.time - last_push,
             comm_time=self._comm_t, loss=w.last_loss,
             extra={"worker": float(wid), "staleness": lead},
         )
@@ -129,7 +129,6 @@ class SSPTrainer(DistributedTrainer):
                  payload=float(self.comm_bytes), bytes=0.0, seconds=self._comm_t)
         if landed is not None:
             obs.emit("aggregation", step=i, worker=wid, kind="async", n_contrib=1)
-        self._last_time = ev.time
         if lead > self.staleness and self.iters[wid] < self._cap:
             self.blocked.append(wid)  # too far ahead: wait for stragglers
         elif self.iters[wid] < self._cap:

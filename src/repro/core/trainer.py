@@ -66,6 +66,20 @@ _COMPUTE_SALT = 0xC03B17
 MIN_IMPROVEMENT = 1e-4
 
 
+def patience_step(
+    cfg: TrainConfig, best: Optional[float], stale_evals: int, metric: float
+) -> Tuple[Optional[float], int]:
+    """Fold one evaluation into the until-no-improvement state: the new
+    ``(best, stale_evals)`` — the caller applies ``cfg.patience``."""
+    if best is None:
+        improved = True
+    elif cfg.higher_is_better:
+        improved = metric > best + MIN_IMPROVEMENT
+    else:
+        improved = metric < best - MIN_IMPROVEMENT
+    return (metric, 0) if improved else (best, stale_evals + 1)
+
+
 @dataclass
 class TrainResult:
     """Outcome of one training run."""
@@ -658,10 +672,7 @@ class DistributedTrainer:
         # Same contract for the elastic subsystem: fixed-membership
         # checkpoints never carry the key.
         if self.elastic is not None:
-            state["elastic"] = {
-                "world_size": len(self.workers),
-                "controller": self.elastic.state_dict(),
-            }
+            state["elastic"] = self.elastic.state_dict()
         return state
 
     def load_state_dict(self, state: Dict) -> None:
@@ -681,30 +692,21 @@ class DistributedTrainer:
         if self.health is not None and "health" in state:
             self.health.load_state_dict(state["health"])
         if self.elastic is not None and "elastic" in state:
-            self.elastic.load_state_dict(state["elastic"]["controller"])
+            self.elastic.load_state_dict(state["elastic"])
         restore(self, state["extra"], self.checkpointed)
 
-    def _write_checkpoint(
-        self,
-        cfg: TrainConfig,
-        next_step: int,
-        log: RunLog,
-        best: Optional[float],
-        stale_evals: int,
-        clock: float,
-    ) -> None:
+    def _write_checkpoint(self, cfg: TrainConfig, next_step: int, log: RunLog) -> None:
         # The path stays out of the event: a trace must not differ just
         # because two otherwise-identical runs checkpoint to different
-        # files (golden-trace byte comparisons depend on this).
+        # files (golden-trace byte comparisons depend on this). The run's
+        # clock and patience state are not saved: :meth:`run` folds them
+        # back out of the log.
         obs.emit("checkpoint_save", step=next_step - 1, next_step=next_step)
         save_checkpoint(
             {
                 "version": CHECKPOINT_VERSION,
                 "trainer": self.name,
                 "step": next_step,
-                "clock": clock,
-                "best": best,
-                "stale_evals": stale_evals,
                 "state": self.state_dict(copy=False),
                 "log": self._log_lines.text(log),
             },
@@ -712,7 +714,7 @@ class DistributedTrainer:
         )
         self._latest_checkpoint = cfg.checkpoint_path
 
-    def _resume(self, cfg: TrainConfig) -> Tuple[int, RunLog, Optional[float], int, float]:
+    def _resume(self, cfg: TrainConfig) -> Tuple[int, RunLog]:
         ck = load_checkpoint(cfg.resume_from)
         if ck.get("version") != CHECKPOINT_VERSION:
             raise ValueError(
@@ -726,24 +728,13 @@ class DistributedTrainer:
             )
         self.load_state_dict(ck["state"])
         self._latest_checkpoint = cfg.resume_from
-        log = runlog_from_jsonable(ck["log"])
-        return int(ck["step"]), log, ck["best"], int(ck["stale_evals"]), float(ck["clock"])
+        return int(ck["step"]), runlog_from_jsonable(ck["log"])
 
     # -- the run loop ---------------------------------------------------------
     def _note_eval(
-        self,
-        cfg: TrainConfig,
-        log: RunLog,
-        step: int,
-        epoch: float,
-        sim_time: float,
-        metric: float,
-        best: Optional[float],
-        stale_evals: int,
-    ) -> Tuple[Optional[float], int]:
-        """Record one evaluation (``EvalRecord`` + ``eval`` event) and fold
-        it into the until-no-improvement bookkeeping; returns the new
-        ``(best, stale_evals)`` — the caller applies ``cfg.patience``."""
+        self, log: RunLog, step: int, epoch: float, sim_time: float, metric: float
+    ) -> None:
+        """Record one evaluation (``EvalRecord`` + ``eval`` event)."""
         log.record_eval(
             EvalRecord(
                 step=step,
@@ -755,13 +746,6 @@ class DistributedTrainer:
         )
         obs.emit("eval", step=step, metric=metric, epoch=epoch, sim_time=sim_time,
                  metric_name="metric")
-        if best is None:
-            improved = True
-        elif cfg.higher_is_better:
-            improved = metric > best + MIN_IMPROVEMENT
-        else:
-            improved = metric < best - MIN_IMPROVEMENT
-        return (metric, 0) if improved else (best, stale_evals + 1)
 
     # -- schedule hooks: what one step of the run loop is ---------------------
     def horizon(self, cfg: TrainConfig) -> int:
@@ -793,7 +777,14 @@ class DistributedTrainer:
         clock = 0.0
         start_step = 0
         if cfg.resume_from is not None:
-            start_step, log, best, stale_evals, clock = self._resume(cfg)
+            start_step, log = self._resume(cfg)
+            # The clock and the patience state are folds over the log, in
+            # the order the run made them (not ``total_sim_time``: ``sum``
+            # over floats may round differently from ``+=``).
+            for r in log.iterations:
+                clock += r.sim_time
+            for e in log.evals:
+                best, stale_evals = patience_step(cfg, best, stale_evals, e.metric)
         self.fault_protocol.log = log
         horizon, period = self.horizon(cfg), self.eval_period(cfg)
         try:
@@ -826,17 +817,16 @@ class DistributedTrainer:
                         cfg.step_monitor(self, i)
                     last = i == horizon - 1
                     if cfg.eval_fn is not None and ((i + 1) % period == 0 or last):
-                        best, stale_evals = self._note_eval(
-                            cfg, log, i, *self.eval_point(clock),
-                            self.evaluate(cfg), best, stale_evals,
-                        )
+                        metric = self.evaluate(cfg)
+                        self._note_eval(log, i, *self.eval_point(clock), metric)
+                        best, stale_evals = patience_step(cfg, best, stale_evals, metric)
                         if cfg.patience is not None and stale_evals >= cfg.patience:
                             break
                     if (
                         cfg.checkpoint_every is not None
                         and (i + 1) % cfg.checkpoint_every == 0
                     ):
-                        self._write_checkpoint(cfg, i + 1, log, best, stale_evals, clock)
+                        self._write_checkpoint(cfg, i + 1, log)
                     if cfg.stop_after is not None and (i + 1) >= cfg.stop_after:
                         break  # simulated kill; the checkpoint is the survivor
         finally:

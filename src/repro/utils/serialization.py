@@ -36,8 +36,11 @@ PathLike = Union[str, Path]
 #: bookkeeping objects and a rule's own state are captured by attribute
 #: name (:mod:`repro.utils.state`). 3: the server's versions, the group's and
 #: the envelope's unread counters and the fixed health / elastic / retry
-#: constants are no longer saved. Older files are refused on resume.
-CHECKPOINT_VERSION = 3
+#: constants are no longer saved. 4: nothing the log or another member
+#: determines (the clock, the patience state, the round count, the group's
+#: copy of the shard layout) and nothing no one reads back is saved. Older
+#: files are refused on resume.
+CHECKPOINT_VERSION = 4
 
 _NONFINITE_TAG = "__nonfinite__"
 _NDARRAY_TAG = "__ndarray__"

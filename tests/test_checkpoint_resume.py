@@ -209,6 +209,85 @@ class TestBitwiseResume:
         assert [r.step for r in res.log.iterations] == list(range(N_STEPS))
 
 
+class TestFactsFromTheLog:
+    """A checkpoint stores each fact once: the run's clock, the patience
+    state and the round count are folds over its log, not header fields."""
+
+    # rule -> (trainer, step of the best evaluation, kill step, stopping step):
+    # evaluations every 2 iterations (every 8 landed pushes for SSP), the
+    # metric peaks at the best step and every later one is stale, so with
+    # patience 3 the run stops at the third evaluation after it. The kill
+    # falls after the first stale one, inside the streak.
+    STREAKS = {
+        "bsp": (TRAINERS["bsp"], 7, 10, 13),
+        "selsync": (TRAINERS["selsync"], 7, 10, 13),
+        "ssp": (lambda w, c: SSPTrainer(w, c, staleness=3), 31, 40, 55),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(STREAKS))
+    def test_a_run_killed_inside_a_patience_streak_stops_where_the_whole_run_does(
+        self, kind, tmp_path
+    ):
+        make, peak, kill, stop = self.STREAKS[kind]
+        ck = str(tmp_path / "ck.npz")
+
+        def run(**leg):
+            workers = _mlp_workers()
+            cluster = ClusterConfig(
+                n_workers=N_WORKERS, comm_bytes=1e6, flops_per_sample=1e6
+            )
+            at = {}
+            res = make(workers, cluster).run(TrainConfig(
+                n_steps=24, eval_every=2, patience=3,
+                step_monitor=lambda trainer, i: at.update(step=i),
+                eval_fn=lambda model: -abs(at["step"] - peak),
+                checkpoint_every=kill, checkpoint_path=leg.pop("path", ck), **leg,
+            ))
+            return RunLogLines().text(res.log), res.log.iterations[-1].step
+
+        whole = run(path=str(tmp_path / "whole.npz"))
+        assert whole[1] == stop  # patience, not the horizon, ended the run
+        run(stop_after=kill)
+        assert run(resume_from=ck) == whole
+
+    def test_the_tree_holds_no_fact_twice(self, tmp_path):
+        """The top level is the step and the log beside the trainer state,
+        and no section keeps a copy of a logged fact or a value nothing
+        reads back."""
+        stored_elsewhere = {
+            "clock", "best", "stale_evals", "n_syncs", "shard_bounds",
+            "world_size", "seed", "_sync_ewma", "_last_delta", "_last_time",
+        }
+
+        def keys(node):
+            if isinstance(node, dict):
+                for k, v in node.items():
+                    yield k
+                    yield from keys(v)
+            elif isinstance(node, list):
+                for v in node:
+                    yield from keys(v)
+
+        for kind, make, cluster_kw in (
+            ("selsync", TRAINERS["selsync"],
+             dict(ps_shards=3, fault_spec="crash:w1@2-5", min_quorum=1)),
+            ("ssp", lambda w, c: SSPTrainer(w, c, staleness=1),
+             dict(fault_spec="crash:w1@2-5", min_quorum=1)),
+        ):
+            workers = _mlp_workers()
+            cluster = ClusterConfig(
+                n_workers=N_WORKERS, comm_bytes=1e6, flops_per_sample=1e6, **cluster_kw
+            )
+            ck = str(tmp_path / f"{kind}.npz")
+            make(workers, cluster).run(TrainConfig(
+                n_steps=N_STEPS, eval_every=3, eval_fn=lambda m: 0.0,
+                checkpoint_every=KILL_AT, checkpoint_path=ck,
+            ))
+            tree = load_checkpoint(ck)
+            assert list(tree) == ["version", "trainer", "step", "state", "log"]
+            assert stored_elsewhere.isdisjoint(keys(tree["state"])), kind
+
+
 def _run_artifacts(build, tmp_path, tag, n_steps, every, **leg):
     """One traced, checkpointing run of ``build()``'s trainer: RunLog text,
     trace lines after the header, replica bytes, decoded checkpoint."""
@@ -355,9 +434,11 @@ class TestCheckpointLayouts:
 
     def test_recovery_rewrite_keeps_everything_but_the_state(self, tmp_path):
         """``RecoverySupervisor``'s load -> replace state -> save round trip:
-        step, clock, best, stale_evals and the log come back record for
-        record; only the trainer state is the new one."""
+        the step and the log (and with it the clock and the patience state
+        folded from it) come back record for record; only the trainer state
+        is the new one."""
         from repro.core.recovery import _rewrite_checkpoint
+        from repro.core.trainer import patience_step
 
         ck = str(tmp_path / "ck.npz")
         workers, trainer = _build("selsync", fault_spec="drop:p=0.3", min_quorum=2)
@@ -366,13 +447,18 @@ class TestCheckpointLayouts:
                           checkpoint_every=9, checkpoint_path=ck)
         trainer.run(cfg)
         before = load_checkpoint(ck)
-        assert (before["step"], before["best"], before["stale_evals"]) == (9, 0.5, 2)
+        best, stale_evals = None, 0
+        for rec in before["log"]:
+            if rec["kind"] == "eval":
+                best, stale_evals = patience_step(cfg, best, stale_evals, rec["metric"])
+        assert (before["step"], best, stale_evals) == (9, 0.5, 2)
         assert any(r["kind"] == "fault" for r in before["log"])
 
         trainer.resync_replicas()
         _rewrite_checkpoint(cfg, trainer)
         after = load_checkpoint(ck)
-        for key in ("version", "trainer", "step", "clock", "best", "stale_evals", "log"):
+        assert list(after) == list(before)
+        for key in ("version", "trainer", "step", "log"):
             assert after[key] == before[key], key
         for w, saved in zip(workers, after["state"]["workers"]):
             np.testing.assert_array_equal(saved["params"], w.get_params())

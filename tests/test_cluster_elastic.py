@@ -237,8 +237,8 @@ class TestController:
         assert ctl.actions_for_step(20, 4).decision is None
 
     def test_decisions_deterministic(self):
-        a = _controller(policy=make_scale_policy("goodput"), seed=3)
-        b = _controller(policy=make_scale_policy("goodput"), seed=3)
+        a = _controller(policy=make_scale_policy("goodput"))
+        b = _controller(policy=make_scale_policy("goodput"))
         for ctl in (a, b):
             self._warm(ctl, steps=25)
         assert a.actions_for_step(20, 4).decision == b.actions_for_step(20, 4).decision

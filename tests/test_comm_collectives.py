@@ -40,8 +40,9 @@ class TestAllreduceMean:
 
     def test_counters(self):
         group = SimGroup(2)
-        group.allreduce_mean([np.zeros(4), np.zeros(4)], nbytes=100)
-        assert group.n_syncs == 1
+        with obs.collect() as events:
+            group.allreduce_mean([np.zeros(4), np.zeros(4)], nbytes=100)
+        assert [e.data["bytes"] for e in events if e.etype == "collective"] == [200.0]
         assert group.bytes_synced == 200
 
 
@@ -65,8 +66,9 @@ class TestChargeSync:
         vectors = ([np.zeros(4)] * 3,) if entry == "allreduce_mean" else ()
         ranks = {"ranks": [0, 1, 2]} if entry == "pull" else {}
         with pytest.raises(ValueError, match="nbytes must be >= 0"):
-            getattr(group, entry)(*vectors, nbytes=-8, **ranks)
-        assert group.bytes_synced == 0 and group.n_syncs == 0
+            with obs.collect() as events:
+                getattr(group, entry)(*vectors, nbytes=-8, **ranks)
+        assert group.bytes_synced == 0 and events == []
 
     @pytest.mark.parametrize("ranks", [[], [0, 0], [0, 3], [-1, 1], [0, 1, 2, 1]])
     @pytest.mark.parametrize("entry", ["allreduce_mean", "charge_sync", "pull"])
@@ -77,8 +79,9 @@ class TestChargeSync:
         group = SimGroup(3)
         vectors = ([np.zeros(4)] * len(ranks),) if entry == "allreduce_mean" else ()
         with pytest.raises(ValueError, match="distinct ids"):
-            getattr(group, entry)(*vectors, nbytes=8, ranks=ranks)
-        assert group.bytes_synced == 0 and group.n_syncs == 0
+            with obs.collect() as events:
+                getattr(group, entry)(*vectors, nbytes=8, ranks=ranks)
+        assert group.bytes_synced == 0 and events == []
 
     def test_ranks_size_the_round(self):
         net = NetworkModel()

@@ -83,9 +83,9 @@ class TestByteLedger:
         ]
         assert len(pushers) == res.log.n_synced >= 2 and set(pushers) == {2}
         expected = sum(pushers) * int(cluster.comm_bytes)
-        assert t.group.n_syncs == len(pushers)
         assert t.group.bytes_synced == expected
         collective = [e for e in tracer.events if e.etype == "collective"]
+        assert len([e for e in collective if e.data["op"] != "pull"]) == len(pushers)
         assert sum(e.data["bytes"] for e in collective) == expected
         assert tracer.metrics.get("comm.bytes") == expected
 
@@ -116,6 +116,44 @@ class TestPullBack:
             assert pulls[step]["ranks"] == live
             assert pulls[step]["seconds"] == half[live]
             assert pulls[step]["bytes"] == 0.0
+
+    def test_no_pull_back_when_every_live_worker_pushed(self, blobs_data):
+        """With C=1 every live worker pushes and takes the round's result,
+        so while w1 is down (the rounds at steps 3 and 7) no pull-back is
+        charged: those steps are shorter by the half-round over the three
+        live workers than in a run that pulls back whenever a worker is
+        missing, and every other step is the same."""
+        train, _ = blobs_data
+
+        class PullsWhenAnyoneIsMissing(FedAvgTrainer):
+            def exchange(self, pushers, vectors, round_kw):
+                out = super().exchange(pushers, vectors, round_kw)
+                if len(pushers) == len(self.fault_protocol.live) < len(self.workers):
+                    self.group.pull(self.comm_bytes, self.fault_protocol.live)
+                return out
+
+        def run(cls):
+            workers, cluster = make_mlp_cluster(train)
+            cluster = dataclasses.replace(
+                cluster, topology="ring", ps_shards=1, fault_spec="crash:w1@2-9",
+                min_quorum=1,
+            )
+            t = cls(workers, cluster, c_fraction=1.0, e_factor=0.25)
+            tracer = Tracer(name="fedavg-c1")
+            res = t.run(TrainConfig(n_steps=12, eval_fn=None, tracer=tracer))
+            pulls = [e.step for e in tracer.events
+                     if e.etype == "collective" and e.data["op"] == "pull"]
+            return t, res, pulls
+
+        t, res, pulls = run(FedAvgTrainer)
+        _, ref, ref_pulls = run(PullsWhenAnyoneIsMissing)
+        assert pulls == [] and ref_pulls == [3, 7]
+        half = t.group.topology.sync_time(t.comm_bytes, 3, t.cluster.net) / 2.0
+        for r, r_ref in zip(res.log.iterations, ref.log.iterations):
+            if r.step in (3, 7):
+                assert r.sim_time == pytest.approx(r_ref.sim_time - half, rel=1e-12)
+            else:
+                assert r.sim_time == r_ref.sim_time
 
 
 class TestConvergence:

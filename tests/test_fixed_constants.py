@@ -15,6 +15,8 @@ from repro.utils.spec import parse_spec
 CALLS = {
     "decide_every": lambda: ElasticController(parse_spec("", "member"), decide_every=10),
     "boot_s": lambda: ElasticController(parse_spec("", "member"), boot_s=5.0),
+    # Read by nothing, so no longer taken (nor saved in a checkpoint).
+    "seed": lambda: ElasticController(parse_spec("", "member"), seed=0),
     "max_strikes": lambda: HealthTracker(4, max_strikes=2),
     "straggle_tolerance": lambda: HealthTracker(4, straggle_tolerance=3.0),
     "backoff_base_s": lambda: RecoverySupervisor(backoff_base_s=1.0),

@@ -79,8 +79,9 @@ class TestHeadlineClaims:
         workers, cluster = build_cluster(train)
         sel = SelSyncTrainer(workers, cluster, delta=0.3)
         res = sel.run(cfg)
-        syncs = sel.group.n_syncs
-        assert syncs == res.log.n_synced
+        syncs = res.log.n_synced
+        # One full round per synced step in the group's byte ledger.
+        assert sel.group.bytes_synced == syncs * int(sel.comm_bytes) * len(workers)
         # Communication reduction w.r.t. BSP is 1 / (1 - LSSR).
         assert 1.0 / (1.0 - res.lssr) == pytest.approx(
             res.steps / max(1, syncs), rel=1e-6

@@ -129,8 +129,9 @@ def test_fedavg_on_a_flapping_ring_pins_its_pull_back(blobs_data):
     assert not tracer.metrics.get("comm.retry_wait_s")
     assert not any(e.etype == "retry" for e in tracer.events)
     # One ledger entry and one ``sync`` collective per round: the push
-    # round's; the pull-back half-round adds no ledger entry.
-    assert trainer.group.n_syncs == 3
+    # round's (its two pushers' bytes); the pull-back half-round adds no
+    # ledger entry.
+    assert trainer.group.bytes_synced == 3 * 2 * int(cluster.comm_bytes)
     syncs = [
         e for e in tracer.events if e.etype == "collective" and e.data["op"] == "sync"
     ]

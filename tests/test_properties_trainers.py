@@ -64,8 +64,9 @@ def test_selsync_invariants(n_workers, delta, seed):
         assert r.sim_time > 0.0
         assert 0.0 <= r.comm_time <= r.sim_time
 
-    # 3. Sync count equals the group's accounting.
-    assert trainer.group.n_syncs == res.log.n_synced
+    # 3. Sync count equals the group's accounting: one full round per
+    #    synced step in the byte ledger.
+    assert trainer.group.bytes_synced == res.log.n_synced * int(cluster.comm_bytes) * n_workers
 
     # 4. After a PA sync step, replicas are byte-identical.
     if res.log.iterations[-1].synced:

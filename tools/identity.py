@@ -119,6 +119,11 @@ EXTRA_CELLS = (
      dict(ps_shards=3, aggregator="trimmed_mean", trim_f=1), False),
     ("bsp@vgg", "fault-free", {}, False),
     ("selsync-pa@vgg", "fault-free", {}, False),
+    # Every live worker pushes while w1 is down. A ring round's seconds
+    # depend on its rank count (a PS round at this payload does not), so
+    # a pull-back over the live ranks shows in the clock.
+    ("fedavg-c1", "ring+crash",
+     dict(topology="ring", fault_spec="crash:w1@2-9", min_quorum=1), False),
 )
 
 
@@ -194,6 +199,8 @@ def _build(rule, overrides, executor):
             injector=DataInjector(0.5, 0.5, N_WORKERS, sample_nbytes=64, rng=0)),
         "fedavg-c0.5": lambda: FedAvgTrainer(
             workers, cluster, c_fraction=0.5, e_factor=0.25),
+        "fedavg-c1": lambda: FedAvgTrainer(
+            workers, cluster, c_fraction=1.0, e_factor=0.25),
         "easgd-tau2": lambda: EASGDTrainer(workers, cluster, rho=0.1, tau=2),
         "localsgd": lambda: LocalSGDTrainer(workers, cluster),
         "ssp": lambda: SSPTrainer(workers, cluster, staleness=3),
