@@ -24,7 +24,7 @@ def measure_activation_bytes(model: Module) -> int:
     Call immediately after a training-mode forward pass; the result is the
     memory backward would touch (BatchNorm running statistics or a causal
     mask are not). A saved array is charged as the buffer it keeps alive, so
-    a view of a workspace (a ReLU's input is the conv accumulator) or of an
+    a view of a workspace (a layer's input may be a conv accumulator) or of an
     array another layer saved counts once.
     """
     buffers = {}

@@ -23,12 +23,6 @@ class Sequential(Module):
         self.layers.append(layer)
         return self
 
-    def __len__(self) -> int:
-        return len(self.layers)
-
-    def __getitem__(self, idx: int) -> Module:
-        return self.layers[idx]
-
     def forward(self, x: np.ndarray) -> np.ndarray:
         for layer in self.layers:
             x = layer.forward(x)

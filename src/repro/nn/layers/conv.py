@@ -47,6 +47,12 @@ columns ``x >= OW`` are ``gd``'s columns ``x+pad``: the right border while
 ``x+pad < Wp``, else the next sample's left border (``< pad``) — zero either
 way, so no second plane is kept or copied into.
 
+With ``fuse_relu`` set (a model sets it where a ReLU alone reads the output)
+``acc`` is clipped at zero after the GEMMs, and backward multiplies ``gq`` by
+``acc > 0`` before the dW and dx GEMMs read it — the ReLU module's arithmetic
+— in one flat pass from ``gq``'s first element, whose columns besides
+``gq``'s are zero border that stays zero, like ``gq``'s garbage columns.
+
 All large intermediates (planes, accumulators) live in a workspace checked
 out of the per-process pool (``nn.workspace``) in ``forward`` and returned
 when ``backward`` completes, so the steady-state hot loop performs no large
@@ -155,6 +161,10 @@ class _SlabWorkspace:
         self.gq = plane.reshape(len(plane), o, -1)[
             lo : lo + oh, :, lo : lo + self.taps.shape[3]
         ]
+        # gq as one flat run the accumulator's size: element i lines up with
+        # acc's, and the run's extra columns are the plane's zero border.
+        start = lo * self.acc[0].size + lo
+        self.g_run = plane.reshape(-1)[start : start + self.acc.size]
 
 
 class Conv2d(Module):
@@ -196,6 +206,8 @@ class Conv2d(Module):
         # Models set this on their input layer: the gradient w.r.t. the data
         # is never consumed there, so backward can skip the dx GEMMs.
         self.skip_input_grad = False
+        # Set where a ReLU alone reads the output: it runs in the accumulator.
+        self.fuse_relu = False
 
     # -- row-slab path (stride == 1) ----------------------------------------
     def _forward_slab(self, x: np.ndarray) -> np.ndarray:
@@ -213,6 +225,8 @@ class Conv2d(Module):
         if bias:
             ws.w[0, :, 0, c] = self.bias.data
         _slab_conv(ws.w.reshape(k, o, -1), ws.taps, ws.acc, ws.tmp)
+        if self.fuse_relu:
+            np.maximum(ws.acc, 0.0, out=ws.acc)
         # Strided window into the accumulator — consumers read it without a
         # packing copy. Valid until this layer's backward returns the
         # workspace, which is after every consumer of this step has read it.
@@ -221,10 +235,12 @@ class Conv2d(Module):
     def _backward_slab(self, grad_out: np.ndarray) -> np.ndarray:
         o, c, k = self.out_channels, self.in_channels, self.kernel_size
         ws = self._workspace()
-        if not self.skip_input_grad:
-            ws.gd_int[...] = grad_out[ws.crop]
-        if ws.g_int is not None:  # None: gq is a window of the dx plane
-            ws.g_int[...] = grad_out
+        # Into gq's plane: the dx plane where g_int is None (same padding).
+        (ws.gd_int if ws.g_int is None else ws.g_int)[...] = grad_out
+        if self.fuse_relu:
+            np.multiply(ws.g_run, ws.acc.reshape(-1) > 0.0, out=ws.g_run)
+        if ws.g_int is not None and not self.skip_input_grad:
+            ws.gd_int[...] = ws.g_int[ws.crop]
         # dW[j] = Σ_y gq[y] @ taps[j, y]ᵀ: the GEMM's column dimension spans
         # the batch, so the sample sum happens inside the product and only
         # the output rows are left to add up. The ones channel's entry at
@@ -246,6 +262,8 @@ class Conv2d(Module):
 
     # -- im2col fallback (stride > 1) --------------------------------------
     def _forward_im2col(self, x: np.ndarray) -> np.ndarray:
+        if self.fuse_relu:
+            raise ValueError("Conv2d.fuse_relu needs stride 1 (the row-slab path)")
         n = x.shape[0]
         k = self.kernel_size
         oh = conv_out_size(x.shape[2], k, self.stride, self.padding)

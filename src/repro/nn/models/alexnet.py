@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.nn.layers import (
     Conv2d,
     Dropout,
@@ -13,13 +11,12 @@ from repro.nn.layers import (
     ReLU,
     Sequential,
 )
-from repro.nn.models.registry import MODELS
-from repro.nn.module import Module
+from repro.nn.models.registry import MODELS, SequentialModel
 from repro.utils.rng import RngLike, spawn_rngs
 
 
 @MODELS.register("smallalexnet")
-class SmallAlexNet(Module):
+class SmallAlexNet(SequentialModel):
     """Few wide conv layers then a dropout-regularized dense classifier.
 
     The paper trains AlexNet with Adam and a fixed learning rate on
@@ -45,12 +42,16 @@ class SmallAlexNet(Module):
         r = spawn_rngs(rng, 5)
         spatial = image_size // 4
         flat = 2 * base * spatial * spatial
+        stem = Conv2d(in_channels, base, 5, padding=2, rng=r[0])
+        conv2 = Conv2d(base, 2 * base, 3, padding=1, rng=r[1])
+        # The gradient w.r.t. the input images is never consumed.
+        stem.skip_input_grad = True
+        # Each is followed by a ReLU alone, which runs in its accumulator.
+        stem.fuse_relu = conv2.fuse_relu = True
         self.net = Sequential(
-            Conv2d(in_channels, base, 5, padding=2, rng=r[0]),
-            ReLU(),
+            stem,
             MaxPool2d(2),
-            Conv2d(base, 2 * base, 3, padding=1, rng=r[1]),
-            ReLU(),
+            conv2,
             MaxPool2d(2),
             Flatten(),
             Linear(flat, fc_width, rng=r[2]),
@@ -65,9 +66,3 @@ class SmallAlexNet(Module):
         )
         fc_flops = 2 * (flat * fc_width + fc_width * n_classes)
         self.flops_per_sample = int(conv_flops + fc_flops)
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        return self.net.forward(x)
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        return self.net.backward(grad_out)

@@ -7,13 +7,12 @@ from typing import Sequence
 import numpy as np
 
 from repro.nn.layers import Linear, ReLU, Sequential
-from repro.nn.models.registry import MODELS
-from repro.nn.module import Module
+from repro.nn.models.registry import MODELS, SequentialModel
 from repro.utils.rng import RngLike, spawn_rngs
 
 
 @MODELS.register("mlp")
-class MLP(Module):
+class MLP(SequentialModel):
     """Fully connected classifier over flat feature vectors.
 
     Parameters
@@ -55,6 +54,3 @@ class MLP(Module):
         if x.ndim > 2:
             x = x.reshape(x.shape[0], -1)
         return self.net.forward(x)
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        return self.net.backward(grad_out)

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.nn.layers import (
     BatchNorm2d,
     Conv2d,
@@ -13,8 +11,7 @@ from repro.nn.layers import (
     Residual,
     Sequential,
 )
-from repro.nn.models.registry import MODELS
-from repro.nn.module import Module
+from repro.nn.models.registry import MODELS, SequentialModel
 from repro.utils.rng import RngLike, spawn_rngs
 
 
@@ -49,7 +46,7 @@ def _down_block(in_ch: int, out_ch: int, rng) -> Residual:
 
 
 @MODELS.register("smallresnet")
-class SmallResNet(Module):
+class SmallResNet(SequentialModel):
     """Residual CNN for ``(N, C, H, W)`` images.
 
     Default geometry: stem to ``base`` channels, ``n_blocks`` identity blocks,
@@ -74,11 +71,10 @@ class SmallResNet(Module):
         self.image_size = image_size
         self.in_channels = in_channels
         rngs = spawn_rngs(rng, 2 * n_blocks + 3)
-        layers = [
-            Conv2d(in_channels, base, 3, padding=1, bias=False, rng=rngs[0]),
-            BatchNorm2d(base),
-            ReLU(),
-        ]
+        stem = Conv2d(in_channels, base, 3, padding=1, bias=False, rng=rngs[0])
+        # The gradient w.r.t. the input images is never consumed.
+        stem.skip_input_grad = True
+        layers = [stem, BatchNorm2d(base), ReLU()]
         for i in range(n_blocks):
             layers += [_basic_block(base, rngs[1 + i]), ReLU()]
         layers += [_down_block(base, 2 * base, rngs[1 + n_blocks]), ReLU()]
@@ -99,9 +95,3 @@ class SmallResNet(Module):
             + n_blocks * 2 * (2 * base) * (2 * base) * s2
         )
         self.flops_per_sample = int(conv_flops + 2 * 2 * base * n_classes)
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        return self.net.forward(x)
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        return self.net.backward(grad_out)

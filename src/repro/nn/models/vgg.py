@@ -8,8 +8,6 @@ partitioned semi-synchronous training (§IV-C).
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.nn.layers import (
     Conv2d,
     Dropout,
@@ -19,13 +17,12 @@ from repro.nn.layers import (
     ReLU,
     Sequential,
 )
-from repro.nn.models.registry import MODELS
-from repro.nn.module import Module
+from repro.nn.models.registry import MODELS, SequentialModel
 from repro.utils.rng import RngLike, spawn_rngs
 
 
 @MODELS.register("smallvgg")
-class SmallVGG(Module):
+class SmallVGG(SequentialModel):
     """Plain conv-pool stack with a wide fully connected head."""
 
     task = "classification"
@@ -48,11 +45,13 @@ class SmallVGG(Module):
         flat = 2 * base * spatial * spatial
 
         stem = Conv2d(in_channels, base, 3, padding=1, rng=r[0])
+        conv3 = Conv2d(base, 2 * base, 3, padding=1, rng=r[2])
         # The gradient w.r.t. the input images is never consumed.
         stem.skip_input_grad = True
+        # Each is followed by a ReLU alone, which runs in its accumulator.
+        stem.fuse_relu = conv3.fuse_relu = True
         self.net = Sequential(
             stem,
-            ReLU(),
             Conv2d(base, base, 3, padding=1, rng=r[1]),
             # maxpool(relu(x)) == relu(maxpool(x)) exactly (clipping at zero
             # commutes with max, and the gradients agree in every case,
@@ -60,8 +59,7 @@ class SmallVGG(Module):
             # ReLU on 4x fewer activations.
             MaxPool2d(2),
             ReLU(),
-            Conv2d(base, 2 * base, 3, padding=1, rng=r[2]),
-            ReLU(),
+            conv3,
             Conv2d(2 * base, 2 * base, 3, padding=1, rng=r[3]),
             MaxPool2d(2),
             ReLU(),
@@ -81,9 +79,3 @@ class SmallVGG(Module):
         )
         fc_flops = 2 * (flat * fc_width + fc_width * n_classes)
         self.flops_per_sample = int(conv_flops + fc_flops)
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        return self.net.forward(x)
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        return self.net.backward(grad_out)

@@ -255,6 +255,7 @@ class OwnPlaneWorkspace(_SlabWorkspace):
             self.gp = np.zeros(self.acc.shape)
             self.g_int = self.gp.transpose(2, 1, 0, 3)[..., : self.out_view.shape[3]]
             self.gq = self.gp.reshape(oh, o, -1)[:, :, : self.taps.shape[3]]
+            self.g_run = self.gp.reshape(-1)
 
 
 @pytest.mark.parametrize("name", ["smallvgg", "smallalexnet", "smallresnet"])

@@ -90,6 +90,41 @@ class TestLinearSkipInputGrad:
         np.testing.assert_array_equal(skip.get_flat_grads(), full.get_flat_grads())
 
 
+class TestConvStemSkipsInputGrad:
+    """No model reads the gradient w.r.t. its input images, so the first
+    conv of every conv model skips the dx GEMMs — and nothing else changes."""
+
+    @staticmethod
+    def conv_models():
+        from repro.nn.models import MODELS, build_model
+
+        built = {name: build_model(name, rng=0) for name in MODELS}
+        return {
+            name: [m for m in model.modules() if isinstance(m, Conv2d)]
+            for name, model in built.items()
+            if any(isinstance(m, Conv2d) for m in model.modules())
+        }
+
+    def test_the_first_conv_of_every_conv_model_skips_its_input_gradient(self):
+        convs = self.conv_models()
+        assert sorted(convs) == ["smallalexnet", "smallresnet", "smallvgg"]
+        for name, layers in convs.items():
+            assert [c.skip_input_grad for c in layers] == [True] + [False] * (len(layers) - 1), name
+
+    @pytest.mark.parametrize("name", ["smallalexnet", "smallresnet", "smallvgg"])
+    def test_parameter_gradients_are_bitwise_equal_to_the_full_backward(self, name):
+        from repro.nn.models import build_model
+
+        x = RNG.normal(size=(4, 3, 16, 16))
+        skip, full = build_model(name, rng=1), build_model(name, rng=1)
+        stem = next(m for m in full.modules() if isinstance(m, Conv2d))
+        stem.skip_input_grad = False
+        g = RNG.normal(size=skip.forward(x).shape)
+        full.forward(x)
+        assert skip.backward(g) is None and full.backward(g).shape == x.shape
+        assert skip.get_flat_grads().tobytes() == full.get_flat_grads().tobytes()
+
+
 class TestValidation:
     def test_linear_wrong_features(self):
         with pytest.raises(ValueError, match="last dim"):

@@ -337,13 +337,41 @@ def resume_leg(out_dir: Path, only) -> int:
 
 
 # -- the comparison -----------------------------------------------------------
+#: what names an event (a trace line's ``etype``, a RunLog line's ``kind``);
+#: compared before its other fields
+IDENTITY_KEYS = ("etype", "kind", "step", "worker")
+
+
+def _event_key(line: str):
+    rec = json.loads(line)
+    return tuple(rec.get(k) for k in IDENTITY_KEYS)
+
+
 def _first_difference(a, b, path=""):
-    """``(field path, a's value, b's value)`` of the first difference."""
+    """``(field path, a's value, b's value)`` of the first difference, the
+    top level's :data:`IDENTITY_KEYS` first."""
     if isinstance(a, dict) and isinstance(b, dict):
-        for k in sorted(set(a) | set(b)):
+        keys = sorted(set(a) | set(b))
+        if not path:  # an event's identity before its fields
+            keys = [k for k in IDENTITY_KEYS if k in keys] + [
+                k for k in keys if k not in IDENTITY_KEYS
+            ]
+        for k in keys:
             if a.get(k) != b.get(k) or (k in a) != (k in b):
                 return _first_difference(a.get(k), b.get(k), f"{path}.{k}" if path else k)
     return path or "<line>", a, b
+
+
+def _one_sided(old, new, n):
+    """The side (0: ``old``, 1: ``new``) whose line ``n`` is an event the
+    other side lacks: the one whose later lines reach the other side's event
+    at ``n`` sooner. ``None`` when neither reaches it."""
+    keys = [[_event_key(line) for line in lines[n:]] for lines in (old, new)]
+    reach = {
+        s: keys[s].index(keys[1 - s][0], 1)
+        for s in (0, 1) if keys[1 - s][0] in keys[s][1:]
+    }
+    return min(reach, key=reach.get) if reach else None
 
 
 def normalize(trace: str, declared) -> str:
@@ -403,6 +431,15 @@ def explain(a_dir: Path, b_dir: Path, sides, a, b, trace="trace.jsonl") -> str:
                 o, c = json.loads(lo), json.loads(ln)
                 field, vo, vc = _first_difference(o, c)
                 kind = o.get("etype", o.get("kind"))
+                side = _one_sided(old, new, n) if field in IDENTITY_KEYS else None
+                if side is not None:
+                    rec, line = (o, lo) if side == 0 else (c, ln)
+                    return (
+                        f"    first differing {artifact} line {n + 1}: step "
+                        f"{rec.get('step')} worker {rec.get('worker', -1)} "
+                        f"{rec.get('etype', rec.get('kind'))} on the {sides[side]} side only\n"
+                        f"      {sides[side]}: {line}"
+                    )
                 return (
                     f"    first differing {artifact} line {n + 1}: step "
                     f"{o.get('step')} worker {o.get('worker', -1)} {kind}, "
