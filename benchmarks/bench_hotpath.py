@@ -94,6 +94,12 @@ picks what they measure:
   its backward, and a sha256 of every replica's parameters (``params_equal``:
   both sides trained to the same bytes). One run per side: the counts are
   deterministic.
+* ``perplexity_eval`` — the ``xfmr4_selsync`` recipe in a fresh interpreter
+  per side and turn (glibc's allocation thresholds follow the process's
+  history): 20 steps (10 with ``--quick``), then 5 evaluations. Per side
+  the medians of ms and minor page faults per evaluation, of the faults per
+  step before the first evaluation, and of ``ru_maxrss``;
+  ``perplexity_equal``: both sides evaluated to the same float in every turn.
 """
 
 from __future__ import annotations
@@ -1347,6 +1353,72 @@ def activation_memory_trial(baseline_src: str):
     }
 
 
+PPL_EVALS = 5
+
+
+def perplexity_eval_child(steps: int) -> None:
+    """One side of :func:`perplexity_eval_trial`, in a fresh interpreter:
+    the e2e benchmark's ``xfmr4_selsync`` recipe run ``steps`` steps, then
+    ``PPL_EVALS`` evaluations; prints one JSON line."""
+    sys.path.insert(0, str(ROOT / "benchmarks" / "e2e"))
+    from workloads import BY_NAME  # read-only use of the benchmark's recipe
+
+    from repro.core import TrainConfig
+
+    def faults():
+        return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+    built, trainer = BY_NAME["xfmr4_selsync"].build(seed=0, n_steps=steps)
+    cfg = TrainConfig(n_steps=steps, eval_fn=built.eval_fn)
+    step_faults, eval_faults, eval_ms = [], [], []
+    for i in range(steps):
+        f = faults()
+        trainer.step(i)
+        step_faults.append(faults() - f)
+    for _ in range(PPL_EVALS):
+        f, t0 = faults(), time.perf_counter()
+        ppl = trainer.evaluate(cfg)
+        eval_ms.append((time.perf_counter() - t0) * 1e3)
+        eval_faults.append(faults() - f)
+    print(json.dumps({
+        "eval_ms": statistics.median(eval_ms),
+        "eval_faults": statistics.median(eval_faults),
+        # The first step builds every workspace; the rest show the churn.
+        "step_faults_before_eval": statistics.median(step_faults[1:]),
+        "maxrss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+        "perplexity": ppl,
+    }), flush=True)
+
+
+def perplexity_eval_trial(baseline_src: str, trials: int, steps: int):
+    """Parent vs change, a fresh child per side and turn, parent first."""
+    turns = []
+    for _ in range(trials):
+        pair = []
+        for src in (baseline_src, ROOT / "src"):
+            child = _spawn_child(src, "--perplexity-eval-child", steps)
+            pair.append(json.loads(child.stdout.readline()))
+            _finish([child])
+        turns.append(pair)
+    keys = ("eval_ms", "eval_faults", "step_faults_before_eval", "maxrss_mb")
+    sides = {
+        side: {k: round(statistics.median(t[i][k] for t in turns), 2) for k in keys}
+        for i, side in enumerate(("before", "after"))
+    }
+    speedups = [b["eval_ms"] / a["eval_ms"] for b, a in turns]
+    return {
+        "trial": "perplexity_eval",
+        "workload": f"xfmr4_selsync recipe (TinyTransformer, 4 workers, SelSync "
+        f"delta=0.1 PA), seed 0, {steps} steps then {PPL_EVALS} evaluations per "
+        "child; medians over children of: eval_ms and eval_faults (ms and "
+        "minor page faults per evaluation), step_faults_before_eval (faults "
+        "per step from the second step on), maxrss_mb (ru_maxrss at the end)",
+        **sides,
+        "eval_ms_speedup_median_pairwise": round(statistics.median(speedups), 3),
+        "perplexity_equal": all(b["perplexity"] == a["perplexity"] for b, a in turns),
+    }
+
+
 def _git_head(path) -> str:
     out = subprocess.run(
         ["git", "-C", str(path), "rev-parse", "--short", "HEAD"],
@@ -1375,7 +1447,7 @@ def main(argv=None) -> int:
         choices=(
             "transformer_4w_selsync", "vgg_8w_bsp", "checkpoint_io", "robust_aggregate",
             "conv_kernel", "pool_kernel", "grad_write", "dataset_build",
-            "trace_write", "activation_memory",
+            "trace_write", "activation_memory", "perplexity_eval",
         ),
         default="transformer_4w_selsync",
         help="which cross-commit trial --baseline-src runs",
@@ -1391,6 +1463,7 @@ def main(argv=None) -> int:
     ap.add_argument("--dataset-build-child", type=int, help=argparse.SUPPRESS)
     ap.add_argument("--trace-write-child", type=int, help=argparse.SUPPRESS)
     ap.add_argument("--activation-memory-child", help=argparse.SUPPRESS)
+    ap.add_argument("--perplexity-eval-child", type=int, help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
 
     if args.transformer_child:
@@ -1422,6 +1495,9 @@ def main(argv=None) -> int:
         return 0
     if args.activation_memory_child:
         activation_memory_child(args.activation_memory_child)
+        return 0
+    if args.perplexity_eval_child:
+        perplexity_eval_child(args.perplexity_eval_child)
         return 0
 
     trials = 3 if args.quick else 10
@@ -1465,6 +1541,10 @@ def main(argv=None) -> int:
             )
         elif args.trial == "activation_memory":
             trial = activation_memory_trial(args.baseline_src)
+        elif args.trial == "perplexity_eval":
+            trial = perplexity_eval_trial(
+                args.baseline_src, trials, 10 if args.quick else 20
+            )
         else:
             trial = transformer_trial(
                 args.baseline_src, trials, 20 if args.quick else 50

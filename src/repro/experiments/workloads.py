@@ -93,14 +93,14 @@ class Workload:
         return ConstantLR(self.base_lr)
 
     def make_eval(self, test: Dataset, batch_size: int) -> Callable:
-        """Accuracy is argmax-only, so it runs in training-sized chunks: in
-        the workspaces training already has, at the GEMM sizes it is best at."""
+        """Evaluation runs in training-sized chunks: in the workspaces
+        training already has, at the GEMM sizes it is best at."""
         if self.metric == "top1":
             return accuracy_eval(test, batch_size=batch_size, top_k=1)
         if self.metric == "top5":
             return accuracy_eval(test, batch_size=batch_size, top_k=5)
         if self.metric == "ppl":
-            return perplexity_eval(test)
+            return perplexity_eval(test, batch_size=batch_size)
         raise ValueError(f"unknown metric {self.metric!r}")
 
     def build(

@@ -1,9 +1,8 @@
 """Stateless numerical kernels shared by the layers.
 
-Everything here is fully vectorized numpy (no Python loops over samples),
-per the HPC guide: convolutions use im2col/col2im so the inner work is one
-big GEMM, and softmax/log-softmax are computed in the numerically stable
-shifted form.
+Everything here is fully vectorized numpy (no Python loops over samples):
+im2col/col2im turn a strided convolution or an overlapping pool into one
+big GEMM or reduction.
 """
 
 from __future__ import annotations
@@ -11,33 +10,6 @@ from __future__ import annotations
 from typing import Tuple
 
 import numpy as np
-
-
-# -- activations -----------------------------------------------------------
-
-def relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0.0)
-
-
-# -- softmax family ----------------------------------------------------------
-
-def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    shifted = x - np.max(x, axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return e / np.sum(e, axis=axis, keepdims=True)
-
-
-def log_softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    shifted = x - np.max(x, axis=axis, keepdims=True)
-    return shifted - np.log(np.sum(np.exp(shifted), axis=axis, keepdims=True))
-
-
-def softmax_backward(
-    probs: np.ndarray, grad_out: np.ndarray, axis: int = -1
-) -> np.ndarray:
-    """Backward through softmax given its output ``probs``."""
-    dot = np.sum(grad_out * probs, axis=axis, keepdims=True)
-    return probs * (grad_out - dot)
 
 
 # -- im2col convolution plumbing ------------------------------------------------

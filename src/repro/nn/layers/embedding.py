@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.nn import init
+from repro.nn import init, workspace
 from repro.nn.module import Module
 from repro.nn.parameter import Parameter
 from repro.utils.rng import RngLike, as_rng
@@ -17,7 +17,9 @@ class Embedding(Module):
     The backward pass scatter-adds into the weight gradient as one
     ``onehot(ids).T @ grad`` GEMM (``np.add.at`` costs ~3x as much), so
     repeated tokens accumulate; the ``(n_ids, num_embeddings)`` one-hot is
-    sized for this repo's small vocabularies.
+    sized for this repo's small vocabularies. It is a pooled workspace
+    (``nn.workspace``) that goes back all zero: each backward sets its ones
+    and clears them again, so no call fills or allocates the whole array.
     """
 
     def __init__(self, num_embeddings: int, dim: int, rng: RngLike = None):
@@ -44,6 +46,10 @@ class Embedding(Module):
     def backward(self, grad_out: np.ndarray) -> None:
         """Integer inputs have no gradient: returns None, like the conv stem."""
         ids = self._take()[0].ravel()
-        onehot = np.zeros((ids.size, self.num_embeddings))
-        onehot[np.arange(ids.size), ids] = 1.0
+        shape = (ids.size, self.num_embeddings)
+        onehot = workspace.POOL.checkout("onehot", shape, lambda: np.zeros(shape))
+        rows = np.arange(ids.size)
+        onehot[rows, ids] = 1.0
         self.weight.accumulate_matmul(onehot.T, grad_out.reshape(-1, self.dim))
+        onehot[rows, ids] = 0.0
+        workspace.POOL.give_back("onehot", shape, onehot)

@@ -8,53 +8,63 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.nn.module import Module
 
-class CrossEntropyLoss:
+
+class CrossEntropyLoss(Module):
     """Softmax cross-entropy over integer class labels.
 
     Accepts logits of shape ``(N, C)`` or ``(B, T, C)`` (language modelling);
     targets are the matching integer array. The mean reduction over all
-    positions matches Eqn. (1)'s per-sample averaging.
+    positions matches Eqn. (1)'s per-sample averaging. A module so that its
+    two ``(positions, C)`` arrays are a pooled workspace, one set for every
+    replica's loss: on the transformer each is above glibc's initial mmap
+    threshold, where an array allocated per step can be fresh pages.
     """
 
-    def __init__(self):
-        self._probs: np.ndarray = np.zeros(0)
-        self._targets: np.ndarray = np.zeros(0, dtype=np.int64)
-        self._n: int = 0
-
-    def forward(self, logits: np.ndarray, targets: np.ndarray) -> float:
-        targets = np.asarray(targets, dtype=np.int64)
+    def _nll(self, logits: np.ndarray, targets: np.ndarray) -> np.ndarray:
+        """Each position's negative log-likelihood, flat; the log-softmax
+        stays in the held workspace."""
+        targets = np.asarray(targets, dtype=np.int64).reshape(-1)
         flat_logits = logits.reshape(-1, logits.shape[-1])
-        flat_targets = targets.reshape(-1)
-        if flat_logits.shape[0] != flat_targets.shape[0]:
+        if flat_logits.shape[0] != targets.shape[0]:
             raise ValueError(
                 f"logits/targets batch mismatch: {logits.shape} vs {targets.shape}"
             )
+        shape = flat_logits.shape
+        logp, probs = self._checkout(
+            "xent", shape, lambda: (np.empty(shape), np.empty(shape))
+        )
         # log-softmax then softmax, each in place on the buffer before it
-        # (same arithmetic as exp(F.log_softmax(...)), two arrays not five).
-        logp = flat_logits - np.max(flat_logits, axis=-1, keepdims=True)
-        probs = np.exp(logp)
+        # (same arithmetic as exp(log_softmax(...)), two arrays not five).
+        np.subtract(flat_logits, np.max(flat_logits, axis=-1, keepdims=True), out=logp)
+        np.exp(logp, out=probs)
         logp -= np.log(np.sum(probs, axis=-1, keepdims=True))
-        self._targets = flat_targets
-        self._n = flat_targets.shape[0]
-        self._shape = logits.shape
-        nll = -logp[np.arange(self._n), flat_targets]
-        self._probs = np.exp(logp, out=probs)
+        return -logp[np.arange(shape[0]), targets]
+
+    def token_nll(self, logits: np.ndarray, targets: np.ndarray) -> np.ndarray:
+        """:meth:`_nll`, holding no workspace afterwards (evaluation)."""
+        nll = self._nll(logits, targets)
+        self._release()
+        return nll
+
+    def forward(self, logits: np.ndarray, targets: np.ndarray) -> float:
+        nll = self._nll(logits, targets)
+        logp, probs = self._workspace()
+        np.exp(logp, out=probs)
+        self._save(np.asarray(targets).reshape(-1), logits.shape)
         return float(nll.mean())
 
     def backward(self) -> np.ndarray:
-        """Gradient of the mean loss w.r.t. the logits.
-
-        Consumes the cached probabilities (the gradient is formed in place),
-        so each ``forward`` supports one ``backward``.
-        """
-        if self._n == 0:
-            raise RuntimeError("CrossEntropyLoss.backward called without a forward")
-        grad = self._probs
-        grad[np.arange(self._n), self._targets] -= 1.0
-        grad /= self._n
-        self._n = 0
-        return grad.reshape(self._shape)
+        """Gradient of the mean loss w.r.t. the logits, formed in place on
+        the probabilities. Their workspace goes back to the pool, so, like a
+        layer's ``dx``, the result is read before the next loss's forward."""
+        targets, shape = self._take()
+        _, grad = self._workspace()
+        grad[np.arange(targets.shape[0]), targets] -= 1.0
+        grad /= targets.shape[0]
+        self._release()
+        return grad.reshape(shape)
 
 
 class MSELoss:

@@ -143,3 +143,31 @@ class TestPerplexityEval:
             opt.step()
         m.eval()
         assert perplexity_eval(test)(m) < 16.0
+
+    @pytest.mark.parametrize("batch_size", [20, 7, 64])
+    def test_chunk_size_does_not_move_the_perplexity_bits(self, batch_size):
+        """Forwards run at the training batch, a ragged tail padded with
+        sequences already scored, but the NLL is still summed in groups of
+        64 sequences: the float is the one the 64-chunk loop returned."""
+        from repro.data import build_dataset
+        from tests.test_nn_fastpath_differential import log_softmax
+
+        _, test = build_dataset(
+            "wikitext_like", n_train_tokens=2000, n_test_tokens=8000,
+            vocab_size=64, bptt=16, rng=0,
+        )
+        assert len(test) % 64 and len(test) % batch_size  # a ragged tail
+        model = build_model("tinytransformer", vocab_size=64, max_len=16, rng=0).eval()
+
+        # The 64-chunk loop perplexity_eval ran before it took a batch size.
+        total_nll, total_tokens = 0.0, 0
+        for start in range(0, len(test), 64):
+            x, y = test.get_batch(np.arange(start, min(start + 64, len(test))))
+            logits = model.forward(x)
+            logp = log_softmax(logits.reshape(-1, logits.shape[-1]))
+            flat_y = y.reshape(-1)
+            total_nll += float(-logp[np.arange(flat_y.size), flat_y].sum())
+            total_tokens += flat_y.size
+        want = float(np.exp(total_nll / total_tokens))
+
+        assert perplexity_eval(test, batch_size=batch_size)(model) == want

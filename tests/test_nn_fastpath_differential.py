@@ -19,7 +19,6 @@ were derived from, which live on below as test-only references.
 import numpy as np
 import pytest
 
-from repro.nn import functional as F
 from repro.nn.layers import Embedding, LayerNorm, Linear, MultiHeadSelfAttention
 from repro.nn.layers.activation import GELU, ReLU
 from repro.nn.layers.conv import Conv2d
@@ -28,6 +27,23 @@ from repro.nn.losses import CrossEntropyLoss
 
 
 # -- naive references --------------------------------------------------------
+
+def softmax(x, axis=-1):
+    shifted = x - np.max(x, axis=axis, keepdims=True)
+    e = np.exp(shifted)
+    return e / np.sum(e, axis=axis, keepdims=True)
+
+
+def log_softmax(x, axis=-1):
+    shifted = x - np.max(x, axis=axis, keepdims=True)
+    return shifted - np.log(np.sum(np.exp(shifted), axis=axis, keepdims=True))
+
+
+def softmax_backward(probs, grad_out, axis=-1):
+    """Backward through softmax given its output ``probs``."""
+    dot = np.sum(grad_out * probs, axis=axis, keepdims=True)
+    return probs * (grad_out - dot)
+
 
 
 def naive_conv2d(x, weight, bias, stride, pad):
@@ -382,7 +398,7 @@ def naive_layernorm(x, w, b, grad_out, eps=1e-5):
 
 def naive_attention(layer, x, grad_out):
     """The seed's attention: scale on the scores, ``np.where`` mask rebuilt
-    per call, out-of-place ``F.softmax``/``F.softmax_backward``, batched
+    per call, out-of-place ``softmax``/``softmax_backward``, batched
     broadcast projections. Returns (out, dx)."""
     def proj(lin, a):
         return a @ lin.weight.data.T + lin.bias.data
@@ -401,12 +417,12 @@ def naive_attention(layer, x, grad_out):
     scores = (q @ k.transpose(0, 1, 3, 2)) * scale
     if layer.causal:
         scores = np.where(np.triu(np.ones((t, t), dtype=bool), k=1), -1e30, scores)
-    probs = F.softmax(scores, axis=-1)
+    probs = softmax(scores, axis=-1)
     out = proj(layer.out_proj, merge(probs @ v))
     d_attn = split(grad_out @ layer.out_proj.weight.data)
     d_probs = d_attn @ v.transpose(0, 1, 3, 2)
     d_v = probs.transpose(0, 1, 3, 2) @ d_attn
-    d_scores = F.softmax_backward(probs, d_probs, axis=-1)
+    d_scores = softmax_backward(probs, d_probs, axis=-1)
     d_q = (d_scores @ k) * scale
     d_k = (d_scores.transpose(0, 1, 3, 2) @ q) * scale
     dx = sum(
@@ -420,7 +436,7 @@ def naive_cross_entropy(logits, targets):
     """``log_softmax`` -> ``exp`` -> ``.copy()`` cross-entropy: (loss, grad)."""
     flat = logits.reshape(-1, logits.shape[-1])
     t = np.asarray(targets).reshape(-1)
-    logp = F.log_softmax(flat, axis=-1)
+    logp = log_softmax(flat, axis=-1)
     grad = np.exp(logp).copy()
     grad[np.arange(t.size), t] -= 1.0
     grad /= t.size

@@ -1,11 +1,13 @@
-"""Direct tests for the stateless functional kernels (and the GELU layer,
-whose kernel moved out of ``functional`` into its workspace layer)."""
+"""Direct tests for the stateless functional kernels, the activation layers
+whose kernels moved out of ``functional`` into their workspace layers, and
+the softmax references the differential tests hold the attention to."""
 
 import numpy as np
 import pytest
 
 from repro.nn import functional as F
-from repro.nn.layers import GELU
+from repro.nn.layers import GELU, ReLU
+from tests.test_nn_fastpath_differential import softmax, softmax_backward
 
 RNG = np.random.default_rng(0)
 
@@ -13,7 +15,7 @@ RNG = np.random.default_rng(0)
 class TestActivations:
     def test_relu_clamps(self):
         x = np.array([-2.0, 0.0, 3.0])
-        assert np.array_equal(F.relu(x), [0.0, 0.0, 3.0])
+        assert np.array_equal(ReLU().forward(x), [0.0, 0.0, 3.0])
 
     def test_gelu_asymptotes(self):
         assert GELU().forward(np.array([10.0]))[0] == pytest.approx(10.0, rel=1e-4)
@@ -33,11 +35,11 @@ class TestSoftmaxBackward:
     def test_matches_jacobian(self):
         """softmax_backward must equal Jᵀ·g with J the softmax Jacobian."""
         x = RNG.normal(size=5)
-        p = F.softmax(x)
+        p = softmax(x)
         g = RNG.normal(size=5)
         jac = np.diag(p) - np.outer(p, p)
         expected = jac @ g
-        assert np.allclose(F.softmax_backward(p, g), expected)
+        assert np.allclose(softmax_backward(p, g), expected)
 
 
 class TestConvPlumbing:

@@ -34,7 +34,9 @@ class TestCrossEntropy:
         y = np.array([1, 0, 3])
         loss = CrossEntropyLoss()
         loss.forward(logits, y)
-        g = loss.backward()
+        # Copied: like a layer's dx, the gradient lives in a pooled
+        # workspace that the next loss's forward reuses.
+        g = loss.backward().copy()
         eps = 1e-6
         for idx in [(0, 1), (2, 3), (1, 2)]:
             lp = logits.copy()

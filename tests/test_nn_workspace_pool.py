@@ -17,6 +17,7 @@ from repro.experiments.workloads import get_workload
 from repro.nn import workspace
 from repro.nn.losses import CrossEntropyLoss
 from repro.nn.models import build_model
+from tests.test_nn_fastpath_differential import naive_cross_entropy
 
 RNG = np.random.default_rng(0)
 
@@ -77,12 +78,13 @@ def test_interleaved_models_match_back_to_back(name, pool):
     b.zero_grad()
     la.forward(a.forward(xa), ya)
     lb.forward(b.forward(xb), yb)
-    assert n_free(pool) == 0 and n_held(a, b) == 2 * one_set
+    # One set is a model's workspaces and its loss's.
+    assert n_free(pool) == 0 and n_held(a, b, la, lb) == 2 * one_set
     a.backward(la.backward())
     b.backward(lb.backward())
     np.testing.assert_array_equal(a.get_flat_grads(), expect[0])
     np.testing.assert_array_equal(b.get_flat_grads(), expect[1])
-    assert n_free(pool) == 2 * one_set and n_held(a, b) == 0
+    assert n_free(pool) == 2 * one_set and n_held(a, b, la, lb) == 0
 
 
 def train_20_steps(workload, **build_kw):
@@ -141,17 +143,26 @@ def test_workspace_count_is_independent_of_replica_count(monkeypatch):
     assert after_steps > 0 and after_eval == after_steps
 
 
-def test_perplexity_evaluation_keeps_only_the_training_size(pool):
+def test_perplexity_evaluation_keeps_only_the_training_size(pool, monkeypatch):
     """Evaluation chunks of 64 and a ragged 51 used to enter the pool's
     two-size LRU and push the training batch size out of it, so the step
-    after every evaluation rebuilt the training set."""
+    after every evaluation rebuilt the training set. Evaluation now runs at
+    the training batch: in the workspaces training holds, building none."""
     built = get_workload("transformer_wikitext").build(
         n_workers=2, n_steps=4, cluster_kwargs={"executor": "serial"}
     )
     trainer = build_trainer(MethodSpec("bsp", {}), built)
     trainer.step(0)
     kept = free_workspaces(pool)
+    builds = []
+    checkout = pool.checkout
+
+    def counting(sig, shape, build, keep=True):
+        return checkout(sig, shape, lambda: builds.append(sig) or build(), keep)
+
+    monkeypatch.setattr(pool, "checkout", counting)
     trainer.evaluate(TrainConfig(n_steps=4, eval_fn=built.eval_fn))
+    assert builds == []
     trainer.step(1)
     gelu = [list(sizes) for (sig, _), sizes in pool.free.items() if sig == "gelu"]
     assert gelu == [[built.batch_size]]
@@ -208,3 +219,57 @@ def test_backward_without_forward_is_a_typed_error():
     grads_of(model, *images(4))
     with pytest.raises(RuntimeError, match="backward called before forward"):
         model.net.layers[0].backward(np.zeros((4, 8, 16, 16)))
+
+
+def lm_batch(b=4, t=5, v=8):
+    return RNG.normal(size=(b, t, v)), RNG.integers(0, v, (b, t))
+
+
+def test_interleaved_losses_neither_alias_nor_leak(pool):
+    (xa, ya), (xb, yb) = lm_batch(), lm_batch()
+    want = [naive_cross_entropy(xa, ya), naive_cross_entropy(xb, yb)]
+    la, lb = CrossEntropyLoss(), CrossEntropyLoss()
+    for _ in range(3):
+        got_a, got_b = la.forward(xa, ya), lb.forward(xb, yb)
+        assert n_free(pool) == 0 and n_held(la, lb) == 2
+        ga, gb = la.backward(), lb.backward()
+        assert not np.shares_memory(ga, gb)
+        assert (got_a, got_b) == (want[0][0], want[1][0])
+        np.testing.assert_array_equal(ga, want[0][1])
+        np.testing.assert_array_equal(gb, want[1][1])
+        assert n_free(pool) == 2 and n_held(la, lb) == 0
+
+
+def test_loss_forward_without_backward_neither_aliases_nor_leaks(pool):
+    (xa, ya), (xb, yb) = lm_batch(), lm_batch()
+    want_a = naive_cross_entropy(xa, ya)
+    held = CrossEntropyLoss()
+    for _ in range(3):  # each forward returns the previous one's workspace
+        held.forward(xa, ya)
+    assert n_held(held) == 1 and n_free(pool) == 0
+    other = CrossEntropyLoss()
+    for _ in range(3):
+        assert other.forward(xb, yb) == naive_cross_entropy(xb, yb)[0]
+        other.backward()
+    np.testing.assert_array_equal(held.backward(), want_a[1])
+    assert n_free(pool) == 2 and n_held(held, other) == 0
+    # Per-position NLL holds nothing and reuses what is free.
+    nll = other.token_nll(xa, ya)
+    assert nll.mean() == want_a[0] and n_held(other) == 0 and n_free(pool) == 2
+
+
+def test_pooled_embedding_one_hot_matches_a_fresh_one(pool):
+    from repro.nn.layers import Embedding
+
+    emb = Embedding(12, 5, rng=0)
+    for _ in range(4):
+        ids = RNG.integers(0, 12, (3, 7))
+        g = RNG.normal(size=(3, 7, 5))
+        emb.zero_grad()
+        emb.forward(ids)
+        emb.backward(g)
+        onehot = np.zeros((ids.size, 12))
+        onehot[np.arange(ids.size), ids.ravel()] = 1.0
+        np.testing.assert_array_equal(emb.weight.grad, onehot.T @ g.reshape(-1, 5))
+        (ws,) = free_workspaces(pool)  # one, returned all zero
+        assert not ws.any()
