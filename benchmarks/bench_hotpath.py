@@ -35,9 +35,9 @@ another from this checkout; both stay alive and take turns. ``--trial``
 picks what they measure:
 
 * ``transformer_4w_selsync`` (default) — TinyTransformer/4w SelSync, the e2e
-  benchmark's ``xfmr4_selsync`` recipe: alternating blocks of steps; the
-  row holds before/after steps/s, pairwise ratios and per-call GELU /
-  Linear micro-timings.
+  benchmark's ``xfmr4_selsync`` recipe: warm-up steps and one evaluation,
+  then alternating blocks of steps; the row holds before/after steps/s,
+  pairwise ratios and per-call GELU / Linear micro-timings.
 * ``vgg_8w_bsp`` — SmallVGG/8w BSP (this file's own workload): alternating
   blocks of steps, then one evaluation; the row holds before/after steps/s,
   pairwise ratios and each side's peak RSS.
@@ -429,7 +429,10 @@ def _median_us(fn, reps: int = 300) -> float:
 
 def transformer_child(steps: int) -> None:
     """One side of :func:`transformer_trial`: print the layer micro-timings,
-    then time ``steps`` trainer steps for every line read from stdin."""
+    then time ``steps`` trainer steps for every line read from stdin. One
+    evaluation follows the warm-up steps, so the timed steps run in the
+    post-evaluation state that ``benchmarks/e2e`` times."""
+    from repro.core import TrainConfig
     from repro.nn.layers import GELU, Linear
 
     rng = np.random.default_rng(0)
@@ -447,6 +450,7 @@ def transformer_child(steps: int) -> None:
     trainer = build_trainer(spec, built)
     for i in range(5):
         trainer.step(i)
+    trainer.evaluate(TrainConfig(n_steps=1000, eval_fn=built.eval_fn))
     print(json.dumps(micro), flush=True)
     i = 5
     gc.disable()

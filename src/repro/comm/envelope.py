@@ -121,14 +121,6 @@ class RetryPolicy:
         """Jittered backoff before retry ``attempt`` given uniform ``u``."""
         return self.backoff_cap(attempt) * (1.0 + self.jitter * (2.0 * u - 1.0))
 
-    def max_total_wait(self) -> float:
-        """Upper bound on the summed backoff of a fully exhausted message
-        (excludes per-attempt timeouts, which scale with the RTT)."""
-        return sum(
-            self.backoff_cap(k) * (1.0 + self.jitter)
-            for k in range(1, self.max_retries + 1)
-        )
-
 
 @dataclass
 class SendOutcome:

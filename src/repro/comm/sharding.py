@@ -160,13 +160,3 @@ class ShardSpec:
         for s in order[:short]:
             floors[s] += 1
         return tuple(floors)
-
-    def aligned_to(self, layer_sizes: Sequence[int]) -> bool:
-        """True when every shard boundary is a tensor boundary of
-        ``layer_sizes`` (the layer-alignment invariant)."""
-        cuts = {0}
-        off = 0
-        for s in layer_sizes:
-            off += int(s)
-            cuts.add(off)
-        return all(b in cuts for b in self.bounds)

@@ -53,10 +53,11 @@ With ``fuse_relu`` set (a model sets it where a ReLU alone reads the output)
 — in one flat pass from ``gq``'s first element, whose columns besides
 ``gq``'s are zero border that stays zero, like ``gq``'s garbage columns.
 
-All large intermediates (planes, accumulators) live in a workspace checked
-out of the per-process pool (``nn.workspace``) in ``forward`` and returned
-when ``backward`` completes, so the steady-state hot loop performs no large
-allocations and every replica of a cluster works in the same buffers.
+All large intermediates live in the per-process pool (``nn.workspace``):
+planes and accumulators in a workspace checked out in ``forward`` and
+returned when ``backward`` completes, the GEMMs' partial products in scratch
+``_slab_conv`` holds for one call. So the steady-state hot loop performs no
+large allocations and every replica of a cluster works in the same buffers.
 
 Strided convolutions go through im2col/col2im; their patch matrix is a
 pooled workspace too.
@@ -67,7 +68,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from repro.nn import init
+from repro.nn import init, module, workspace
 from repro.nn.functional import col2im, conv_out_size, im2col
 from repro.nn.module import Module
 from repro.nn.parameter import Parameter
@@ -100,15 +101,22 @@ def _nchw(buf: np.ndarray) -> np.ndarray:
     return buf.transpose(2, 1, 0, 3)
 
 
-def _slab_conv(w: np.ndarray, taps: np.ndarray, acc: np.ndarray, tmp: np.ndarray):
+def _slab_conv(w: np.ndarray, taps: np.ndarray, acc: np.ndarray):
     """``acc[y] = Σ_j w[j] @ taps[j, y]``: a whole stride-1 convolution as k
-    batched GEMM calls with K = k·chans and k-1 accumulator adds."""
-    rows, out_chans, span = acc.shape[0], acc.shape[1], taps.shape[3]
+    batched GEMM calls with K = k·chans and k-1 accumulator adds. The partial
+    products go through pool scratch keyed by k and ``acc``'s shape, batch
+    first: another k writes another span, so the k-1 tail columns stay zero."""
+    k, (rows, out_chans, n, cols), span = len(taps), acc.shape, taps.shape[3]
+    key = (("slabtmp", k), (n, rows, out_chans, cols))
+    tmp = workspace.POOL.checkout(
+        *key, lambda: np.zeros(acc.shape), keep=module._grad_enabled
+    )
     acc_l, tmp_l = (b.reshape(rows, out_chans, -1)[:, :, :span] for b in (acc, tmp))
     np.matmul(w[0], taps[0], out=acc_l)
     for wj, tap in zip(w[1:], taps[1:]):
         np.matmul(wj, tap, out=tmp_l)
         acc += tmp
+    workspace.POOL.give_back(*key, tmp)
 
 
 class _SlabWorkspace:
@@ -131,7 +139,6 @@ class _SlabWorkspace:
         # (o, Q) row block while the adds run over whole buffers, so the
         # k-1 tail columns must hold something finite — they stay zero.
         self.acc = np.zeros((oh, o, n, wp))
-        self.tmp = np.zeros((oh, o, n, wp))
         self.out_view = _nchw(self.acc)[..., :ow]
         self.dw_rows = np.empty((k, oh, o, k * cb))
         b = k - 1 - pad
@@ -147,7 +154,6 @@ class _SlabWorkspace:
             self.crop = (..., slice(cut, oh - cut), slice(cut, ow - cut))
             self.wd = np.empty((k, c, k, o))
             self.acc_d = np.zeros((h, c, n, w + k - 1))
-            self.tmp_d = np.zeros((h, c, n, w + k - 1))
             self.dx_view = _nchw(self.acc_d)[..., :w]
         if need_dx and b == pad:
             # Same padding: the dW operand is a window of the dx plane, pad
@@ -224,7 +230,7 @@ class Conv2d(Module):
         ws.w[..., :c] = self.weight.data.transpose(3, 0, 2, 1)
         if bias:
             ws.w[0, :, 0, c] = self.bias.data
-        _slab_conv(ws.w.reshape(k, o, -1), ws.taps, ws.acc, ws.tmp)
+        _slab_conv(ws.w.reshape(k, o, -1), ws.taps, ws.acc)
         if self.fuse_relu:
             np.maximum(ws.acc, 0.0, out=ws.acc)
         # Strided window into the accumulator — consumers read it without a
@@ -255,7 +261,7 @@ class Conv2d(Module):
         if self.skip_input_grad:
             return None
         ws.wd[...] = self.weight.data[:, :, ::-1, ::-1].transpose(3, 1, 2, 0)
-        _slab_conv(ws.wd.reshape(k, c, -1), ws.taps_d, ws.acc_d, ws.tmp_d)
+        _slab_conv(ws.wd.reshape(k, c, -1), ws.taps_d, ws.acc_d)
         # View into the returned workspace: valid until the next forward
         # checks it out, which is always after the caller has consumed it.
         return ws.dx_view

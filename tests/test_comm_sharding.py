@@ -21,6 +21,13 @@ layer_lists = st.lists(st.integers(1, 500), min_size=1, max_size=12)
 shard_counts = st.integers(1, 10)
 
 
+def aligned_to(spec, layer_sizes):
+    """True when every shard boundary is a tensor boundary of
+    ``layer_sizes`` (the layer-alignment invariant)."""
+    cuts = set(np.cumsum([0, *layer_sizes]).tolist())
+    return all(b in cuts for b in spec.bounds)
+
+
 # -- geometry ---------------------------------------------------------------
 @given(sizes=layer_lists, n_shards=shard_counts)
 @settings(max_examples=120, deadline=None)
@@ -43,7 +50,7 @@ def test_shards_cover_disjointly(sizes, n_shards):
 @settings(max_examples=120, deadline=None)
 def test_shards_layer_aligned_and_clamped(sizes, n_shards):
     spec = ShardSpec.from_layers(sizes, n_shards)
-    assert spec.aligned_to(sizes)
+    assert aligned_to(spec, sizes)
     # Effective shard count degrades gracefully: never more shards than
     # tensors, never fewer than one.
     assert 1 <= spec.n_shards <= min(n_shards, len(sizes))

@@ -94,8 +94,29 @@ def reference(layer, x, g):
 
 
 def free_workspaces():
-    free = workspace.POOL.free.values()
-    return [ws for sizes in free for stack in sizes.values() for ws in stack]
+    """Free layer workspaces; the call-local conv scratch is skipped."""
+    free = workspace.POOL.free.items()
+    return [
+        ws for (sig, _), sizes in free if sig[:1] != ("slabtmp",)
+        for stack in sizes.values() for ws in stack
+    ]
+
+
+def slab_scratch():
+    """``(k, batch-first accumulator shape, buffer)`` of each free scratch."""
+    free = workspace.POOL.free.items()
+    return [
+        (sig[1], (n, *shape), buf)
+        for (sig, shape), sizes in free if sig[:1] == ("slabtmp",)
+        for n, stack in sizes.items() for buf in stack
+    ]
+
+
+def assert_scratch_tails_are_zero():
+    """The GEMMs write columns [0, Q-k+1) of each (chans, Q) row block of a
+    scratch buffer, so its k-1 tail columns keep the zeros it was built with."""
+    for k, (n, rows, chans, cols), buf in slab_scratch():
+        assert not buf.reshape(rows, chans, -1)[:, :, n * cols - k + 1 :].any()
 
 
 # -- the differential grid -----------------------------------------------------
@@ -329,7 +350,7 @@ def test_planes_carry_nothing_across_steps_beyond_what_their_key_fixes():
         c = ws.x_int.shape[1]
         ws.x_int[...] = 0.0
         assert not ws.xp[:, :c].any() and (ws.xp[:, c:] == 1.0).all()
-        tails = [(ws.acc, ws.taps), (ws.tmp, ws.taps)]
+        tails = [(ws.acc, ws.taps)]
         if ws.g_int is None:
             # Same padding with dx: the dW operand is a window of gd, so its
             # garbage columns are gd's border.
@@ -340,10 +361,41 @@ def test_planes_carry_nothing_across_steps_beyond_what_their_key_fixes():
         if hasattr(ws, "gd"):
             ws.gd_int[...] = 0.0
             assert not ws.gd.any()
-            tails += [(ws.acc_d, ws.taps_d), (ws.tmp_d, ws.taps_d)]
+            tails += [(ws.acc_d, ws.taps_d)]
         for buf, taps in tails:
             rows, chans = buf.shape[:2]
             assert not buf.reshape(rows, chans, -1)[:, :, taps.shape[3] :].any()
+    assert len(slab_scratch()) == 3
+    assert_scratch_tails_are_zero()
+
+
+def test_equal_accumulator_shapes_of_different_kernels_keep_their_own_scratch(
+    monkeypatch,
+):
+    """k=3 / pad 0 on 18x16 and k=5 / pad 1 on 18x14 have equal forward and
+    dx accumulator shapes, but their GEMMs write different column spans.
+    Alternated, each stays bitwise what a fresh layer in a fresh pool gives,
+    and no scratch buffer's tail picks up the other's products."""
+    rng = np.random.default_rng(8)
+    cases = []
+    for k, pad, h, w in ((3, 0, 18, 16), (5, 1, 18, 14)):
+        x = rng.normal(size=(4, 3, h, w))
+        g = rng.normal(size=(4, 5, h + 2 * pad - k + 1, w + 2 * pad - k + 1))
+        cases.append((k, pad, x, g))
+    fresh = []
+    for k, pad, x, g in cases:
+        monkeypatch.setattr(workspace, "POOL", workspace.WorkspacePool())
+        fresh.append(run_conv(make_layer(3, 5, k, pad), x, g))
+    monkeypatch.setattr(workspace, "POOL", workspace.WorkspacePool())
+    layers = [make_layer(3, 5, k, pad) for k, pad, _, _ in cases]
+    for _ in range(3):
+        for layer, (_, _, x, g), want in zip(layers, cases, fresh):
+            for got, ref in zip(run_conv(layer, x, g), want):
+                assert got.tobytes() == ref.tobytes()
+    scratch = slab_scratch()
+    assert sorted(k for k, _, _ in scratch) == [3, 3, 5, 5]
+    assert len({shape for _, shape, _ in scratch}) == 2
+    assert_scratch_tails_are_zero()
 
 
 # -- determinism legs on a conv model ------------------------------------------------

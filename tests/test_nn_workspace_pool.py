@@ -38,8 +38,26 @@ class PrivatePool(workspace.WorkspacePool):
         pass
 
 
+def is_scratch(sig):
+    """The conv's partial-product buffer, held within one call only."""
+    return sig[:1] == ("slabtmp",)
+
+
 def free_workspaces(pool):
-    return [ws for sizes in pool.free.values() for free in sizes.values() for ws in free]
+    """Free workspaces, call-local scratch skipped: a layer holds none."""
+    return [
+        ws for (sig, _), sizes in pool.free.items() if not is_scratch(sig)
+        for free in sizes.values() for ws in free
+    ]
+
+
+def free_scratch(pool):
+    """{(signature, batch-first shape): free buffers} of call-local scratch."""
+    return {
+        (sig, (n, *shape)): len(free)
+        for (sig, shape), sizes in pool.free.items() if is_scratch(sig)
+        for n, free in sizes.items()
+    }
 
 
 def n_free(pool):
@@ -141,6 +159,18 @@ def test_workspace_count_is_independent_of_replica_count(monkeypatch):
     # One set for the training shape. The evaluation's ragged last chunk is
     # built privately under ``no_grad`` and dropped: it adds no shape.
     assert after_steps > 0 and after_eval == after_steps
+
+
+@pytest.mark.parametrize("n_workers", [1, 4])
+def test_one_conv_scratch_per_kernel_and_shape(n_workers, pool):
+    """Every layer, pass and replica shares one partial-product buffer per
+    (k, accumulator shape); the evaluation's ragged batch adds none. SmallVGG
+    is 3x3 throughout, so its four forward and three dx accumulators have
+    three shapes."""
+    workspaces_after_three_steps(n_workers, pool)
+    held = free_scratch(pool)
+    assert len(held) == 3 and set(held.values()) == {1}
+    assert {sig for sig, _ in held} == {("slabtmp", 3)}
 
 
 def test_perplexity_evaluation_keeps_only_the_training_size(pool, monkeypatch):
