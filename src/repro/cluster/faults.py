@@ -309,28 +309,3 @@ class FaultInjector:
         noise = rng.standard_normal(g.shape)
         noise *= (norm / max(float(np.linalg.norm(noise)), 1e-30))
         return self.ADVERSARIAL_BOOST * (noise - g)
-
-    # -- introspection ----------------------------------------------------
-    def event_trace(self, n_steps: int) -> List[Tuple]:
-        """Flat, ordered list of every event the plan injects in
-        ``[0, n_steps)`` — the property-test surface for determinism.
-        """
-        trace: List[Tuple] = []
-        for step in range(n_steps):
-            sf = self.begin_step(step)
-            for w in sf.crashed:
-                trace.append(("crash", step, w))
-            for w in sf.rejoined:
-                trace.append(("rejoin", step, w))
-            for w in sf.live:
-                f = self.straggle_factor(w, step)
-                if f != 1.0:
-                    trace.append(("straggle", step, w, f))
-                retries, lost = self.upload_retries(w, step)
-                if retries:
-                    trace.append(("drop", step, w, retries, lost))
-            for w in sf.corrupted:
-                trace.append(("corrupt", step, w))
-            for w in sf.adversarial:
-                trace.append(("adv_corrupt", step, w))
-        return trace

@@ -103,9 +103,9 @@ class EASGDTrainer(DistributedTrainer):
         self.group.charge_sync(self.comm_bytes, **round_kw)
         return None
 
-    def mean_params(self) -> np.ndarray:
+    def mean_params(self, out: Optional[np.ndarray] = None) -> np.ndarray:
         """EASGD's deployable model is the center variable."""
-        return self.center.copy()
+        return self.center.copy() if out is None else self.center
 
 
 def _check_elasticity(rho: float, n: int) -> None:

@@ -92,8 +92,8 @@ class SSPTrainer(DistributedTrainer):
         return replace(super().result(log, best), steps=int(self.iters.max()),
                        sim_time=self.queue.now, lssr=None)
 
-    def mean_params(self) -> np.ndarray:  # a replica holds only its stale pull
-        return self.server.pull()
+    def mean_params(self, out: Optional[np.ndarray] = None) -> np.ndarray:
+        return self.server.pull(copy=out is None)  # a replica holds only its stale pull
 
     # -- one push lands ---------------------------------------------------------
     def step(self, i: int) -> IterationRecord:

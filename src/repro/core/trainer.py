@@ -170,6 +170,7 @@ class DistributedTrainer:
             aggregator=self.aggregator,
             spec=self.shard_spec,
         )
+        self._deploy = tuple(workers[0].get_params(copy=True) for _ in range(2))
         self.schedule = schedule if schedule is not None else ConstantLR(0.01)
         model = workers[0].model
         self.comm_bytes = (
@@ -419,19 +420,18 @@ class DistributedTrainer:
         return True
 
     # -- parameter views --------------------------------------------------
-    def mean_params(self) -> np.ndarray:
-        """Aggregate of the live worker replicas — the deployable params.
+    def mean_params(self, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """Aggregate of the live worker replicas — the deployable params
+        (into ``out`` when given; the result is good until the next step).
 
-        The aggregate covers the current step's live, non-quarantined set
-        only; a crashed or quarantined worker's stale replica must not drag
-        the serving model backwards. With a robust aggregator configured,
-        deployment uses the same strategy as training rounds.
+        Covers the current step's live, non-quarantined set only; a crashed
+        or quarantined worker's stale replica must not drag the serving model
+        backwards. A robust aggregator serves deployment as it serves rounds.
         """
-        # Arena views in, fresh vector out.
         views = [self.workers[w].get_params(copy=False) for w in self.fault_protocol.live]
-        if self.aggregator is not None:
-            return self.aggregator.reduce(views, where="deploy")
-        return mean_into(views)
+        if self.aggregator is None:
+            return mean_into(views, out)
+        return self.aggregator.reduce(views, out=out, where="deploy")
 
     def resync_replicas(self) -> None:
         """Force every worker replica back to the deployable aggregate —
@@ -449,13 +449,13 @@ class DistributedTrainer:
 
         For consistent-replica trainers this equals any worker's replica; for
         semi-synchronous ones it is the natural serving model. Worker 0's
-        module is borrowed and restored by the caller via the returned token.
-        ``saved`` must be a snapshot, never a live view — the very next line
-        overwrites worker 0's buffer.
+        module is borrowed and restored by the caller via the returned token,
+        a snapshot (never a live view: the next line overwrites worker 0's
+        buffer) in one of two vectors the trainer made, so no call allocates.
         """
-        w0 = self.workers[0]
-        saved = w0.get_params(copy=True)
-        w0.set_params(self.mean_params())
+        w0, (saved, mean) = self.workers[0], self._deploy
+        np.copyto(saved, w0.get_params(copy=False))
+        w0.set_params(self.mean_params(out=mean))
         return w0.model, saved
 
     def restore_model(self, saved: np.ndarray) -> None:

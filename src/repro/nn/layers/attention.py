@@ -43,19 +43,21 @@ class MultiHeadSelfAttention(Module):
         self._mask = np.zeros((0, 0))  # additive causal mask for the last T
 
     def _split_heads(self, x: np.ndarray) -> np.ndarray:
+        """(B, T, D) -> a (B, H, T, dh) view; writing into the view of a
+        (B, T, D) buffer merges the heads back."""
         b, t, _ = x.shape
         return x.reshape(b, t, self.n_heads, self.head_dim).transpose(0, 2, 1, 3)
-
-    def _merge_heads(self, x: np.ndarray) -> np.ndarray:
-        b, h, t, dh = x.shape
-        return x.transpose(0, 2, 1, 3).reshape(b, t, h * dh)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         if x.ndim != 3 or x.shape[-1] != self.dim:
             raise ValueError(
                 f"attention expected (B, T, {self.dim}), got {x.shape}"
             )
-        t = x.shape[1]
+        b, t, _ = x.shape
+        # probs and ctx (out_proj's input) are kept; backward writes d_probs and a product.
+        probs, _, _, ctx = self._checkout(("attention", self.n_heads), x.shape, lambda: (
+            *(np.empty((b, self.n_heads, t, t)) for _ in range(3)), np.empty(x.shape),
+        ))
         # 1/sqrt(dh) is folded into q: one multiply here instead of one on
         # the scores and one each on d_q and d_k.
         q2 = self.q_proj.forward(x)
@@ -63,7 +65,7 @@ class MultiHeadSelfAttention(Module):
         q = self._split_heads(q2)
         k = self._split_heads(self.k_proj.forward(x))
         v = self._split_heads(self.v_proj.forward(x))
-        probs = q @ k.transpose(0, 1, 3, 2)  # scores (B, H, T, T)
+        np.matmul(q, k.transpose(0, 1, 3, 2), out=probs)  # scores (B, H, T, T)
         if self.causal:
             if self._mask.shape[0] != t:
                 self._mask = np.triu(np.full((t, t), -1e30), k=1)
@@ -72,25 +74,29 @@ class MultiHeadSelfAttention(Module):
         probs -= probs.max(axis=-1, keepdims=True)
         np.exp(probs, out=probs)
         probs /= probs.sum(axis=-1, keepdims=True)
-        out = self.out_proj.forward(self._merge_heads(probs @ v))
+        np.matmul(probs, v, out=self._split_heads(ctx))
         self._save(q, k, v, probs)
-        return out
+        return self.out_proj.forward(ctx)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         q, k, v, probs = self._take()
+        _, d_scores, prod, ctx = self._workspace()
         d_attn = self._split_heads(self.out_proj.backward(grad_out))
-        d_scores = d_attn @ v.transpose(0, 1, 3, 2)  # d_probs (B, H, T, T)
-        d_v = probs.transpose(0, 1, 3, 2) @ d_attn
+        # ctx was out_proj's input; from here on it holds d_q, d_k and d_v in
+        # turn, each the input of one projection's backward.
+        merged = self._split_heads(ctx)
+        np.matmul(d_attn, v.transpose(0, 1, 3, 2), out=d_scores)  # d_probs
         # softmax_backward in place: probs * (d_probs - sum(d_probs * probs)).
         # Masked positions have probability exactly 0, so they get zero
         # gradient without consulting the mask.
-        dot = (d_scores * probs).sum(axis=-1, keepdims=True)
-        d_scores -= dot
+        d_scores -= np.multiply(d_scores, probs, out=prod).sum(axis=-1, keepdims=True)
         d_scores *= probs
-        d_q = self._merge_heads(d_scores @ k)
-        d_q *= self._scale
-        d_k = d_scores.transpose(0, 1, 3, 2) @ q  # q already carries scale
-        dx = self.q_proj.backward(d_q)
-        dx += self.k_proj.backward(self._merge_heads(d_k))
-        dx += self.v_proj.backward(self._merge_heads(d_v))
+        np.matmul(d_scores, k, out=merged)
+        ctx *= self._scale  # d_q
+        dx = self.q_proj.backward(ctx)
+        np.matmul(d_scores.transpose(0, 1, 3, 2), q, out=merged)  # d_k; q carries scale
+        dx += self.k_proj.backward(ctx)
+        np.matmul(probs.transpose(0, 1, 3, 2), d_attn, out=merged)  # d_v
+        dx += self.v_proj.backward(ctx)
+        self._release()
         return dx

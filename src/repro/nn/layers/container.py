@@ -58,9 +58,12 @@ class Residual(Module):
                 f"residual branch shapes differ: body {out.shape} vs "
                 f"skip {skip.shape}; supply a projection module"
             )
-        return out + skip
+        (y,) = self._checkout("residual", out.shape, lambda: (np.empty(out.shape),))
+        return np.add(out, skip, out=y)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        dx_body = self.body.backward(grad_out)
-        dx_skip = grad_out if self.proj is None else self.proj.backward(grad_out)
-        return dx_body + dx_skip
+        # The body's dx is its first layer's own buffer; the skip's is added in place.
+        dx = self.body.backward(grad_out)
+        dx += grad_out if self.proj is None else self.proj.backward(grad_out)
+        self._release()
+        return dx

@@ -12,7 +12,7 @@ class Dropout(Module):
     """Inverted dropout: active only in training mode, identity in eval.
 
     Scaling by ``1/(1-p)`` at train time keeps activation magnitudes constant
-    so evaluation requires no rescaling.
+    so evaluation requires no rescaling. Mask, output and ``dx`` are pooled.
     """
 
     def __init__(self, p: float = 0.5, rng: RngLike = None):
@@ -26,13 +26,21 @@ class Dropout(Module):
         if not self.training or self.p == 0.0:
             self._save(None)  # identity backward
             return x
+        mask, out, _ = self._checkout(
+            "dropout", x.shape, lambda: tuple(np.empty(x.shape) for _ in range(3))
+        )
         keep = 1.0 - self.p
-        mask = (self.rng.random(x.shape) < keep) / keep
+        self.rng.random(out=mask)
+        np.less(mask, keep, out=mask)  # 1.0 where kept, else 0.0
+        mask /= keep
         self._save(mask)
-        return x * mask
+        return np.multiply(x, mask, out=out)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         (mask,) = self._take()
         if mask is None:
             return grad_out
-        return grad_out * mask
+        dx = self._workspace()[2]
+        np.multiply(grad_out, mask, out=dx)
+        self._release()
+        return dx

@@ -40,8 +40,10 @@ class Embedding(Module):
                 f"token ids out of range [0, {self.num_embeddings}): "
                 f"min={ids.min()}, max={ids.max()}"
             )
+        shape = (*ids.shape, self.dim)
+        (out,) = self._checkout("embedding", shape, lambda: (np.empty(shape),))
         self._save(ids)
-        return self.weight.data[ids]
+        return np.take(self.weight.data, ids, axis=0, out=out)
 
     def backward(self, grad_out: np.ndarray) -> None:
         """Integer inputs have no gradient: returns None, like the conv stem."""
@@ -53,3 +55,4 @@ class Embedding(Module):
         self.weight.accumulate_matmul(onehot.T, grad_out.reshape(-1, self.dim))
         onehot[rows, ids] = 0.0
         workspace.POOL.give_back("onehot", shape, onehot)
+        self._release()

@@ -16,6 +16,7 @@ class Linear(Module):
     Accepts inputs of shape ``(..., in_features)``; leading dimensions are
     batch dims (the transformer feeds ``(B, T, D)`` activations) and are
     flattened so forward and backward are each one GEMM, not ``B`` small ones.
+    The output and ``dx`` are a pooled workspace (``nn.workspace``).
     """
 
     def __init__(
@@ -43,11 +44,17 @@ class Linear(Module):
             raise ValueError(
                 f"Linear expected last dim {self.in_features}, got {x.shape}"
             )
+        shape = (*x.shape[:-1], self.out_features)
+        sig = ("linear", self.in_features, self.skip_input_grad)
+        out, _ = self._checkout(sig, shape, lambda: (
+            np.empty(shape), None if self.skip_input_grad else np.empty(x.shape),
+        ))
         self._save(x)
-        y = x.reshape(-1, self.in_features) @ self.weight.data.T
+        y = out.reshape(-1, self.out_features)
+        np.matmul(x.reshape(-1, self.in_features), self.weight.data.T, out=y)
         if self.bias is not None:
             y += self.bias.data
-        return y.reshape(*x.shape[:-1], self.out_features)
+        return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         (x,) = self._take()
@@ -56,6 +63,8 @@ class Linear(Module):
         self.weight.accumulate_matmul(g2.T, x2)
         if self.bias is not None:
             self.bias.accumulate_grad(g2.sum(axis=0))
-        if self.skip_input_grad:
-            return None
-        return (g2 @ self.weight.data).reshape(x.shape)
+        _, dx = self._workspace()
+        if dx is not None:
+            np.matmul(g2, self.weight.data, out=dx.reshape(x2.shape))
+        self._release()
+        return dx

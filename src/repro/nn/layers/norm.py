@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.nn import init
+from repro.nn import init, workspace
 from repro.nn.module import Module
 from repro.nn.parameter import Parameter
 
@@ -67,7 +67,8 @@ class LayerNorm(Module):
     """Layer normalization over the trailing feature dimension.
 
     Centres once: ``var`` is the mean square of the centred input, the same
-    arithmetic as ``np.var`` without its second pass over ``x``.
+    arithmetic as ``np.var`` without its second pass over ``x``. ``xhat``,
+    the output and a ``dx`` no forward writes are a pooled workspace.
     """
 
     def __init__(self, dim: int, eps: float = 1e-5):
@@ -80,23 +81,29 @@ class LayerNorm(Module):
     def forward(self, x: np.ndarray) -> np.ndarray:
         if x.shape[-1] != self.dim:
             raise ValueError(f"LayerNorm expected last dim {self.dim}, got {x.shape}")
-        xhat = x - x.mean(axis=-1, keepdims=True)
-        out = xhat * xhat  # squares now, the output below
-        inv_std = 1.0 / np.sqrt(out.mean(axis=-1, keepdims=True) + self.eps)
+        xhat, out, _ = self._checkout(
+            "layernorm", x.shape, lambda: tuple(np.empty(x.shape) for _ in range(3))
+        )
+        # np.add.reduce(...) / dim is ``mean``'s arithmetic, without its wrapper.
+        np.subtract(x, np.add.reduce(x, axis=-1, keepdims=True) / self.dim, out=xhat)
+        np.multiply(xhat, xhat, out=out)  # squares now, the output below
+        inv_std = 1.0 / np.sqrt(np.add.reduce(out, axis=-1, keepdims=True) / self.dim + self.eps)
         xhat *= inv_std
-        self._save(xhat, inv_std)
+        self._save(inv_std)
         np.multiply(xhat, self.weight.data, out=out)
         out += self.bias.data
         return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        xhat, inv_std = self._take()
+        (inv_std,) = self._take()
+        xhat, _, g = self._workspace()
         d = self.dim
         axes = tuple(range(grad_out.ndim - 1))
-        tmp = grad_out * xhat
+        tmp = workspace.POOL.checkout("lnscratch", g.shape, lambda: np.empty(g.shape))
+        np.multiply(grad_out, xhat, out=tmp)
         self.weight.accumulate_grad(tmp.sum(axis=axes))
         self.bias.accumulate_grad(grad_out.sum(axis=axes))
-        g = grad_out * self.weight.data
+        np.multiply(grad_out, self.weight.data, out=g)
         sum_g = g.sum(axis=-1, keepdims=True)
         np.multiply(g, xhat, out=tmp)
         sum_gx = tmp.sum(axis=-1, keepdims=True)
@@ -106,4 +113,6 @@ class LayerNorm(Module):
         np.multiply(xhat, sum_gx, out=tmp)
         g -= tmp
         g *= inv_std / d
+        workspace.POOL.give_back("lnscratch", g.shape, tmp)
+        self._release()
         return g

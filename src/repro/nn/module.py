@@ -48,7 +48,7 @@ class Module:
         self._children: Dict[str, "Module"] = {}
         self._arena = None  # lazily-built ParameterArena backing the flat views
         self._arena_ver = -1  # _registry_version the arena was validated at
-        self._tree = (-1, ())  # (_registry_version, flat modules() list)
+        self._tree = (-1, ())  # (_registry_version, descendants, depth-first)
         self.training: bool = True
         self._held = None  # (signature, shape, workspace) out of workspace.POOL
         self._saved = None  # what the last forward kept for its backward
@@ -103,10 +103,11 @@ class Module:
     # so it must not sit between a forward and its backward.
     def train(self, mode: bool = True) -> "Module":
         # Runs around every gradient computation: the tree is walked once per
-        # registry version (as in ``_ensure_arena``), not once per call.
+        # registry version (as in ``_ensure_arena``), not once per call. It
+        # leaves out ``self``: a model in a cycle would outlive its last user.
         if self._tree[0] != Module._registry_version:
-            self._tree = (Module._registry_version, tuple(self.modules()))
-        for m in self._tree[1]:
+            self._tree = (Module._registry_version, tuple(self.modules())[1:])
+        for m in (self, *self._tree[1]):
             m.training = mode
             m._release()
         return self

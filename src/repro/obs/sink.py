@@ -116,17 +116,3 @@ def read_trace(path: PathLike) -> Tuple[Dict, List[TraceEvent]]:
             )
     return header, events
 
-
-def event_lines(path: PathLike) -> List[str]:
-    """Raw event lines (header excluded) — the unit of byte comparison for
-    golden-trace tests: an interrupted run's lines plus its resumed run's
-    lines must equal the uninterrupted run's lines exactly."""
-    with Path(path).open() as f:
-        lines = [ln.rstrip("\n") for ln in f if ln.strip()]
-    return lines[1:]
-
-
-def roundtrip(events: Iterable[TraceEvent]) -> List[TraceEvent]:
-    """parse(serialize(events)) — the property tests assert this is the
-    identity on (etype, step, worker, seq, data)."""
-    return [event_from_jsonable(json.loads(event_line(ev))) for ev in events]

@@ -192,3 +192,20 @@ def write_legacy_checkpoint(tree, path):
     payload["__tree__"] = np.frombuffer(encoded.encode("utf-8"), dtype=np.uint8)
     with open(path, "wb") as f:
         np.savez_compressed(f, **payload)
+
+
+def event_lines(path):
+    """Raw event lines (header excluded) — the unit of byte comparison for
+    golden-trace tests: an interrupted run's lines plus its resumed run's
+    lines must equal the uninterrupted run's lines exactly."""
+    with open(path) as f:
+        lines = [ln.rstrip("\n") for ln in f if ln.strip()]
+    return lines[1:]
+
+
+def roundtrip(events):
+    """parse(serialize(events)) — the property tests assert this is the
+    identity on (etype, step, worker, seq, data)."""
+    from repro.obs.sink import event_from_jsonable, event_line
+
+    return [event_from_jsonable(json.loads(event_line(ev))) for ev in events]

@@ -27,9 +27,9 @@ from repro.core import ClusterConfig, SSPTrainer, SelSyncTrainer, TrainConfig
 from repro.data import ArrayDataset, BatchLoader, selsync_partition
 from repro.nn.models import build_model
 from repro.obs import Tracer
-from repro.obs.sink import event_lines
 from repro.optim import SGD
 from repro.utils.flatten import mean_into
+from tests.conftest import event_lines
 
 N_WORKERS = 3
 N_STEPS = 14

@@ -248,7 +248,7 @@ class TestAttentionCausality:
         """Changing a future token must not affect earlier outputs."""
         attn = MultiHeadSelfAttention(8, 2, causal=True, rng=0)
         x = RNG.normal(size=(1, 5, 8))
-        out1 = attn.forward(x)
+        out1 = attn.forward(x).copy()  # the next forward reuses the buffer
         x2 = x.copy()
         x2[0, 4] += 10.0  # perturb the last position only
         out2 = attn.forward(x2)
@@ -258,7 +258,7 @@ class TestAttentionCausality:
     def test_noncausal_sees_everything(self):
         attn = MultiHeadSelfAttention(8, 2, causal=False, rng=0)
         x = RNG.normal(size=(1, 5, 8))
-        out1 = attn.forward(x)
+        out1 = attn.forward(x).copy()  # the next forward reuses the buffer
         x2 = x.copy()
         x2[0, 4] += 10.0
         out2 = attn.forward(x2)

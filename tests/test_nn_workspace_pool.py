@@ -39,8 +39,9 @@ class PrivatePool(workspace.WorkspacePool):
 
 
 def is_scratch(sig):
-    """The conv's partial-product buffer, held within one call only."""
-    return sig[:1] == ("slabtmp",)
+    """The conv's partial-product buffer or LayerNorm's backward product,
+    held within one call only."""
+    return sig == "lnscratch" or sig[:1] == ("slabtmp",)
 
 
 def free_workspaces(pool):
@@ -301,5 +302,6 @@ def test_pooled_embedding_one_hot_matches_a_fresh_one(pool):
         onehot = np.zeros((ids.size, 12))
         onehot[np.arange(ids.size), ids.ravel()] = 1.0
         np.testing.assert_array_equal(emb.weight.grad, onehot.T @ g.reshape(-1, 5))
-        (ws,) = free_workspaces(pool)  # one, returned all zero
+        # The output's workspace, then the one-hot, returned all zero.
+        (_,), ws = free_workspaces(pool)
         assert not ws.any()

@@ -33,8 +33,8 @@ from repro.data import ArrayDataset, BatchLoader, selsync_partition
 from repro.data.injection import DataInjector
 from repro.nn.models import build_model
 from repro.obs import Tracer
-from repro.obs.sink import event_lines
 from repro.optim import SGD
+from tests.conftest import event_lines
 
 N_WORKERS = 3
 N_STEPS = 10

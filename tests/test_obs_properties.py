@@ -15,8 +15,9 @@ from hypothesis import strategies as st
 
 from repro import obs
 from repro.obs import EVENT_TYPES, Tracer, views
-from repro.obs.sink import event_line, roundtrip
+from repro.obs.sink import event_line
 from repro.obs.views import events_of_type
+from tests.conftest import roundtrip
 
 SLOW = settings(
     max_examples=10,

@@ -8,14 +8,9 @@ import pytest
 
 from repro import obs
 from repro.obs import TraceEvent, Tracer
-from repro.obs.sink import (
-    event_line,
-    event_lines,
-    read_trace,
-    roundtrip,
-    write_trace,
-)
+from repro.obs.sink import event_line, read_trace, write_trace
 from repro.obs import views
+from tests.conftest import event_lines, roundtrip
 
 
 # -- tracer ------------------------------------------------------------------

@@ -34,10 +34,10 @@ from repro.data import ArrayDataset, BatchLoader, selsync_partition
 from repro.nn.layers.linear import Linear
 from repro.nn.models import build_model
 from repro.obs import Tracer
-from repro.obs.sink import event_lines
 from repro.optim import SGD
 from repro.utils.flatten import mean_into, reduce_slices
 from repro.utils.serialization import RunLogLines
+from tests.conftest import event_lines
 
 N_WORKERS = 3
 N_STEPS = 10

@@ -28,6 +28,7 @@ from repro.utils.spec import (
     SpecError,
     parse_spec,
 )
+from tests.test_cluster_faults import event_trace
 
 ROWS = list(KINDS.values())
 IDS = list(KINDS)
@@ -522,7 +523,7 @@ def _digest(obj):
 
 
 def test_fault_injector_event_trace_equals_pr16():
-    trace = FaultInjector(parse_spec(CHAOS_FAULTS, "worker"), 16, seed=0).event_trace(200)
+    trace = event_trace(FaultInjector(parse_spec(CHAOS_FAULTS, "worker"), 16, seed=0), 200)
     assert len(trace) == 398
     assert trace[:6] == [
         ("drop", 0, 1, 1, False), ("drop", 0, 15, 2, False), ("drop", 1, 13, 1, False),

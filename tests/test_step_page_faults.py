@@ -1,18 +1,19 @@
-"""A fresh interpreter's transformer step and evaluation fault in no array.
+"""A transformer step and evaluation fault in no array, whatever ran before.
 
-The loss's two (320, 64) arrays and the embedding's one-hot were allocated
-per replica step at 160 KiB, above glibc's initial 128 KiB mmap threshold,
-and the perplexity evaluation built private 64-sequence workspaces: a step
-took 512 minor faults until the first evaluation's ≈ 0.5 MB frees happened
-to raise glibc's dynamic mmap and trim thresholds. The loss and the one-hot
-are pooled now and evaluation runs in the training workspaces. The counts
-are read in a fresh interpreter, since the thresholds follow the process's
-allocation history, under three hash seeds, which reorder it. A process
-with another history (the e2e benchmark's, after its warm-up run and
-set-ups) can still re-fault a replica's saved activations when the heap
-top is trimmed; EXPERIMENTS.md, "Perplexity in the training workspaces".
+A page fault here is glibc handing back pages it had returned to the kernel:
+an array above the mmap threshold, or heap-top memory that a free let it
+trim. Both thresholds follow the process's allocation history, so a step
+that allocates and frees large arrays is fault-free in one history and not
+in another: before every layer's forward activations, ``dx`` and scratch
+were pooled, the same step took 0 faults in a fresh interpreter, 672 after
+the e2e benchmark's warm-up run and set-ups, and 1,872 with the warm-up
+model still referenced (EXPERIMENTS.md, "Trainers freed at once, a step
+with no heap churn"). Now a step checks its arrays out of the pool and an
+evaluation deploys into two vectors the trainer made, so neither allocates
+anything large. The counts are read in a child interpreter with a fresh
+history under three hash seeds, which reorder it, and after the
+benchmark's history with the warm-up trainer dropped or kept alive.
 """
-
 import json
 import os
 import statistics
@@ -25,7 +26,7 @@ import pytest
 import repro
 
 CHILD = """
-import json, resource
+import json, resource, sys
 from repro.core import TrainConfig
 from repro.experiments.runner import MethodSpec, build_trainer
 from repro.experiments.workloads import get_workload
@@ -33,11 +34,26 @@ from repro.experiments.workloads import get_workload
 def faults():
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
-built = get_workload("transformer_wikitext").build(
-    n_workers=4, n_steps=100, seed=0,
-    cluster_kwargs={"executor": "serial", "ps_shards": 1})
-trainer = build_trainer(
-    MethodSpec("selsync", {"delta": 0.1, "aggregation": "params"}), built)
+def build():
+    built = get_workload("transformer_wikitext").build(
+        n_workers=4, n_steps=100, seed=0,
+        cluster_kwargs={"executor": "serial", "ps_shards": 1})
+    return built, build_trainer(
+        MethodSpec("selsync", {"delta": 0.1, "aggregation": "params"}), built)
+
+history = sys.argv[1]
+if history != "fresh":
+    # The e2e benchmark's: a warm-up run of one block and its evaluation,
+    # then set-ups built and dropped before the measured run is built.
+    built, warm = build()
+    warm.run(TrainConfig(n_steps=100, eval_every=50, eval_fn=built.eval_fn,
+                         stop_after=50))
+    if history == "dropped":
+        del built, warm
+    for _ in range(15):
+        build()
+
+built, trainer = build()
 cfg = TrainConfig(n_steps=100, eval_fn=built.eval_fn)
 out = {"before_eval": [], "evals": [], "after_eval": []}
 for i in range(12):
@@ -53,8 +69,7 @@ print(json.dumps(out))
 ARRAY_PAGES = 8
 
 
-@pytest.mark.parametrize("hash_seed", ["0", "1", "2"])
-def test_transformer_steps_and_evaluations_take_no_array_faults(hash_seed):
+def run_child(history: str, hash_seed: str = "0") -> dict:
     env = {
         **os.environ,
         "PYTHONPATH": str(Path(repro.__file__).parents[1]),
@@ -62,12 +77,27 @@ def test_transformer_steps_and_evaluations_take_no_array_faults(hash_seed):
         "OPENBLAS_NUM_THREADS": "1",
     }
     proc = subprocess.run(
-        [sys.executable, "-c", CHILD], env=env, capture_output=True, text=True,
-        timeout=300,
+        [sys.executable, "-c", CHILD, history], env=env, capture_output=True,
+        text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    got = json.loads(proc.stdout)
+    return json.loads(proc.stdout)
+
+
+def assert_no_array_faults(got: dict) -> None:
     # The first step builds the pool; from the second on, nothing is new.
     steps = got["before_eval"][1:] + got["after_eval"]
     assert max(steps) < ARRAY_PAGES and statistics.median(steps) == 0, got
     assert max(got["evals"]) < ARRAY_PAGES, got
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "1", "2"])
+def test_transformer_steps_and_evaluations_take_no_array_faults(hash_seed):
+    assert_no_array_faults(run_child("fresh", hash_seed))
+
+
+@pytest.mark.parametrize("history", ["dropped", "kept"])
+def test_no_array_faults_after_the_benchmarks_history(history):
+    """After a warm-up run of one block, dropped or still referenced, and
+    15 set-ups built and dropped, as ``benchmarks/e2e/run.py`` does."""
+    assert_no_array_faults(run_child(history))
