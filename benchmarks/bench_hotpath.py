@@ -91,7 +91,9 @@ picks what they measure:
   ``tracemalloc``: bytes held afterwards (the whole process, and split into
   arrays the replicas' modules keep and pooled workspaces), the traced peak
   during the evaluation, the bytes one replica's training forward keeps for
-  its backward, and a sha256 of every replica's parameters (``params_equal``:
+  its backward, the traced peak of one replica's training step in a fresh
+  pool, the pool's batch sizes before and after the evaluation, and a sha256
+  of every replica's parameters (``params_equal``:
   both sides trained to the same bytes). One run per side: the counts are
   deterministic.
 * ``perplexity_eval`` — the ``xfmr4_selsync`` recipe in a fresh interpreter
@@ -1276,21 +1278,34 @@ def activation_memory_child(recipe: str) -> None:
 
     def module_arrays(models):
         """Every ndarray a module keeps outside its parameters (any cache
-        attribute, at either commit) and every workspace it holds."""
+        attribute, at either commit) and every workspace it holds: checked
+        out (``_held``, before workspaces were lent) or saved."""
         out = []
         for model in models:
             for m in model.modules():
-                if m._held is not None:
-                    out += owned_arrays(m._held[2])
+                held = getattr(m, "_held", None)
+                if held is not None:
+                    out += owned_arrays(held[2])
+                out += [
+                    a for ws in m._saved or () if hasattr(ws, "__dict__")
+                    for a in owned_arrays(ws)
+                ]
                 for value in vars(m).values():
                     values = value if isinstance(value, tuple) else (value,)
                     out += [v for v in values if isinstance(v, np.ndarray)]
         return out
 
+    # The pool's workspaces per key and batch size: free lists before
+    # workspaces were lent, ``[workspace, baseline counts]`` entries since.
+    pool = workspace.POOL
+    by_key = pool.free if hasattr(pool, "free") else pool.kept
+
     def pool_arrays():
+        stacks = [stack for sizes in by_key.values() for stack in sizes.values()]
+        spaces = [ws if hasattr(pool, "free") else ws[0] for stack in stacks for ws in stack]
         return [
-            a for sizes in workspace.POOL.free.values() for free in sizes.values()
-            for ws in free for a in owned_arrays(ws)
+            a for ws in spaces
+            for a in ([ws] if isinstance(ws, np.ndarray) else owned_arrays(ws))
         ]
 
     spec = BY_NAME[recipe]
@@ -1300,6 +1315,7 @@ def activation_memory_child(recipe: str) -> None:
     built, trainer = spec.build(seed=0, n_steps=spec.block)
     trainer.run(TrainConfig(n_steps=spec.block, eval_every=spec.block))
     models = [w.model for w in built.workers]
+    trained_sizes = sorted({b for held in by_key.values() for b in held})
     gc.collect()
     before_eval = tracemalloc.get_traced_memory()[0]
     tracemalloc.reset_peak()
@@ -1308,12 +1324,23 @@ def activation_memory_child(recipe: str) -> None:
     gc.collect()
     held = tracemalloc.get_traced_memory()[0] - base
     kept, pooled = module_arrays(models), pool_arrays()
-    sizes = sorted({b for held in workspace.POOL.free.values() for b in held})
+    sizes = sorted({b for held in by_key.values() for b in held})
     digest = hashlib.sha256(b"".join(w.get_params().tobytes() for w in built.workers))
     # One replica's training forward: what it keeps for its backward.
     x, _ = built.workers[0].loader.next_batch()
     models[0].forward(x)  # in training mode: ``evaluate`` ends in ``train()``
     forward = _held_bytes(module_arrays(models[:1]))
+    # One replica's training step (forward, loss and backward) in a fresh
+    # pool: the traced peak takes in every buffer one worker's step works in.
+    worker = built.workers[0]
+    batch = worker.loader.next_batch()
+    kept_pool, workspace.POOL = workspace.POOL, type(workspace.POOL)()
+    gc.collect()
+    start = tracemalloc.get_traced_memory()[0]
+    tracemalloc.reset_peak()
+    worker.compute_gradient(batch)
+    step_peak = tracemalloc.get_traced_memory()[1] - start
+    workspace.POOL = kept_pool
     tracemalloc.stop()
     print(json.dumps({
         "held_bytes": held,
@@ -1321,8 +1348,10 @@ def activation_memory_child(recipe: str) -> None:
         "pool_bytes": _held_bytes(pooled),
         "module_and_pool_bytes": _held_bytes(kept + pooled),
         "pool_batch_sizes": sizes,
+        "trained_pool_batch_sizes": trained_sizes,
         "eval_peak_bytes": eval_peak,
         "replica_forward_bytes": forward,
+        "replica_step_peak_bytes": step_peak,
         "param_bytes": sum(m.nbytes for m in models),
         "params_sha256": digest.hexdigest(),
     }), flush=True)
@@ -1346,13 +1375,17 @@ def activation_memory_trial(baseline_src: str):
         "workload": "each recipe built at seed 0, one block of trainer.run, then "
         "trainer.evaluate, under tracemalloc: held_bytes (everything allocated "
         "since before the build and still alive), module_bytes (ndarrays the "
-        "replicas' modules keep outside their parameters, held workspaces "
-        "included), pool_bytes (workspace.POOL's free workspaces), "
-        "module_and_pool_bytes (both, each buffer once), pool_batch_sizes, "
-        "eval_peak_bytes (traced peak during the evaluation over the bytes "
-        "before it), replica_forward_bytes (module arrays of replica 0 after "
-        "one more training forward); params_equal: both sides' replicas "
-        "hold the same parameter bytes",
+        "replicas' modules keep outside their parameters, held or saved "
+        "workspaces included), pool_bytes (the workspaces workspace.POOL "
+        "keeps, free ones at a commit with checkout/give_back), "
+        "module_and_pool_bytes (both, each buffer once), pool_batch_sizes "
+        "(the batch sizes the pool keeps after the evaluation; "
+        "trained_pool_batch_sizes before it), eval_peak_bytes (traced peak "
+        "during the evaluation over the bytes before it), "
+        "replica_forward_bytes (module arrays of replica 0 after one more "
+        "training forward), replica_step_peak_bytes (traced peak over "
+        "replica 0's compute_gradient in a fresh pool); params_equal: both "
+        "sides' replicas hold the same parameter bytes",
         "recipes": recipes,
     }
 

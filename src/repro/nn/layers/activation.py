@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 
+from repro.nn import workspace
 from repro.nn.module import Module
 
 _GELU_C = math.sqrt(2.0 / math.pi)
@@ -14,22 +15,17 @@ _GELU_A = 0.044715
 
 class ReLU(Module):
     def forward(self, x: np.ndarray) -> np.ndarray:
-        shape = x.shape
-        # Pooled (out, bool mask, dx) buffers.
-        ws = self._checkout("relu", shape, lambda: (
-            np.empty(shape), np.empty(shape, dtype=bool), np.empty(shape),
-        ))
-        np.maximum(x, 0.0, out=ws[0])
-        return ws[0]
+        self._saved = None
+        out = np.maximum(x, 0.0, out=workspace.buffer(x.shape))
+        self._save(out)
+        return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        out, mask, dx = self._workspace()
+        (out,) = self._take()
         # out > 0 iff x > 0 (x == 0 clips to 0 either way), and ``out`` is
         # always contiguous while x may be a strided conv-workspace view.
-        np.greater(out, 0.0, out=mask)
-        np.multiply(grad_out, mask, out=dx)
-        self._release()
-        return dx
+        mask = np.greater(out, 0.0, out=workspace.buffer(out.shape, bool))
+        return np.multiply(grad_out, mask, out=workspace.buffer(out.shape))
 
 
 class GELU(Module):
@@ -37,16 +33,15 @@ class GELU(Module):
 
     The cubic is two products (``x**3`` goes through libm ``pow``, ~90x the
     cost per element), ``tanh(u)`` is kept from ``forward`` for ``backward``,
-    and every array lives in a pooled workspace ``(out, tanh(u), dx, scratch)``.
+    and every array is a pooled buffer (``nn.workspace``).
     """
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        out, t, _, x2 = self._checkout(
-            "gelu", x.shape, lambda: tuple(np.empty(x.shape) for _ in range(4))
-        )
-        self._save(x)
-        np.multiply(x, x, out=x2)
-        np.multiply(x2, x, out=t)
+        self._saved = None
+        out, t = workspace.buffer(x.shape), workspace.buffer(x.shape)
+        self._save(x, t)
+        np.multiply(x, x, out=out)  # x^2 now, the output below
+        np.multiply(out, x, out=t)
         t *= _GELU_A
         t += x
         t *= _GELU_C  # u = c * (x + a * x^3)
@@ -57,8 +52,8 @@ class GELU(Module):
         return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        (x,) = self._take()
-        _, t, dx, s = self._workspace()
+        x, t = self._take()
+        dx, s = workspace.buffer(x.shape), workspace.buffer(x.shape)
         # dy/dx = 0.5 * (1 + t) + 0.5 * x * (1 - t^2) * c * (1 + 3a * x^2)
         np.multiply(x, x, out=s)
         s *= 1.5 * _GELU_A * _GELU_C
@@ -71,7 +66,6 @@ class GELU(Module):
         s += 0.5
         dx += s
         dx *= grad_out
-        self._release()
         return dx
 
 

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 
+from repro.nn import workspace
 from repro.nn.layers.linear import Linear
 from repro.nn.module import Module
 from repro.utils.rng import RngLike, spawn_rngs
@@ -54,10 +55,10 @@ class MultiHeadSelfAttention(Module):
                 f"attention expected (B, T, {self.dim}), got {x.shape}"
             )
         b, t, _ = x.shape
-        # probs and ctx (out_proj's input) are kept; backward writes d_probs and a product.
-        probs, _, _, ctx = self._checkout(("attention", self.n_heads), x.shape, lambda: (
-            *(np.empty((b, self.n_heads, t, t)) for _ in range(3)), np.empty(x.shape),
-        ))
+        self._saved = None
+        # probs is saved here, ctx by out_proj, whose input it is.
+        probs = workspace.buffer((b, self.n_heads, t, t))
+        ctx = workspace.buffer(x.shape)
         # 1/sqrt(dh) is folded into q: one multiply here instead of one on
         # the scores and one each on d_q and d_k.
         q2 = self.q_proj.forward(x)
@@ -80,10 +81,11 @@ class MultiHeadSelfAttention(Module):
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         q, k, v, probs = self._take()
-        _, d_scores, prod, ctx = self._workspace()
         d_attn = self._split_heads(self.out_proj.backward(grad_out))
-        # ctx was out_proj's input; from here on it holds d_q, d_k and d_v in
-        # turn, each the input of one projection's backward.
+        d_scores, prod = workspace.buffer(probs.shape), workspace.buffer(probs.shape)
+        # ctx holds d_q, d_k and d_v in turn, each the input of one
+        # projection's backward.
+        ctx = workspace.buffer(grad_out.shape)
         merged = self._split_heads(ctx)
         np.matmul(d_attn, v.transpose(0, 1, 3, 2), out=d_scores)  # d_probs
         # softmax_backward in place: probs * (d_probs - sum(d_probs * probs)).
@@ -98,5 +100,4 @@ class MultiHeadSelfAttention(Module):
         dx += self.k_proj.backward(ctx)
         np.matmul(probs.transpose(0, 1, 3, 2), d_attn, out=merged)  # d_v
         dx += self.v_proj.backward(ctx)
-        self._release()
         return dx

@@ -6,6 +6,7 @@ from typing import List
 
 import numpy as np
 
+from repro.nn import workspace
 from repro.nn.module import Module
 
 
@@ -58,12 +59,10 @@ class Residual(Module):
                 f"residual branch shapes differ: body {out.shape} vs "
                 f"skip {skip.shape}; supply a projection module"
             )
-        (y,) = self._checkout("residual", out.shape, lambda: (np.empty(out.shape),))
-        return np.add(out, skip, out=y)
+        return np.add(out, skip, out=workspace.buffer(out.shape))
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         # The body's dx is its first layer's own buffer; the skip's is added in place.
         dx = self.body.backward(grad_out)
         dx += grad_out if self.proj is None else self.proj.backward(grad_out)
-        self._release()
         return dx

@@ -53,14 +53,15 @@ With ``fuse_relu`` set (a model sets it where a ReLU alone reads the output)
 — in one flat pass from ``gq``'s first element, whose columns besides
 ``gq``'s are zero border that stays zero, like ``gq``'s garbage columns.
 
-All large intermediates live in the per-process pool (``nn.workspace``):
-planes and accumulators in a workspace checked out in ``forward`` and
-returned when ``backward`` completes, the GEMMs' partial products in scratch
-``_slab_conv`` holds for one call. So the steady-state hot loop performs no
+All large intermediates are lent by the per-process pool (``nn.workspace``):
+the input plane, weights and accumulator in a workspace ``forward`` saves
+for its backward; the gradient planes in one ``backward`` borrows; the
+``dW`` products, flipped weights, ``dx`` accumulator and the GEMMs' partial
+products as buffers of their own. So the steady-state hot loop performs no
 large allocations and every replica of a cluster works in the same buffers.
 
 Strided convolutions go through im2col/col2im; their patch matrix is a
-pooled workspace too.
+pooled buffer too.
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from repro.nn import init, module, workspace
+from repro.nn import init, workspace
 from repro.nn.functional import col2im, conv_out_size, im2col
 from repro.nn.module import Module
 from repro.nn.parameter import Parameter
@@ -101,28 +102,34 @@ def _nchw(buf: np.ndarray) -> np.ndarray:
     return buf.transpose(2, 1, 0, 3)
 
 
+def _accumulator(k: int, rows: int, chans: int, n: int, cols: int) -> np.ndarray:
+    """A zeroed ``(rows, chans, n, cols)`` accumulator lent by the pool. Its
+    writers fill columns [0, Q-k+1) of each (chans, Q) row block and add over
+    whole buffers, so its k-1 tail columns stay zero; another k writes another
+    span, so k is in the key."""
+    shape = (rows, chans, n, cols)
+    return workspace.POOL.lend(("slabacc", k), (n, rows, chans, cols), lambda: np.zeros(shape))
+
+
 def _slab_conv(w: np.ndarray, taps: np.ndarray, acc: np.ndarray):
     """``acc[y] = Σ_j w[j] @ taps[j, y]``: a whole stride-1 convolution as k
-    batched GEMM calls with K = k·chans and k-1 accumulator adds. The partial
-    products go through pool scratch keyed by k and ``acc``'s shape, batch
-    first: another k writes another span, so the k-1 tail columns stay zero."""
+    batched GEMM calls with K = k·chans and k-1 accumulator adds, the partial
+    products in an accumulator of ``acc``'s shape."""
     k, (rows, out_chans, n, cols), span = len(taps), acc.shape, taps.shape[3]
-    key = (("slabtmp", k), (n, rows, out_chans, cols))
-    tmp = workspace.POOL.checkout(
-        *key, lambda: np.zeros(acc.shape), keep=module._grad_enabled
-    )
+    tmp = _accumulator(k, *acc.shape)
     acc_l, tmp_l = (b.reshape(rows, out_chans, -1)[:, :, :span] for b in (acc, tmp))
     np.matmul(w[0], taps[0], out=acc_l)
     for wj, tap in zip(w[1:], taps[1:]):
         np.matmul(wj, tap, out=tmp_l)
         acc += tmp
-    workspace.POOL.give_back(*key, tmp)
 
 
 class _SlabWorkspace:
-    """Pooled buffers of the row-slab path, tied to one input shape."""
+    """The row-slab forward's buffers, tied to one input shape: what its
+    backward reads (the input plane's taps, and the accumulator under a
+    fused ReLU)."""
 
-    def __init__(self, x_shape, out_channels, k, pad, bias, need_dx):
+    def __init__(self, x_shape, out_channels, k, pad, bias):
         n, c, h, w = x_shape
         o = out_channels
         # conv_out_size validates that the kernel fits (raises otherwise).
@@ -140,7 +147,16 @@ class _SlabWorkspace:
         # k-1 tail columns must hold something finite — they stay zero.
         self.acc = np.zeros((oh, o, n, wp))
         self.out_view = _nchw(self.acc)[..., :ow]
-        self.dw_rows = np.empty((k, oh, o, k * cb))
+
+
+class _SlabGrad:
+    """The row-slab backward's gradient planes, tied to one input shape."""
+
+    def __init__(self, x_shape, out_channels, k, pad, need_dx):
+        n, c, h, w = x_shape
+        o = out_channels
+        oh, ow = conv_out_size(h, k, 1, pad), conv_out_size(w, k, 1, pad)
+        wp = w + 2 * pad
         b = k - 1 - pad
         if need_dx:
             # dx is the same kernel over the gradient inside a zero border
@@ -152,9 +168,6 @@ class _SlabWorkspace:
                 :, :, lo : lo + oh - 2 * cut, lo : lo + ow - 2 * cut
             ]
             self.crop = (..., slice(cut, oh - cut), slice(cut, ow - cut))
-            self.wd = np.empty((k, c, k, o))
-            self.acc_d = np.zeros((h, c, n, w + k - 1))
-            self.dx_view = _nchw(self.acc_d)[..., :w]
         if need_dx and b == pad:
             # Same padding: the dW operand is a window of the dx plane, pad
             # rows down and pad columns along (module docstring).
@@ -164,13 +177,13 @@ class _SlabWorkspace:
             # its garbage columns are zeroed here and never written.
             self.gp = plane = np.zeros((oh, o, n, wp))
             self.g_int, lo = _nchw(plane)[..., :ow], 0
-        self.gq = plane.reshape(len(plane), o, -1)[
-            lo : lo + oh, :, lo : lo + self.taps.shape[3]
-        ]
+        self.gq = plane.reshape(len(plane), o, -1)[lo : lo + oh, :, lo : lo + n * wp - k + 1]
         # gq as one flat run the accumulator's size: element i lines up with
-        # acc's, and the run's extra columns are the plane's zero border.
-        start = lo * self.acc[0].size + lo
-        self.g_run = plane.reshape(-1)[start : start + self.acc.size]
+        # the accumulator's, and the run's extra columns are the plane's zero
+        # border.
+        size = oh * o * n * wp
+        start = lo * (size // oh) + lo
+        self.g_run = plane.reshape(-1)[start : start + size]
 
 
 class Conv2d(Module):
@@ -179,7 +192,7 @@ class Conv2d(Module):
     Parameters follow the usual convention: ``weight`` is
     ``(out_channels, in_channels, kh, kw)``. Stride-1 instances run the
     row-slab kernel described in the module docstring; strided instances
-    unfold with :func:`im2col` into a reusable patch workspace and perform a
+    unfold with :func:`im2col` into a pooled patch buffer and perform a
     single matrix multiply, keeping the hot loop inside BLAS either way.
     """
 
@@ -218,11 +231,10 @@ class Conv2d(Module):
     # -- row-slab path (stride == 1) ----------------------------------------
     def _forward_slab(self, x: np.ndarray) -> np.ndarray:
         o, c = self.out_channels, self.in_channels
-        k, pad = self.kernel_size, self.padding
-        bias, need_dx = self.bias is not None, not self.skip_input_grad
-        ws = self._checkout(
-            ("slab", o, k, pad, bias, need_dx), x.shape,
-            lambda: _SlabWorkspace(x.shape, o, k, pad, bias, need_dx),
+        k, pad, bias = self.kernel_size, self.padding, self.bias is not None
+        ws = workspace.POOL.lend(
+            ("slab", o, k, pad, bias), x.shape,
+            lambda: _SlabWorkspace(x.shape, o, k, pad, bias),
         )
         np.copyto(ws.x_int, x)
         # w[j, o, i, c] = W[o, c, i, j]; the ones channel's weight is the
@@ -233,38 +245,44 @@ class Conv2d(Module):
         _slab_conv(ws.w.reshape(k, o, -1), ws.taps, ws.acc)
         if self.fuse_relu:
             np.maximum(ws.acc, 0.0, out=ws.acc)
+        self._save(ws)
         # Strided window into the accumulator — consumers read it without a
-        # packing copy. Valid until this layer's backward returns the
-        # workspace, which is after every consumer of this step has read it.
+        # packing copy.
         return ws.out_view
 
     def _backward_slab(self, grad_out: np.ndarray) -> np.ndarray:
         o, c, k = self.out_channels, self.in_channels, self.kernel_size
-        ws = self._workspace()
+        (ws,) = self._take()
+        x_shape, need_dx = ws.x_int.shape, not self.skip_input_grad
+        gw = workspace.POOL.lend(
+            ("slabgrad", o, k, self.padding, need_dx), x_shape,
+            lambda: _SlabGrad(x_shape, o, k, self.padding, need_dx),
+        )
         # Into gq's plane: the dx plane where g_int is None (same padding).
-        (ws.gd_int if ws.g_int is None else ws.g_int)[...] = grad_out
+        (gw.gd_int if gw.g_int is None else gw.g_int)[...] = grad_out
         if self.fuse_relu:
-            np.multiply(ws.g_run, ws.acc.reshape(-1) > 0.0, out=ws.g_run)
-        if ws.g_int is not None and not self.skip_input_grad:
-            ws.gd_int[...] = ws.g_int[ws.crop]
+            np.multiply(gw.g_run, ws.acc.reshape(-1) > 0.0, out=gw.g_run)
+        if gw.g_int is not None and need_dx:
+            gw.gd_int[...] = gw.g_int[gw.crop]
         # dW[j] = Σ_y gq[y] @ taps[j, y]ᵀ: the GEMM's column dimension spans
         # the batch, so the sample sum happens inside the product and only
         # the output rows are left to add up. The ones channel's entry at
         # tap (0, 0) is gq's total per output channel — the bias gradient
         # (gq's garbage columns are zero, so nothing but grad_out is in it).
-        np.matmul(ws.gq, ws.taps.transpose(0, 1, 3, 2), out=ws.dw_rows)
-        dw = ws.dw_rows.sum(axis=1).reshape(k, o, k, -1)
+        dw_rows = workspace.buffer((k, *gw.gq.shape[:2], ws.taps.shape[2]))
+        np.matmul(gw.gq, ws.taps.transpose(0, 1, 3, 2), out=dw_rows)
+        dw = dw_rows.sum(axis=1).reshape(k, o, k, -1)
         self.weight.accumulate_grad(dw[..., :c].transpose(1, 3, 2, 0))
         if self.bias is not None:
             self.bias.accumulate_grad(dw[0, :, 0, c])
-        self._release()
-        if self.skip_input_grad:
+        if not need_dx:
             return None
-        ws.wd[...] = self.weight.data[:, :, ::-1, ::-1].transpose(3, 1, 2, 0)
-        _slab_conv(ws.wd.reshape(k, c, -1), ws.taps_d, ws.acc_d)
-        # View into the returned workspace: valid until the next forward
-        # checks it out, which is always after the caller has consumed it.
-        return ws.dx_view
+        wd = workspace.buffer((k, c, k, o))
+        wd[...] = self.weight.data[:, :, ::-1, ::-1].transpose(3, 1, 2, 0)
+        n, _, h, w = x_shape
+        acc_d = _accumulator(k, h, c, n, w + k - 1)
+        _slab_conv(wd.reshape(k, c, -1), gw.taps_d, acc_d)
+        return _nchw(acc_d)[..., :w]
 
     # -- im2col fallback (stride > 1) --------------------------------------
     def _forward_im2col(self, x: np.ndarray) -> np.ndarray:
@@ -274,12 +292,9 @@ class Conv2d(Module):
         k = self.kernel_size
         oh = conv_out_size(x.shape[2], k, self.stride, self.padding)
         ow = conv_out_size(x.shape[3], k, self.stride, self.padding)
-        shape = (n * oh * ow, self.in_channels * k * k)
-        (cols,) = self._checkout(
-            ("cols", k, self.stride, self.padding), x.shape,
-            lambda: (np.empty(shape),),
-        )
+        cols = workspace.buffer((n * oh * ow, self.in_channels * k * k))
         im2col(x, k, k, self.stride, self.padding, out=cols)
+        self._save(cols, x.shape)
         w2 = self.weight.data.reshape(self.out_channels, -1)
         out = cols @ w2.T  # (N*OH*OW, out_channels)
         if self.bias is not None:
@@ -287,8 +302,7 @@ class Conv2d(Module):
         return out.reshape(n, oh, ow, self.out_channels).transpose(0, 3, 1, 2)
 
     def _backward_im2col(self, grad_out: np.ndarray) -> np.ndarray:
-        (cols,) = self._workspace()
-        x_shape = self._held[1]
+        cols, x_shape = self._take()
         n, _, oh, ow = grad_out.shape
         k = self.kernel_size
         g2 = grad_out.transpose(0, 2, 3, 1).reshape(n * oh * ow, self.out_channels)
@@ -297,7 +311,6 @@ class Conv2d(Module):
         )
         if self.bias is not None:
             self.bias.accumulate_grad(g2.sum(axis=0))
-        self._release()
         if self.skip_input_grad:
             return None
         w2 = self.weight.data.reshape(self.out_channels, -1)
@@ -310,6 +323,7 @@ class Conv2d(Module):
             raise ValueError(
                 f"Conv2d expected (N, {self.in_channels}, H, W), got {x.shape}"
             )
+        self._saved = None
         if self.stride == 1:
             return self._forward_slab(x)
         return self._forward_im2col(x)

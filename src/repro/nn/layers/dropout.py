@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.nn import workspace
 from repro.nn.module import Module
 from repro.utils.rng import RngLike, as_rng
 
@@ -12,7 +13,8 @@ class Dropout(Module):
     """Inverted dropout: active only in training mode, identity in eval.
 
     Scaling by ``1/(1-p)`` at train time keeps activation magnitudes constant
-    so evaluation requires no rescaling. Mask, output and ``dx`` are pooled.
+    so evaluation requires no rescaling. Mask, output and ``dx`` are pooled
+    buffers (``nn.workspace``).
     """
 
     def __init__(self, p: float = 0.5, rng: RngLike = None):
@@ -26,21 +28,17 @@ class Dropout(Module):
         if not self.training or self.p == 0.0:
             self._save(None)  # identity backward
             return x
-        mask, out, _ = self._checkout(
-            "dropout", x.shape, lambda: tuple(np.empty(x.shape) for _ in range(3))
-        )
+        self._saved = None
+        mask = workspace.buffer(x.shape)
         keep = 1.0 - self.p
         self.rng.random(out=mask)
         np.less(mask, keep, out=mask)  # 1.0 where kept, else 0.0
         mask /= keep
         self._save(mask)
-        return np.multiply(x, mask, out=out)
+        return np.multiply(x, mask, out=workspace.buffer(x.shape))
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         (mask,) = self._take()
         if mask is None:
             return grad_out
-        dx = self._workspace()[2]
-        np.multiply(grad_out, mask, out=dx)
-        self._release()
-        return dx
+        return np.multiply(grad_out, mask, out=workspace.buffer(mask.shape))

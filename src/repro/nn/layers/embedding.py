@@ -18,8 +18,9 @@ class Embedding(Module):
     ``onehot(ids).T @ grad`` GEMM (``np.add.at`` costs ~3x as much), so
     repeated tokens accumulate; the ``(n_ids, num_embeddings)`` one-hot is
     sized for this repo's small vocabularies. It is a pooled workspace
-    (``nn.workspace``) that goes back all zero: each backward sets its ones
-    and clears them again, so no call fills or allocates the whole array.
+    (``nn.workspace``) that is all zero whenever it is free: each backward
+    sets its ones and clears them again, so no call fills or allocates the
+    whole array.
     """
 
     def __init__(self, num_embeddings: int, dim: int, rng: RngLike = None):
@@ -40,19 +41,16 @@ class Embedding(Module):
                 f"token ids out of range [0, {self.num_embeddings}): "
                 f"min={ids.min()}, max={ids.max()}"
             )
-        shape = (*ids.shape, self.dim)
-        (out,) = self._checkout("embedding", shape, lambda: (np.empty(shape),))
         self._save(ids)
+        out = workspace.buffer((*ids.shape, self.dim))
         return np.take(self.weight.data, ids, axis=0, out=out)
 
     def backward(self, grad_out: np.ndarray) -> None:
         """Integer inputs have no gradient: returns None, like the conv stem."""
         ids = self._take()[0].ravel()
         shape = (ids.size, self.num_embeddings)
-        onehot = workspace.POOL.checkout("onehot", shape, lambda: np.zeros(shape))
+        onehot = workspace.POOL.lend("onehot", shape, lambda: np.zeros(shape))
         rows = np.arange(ids.size)
         onehot[rows, ids] = 1.0
         self.weight.accumulate_matmul(onehot.T, grad_out.reshape(-1, self.dim))
         onehot[rows, ids] = 0.0
-        workspace.POOL.give_back("onehot", shape, onehot)
-        self._release()

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.nn import init
+from repro.nn import init, workspace
 from repro.nn.module import Module
 from repro.nn.parameter import Parameter
 from repro.utils.rng import RngLike, as_rng
@@ -16,7 +16,7 @@ class Linear(Module):
     Accepts inputs of shape ``(..., in_features)``; leading dimensions are
     batch dims (the transformer feeds ``(B, T, D)`` activations) and are
     flattened so forward and backward are each one GEMM, not ``B`` small ones.
-    The output and ``dx`` are a pooled workspace (``nn.workspace``).
+    The output and ``dx`` are pooled buffers (``nn.workspace``).
     """
 
     def __init__(
@@ -44,11 +44,7 @@ class Linear(Module):
             raise ValueError(
                 f"Linear expected last dim {self.in_features}, got {x.shape}"
             )
-        shape = (*x.shape[:-1], self.out_features)
-        sig = ("linear", self.in_features, self.skip_input_grad)
-        out, _ = self._checkout(sig, shape, lambda: (
-            np.empty(shape), None if self.skip_input_grad else np.empty(x.shape),
-        ))
+        out = workspace.buffer((*x.shape[:-1], self.out_features))
         self._save(x)
         y = out.reshape(-1, self.out_features)
         np.matmul(x.reshape(-1, self.in_features), self.weight.data.T, out=y)
@@ -63,8 +59,8 @@ class Linear(Module):
         self.weight.accumulate_matmul(g2.T, x2)
         if self.bias is not None:
             self.bias.accumulate_grad(g2.sum(axis=0))
-        _, dx = self._workspace()
-        if dx is not None:
-            np.matmul(g2, self.weight.data, out=dx.reshape(x2.shape))
-        self._release()
+        if self.skip_input_grad:
+            return None
+        dx = workspace.buffer(x.shape)
+        np.matmul(g2, self.weight.data, out=dx.reshape(x2.shape))
         return dx

@@ -68,7 +68,7 @@ class LayerNorm(Module):
 
     Centres once: ``var`` is the mean square of the centred input, the same
     arithmetic as ``np.var`` without its second pass over ``x``. ``xhat``,
-    the output and a ``dx`` no forward writes are a pooled workspace.
+    the output, ``dx`` and the backward's product are pooled buffers.
     """
 
     def __init__(self, dim: int, eps: float = 1e-5):
@@ -81,25 +81,23 @@ class LayerNorm(Module):
     def forward(self, x: np.ndarray) -> np.ndarray:
         if x.shape[-1] != self.dim:
             raise ValueError(f"LayerNorm expected last dim {self.dim}, got {x.shape}")
-        xhat, out, _ = self._checkout(
-            "layernorm", x.shape, lambda: tuple(np.empty(x.shape) for _ in range(3))
-        )
+        self._saved = None
+        xhat, out = workspace.buffer(x.shape), workspace.buffer(x.shape)
         # np.add.reduce(...) / dim is ``mean``'s arithmetic, without its wrapper.
         np.subtract(x, np.add.reduce(x, axis=-1, keepdims=True) / self.dim, out=xhat)
         np.multiply(xhat, xhat, out=out)  # squares now, the output below
         inv_std = 1.0 / np.sqrt(np.add.reduce(out, axis=-1, keepdims=True) / self.dim + self.eps)
         xhat *= inv_std
-        self._save(inv_std)
+        self._save(xhat, inv_std)
         np.multiply(xhat, self.weight.data, out=out)
         out += self.bias.data
         return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        (inv_std,) = self._take()
-        xhat, _, g = self._workspace()
+        xhat, inv_std = self._take()
+        g, tmp = workspace.buffer(xhat.shape), workspace.buffer(xhat.shape)
         d = self.dim
         axes = tuple(range(grad_out.ndim - 1))
-        tmp = workspace.POOL.checkout("lnscratch", g.shape, lambda: np.empty(g.shape))
         np.multiply(grad_out, xhat, out=tmp)
         self.weight.accumulate_grad(tmp.sum(axis=axes))
         self.bias.accumulate_grad(grad_out.sum(axis=axes))
@@ -113,6 +111,4 @@ class LayerNorm(Module):
         np.multiply(xhat, sum_gx, out=tmp)
         g -= tmp
         g *= inv_std / d
-        workspace.POOL.give_back("lnscratch", g.shape, tmp)
-        self._release()
         return g

@@ -13,35 +13,44 @@ each window's winner off the kept taps as a 2-bit code::
 and scatters ``grad_out`` through ``corner + [0, 1, w, w+1][code]``. The
 comparisons are strict, so a tie goes to the earlier tap at each of the three
 decisions: the first maximal tap, ``argmax``'s choice on the general path.
-The code is 0..3 at any width (``w`` is in the offset table only); ``corner``,
-each window's top-left flat index, is built by the first backward a workspace
-sees, never for an evaluation-only shape. Taps and maxima stay in the
-workspace from the forward that checks it out to the backward that returns
-it; a later forward in between overwrites them and is the one differentiated.
+The code is 0..3 at any width (``w`` is in the offset table only). The taps
+and maxima are a pooled workspace the forward saves for its backward; the
+flags, the index and ``corner``, each window's top-left flat index, are one
+the backward borrows, so an evaluation-only shape never builds them.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.nn import workspace
 from repro.nn.functional import col2im, im2col
 from repro.nn.module import Module
 
 
 class _PoolWorkspace:
-    """Pooled buffers for the 2x2 stride-2 MaxPool fast path."""
+    """The 2x2 stride-2 MaxPool forward's buffers: what its backward reads."""
 
     def __init__(self, x_shape):
         n, c, h, w = x_shape
         quarter = (n, c, h // 2, w // 2)
         self.taps = np.empty((2, 2, *quarter))  # (a, b), (c, d)
         self.maxes = np.empty((3, *quarter))  # m01, m23, out
+
+
+class _PoolGrad:
+    """Its backward's: winner flags, scatter index and the index grids."""
+
+    def __init__(self, x_shape):
+        n, c, h, w = x_shape
+        quarter = (n, c, h // 2, w // 2)
         self.flags = np.empty((3, *quarter), dtype=np.int8)  # t01, t23, sel
         # Flat input offset of taps 0..3 from their window's corner.
         self.offsets = np.array([0, 1, w, w + 1], dtype=np.intp)
         self.idx = np.empty(quarter, dtype=np.intp)
-        self.corner = None  # built by the first backward
-        self.dx = np.empty(x_shape)
+        # Flat index of each window's top-left element.
+        flat = np.arange(n * c * h * w).reshape(x_shape)
+        self.corner = np.ascontiguousarray(flat[:, :, ::2, ::2])
 
 
 class MaxPool2d(Module):
@@ -56,14 +65,15 @@ class MaxPool2d(Module):
         n, c, h, w = x.shape
         k, s = self.kernel_size, self.stride
         if s == k == 2 and h % 2 == 0 and w % 2 == 0:
-            ws = self._checkout("maxpool2", x.shape, lambda: _PoolWorkspace(x.shape))
+            self._saved = None
+            ws = workspace.POOL.lend("maxpool2", x.shape, lambda: _PoolWorkspace(x.shape))
             v = x.reshape(n, c, h // 2, 2, w // 2, 2)  # tap (i, j): v[:, :, :, i, :, j]
             np.copyto(ws.taps, v.transpose(3, 5, 0, 1, 2, 4))
             ((a, b), (cc, d)), (m01, m23, out) = ws.taps, ws.maxes
             np.maximum(a, b, out=m01)
             np.maximum(cc, d, out=m23)
             np.maximum(m01, m23, out=out)
-            self._save(None, x.shape)  # backward reads the held workspace
+            self._save(ws, x.shape)
             return out
         # General (overlapping / ragged) pooling: fold channels into the
         # batch dim so im2col produces per-channel patches.
@@ -75,10 +85,11 @@ class MaxPool2d(Module):
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         k, s = self.kernel_size, self.stride
-        argmax, (n, c, h, w) = self._take()
-        if argmax is None:
-            ws = self._workspace()
-            ((a, b), (cc, d)), (m01, m23, _) = ws.taps, ws.maxes
+        saved, (n, c, h, w) = self._take()
+        if isinstance(saved, _PoolWorkspace):
+            ((a, b), (cc, d)), (m01, m23, _) = saved.taps, saved.maxes
+            x_shape = (n, c, h, w)
+            ws = workspace.POOL.lend("maxpool2grad", x_shape, lambda: _PoolGrad(x_shape))
             t01, code, sel = ws.flags
             np.greater(b, a, out=t01.view(bool))
             np.greater(d, cc, out=code.view(bool))
@@ -87,15 +98,13 @@ class MaxPool2d(Module):
             code += 2
             code *= sel
             code += t01
-            if ws.corner is None:  # flat index of each window's top-left element
-                flat = np.arange(ws.dx.size).reshape(ws.dx.shape)
-                ws.corner = np.ascontiguousarray(flat[:, :, ::2, ::2])
             np.take(ws.offsets, code, out=ws.idx, mode="clip")  # "raise" buffers out
             ws.idx += ws.corner
-            ws.dx.fill(0.0)
-            ws.dx.reshape(-1)[ws.idx] = grad_out  # windows are disjoint: no index twice
-            self._release()
-            return ws.dx
+            dx = workspace.buffer(x_shape)
+            dx.fill(0.0)
+            dx.reshape(-1)[ws.idx] = grad_out  # windows are disjoint: no index twice
+            return dx
+        argmax = saved
         dcols = np.zeros((argmax.size, k * k), dtype=grad_out.dtype)
         dcols[np.arange(argmax.size), argmax] = grad_out.ravel()
         dx = col2im(dcols, (n * c, 1, h, w), k, k, s, 0)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.nn import workspace
 from repro.nn.module import Module
 
 
@@ -17,14 +18,17 @@ class CrossEntropyLoss(Module):
     Accepts logits of shape ``(N, C)`` or ``(B, T, C)`` (language modelling);
     targets are the matching integer array. The mean reduction over all
     positions matches Eqn. (1)'s per-sample averaging. A module so that its
-    two ``(positions, C)`` arrays are a pooled workspace, one set for every
+    two ``(positions, C)`` arrays are pooled buffers, one set for every
     replica's loss: on the transformer each is above glibc's initial mmap
     threshold, where an array allocated per step can be fresh pages.
     """
 
-    def _nll(self, logits: np.ndarray, targets: np.ndarray) -> np.ndarray:
-        """Each position's negative log-likelihood, flat; the log-softmax
-        stays in the held workspace."""
+    def token_nll(self, logits: np.ndarray, targets: np.ndarray) -> np.ndarray:
+        """Each position's negative log-likelihood, flat."""
+        return self._nll(logits, targets)[0]
+
+    def _nll(self, logits: np.ndarray, targets: np.ndarray) -> tuple:
+        """``token_nll`` and the log-softmax's buffer."""
         targets = np.asarray(targets, dtype=np.int64).reshape(-1)
         flat_logits = logits.reshape(-1, logits.shape[-1])
         if flat_logits.shape[0] != targets.shape[0]:
@@ -32,39 +36,27 @@ class CrossEntropyLoss(Module):
                 f"logits/targets batch mismatch: {logits.shape} vs {targets.shape}"
             )
         shape = flat_logits.shape
-        logp, probs = self._checkout(
-            "xent", shape, lambda: (np.empty(shape), np.empty(shape))
-        )
+        logp, probs = workspace.buffer(shape), workspace.buffer(shape)
         # log-softmax then softmax, each in place on the buffer before it
         # (same arithmetic as exp(log_softmax(...)), two arrays not five).
         np.subtract(flat_logits, np.max(flat_logits, axis=-1, keepdims=True), out=logp)
         np.exp(logp, out=probs)
         logp -= np.log(np.sum(probs, axis=-1, keepdims=True))
-        return -logp[np.arange(shape[0]), targets]
-
-    def token_nll(self, logits: np.ndarray, targets: np.ndarray) -> np.ndarray:
-        """:meth:`_nll`, holding no workspace afterwards (evaluation)."""
-        nll = self._nll(logits, targets)
-        self._release()
-        return nll
+        return -logp[np.arange(shape[0]), targets], logp
 
     def forward(self, logits: np.ndarray, targets: np.ndarray) -> float:
-        nll = self._nll(logits, targets)
-        logp, probs = self._workspace()
-        np.exp(logp, out=probs)
-        self._save(np.asarray(targets).reshape(-1), logits.shape)
+        self._saved = None
+        nll, logp = self._nll(logits, targets)
+        self._save(np.exp(logp, out=logp), np.asarray(targets).reshape(-1), logits.shape)
         return float(nll.mean())
 
     def backward(self) -> np.ndarray:
         """Gradient of the mean loss w.r.t. the logits, formed in place on
-        the probabilities. Their workspace goes back to the pool, so, like a
-        layer's ``dx``, the result is read before the next loss's forward."""
-        targets, shape = self._take()
-        _, grad = self._workspace()
-        grad[np.arange(targets.shape[0]), targets] -= 1.0
-        grad /= targets.shape[0]
-        self._release()
-        return grad.reshape(shape)
+        the probabilities."""
+        probs, targets, shape = self._take()
+        probs[np.arange(targets.shape[0]), targets] -= 1.0
+        probs /= targets.shape[0]
+        return probs.reshape(shape)
 
 
 class MSELoss:

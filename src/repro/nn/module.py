@@ -16,7 +16,6 @@ from typing import Dict, Iterator, List, Tuple
 import numpy as np
 
 from repro.nn.parameter import Parameter
-from repro.nn import workspace
 
 _grad_enabled = True  # False inside ``no_grad()``
 
@@ -24,8 +23,9 @@ _grad_enabled = True  # False inside ``no_grad()``
 @contextmanager
 def no_grad():
     """Forward-only region (evaluation): forwards save nothing, and a
-    workspace of a batch size the pool does not hold is private (dropped on
-    release), so evaluation-only sizes never enter ``nn.workspace.POOL``."""
+    workspace of a batch size the pool does not keep is private (dropped with
+    its last reference), so evaluation-only sizes never enter
+    ``nn.workspace.POOL``."""
     global _grad_enabled
     prev, _grad_enabled = _grad_enabled, False
     try:
@@ -50,7 +50,6 @@ class Module:
         self._arena_ver = -1  # _registry_version the arena was validated at
         self._tree = (-1, ())  # (_registry_version, descendants, depth-first)
         self.training: bool = True
-        self._held = None  # (signature, shape, workspace) out of workspace.POOL
         self._saved = None  # what the last forward kept for its backward
 
     # -- registration ------------------------------------------------------
@@ -99,8 +98,8 @@ class Module:
         return sum(p.nbytes for p in self.parameters())
 
     # -- modes ---------------------------------------------------------------
-    # A mode call also ends every workspace hold and saved slot in the tree,
-    # so it must not sit between a forward and its backward.
+    # A mode call also clears every saved slot in the tree, so it must not
+    # sit between a forward and its backward.
     def train(self, mode: bool = True) -> "Module":
         # Runs around every gradient computation: the tree is walked once per
         # registry version (as in ``_ensure_arena``), not once per call. It
@@ -109,49 +108,27 @@ class Module:
             self._tree = (Module._registry_version, tuple(self.modules())[1:])
         for m in (self, *self._tree[1]):
             m.training = mode
-            m._release()
+            m._saved = None
         return self
 
     def eval(self) -> "Module":
         return self.train(False)
 
     # -- what a forward keeps for its backward ---------------------------------
-    def _no_forward(self) -> RuntimeError:
-        name = type(self).__name__
-        return RuntimeError(f"{name}.backward called before forward (one per forward)")
-
     def _save(self, *arrays) -> None:
-        """Keep ``arrays`` for this forward's backward (nothing under
-        :func:`no_grad`). Called after any ``_checkout``, which clears it."""
-        if _grad_enabled:
-            self._saved = arrays
+        """Keep ``arrays`` (workspaces included) for this forward's backward,
+        so the pool lends none of them meanwhile; nothing under :func:`no_grad`.
+        A forward that lends clears the slot first, so what the last forward
+        saved is free for it."""
+        self._saved = arrays if _grad_enabled else None
 
     def _take(self) -> tuple:
         """What the last forward saved, which this backward consumes."""
         saved, self._saved = self._saved, None
         if saved is None:
-            raise self._no_forward()
+            name = type(self).__name__
+            raise RuntimeError(f"{name}.backward called before forward (one per forward)")
         return saved
-
-    # -- pooled workspaces (see ``nn.workspace``) ------------------------------
-    def _checkout(self, sig, shape, build):
-        """This forward's workspace, held until :meth:`_release`."""
-        self._release()
-        ws = workspace.POOL.checkout(sig, shape, build, keep=_grad_enabled)
-        self._held = (sig, shape, ws)
-        return ws
-
-    def _workspace(self):
-        """The workspace the last ``forward`` checked out."""
-        if self._held is None:
-            raise self._no_forward()
-        return self._held[2]
-
-    def _release(self) -> None:
-        self._saved = None
-        if self._held is not None:
-            held, self._held = self._held, None
-            workspace.POOL.give_back(*held)
 
     # -- gradients -------------------------------------------------------------
     def zero_grad(self) -> None:

@@ -160,14 +160,6 @@ class RunLog:
     def n_local(self) -> int:
         return self.n_steps - self.n_synced
 
-    @property
-    def sync_ratio(self) -> float:
-        """Fraction of recorded steps that synchronized (0.0 on an empty
-        log). The complement of :meth:`lssr`, convenient for dashboards."""
-        if self.n_steps == 0:
-            return 0.0
-        return self.n_synced / self.n_steps
-
     def lssr(self) -> float:
         """Local-to-synchronous step ratio, Eqn. (4) of the paper.
 

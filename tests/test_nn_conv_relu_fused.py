@@ -22,6 +22,7 @@ from repro.experiments.runner import MethodSpec, run_method
 from repro.experiments.workloads import get_workload
 from repro.nn import no_grad, workspace
 from repro.nn.layers import Conv2d, ReLU, Sequential
+from repro.nn.layers.conv import _SlabGrad
 from repro.nn.losses import CrossEntropyLoss
 from repro.nn.models import MODELS, build_model
 from repro.optim import SGD
@@ -144,13 +145,15 @@ def test_the_flat_run_holds_gq_at_the_accumulators_offsets(k, pad, skip):
     ``(OH, O, Q)``, its first ``Q-k+1`` columns are ``gq`` and the rest is
     zero border, whether ``gq`` lies in its own plane or in the dx plane."""
     fused, _ = pair(2, 3, k, pad, True, skip)
-    fused.forward(np.ones((2, 2, 7, 8)))
-    ws = fused._workspace()
-    ws.gq[...] = np.arange(1, ws.gq.size + 1).reshape(ws.gq.shape)
+    x = np.ones((2, 2, 7, 8))
+    fused.forward(x)
+    (ws,) = fused._saved
+    gw = _SlabGrad(x.shape, 3, k, pad, not skip)
+    gw.gq[...] = np.arange(1, gw.gq.size + 1).reshape(gw.gq.shape)
     oh, o = ws.acc.shape[:2]
-    run, span = ws.g_run.reshape(oh, o, -1), ws.gq.shape[2]
-    assert np.shares_memory(ws.g_run, ws.gq)
-    assert np.array_equal(run[:, :, :span], ws.gq) and not run[:, :, span:].any()
+    run, span = gw.g_run.reshape(oh, o, -1), gw.gq.shape[2]
+    assert gw.g_run.size == ws.acc.size and np.shares_memory(gw.g_run, gw.gq)
+    assert np.array_equal(run[:, :, :span], gw.gq) and not run[:, :, span:].any()
 
 
 def test_a_strided_conv_refuses_the_fused_relu():

@@ -23,7 +23,7 @@ from repro.experiments.runner import MethodSpec, run_method
 from repro.experiments.workloads import get_workload
 from repro.nn import workspace
 from repro.nn.layers import conv as conv_module
-from repro.nn.layers.conv import Conv2d, _SlabWorkspace
+from repro.nn.layers.conv import Conv2d, _SlabGrad, _SlabWorkspace
 from repro.nn.losses import CrossEntropyLoss
 from repro.nn.models import build_model
 from repro.utils.serialization import save_runlog
@@ -93,28 +93,28 @@ def reference(layer, x, g):
     return naive_conv(x, layer.weight.data, bias, g, layer.padding)
 
 
-def free_workspaces():
-    """Free layer workspaces; the call-local conv scratch is skipped."""
-    free = workspace.POOL.free.items()
+def kept_workspaces(cls):
+    """The pool's workspaces of class ``cls``, lent or free."""
     return [
-        ws for (sig, _), sizes in free if sig[:1] != ("slabtmp",)
-        for stack in sizes.values() for ws in stack
+        entry[0] for sizes in workspace.POOL.kept.values() for e in sizes.values()
+        for entry in e if isinstance(entry[0], cls)
     ]
 
 
 def slab_scratch():
-    """``(k, batch-first accumulator shape, buffer)`` of each free scratch."""
-    free = workspace.POOL.free.items()
+    """``(k, batch-first shape, buffer)`` of each zero-tailed accumulator
+    lent on its own: the partial products and the dx accumulators."""
     return [
-        (sig[1], (n, *shape), buf)
-        for (sig, shape), sizes in free if sig[:1] == ("slabtmp",)
-        for n, stack in sizes.items() for buf in stack
+        (sig[1], (n, *shape), entry[0])
+        for (sig, shape), sizes in workspace.POOL.kept.items()
+        if isinstance(sig, tuple) and sig[0] == "slabacc"
+        for n, e in sizes.items() for entry in e
     ]
 
 
 def assert_scratch_tails_are_zero():
-    """The GEMMs write columns [0, Q-k+1) of each (chans, Q) row block of a
-    scratch buffer, so its k-1 tail columns keep the zeros it was built with."""
+    """The GEMMs write columns [0, Q-k+1) of each (chans, Q) row block of an
+    accumulator, so its k-1 tail columns keep the zeros it was built with."""
     for k, (n, rows, chans, cols), buf in slab_scratch():
         assert not buf.reshape(rows, chans, -1)[:, :, n * cols - k + 1 :].any()
 
@@ -195,7 +195,7 @@ def test_float32_and_non_contiguous_operands():
 def test_two_passes_and_a_ragged_eval_between_forward_and_backward():
     """The deployed model evaluates (another batch size, forward only)
     between a replica's forward and its backward; then the next step reuses
-    the workspace the first one returned."""
+    the workspace the first one left free."""
     rng = np.random.default_rng(2)
     layer, deployed = make_layer(3, 5, 3, 1), make_layer(3, 5, 3, 1)
     for _ in range(2):
@@ -206,12 +206,14 @@ def test_two_passes_and_a_ragged_eval_between_forward_and_backward():
         layer.zero_grad()
         out = layer.forward(x)
         ragged_out = np.array(deployed.forward(ragged))
-        deployed.train()  # ends the forward-only hold
+        deployed.train()  # clears the forward-only saved slot
         np.testing.assert_allclose(out, ref[0], rtol=0, atol=1e-10)
         dx = layer.backward(g)
         assert_matches((None, dx, layer.weight.grad, layer.bias.grad), ref)
         assert_matches((ragged_out,), reference(deployed, ragged, g[:3]))
-    assert len(free_workspaces()) == 2
+        del out, dx  # a kept output would keep its workspace lent
+    assert len(kept_workspaces(_SlabWorkspace)) == 2
+    assert len(kept_workspaces(_SlabGrad)) == 1
 
 
 def test_a_biased_and_an_unbiased_layer_do_not_share_a_ones_channel():
@@ -224,8 +226,9 @@ def test_a_biased_and_an_unbiased_layer_do_not_share_a_ones_channel():
 
 
 def test_tap_views_are_read_only_and_end_exactly_at_the_buffer():
-    ws = _SlabWorkspace((4, 3, 6, 5), 2, 3, 1, True, True)
-    for buf, taps in ((ws.xp, ws.taps), (ws.gd, ws.taps_d)):
+    ws = _SlabWorkspace((4, 3, 6, 5), 2, 3, 1, True)
+    gw = _SlabGrad((4, 3, 6, 5), 2, 3, 1, True)
+    for buf, taps in ((ws.xp, ws.taps), (gw.gd, gw.taps_d)):
         assert not taps.flags.writeable
         start = taps.__array_interface__["data"][0]
         extent = sum((n - 1) * s for n, s in zip(taps.shape, taps.strides))
@@ -254,28 +257,29 @@ def test_same_padding_dw_operand_is_a_window_of_the_dx_plane(k, pad, skip, alias
     g = rng.normal(size=(5, 6, 6 + 2 * pad - k + 1, 7 + 2 * pad - k + 1))
     for _ in range(2):  # the second pass re-uses the planes the first one wrote
         assert_matches(run_conv(layer, x, g), reference(layer, x, g))
-    (ws,) = free_workspaces()
-    assert (ws.g_int is None) == aliased == (not hasattr(ws, "gp"))
-    assert np.shares_memory(ws.gq, ws.gd if aliased else ws.gp)
+    (gw,) = kept_workspaces(_SlabGrad)
+    assert (gw.g_int is None) == aliased == (not hasattr(gw, "gp"))
+    assert np.shares_memory(gw.gq, gw.gd if aliased else gw.gp)
 
 
 def n_aliased():
-    """(free slab workspaces, those whose dW operand reads the dx plane)."""
-    slabs = [ws for ws in free_workspaces() if isinstance(ws, _SlabWorkspace)]
-    return len(slabs), sum(ws.g_int is None for ws in slabs)
+    """(gradient-plane workspaces, those whose dW operand reads the dx plane)."""
+    grads = kept_workspaces(_SlabGrad)
+    return len(grads), sum(gw.g_int is None for gw in grads)
 
 
-class OwnPlaneWorkspace(_SlabWorkspace):
+class OwnPlaneGrad(_SlabGrad):
     """Every layer's dW operand in a plane of its own — the layout all
     layers had before same-padding ones read the dx plane."""
 
-    def __init__(self, *args):
-        super().__init__(*args)
+    def __init__(self, x_shape, o, k, pad, need_dx):
+        super().__init__(x_shape, o, k, pad, need_dx)
         if self.g_int is None:
-            oh, o, _, _ = self.acc.shape
-            self.gp = np.zeros(self.acc.shape)
-            self.g_int = self.gp.transpose(2, 1, 0, 3)[..., : self.out_view.shape[3]]
-            self.gq = self.gp.reshape(oh, o, -1)[:, :, : self.taps.shape[3]]
+            n, _, h, w = x_shape
+            oh, wp = h + 2 * pad - k + 1, w + 2 * pad
+            self.gp = np.zeros((oh, o, n, wp))
+            self.g_int = self.gp.transpose(2, 1, 0, 3)[..., : wp - k + 1]
+            self.gq = self.gp.reshape(oh, o, -1)[:, :, : n * wp - k + 1]
             self.g_run = self.gp.reshape(-1)
 
 
@@ -288,7 +292,7 @@ def test_aliased_operand_gives_the_same_gradient_bytes(name, monkeypatch):
     n_slabs, n = n_aliased()
     assert n > 0
     monkeypatch.setattr(workspace, "POOL", workspace.WorkspacePool())
-    monkeypatch.setattr(conv_module, "_SlabWorkspace", OwnPlaneWorkspace)
+    monkeypatch.setattr(conv_module, "_SlabGrad", OwnPlaneGrad)
     own_plane = model_step(name, x, y)
     assert n_aliased() == (n_slabs, 0)
     for a, b in zip(aliased, own_plane):
@@ -299,7 +303,7 @@ def test_aliased_operand_gives_the_same_gradient_bytes(name, monkeypatch):
 
 
 class NanEmptyNumpy:
-    """``numpy`` as ``conv.py`` sees it, with ``np.empty`` poisoned."""
+    """``numpy`` as ``conv.py`` and the pool see it, with ``np.empty`` poisoned."""
 
     def __getattr__(self, name):
         return getattr(np, name)
@@ -327,7 +331,9 @@ def test_uninitialised_scratch_never_reaches_a_result(name, monkeypatch):
     clean = model_step(name, x, y)
     monkeypatch.setattr(workspace, "POOL", workspace.WorkspacePool())
     monkeypatch.setattr(conv_module, "np", NanEmptyNumpy())
+    monkeypatch.setattr(workspace, "np", NanEmptyNumpy())  # dW rows, weights, dx
     assert np.isnan(conv_module.np.empty(3)).all()
+    assert np.isnan(workspace.buffer((2, 3))).all()
     poisoned = model_step(name, x, y)
     for a, b in zip(clean, poisoned):
         assert np.isfinite(b).all()
@@ -343,29 +349,29 @@ def test_planes_carry_nothing_across_steps_beyond_what_their_key_fixes():
         x, y = rng.normal(size=(8, 3, 16, 16)), rng.integers(0, 10, 8)
         loss.forward(model.forward(x), y)
         model.backward(loss.backward())
-    slabs = [ws for ws in free_workspaces() if isinstance(ws, _SlabWorkspace)]
-    assert len(slabs) == 4
-    assert sorted(ws.g_int is None for ws in slabs) == [False, True, True, True]
+    slabs, grads = kept_workspaces(_SlabWorkspace), kept_workspaces(_SlabGrad)
+    assert len(slabs) == len(grads) == 4
+    assert sorted(gw.g_int is None for gw in grads) == [False, True, True, True]
     for ws in slabs:
         c = ws.x_int.shape[1]
         ws.x_int[...] = 0.0
         assert not ws.xp[:, :c].any() and (ws.xp[:, c:] == 1.0).all()
-        tails = [(ws.acc, ws.taps)]
-        if ws.g_int is None:
+        rows, chans = ws.acc.shape[:2]
+        assert not ws.acc.reshape(rows, chans, -1)[:, :, ws.taps.shape[3] :].any()
+    for gw in grads:
+        if gw.g_int is None:
             # Same padding with dx: the dW operand is a window of gd, so its
             # garbage columns are gd's border.
-            assert np.shares_memory(ws.gq, ws.gd) and not hasattr(ws, "gp")
+            assert np.shares_memory(gw.gq, gw.gd) and not hasattr(gw, "gp")
         else:
-            ws.g_int[...] = 0.0
-            assert not ws.gp.any()
-        if hasattr(ws, "gd"):
-            ws.gd_int[...] = 0.0
-            assert not ws.gd.any()
-            tails += [(ws.acc_d, ws.taps_d)]
-        for buf, taps in tails:
-            rows, chans = buf.shape[:2]
-            assert not buf.reshape(rows, chans, -1)[:, :, taps.shape[3] :].any()
-    assert len(slab_scratch()) == 3
+            gw.g_int[...] = 0.0
+            assert not gw.gp.any()
+        if hasattr(gw, "gd"):
+            gw.gd_int[...] = 0.0
+            assert not gw.gd.any()
+    # Three accumulator shapes (four forward, three dx), each a dx
+    # accumulator and the partial products beside it.
+    assert len(slab_scratch()) == 6
     assert_scratch_tails_are_zero()
 
 
@@ -393,7 +399,8 @@ def test_equal_accumulator_shapes_of_different_kernels_keep_their_own_scratch(
             for got, ref in zip(run_conv(layer, x, g), want):
                 assert got.tobytes() == ref.tobytes()
     scratch = slab_scratch()
-    assert sorted(k for k, _, _ in scratch) == [3, 3, 5, 5]
+    # Per k: the forward's partial products, and the dx accumulator with its own.
+    assert sorted(k for k, _, _ in scratch) == [3, 3, 3, 5, 5, 5]
     assert len({shape for _, shape, _ in scratch}) == 2
     assert_scratch_tails_are_zero()
 

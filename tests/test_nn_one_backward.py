@@ -116,12 +116,13 @@ def test_no_grad_borrows_held_sizes_and_keeps_others_out(pool):
     x = RNG.normal(size=(4, 8))
     gelu.forward(x)
     gelu.backward(x)
-    (kept,) = pool.free[("gelu", (8,))][4]
+    key = (np.float64, (8,))
+    kept = {id(entry[0]) for entry in pool.kept[key][4]}
     with no_grad():
-        gelu.forward(x)  # a held size: the pooled workspace is borrowed
-        assert gelu._workspace() is kept and not pool.free[("gelu", (8,))][4]
-        gelu.forward(RNG.normal(size=(7, 8)))  # not held: private
-    assert gelu._workspace() is not kept
+        out = gelu.forward(x)  # a kept size: a pooled buffer is borrowed
+        assert id(out) in kept
+        out = gelu.forward(RNG.normal(size=(7, 8)))  # not kept: private
+    assert id(out) not in kept
     gelu.train()
-    assert list(pool.free[("gelu", (8,))]) == [4]
-    assert pool.free[("gelu", (8,))][4] == [kept]
+    assert list(pool.kept[key]) == [4]
+    assert {id(entry[0]) for entry in pool.kept[key][4]} == kept

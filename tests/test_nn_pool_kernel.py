@@ -18,7 +18,7 @@ import pytest
 
 from repro.nn import workspace
 from repro.nn.layers import pooling as pooling_module
-from repro.nn.layers.pooling import MaxPool2d, _PoolWorkspace
+from repro.nn.layers.pooling import MaxPool2d, _PoolGrad, _PoolWorkspace
 
 pytestmark = pytest.mark.filterwarnings("error")
 
@@ -35,7 +35,7 @@ def fast_pool(x, g, pool=None):
     """Private copies of ``(out, dx)`` from the fast path."""
     pool = pool or MaxPool2d(2)
     out = np.array(pool.forward(x))
-    assert pool._saved[0] is None, "input did not take the 2x2 fast path"
+    assert isinstance(pool._saved[0], _PoolWorkspace), "input did not take the 2x2 fast path"
     return out, np.array(pool.backward(g))
 
 
@@ -48,7 +48,7 @@ def general_pool(x, g):
     ragged[:, :, :h, :w] = x
     pool = MaxPool2d(2)
     out = pool.forward(ragged)
-    assert pool._saved[0] is not None  # the argmax of the general path
+    assert isinstance(pool._saved[0], np.ndarray)  # the argmax of the general path
     dx = pool.backward(g)
     assert not dx[:, :, h:, :].any() and not dx[:, :, :, w:].any()
     return out, dx[:, :, :h, :w]
@@ -123,7 +123,7 @@ def test_eval_forward_then_train_forward_then_backward():
     pool = MaxPool2d(2)
     pool.eval()
     eval_out = np.array(pool.forward(ragged))
-    assert pool._workspace().corner is None
+    assert [sig for sig, _ in workspace.POOL.kept] == ["maxpool2"]  # no corner grid
     pool.train()
     got = fast_pool(x, g, pool)
     assert_same_bytes(got, general_pool(x, g))
@@ -136,14 +136,14 @@ def test_two_forwards_then_one_backward_uses_the_second_forwards_taps():
     pool = MaxPool2d(2)
     pool.forward(x1)
     assert_same_bytes(fast_pool(x2, g, pool), general_pool(x2, g))
-    # And the next step, in the workspace the first one returned.
+    # And the next step, in the workspace the first one left free.
     assert_same_bytes(fast_pool(x1, g, pool), general_pool(x1, g))
-    (free,) = workspace.POOL.free.values()
-    assert [len(stack) for stack in free.values()] == [1]
+    (kept,) = (sizes for (sig, _), sizes in workspace.POOL.kept.items() if sig == "maxpool2")
+    assert [len(stack) for stack in kept.values()] == [1]
 
 
 class PoisonedEmptyNumpy:
-    """``numpy`` as ``pooling.py`` sees it, with ``np.empty`` poisoned: NaN
+    """``numpy`` as ``pooling.py`` and the pool see it, with ``np.empty`` poisoned: NaN
     in float buffers, an out-of-range value in the code and index ones."""
 
     def __getattr__(self, name):
@@ -159,7 +159,9 @@ def test_uninitialised_workspace_memory_never_reaches_a_result(monkeypatch):
     clean = fast_pool(x, g)
     monkeypatch.setattr(workspace, "POOL", workspace.WorkspacePool())
     monkeypatch.setattr(pooling_module, "np", PoisonedEmptyNumpy())
-    ws = _PoolWorkspace(x.shape)
-    assert np.isnan(ws.taps).all() and (ws.idx == -7).all() and (ws.flags == -7).all()
+    monkeypatch.setattr(workspace, "np", PoisonedEmptyNumpy())  # dx
+    ws, gw = _PoolWorkspace(x.shape), _PoolGrad(x.shape)
+    assert np.isnan(ws.taps).all() and (gw.idx == -7).all() and (gw.flags == -7).all()
+    assert np.isnan(workspace.buffer((2, 3))).all()
     for _ in range(2):  # a fresh workspace, then the same one re-used
         assert_same_bytes(fast_pool(x, g), clean)

@@ -1,14 +1,13 @@
 """Workspace-safety tests for the transformer hot path.
 
-GELU works in a pooled workspace (``nn.workspace``), attention caches its
-causal mask per ``T`` and every layer on the path works in place. The
-lifetime rule (DESIGN.md, "Hot path"): an array a layer returns from
-``forward`` is valid until that layer's ``backward`` returns (or its next
-``forward``), one returned from ``backward`` until the next ``forward``
-that checks the workspace out again. These tests pin what follows from it: reuse across shapes and calls never changes a result, activations
-held downstream survive until their consumer's backward (and no longer), and
-workspaces are not state — a resumed run rebuilds them and stays bitwise
-identical.
+Every layer on the path works in pooled buffers (``nn.workspace``) and
+attention caches its causal mask per ``T``. The lending rule (DESIGN.md,
+"Workspace lending rule"): the pool lends only a buffer nothing references,
+so what a layer saves for its backward, or a caller keeps, stays as written.
+These tests pin what follows from it: reuse across shapes and calls never
+changes a result, activations saved downstream survive until their
+consumer's backward (and no longer), and workspaces are not state — a
+resumed run rebuilds them and stays bitwise identical.
 """
 
 import numpy as np
@@ -74,9 +73,9 @@ def test_backward_pairs_with_the_latest_forward(name):
 
 def test_held_activations_survive_until_their_backward():
     """What a layer saves for backward (``Linear``'s input is the previous
-    layer's output buffer — LayerNorm's, GELU's workspace, a Residual sum)
-    must still hold its forward value when that layer's backward starts;
-    once the backward is done, and after an evaluation, nothing is held."""
+    layer's output buffer — LayerNorm's, GELU's, a Residual sum) must still
+    hold its forward value when that layer's backward starts; once the
+    backward is done, and after an evaluation, nothing is saved."""
     model = build_model("tinytransformer", vocab_size=16, max_len=8, rng=0, dropout=0.0)
     ids = RNG.integers(0, 16, (3, 8))
     g = RNG.normal(size=(3, 8, 16))
@@ -105,7 +104,7 @@ def test_held_activations_survive_until_their_backward():
     assert {type(m) for m in checked} == {
         Embedding, GELU, LayerNorm, Linear, MultiHeadSelfAttention
     }
-    assert all(m._saved is None and m._held is None for m in model.modules())
+    assert all(m._saved is None for m in model.modules())
     grads = model.get_flat_grads(copy=True)
 
     # Reuse is invisible: the same step again, and on a fresh model.
@@ -118,12 +117,12 @@ def test_held_activations_survive_until_their_backward():
     fresh.backward(g)
     np.testing.assert_array_equal(fresh.get_flat_grads(), grads)
 
-    # An evaluation saves nothing; the mode flip after it ends its holds.
+    # An evaluation saves nothing, and neither does the mode flip after it.
     model.eval()
     perplexity_eval(SequenceDataset(RNG.integers(0, 16, 200), bptt=8))(model)
     assert all(m._saved is None for m in model.modules())
     model.train()
-    assert all(m._held is None for m in model.modules())
+    assert all(m._saved is None for m in model.modules())
 
 
 def test_transformer_selsync_resume_is_bitwise_identical(tmp_path):
